@@ -1,0 +1,317 @@
+"""The mould algebra: product, derivations, exp/log, alternality.
+
+A mould is a scalar-valued function on words, represented here as a
+lazily evaluated, memoized callable.  Moulds are total functions and are
+never materialized as tables; evaluation of the same word twice returns
+bit-identical values.  All operations work uniformly over complex
+floats and exact Q(i) scalars.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .alphabet import EMPTY_WORD, Word, factorial, is_resonant, shuffles, sigma
+from .exact import QI, scalar_abs, scalar_is_zero
+
+
+class Mould:
+    """A memoized map ``Word -> scalar``.
+
+    Evaluation is pure given a frozen memo table: concurrent reads are
+    safe, and recomputing a word concurrently yields identical values,
+    so memo insertion only needs to be atomic-or-serialized.
+    """
+
+    def __init__(self, fn, name="M", support_hint=None):
+        self._fn = fn
+        self._memo = {}
+        self.name = name
+        # optional maximum word length carrying nonzero values
+        self.support_hint = support_hint
+
+    def __call__(self, word):
+        try:
+            return self._memo[word]
+        except KeyError:
+            value = self._fn(word)
+            self._memo[word] = value
+            return value
+
+    def __repr__(self):
+        return f"Mould({self.name})"
+
+
+def unit_mould():
+    """The multiplicative unit: 1 on the empty word, 0 elsewhere."""
+    return Mould(lambda w: 1 if w.r == 0 else 0, name="unit")
+
+
+def zero_mould():
+    return Mould(lambda w: 0, name="zero")
+
+
+def ident_mould():
+    """The mould that is 1 exactly on one-letter words."""
+    return Mould(lambda w: 1 if w.r == 1 else 0, name="I")
+
+
+def from_table(table, default=0, name="table"):
+    table = dict(table)
+    hint = max((w.r for w in table), default=0) if default == 0 else None
+    return Mould(lambda w: table.get(w, default), name=name, support_hint=hint)
+
+
+def mscale(c, M):
+    return Mould(lambda w: c * M(w), name=f"{c}*{M.name}")
+
+
+def madd(M, N):
+    return Mould(lambda w: M(w) + N(w), name=f"({M.name}+{N.name})")
+
+
+def msub(M, N):
+    return Mould(lambda w: M(w) - N(w), name=f"({M.name}-{N.name})")
+
+
+def mneg(M):
+    return Mould(lambda w: -M(w), name=f"-{M.name}")
+
+
+def times(M, N):
+    """Mould product: sum of ``M(a) N(b)`` over the r+1 splittings.
+
+    Splittings include the empty factors, so the unit mould is a
+    two-sided identity.
+    """
+
+    def value(word):
+        total = 0
+        for a, b in word.splits():
+            total = total + M(a) * N(b)
+        return total
+
+    return Mould(value, name=f"({M.name}x{N.name})")
+
+
+def mbracket(M, N):
+    """Mould commutator ``M x N - N x M``."""
+    return msub(times(M, N), times(N, M))
+
+
+def nabla(M, freq):
+    """Multiply the value on each word by its eigenvalue sum.
+
+    The factor is exactly zero on resonant words (integer-lattice
+    decision), never a tiny float.
+    """
+
+    def value(word):
+        if is_resonant(word, freq):
+            return freq.zero()
+        return sigma(word, freq) * M(word)
+
+    return Mould(value, name=f"nabla({M.name})")
+
+
+def nabla1(M):
+    """Multiply the value on each word by the word length."""
+    return Mould(lambda w: w.r * M(w), name=f"nabla1({M.name})")
+
+
+def resonant_part(M, freq):
+    """Keep values on resonant words, zero elsewhere."""
+
+    def value(word):
+        if is_resonant(word, freq):
+            return M(word)
+        return freq.zero()
+
+    return Mould(value, name=f"[{M.name}]_0")
+
+
+def _compositions(word, nparts):
+    """All splittings of ``word`` into ``nparts`` non-empty blocks."""
+    r = word.r
+    if nparts > r:
+        return
+    if nparts == 1:
+        yield (word,)
+        return
+    for i in range(1, r - nparts + 2):
+        head = word[:i]
+        for rest in _compositions(word[i:], nparts - 1):
+            yield (head, *rest)
+
+
+def mexp(G, max_r=None):
+    """Mould exponential ``sum_k G^(x k) / k!`` of an alternal-type mould.
+
+    Requires ``G`` to vanish on the empty word, which makes the series
+    terminate at ``k = r`` on any word of length ``r``.  ``max_r`` only
+    bounds the words on which evaluation is meaningful; the closure is
+    total either way.
+    """
+    if not scalar_is_zero(G(EMPTY_WORD)):
+        raise ValueError("mexp requires a mould vanishing on the empty word")
+
+    def value(word):
+        r = word.r
+        if r == 0:
+            return 1
+        if max_r is not None and r > max_r:
+            raise ValueError(f"word length {r} exceeds max_r={max_r}")
+        total = 0
+        for k in range(1, r + 1):
+            ksum = 0
+            for parts in _compositions(word, k):
+                prod = G(parts[0])
+                for p in parts[1:]:
+                    prod = prod * G(p)
+                ksum = ksum + prod
+            total = total + ksum / factorial(k)
+        return total
+
+    return Mould(value, name=f"exp({G.name})")
+
+
+def mlog(S, max_r=None):
+    """Mould logarithm of a group-like mould (``S`` equal to 1 on the
+    empty word): alternating sum over block decompositions.
+    """
+    s_empty = S(EMPTY_WORD)
+    if not (s_empty == 1 or s_empty == QI(1, 0)):
+        raise ValueError("mlog requires a mould equal to 1 on the empty word")
+
+    def value(word):
+        r = word.r
+        if r == 0:
+            return 0
+        if max_r is not None and r > max_r:
+            raise ValueError(f"word length {r} exceeds max_r={max_r}")
+        total = 0
+        for k in range(1, r + 1):
+            ksum = 0
+            for parts in _compositions(word, k):
+                prod = S(parts[0])
+                for p in parts[1:]:
+                    prod = prod * S(p)
+                ksum = ksum + prod
+            sign = 1 if (k - 1) % 2 == 0 else -1
+            total = total + (sign * ksum) / k
+        return total
+
+    return Mould(value, name=f"log({S.name})")
+
+
+class AlternalityReport:
+    """Result of an exhaustive shuffle-relation check."""
+
+    def __init__(self, pairs_checked, violations, max_ratio, tol):
+        self.pairs_checked = pairs_checked
+        self.violations = violations
+        self.max_ratio = max_ratio
+        self.tol = tol
+
+    @property
+    def ok(self):
+        return not self.violations
+
+    def __repr__(self):
+        return (
+            f"AlternalityReport(pairs={self.pairs_checked}, "
+            f"violations={len(self.violations)}, max_ratio={self.max_ratio:.3e})"
+        )
+
+
+def _words_over(alphabet, max_r, min_r=1):
+    import itertools
+
+    letters = sorted(tuple(k) for k in alphabet)
+    for r in range(min_r, max_r + 1):
+        for combo in itertools.product(letters, repeat=r):
+            yield Word(combo)
+
+
+def check_alternal(M, max_r, alphabet, tol=1e-10):
+    """Check the shuffle relations for all word pairs up to ``max_r``.
+
+    For every pair of non-empty words ``a, b`` over ``alphabet`` with
+    ``r(a) + r(b) <= max_r``, the shuffle sum of ``M`` must vanish below
+    ``tol`` relative to an accumulated magnitude scale: the larger of
+    the pair's own term mass and the largest term mass seen anywhere in
+    the run (degenerate pairs whose every term is rounding dust would
+    otherwise self-normalize to ratio one).
+    """
+    if not scalar_is_zero(M(EMPTY_WORD)):
+        raise ValueError("an alternal-type mould must vanish on the empty word")
+    checked = []
+    pairs = 0
+    global_scale = 0.0
+    for a in _words_over(alphabet, max_r - 1):
+        for b in _words_over(alphabet, max_r - a.r):
+            pairs += 1
+            total = 0
+            scale = 0.0
+            for lam, mult in sorted(shuffles(a, b).items(), key=lambda kv: kv[0].letters):
+                v = M(lam)
+                total = total + mult * v
+                scale += mult * scalar_abs(v)
+            checked.append((a, b, scalar_abs(total), scale))
+            global_scale = max(global_scale, scale)
+    violations = []
+    max_ratio = 0.0
+    for a, b, resid, scale in checked:
+        ref = max(scale, global_scale)
+        if ref > 0.0:
+            ratio = resid / ref
+            max_ratio = max(max_ratio, ratio)
+            if ratio > tol:
+                violations.append((a, b, resid, ref))
+        elif resid > 0.0:
+            violations.append((a, b, resid, ref))
+            max_ratio = float("inf")
+    return AlternalityReport(pairs, violations, max_ratio, tol)
+
+
+def _serialize_word(word):
+    return "|".join(",".join(str(c) for c in k) for k in word.letters)
+
+
+def _parse_word(text):
+    if text == "":
+        return EMPTY_WORD
+    return Word(tuple(tuple(int(c) for c in part.split(",")) for part in text.split("|")))
+
+
+def dump_table(M, words, exact=False):
+    """Materialize mould values on given words as a JSON-ready dict.
+
+    Values are ``[re, im]`` float pairs, or exact fraction strings when
+    ``exact`` is set.
+    """
+    out = {}
+    for w in sorted(set(words), key=lambda w: (w.r, w.letters)):
+        v = M(w)
+        if exact:
+            out[_serialize_word(w)] = QI.coerce(v).as_strings()
+        else:
+            c = complex(v)
+            out[_serialize_word(w)] = [c.real, c.imag]
+    return out
+
+
+def load_table(table, exact=False, default=0, name="golden"):
+    """Inverse of :func:`dump_table`, returning a table-backed mould."""
+    data = {}
+    for key, pair in table.items():
+        w = _parse_word(key)
+        if exact:
+            data[w] = QI.from_strings(pair)
+        else:
+            data[w] = complex(pair[0], pair[1])
+    return from_table(data, default=default, name=name)
+
+
+def dumps_table(M, words, exact=False, **json_kwargs):
+    return json.dumps(dump_table(M, words, exact=exact), sort_keys=True, **json_kwargs)

@@ -1,0 +1,272 @@
+"""Sparse trigonometric observables on the torus phase space.
+
+An observable is a finite sum ``sum b_km exp(i(k.x + m.xi))`` stored as
+a sparse map ``(k, m) -> complex``.  The same data doubles as a quantum
+Weyl symbol; both backends share this type.  Keeping the modes
+trigonometric in x *and* xi makes the bracket, the weighted norm and
+the homogeneous decomposition exact and finite.
+
+The x0 generator ``omega . xi`` is deliberately not an Observable (its
+weighted norm is not finite); it only ever acts through its diagonal
+eigenvalues ``i<k, omega>`` on mode vectors.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+from .alphabet import Word, beta, l1
+
+PRUNE_REL = 1e-16
+
+
+def _key(k, m):
+    return tuple(int(c) for c in k), tuple(int(c) for c in m)
+
+
+class Observable:
+    """A sparse complex trigonometric polynomial on T*T^d.
+
+    Parameters
+    ----------
+    d : int
+        Phase-space dimension (modes live in Z^d x Z^d).
+    coeffs : mapping ``(k, m) -> complex``, optional
+    real : bool
+        Declares the reality symmetry ``b_{-k,-m} = conj(b_{k,m})``;
+        validated on construction.
+
+    Instances are immutable in intent: all operations return new
+    observables, so unrestricted concurrent use is safe.
+    """
+
+    __slots__ = ("d", "coeffs", "real")
+
+    def __init__(self, d, coeffs=None, real=False, _prune=True):
+        self.d = int(d)
+        data = {}
+        if coeffs:
+            for (k, m), c in coeffs.items():
+                k, m = _key(k, m)
+                if len(k) != self.d or len(m) != self.d:
+                    raise ValueError(f"mode ({k},{m}) does not match d={self.d}")
+                c = complex(c)
+                if c != 0:
+                    data[(k, m)] = data.get((k, m), 0j) + c
+        if _prune and data:
+            top = max(abs(c) for c in data.values())
+            data = {km: c for km, c in data.items() if c != 0 and abs(c) > PRUNE_REL * top}
+        self.coeffs = data
+        self.real = bool(real)
+        if self.real:
+            self._check_real()
+
+    def _check_real(self):
+        for (k, m), c in self.coeffs.items():
+            mirror = self.coeffs.get((tuple(-a for a in k), tuple(-a for a in m)), 0j)
+            if abs(mirror - c.conjugate()) > 1e-12 * max(1.0, abs(c)):
+                raise ValueError(f"reality flag violated at mode ({k},{m})")
+
+    @classmethod
+    def zero(cls, d):
+        return cls(d, {})
+
+    @classmethod
+    def mode(cls, k, m, c=1.0):
+        k = tuple(int(a) for a in k)
+        return cls(len(k), {(k, m): c})
+
+    def items_sorted(self):
+        return sorted(self.coeffs.items(), key=lambda kv: kv[0])
+
+    def __len__(self):
+        return len(self.coeffs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Observable)
+            and self.d == other.d
+            and self.coeffs == other.coeffs
+        )
+
+    def __add__(self, other):
+        if self.d != other.d:
+            raise ValueError("dimension mismatch")
+        data = dict(self.coeffs)
+        for km, c in other.coeffs.items():
+            s = data.get(km, 0j) + c
+            if s == 0:
+                data.pop(km, None)
+            else:
+                data[km] = s
+        return Observable(self.d, data, real=self.real and other.real, _prune=False)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar):
+        scalar = complex(scalar)
+        real = self.real and scalar.imag == 0.0
+        return Observable(
+            self.d,
+            {km: scalar * c for km, c in self.coeffs.items() if scalar * c != 0},
+            real=real,
+            _prune=False,
+        )
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def prune(self, rel=PRUNE_REL):
+        if not self.coeffs:
+            return self
+        top = max(abs(c) for c in self.coeffs.values())
+        data = {km: c for km, c in self.coeffs.items() if c != 0 and abs(c) > rel * top}
+        return Observable(self.d, data, real=self.real, _prune=False)
+
+    def max_abs(self):
+        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+
+    def norm0(self):
+        """Plain coefficient mass (the rho -> 0 limit of the norm)."""
+        return sum(abs(c) for _, c in self.items_sorted())
+
+    def evaluate(self, x, xi):
+        """Pointwise value at real phase-space points (test oracle use)."""
+        total = 0j
+        for (k, m), c in self.items_sorted():
+            phase = sum(ki * vi for ki, vi in zip(k, x)) + sum(mi * vi for mi, vi in zip(m, xi))
+            total += c * complex(math.cos(phase), math.sin(phase))
+        return total
+
+    def __repr__(self):
+        return f"Observable(d={self.d}, modes={len(self.coeffs)})"
+
+
+def norm_rho(G, rho):
+    """Weighted coefficient norm ``sum |b_km| exp(rho(|m| + 2|k|))``.
+
+    The weight doubles the x-mode contribution, matching the torus
+    reduction of the symplectic-Fourier weight; ``|.|`` is the l1 norm.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    total = 0.0
+    for (k, m), c in G.items_sorted():
+        total += abs(c) * math.exp(rho * (l1(m) + 2 * l1(k)))
+    return total
+
+
+def slices(B):
+    """Decompose by exact x-mode: map ``k -> B_(k)`` (Fourier slice)."""
+    parts = {}
+    for (k, m), c in B.items_sorted():
+        parts.setdefault(k, {})[(k, m)] = c
+    return {
+        k: Observable(B.d, data, _prune=False) for k, data in sorted(parts.items())
+    }
+
+
+def homogeneous_parts(B, freq):
+    """Partition into eigen-components of the x0 adjoint action.
+
+    Modes are grouped by the class of ``k`` modulo the resonance
+    lattice (exact integer decision), which is exactly grouping by the
+    eigenvalue ``i<k, omega>`` for a consistent frequency.  The parts
+    sum back to ``B`` bitwise.
+
+    Returns
+    -------
+    dict
+        ``class_representative -> Observable``, sorted by representative.
+    """
+    parts = {}
+    for (k, m), c in B.items_sorted():
+        rep = freq.lattice_class(k)
+        parts.setdefault(rep, {})[(k, m)] = c
+    return {
+        rep: Observable(B.d, data, _prune=False) for rep, data in sorted(parts.items())
+    }
+
+
+def norm_rho_stripped(G, rho):
+    """Part norm with a single x-mode weight: ``sum |b| e^(rho(|m| + |k|))``.
+
+    One of the two e^(rho|k|) factors of :func:`norm_rho` is the budget
+    that the small-divisor weight ``e^(eta beta)`` consumes letter by
+    letter in the geometric-eta estimates; the norm-power bound on the
+    weighted tuple sums holds with this stripped convention.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    total = 0.0
+    for (k, m), c in G.items_sorted():
+        total += abs(c) * math.exp(rho * (l1(m) + l1(k)))
+    return total
+
+
+def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False):
+    """Weighted sum of products of part norms over r-tuples of classes.
+
+    Exact finite sum over all r-tuples of the homogeneous classes of
+    ``B`` of ``prod ||B_li||_rho * exp(eta_r * beta_{tau_r}(word))``.
+    With ``strip_letter_weight`` the part norms drop one e^(rho|k|)
+    factor (see :func:`norm_rho_stripped`); that is the convention under
+    which the geometric eta ladder keeps the sums below ``||B||_rho^r``.
+    """
+    if eta_r <= 0 or tau_r < 1:
+        raise ValueError("need eta_r > 0 and tau_r >= 1")
+    parts = homogeneous_parts(B, freq)
+    if not parts:
+        return 0.0
+    part_norm = norm_rho_stripped if strip_letter_weight else norm_rho
+    reps = sorted(parts)
+    norms = {rep: part_norm(parts[rep], rho) for rep in reps}
+    import itertools
+
+    total = 0.0
+    for combo in itertools.product(reps, repeat=r):
+        word = Word(combo)
+        weight = math.exp(eta_r * beta(word, tau_r, freq))
+        prod = 1.0
+        for rep in combo:
+            prod *= norms[rep]
+        total += prod * weight
+    return total
+
+
+def to_json_dict(B):
+    coeffs = [
+        {"k": list(k), "m": list(m), "re": c.real, "im": c.imag}
+        for (k, m), c in B.items_sorted()
+    ]
+    out = {"d": B.d, "coeffs": coeffs}
+    if B.real:
+        out["real"] = True
+    return out
+
+
+def from_json_dict(data):
+    extra = set(data) - {"d", "coeffs", "real"}
+    if extra:
+        raise ValueError(f"unknown observable keys: {sorted(extra)}")
+    coeffs = {}
+    for entry in data["coeffs"]:
+        k = tuple(int(c) for c in entry["k"])
+        m = tuple(int(c) for c in entry["m"])
+        coeffs[(k, m)] = coeffs.get((k, m), 0j) + complex(entry["re"], entry.get("im", 0.0))
+    return Observable(int(data["d"]), coeffs, real=bool(data.get("real", False)))
+
+
+def dumps(B, **kwargs):
+    return json.dumps(to_json_dict(B), sort_keys=True, **kwargs)
+
+
+def loads(text):
+    return from_json_dict(json.loads(text))

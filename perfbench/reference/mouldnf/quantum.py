@@ -1,0 +1,212 @@
+"""Moyal-bracket backend and Weyl-matrix cross-validation on L2(T^d).
+
+The deformed bracket is implemented at the level of structure
+constants only: on a pair of modes the classical constant
+``s = k.m' - m.k'`` is replaced by ``(2/hbar) sin(hbar s / 2)``.
+
+Convention note.  The half-angle form, together with the midpoint
+quantization phase ``exp(-i hbar m.(n + k/2))`` below, is the unique
+combination under which the symbol bracket reproduces the matrix
+commutator ``(1/(i hbar))[Op F, Op G]`` exactly (any projective
+representation of the mode group has half-angle sine commutators), and
+it reduces to the Poisson constant as hbar -> 0.  The sign is pinned by
+``validate_moyal``, which checks the identity entrywise to rounding;
+see tests/test_quantum.py::test_moyal_matches_weyl_commutator.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from .classical import poisson_structure_constant
+from .observables import Observable, homogeneous_parts, norm_rho as _norm_rho
+
+
+def moyal_structure_constant(k, m, kp, mp, hbar):
+    s = poisson_structure_constant(k, m, kp, mp)
+    if s == 0:
+        return 0.0
+    return 2.0 / hbar * math.sin(hbar * s / 2.0)
+
+
+def moyal_bracket(F, G, hbar):
+    """Deformed bracket of two symbols; same mode arithmetic as the
+    Poisson bracket with sine-deformed structure constants."""
+    if F.d != G.d:
+        raise ValueError("dimension mismatch")
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    if F is G or F == G:
+        # antisymmetry; spares relying on floating cancellation
+        return Observable.zero(F.d)
+    data = {}
+    for (k, m), c in F.items_sorted():
+        for (kp, mp), cp in G.items_sorted():
+            s = moyal_structure_constant(k, m, kp, mp, hbar)
+            if s == 0.0:
+                continue
+            km = (tuple(a + b for a, b in zip(k, kp)), tuple(a + b for a, b in zip(m, mp)))
+            data[km] = data.get(km, 0j) + s * c * cp
+    return Observable(F.d, data, real=F.real and G.real, _prune=False).prune()
+
+
+class WeylMatrix:
+    """Dense matrix of a symbol on the Fourier basis e^{i n.x}, |n|_inf <= cutoff."""
+
+    def __init__(self, d, cutoff, hbar, entries):
+        self.d = d
+        self.cutoff = cutoff
+        self.hbar = hbar
+        self.entries = entries
+
+    @property
+    def size(self):
+        return (2 * self.cutoff + 1) ** self.d
+
+    def index(self, n):
+        idx = 0
+        for c in n:
+            if abs(c) > self.cutoff:
+                raise IndexError(f"basis vector {n} outside cutoff {self.cutoff}")
+            idx = idx * (2 * self.cutoff + 1) + (c + self.cutoff)
+        return idx
+
+    def basis(self):
+        return itertools.product(range(-self.cutoff, self.cutoff + 1), repeat=self.d)
+
+    def spectral_norm(self):
+        return float(np.linalg.norm(self.entries, 2))
+
+    def hermiticity_defect(self):
+        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+
+    def dump(self):
+        """Dense ``[[re, im], ...]`` rows for debugging dumps."""
+        return [
+            [[float(v.real), float(v.imag)] for v in row]
+            for row in self.entries
+        ]
+
+
+def weyl_matrix(F, cutoff, hbar):
+    """Weyl quantization of a symbol as a dense matrix.
+
+    Mode ``(k, m)`` maps ``e^{i n.x}`` to
+    ``exp(-i hbar m.(n + k/2)) e^{i (n+k).x}``, i.e. the entry at row
+    ``n+k``, column ``n`` is ``b_km exp(-i hbar m.(n + k/2))`` (midpoint
+    rule; convention validated against the bracket identity, see module
+    docstring).  Rows falling outside the basis box are the inherent
+    truncation; callers compare on the interior only.
+    """
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    kmax = max((max(abs(c) for c in k) for (k, _), _ in F.items_sorted()), default=0)
+    if cutoff < kmax + 1:
+        raise ValueError(
+            f"cutoff {cutoff} too small: support escapes the box (max |k|_inf = {kmax})"
+        )
+    size = (2 * cutoff + 1) ** F.d
+    entries = np.zeros((size, size), dtype=complex)
+    mat = WeylMatrix(F.d, cutoff, hbar, entries)
+    for (k, m), c in F.items_sorted():
+        for n in mat.basis():
+            row = tuple(a + b for a, b in zip(n, k))
+            if any(abs(a) > cutoff for a in row):
+                continue
+            phase = sum(mi * (ni + ki / 2.0) for mi, ni, ki in zip(m, n, k))
+            entries[mat.index(row), mat.index(n)] += c * complex(
+                math.cos(hbar * phase), -math.sin(hbar * phase)
+            )
+    return mat
+
+
+class MoyalReport:
+    """Entrywise comparison of the symbol bracket against the matrix
+    commutator on the interior of the basis box."""
+
+    def __init__(self, max_deviation, interior_margin, interior_count, tol):
+        self.max_deviation = max_deviation
+        self.interior_margin = interior_margin
+        self.interior_count = interior_count
+        self.tol = tol
+
+    @property
+    def ok(self):
+        return self.max_deviation <= self.tol
+
+    def __repr__(self):
+        return (
+            f"MoyalReport(max_dev={self.max_deviation:.3e}, margin={self.interior_margin}, "
+            f"interior={self.interior_count})"
+        )
+
+
+def validate_moyal(F, G, cutoff, hbar, tol=1e-10):
+    """Compare ``Op(moyal(F,G))`` with ``(1/(i hbar))[Op F, Op G]``.
+
+    Edge rows and columns that truncation can corrupt are excluded; on
+    the interior the identity is exact, so deviations are rounding
+    only.
+    """
+
+    def _kmax(obs):
+        return max((max(abs(c) for c in k) for (k, _), _ in obs.items_sorted()), default=0)
+
+    margin = _kmax(F) + _kmax(G)
+    wf = weyl_matrix(F, cutoff, hbar)
+    wg = weyl_matrix(G, cutoff, hbar)
+    wb = weyl_matrix(moyal_bracket(F, G, hbar), cutoff, hbar)
+    commutator = (wf.entries @ wg.entries - wg.entries @ wf.entries) / (1j * hbar)
+    interior = [
+        wb.index(n)
+        for n in wb.basis()
+        if all(abs(c) <= cutoff - margin for c in n)
+    ]
+    if not interior:
+        raise ValueError("cutoff too small: no interior left after margin")
+    sel = np.ix_(interior, interior)
+    dev = float(np.max(np.abs(wb.entries[sel] - commutator[sel])))
+    return MoyalReport(dev, margin, len(interior), tol)
+
+
+def homogeneous_parts_q(B, freq):
+    """Quantum homogeneous components; identical partition to the
+    classical one because quantization commutes with the decomposition
+    (delegation)."""
+    return homogeneous_parts(B, freq)
+
+
+class QuantumBackend:
+    """Bracket backend for the Weyl-symbol picture at fixed hbar."""
+
+    def __init__(self, freq, hbar):
+        if hbar <= 0:
+            raise ValueError("hbar must be positive")
+        self.freq = freq
+        self.hbar = float(hbar)
+
+    @property
+    def name(self):
+        return f"quantum(hbar={self.hbar})"
+
+    def bracket(self, F, G):
+        return moyal_bracket(F, G, self.hbar)
+
+    def ad_x0_eigen(self, k):
+        # The generator is linear in xi, so its deformed bracket equals
+        # the Poisson one on every mode: same hbar-independent eigenvalue.
+        return self.freq.eigenvalue(k)
+
+    def ad_x0(self, G, exact_zero=True):
+        data = {}
+        for (k, m), c in G.items_sorted():
+            lam = complex(self.freq.eigenvalue(k, exact_zero=exact_zero))
+            if lam != 0:
+                data[(k, m)] = lam * c
+        return Observable(G.d, data, _prune=False)
+
+    def norm_rho(self, G, rho):
+        return _norm_rho(G, rho)

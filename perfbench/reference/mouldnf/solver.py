@@ -1,0 +1,206 @@
+"""Solver for the universal mould equation with zero gauge.
+
+Produces the coefficient moulds of the normal-form expansion by a
+memoized induction on word length.  On a word of length r the recursion
+branches on resonance of the full letter sum:
+
+* non-resonant: the value of the group-like mould is fixed by dividing
+  by the (non-zero) eigenvalue sum, and the normal-form mould vanishes;
+* resonant: the normal-form mould absorbs the right-hand side, and the
+  group-like value is fixed by the gauge (zero here) through an
+  auxiliary mould.
+
+Memoization keys are words of k-vectors, not eigenvalues: two letters
+with equal eigenvalue but different k are distinct keys.  The values
+only depend on the eigenvalues, so this merely accepts some duplicate
+computation in exchange for a simpler table.
+"""
+
+from __future__ import annotations
+
+from .alphabet import EMPTY_WORD, is_resonant, sigma
+from .exact import scalar_abs
+from .mould import (
+    Mould,
+    ident_mould,
+    madd,
+    mexp,
+    mlog,
+    mneg,
+    msub,
+    nabla,
+    nabla1,
+    resonant_part,
+    times,
+)
+
+
+class MouldSolution:
+    """The four moulds produced by the solver, as lazy callables."""
+
+    def __init__(self, F, S, Naux, G, gauge):
+        self.F = F
+        self.S = S
+        self.Naux = Naux
+        self.G = G
+        self.gauge = gauge
+
+
+class MouldSolver:
+    """Memoized induction computing F, S = e^G, N and G for a frequency.
+
+    Parameters
+    ----------
+    freq : Frequency
+        Decides resonance and supplies eigenvalues (exact Q(i) when the
+        frequency is exact).
+    gauge : Mould, optional
+        Resonant alternal gauge mould.  Only the zero gauge is covered
+        by the test suite; a non-zero gauge is accepted as a hook.
+    """
+
+    def __init__(self, freq, gauge=None):
+        self.freq = freq
+        self.gauge = gauge
+        zero = freq.zero()
+        one = freq.one()
+        self._F = {EMPTY_WORD: zero}
+        self._S = {EMPTY_WORD: one}
+        self._N = {EMPTY_WORD: zero}
+
+    def _gauge_value(self, word):
+        if self.gauge is None:
+            return self.freq.zero()
+        return self.gauge(word)
+
+    def values(self, word):
+        """The (F, S, N) values on ``word``, computing dependencies first."""
+        if word in self._F:
+            return self._F[word], self._S[word], self._N[word]
+        # Resolve sub-words iteratively to keep recursion depth flat.
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in self._F:
+                stack.pop()
+                continue
+            missing = [w.tail()] if w.tail() not in self._F else []
+            for a, b in w.splits(proper=True):
+                if a not in self._F:
+                    missing.append(a)
+                if b not in self._F:
+                    missing.append(b)
+            if missing:
+                stack.extend(missing)
+                continue
+            self._solve_one(w)
+            stack.pop()
+        return self._F[word], self._S[word], self._N[word]
+
+    def _solve_one(self, w):
+        r = w.r
+        s_tail = self._S[w.tail()]
+        sum_sf = self.freq.zero()
+        sum_sn = self.freq.zero()
+        for a, b in w.splits(proper=True):
+            sa = self._S[a]
+            sum_sf = sum_sf + sa * self._F[b]
+            sum_sn = sum_sn + sa * self._N[b]
+        if is_resonant(w, self.freq):
+            f = s_tail - sum_sf
+            s = (self._gauge_value(w) + sum_sn) / r
+            n = self._gauge_value(w)
+        else:
+            f = self.freq.zero()
+            s = (s_tail - sum_sf) / sigma(w, self.freq)
+            n = r * s - sum_sn
+        self._F[w] = f
+        self._S[w] = s
+        self._N[w] = n
+
+    @property
+    def F_mould(self):
+        return Mould(lambda w: self.values(w)[0], name="F")
+
+    @property
+    def S_mould(self):
+        return Mould(lambda w: self.values(w)[1], name="S")
+
+    @property
+    def N_mould(self):
+        return Mould(lambda w: self.values(w)[2], name="N")
+
+    @property
+    def G_mould(self):
+        return mlog(self.S_mould)
+
+    def g_of(self, word):
+        """Value of the alternal generator mould on ``word``."""
+        return self.G_mould(word)
+
+    def solution(self):
+        return MouldSolution(self.F_mould, self.S_mould, self.N_mould, self.G_mould, self.gauge)
+
+
+class EquationReport:
+    """Residuals of the mould equation over a finite word set."""
+
+    def __init__(self, words_checked, max_residual, max_nabla_f, max_gauge, scale, exact, tol):
+        self.words_checked = words_checked
+        self.max_residual = max_residual
+        self.max_nabla_f = max_nabla_f
+        self.max_gauge = max_gauge
+        self.scale = scale
+        self.exact = exact
+        self.tol = tol
+
+    @property
+    def ok(self):
+        worst = max(self.max_residual, self.max_nabla_f, self.max_gauge)
+        if self.exact:
+            return worst == 0.0
+        return worst <= self.tol * max(self.scale, 1e-300)
+
+    def __repr__(self):
+        return (
+            f"EquationReport(words={self.words_checked}, residual={self.max_residual:.3e}, "
+            f"nabla_f={self.max_nabla_f:.3e}, gauge={self.max_gauge:.3e}, scale={self.scale:.3e})"
+        )
+
+
+def verify_equation(solver, max_r, alphabet, tol=1e-9):
+    """Evaluate the defining equation's residual word by word.
+
+    Checks three identities on every word of length <= ``max_r`` over
+    ``alphabet``: the main equation (derivative of the group-like mould
+    against its product form), the vanishing derivative of the
+    normal-form mould, and the zero-gauge condition on the resonant part
+    of ``exp(-G) x nabla1 exp(G)``.
+    """
+    from .mould import _words_over
+
+    freq = solver.freq
+    S = solver.S_mould
+    F = solver.F_mould
+    G = solver.G_mould
+    nabla_S = nabla(S, freq)
+    I_times_S = times(ident_mould(), S)
+    S_times_F = times(S, F)
+    residual = madd(msub(nabla_S, I_times_S), S_times_F)
+    nabla_F = nabla(F, freq)
+    gauge_check = resonant_part(times(mexp(mneg(G)), nabla1(mexp(G))), freq)
+
+    words = [EMPTY_WORD, *_words_over(alphabet, max_r)]
+    max_res = 0.0
+    max_nf = 0.0
+    max_gauge = 0.0
+    scale = 0.0
+    for w in words:
+        max_res = max(max_res, scalar_abs(residual(w)))
+        max_nf = max(max_nf, scalar_abs(nabla_F(w)))
+        max_gauge = max(max_gauge, scalar_abs(gauge_check(w)))
+        scale = max(
+            scale,
+            scalar_abs(nabla_S(w)) + scalar_abs(I_times_S(w)) + scalar_abs(S_times_F(w)),
+        )
+    return EquationReport(len(words), max_res, max_nf, max_gauge, scale, freq.exact, tol)
