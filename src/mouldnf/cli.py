@@ -189,13 +189,14 @@ def cmd_normalize(config, out_dir, max_words):
     if _word_count(max(n_letters, 1), config.N) > max_words:
         print(f"error: word budget {max_words} exceeded", file=sys.stderr)
         return 2
+    backend = config.backend()
     try:
         result = normalize(
             B,
             config.N,
             config.scale,
             config.freq,
-            config.backend(),
+            backend,
             exp_order=config.exponential_order,
         )
     except OutOfDomainError as err:
@@ -212,7 +213,7 @@ def cmd_normalize(config, out_dir, max_words):
         result, config.N, config.scale, config.freq, g_list, alpha=alpha, K=config.K
     )
     payload = {
-        "backend": config.backend().name,
+        "backend": backend.name,
         "N": config.N,
         "norms": result.norms,
         "commutation_residual": result.commutation_residual,
@@ -234,7 +235,7 @@ def cmd_normalize(config, out_dir, max_words):
         writer.writerow(["backend", "N", "norm_B", "norm_Z", "norm_Y", "norm_E", "residual"])
         writer.writerow(
             [
-                config.backend().name,
+                backend.name,
                 config.N,
                 repr(result.norms["B"]),
                 repr(result.norms["Z"]),

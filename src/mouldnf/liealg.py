@@ -132,27 +132,27 @@ def apply_exp_ad(Y, X, order, params, backend, with_x0=False):
     """Truncated exponential adjoint ``sum_{d<=order} ad_Y^d X / d!``.
 
     With ``with_x0`` the conjugated element is ``x0 + X`` and the
-    returned observable omits the (non-representable) x0 itself:
-    ``ad_Y x0 = -[x0, Y]`` is evaluated mode-diagonally.  Returns the
-    observable and the geometric tail bound of the dropped orders.
+    returned observable omits the (non-representable) x0 itself.  Since
+    ``ad_Y x0 = -[x0, Y]`` is mode-diagonal, one chain of ``order``
+    brackets carries both parts: ``term_1 = [Y, X] - [x0, Y]`` and
+    ``term_d = [Y, term_{d-1}] / d``.  Returns the observable and the
+    geometric tail bound of the dropped orders; the bound is checked
+    before any bracket is taken.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    total = X
-    term = X
-    for d in range(1, order + 1):
-        term = backend.bracket(Y, term) * (1.0 / d)
-        total = total + term
-    if with_x0:
-        # e^{ad_Y} x0 - x0: first bracket is diagonal, the rest iterate.
-        term = -1.0 * backend.ad_x0(Y)
-        total = total + term
-        for d in range(2, order + 1):
-            term = backend.bracket(Y, term) * (1.0 / d)
-            total = total + term
     norm_y = norm_rho(Y, params.rho)
     norm_x = norm_rho(X, params.rho)
     tail, ratio = exp_ad_tail_bound(norm_y, norm_x, order, params, x0_term=with_x0)
+    total = X
+    if order >= 1:
+        term = backend.bracket(Y, X)
+        if with_x0:
+            term = term - backend.ad_x0(Y)
+        total = total + term
+    for d in range(2, order + 1):
+        term = backend.bracket(Y, term) * (1.0 / d)
+        total = total + term
     return total, tail, ratio
 
 

@@ -23,12 +23,10 @@ class Mould:
     so memo insertion only needs to be atomic-or-serialized.
     """
 
-    def __init__(self, fn, name="M", support_hint=None):
+    def __init__(self, fn, name="M"):
         self._fn = fn
         self._memo = {}
         self.name = name
-        # optional maximum word length carrying nonzero values
-        self.support_hint = support_hint
 
     def __call__(self, word):
         try:
@@ -58,12 +56,7 @@ def ident_mould():
 
 def from_table(table, default=0, name="table"):
     table = dict(table)
-    hint = max((w.r for w in table), default=0) if default == 0 else None
-    return Mould(lambda w: table.get(w, default), name=name, support_hint=hint)
-
-
-def mscale(c, M):
-    return Mould(lambda w: c * M(w), name=f"{c}*{M.name}")
+    return Mould(lambda w: table.get(w, default), name=name)
 
 
 def madd(M, N):
@@ -144,35 +137,45 @@ def _compositions(word, nparts):
             yield (head, *rest)
 
 
-def mexp(G, max_r=None):
-    """Mould exponential ``sum_k G^(x k) / k!`` of an alternal-type mould.
+def _series(M, max_r, empty_value, coefficient, name):
+    """The mould ``w -> sum_k c_k sum_{w = w_1...w_k} M(w_1)...M(w_k)``
+    over compositions into non-empty blocks, with ``coefficient(k)``
+    giving ``c_k`` as a ``(sign, divisor)`` pair.
 
-    Requires ``G`` to vanish on the empty word, which makes the series
-    terminate at ``k = r`` on any word of length ``r``.  ``max_r`` only
-    bounds the words on which evaluation is meaningful; the closure is
-    total either way.
+    Only values of ``M`` on non-empty words enter, so the sum stops at
+    ``k = r`` on a word of length ``r``.  ``max_r`` only bounds the words
+    on which evaluation is meaningful; the closure is total either way.
     """
-    if not scalar_is_zero(G(EMPTY_WORD)):
-        raise ValueError("mexp requires a mould vanishing on the empty word")
 
     def value(word):
         r = word.r
         if r == 0:
-            return 1
+            return empty_value
         if max_r is not None and r > max_r:
             raise ValueError(f"word length {r} exceeds max_r={max_r}")
         total = 0
         for k in range(1, r + 1):
             ksum = 0
             for parts in _compositions(word, k):
-                prod = G(parts[0])
+                prod = M(parts[0])
                 for p in parts[1:]:
-                    prod = prod * G(p)
+                    prod = prod * M(p)
                 ksum = ksum + prod
-            total = total + ksum / factorial(k)
+            sign, divisor = coefficient(k)
+            total = total + (sign * ksum) / divisor
         return total
 
-    return Mould(value, name=f"exp({G.name})")
+    return Mould(value, name=name)
+
+
+def mexp(G, max_r=None):
+    """Mould exponential ``sum_k G^(x k) / k!`` of an alternal-type mould.
+
+    Requires ``G`` to vanish on the empty word.
+    """
+    if not scalar_is_zero(G(EMPTY_WORD)):
+        raise ValueError("mexp requires a mould vanishing on the empty word")
+    return _series(G, max_r, 1, lambda k: (1, factorial(k)), f"exp({G.name})")
 
 
 def mlog(S, max_r=None):
@@ -182,26 +185,7 @@ def mlog(S, max_r=None):
     s_empty = S(EMPTY_WORD)
     if not (s_empty == 1 or s_empty == QI(1, 0)):
         raise ValueError("mlog requires a mould equal to 1 on the empty word")
-
-    def value(word):
-        r = word.r
-        if r == 0:
-            return 0
-        if max_r is not None and r > max_r:
-            raise ValueError(f"word length {r} exceeds max_r={max_r}")
-        total = 0
-        for k in range(1, r + 1):
-            ksum = 0
-            for parts in _compositions(word, k):
-                prod = S(parts[0])
-                for p in parts[1:]:
-                    prod = prod * S(p)
-                ksum = ksum + prod
-            sign = 1 if (k - 1) % 2 == 0 else -1
-            total = total + (sign * ksum) / k
-        return total
-
-    return Mould(value, name=f"log({S.name})")
+    return _series(S, max_r, 0, lambda k: ((-1) ** (k - 1), k), f"log({S.name})")
 
 
 class AlternalityReport:

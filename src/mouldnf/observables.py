@@ -133,10 +133,6 @@ class Observable:
     def max_abs(self):
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
-    def norm0(self):
-        """Plain coefficient mass (the rho -> 0 limit of the norm)."""
-        return sum(abs(c) for _, c in self.items_sorted())
-
     def evaluate(self, x, xi):
         """Pointwise value at real phase-space points (test oracle use)."""
         total = 0j

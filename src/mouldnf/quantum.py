@@ -21,36 +21,27 @@ import math
 
 import numpy as np
 
-from .classical import poisson_structure_constant
-from .observables import Observable, homogeneous_parts, norm_rho as _norm_rho
+from .classical import ClassicalBackend, mode_bracket, poisson_structure_constant
+
+
+def sine_coupling(hbar):
+    """The Moyal structure constant as a function of the Poisson one."""
+    return lambda s: 2.0 / hbar * math.sin(hbar * s / 2.0)
 
 
 def moyal_structure_constant(k, m, kp, mp, hbar):
     s = poisson_structure_constant(k, m, kp, mp)
     if s == 0:
         return 0.0
-    return 2.0 / hbar * math.sin(hbar * s / 2.0)
+    return sine_coupling(hbar)(s)
 
 
 def moyal_bracket(F, G, hbar):
-    """Deformed bracket of two symbols; same mode arithmetic as the
-    Poisson bracket with sine-deformed structure constants."""
-    if F.d != G.d:
-        raise ValueError("dimension mismatch")
+    """Deformed bracket of two symbols: the Poisson mode kernel with
+    sine-deformed structure constants."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    if F is G or F == G:
-        # antisymmetry; spares relying on floating cancellation
-        return Observable.zero(F.d)
-    data = {}
-    for (k, m), c in F.items_sorted():
-        for (kp, mp), cp in G.items_sorted():
-            s = moyal_structure_constant(k, m, kp, mp, hbar)
-            if s == 0.0:
-                continue
-            km = (tuple(a + b for a, b in zip(k, kp)), tuple(a + b for a, b in zip(m, mp)))
-            data[km] = data.get(km, 0j) + s * c * cp
-    return Observable(F.d, data, real=F.real and G.real, _prune=False).prune()
+    return mode_bracket(F, G, sine_coupling(hbar))
 
 
 class WeylMatrix:
@@ -172,20 +163,14 @@ def validate_moyal(F, G, cutoff, hbar, tol=1e-10):
     return MoyalReport(dev, margin, len(interior), tol)
 
 
-def homogeneous_parts_q(B, freq):
-    """Quantum homogeneous components; identical partition to the
-    classical one because quantization commutes with the decomposition
-    (delegation)."""
-    return homogeneous_parts(B, freq)
-
-
-class QuantumBackend:
-    """Bracket backend for the Weyl-symbol picture at fixed hbar."""
+class QuantumBackend(ClassicalBackend):
+    """Bracket backend for the Weyl-symbol picture at fixed hbar; only
+    the bracket differs from :class:`ClassicalBackend`."""
 
     def __init__(self, freq, hbar):
         if hbar <= 0:
             raise ValueError("hbar must be positive")
-        self.freq = freq
+        super().__init__(freq)
         self.hbar = float(hbar)
 
     @property
@@ -194,19 +179,3 @@ class QuantumBackend:
 
     def bracket(self, F, G):
         return moyal_bracket(F, G, self.hbar)
-
-    def ad_x0_eigen(self, k):
-        # The generator is linear in xi, so its deformed bracket equals
-        # the Poisson one on every mode: same hbar-independent eigenvalue.
-        return self.freq.eigenvalue(k)
-
-    def ad_x0(self, G, exact_zero=True):
-        data = {}
-        for (k, m), c in G.items_sorted():
-            lam = complex(self.freq.eigenvalue(k, exact_zero=exact_zero))
-            if lam != 0:
-                data[(k, m)] = lam * c
-        return Observable(G.d, data, _prune=False)
-
-    def norm_rho(self, G, rho):
-        return _norm_rho(G, rho)

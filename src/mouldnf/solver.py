@@ -18,6 +18,8 @@ computation in exchange for a simpler table.
 
 from __future__ import annotations
 
+import functools
+
 from .alphabet import EMPTY_WORD, is_resonant, sigma
 from .exact import scalar_abs
 from .mould import (
@@ -33,17 +35,6 @@ from .mould import (
     resonant_part,
     times,
 )
-
-
-class MouldSolution:
-    """The four moulds produced by the solver, as lazy callables."""
-
-    def __init__(self, F, S, Naux, G, gauge):
-        self.F = F
-        self.S = S
-        self.Naux = Naux
-        self.G = G
-        self.gauge = gauge
 
 
 class MouldSolver:
@@ -126,20 +117,14 @@ class MouldSolver:
     def S_mould(self):
         return Mould(lambda w: self.values(w)[1], name="S")
 
-    @property
-    def N_mould(self):
-        return Mould(lambda w: self.values(w)[2], name="N")
-
-    @property
+    @functools.cached_property
     def G_mould(self):
+        """G = log S, built once so that every caller shares its memo."""
         return mlog(self.S_mould)
 
     def g_of(self, word):
         """Value of the alternal generator mould on ``word``."""
         return self.G_mould(word)
-
-    def solution(self):
-        return MouldSolution(self.F_mould, self.S_mould, self.N_mould, self.G_mould, self.gauge)
 
 
 class EquationReport:

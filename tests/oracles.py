@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own mode arithmetic: the bracket
 oracle differentiates the evaluated functions numerically, and the flow
-oracle integrates the Hamiltonian ODE with RK4.
+oracle integrates the Hamiltonian ODE with RK4.  The two-chain
+exponential keeps the earlier formula of ``apply_exp_ad`` as a
+reference for the fused chain.
 """
 
 import cmath
@@ -82,3 +84,21 @@ def enumerate_interleavings(a, b):
                 out.append(b[ib])
                 ib += 1
         yield tuple(out)
+
+
+def two_chain_exp_ad(Y, X, order, backend, with_x0=False):
+    """``sum_{d<=order} ad_Y^d X / d!`` plus, with ``with_x0``, the x0
+    part ``e^{ad_Y} x0 - x0`` as a second chain started at ``-[x0, Y]``
+    (2 order - 1 brackets in all)."""
+    total = X
+    term = X
+    for d in range(1, order + 1):
+        term = backend.bracket(Y, term) * (1.0 / d)
+        total = total + term
+    if with_x0 and order >= 1:
+        term = -1.0 * backend.ad_x0(Y)
+        total = total + term
+        for d in range(2, order + 1):
+            term = backend.bracket(Y, term) * (1.0 / d)
+            total = total + term
+    return total

@@ -1,8 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mouldnf import ClassicalBackend, Observable, norm_rho, poisson_bracket
+from mouldnf import ClassicalBackend, Observable, moyal_bracket, norm_rho, poisson_bracket
+from mouldnf.classical import mode_bracket, poisson_structure_constant
+from mouldnf.quantum import sine_coupling
 
 from conftest import random_observable
 from oracles import numeric_poisson
@@ -51,9 +55,8 @@ class TestModeRule:
 
 class TestBackend:
     def test_eigenvalue_diagonal(self, golden_freq):
-        back = ClassicalBackend(golden_freq)
-        assert back.ad_x0_eigen((1, 0)) == pytest.approx(1j)
-        assert back.ad_x0_eigen((0, 1)) == pytest.approx(1j * PHI)
+        assert complex(golden_freq.eigenvalue((1, 0))) == pytest.approx(1j)
+        assert complex(golden_freq.eigenvalue((0, 1))) == pytest.approx(1j * PHI)
 
     def test_ad_x0_matches_bracket_rule(self, golden_freq, rng):
         back = ClassicalBackend(golden_freq)
@@ -128,3 +131,80 @@ class TestAxioms:
                 1.0,
             )
             assert total.max_abs() <= 1e-12 * scale
+
+
+def _observables(d, max_modes=4, kmax=2):
+    mode = st.tuples(
+        st.tuples(*[st.integers(-kmax, kmax)] * d),
+        st.tuples(*[st.integers(-kmax, kmax)] * d),
+    )
+    coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    return st.dictionaries(mode, coeff, min_size=1, max_size=max_modes).map(
+        lambda coeffs: Observable(d, coeffs)
+    )
+
+
+def _mass(F):
+    return sum(abs(c) for c in F.coeffs.values())
+
+
+def _max_s(F, G):
+    return max(
+        (abs(poisson_structure_constant(k, m, kp, mp)) for k, m in F.coeffs for kp, mp in G.coeffs),
+        default=0,
+    )
+
+
+# None is the Poisson (integer) constant; the others are Moyal constants
+COUPLINGS = st.one_of(st.none(), st.floats(0.01, 2.0).map(sine_coupling))
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestKernelProperties:
+    """Lie-algebra identities of the shared mode kernel, with both
+    the Poisson and the sine-deformed structure constants."""
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 2).flatmap(lambda d: st.tuples(_observables(d), _observables(d))), COUPLINGS)
+    def test_antisymmetry(self, pair, coupling):
+        F, G = pair
+        total = mode_bracket(F, G, coupling) + mode_bracket(G, F, coupling)
+        assert total.max_abs() <= 1e-14 * _max_s(F, G) * _mass(F) * _mass(G)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda d: st.tuples(_observables(d, 3), _observables(d, 3), _observables(d, 3))
+        ),
+        COUPLINGS,
+    )
+    def test_jacobi_identity(self, triple, coupling):
+        A, B, C = triple
+
+        def br(F, G):
+            return mode_bracket(F, G, coupling)
+
+        cyclic = ((A, B, C), (B, C, A), (C, A, B))
+        total = Observable.zero(A.d)
+        scale = 0.0
+        for X, Y, Z in cyclic:
+            inner = br(Y, Z)
+            total = total + br(X, inner)
+            # |coupling(s)| <= |s|: a bound on the mass of the double bracket
+            scale += _max_s(X, inner) * _max_s(Y, Z)
+        scale *= _mass(A) * _mass(B) * _mass(C)
+        assert total.max_abs() <= 1e-14 * scale
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 2).flatmap(lambda d: st.tuples(_observables(d), _observables(d))),
+        st.floats(1e-3, 0.5),
+    )
+    def test_classical_limit(self, pair, hbar):
+        # |s - (2/hbar) sin(hbar s/2)| <= hbar^2 |s|^3 / 6 on every mode
+        # pair, and the weighted norm is sub-multiplicative over pairs
+        F, G = pair
+        defect = moyal_bracket(F, G, hbar) - poisson_bracket(F, G)
+        rho = 0.5
+        bound = hbar ** 2 * _max_s(F, G) ** 3 / 6 * norm_rho(F, rho) * norm_rho(G, rho)
+        assert norm_rho(defect, rho) <= bound * (1 + 1e-9)

@@ -7,6 +7,7 @@ from mouldnf import (
     MouldSolver,
     Observable,
     OutOfDomainError,
+    QuantumBackend,
     ScaleParams,
     Word,
     apply_exp_ad,
@@ -18,10 +19,21 @@ from mouldnf import (
     order_increment,
     zero_mould,
 )
+from mouldnf.liealg import default_exp_order
 from mouldnf.mould import from_table, mbracket
 from mouldnf.observables import slices
 
-from oracles import hamiltonian_flow
+from oracles import hamiltonian_flow, two_chain_exp_ad
+
+
+class CountingBackend(ClassicalBackend):
+    """Classical backend that counts its bracket calls."""
+
+    calls = 0
+
+    def bracket(self, F, G):
+        self.calls += 1
+        return super().bracket(F, G)
 
 
 class TestComould:
@@ -118,11 +130,35 @@ class TestMouldComouldIdentities:
 
 class TestApplyExpAd:
     def test_order_zero_returns_input(self, toy_B, scale_params, classical_backend):
-        out, tail, ratio = apply_exp_ad(
-            0.0001 * toy_B, toy_B, 0, scale_params, classical_backend
-        )
-        assert out.coeffs == toy_B.coeffs
-        assert tail > 0.0
+        for with_x0 in (False, True):
+            out, tail, ratio = apply_exp_ad(
+                0.0001 * toy_B, toy_B, 0, scale_params, classical_backend, with_x0=with_x0
+            )
+            assert out.coeffs == toy_B.coeffs
+            assert tail > 0.0
+
+    def test_one_bracket_per_order(self, toy_B, golden_freq, scale_params):
+        backend = CountingBackend(golden_freq)
+        Y = 0.01 * toy_B
+        for with_x0 in (False, True):
+            for order in range(6):
+                backend.calls = 0
+                apply_exp_ad(Y, toy_B, order, scale_params, backend, with_x0=with_x0)
+                assert backend.calls == order
+        # out of the domain: refused before any bracket is taken
+        backend.calls = 0
+        with pytest.raises(OutOfDomainError):
+            apply_exp_ad(1e4 * toy_B, toy_B, 6, scale_params, backend, with_x0=True)
+        assert backend.calls == 0
+
+    @pytest.mark.parametrize("hbar", [None, 0.1])
+    def test_fused_chain_matches_two_chains(self, toy_B, golden_freq, scale_params, hbar):
+        backend = ClassicalBackend(golden_freq) if hbar is None else QuantumBackend(golden_freq, hbar)
+        Y = contract(MouldSolver(golden_freq).G_mould, toy_B, 3, backend)
+        order = default_exp_order(3)
+        fused, _, _ = apply_exp_ad(Y, toy_B, order, scale_params, backend, with_x0=True)
+        reference = two_chain_exp_ad(Y, toy_B, order, backend, with_x0=True)
+        assert (fused - reference).max_abs() <= 1e-13 * reference.max_abs()
 
     def test_single_mode_generator_on_x0(self, golden_freq, scale_params):
         backend = ClassicalBackend(golden_freq)
@@ -198,8 +234,6 @@ class TestNormalize:
         assert res.exp_tail_bound <= 1e-3 * res.norms["E"]
 
     def test_quantum_backend_runs(self, toy_B, golden_freq, scale_params):
-        from mouldnf import QuantumBackend
-
         res = normalize(toy_B, 2, scale_params, golden_freq, QuantumBackend(golden_freq, 0.1))
         assert all(k == (0, 0) for k, _ in res.Z.coeffs)
         assert res.norms["E"] > 0.0

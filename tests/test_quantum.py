@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mouldnf import (
+    ClassicalBackend,
     Observable,
     QuantumBackend,
     moyal_bracket,
@@ -13,8 +14,7 @@ from mouldnf import (
     validate_moyal,
     weyl_matrix,
 )
-from mouldnf.quantum import homogeneous_parts_q, moyal_structure_constant
-from mouldnf.observables import homogeneous_parts
+from mouldnf.quantum import moyal_structure_constant
 
 from conftest import random_observable
 
@@ -39,10 +39,15 @@ class TestModeRule:
                 deformed = 2.0 / hbar * math.sin(hbar * s / 2.0)
                 assert abs(s - deformed) <= hbar ** 2 * abs(s) ** 3 / 6 + 1e-15
 
-    def test_x0_eigenvalues_hbar_independent(self, golden_freq):
-        for hbar in (0.5, 0.01):
+    def test_x0_eigenvalues_hbar_independent(self, golden_freq, rng):
+        # the generator is linear in xi: its deformed bracket is the
+        # Poisson one on every mode, at every hbar
+        G = random_observable(rng, 2, n_modes=6)
+        classical = ClassicalBackend(golden_freq)
+        for hbar in (1.0, 0.5, 0.1, 0.01):
             back = QuantumBackend(golden_freq, hbar)
-            assert back.ad_x0_eigen((1, 0)) == pytest.approx(1j)
+            for exact_zero in (True, False):
+                assert back.ad_x0(G, exact_zero) == classical.ad_x0(G, exact_zero)
 
     def test_jacobi_identity(self, rng):
         hbar = 0.4
@@ -164,13 +169,3 @@ class TestBackendAxioms:
             G = random_observable(rng, 2, n_modes=4)
             lhs = norm_rho(back.ad_x0(G, exact_zero=False), rho_p)
             assert lhs <= norm_rho(G, rho) / (math.e * (rho - rho_p)) * (1 + 1e-12)
-
-
-class TestDelegation:
-    def test_homogeneous_parts_q_delegates(self, rng, golden_freq):
-        B = random_observable(rng, 2, n_modes=6)
-        q = homogeneous_parts_q(B, golden_freq)
-        c = homogeneous_parts(B, golden_freq)
-        assert list(q) == list(c)
-        for rep in q:
-            assert q[rep].coeffs == c[rep].coeffs
