@@ -271,6 +271,15 @@ class Word:
 EMPTY_WORD = Word()
 
 
+def words_over(alphabet, max_r, min_r=1):
+    """All words of length ``min_r..max_r`` over ``alphabet``: by length,
+    then lexicographically in the sorted letters."""
+    letters = sorted(tuple(k) for k in alphabet)
+    for r in range(min_r, max_r + 1):
+        for combo in itertools.product(letters, repeat=r):
+            yield Word(combo)
+
+
 def sigma(word, freq):
     """Eigenvalue sum i<sum_j k_j, omega> of a word, in floating point.
 
@@ -292,6 +301,20 @@ def is_resonant(word, freq):
     return all(c == 0 for c in ks) or freq.in_lattice(ks)
 
 
+def _subset_eigenvalues(word, freq):
+    """``|<k_sigma, omega>|`` for every non-empty letter subset ``sigma``
+    whose mode sum ``k_sigma`` is non-resonant (decided exactly), in
+    bitmask order."""
+    omega_f = tuple(float(c) for c in freq.omega)
+    letters = word.letters
+    for mask in range(1, 1 << len(letters)):
+        chosen = [letter for i, letter in enumerate(letters) if mask >> i & 1]
+        ksub = [sum(c) for c in zip(*chosen)]
+        if all(c == 0 for c in ksub) or freq.in_lattice(ksub):
+            continue
+        yield abs(sum(ki * wi for ki, wi in zip(ksub, omega_f)))
+
+
 def beta(word, tau, freq):
     """Sum of |lambda_sigma|^(-1/tau) over non-resonant letter subsets.
 
@@ -301,20 +324,8 @@ def beta(word, tau, freq):
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    if word.r == 0:
-        return 0.0
-    omega_f = tuple(float(c) for c in freq.omega)
     total = 0.0
-    letters = word.letters
-    for mask in range(1, 1 << len(letters)):
-        ksub = [0] * freq.d
-        for i in range(len(letters)):
-            if mask >> i & 1:
-                for j in range(freq.d):
-                    ksub[j] += letters[i][j]
-        if all(c == 0 for c in ksub) or freq.in_lattice(ksub):
-            continue
-        lam = abs(sum(ki * wi for ki, wi in zip(ksub, omega_f)))
+    for lam in _subset_eigenvalues(word, freq):
         total += lam ** (-1.0 / tau)
     return total
 
@@ -328,15 +339,13 @@ def shuffle_coefficient(a, b, lam):
     ra, rb = a.r, b.r
     if lam.r != ra + rb:
         return 0
-    prev = [0, *([0] * rb)]
-    prev[0] = 1
+    prev = [1] + [0] * rb
     for j in range(1, rb + 1):
         prev[j] = prev[j - 1] if b[j - 1] == lam[j - 1] else 0
     for i in range(1, ra + 1):
         cur = [0] * (rb + 1)
         cur[0] = prev[0] if a[i - 1] == lam[i - 1] else 0
         for j in range(1, rb + 1):
-            cur[j] = 0
             if a[i - 1] == lam[i + j - 1]:
                 cur[j] += prev[j]
             if b[j - 1] == lam[i + j - 1]:
@@ -355,16 +364,8 @@ def shuffles(a, b):
     total = a.r + b.r
     for positions in itertools.combinations(range(total), a.r):
         pos_set = set(positions)
-        letters = []
-        ia = ib = 0
-        for p in range(total):
-            if p in pos_set:
-                letters.append(a[ia])
-                ia += 1
-            else:
-                letters.append(b[ib])
-                ib += 1
-        w = Word(letters)
+        ia, ib = iter(a), iter(b)
+        w = Word([next(ia) if p in pos_set else next(ib) for p in range(total)])
         counts[w] = counts.get(w, 0) + 1
     return counts
 
@@ -401,21 +402,7 @@ def diophantine_alpha(freq, tau, K):
 
 def beta_subset_bound(word, tau, freq):
     """Crude upper bound 2^r * max |lambda_sigma|^(-1/tau); test helper."""
-    if word.r == 0:
-        return 0.0
-    omega_f = tuple(float(c) for c in freq.omega)
-    best = 0.0
-    letters = word.letters
-    for mask in range(1, 1 << len(letters)):
-        ksub = [0] * freq.d
-        for i in range(len(letters)):
-            if mask >> i & 1:
-                for j in range(freq.d):
-                    ksub[j] += letters[i][j]
-        if all(c == 0 for c in ksub) or freq.in_lattice(ksub):
-            continue
-        lam = abs(sum(ki * wi for ki, wi in zip(ksub, omega_f)))
-        best = max(best, lam ** (-1.0 / tau))
+    best = max((lam ** (-1.0 / tau) for lam in _subset_eigenvalues(word, freq)), default=0.0)
     return 2 ** word.r * best
 
 

@@ -23,13 +23,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import estimates
-from .alphabet import Frequency, diophantine_alpha
+from .alphabet import Frequency, diophantine_alpha, words_over
 from .classical import ClassicalBackend, poisson_bracket
 from .exact import scalar_abs
 from .liealg import OutOfDomainError, ScaleParams, normalize
-from .mould import check_alternal, dump_table, load_table
+from .mould import _parse_word, check_alternal, dump_table, load_table
 from .observables import Observable, from_json_dict, norm_rho, to_json_dict
-from .quantum import QuantumBackend, moyal_bracket, validate_moyal, weyl_matrix
+from .quantum import QuantumBackend, check_hbar, moyal_bracket, validate_moyal
 from .solver import MouldSolver, verify_equation
 
 _TOP_KEYS = {
@@ -113,6 +113,13 @@ class RunConfig:
         self.hbar_list = data.get("hbar_list")
         if self.backend_name == "quantum" and self.hbar is None and not self.hbar_list:
             raise ConfigError("quantum backend requires hbar or hbar_list")
+        if self.hbar_list is not None and not isinstance(self.hbar_list, list):
+            raise ConfigError("config.hbar_list must be a list")
+        for hbar in ([] if self.hbar is None else [self.hbar]) + (self.hbar_list or []):
+            try:
+                check_hbar(hbar)
+            except ValueError as err:
+                raise ConfigError(str(err)) from err
 
         if "B" in data and "B_path" in data:
             raise ConfigError("give only one of B / B_path")
@@ -167,16 +174,14 @@ def _word_count(n_letters, max_r):
     return sum(n_letters ** r for r in range(1, max_r + 1))
 
 
-def _quantum_diagnostics(result, hbar):
-    out = {}
-    for name, obs in (("Z", result.Z), ("Y", result.Y)):
-        if not obs:
-            out[f"hermiticity_defect_{name}"] = 0.0
-            continue
-        kmax = max(max(abs(c) for c in k) for k, _ in obs.coeffs)
-        W = weyl_matrix(obs, cutoff=kmax + 1, hbar=hbar)
-        out[f"hermiticity_defect_{name}"] = W.hermiticity_defect()
-    # a Hermitian generator matrix exponentiates to a unitary conjugation
+def _quantum_diagnostics(result):
+    # the symbol's reality defect bounds its Weyl matrix's Hermiticity
+    # defect, and a Hermitian generator exponentiates to a unitary
+    # conjugation
+    out = {
+        f"hermiticity_defect_{name}": obs.reality_defect()
+        for name, obs in (("Z", result.Z), ("Y", result.Y))
+    }
     out["unitary_conjugation"] = out["hermiticity_defect_Y"] <= 1e-10 * max(
         result.norms["Y"], 1e-300
     )
@@ -228,7 +233,7 @@ def cmd_normalize(config, out_dir, max_words):
     if config.backend_name == "quantum":
         # hermiticity of the generator's matrix is the unitarity of the
         # conjugation it exponentiates; both are pure diagnostics here
-        payload["diagnostics"] = _quantum_diagnostics(result, config.scalar_hbar())
+        payload["diagnostics"] = _quantum_diagnostics(result)
     _write_json(out_dir / "normalize_result.json", payload)
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -257,9 +262,7 @@ def cmd_dump_moulds(config, out_dir, max_words):
         if _word_count(len(config.alphabet), config.max_r) > max_words:
             print(f"error: word budget {max_words} exceeded", file=sys.stderr)
             return 2
-        from .mould import _words_over
-
-        words = list(_words_over(config.alphabet, config.max_r))
+        words = list(words_over(config.alphabet, config.max_r))
     payload = {
         "alphabet": [list(k) for k in config.alphabet],
         "max_r": config.max_r,
@@ -272,6 +275,20 @@ def cmd_dump_moulds(config, out_dir, max_words):
     return 0
 
 
+def _random_observable(rng, d, n_modes):
+    # the key's draws come before the value's, as in a loop over modes
+    return Observable(
+        d,
+        {
+            (
+                tuple(rng.randint(-2, 2) for _ in range(d)),
+                tuple(rng.randint(-2, 2) for _ in range(d)),
+            ): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for _ in range(n_modes)
+        },
+    )
+
+
 def _axiom_samples(config, rng, emit):
     freq = config.freq
     d = freq.d
@@ -280,19 +297,11 @@ def _axiom_samples(config, rng, emit):
     backend_c = ClassicalBackend(freq)
     hbar = config.hbar or 0.1
 
-    def random_obs(n_modes=4, kmax=2, mmax=2):
-        coeffs = {}
-        for _ in range(n_modes):
-            k = tuple(rng.randint(-kmax, kmax) for _ in range(d))
-            m = tuple(rng.randint(-mmax, mmax) for _ in range(d))
-            coeffs[(k, m)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        return Observable(d, coeffs)
-
     for i in range(config.samples):
         rho = rng.uniform(0.6, 1.4)
         rho_p = rng.uniform(0.15 * rho, 0.85 * rho)
         rho_pp = rng.uniform(rho_p + 0.05 * rho, rho)
-        F, G = random_obs(), random_obs()
+        F, G = _random_observable(rng, d, 4), _random_observable(rng, d, 4)
         lhs = norm_rho(poisson_bracket(F, G), rho_p)
         rhs = norm_rho(F, rho) * norm_rho(G, rho_pp) / (
             math.e ** 2 * (rho - rho_p) * (rho_pp - rho_p)
@@ -312,10 +321,7 @@ def _axiom_samples(config, rng, emit):
 def cmd_verify(config, out_dir, max_words):
     rng = random.Random(config.seed)
     lines = []
-
-    def emit(obj):
-        lines.append(obj)
-
+    emit = lines.append
     all_ok = True
     alphabet = config.alphabet or [(1,) + (0,) * (config.freq.d - 1)]
     if _word_count(len(alphabet), config.max_r) > max_words:
@@ -352,27 +358,8 @@ def cmd_verify(config, out_dir, max_words):
         all_ok &= _axiom_samples(config, rng, emit)
 
         for _ in range(3):
-            d = config.freq.d
-            F = Observable(
-                d,
-                {
-                    (
-                        tuple(rng.randint(-2, 2) for _ in range(d)),
-                        tuple(rng.randint(-2, 2) for _ in range(d)),
-                    ): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                    for _ in range(3)
-                },
-            )
-            G = Observable(
-                d,
-                {
-                    (
-                        tuple(rng.randint(-2, 2) for _ in range(d)),
-                        tuple(rng.randint(-2, 2) for _ in range(d)),
-                    ): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                    for _ in range(3)
-                },
-            )
+            F = _random_observable(rng, config.freq.d, 3)
+            G = _random_observable(rng, config.freq.d, 3)
             rep = validate_moyal(F, G, cutoff=8, hbar=config.hbar or 0.5, tol=config.tolerances["moyal"])
             emit({"name": "moyal_validation", "ok": rep.ok, "max_dev": rep.max_deviation})
             all_ok &= rep.ok
@@ -393,8 +380,6 @@ def cmd_verify(config, out_dir, max_words):
         for name, mould in (("F", solver.F_mould), ("S", solver.S_mould), ("G", solver.G_mould)):
             ref = load_table(golden[name], exact=config.exact)
             for key in golden[name]:
-                from .mould import _parse_word
-
                 w = _parse_word(key)
                 dev = scalar_abs(mould(w) - ref(w))
                 worst = max(worst, dev)

@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 
-from .alphabet import Word, beta, diophantine_alpha, factorial
+from .alphabet import Word, beta, diophantine_alpha, factorial, words_over
 from .liealg import order_increment
 from .observables import norm_rho
 from .classical import ClassicalBackend
@@ -158,7 +158,7 @@ def norm_power_constants(N, rho, rho_prime, gamma, tau, alpha, G_list, chi=None)
 
     gamma_n = gamma_sum(1, N)
     gamma_n2 = gamma_sum(N + 1, N * N)
-    c_prime = 2.0 * (delta ** 2 / (4.0 * chi(delta / 2.0)) + 1.0) * (4.0 * gamma / delta ** 2) ** (N + 1)
+    c_prime = exp_tail_constant(N, rho, rho_prime, gamma, chi, 1.0)
     D = c_prime * gamma_n ** (N + 1) + 2.0 * N ** N * gamma_n2
     eps = 1.0 if gamma_n == 0.0 else min(1.0, delta / (8.0 * gamma * gamma_n))
     return D, eps, gamma_n, gamma_n2
@@ -166,11 +166,8 @@ def norm_power_constants(N, rho, rho_prime, gamma, tau, alpha, G_list, chi=None)
 
 def _sample_words(alphabet, r, rng, limit):
     letters = sorted(tuple(k) for k in alphabet)
-    n_total = len(letters) ** r
-    if n_total <= limit:
-        import itertools
-
-        return [Word(c) for c in itertools.product(letters, repeat=r)]
+    if len(letters) ** r <= limit:
+        return list(words_over(letters, r, min_r=r))
     return [Word(tuple(rng.choice(letters) for _ in range(r))) for _ in range(limit)]
 
 

@@ -9,9 +9,11 @@ floats and exact Q(i) scalars.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
-from .alphabet import EMPTY_WORD, Word, factorial, is_resonant, shuffles, sigma
+from .alphabet import EMPTY_WORD, Word, factorial, is_resonant, shuffles, sigma, words_over
 from .exact import QI, scalar_abs, scalar_is_zero
 
 
@@ -123,28 +125,18 @@ def resonant_part(M, freq):
     return Mould(value, name=f"[{M.name}]_0")
 
 
-def _compositions(word, nparts):
-    """All splittings of ``word`` into ``nparts`` non-empty blocks."""
-    r = word.r
-    if nparts > r:
-        return
-    if nparts == 1:
-        yield (word,)
-        return
-    for i in range(1, r - nparts + 2):
-        head = word[:i]
-        for rest in _compositions(word[i:], nparts - 1):
-            yield (head, *rest)
-
-
 def _series(M, max_r, empty_value, coefficient, name):
     """The mould ``w -> sum_k c_k sum_{w = w_1...w_k} M(w_1)...M(w_k)``
     over compositions into non-empty blocks, with ``coefficient(k)``
     giving ``c_k`` as a ``(sign, divisor)`` pair.
 
-    Only values of ``M`` on non-empty words enter, so the sum stops at
-    ``k = r`` on a word of length ``r``.  ``max_r`` only bounds the words
-    on which evaluation is meaningful; the closure is total either way.
+    The inner sums are the power moulds ``P_k`` on the prefixes of the
+    word, by the induction ``P_1(i) = M(w[:i])`` and
+    ``P_k(i) = sum_{j=k-1}^{i-1} P_{k-1}(j) M(w[j:i])``: ``M`` is evaluated
+    once on each of the ``r(r+1)/2`` non-empty subwords, and the sums take
+    O(r^3) products.  Only values of ``M`` on non-empty words enter, so
+    ``k`` stops at ``r``.  ``max_r`` only bounds the words on which
+    evaluation is meaningful; the closure is total either way.
     """
 
     def value(word):
@@ -153,16 +145,19 @@ def _series(M, max_r, empty_value, coefficient, name):
             return empty_value
         if max_r is not None and r > max_r:
             raise ValueError(f"word length {r} exceeds max_r={max_r}")
+        block = {(j, i): M(word[j:i]) for i in range(1, r + 1) for j in range(i)}
+        power = {i: block[0, i] for i in range(1, r + 1)}
         total = 0
         for k in range(1, r + 1):
-            ksum = 0
-            for parts in _compositions(word, k):
-                prod = M(parts[0])
-                for p in parts[1:]:
-                    prod = prod * M(p)
-                ksum = ksum + prod
+            if k > 1:
+                power = {
+                    i: functools.reduce(
+                        operator.add, (power[j] * block[j, i] for j in range(k - 1, i))
+                    )
+                    for i in range(k, r + 1)
+                }
             sign, divisor = coefficient(k)
-            total = total + (sign * ksum) / divisor
+            total = total + (sign * power[r]) / divisor
         return total
 
     return Mould(value, name=name)
@@ -208,15 +203,6 @@ class AlternalityReport:
         )
 
 
-def _words_over(alphabet, max_r, min_r=1):
-    import itertools
-
-    letters = sorted(tuple(k) for k in alphabet)
-    for r in range(min_r, max_r + 1):
-        for combo in itertools.product(letters, repeat=r):
-            yield Word(combo)
-
-
 def check_alternal(M, max_r, alphabet, tol=1e-10):
     """Check the shuffle relations for all word pairs up to ``max_r``.
 
@@ -232,8 +218,8 @@ def check_alternal(M, max_r, alphabet, tol=1e-10):
     checked = []
     pairs = 0
     global_scale = 0.0
-    for a in _words_over(alphabet, max_r - 1):
-        for b in _words_over(alphabet, max_r - a.r):
+    for a in words_over(alphabet, max_r - 1):
+        for b in words_over(alphabet, max_r - a.r):
             pairs += 1
             total = 0
             scale = 0.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 
-from .alphabet import Word, beta, l1
+from .alphabet import beta, l1, words_over
 
 PRUNE_REL = 1e-16
 
@@ -62,11 +62,23 @@ class Observable:
         if self.real:
             self._check_real()
 
-    def _check_real(self):
+    def _mirror_defects(self):
+        """``((k, m), c, |b(-k,-m) - conj c|)`` for every stored mode."""
         for (k, m), c in self.coeffs.items():
             mirror = self.coeffs.get((tuple(-a for a in k), tuple(-a for a in m)), 0j)
-            if abs(mirror - c.conjugate()) > 1e-12 * max(1.0, abs(c)):
+            yield (k, m), c, abs(mirror - c.conjugate())
+
+    def _check_real(self):
+        for (k, m), c, defect in self._mirror_defects():
+            if defect > 1e-12 * max(1.0, abs(c)):
                 raise ValueError(f"reality flag violated at mode ({k},{m})")
+
+    def reality_defect(self):
+        """``max |b(k,m) - conj b(-k,-m)|``.  Under the midpoint Weyl rule,
+        ``Op(b e_{k,m})^dagger = Op(conj(b) e_{-k,-m})``: a zero defect
+        means a Hermitian Weyl matrix on every basis box, and the matrix's
+        defect is at most the sum over ``m`` of these at fixed ``k``."""
+        return max((defect for _, _, defect in self._mirror_defects()), default=0.0)
 
     @classmethod
     def zero(cls, d):
@@ -159,14 +171,17 @@ def norm_rho(G, rho):
     return total
 
 
-def slices(B):
-    """Decompose by exact x-mode: map ``k -> B_(k)`` (Fourier slice)."""
+def _group_by_x_mode(B, key):
+    """Split ``B`` into ``key(k) -> Observable``, sorted by key."""
     parts = {}
     for (k, m), c in B.items_sorted():
-        parts.setdefault(k, {})[(k, m)] = c
-    return {
-        k: Observable(B.d, data, _prune=False) for k, data in sorted(parts.items())
-    }
+        parts.setdefault(key(k), {})[(k, m)] = c
+    return {g: Observable(B.d, data, _prune=False) for g, data in sorted(parts.items())}
+
+
+def slices(B):
+    """Decompose by exact x-mode: map ``k -> B_(k)`` (Fourier slice)."""
+    return _group_by_x_mode(B, lambda k: k)
 
 
 def homogeneous_parts(B, freq):
@@ -182,13 +197,7 @@ def homogeneous_parts(B, freq):
     dict
         ``class_representative -> Observable``, sorted by representative.
     """
-    parts = {}
-    for (k, m), c in B.items_sorted():
-        rep = freq.lattice_class(k)
-        parts.setdefault(rep, {})[(k, m)] = c
-    return {
-        rep: Observable(B.d, data, _prune=False) for rep, data in sorted(parts.items())
-    }
+    return _group_by_x_mode(B, freq.lattice_class)
 
 
 def norm_rho_stripped(G, rho):
@@ -222,16 +231,12 @@ def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False)
     if not parts:
         return 0.0
     part_norm = norm_rho_stripped if strip_letter_weight else norm_rho
-    reps = sorted(parts)
-    norms = {rep: part_norm(parts[rep], rho) for rep in reps}
-    import itertools
-
+    norms = {rep: part_norm(part, rho) for rep, part in parts.items()}
     total = 0.0
-    for combo in itertools.product(reps, repeat=r):
-        word = Word(combo)
+    for word in words_over(parts, r, min_r=r):
         weight = math.exp(eta_r * beta(word, tau_r, freq))
         prod = 1.0
-        for rep in combo:
+        for rep in word:
             prod *= norms[rep]
         total += prod * weight
     return total

@@ -18,10 +18,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
 from .classical import ClassicalBackend, mode_bracket, poisson_structure_constant
+
+
+def check_hbar(hbar):
+    """Refuse any ``hbar`` but a finite positive number."""
+    if not (isinstance(hbar, numbers.Real) and math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
 
 
 def sine_coupling(hbar):
@@ -39,8 +46,7 @@ def moyal_structure_constant(k, m, kp, mp, hbar):
 def moyal_bracket(F, G, hbar):
     """Deformed bracket of two symbols: the Poisson mode kernel with
     sine-deformed structure constants."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    check_hbar(hbar)
     return mode_bracket(F, G, sine_coupling(hbar))
 
 
@@ -82,6 +88,10 @@ class WeylMatrix:
         ]
 
 
+def _kmax(obs):
+    return max((max(abs(c) for c in k) for (k, _), _ in obs.items_sorted()), default=0)
+
+
 def weyl_matrix(F, cutoff, hbar):
     """Weyl quantization of a symbol as a dense matrix.
 
@@ -92,9 +102,8 @@ def weyl_matrix(F, cutoff, hbar):
     docstring).  Rows falling outside the basis box are the inherent
     truncation; callers compare on the interior only.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    kmax = max((max(abs(c) for c in k) for (k, _), _ in F.items_sorted()), default=0)
+    check_hbar(hbar)
+    kmax = _kmax(F)
     if cutoff < kmax + 1:
         raise ValueError(
             f"cutoff {cutoff} too small: support escapes the box (max |k|_inf = {kmax})"
@@ -142,10 +151,6 @@ def validate_moyal(F, G, cutoff, hbar, tol=1e-10):
     the interior the identity is exact, so deviations are rounding
     only.
     """
-
-    def _kmax(obs):
-        return max((max(abs(c) for c in k) for (k, _), _ in obs.items_sorted()), default=0)
-
     margin = _kmax(F) + _kmax(G)
     wf = weyl_matrix(F, cutoff, hbar)
     wg = weyl_matrix(G, cutoff, hbar)
@@ -168,8 +173,7 @@ class QuantumBackend(ClassicalBackend):
     the bracket differs from :class:`ClassicalBackend`."""
 
     def __init__(self, freq, hbar):
-        if hbar <= 0:
-            raise ValueError("hbar must be positive")
+        check_hbar(hbar)
         super().__init__(freq)
         self.hbar = float(hbar)
 

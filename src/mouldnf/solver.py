@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 
-from .alphabet import EMPTY_WORD, is_resonant, sigma
+from .alphabet import EMPTY_WORD, is_resonant, sigma, words_over
 from .exact import scalar_abs
 from .mould import (
     Mould,
@@ -162,8 +162,6 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     normal-form mould, and the zero-gauge condition on the resonant part
     of ``exp(-G) x nabla1 exp(G)``.
     """
-    from .mould import _words_over
-
     freq = solver.freq
     S = solver.S_mould
     F = solver.F_mould
@@ -175,7 +173,7 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     nabla_F = nabla(F, freq)
     gauge_check = resonant_part(times(mexp(mneg(G)), nabla1(mexp(G))), freq)
 
-    words = [EMPTY_WORD, *_words_over(alphabet, max_r)]
+    words = [EMPTY_WORD, *words_over(alphabet, max_r)]
     max_res = 0.0
     max_nf = 0.0
     max_gauge = 0.0

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -17,6 +18,11 @@ from mouldnf import (
 )
 
 PHI = (1 + 5 ** 0.5) / 2
+
+# Every property test is deterministic and free of wall-clock deadlines;
+# each test keeps its own max_examples.
+settings.register_profile("mouldnf", derandomize=True, deadline=None, database=None)
+settings.load_profile("mouldnf")
 
 # Fixed toy perturbation: 4 modes in d=2 whose x-modes admit both
 # two-letter and three-letter resonant words ((1,0)+(-1,0) = 0 and

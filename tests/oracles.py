@@ -4,7 +4,9 @@ These deliberately avoid the library's own mode arithmetic: the bracket
 oracle differentiates the evaluated functions numerically, and the flow
 oracle integrates the Hamiltonian ODE with RK4.  The two-chain
 exponential keeps the earlier formula of ``apply_exp_ad`` as a
-reference for the fused chain.
+reference for the fused chain, and the composition sum keeps the
+earlier formula of the mould exponential and logarithm as a reference
+for the prefix recursion.
 """
 
 import cmath
@@ -101,4 +103,35 @@ def two_chain_exp_ad(Y, X, order, backend, with_x0=False):
         for d in range(2, order + 1):
             term = backend.bracket(Y, term) * (1.0 / d)
             total = total + term
+    return total
+
+
+def compositions(word, nparts):
+    """All splittings of ``word`` into ``nparts`` non-empty blocks."""
+    r = word.r
+    if nparts > r:
+        return
+    if nparts == 1:
+        yield (word,)
+        return
+    for i in range(1, r - nparts + 2):
+        head = word[:i]
+        for rest in compositions(word[i:], nparts - 1):
+            yield (head, *rest)
+
+
+def composition_series(M, word, coefficient):
+    """``sum_k c_k sum_{word = w_1...w_k} M(w_1)...M(w_k)`` summed over
+    all 2^(r-1) compositions of a non-empty ``word``, with ``c_k`` given
+    by ``coefficient(k)`` as a ``(sign, divisor)`` pair."""
+    total = 0
+    for k in range(1, word.r + 1):
+        ksum = 0
+        for parts in compositions(word, k):
+            prod = M(parts[0])
+            for p in parts[1:]:
+                prod = prod * M(p)
+            ksum = ksum + prod
+        sign, divisor = coefficient(k)
+        total = total + (sign * ksum) / divisor
     return total

@@ -13,7 +13,7 @@ from mouldnf import (
     shuffle_coefficient,
     sigma,
 )
-from mouldnf.alphabet import beta_subset_bound, iter_modes, l1, shuffles
+from mouldnf.alphabet import beta_subset_bound, iter_modes, l1, shuffles, words_over
 
 from oracles import enumerate_interleavings
 
@@ -202,6 +202,22 @@ class TestWord:
         w = Word([(1, 0), (0, 1)])
         assert len(list(w.splits())) == 3
         assert len(list(w.splits(proper=True))) == 1
+
+    def test_words_over_by_length_then_sorted_letters(self):
+        words = list(words_over([(1, 0), (0, 1)], 2))
+        assert [w.letters for w in words] == [
+            ((0, 1),),
+            ((1, 0),),
+            ((0, 1), (0, 1)),
+            ((0, 1), (1, 0)),
+            ((1, 0), (0, 1)),
+            ((1, 0), (1, 0)),
+        ]
+
+    def test_words_over_min_length(self):
+        words = list(words_over([(1,), (2,), (3,)], 3, min_r=3))
+        assert len(words) == 27 and all(w.r == 3 for w in words)
+        assert list(words_over([(1,)], 2, min_r=3)) == []
 
     def test_non_integer_letter_rejected(self):
         with pytest.raises(ValueError):

@@ -157,7 +157,7 @@ def _max_s(F, G):
 
 # None is the Poisson (integer) constant; the others are Moyal constants
 COUPLINGS = st.one_of(st.none(), st.floats(0.01, 2.0).map(sine_coupling))
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=60)
 
 
 class TestKernelProperties:

@@ -99,6 +99,16 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "run.json", backend="quantum")
         assert main(["normalize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["hbar", "hbar_list"])
+    def test_non_finite_hbar_rejected(self, tmp_path, bad, key):
+        value = bad if key == "hbar" else [0.1, bad]
+        cfg = write_config(tmp_path / "run.json", backend="quantum", N=1, **{key: value})
+        assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "normalize_result.json").exists()
+
     def test_b_path_relative_to_config(self, tmp_path):
         (tmp_path / "b.json").write_text(json.dumps(toy_b_json()))
         cfg = write_config(tmp_path / "run.json", N=1)

@@ -1,11 +1,16 @@
 import itertools
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mouldnf import (
     Frequency,
+    Mould,
     Word,
     check_alternal,
     ident_mould,
@@ -28,6 +33,8 @@ from mouldnf.mould import (
     mneg,
 )
 
+from oracles import composition_series
+
 X, Y, Z = (1, 0), (0, 1), (-1, 0)
 LETTERS = (X, Y, Z)
 
@@ -49,8 +56,6 @@ def random_mould(seed, empty=0.0):
         if word not in table:
             table[word] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         return table[word]
-
-    from mouldnf import Mould
 
     return Mould(fn, name=f"rand{seed}")
 
@@ -195,6 +200,76 @@ class TestExpLog:
     def test_log_requires_unit_empty_value(self):
         with pytest.raises(ValueError):
             mlog(zero_mould())
+
+
+EXP_COEFFICIENT = lambda k: (1, math.factorial(k))
+LOG_COEFFICIENT = lambda k: ((-1) ** (k - 1), k)
+# words of length 1..7 over letters that give both resonant and
+# non-resonant subwords
+SERIES_WORDS = st.lists(st.sampled_from((X, Y, Z, (1, 1))), min_size=1, max_size=7).map(Word)
+
+
+def seeded_mould(seed, empty, value):
+    """A mould whose value on each word is ``value(rng)`` for an rng
+    seeded by the word, so every word has a fixed pseudo-random value."""
+    return Mould(
+        lambda w: empty if w.r == 0 else value(random.Random(f"{seed}:{w.letters}")),
+        name=f"seeded{seed}",
+    )
+
+
+def exact_value(rng):
+    re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return QI(re, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
+
+def float_value(rng):
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+class CountingMould:
+    """A mould that counts its evaluations; it has no memo of its own."""
+
+    def __init__(self, empty):
+        self.empty = empty
+        self.calls = 0
+        self.name = "counting"
+
+    def __call__(self, word):
+        self.calls += 1
+        return self.empty if word.r == 0 else 1.0 / (1 + word.r)
+
+
+class TestSeriesRecursion:
+    """The prefix recursion of exp/log against the composition sum."""
+
+    @given(st.integers(0, 10 ** 6), SERIES_WORDS)
+    def test_exact_equals_composition_sum(self, seed, word):
+        G = seeded_mould(seed, QI(0, 0), exact_value)
+        S = seeded_mould(seed, QI(1, 0), exact_value)
+        assert mexp(G)(word) == composition_series(G, word, EXP_COEFFICIENT)
+        assert mlog(S)(word) == composition_series(S, word, LOG_COEFFICIENT)
+
+    @given(st.integers(0, 10 ** 6), SERIES_WORDS)
+    def test_float_matches_composition_sum(self, seed, word):
+        for M, series, coefficient in (
+            (seeded_mould(seed, 0j, float_value), mexp, EXP_COEFFICIENT),
+            (seeded_mould(seed, 1 + 0j, float_value), mlog, LOG_COEFFICIENT),
+        ):
+            # the mass of the sum: every term taken in absolute value
+            mass = composition_series(
+                lambda w: abs(M(w)), word, lambda k: (1, coefficient(k)[1])
+            )
+            assert abs(series(M)(word) - composition_series(M, word, coefficient)) <= 1e-12 * mass
+
+    @pytest.mark.parametrize("series, empty", [(mexp, 0.0), (mlog, 1.0)])
+    def test_one_evaluation_per_subword(self, series, empty):
+        for r in range(1, 8):
+            M = CountingMould(empty)
+            result = series(M)
+            M.calls = 0
+            result(Word([X] * r))
+            assert M.calls == r * (r + 1) // 2
 
 
 class TestAlternality:

@@ -103,6 +103,89 @@ class TestWeylMatrix:
         assert dumped[i][j] == [W.entries[i, j].real, W.entries[i, j].imag]
 
 
+def _neg(v):
+    return tuple(-a for a in v)
+
+
+def _real_observable(rng, d, n_modes=3):
+    coeffs = {}
+    for _ in range(n_modes):
+        k = tuple(rng.randint(-2, 2) for _ in range(d))
+        m = tuple(rng.randint(-2, 2) for _ in range(d))
+        c = complex(rng.uniform(-1, 1), 0.0 if not any(k + m) else rng.uniform(-1, 1))
+        coeffs[(k, m)] = c
+        coeffs[(_neg(k), _neg(m))] = c.conjugate()
+    return Observable(d, coeffs, real=True)
+
+
+def _dense_defect(obs, hbar):
+    kmax = max(max(abs(c) for c in k) for k, _ in obs.coeffs)
+    return weyl_matrix(obs, cutoff=kmax + 1, hbar=hbar).hermiticity_defect()
+
+
+def _mirror_sum_bound(obs):
+    """``max_k sum_m |b(k,m) - conj b(-k,-m)|`` over the modes and their mirrors."""
+    modes = set(obs.coeffs) | {(_neg(k), _neg(m)) for k, m in obs.coeffs}
+    sums = {}
+    for k, m in modes:
+        mirror = obs.coeffs.get((_neg(k), _neg(m)), 0j)
+        sums[k] = sums.get(k, 0.0) + abs(obs.coeffs.get((k, m), 0j) - mirror.conjugate())
+    return max(sums.values())
+
+
+class TestSymbolHermiticity:
+    """The symbol-level reality defect against the dense Weyl-matrix
+    Hermiticity defect it replaces in the CLI diagnostics."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_both_zero_on_real_symbols(self, rng, d):
+        for hbar in (0.3, 1.0):
+            for _ in range(5):
+                R = _real_observable(rng, d)
+                mass = sum(abs(c) for c in R.coeffs.values())
+                assert R.reality_defect() == 0.0
+                assert _dense_defect(R, hbar) <= 1e-14 * mass
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_both_nonzero_without_mirror_modes(self, rng, d):
+        for hbar in (0.3, 1.0):
+            for _ in range(5):
+                R = _real_observable(rng, d)
+                # keep one mode of every mirror pair, drop the other
+                half = {}
+                for (k, m), c in R.items_sorted():
+                    if (_neg(k), _neg(m)) not in half and any(k + m):
+                        half[(k, m)] = c
+                B = Observable(d, half)
+                assert B.reality_defect() > 0.0
+                assert _dense_defect(B, hbar) > 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_dense_defect_bounded_by_symbol_defects(self, rng, d):
+        for hbar in (0.3, 1.0):
+            for _ in range(10):
+                B = random_observable(rng, d, n_modes=4)
+                assert _dense_defect(B, hbar) <= _mirror_sum_bound(B) * (1 + 1e-12)
+                assert B.reality_defect() <= _mirror_sum_bound(B)
+
+
+class TestHbarCheck:
+    F = Observable(1, {((1,), (0,)): 1.0})
+    G = Observable(1, {((0,), (1,)): 1.0})
+
+    @pytest.mark.parametrize("hbar", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_moyal_bracket_refuses(self, hbar):
+        with pytest.raises(ValueError, match="finite and positive"):
+            moyal_bracket(self.F, self.G, hbar)
+
+    @pytest.mark.parametrize("hbar", [float("nan"), float("inf")])
+    def test_backend_and_weyl_matrix_refuse(self, golden_freq, hbar):
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuantumBackend(golden_freq, hbar)
+        with pytest.raises(ValueError, match="finite and positive"):
+            weyl_matrix(self.F, cutoff=2, hbar=hbar)
+
+
 class TestMoyalWeylConsistency:
     def test_moyal_matches_weyl_commutator(self):
         # the identity that pins both the quantization phase sign and
