@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from .exact import QI
 
@@ -113,11 +114,15 @@ class Frequency:
             self.omega = tuple(Fraction(c) for c in omega)
         else:
             self.omega = tuple(float(c) for c in omega)
+            if not all(math.isfinite(c) for c in self.omega):
+                raise ValueError(f"omega must be finite, got {self.omega!r}")
         self.d = len(omega)
         self.dioph_tau = float(dioph_tau)
-        if self.dioph_tau < 1.0:
-            raise ValueError("dioph_tau must be >= 1")
+        if not (math.isfinite(self.dioph_tau) and self.dioph_tau >= 1.0):
+            raise ValueError(f"dioph_tau must be finite and >= 1, got {self.dioph_tau!r}")
         self.dioph_alpha = None if dioph_alpha is None else float(dioph_alpha)
+        if self.dioph_alpha is not None and not math.isfinite(self.dioph_alpha):
+            raise ValueError(f"dioph_alpha must be finite, got {self.dioph_alpha!r}")
 
         basis = tuple(_as_int_vector(b) for b in resonance_basis)
         for b in basis:
@@ -214,6 +219,14 @@ class Word:
     def __init__(self, letters=()):
         self.letters = tuple(_as_int_vector(k) for k in letters)
 
+    @classmethod
+    def _of(cls, letters):
+        """The word on a tuple of letters that are already integer tuples
+        (taken from words or validated alphabets); no check."""
+        word = object.__new__(cls)
+        word.letters = letters
+        return word
+
     @property
     def r(self):
         return len(self.letters)
@@ -230,11 +243,11 @@ class Word:
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return Word(self.letters[idx])
+            return Word._of(self.letters[idx])
         return self.letters[idx]
 
     def __add__(self, other):
-        return Word(self.letters + other.letters)
+        return Word._of(self.letters + other.letters)
 
     def __hash__(self):
         return hash(self.letters)
@@ -249,7 +262,7 @@ class Word:
 
     def tail(self):
         """The word with its first letter removed."""
-        return Word(self.letters[1:])
+        return Word._of(self.letters[1:])
 
     def ksum(self):
         if not self.letters:
@@ -265,7 +278,7 @@ class Word:
         lo = 1 if proper else 0
         hi = len(self.letters) - 1 if proper else len(self.letters)
         for i in range(lo, hi + 1):
-            yield Word(self.letters[:i]), Word(self.letters[i:])
+            yield Word._of(self.letters[:i]), Word._of(self.letters[i:])
 
 
 EMPTY_WORD = Word()
@@ -274,10 +287,10 @@ EMPTY_WORD = Word()
 def words_over(alphabet, max_r, min_r=1):
     """All words of length ``min_r..max_r`` over ``alphabet``: by length,
     then lexicographically in the sorted letters."""
-    letters = sorted(tuple(k) for k in alphabet)
+    letters = sorted(_as_int_vector(k) for k in alphabet)
     for r in range(min_r, max_r + 1):
         for combo in itertools.product(letters, repeat=r):
-            yield Word(combo)
+            yield Word._of(combo)
 
 
 def sigma(word, freq):
@@ -304,15 +317,30 @@ def is_resonant(word, freq):
 def _subset_eigenvalues(word, freq):
     """``|<k_sigma, omega>|`` for every non-empty letter subset ``sigma``
     whose mode sum ``k_sigma`` is non-resonant (decided exactly), in
-    bitmask order."""
-    omega_f = tuple(float(c) for c in freq.omega)
+    bitmask order.
+
+    Each subset sum is its lowest letter added to the sum of the rest,
+    an earlier mask; each distinct sum is decided and paired once.
+    """
     letters = word.letters
-    for mask in range(1, 1 << len(letters)):
-        chosen = [letter for i, letter in enumerate(letters) if mask >> i & 1]
-        ksub = [sum(c) for c in zip(*chosen)]
-        if all(c == 0 for c in ksub) or freq.in_lattice(ksub):
-            continue
-        yield abs(sum(ki * wi for ki, wi in zip(ksub, omega_f)))
+    if not letters:
+        return
+    omega_f = tuple(float(c) for c in freq.omega)
+    ksub = [(0,) * len(letters[0])] * (1 << len(letters))
+    lam_of = {}
+    for mask in range(1, len(ksub)):
+        low = mask & -mask
+        k = ksub[mask] = tuple(map(add, ksub[mask ^ low], letters[low.bit_length() - 1]))
+        try:
+            lam = lam_of[k]
+        except KeyError:
+            if all(c == 0 for c in k) or freq.in_lattice(k):
+                lam = None
+            else:
+                lam = abs(sum(ki * wi for ki, wi in zip(k, omega_f)))
+            lam_of[k] = lam
+        if lam is not None:
+            yield lam
 
 
 def beta(word, tau, freq):
@@ -365,7 +393,7 @@ def shuffles(a, b):
     for positions in itertools.combinations(range(total), a.r):
         pos_set = set(positions)
         ia, ib = iter(a), iter(b)
-        w = Word([next(ia) if p in pos_set else next(ib) for p in range(total)])
+        w = Word._of(tuple(next(ia) if p in pos_set else next(ib) for p in range(total)))
         counts[w] = counts.get(w, 0) + 1
     return counts
 

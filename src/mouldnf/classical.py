@@ -14,16 +14,14 @@ materializes as an observable.
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from .observables import Observable
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def poisson_structure_constant(k, m, kp, mp):
     """Structure constant of the mode bracket (an integer)."""
-    return _dot(k, mp) - _dot(m, kp)
+    return sum(map(mul, k, mp)) - sum(map(mul, m, kp))
 
 
 def mode_bracket(F, G, coupling=None):
@@ -42,14 +40,15 @@ def mode_bracket(F, G, coupling=None):
     data = {}
     for (k, m), c in F.items_sorted():
         for (kp, mp), cp in g_items:
-            s = poisson_structure_constant(k, m, kp, mp)
+            # poisson_structure_constant, inlined: this is the hot loop
+            s = sum(map(mul, k, mp)) - sum(map(mul, m, kp))
             if s == 0:
                 continue
             if coupling is not None:
                 s = coupling(s)
-            km = (tuple(a + b for a, b in zip(k, kp)), tuple(a + b for a, b in zip(m, mp)))
+            km = (tuple(map(add, k, kp)), tuple(map(add, m, mp)))
             data[km] = data.get(km, 0j) + s * c * cp
-    return Observable(F.d, data, real=F.real and G.real, _prune=False).prune()
+    return Observable._of(F.d, data, F.real and G.real).prune()
 
 
 def poisson_bracket(F, G):

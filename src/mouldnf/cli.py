@@ -106,6 +106,8 @@ class RunConfig:
         self.scale = ScaleParams(scale_data["rho"], scale_data["rho_prime"])
 
         self.N = int(data.get("N", 1))
+        if self.N < 1:
+            raise ConfigError(f"config.N must be >= 1, got {self.N}")
         self.backend_name = data.get("backend", "classical")
         if self.backend_name not in ("classical", "quantum"):
             raise ConfigError("config.backend must be 'classical' or 'quantum'")
@@ -129,6 +131,9 @@ class RunConfig:
         self.alphabet = [tuple(int(c) for c in k) for k in data.get("alphabet", [])]
         self.max_r = int(data.get("max_r", 4))
         self.exponential_order = data.get("exponential_order")
+        order = self.exponential_order
+        if order is not None and (type(order) is not int or order < 0):
+            raise ConfigError(f"config.exponential_order must be an integer >= 0, got {order!r}")
         tols = dict(_DEFAULT_TOLS)
         tols.update(data.get("tolerances", {}))
         self.tolerances = tols
@@ -138,11 +143,15 @@ class RunConfig:
 
     def observable(self):
         if self._b_data is not None:
-            return from_json_dict(self._b_data)
-        if self._b_path is not None:
-            text = (self.base_dir / self._b_path).read_text()
-            return from_json_dict(json.loads(text))
-        raise ConfigError("config must provide B or B_path")
+            data = self._b_data
+        elif self._b_path is not None:
+            data = json.loads((self.base_dir / self._b_path).read_text())
+        else:
+            raise ConfigError("config must provide B or B_path")
+        try:
+            return from_json_dict(data)
+        except (ValueError, KeyError) as err:
+            raise ConfigError(f"config.B: {err}") from err
 
     def scalar_hbar(self):
         if self.hbar is not None:

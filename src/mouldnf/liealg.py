@@ -85,7 +85,7 @@ def _contract_range(M, B, r_min, r_max, backend, prune_rel=PRUNE_REL):
         nonlocal total, scale
         r = len(word_letters)
         if r >= r_min:
-            value = complex(M(Word(word_letters)))
+            value = complex(M(Word._of(tuple(word_letters))))
             weight = abs(value) * nested.max_abs()
             if value != 0 and weight > prune_rel * scale:
                 total = total + (value / r) * nested

@@ -52,6 +52,8 @@ class Observable:
                 if len(k) != self.d or len(m) != self.d:
                     raise ValueError(f"mode ({k},{m}) does not match d={self.d}")
                 c = complex(c)
+                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                    raise ValueError(f"coefficient of mode ({k},{m}) is not finite: {c!r}")
                 if c != 0:
                     data[(k, m)] = data.get((k, m), 0j) + c
         if _prune and data:
@@ -61,6 +63,20 @@ class Observable:
         self.real = bool(real)
         if self.real:
             self._check_real()
+
+    @classmethod
+    def _of(cls, d, data, real):
+        """The observable on ``data`` without the per-mode checks, for
+        results built from stored modes: integer-tuple keys of length
+        ``d`` and complex values without negative-zero parts, nonzero
+        unless pruned next.  Only the reality flag is checked."""
+        obs = object.__new__(cls)
+        obs.d = d
+        obs.coeffs = data
+        obs.real = real
+        if real:
+            obs._check_real()
+        return obs
 
     def _mirror_defects(self):
         """``((k, m), c, |b(-k,-m) - conj c|)`` for every stored mode."""
@@ -115,7 +131,7 @@ class Observable:
                 data.pop(km, None)
             else:
                 data[km] = s
-        return Observable(self.d, data, real=self.real and other.real, _prune=False)
+        return Observable._of(self.d, data, self.real and other.real)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -123,11 +139,12 @@ class Observable:
     def __mul__(self, scalar):
         scalar = complex(scalar)
         real = self.real and scalar.imag == 0.0
-        return Observable(
+        # 0j + clears the negative zeros a product can have, as the
+        # public constructor's sum does
+        return Observable._of(
             self.d,
-            {km: scalar * c for km, c in self.coeffs.items() if scalar * c != 0},
-            real=real,
-            _prune=False,
+            {km: 0j + scalar * c for km, c in self.coeffs.items() if scalar * c != 0},
+            real,
         )
 
     __rmul__ = __mul__
@@ -140,7 +157,7 @@ class Observable:
             return self
         top = max(abs(c) for c in self.coeffs.values())
         data = {km: c for km, c in self.coeffs.items() if c != 0 and abs(c) > rel * top}
-        return Observable(self.d, data, real=self.real, _prune=False)
+        return Observable._of(self.d, data, self.real)
 
     def max_abs(self):
         return max((abs(c) for c in self.coeffs.values()), default=0.0)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -83,3 +84,16 @@ def random_observable(rng, d, n_modes=4, kmax=2, mmax=2, scale=1.0):
         m = tuple(rng.randint(-mmax, mmax) for _ in range(d))
         coeffs[(k, m)] = scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return Observable(d, coeffs)
+
+
+def observable_strategy(d, max_modes=4, kmax=2):
+    """Hypothesis strategy: observables with 1..max_modes modes in
+    [-kmax, kmax]^2d and coefficients of modulus at most 1."""
+    mode = st.tuples(
+        st.tuples(*[st.integers(-kmax, kmax)] * d),
+        st.tuples(*[st.integers(-kmax, kmax)] * d),
+    )
+    coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    return st.dictionaries(mode, coeff, min_size=1, max_size=max_modes).map(
+        lambda coeffs: Observable(d, coeffs)
+    )

@@ -6,11 +6,16 @@ oracle integrates the Hamiltonian ODE with RK4.  The two-chain
 exponential keeps the earlier formula of ``apply_exp_ad`` as a
 reference for the fused chain, and the composition sum keeps the
 earlier formula of the mould exponential and logarithm as a reference
-for the prefix recursion.
+for the prefix recursion.  The per-mask subset sums and the mode-bracket
+double loop with its helper calls are the earlier forms of
+``alphabet._subset_eigenvalues`` and ``classical.mode_bracket``, kept to
+pin their results bit for bit.
 """
 
 import cmath
 import itertools
+
+from mouldnf import Observable
 
 
 def numeric_poisson(F, G, x, xi, h=1e-5):
@@ -135,3 +140,40 @@ def composition_series(M, word, coefficient):
         sign, divisor = coefficient(k)
         total = total + (sign * ksum) / divisor
     return total
+
+
+def subset_eigenvalues_by_mask(word, freq):
+    """``|<k_sigma, omega>|`` over the non-resonant non-empty letter
+    subsets, each sum rebuilt from its letters and decided afresh, in
+    bitmask order."""
+    omega_f = tuple(float(c) for c in freq.omega)
+    letters = word.letters
+    for mask in range(1, 1 << len(letters)):
+        chosen = [letter for i, letter in enumerate(letters) if mask >> i & 1]
+        ksub = [sum(c) for c in zip(*chosen)]
+        if all(c == 0 for c in ksub) or freq.in_lattice(ksub):
+            continue
+        yield abs(sum(ki * wi for ki, wi in zip(ksub, omega_f)))
+
+
+def mode_bracket_double_loop(F, G, coupling=None):
+    """The mode bracket with generator-expression dot products and sum
+    modes, built through the public ``Observable`` constructor."""
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    if F is G or F == G:
+        return Observable.zero(F.d)
+    g_items = G.items_sorted()
+    data = {}
+    for (k, m), c in F.items_sorted():
+        for (kp, mp), cp in g_items:
+            s = dot(k, mp) - dot(m, kp)
+            if s == 0:
+                continue
+            if coupling is not None:
+                s = coupling(s)
+            km = (tuple(a + b for a, b in zip(k, kp)), tuple(a + b for a, b in zip(m, mp)))
+            data[km] = data.get(km, 0j) + s * c * cp
+    return Observable(F.d, data, real=F.real and G.real, _prune=False).prune()

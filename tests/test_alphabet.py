@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mouldnf import (
     DegenerateFrequencyError,
@@ -13,9 +15,16 @@ from mouldnf import (
     shuffle_coefficient,
     sigma,
 )
-from mouldnf.alphabet import beta_subset_bound, iter_modes, l1, shuffles, words_over
+from mouldnf.alphabet import (
+    _subset_eigenvalues,
+    beta_subset_bound,
+    iter_modes,
+    l1,
+    shuffles,
+    words_over,
+)
 
-from oracles import enumerate_interleavings
+from oracles import enumerate_interleavings, subset_eigenvalues_by_mask
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -84,6 +93,17 @@ class TestFrequencyValidation:
         with pytest.raises(ValueError):
             Frequency((1.0,), dioph_tau=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["omega", "dioph_tau", "dioph_alpha"])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        kwargs = {"omega": (1.0, PHI)}
+        if field == "omega":
+            kwargs["omega"] = (1.0, bad)
+        else:
+            kwargs[field] = bad
+        with pytest.raises(ValueError, match=field):
+            Frequency(**kwargs)
+
 
 class TestBeta:
     def test_single_unit_eigenvalue(self):
@@ -111,6 +131,35 @@ class TestBeta:
     def test_crude_upper_bound(self, golden_freq):
         for w in (Word([(1, 0)]), Word([(1, 0), (0, 1)]), Word([(1, 0), (-1, 0), (0, 1)])):
             assert beta(w, 1.0, golden_freq) <= beta_subset_bound(w, 1.0, golden_freq) + 1e-12
+
+
+# words of length 1..10 over a pool of at most four letters, so that
+# letters repeat and subset sums coincide or cancel
+REPEATING_WORDS = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4, unique=True
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)).map(Word)
+BETA_FREQUENCIES = [
+    Frequency((1.0, PHI)),
+    Frequency((1.0, 2.0), resonance_basis=[(2, -1)]),
+    Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)]),
+]
+
+
+class TestBetaBitIdentity:
+    """The incremental subset walk against the per-mask walk: the same
+    eigenvalues in the same order, so the same floats."""
+
+    @settings(max_examples=80)
+    @given(REPEATING_WORDS, st.sampled_from(BETA_FREQUENCIES), st.sampled_from([1.0, 1.5, 3.0]))
+    def test_matches_per_mask_walk(self, word, freq, tau):
+        reference = list(subset_eigenvalues_by_mask(word, freq))
+        assert list(_subset_eigenvalues(word, freq)) == reference
+        total = 0.0
+        for lam in reference:
+            total += lam ** (-1.0 / tau)
+        assert beta(word, tau, freq) == total
+        bound = 2 ** word.r * max((lam ** (-1.0 / tau) for lam in reference), default=0.0)
+        assert beta_subset_bound(word, tau, freq) == bound
 
 
 class TestShuffle:
@@ -222,3 +271,10 @@ class TestWord:
     def test_non_integer_letter_rejected(self):
         with pytest.raises(ValueError):
             Word([(0.5, 0)])
+
+    def test_trusted_constructor_matches_public(self):
+        for letters in ((), ((1, 0),), ((1, 0), (-2, 1), (1, 0))):
+            assert Word._of(letters) == Word(letters)
+            assert hash(Word._of(letters)) == hash(Word(letters))
+        with pytest.raises(ValueError):
+            Word(((1.5, 0),))

@@ -8,8 +8,8 @@ from mouldnf import ClassicalBackend, Observable, moyal_bracket, norm_rho, poiss
 from mouldnf.classical import mode_bracket, poisson_structure_constant
 from mouldnf.quantum import sine_coupling
 
-from conftest import random_observable
-from oracles import numeric_poisson
+from conftest import observable_strategy, random_observable
+from oracles import mode_bracket_double_loop, numeric_poisson
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -133,17 +133,6 @@ class TestAxioms:
             assert total.max_abs() <= 1e-12 * scale
 
 
-def _observables(d, max_modes=4, kmax=2):
-    mode = st.tuples(
-        st.tuples(*[st.integers(-kmax, kmax)] * d),
-        st.tuples(*[st.integers(-kmax, kmax)] * d),
-    )
-    coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
-    return st.dictionaries(mode, coeff, min_size=1, max_size=max_modes).map(
-        lambda coeffs: Observable(d, coeffs)
-    )
-
-
 def _mass(F):
     return sum(abs(c) for c in F.coeffs.values())
 
@@ -158,6 +147,9 @@ def _max_s(F, G):
 # None is the Poisson (integer) constant; the others are Moyal constants
 COUPLINGS = st.one_of(st.none(), st.floats(0.01, 2.0).map(sine_coupling))
 PROPERTY_SETTINGS = settings(max_examples=60)
+PAIRS = st.integers(1, 2).flatmap(
+    lambda d: st.tuples(observable_strategy(d), observable_strategy(d))
+)
 
 
 class TestKernelProperties:
@@ -165,7 +157,7 @@ class TestKernelProperties:
     the Poisson and the sine-deformed structure constants."""
 
     @PROPERTY_SETTINGS
-    @given(st.integers(1, 2).flatmap(lambda d: st.tuples(_observables(d), _observables(d))), COUPLINGS)
+    @given(PAIRS, COUPLINGS)
     def test_antisymmetry(self, pair, coupling):
         F, G = pair
         total = mode_bracket(F, G, coupling) + mode_bracket(G, F, coupling)
@@ -174,7 +166,7 @@ class TestKernelProperties:
     @PROPERTY_SETTINGS
     @given(
         st.integers(1, 2).flatmap(
-            lambda d: st.tuples(_observables(d, 3), _observables(d, 3), _observables(d, 3))
+            lambda d: st.tuples(*[observable_strategy(d, 3)] * 3)
         ),
         COUPLINGS,
     )
@@ -196,10 +188,7 @@ class TestKernelProperties:
         assert total.max_abs() <= 1e-14 * scale
 
     @PROPERTY_SETTINGS
-    @given(
-        st.integers(1, 2).flatmap(lambda d: st.tuples(_observables(d), _observables(d))),
-        st.floats(1e-3, 0.5),
-    )
+    @given(PAIRS, st.floats(1e-3, 0.5))
     def test_classical_limit(self, pair, hbar):
         # |s - (2/hbar) sin(hbar s/2)| <= hbar^2 |s|^3 / 6 on every mode
         # pair, and the weighted norm is sub-multiplicative over pairs
@@ -208,3 +197,22 @@ class TestKernelProperties:
         rho = 0.5
         bound = hbar ** 2 * _max_s(F, G) ** 3 / 6 * norm_rho(F, rho) * norm_rho(G, rho)
         assert norm_rho(defect, rho) <= bound * (1 + 1e-9)
+
+
+class TestKernelBitIdentity:
+    """The inlined kernel against the earlier double loop: the same
+    modes in the same order, the same floats, the same signs of zero."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda d: st.tuples(observable_strategy(d, 8, 3), observable_strategy(d, 8, 3))
+        ),
+        COUPLINGS,
+    )
+    def test_matches_double_loop(self, pair, coupling):
+        F, G = pair
+        fast = mode_bracket(F, G, coupling)
+        slow = mode_bracket_double_loop(F, G, coupling)
+        assert repr(list(fast.coeffs.items())) == repr(list(slow.coeffs.items()))
+        assert fast.real == slow.real

@@ -109,6 +109,38 @@ class TestConfigValidation:
         assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "normalize_result.json").exists()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, bad, part):
+        b = toy_b_json()
+        b["coeffs"][0][part] = bad
+        cfg = write_config(tmp_path / "run.json", B=b)
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "normalize_result.json").exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["omega", "tau", "alpha"])
+    def test_non_finite_frequency_rejected(self, tmp_path, bad, key):
+        freq = {"omega": [1.0, PHI], "tau": 1.0, "K": 5}
+        freq[key] = [1.0, bad] if key == "omega" else bad
+        cfg = write_config(tmp_path / "run.json", freq=freq)
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "normalize_result.json").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"N": 0}, {"N": -1}, {"exponential_order": -1}, {"exponential_order": 2.5},
+         {"exponential_order": "12"}],
+        ids=["N=0", "N=-1", "order=-1", "order=2.5", "order='12'"],
+    )
+    def test_order_out_of_range_rejected(self, tmp_path, override):
+        cfg = write_config(tmp_path / "run.json", **override)
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "normalize_result.json").exists()
+
     def test_b_path_relative_to_config(self, tmp_path):
         (tmp_path / "b.json").write_text(json.dumps(toy_b_json()))
         cfg = write_config(tmp_path / "run.json", N=1)

@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mouldnf import Observable, weighted_tuple_sum, homogeneous_parts, norm_rho, slices
+from mouldnf.classical import mode_bracket
 from mouldnf.estimates import default_eta
 from mouldnf.observables import dumps, from_json_dict, loads, norm_rho_stripped, to_json_dict
 
-from conftest import random_observable
+from conftest import observable_strategy, random_observable
 
 
 class TestNorm:
@@ -47,6 +50,32 @@ class TestArithmetic:
         Observable(1, {((1,), (2,)): 1 + 1j, ((-1,), (-2,)): 1 - 1j}, real=True)
         with pytest.raises(ValueError):
             Observable(1, {((1,), (2,)): 1 + 1j}, real=True)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"mode \(\(1,\),\(0,\)\) is not finite"):
+            Observable(1, {((1,), (0,)): bad})
+
+    def test_from_json_dict_rejects_non_finite(self):
+        data = {"d": 1, "coeffs": [{"k": [1], "m": [0], "re": math.nan, "im": 0.0}]}
+        with pytest.raises(ValueError, match=r"mode \(\(1,\),\(0,\)\) is not finite"):
+            from_json_dict(data)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda d: st.tuples(observable_strategy(d), observable_strategy(d))
+        ),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    )
+    @example((Observable(1, {((1,), (0,)): 1j}), Observable(1, {((0,), (1,)): -1.0})), -1.0)
+    def test_results_stored_as_public_constructor_stores_them(self, pair, scalar):
+        # no zero and no negative-zero part survives in sums, scalar
+        # multiples, pruned copies and brackets
+        F, G = pair
+        for result in (F + G, F - G, scalar * F, (F + G).prune(1e-3), mode_bracket(F, G)):
+            public = Observable(result.d, result.coeffs, real=result.real, _prune=False)
+            assert repr(list(result.coeffs.items())) == repr(list(public.coeffs.items()))
 
     def test_scalar_multiply_keeps_reality_for_real_scalars(self):
         G = Observable(1, {((1,), (0,)): 1.0, ((-1,), (0,)): 1.0}, real=True)
