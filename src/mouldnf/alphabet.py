@@ -260,25 +260,16 @@ class Word:
             return "Word()"
         return "Word(" + " ".join(str(k) for k in self.letters) + ")"
 
-    def tail(self):
-        """The word with its first letter removed."""
-        return Word._of(self.letters[1:])
-
     def ksum(self):
         if not self.letters:
             return ()
         return tuple(sum(c) for c in zip(*self.letters))
 
-    def splits(self, proper=False):
-        """All splittings ``self = a + b``.
-
-        With ``proper=True`` only the splittings with both parts
-        non-empty are generated.
-        """
-        lo = 1 if proper else 0
-        hi = len(self.letters) - 1 if proper else len(self.letters)
-        for i in range(lo, hi + 1):
-            yield Word._of(self.letters[:i]), Word._of(self.letters[i:])
+    def splits(self):
+        """All r+1 splittings ``self = a + b``, empty parts included."""
+        letters = self.letters
+        for i in range(len(letters) + 1):
+            yield Word._of(letters[:i]), Word._of(letters[i:])
 
 
 EMPTY_WORD = Word()

@@ -69,6 +69,13 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
 
 
+def _integer(data, key, default):
+    value = data.get(key, default)
+    if type(value) is not int:
+        raise ConfigError(f"config.{key} must be an integer, got {value!r}")
+    return value
+
+
 class RunConfig:
     """Validated run configuration; all paths relative to the config file."""
 
@@ -91,21 +98,27 @@ class RunConfig:
                 omega = [Fraction(str(c)) for c in omega]
             except (ValueError, ZeroDivisionError) as err:
                 raise ConfigError(f"--exact requires rational omega: {err}") from err
-        else:
-            omega = [float(c) for c in omega]
-        self.freq = Frequency(
-            omega,
-            resonance_basis=freq_data.get("resonance_basis", ()),
-            dioph_alpha=freq_data.get("alpha"),
-            dioph_tau=freq_data.get("tau", 1.0),
-        )
+        try:
+            if not exact:
+                omega = [float(c) for c in omega]
+            self.freq = Frequency(
+                omega,
+                resonance_basis=freq_data.get("resonance_basis", ()),
+                dioph_alpha=freq_data.get("alpha"),
+                dioph_tau=freq_data.get("tau", 1.0),
+            )
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"config.freq: {err}") from err
         self.K = int(freq_data.get("K", 5))
 
         scale_data = data.get("scale", {"rho": 1.0, "rho_prime": 0.5})
         _reject_unknown(scale_data, _SCALE_KEYS, "config.scale")
-        self.scale = ScaleParams(scale_data["rho"], scale_data["rho_prime"])
+        try:
+            self.scale = ScaleParams(scale_data["rho"], scale_data["rho_prime"])
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"config.scale: {err}") from err
 
-        self.N = int(data.get("N", 1))
+        self.N = _integer(data, "N", 1)
         if self.N < 1:
             raise ConfigError(f"config.N must be >= 1, got {self.N}")
         self.backend_name = data.get("backend", "classical")
@@ -129,7 +142,7 @@ class RunConfig:
         self._b_path = data.get("B_path")
 
         self.alphabet = [tuple(int(c) for c in k) for k in data.get("alphabet", [])]
-        self.max_r = int(data.get("max_r", 4))
+        self.max_r = _integer(data, "max_r", 4)
         self.exponential_order = data.get("exponential_order")
         order = self.exponential_order
         if order is not None and (type(order) is not int or order < 0):
@@ -145,7 +158,10 @@ class RunConfig:
         if self._b_data is not None:
             data = self._b_data
         elif self._b_path is not None:
-            data = json.loads((self.base_dir / self._b_path).read_text())
+            try:
+                data = json.loads((self.base_dir / self._b_path).read_text())
+            except (OSError, json.JSONDecodeError) as err:
+                raise ConfigError(f"cannot read config.B_path: {err}") from err
         else:
             raise ConfigError("config must provide B or B_path")
         try:
@@ -439,10 +455,7 @@ def main(argv=None):
 
     try:
         config = load_config(args.config, exact=args.exact)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError) as err:  # ConfigError is a ValueError
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -10,17 +10,21 @@ branches on resonance of the full letter sum:
   group-like value is fixed by the gauge (zero here) through an
   auxiliary mould.
 
-Memoization keys are words of k-vectors, not eigenvalues: two letters
-with equal eigenvalue but different k are distinct keys.  The values
-only depend on the eigenvalues, so this merely accepts some duplicate
-computation in exchange for a simpler table.
+One table maps the letter tuple of each solved word to its (F, S, N)
+values.  The values on a word read only its shorter contiguous subwords
+(the tail and both sides of each proper split), so a new word is solved
+by walking its subwords shortest first.  Keys are tuples of k-vectors,
+not eigenvalues: two letters with equal eigenvalue but different k are
+distinct keys.  The values only depend on the eigenvalues, so this
+merely accepts some duplicate computation in exchange for a simpler
+table.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .alphabet import EMPTY_WORD, is_resonant, sigma, words_over
+from .alphabet import EMPTY_WORD, Word, is_resonant, sigma, words_over
 from .exact import scalar_abs
 from .mould import (
     Mould,
@@ -53,67 +57,46 @@ class MouldSolver:
     def __init__(self, freq, gauge=None):
         self.freq = freq
         self.gauge = gauge
-        zero = freq.zero()
-        one = freq.one()
-        self._F = {EMPTY_WORD: zero}
-        self._S = {EMPTY_WORD: one}
-        self._N = {EMPTY_WORD: zero}
-
-    def _gauge_value(self, word):
-        if self.gauge is None:
-            return self.freq.zero()
-        return self.gauge(word)
+        self._table = {(): (freq.zero(), freq.one(), freq.zero())}
 
     def values(self, word):
-        """The (F, S, N) values on ``word``, computing dependencies first."""
-        if word in self._F:
-            return self._F[word], self._S[word], self._N[word]
-        # Resolve sub-words iteratively to keep recursion depth flat.
-        stack = [word]
-        while stack:
-            w = stack[-1]
-            if w in self._F:
-                stack.pop()
-                continue
-            missing = [w.tail()] if w.tail() not in self._F else []
-            for a, b in w.splits(proper=True):
-                if a not in self._F:
-                    missing.append(a)
-                if b not in self._F:
-                    missing.append(b)
-            if missing:
-                stack.extend(missing)
-                continue
-            self._solve_one(w)
-            stack.pop()
-        return self._F[word], self._S[word], self._N[word]
+        """The (F, S, N) values on ``word``, solving its subwords first."""
+        table = self._table
+        letters = word.letters
+        if letters not in table:
+            # Each value reads only shorter contiguous subwords, so
+            # solving them shortest first needs no dependency stack.
+            r = len(letters)
+            for length in range(1, r + 1):
+                for j in range(r - length + 1):
+                    sub = letters[j:j + length]
+                    if sub not in table:
+                        table[sub] = self._solve_one(sub)
+        return table[letters]
 
-    def _solve_one(self, w):
-        r = w.r
-        s_tail = self._S[w.tail()]
+    def _solve_one(self, letters):
+        table = self._table
+        r = len(letters)
+        s_tail = table[letters[1:]][1]
         sum_sf = self.freq.zero()
         sum_sn = self.freq.zero()
-        for a, b in w.splits(proper=True):
-            sa = self._S[a]
-            sum_sf = sum_sf + sa * self._F[b]
-            sum_sn = sum_sn + sa * self._N[b]
+        for i in range(1, r):
+            sa = table[letters[:i]][1]
+            fb, _, nb = table[letters[i:]]
+            sum_sf = sum_sf + sa * fb
+            sum_sn = sum_sn + sa * nb
+        w = Word._of(letters)
         if is_resonant(w, self.freq):
-            f = s_tail - sum_sf
-            s = (self._gauge_value(w) + sum_sn) / r
-            n = self._gauge_value(w)
-        else:
-            f = self.freq.zero()
-            s = (s_tail - sum_sf) / sigma(w, self.freq)
-            n = r * s - sum_sn
-        self._F[w] = f
-        self._S[w] = s
-        self._N[w] = n
+            n = self.freq.zero() if self.gauge is None else self.gauge(w)
+            return s_tail - sum_sf, (n + sum_sn) / r, n
+        s = (s_tail - sum_sf) / sigma(w, self.freq)
+        return self.freq.zero(), s, r * s - sum_sn
 
-    @property
+    @functools.cached_property
     def F_mould(self):
         return Mould(lambda w: self.values(w)[0], name="F")
 
-    @property
+    @functools.cached_property
     def S_mould(self):
         return Mould(lambda w: self.values(w)[1], name="S")
 

@@ -9,13 +9,16 @@ earlier formula of the mould exponential and logarithm as a reference
 for the prefix recursion.  The per-mask subset sums and the mode-bracket
 double loop with its helper calls are the earlier forms of
 ``alphabet._subset_eigenvalues`` and ``classical.mode_bracket``, kept to
-pin their results bit for bit.
+pin their results bit for bit.  The stack solver is the earlier
+``solver.MouldSolver``, with three word-keyed tables and an explicit
+dependency stack, kept to pin the subword-table solver bit for bit.
 """
 
 import cmath
 import itertools
 
 from mouldnf import Observable
+from mouldnf.alphabet import EMPTY_WORD, is_resonant, sigma
 
 
 def numeric_poisson(F, G, x, xi, h=1e-5):
@@ -177,3 +180,67 @@ def mode_bracket_double_loop(F, G, coupling=None):
             km = (tuple(a + b for a, b in zip(k, kp)), tuple(a + b for a, b in zip(m, mp)))
             data[km] = data.get(km, 0j) + s * c * cp
     return Observable(F.d, data, real=F.real and G.real, _prune=False).prune()
+
+
+class StackSolver:
+    """(F, S, N) by the earlier memoized induction: three word-keyed
+    tables, and a stack that lists each new word's missing tail,
+    prefixes and suffixes before solving it."""
+
+    def __init__(self, freq, gauge=None):
+        self.freq = freq
+        self.gauge = gauge
+        self._F = {EMPTY_WORD: freq.zero()}
+        self._S = {EMPTY_WORD: freq.one()}
+        self._N = {EMPTY_WORD: freq.zero()}
+
+    def _gauge_value(self, word):
+        if self.gauge is None:
+            return self.freq.zero()
+        return self.gauge(word)
+
+    def _proper_splits(self, w):
+        return [(w[:i], w[i:]) for i in range(1, w.r)]
+
+    def values(self, word):
+        if word in self._F:
+            return self._F[word], self._S[word], self._N[word]
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in self._F:
+                stack.pop()
+                continue
+            missing = [w[1:]] if w[1:] not in self._F else []
+            for a, b in self._proper_splits(w):
+                if a not in self._F:
+                    missing.append(a)
+                if b not in self._F:
+                    missing.append(b)
+            if missing:
+                stack.extend(missing)
+                continue
+            self._solve_one(w)
+            stack.pop()
+        return self._F[word], self._S[word], self._N[word]
+
+    def _solve_one(self, w):
+        r = w.r
+        s_tail = self._S[w[1:]]
+        sum_sf = self.freq.zero()
+        sum_sn = self.freq.zero()
+        for a, b in self._proper_splits(w):
+            sa = self._S[a]
+            sum_sf = sum_sf + sa * self._F[b]
+            sum_sn = sum_sn + sa * self._N[b]
+        if is_resonant(w, self.freq):
+            f = s_tail - sum_sf
+            s = (self._gauge_value(w) + sum_sn) / r
+            n = self._gauge_value(w)
+        else:
+            f = self.freq.zero()
+            s = (s_tail - sum_sf) / sigma(w, self.freq)
+            n = r * s - sum_sn
+        self._F[w] = f
+        self._S[w] = s
+        self._N[w] = n

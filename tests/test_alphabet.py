@@ -250,7 +250,6 @@ class TestWord:
     def test_splits(self):
         w = Word([(1, 0), (0, 1)])
         assert len(list(w.splits())) == 3
-        assert len(list(w.splits(proper=True))) == 1
 
     def test_words_over_by_length_then_sorted_letters(self):
         words = list(words_over([(1, 0), (0, 1)], 2))

@@ -141,6 +141,43 @@ class TestConfigValidation:
         assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "normalize_result.json").exists()
 
+    @pytest.mark.parametrize(
+        "section, key", [("freq", "tau"), ("freq", "omega"), ("scale", "rho"), ("scale", "rho_prime")]
+    )
+    def test_null_parameter_rejected(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path / "run.json")
+        data = json.loads(cfg.read_text())
+        data.setdefault("scale", {"rho": 1.0, "rho_prime": 0.5})
+        data[section][key] = [1.0, None] if key == "omega" else None
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "normalize_result.json").exists()
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "invalid"])
+    def test_unreadable_b_path_rejected(self, tmp_path, capsys, content):
+        if content is not None:
+            (tmp_path / "b.json").write_text(content)
+        cfg = write_config(tmp_path / "run.json", N=1)
+        data = json.loads(cfg.read_text())
+        del data["B"]
+        data["B_path"] = "b.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "normalize_result.json").exists()
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("key", ["N", "max_r"])
+    def test_non_integer_order_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "run.json", **{key: value})
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "normalize_result.json").exists()
+
     def test_b_path_relative_to_config(self, tmp_path):
         (tmp_path / "b.json").write_text(json.dumps(toy_b_json()))
         cfg = write_config(tmp_path / "run.json", N=1)

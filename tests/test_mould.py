@@ -80,7 +80,7 @@ class TestTimes:
             if w.r == 0:
                 assert IM(w) == 0
             else:
-                assert IM(w) == pytest.approx(M(w.tail()))
+                assert IM(w) == pytest.approx(M(w[1:]))
 
     def test_associative_exhaustive(self):
         A, B, C = random_mould(3), random_mould(4), random_mould(5)

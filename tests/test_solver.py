@@ -1,12 +1,18 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mouldnf import Frequency, MouldSolver, Word, check_alternal, mexp, verify_equation
 from mouldnf.alphabet import beta
 from mouldnf.estimates import default_eta, fit_growth_constants
 from mouldnf.exact import QI
+from mouldnf.mould import from_table
+
+from oracles import StackSolver
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -152,3 +158,53 @@ class TestGaugeHook:
         F, S, N = solver.values(Word([(2, -1)]))
         assert N == 0.5
         assert S == pytest.approx(0.5)
+
+
+class TestSharedMoulds:
+    def test_f_and_s_moulds_are_cached(self, golden_freq):
+        solver = MouldSolver(golden_freq)
+        assert solver.F_mould is solver.F_mould
+        assert solver.S_mould is solver.S_mould
+
+
+# Each case: a frequency, letters whose words are resonant and
+# non-resonant, and a gauge.  Words over the golden letters are resonant
+# when the counts of opposite letters balance; over the rational letters
+# also through the declared resonance (2, -1).
+GOLDEN_LETTERS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+RATIONAL_LETTERS = ((1, 0), (-1, 0), (1, -1), (2, -1), (-2, 1))
+SOLVER_CASES = {
+    "golden": (Frequency((1.0, PHI), dioph_tau=1.0), GOLDEN_LETTERS, None),
+    "rational_float": (Frequency((1.0, 2.0), resonance_basis=[(2, -1)]), RATIONAL_LETTERS, None),
+    "rational_exact": (
+        Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)]),
+        RATIONAL_LETTERS,
+        None,
+    ),
+    "gauge": (
+        Frequency((1.0, 2.0), resonance_basis=[(2, -1)]),
+        RATIONAL_LETTERS,
+        from_table({Word([(2, -1)]): 0.5}),
+    ),
+}
+
+
+class TestStackOracle:
+    """The subword-table solver equals the earlier stack solver bit for
+    bit, whichever word is asked for first."""
+
+    @pytest.mark.parametrize("longest_first", [True, False], ids=["longest_first", "subwords_first"])
+    @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_values_bit_identical(self, case, longest_first, data):
+        freq, letters, gauge = SOLVER_CASES[case]
+        word = Word(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8)))
+        subwords = [word[j:j + n] for n in range(1, word.r + 1) for j in range(word.r - n + 1)]
+        solver = MouldSolver(freq, gauge=gauge)
+        oracle = StackSolver(freq, gauge=gauge)
+        queries = [word, *subwords] if longest_first else [*subwords[:-1], word]
+        for w in queries:
+            got, want = solver.values(w), oracle.values(w)
+            assert got == want
+            assert repr(got) == repr(want)
