@@ -8,9 +8,7 @@ and the hbar-squared gap between the quantum and classical forms.
 
 from .alphabet import (
     DegenerateFrequencyError,
-    EMPTY_WORD,
     Frequency,
-    Word,
     beta,
     diophantine_alpha,
     is_resonant,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassicalBackend",
     "DegenerateFrequencyError",
-    "EMPTY_WORD",
     "Frequency",
     "Mould",
     "MouldSolver",
@@ -74,7 +71,6 @@ __all__ = [
     "QuantumBackend",
     "ScaleParams",
     "WeylMatrix",
-    "Word",
     "apply_exp_ad",
     "beta",
     "check_alternal",

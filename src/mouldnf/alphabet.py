@@ -1,9 +1,12 @@
 """Letters, words, eigenvalue arithmetic and shuffle combinatorics.
 
-A letter is an integer mode vector ``k`` in Z^d; its scalar eigenvalue
-``i<k, omega>`` is derived from a :class:`Frequency`.  Words are finite
-letter sequences and key every memo table downstream, so they are
-immutable value types with a canonical hash.
+A letter is an integer mode vector ``k`` in Z^d, a tuple of ints; its
+scalar eigenvalue ``i<k, omega>`` is derived from a :class:`Frequency`.
+A word is the tuple of its letters: ``()`` is the empty word, ``len``
+its length, slices and ``+`` its splits and concatenations, and it keys
+every memo table downstream.  Letters are checked to be integral once,
+where they enter from outside the program (:func:`words_over` checks
+its alphabet); inside, words are trusted.
 
 Resonance (a vanishing eigenvalue sum) is always decided exactly on the
 integer lattice spanned by the declared resonance basis, never by
@@ -211,77 +214,17 @@ class Frequency:
         )
 
 
-class Word:
-    """An immutable sequence of integer mode-vector letters."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters=()):
-        self.letters = tuple(_as_int_vector(k) for k in letters)
-
-    @classmethod
-    def _of(cls, letters):
-        """The word on a tuple of letters that are already integer tuples
-        (taken from words or validated alphabets); no check."""
-        word = object.__new__(cls)
-        word.letters = letters
-        return word
-
-    @property
-    def r(self):
-        return len(self.letters)
-
-    @property
-    def dim(self):
-        return len(self.letters[0]) if self.letters else None
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return Word._of(self.letters[idx])
-        return self.letters[idx]
-
-    def __add__(self, other):
-        return Word._of(self.letters + other.letters)
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __repr__(self):
-        if not self.letters:
-            return "Word()"
-        return "Word(" + " ".join(str(k) for k in self.letters) + ")"
-
-    def ksum(self):
-        if not self.letters:
-            return ()
-        return tuple(sum(c) for c in zip(*self.letters))
-
-    def splits(self):
-        """All r+1 splittings ``self = a + b``, empty parts included."""
-        letters = self.letters
-        for i in range(len(letters) + 1):
-            yield Word._of(letters[:i]), Word._of(letters[i:])
-
-
-EMPTY_WORD = Word()
+def ksum(word):
+    """The letter sum of a word; ``()`` for the empty word."""
+    return tuple(map(sum, zip(*word)))
 
 
 def words_over(alphabet, max_r, min_r=1):
     """All words of length ``min_r..max_r`` over ``alphabet``: by length,
-    then lexicographically in the sorted letters."""
+    then lexicographically in the sorted letters, which must be integral."""
     letters = sorted(_as_int_vector(k) for k in alphabet)
     for r in range(min_r, max_r + 1):
-        for combo in itertools.product(letters, repeat=r):
-            yield Word._of(combo)
+        yield from itertools.product(letters, repeat=r)
 
 
 def sigma(word, freq):
@@ -290,22 +233,22 @@ def sigma(word, freq):
     Whether the sum *is* zero is not decided from this value; use
     :func:`is_resonant`.
     """
-    if word.r == 0:
+    if not word:
         return freq.zero()
-    if word.dim != freq.d:
+    if len(word[0]) != freq.d:
         raise ValueError("word dimension does not match frequency")
-    return freq.eigenvalue(word.ksum(), exact_zero=True)
+    return freq.eigenvalue(ksum(word), exact_zero=True)
 
 
 def is_resonant(word, freq):
     """Whether the letter sum lies in the integer resonance lattice."""
-    if word.r == 0:
+    if not word:
         return True
-    ks = word.ksum()
+    ks = ksum(word)
     return all(c == 0 for c in ks) or freq.in_lattice(ks)
 
 
-def _subset_eigenvalues(word, freq):
+def _subset_eigenvalues(letters, freq):
     """``|<k_sigma, omega>|`` for every non-empty letter subset ``sigma``
     whose mode sum ``k_sigma`` is non-resonant (decided exactly), in
     bitmask order.
@@ -313,7 +256,6 @@ def _subset_eigenvalues(word, freq):
     Each subset sum is its lowest letter added to the sum of the rest,
     an earlier mask; each distinct sum is decided and paired once.
     """
-    letters = word.letters
     if not letters:
         return
     omega_f = tuple(float(c) for c in freq.omega)
@@ -355,8 +297,8 @@ def shuffle_coefficient(a, b, lam):
     Standard dynamic program on prefix pairs; zero when the lengths
     do not add up.
     """
-    ra, rb = a.r, b.r
-    if lam.r != ra + rb:
+    ra, rb = len(a), len(b)
+    if len(lam) != ra + rb:
         return 0
     prev = [1] + [0] * rb
     for j in range(1, rb + 1):
@@ -380,11 +322,11 @@ def shuffles(a, b):
     as independent routes and cross-checked in the tests.
     """
     counts = {}
-    total = a.r + b.r
-    for positions in itertools.combinations(range(total), a.r):
+    total = len(a) + len(b)
+    for positions in itertools.combinations(range(total), len(a)):
         pos_set = set(positions)
         ia, ib = iter(a), iter(b)
-        w = Word._of(tuple(next(ia) if p in pos_set else next(ib) for p in range(total)))
+        w = tuple(next(ia) if p in pos_set else next(ib) for p in range(total))
         counts[w] = counts.get(w, 0) + 1
     return counts
 
@@ -422,7 +364,7 @@ def diophantine_alpha(freq, tau, K):
 def beta_subset_bound(word, tau, freq):
     """Crude upper bound 2^r * max |lambda_sigma|^(-1/tau); test helper."""
     best = max((lam ** (-1.0 / tau) for lam in _subset_eigenvalues(word, freq)), default=0.0)
-    return 2 ** word.r * best
+    return 2 ** len(word) * best
 
 
 def factorial(n):

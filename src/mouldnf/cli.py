@@ -69,10 +69,10 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
 
 
-def _integer(data, key, default):
+def _integer(data, key, default, where="config"):
     value = data.get(key, default)
     if type(value) is not int:
-        raise ConfigError(f"config.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     return value
 
 
@@ -109,7 +109,9 @@ class RunConfig:
             )
         except (TypeError, ValueError) as err:
             raise ConfigError(f"config.freq: {err}") from err
-        self.K = int(freq_data.get("K", 5))
+        self.K = _integer(freq_data, "K", 5, where="config.freq")
+        if self.K < 1:
+            raise ConfigError(f"config.freq.K must be >= 1, got {self.K}")
 
         scale_data = data.get("scale", {"rho": 1.0, "rho_prime": 0.5})
         _reject_unknown(scale_data, _SCALE_KEYS, "config.scale")
@@ -141,7 +143,16 @@ class RunConfig:
         self._b_data = data.get("B")
         self._b_path = data.get("B_path")
 
-        self.alphabet = [tuple(int(c) for c in k) for k in data.get("alphabet", [])]
+        alphabet = data.get("alphabet", [])
+        d = self.freq.d
+        if not isinstance(alphabet, list) or not all(
+            isinstance(k, list) and len(k) == d and all(type(c) is int for c in k)
+            for k in alphabet
+        ):
+            raise ConfigError(
+                f"config.alphabet must be a list of letters of {d} integers each, got {alphabet!r}"
+            )
+        self.alphabet = [tuple(k) for k in alphabet]
         self.max_r = _integer(data, "max_r", 4)
         self.exponential_order = data.get("exponential_order")
         order = self.exponential_order
@@ -150,8 +161,10 @@ class RunConfig:
         tols = dict(_DEFAULT_TOLS)
         tols.update(data.get("tolerances", {}))
         self.tolerances = tols
-        self.seed = int(data.get("seed", 0))
-        self.samples = int(data.get("samples", 100))
+        self.seed = _integer(data, "seed", 0)
+        self.samples = _integer(data, "samples", 100)
+        if self.samples < 0:
+            raise ConfigError(f"config.samples must be >= 0, got {self.samples}")
         self.mould_table = data.get("mould_table")
 
     def observable(self):
@@ -396,18 +409,24 @@ def cmd_verify(config, out_dir, max_words):
 
     if config.mould_table:
         table_path = config.base_dir / config.mould_table
+        moulds = {"F": solver.F_mould, "S": solver.S_mould, "G": solver.G_mould}
         try:
             golden = json.loads(table_path.read_text())
-        except (OSError, json.JSONDecodeError) as err:
+            if not (isinstance(golden, dict) and all(isinstance(golden.get(n), dict) for n in moulds)):
+                raise ValueError("it needs F, S and G sections, each a JSON object")
+            refs = []
+            for name, mould in moulds.items():
+                words = [_parse_word(key) for key in golden[name]]
+                if any(len(k) != config.freq.d for w in words for k in w):
+                    raise ValueError(f"a key in {name} has a letter not of dimension {config.freq.d}")
+                refs.append((mould, load_table(golden[name], exact=config.exact), words))
+        except (OSError, ValueError) as err:  # a JSONDecodeError is a ValueError
             print(f"error: cannot read mould_table: {err}", file=sys.stderr)
             return 2
         worst = 0.0
-        for name, mould in (("F", solver.F_mould), ("S", solver.S_mould), ("G", solver.G_mould)):
-            ref = load_table(golden[name], exact=config.exact)
-            for key in golden[name]:
-                w = _parse_word(key)
-                dev = scalar_abs(mould(w) - ref(w))
-                worst = max(worst, dev)
+        for mould, ref, words in refs:
+            for w in words:
+                worst = max(worst, scalar_abs(mould(w) - ref(w)))
         ok = worst <= config.tolerances["residual"]
         emit({"name": "golden_mould_table", "ok": ok, "max_deviation": worst})
         all_ok &= ok

@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 
-from .alphabet import Word, beta, diophantine_alpha, factorial, words_over
+from .alphabet import _as_int_vector, beta, diophantine_alpha, factorial, words_over
 from .liealg import order_increment
 from .observables import norm_rho
 from .classical import ClassicalBackend
@@ -165,10 +165,10 @@ def norm_power_constants(N, rho, rho_prime, gamma, tau, alpha, G_list, chi=None)
 
 
 def _sample_words(alphabet, r, rng, limit):
-    letters = sorted(tuple(k) for k in alphabet)
+    letters = sorted(_as_int_vector(k) for k in alphabet)
     if len(letters) ** r <= limit:
         return list(words_over(letters, r, min_r=r))
-    return [Word(tuple(rng.choice(letters) for _ in range(r))) for _ in range(limit)]
+    return [tuple(rng.choice(letters) for _ in range(r)) for _ in range(limit)]
 
 
 def fit_growth_constants(freq, alphabet, r_max, rho, alpha, tau, limit=600, seed=7):

@@ -5,8 +5,9 @@ perturbation's Fourier slices; ``normalize`` assembles the order-N
 normal form, the generator, and the measured remainder of the truncated
 exponential conjugation.
 
-Word enumeration runs over the perturbation's own support letters in
-sorted order (deterministic floating accumulation), pruning subtrees
+Words (tuples of letters) are enumerated over the perturbation's own
+support letters in sorted order (deterministic floating accumulation),
+each extended one letter at a time from its prefix, pruning subtrees
 whose iterated bracket has already vanished and words whose mould value
 is negligible against the accumulated scale.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 
-from .alphabet import Word
 from .observables import Observable, norm_rho, slices
 from .solver import MouldSolver
 
@@ -59,16 +59,17 @@ class ScaleParams:
 
 
 def comould(word, parts, backend):
-    """Right-nested iterated bracket of the slices along a word.
+    """Right-nested iterated bracket of the slices along a word, a
+    tuple of letters.
 
     ``parts`` maps each letter (k-vector) to its homogeneous slice.
     The empty word gives the zero observable by convention.
     """
     d = next(iter(parts.values())).d if parts else 1
-    if word.r == 0:
+    if not word:
         return Observable.zero(d)
     acc = parts[word[0]]
-    for letter in word.letters[1:]:
+    for letter in word[1:]:
         acc = backend.bracket(parts[letter], acc)
     return acc
 
@@ -81,11 +82,11 @@ def _contract_range(M, B, r_min, r_max, backend, prune_rel=PRUNE_REL):
         return total
     scale = 0.0
 
-    def descend(word_letters, nested):
+    def descend(word, nested):
         nonlocal total, scale
-        r = len(word_letters)
+        r = len(word)
         if r >= r_min:
-            value = complex(M(Word._of(tuple(word_letters))))
+            value = complex(M(word))
             weight = abs(value) * nested.max_abs()
             if value != 0 and weight > prune_rel * scale:
                 total = total + (value / r) * nested
@@ -95,10 +96,10 @@ def _contract_range(M, B, r_min, r_max, backend, prune_rel=PRUNE_REL):
         for letter in letters:
             extended = backend.bracket(parts[letter], nested)
             if extended:
-                descend(word_letters + [letter], extended)
+                descend(word + (letter,), extended)
 
     for letter in letters:
-        descend([letter], parts[letter])
+        descend((letter,), parts[letter])
     return total
 
 

@@ -1,9 +1,9 @@
 """The mould algebra: product, derivations, exp/log, alternality.
 
-A mould is a scalar-valued function on words, represented here as a
-lazily evaluated, memoized callable.  Moulds are total functions and are
-never materialized as tables; evaluation of the same word twice returns
-bit-identical values.  All operations work uniformly over complex
+A mould is a scalar-valued function on words (tuples of letters),
+represented here as a lazily evaluated, memoized callable.  Moulds are
+total functions and are never materialized as tables; evaluation of the
+same word twice returns bit-identical values.  All operations work uniformly over complex
 floats and exact Q(i) scalars.
 """
 
@@ -13,12 +13,12 @@ import functools
 import json
 import operator
 
-from .alphabet import EMPTY_WORD, Word, factorial, is_resonant, shuffles, sigma, words_over
+from .alphabet import factorial, is_resonant, shuffles, sigma, words_over
 from .exact import QI, scalar_abs, scalar_is_zero
 
 
 class Mould:
-    """A memoized map ``Word -> scalar``.
+    """A memoized map from a letter tuple to a scalar.
 
     Evaluation is pure given a frozen memo table: concurrent reads are
     safe, and recomputing a word concurrently yields identical values,
@@ -44,7 +44,7 @@ class Mould:
 
 def unit_mould():
     """The multiplicative unit: 1 on the empty word, 0 elsewhere."""
-    return Mould(lambda w: 1 if w.r == 0 else 0, name="unit")
+    return Mould(lambda w: 1 if len(w) == 0 else 0, name="unit")
 
 
 def zero_mould():
@@ -53,7 +53,7 @@ def zero_mould():
 
 def ident_mould():
     """The mould that is 1 exactly on one-letter words."""
-    return Mould(lambda w: 1 if w.r == 1 else 0, name="I")
+    return Mould(lambda w: 1 if len(w) == 1 else 0, name="I")
 
 
 def from_table(table, default=0, name="table"):
@@ -82,8 +82,8 @@ def times(M, N):
 
     def value(word):
         total = 0
-        for a, b in word.splits():
-            total = total + M(a) * N(b)
+        for i in range(len(word) + 1):
+            total = total + M(word[:i]) * N(word[i:])
         return total
 
     return Mould(value, name=f"({M.name}x{N.name})")
@@ -111,7 +111,7 @@ def nabla(M, freq):
 
 def nabla1(M):
     """Multiply the value on each word by the word length."""
-    return Mould(lambda w: w.r * M(w), name=f"nabla1({M.name})")
+    return Mould(lambda w: len(w) * M(w), name=f"nabla1({M.name})")
 
 
 def resonant_part(M, freq):
@@ -140,7 +140,7 @@ def _series(M, max_r, empty_value, coefficient, name):
     """
 
     def value(word):
-        r = word.r
+        r = len(word)
         if r == 0:
             return empty_value
         if max_r is not None and r > max_r:
@@ -168,7 +168,7 @@ def mexp(G, max_r=None):
 
     Requires ``G`` to vanish on the empty word.
     """
-    if not scalar_is_zero(G(EMPTY_WORD)):
+    if not scalar_is_zero(G(())):
         raise ValueError("mexp requires a mould vanishing on the empty word")
     return _series(G, max_r, 1, lambda k: (1, factorial(k)), f"exp({G.name})")
 
@@ -177,7 +177,7 @@ def mlog(S, max_r=None):
     """Mould logarithm of a group-like mould (``S`` equal to 1 on the
     empty word): alternating sum over block decompositions.
     """
-    s_empty = S(EMPTY_WORD)
+    s_empty = S(())
     if not (s_empty == 1 or s_empty == QI(1, 0)):
         raise ValueError("mlog requires a mould equal to 1 on the empty word")
     return _series(S, max_r, 0, lambda k: ((-1) ** (k - 1), k), f"log({S.name})")
@@ -213,17 +213,17 @@ def check_alternal(M, max_r, alphabet, tol=1e-10):
     the run (degenerate pairs whose every term is rounding dust would
     otherwise self-normalize to ratio one).
     """
-    if not scalar_is_zero(M(EMPTY_WORD)):
+    if not scalar_is_zero(M(())):
         raise ValueError("an alternal-type mould must vanish on the empty word")
     checked = []
     pairs = 0
     global_scale = 0.0
     for a in words_over(alphabet, max_r - 1):
-        for b in words_over(alphabet, max_r - a.r):
+        for b in words_over(alphabet, max_r - len(a)):
             pairs += 1
             total = 0
             scale = 0.0
-            for lam, mult in sorted(shuffles(a, b).items(), key=lambda kv: kv[0].letters):
+            for lam, mult in sorted(shuffles(a, b).items()):
                 v = M(lam)
                 total = total + mult * v
                 scale += mult * scalar_abs(v)
@@ -245,13 +245,17 @@ def check_alternal(M, max_r, alphabet, tol=1e-10):
 
 
 def _serialize_word(word):
-    return "|".join(",".join(str(c) for c in k) for k in word.letters)
+    return "|".join(",".join(str(c) for c in k) for k in word)
 
 
 def _parse_word(text):
+    """The word a table key names; its letters must be integers."""
     if text == "":
-        return EMPTY_WORD
-    return Word(tuple(tuple(int(c) for c in part.split(",")) for part in text.split("|")))
+        return ()
+    try:
+        return tuple(tuple(int(c) for c in part.split(",")) for part in text.split("|"))
+    except ValueError:
+        raise ValueError(f"mould table key {text!r} is not a word of integer letters") from None
 
 
 def dump_table(M, words, exact=False):
@@ -261,7 +265,7 @@ def dump_table(M, words, exact=False):
     ``exact`` is set.
     """
     out = {}
-    for w in sorted(set(words), key=lambda w: (w.r, w.letters)):
+    for w in sorted(set(words), key=lambda w: (len(w), w)):
         v = M(w)
         if exact:
             out[_serialize_word(w)] = QI.coerce(v).as_strings()

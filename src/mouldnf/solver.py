@@ -10,7 +10,7 @@ branches on resonance of the full letter sum:
   group-like value is fixed by the gauge (zero here) through an
   auxiliary mould.
 
-One table maps the letter tuple of each solved word to its (F, S, N)
+One table maps each solved word (a tuple of letters) to its (F, S, N)
 values.  The values on a word read only its shorter contiguous subwords
 (the tail and both sides of each proper split), so a new word is solved
 by walking its subwords shortest first.  Keys are tuples of k-vectors,
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 
-from .alphabet import EMPTY_WORD, Word, is_resonant, sigma, words_over
+from .alphabet import is_resonant, sigma, words_over
 from .exact import scalar_abs
 from .mould import (
     Mould,
@@ -62,34 +62,32 @@ class MouldSolver:
     def values(self, word):
         """The (F, S, N) values on ``word``, solving its subwords first."""
         table = self._table
-        letters = word.letters
-        if letters not in table:
+        if word not in table:
             # Each value reads only shorter contiguous subwords, so
             # solving them shortest first needs no dependency stack.
-            r = len(letters)
+            r = len(word)
             for length in range(1, r + 1):
                 for j in range(r - length + 1):
-                    sub = letters[j:j + length]
+                    sub = word[j:j + length]
                     if sub not in table:
                         table[sub] = self._solve_one(sub)
-        return table[letters]
+        return table[word]
 
-    def _solve_one(self, letters):
+    def _solve_one(self, word):
         table = self._table
-        r = len(letters)
-        s_tail = table[letters[1:]][1]
+        r = len(word)
+        s_tail = table[word[1:]][1]
         sum_sf = self.freq.zero()
         sum_sn = self.freq.zero()
         for i in range(1, r):
-            sa = table[letters[:i]][1]
-            fb, _, nb = table[letters[i:]]
+            sa = table[word[:i]][1]
+            fb, _, nb = table[word[i:]]
             sum_sf = sum_sf + sa * fb
             sum_sn = sum_sn + sa * nb
-        w = Word._of(letters)
-        if is_resonant(w, self.freq):
-            n = self.freq.zero() if self.gauge is None else self.gauge(w)
+        if is_resonant(word, self.freq):
+            n = self.freq.zero() if self.gauge is None else self.gauge(word)
             return s_tail - sum_sf, (n + sum_sn) / r, n
-        s = (s_tail - sum_sf) / sigma(w, self.freq)
+        s = (s_tail - sum_sf) / sigma(word, self.freq)
         return self.freq.zero(), s, r * s - sum_sn
 
     @functools.cached_property
@@ -104,10 +102,6 @@ class MouldSolver:
     def G_mould(self):
         """G = log S, built once so that every caller shares its memo."""
         return mlog(self.S_mould)
-
-    def g_of(self, word):
-        """Value of the alternal generator mould on ``word``."""
-        return self.G_mould(word)
 
 
 class EquationReport:
@@ -156,7 +150,7 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     nabla_F = nabla(F, freq)
     gauge_check = resonant_part(times(mexp(mneg(G)), nabla1(mexp(G))), freq)
 
-    words = [EMPTY_WORD, *words_over(alphabet, max_r)]
+    words = [(), *words_over(alphabet, max_r)]
     max_res = 0.0
     max_nf = 0.0
     max_gauge = 0.0

@@ -18,7 +18,7 @@ import cmath
 import itertools
 
 from mouldnf import Observable
-from mouldnf.alphabet import EMPTY_WORD, is_resonant, sigma
+from mouldnf.alphabet import is_resonant, sigma
 
 
 def numeric_poisson(F, G, x, xi, h=1e-5):
@@ -116,7 +116,7 @@ def two_chain_exp_ad(Y, X, order, backend, with_x0=False):
 
 def compositions(word, nparts):
     """All splittings of ``word`` into ``nparts`` non-empty blocks."""
-    r = word.r
+    r = len(word)
     if nparts > r:
         return
     if nparts == 1:
@@ -133,7 +133,7 @@ def composition_series(M, word, coefficient):
     all 2^(r-1) compositions of a non-empty ``word``, with ``c_k`` given
     by ``coefficient(k)`` as a ``(sign, divisor)`` pair."""
     total = 0
-    for k in range(1, word.r + 1):
+    for k in range(1, len(word) + 1):
         ksum = 0
         for parts in compositions(word, k):
             prod = M(parts[0])
@@ -150,9 +150,8 @@ def subset_eigenvalues_by_mask(word, freq):
     subsets, each sum rebuilt from its letters and decided afresh, in
     bitmask order."""
     omega_f = tuple(float(c) for c in freq.omega)
-    letters = word.letters
-    for mask in range(1, 1 << len(letters)):
-        chosen = [letter for i, letter in enumerate(letters) if mask >> i & 1]
+    for mask in range(1, 1 << len(word)):
+        chosen = [letter for i, letter in enumerate(word) if mask >> i & 1]
         ksub = [sum(c) for c in zip(*chosen)]
         if all(c == 0 for c in ksub) or freq.in_lattice(ksub):
             continue
@@ -190,9 +189,9 @@ class StackSolver:
     def __init__(self, freq, gauge=None):
         self.freq = freq
         self.gauge = gauge
-        self._F = {EMPTY_WORD: freq.zero()}
-        self._S = {EMPTY_WORD: freq.one()}
-        self._N = {EMPTY_WORD: freq.zero()}
+        self._F = {(): freq.zero()}
+        self._S = {(): freq.one()}
+        self._N = {(): freq.zero()}
 
     def _gauge_value(self, word):
         if self.gauge is None:
@@ -200,7 +199,7 @@ class StackSolver:
         return self.gauge(word)
 
     def _proper_splits(self, w):
-        return [(w[:i], w[i:]) for i in range(1, w.r)]
+        return [(w[:i], w[i:]) for i in range(1, len(w))]
 
     def values(self, word):
         if word in self._F:
@@ -225,7 +224,7 @@ class StackSolver:
         return self._F[word], self._S[word], self._N[word]
 
     def _solve_one(self, w):
-        r = w.r
+        r = len(w)
         s_tail = self._S[w[1:]]
         sum_sf = self.freq.zero()
         sum_sn = self.freq.zero()

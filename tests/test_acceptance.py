@@ -17,7 +17,6 @@ from mouldnf import (
     ClassicalBackend,
     Frequency,
     MouldSolver,
-    Word,
     check_alternal,
     diophantine_alpha,
     moyal_bracket,
@@ -80,14 +79,14 @@ class TestAcceptance:
     def test_03_closed_form_fixtures(self):
         exact_freq = Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)])
         solver = MouldSolver(exact_freq)
-        ok = solver.values(Word([(2, -1)])) == (QI(1), QI(0), QI(0))
+        ok = solver.values(((2, -1),)) == (QI(1), QI(0), QI(0))
         # lambda = i for the letter (1,0): 1/lambda = -i
-        f1, s1, n1 = solver.values(Word([(1, 0)]))
+        f1, s1, n1 = solver.values(((1, 0),))
         ok = ok and (f1, s1, n1) == (QI(0), QI(0, -1), QI(0, -1))
         # cancelling pair: F = -1/lambda = i, S = -1/(2 lambda^2) = 1/2, G = 0
-        f2, s2, n2 = solver.values(Word([(1, 0), (-1, 0)]))
+        f2, s2, n2 = solver.values(((1, 0), (-1, 0)))
         ok = ok and (f2, s2, n2) == (QI(0, 1), QI(Fraction(1, 2)), QI(0))
-        ok = ok and solver.g_of(Word([(1, 0), (-1, 0)])) == QI(0)
+        ok = ok and solver.G_mould(((1, 0), (-1, 0))) == QI(0)
         _report(3, "closed-form solver fixtures", ok)
 
     def test_04_normal_form_commutation(self, toy_setup):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mouldnf import (
     DegenerateFrequencyError,
     Frequency,
-    Word,
     beta,
     diophantine_alpha,
     is_resonant,
@@ -19,10 +18,13 @@ from mouldnf.alphabet import (
     _subset_eigenvalues,
     beta_subset_bound,
     iter_modes,
+    ksum,
     l1,
     shuffles,
     words_over,
 )
+from mouldnf.estimates import fit_growth_constants
+from mouldnf.mould import _parse_word
 
 from oracles import enumerate_interleavings, subset_eigenvalues_by_mask
 
@@ -31,42 +33,42 @@ PHI = (1 + 5 ** 0.5) / 2
 
 class TestSigma:
     def test_empty_word_is_zero(self, golden_freq):
-        assert sigma(Word(), golden_freq) == 0
+        assert sigma((), golden_freq) == 0
 
     def test_single_letter_dot_product(self):
         freq = Frequency((1.0, 2 ** 0.5))
-        assert sigma(Word([(1, 0)]), freq) == pytest.approx(1j)
+        assert sigma(((1, 0),), freq) == pytest.approx(1j)
 
     def test_cancellation(self, golden_freq):
-        assert sigma(Word([(1, 0), (-1, 0)]), golden_freq) == 0
+        assert sigma(((1, 0), (-1, 0)), golden_freq) == 0
 
     def test_dimension_mismatch(self, golden_freq):
         with pytest.raises(ValueError):
-            sigma(Word([(1,)]), golden_freq)
+            sigma(((1,),), golden_freq)
 
 
 class TestResonance:
     def test_zero_sum_is_resonant(self, golden_freq):
-        assert is_resonant(Word([(1, 1), (-1, -1)]), golden_freq)
+        assert is_resonant(((1, 1), (-1, -1)), golden_freq)
 
     def test_nonzero_mode_not_resonant(self, golden_freq):
-        assert not is_resonant(Word([(1, 0)]), golden_freq)
+        assert not is_resonant(((1, 0),), golden_freq)
 
     def test_declared_lattice_member(self, rational_freq_float):
-        assert is_resonant(Word([(2, -1)]), rational_freq_float)
-        assert is_resonant(Word([(4, -2)]), rational_freq_float)
-        assert not is_resonant(Word([(1, 0)]), rational_freq_float)
+        assert is_resonant(((2, -1),), rational_freq_float)
+        assert is_resonant(((4, -2),), rational_freq_float)
+        assert not is_resonant(((1, 0),), rational_freq_float)
 
     def test_resonant_implies_small_sigma(self, rational_freq_float, golden_freq):
         words = [
-            Word([(2, -1)]),
-            Word([(1, 0), (1, -1)]),
-            Word([(4, -2), (2, -1)]),
+            ((2, -1),),
+            ((1, 0), (1, -1)),
+            ((4, -2), (2, -1)),
         ]
         for w in words:
             if is_resonant(w, rational_freq_float):
                 assert abs(sigma(w, rational_freq_float)) < 1e-8
-        assert abs(sigma(Word([(1, 0), (-1, 0)]), golden_freq)) < 1e-8
+        assert abs(sigma(((1, 0), (-1, 0)), golden_freq)) < 1e-8
 
     def test_lattice_class_representatives(self, rational_freq_float):
         f = rational_freq_float
@@ -108,28 +110,28 @@ class TestFrequencyValidation:
 class TestBeta:
     def test_single_unit_eigenvalue(self):
         freq = Frequency((1.0,))
-        assert beta(Word([(1,)]), 1.0, freq) == pytest.approx(1.0)
+        assert beta(((1,),), 1.0, freq) == pytest.approx(1.0)
 
     def test_two_letters_enumerated(self):
         # eigenvalues i and 2i: subsets give 1 + 1/2 + 1/3
         freq = Frequency((1.0,))
-        w = Word([(1,), (2,)])
+        w = ((1,), (2,))
         assert beta(w, 1.0, freq) == pytest.approx(1.0 + 0.5 + 1.0 / 3.0)
 
     def test_cancelling_pair_subset_excluded(self, golden_freq):
-        w = Word([(1, 0), (-1, 0)])
+        w = ((1, 0), (-1, 0))
         assert beta(w, 1.0, golden_freq) == pytest.approx(2.0)
 
     def test_empty_word_convention(self, golden_freq):
-        assert beta(Word(), 1.0, golden_freq) == 0.0
+        assert beta((), 1.0, golden_freq) == 0.0
 
     def test_monotone_in_appended_letters(self, golden_freq):
-        w = Word([(1, 0)])
-        w2 = Word([(1, 0), (0, 1)])
+        w = ((1, 0),)
+        w2 = ((1, 0), (0, 1))
         assert beta(w2, 1.0, golden_freq) >= beta(w, 1.0, golden_freq)
 
     def test_crude_upper_bound(self, golden_freq):
-        for w in (Word([(1, 0)]), Word([(1, 0), (0, 1)]), Word([(1, 0), (-1, 0), (0, 1)])):
+        for w in (((1, 0),), ((1, 0), (0, 1)), ((1, 0), (-1, 0), (0, 1))):
             assert beta(w, 1.0, golden_freq) <= beta_subset_bound(w, 1.0, golden_freq) + 1e-12
 
 
@@ -137,7 +139,7 @@ class TestBeta:
 # letters repeat and subset sums coincide or cancel
 REPEATING_WORDS = st.lists(
     st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4, unique=True
-).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)).map(Word)
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)).map(tuple)
 BETA_FREQUENCIES = [
     Frequency((1.0, PHI)),
     Frequency((1.0, 2.0), resonance_basis=[(2, -1)]),
@@ -158,7 +160,7 @@ class TestBetaBitIdentity:
         for lam in reference:
             total += lam ** (-1.0 / tau)
         assert beta(word, tau, freq) == total
-        bound = 2 ** word.r * max((lam ** (-1.0 / tau) for lam in reference), default=0.0)
+        bound = 2 ** len(word) * max((lam ** (-1.0 / tau) for lam in reference), default=0.0)
         assert beta_subset_bound(word, tau, freq) == bound
 
 
@@ -166,17 +168,17 @@ class TestShuffle:
     X, Y, Z = (1, 0), (0, 1), (-1, 0)
 
     def test_distinct_letters(self):
-        assert shuffle_coefficient(Word([self.X]), Word([self.Y]), Word([self.X, self.Y])) == 1
+        assert shuffle_coefficient((self.X,), (self.Y,), (self.X, self.Y)) == 1
 
     def test_equal_letters_double(self):
-        assert shuffle_coefficient(Word([self.X]), Word([self.X]), Word([self.X, self.X])) == 2
+        assert shuffle_coefficient((self.X,), (self.X,), (self.X, self.X)) == 2
 
     def test_three_interleavings(self):
-        a, b = Word([self.X, self.Y]), Word([self.Z])
-        assert shuffle_coefficient(a, b, Word([self.X, self.Z, self.Y])) == 1
+        a, b = (self.X, self.Y), (self.Z,)
+        assert shuffle_coefficient(a, b, (self.X, self.Z, self.Y)) == 1
 
     def test_length_mismatch_is_zero(self):
-        assert shuffle_coefficient(Word([self.X]), Word([self.Y]), Word([self.X])) == 0
+        assert shuffle_coefficient((self.X,), (self.Y,), (self.X,)) == 0
 
     def _all_words(self, letters, r):
         import itertools
@@ -189,9 +191,8 @@ class TestShuffle:
         for letters, max_total in (((self.X, self.Y), 6), ((self.X, self.Y, self.Z), 4)):
             for ra in range(1, max_total):
                 for rb in range(1, max_total - ra + 1):
-                    for a_letters in self._all_words(letters, ra):
-                        for b_letters in self._all_words(letters, rb):
-                            a, b = Word(a_letters), Word(b_letters)
+                    for a in self._all_words(letters, ra):
+                        for b in self._all_words(letters, rb):
                             counts = shuffles(a, b)
                             assert counts == shuffles(b, a)
                             assert sum(counts.values()) == math.comb(ra + rb, ra)
@@ -206,7 +207,7 @@ class TestShuffle:
             for lam in enumerate_interleavings(a, b):
                 counts[lam] = counts.get(lam, 0) + 1
             for lam, expected in counts.items():
-                assert shuffle_coefficient(Word(a), Word(b), Word(lam)) == expected
+                assert shuffle_coefficient(a, b, lam) == expected
 
 
 class TestDiophantineAlpha:
@@ -238,22 +239,15 @@ class TestDiophantineAlpha:
 
 
 class TestWord:
-    def test_hash_and_equality(self):
-        assert Word([(1, 0)]) == Word([(1, 0)])
-        assert hash(Word([(1, 0)])) == hash(Word([(1, 0)]))
-        assert Word([(1, 0)]) != Word([(0, 1)])
+    """A word is the tuple of its letters."""
 
-    def test_r_matches_length(self):
-        assert Word().r == 0
-        assert Word([(1, 0), (0, 1)]).r == 2
-
-    def test_splits(self):
-        w = Word([(1, 0), (0, 1)])
-        assert len(list(w.splits())) == 3
+    def test_ksum(self):
+        assert ksum(()) == ()
+        assert ksum(((1, 0), (2, -1), (0, 3))) == (3, 2)
 
     def test_words_over_by_length_then_sorted_letters(self):
         words = list(words_over([(1, 0), (0, 1)], 2))
-        assert [w.letters for w in words] == [
+        assert words == [
             ((0, 1),),
             ((1, 0),),
             ((0, 1), (0, 1)),
@@ -264,16 +258,16 @@ class TestWord:
 
     def test_words_over_min_length(self):
         words = list(words_over([(1,), (2,), (3,)], 3, min_r=3))
-        assert len(words) == 27 and all(w.r == 3 for w in words)
+        assert len(words) == 27 and all(len(w) == 3 for w in words)
         assert list(words_over([(1,)], 2, min_r=3)) == []
 
-    def test_non_integer_letter_rejected(self):
+    def test_non_integer_letter_rejected(self, golden_freq):
+        # letters are checked where they enter: an enumerated alphabet,
+        # a mould-table key, and a sampled growth-fit alphabet
         with pytest.raises(ValueError):
-            Word([(0.5, 0)])
-
-    def test_trusted_constructor_matches_public(self):
-        for letters in ((), ((1, 0),), ((1, 0), (-2, 1), (1, 0))):
-            assert Word._of(letters) == Word(letters)
-            assert hash(Word._of(letters)) == hash(Word(letters))
+            list(words_over([(0.5, 0)], 1))
         with pytest.raises(ValueError):
-            Word(((1.5, 0),))
+            _parse_word("1.5,0")
+        with pytest.raises(ValueError):
+            # two letters, one word per length: the sampled branch
+            fit_growth_constants(golden_freq, [(1, 0), (0.5, 0)], 1, 1.0, 1.0, 1.0, limit=1)

@@ -178,6 +178,36 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not (out / "normalize_result.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("K", None), ("K", 1.5), ("K", 0), ("seed", None), ("seed", 1.5),
+         ("samples", None), ("samples", 1.5), ("samples", -1)],
+    )
+    def test_bad_count_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "run.json", samples=5)
+        data = json.loads(cfg.read_text())
+        (data["freq"] if key == "K" else data)[key] = value
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "verify_report.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "command, report", [("verify", "verify_report.jsonl"), ("dump-moulds", "moulds.json")]
+    )
+    @pytest.mark.parametrize(
+        "alphabet",
+        [[[1.5, 0], [0, 1]], [[None, 0]], [[1], [0, 1]], [1, 0]],
+        ids=["fractional", "null", "wrong-length", "not-a-list"],
+    )
+    def test_malformed_alphabet_rejected(self, tmp_path, capsys, alphabet, command, report):
+        cfg = write_config(tmp_path / "run.json", alphabet=alphabet, max_r=2, samples=5)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / report).exists()
+
     def test_b_path_relative_to_config(self, tmp_path):
         (tmp_path / "b.json").write_text(json.dumps(toy_b_json()))
         cfg = write_config(tmp_path / "run.json", N=1)
@@ -275,6 +305,26 @@ class TestVerifyCommand:
         table["F"]["1,0|-1,0"] = [0.5, 0.5]
         (out / "moulds.json").write_text(json.dumps(table))
         assert main(["verify", "--config", str(good_cfg), "--out", str(tmp_path / "bad")]) == 1
+
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"F": {"1.5,0": [0.0, 0.0]}, "S": {}, "G": {}},
+            {"F": {"1,0": [0.0, 1.0]}, "G": {}},
+            {"F": {"1": [0.0, 1.0]}, "S": {}, "G": {}},
+        ],
+        ids=["non-integral-key", "no-S-section", "wrong-dimension-key"],
+    )
+    def test_malformed_golden_table_rejected(self, tmp_path, capsys, table):
+        (tmp_path / "table.json").write_text(json.dumps(table))
+        cfg = write_config(
+            tmp_path / "run.json", alphabet=[[1, 0]], max_r=1, samples=5, mould_table="table.json"
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read mould_table: ")
+        assert not (out / "verify_report.jsonl").exists()
 
 
 class TestBundledGoldens:

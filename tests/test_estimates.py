@@ -5,11 +5,9 @@ import pytest
 from mouldnf import (
     MouldSolver,
     Observable,
-    Word,
     apply_exp_ad,
     contract,
     diophantine_alpha,
-    estimates,
     weighted_tuple_sum,
     norm_rho,
     normalize,
@@ -180,30 +178,6 @@ class TestGrowthFitAndRemainder:
             rep = verify_remainder_bound(res, N, scale_params, golden_freq, g_list, alpha=alpha)
             assert rep.inputs["precondition_holds"]
             assert rep.holds
-
-    def test_growth_fit_builds_each_sampled_word_once(self, monkeypatch, toy_B, golden_freq):
-        # words derived inside the fit (slices, tails, splits, enumerated
-        # words) skip letter validation; only sampled words are checked
-        built = sampled = 0
-        init, sample = Word.__init__, estimates._sample_words
-
-        def counting_init(self, letters=()):
-            nonlocal built
-            built += 1
-            init(self, letters)
-
-        def counting_sample(*args):
-            nonlocal sampled
-            words = sample(*args)
-            sampled += len(words)
-            return words
-
-        monkeypatch.setattr(Word, "__init__", counting_init)
-        monkeypatch.setattr(estimates, "_sample_words", counting_sample)
-        letters = sorted({k for k, _ in toy_B.coeffs})
-        alpha = diophantine_alpha(golden_freq, 1.0, 5)
-        fit_growth_constants(golden_freq, letters, 9, 1.0, alpha, 1.0, limit=200)
-        assert built <= sampled
 
     def test_norm_power_constants_shapes(self, fitted):
         alpha, (_, g_list) = fitted

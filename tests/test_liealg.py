@@ -9,7 +9,6 @@ from mouldnf import (
     OutOfDomainError,
     QuantumBackend,
     ScaleParams,
-    Word,
     apply_exp_ad,
     comould,
     contract,
@@ -40,22 +39,22 @@ class TestComould:
     def test_single_letter_is_slice(self, toy_B, classical_backend):
         parts = slices(toy_B)
         k = (1, 0)
-        out = comould(Word([k]), parts, classical_backend)
+        out = comould((k,), parts, classical_backend)
         assert out.coeffs == parts[k].coeffs
 
     def test_two_letters_bracket_order(self, toy_B, classical_backend):
         parts = slices(toy_B)
         k1, k2 = (1, 0), (-1, 0)
-        out = comould(Word([k1, k2]), parts, classical_backend)
+        out = comould((k1, k2), parts, classical_backend)
         expected = classical_backend.bracket(parts[k2], parts[k1])
         assert out.coeffs == expected.coeffs
 
     def test_repeated_letter_single_mode_vanishes(self, toy_B, classical_backend):
         parts = slices(toy_B)
-        assert not comould(Word([(1, 0), (1, 0)]), parts, classical_backend)
+        assert not comould(((1, 0), (1, 0)), parts, classical_backend)
 
     def test_empty_word_is_zero(self, toy_B, classical_backend):
-        assert not comould(Word(), slices(toy_B), classical_backend)
+        assert not comould((), slices(toy_B), classical_backend)
 
 
 class TestContract:
@@ -91,18 +90,18 @@ class TestMouldComouldIdentities:
         x, y = (1, 0), (-1, 0)
         M = from_table(
             {
-                Word([x]): 0.7 + 0.1j,
-                Word([y]): -0.3 + 0.2j,
-                Word([x, y]): 0.25j,
-                Word([y, x]): -0.25j,
+                (x,): 0.7 + 0.1j,
+                (y,): -0.3 + 0.2j,
+                (x, y): 0.25j,
+                (y, x): -0.25j,
             }
         )
         N = from_table(
             {
-                Word([x]): -0.4 + 0.5j,
-                Word([y]): 0.9j,
-                Word([x, y]): 0.1 + 0.05j,
-                Word([y, x]): -0.1 - 0.05j,
+                (x,): -0.4 + 0.5j,
+                (y,): 0.9j,
+                (x, y): 0.1 + 0.05j,
+                (y, x): -0.1 - 0.05j,
             }
         )
         return M, N

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mouldnf import Frequency, MouldSolver, Word, check_alternal, mexp, verify_equation
+from mouldnf import Frequency, MouldSolver, check_alternal, mexp, verify_equation
 from mouldnf.alphabet import beta
 from mouldnf.estimates import default_eta, fit_growth_constants
 from mouldnf.exact import QI
@@ -22,19 +22,19 @@ MIXED_ALPHABET = ((1, 0), (1, -1), (2, -1))  # (2,-1) resonant for omega=(1,2)
 def words_over(letters, r_max):
     for r in range(1, r_max + 1):
         for combo in itertools.product(letters, repeat=r):
-            yield Word(combo)
+            yield combo
 
 
 class TestClosedForms:
     def test_resonant_single_letter(self, rational_freq_float):
         solver = MouldSolver(rational_freq_float)
-        F, S, N = solver.values(Word([(2, -1)]))
+        F, S, N = solver.values(((2, -1),))
         assert (F, S, N) == (1, 0, 0)
 
     def test_nonresonant_single_letter(self, golden_freq):
         solver = MouldSolver(golden_freq)
         lam = 1j  # i<(1,0), omega>
-        F, S, N = solver.values(Word([(1, 0)]))
+        F, S, N = solver.values(((1, 0),))
         assert F == 0
         assert S == pytest.approx(1 / lam)
         assert N == pytest.approx(1 / lam)
@@ -42,21 +42,21 @@ class TestClosedForms:
     def test_cancelling_pair(self, golden_freq):
         solver = MouldSolver(golden_freq)
         lam = 1j
-        F, S, N = solver.values(Word([(1, 0), (-1, 0)]))
+        F, S, N = solver.values(((1, 0), (-1, 0)))
         assert F == pytest.approx(-1 / lam)
         assert S == pytest.approx(-1 / (2 * lam ** 2))
         assert N == pytest.approx(0)
-        assert solver.g_of(Word([(1, 0), (-1, 0)])) == pytest.approx(0)
+        assert solver.G_mould(((1, 0), (-1, 0))) == pytest.approx(0)
 
     def test_g_single_letters(self, golden_freq, rational_freq_float):
-        assert MouldSolver(golden_freq).g_of(Word([(1, 0)])) == pytest.approx(1 / 1j)
-        assert MouldSolver(rational_freq_float).g_of(Word([(2, -1)])) == 0
+        assert MouldSolver(golden_freq).G_mould(((1, 0),)) == pytest.approx(1 / 1j)
+        assert MouldSolver(rational_freq_float).G_mould(((2, -1),)) == 0
 
     def test_exact_mode_closed_forms(self, rational_freq):
         solver = MouldSolver(rational_freq)
-        F, S, N = solver.values(Word([(2, -1)]))
+        F, S, N = solver.values(((2, -1),))
         assert F == QI(1, 0) and S == QI(0, 0) and N == QI(0, 0)
-        F1, S1, N1 = solver.values(Word([(1, 0)]))
+        F1, S1, N1 = solver.values(((1, 0),))
         # 1/lambda with lambda = i: equals -i
         assert F1 == QI(0, 0) and S1 == QI(0, -1) and N1 == QI(0, -1)
 
@@ -111,12 +111,12 @@ class TestStructure:
         scaled = Frequency((c, c * PHI))
         s1, s2 = MouldSolver(base), MouldSolver(scaled)
         for w in words_over(((1, 0), (-1, 0), (0, 1)), 4):
-            r = w.r
+            r = len(w)
             f1 = complex(s1.values(w)[0])
             f2 = complex(s2.values(w)[0])
             assert f2 == pytest.approx(f1 * c ** (-(r - 1)), rel=1e-9, abs=1e-15)
-            g1 = complex(s1.g_of(w))
-            g2 = complex(s2.g_of(w))
+            g1 = complex(s1.G_mould(w))
+            g2 = complex(s2.G_mould(w))
             assert g2 == pytest.approx(g1 * c ** (-r), rel=1e-9, abs=1e-15)
 
 
@@ -138,12 +138,12 @@ class TestGrowthBound:
 
         for _ in range(50):
             r = rng.randint(1, 4)
-            w = Word(tuple(rng.choice(letters) for _ in range(r)))
+            w = tuple(rng.choice(letters) for _ in range(r))
             eta_r = default_eta(rho, alpha, tau, r)
             base = (tau / (math.e * eta_r)) ** tau
             shape = math.exp(eta_r * beta(w, tau, golden_freq))
             fv = abs(complex(solver.values(w)[0]))
-            gv = abs(complex(solver.g_of(w)))
+            gv = abs(complex(solver.G_mould(w)))
             assert fv <= f_list[r - 1] * base ** (r - 1) * shape * (1 + 1e-12)
             assert gv <= g_list[r - 1] * base ** r * shape * (1 + 1e-12)
 
@@ -153,9 +153,9 @@ class TestGaugeHook:
         # resonant alternal gauge supported on the resonant letter
         from mouldnf.mould import from_table
 
-        gauge = from_table({Word([(2, -1)]): 0.5})
+        gauge = from_table({((2, -1),): 0.5})
         solver = MouldSolver(rational_freq_float, gauge=gauge)
-        F, S, N = solver.values(Word([(2, -1)]))
+        F, S, N = solver.values(((2, -1),))
         assert N == 0.5
         assert S == pytest.approx(0.5)
 
@@ -184,7 +184,7 @@ SOLVER_CASES = {
     "gauge": (
         Frequency((1.0, 2.0), resonance_basis=[(2, -1)]),
         RATIONAL_LETTERS,
-        from_table({Word([(2, -1)]): 0.5}),
+        from_table({((2, -1),): 0.5}),
     ),
 }
 
@@ -199,8 +199,8 @@ class TestStackOracle:
     @given(data=st.data())
     def test_values_bit_identical(self, case, longest_first, data):
         freq, letters, gauge = SOLVER_CASES[case]
-        word = Word(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8)))
-        subwords = [word[j:j + n] for n in range(1, word.r + 1) for j in range(word.r - n + 1)]
+        word = tuple(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8)))
+        subwords = [word[j:j + n] for n in range(1, len(word) + 1) for j in range(len(word) - n + 1)]
         solver = MouldSolver(freq, gauge=gauge)
         oracle = StackSolver(freq, gauge=gauge)
         queries = [word, *subwords] if longest_first else [*subwords[:-1], word]
