@@ -291,36 +291,8 @@ def beta(word, tau, freq):
     return total
 
 
-def shuffle_coefficient(a, b, lam):
-    """Number of ways ``lam`` arises by interdigitating ``a`` and ``b``.
-
-    Standard dynamic program on prefix pairs; zero when the lengths
-    do not add up.
-    """
-    ra, rb = len(a), len(b)
-    if len(lam) != ra + rb:
-        return 0
-    prev = [1] + [0] * rb
-    for j in range(1, rb + 1):
-        prev[j] = prev[j - 1] if b[j - 1] == lam[j - 1] else 0
-    for i in range(1, ra + 1):
-        cur = [0] * (rb + 1)
-        cur[0] = prev[0] if a[i - 1] == lam[i - 1] else 0
-        for j in range(1, rb + 1):
-            if a[i - 1] == lam[i + j - 1]:
-                cur[j] += prev[j]
-            if b[j - 1] == lam[i + j - 1]:
-                cur[j] += cur[j - 1]
-        prev = cur
-    return prev[rb]
-
-
 def shuffles(a, b):
-    """Multiset of interleavings of ``a`` and ``b`` as ``{word: count}``.
-
-    Counts coincide with :func:`shuffle_coefficient`; the two are kept
-    as independent routes and cross-checked in the tests.
-    """
+    """Multiset of interleavings of ``a`` and ``b`` as ``{word: count}``."""
     counts = {}
     total = len(a) + len(b)
     for positions in itertools.combinations(range(total), len(a)):
@@ -359,13 +331,3 @@ def diophantine_alpha(freq, tau, K):
             f"no non-resonant mode with |k|_1 <= {K}; frequency is degenerate"
         )
     return best
-
-
-def beta_subset_bound(word, tau, freq):
-    """Crude upper bound 2^r * max |lambda_sigma|^(-1/tau); test helper."""
-    best = max((lam ** (-1.0 / tau) for lam in _subset_eigenvalues(word, freq)), default=0.0)
-    return 2 ** len(word) * best
-
-
-def factorial(n):
-    return math.factorial(n)

@@ -19,11 +19,6 @@ from operator import add, mul
 from .observables import Observable
 
 
-def poisson_structure_constant(k, m, kp, mp):
-    """Structure constant of the mode bracket (an integer)."""
-    return sum(map(mul, k, mp)) - sum(map(mul, m, kp))
-
-
 def mode_bracket(F, G, coupling=None):
     """Bracket of two observables on modes, pruned of rounding dust.
 
@@ -40,7 +35,6 @@ def mode_bracket(F, G, coupling=None):
     data = {}
     for (k, m), c in F.items_sorted():
         for (kp, mp), cp in g_items:
-            # poisson_structure_constant, inlined: this is the hot loop
             s = sum(map(mul, k, mp)) - sum(map(mul, m, kp))
             if s == 0:
                 continue

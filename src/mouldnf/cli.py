@@ -158,9 +158,14 @@ class RunConfig:
         order = self.exponential_order
         if order is not None and (type(order) is not int or order < 0):
             raise ConfigError(f"config.exponential_order must be an integer >= 0, got {order!r}")
-        tols = dict(_DEFAULT_TOLS)
-        tols.update(data.get("tolerances", {}))
-        self.tolerances = tols
+        tols = data.get("tolerances", {})
+        if not isinstance(tols, dict):
+            raise ConfigError(f"config.tolerances must be an object, got {tols!r}")
+        _reject_unknown(tols, set(_DEFAULT_TOLS), "config.tolerances")
+        for key, tol in tols.items():
+            if type(tol) not in (int, float) or not (math.isfinite(tol) and tol >= 0):
+                raise ConfigError(f"config.tolerances.{key} must be a finite number >= 0, got {tol!r}")
+        self.tolerances = {**_DEFAULT_TOLS, **tols}
         self.seed = _integer(data, "seed", 0)
         self.samples = _integer(data, "samples", 100)
         if self.samples < 0:

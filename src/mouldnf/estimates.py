@@ -17,8 +17,8 @@ import random
 
 import numpy as np
 
-from .alphabet import _as_int_vector, beta, diophantine_alpha, factorial, words_over
-from .liealg import order_increment
+from .alphabet import _as_int_vector, beta, diophantine_alpha, words_over
+from .liealg import ScaleParams, order_increment
 from .observables import norm_rho
 from .classical import ClassicalBackend
 from .quantum import QuantumBackend
@@ -84,7 +84,7 @@ def generator_majorant(N, delta, gamma, tau_list, eta_list, G_list, eps_list):
     for r in range(1, N + 1):
         tau_r, eta_r, g_r, eps_r = tau_list[r - 1], eta_list[r - 1], G_list[r - 1], eps_list[r - 1]
         total += (
-            factorial(r - 1)
+            math.factorial(r - 1)
             / r
             * (gamma / delta ** 2) ** (r - 1)
             * g_r
@@ -100,7 +100,7 @@ def exp_tail_constant(N, rho, rho_prime, gamma, chi, normB):
     return 2.0 * (delta ** 2 / (4.0 * chi(delta / 2.0)) + normB) * (4.0 * gamma / delta ** 2) ** (N + 1)
 
 
-def smallness_and_remainder_constants(N, rho, rho_prime, gamma, tau, eta_inf_1N, eta_inf_NN2, normB, chi=None):
+def smallness_and_remainder_constants(N, rho, rho_prime, gamma, tau, eta_inf_1N, eta_inf_NN2, normB):
     """Smallness threshold and remainder constant in closed form.
 
     Direct evaluation of the two displayed formulas with a constant tau
@@ -108,11 +108,9 @@ def smallness_and_remainder_constants(N, rho, rho_prime, gamma, tau, eta_inf_1N,
     simplification).  ``eta_inf_1N`` and ``eta_inf_NN2`` are the minima
     of the eta ladder over lengths 1..N and N+1..N^2.
     """
-    if chi is None:
-        chi = lambda delta: 1.0 / (math.e * delta)
     delta = rho - rho_prime
     head = (
-        factorial(N - 1)
+        math.factorial(N - 1)
         / N
         * (gamma / delta ** 2) ** (N - 1)
         * (2.0 ** N * tau / (math.e * eta_inf_1N)) ** N
@@ -120,16 +118,19 @@ def smallness_and_remainder_constants(N, rho, rho_prime, gamma, tau, eta_inf_1N,
     eps_star = delta ** 2 / (32.0 * gamma * head)
     n2 = N * N
     tail = (
-        factorial(n2 - 1)
+        math.factorial(n2 - 1)
         / n2
         * (gamma / delta ** 2) ** (n2 - 1)
         * (2.0 ** n2 * tau / (math.e * eta_inf_NN2)) ** n2
     )
-    D = exp_tail_constant(N, rho, rho_prime, gamma, chi, normB) * (4.0 * head) ** (N + 1) + N ** N * tail
+    D = (
+        exp_tail_constant(N, rho, rho_prime, gamma, ScaleParams.chi, normB) * (4.0 * head) ** (N + 1)
+        + N ** N * tail
+    )
     return eps_star, D
 
 
-def norm_power_constants(N, rho, rho_prime, gamma, tau, alpha, G_list, chi=None):
+def norm_power_constants(N, rho, rho_prime, gamma, tau, alpha, G_list):
     """Norm-based remainder constant and threshold (torus variant).
 
     Returns ``(D, eps, Gamma_N, Gamma_N2N)`` where
@@ -137,8 +138,6 @@ def norm_power_constants(N, rho, rho_prime, gamma, tau, alpha, G_list, chi=None)
     Gammas sum the generator majorant with unit eps factors; needs the
     fitted growth constants up to length N^2.
     """
-    if chi is None:
-        chi = lambda delta: 1.0 / (math.e * delta)
     if len(G_list) < N * N:
         raise ValueError(f"need growth constants up to length {N * N}")
     delta = rho - rho_prime
@@ -148,7 +147,7 @@ def norm_power_constants(N, rho, rho_prime, gamma, tau, alpha, G_list, chi=None)
         for r in range(r_lo, r_hi + 1):
             eta_r = default_eta(rho, alpha, tau, r)
             total += (
-                factorial(r - 1)
+                math.factorial(r - 1)
                 / r
                 * (gamma / delta ** 2) ** (r - 1)
                 * G_list[r - 1]
@@ -158,7 +157,7 @@ def norm_power_constants(N, rho, rho_prime, gamma, tau, alpha, G_list, chi=None)
 
     gamma_n = gamma_sum(1, N)
     gamma_n2 = gamma_sum(N + 1, N * N)
-    c_prime = exp_tail_constant(N, rho, rho_prime, gamma, chi, 1.0)
+    c_prime = exp_tail_constant(N, rho, rho_prime, gamma, ScaleParams.chi, 1.0)
     D = c_prime * gamma_n ** (N + 1) + 2.0 * N ** N * gamma_n2
     eps = 1.0 if gamma_n == 0.0 else min(1.0, delta / (8.0 * gamma * gamma_n))
     return D, eps, gamma_n, gamma_n2
@@ -186,16 +185,16 @@ def fit_growth_constants(freq, alphabet, r_max, rho, alpha, tau, limit=600, seed
     f_list, g_list = [], []
     for r in range(1, r_max + 1):
         eta_r = default_eta(rho, alpha, tau, r)
-        base = (tau / (math.e * eta_r)) ** tau
+        f_shape, g_shape = growth_prefactors(r, tau, eta_r, 1.0, 1.0)
         f_best, g_best = 0.0, 0.0
         for w in _sample_words(alphabet, r, rng, limit):
             shape = math.exp(eta_r * beta(w, tau, freq))
             fv = abs(complex(F(w)))
             gv = abs(complex(G(w)))
             if fv:
-                f_best = max(f_best, fv / (base ** (r - 1) * shape))
+                f_best = max(f_best, fv / (f_shape * shape))
             if gv:
-                g_best = max(g_best, gv / (base ** r * shape))
+                g_best = max(g_best, gv / (g_shape * shape))
         f_list.append(f_best)
         g_list.append(g_best)
     return f_list, g_list
@@ -210,7 +209,7 @@ def verify_remainder_bound(result, N, params, freq, G_list, tau=None, alpha=None
     tau = freq.dioph_tau if tau is None else tau
     alpha = alpha if alpha is not None else diophantine_alpha(freq, tau, K)
     D, eps, gamma_n, gamma_n2 = norm_power_constants(
-        N, params.rho, params.rho_prime, params.gamma, tau, alpha, G_list, chi=params.chi
+        N, params.rho, params.rho_prime, params.gamma, tau, alpha, G_list
     )
     norm_b = result.norms["B"]
     lhs = result.norms["E"]

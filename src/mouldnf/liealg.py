@@ -37,18 +37,20 @@ class ScaleParams:
     """Geometry of the analyticity scale: radii, bracket constant, x0 loss.
 
     Both backends satisfy the bracket axiom with ``gamma = 1`` and the
-    x0 axiom with ``chi(delta) = 1/(e delta)``; those are the defaults.
+    x0 axiom with ``chi(delta) = 1/(e delta)``, so these are fixed.
     """
 
-    def __init__(self, rho, rho_prime, gamma=1.0, chi=None):
+    gamma = 1.0
+
+    def __init__(self, rho, rho_prime):
         if not 0 < rho_prime < rho:
             raise ValueError("need 0 < rho_prime < rho")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
         self.rho = float(rho)
         self.rho_prime = float(rho_prime)
-        self.gamma = float(gamma)
-        self.chi = chi if chi is not None else (lambda delta: 1.0 / (math.e * delta))
+
+    @staticmethod
+    def chi(delta):
+        return 1.0 / (math.e * delta)
 
     @property
     def delta(self):
@@ -58,23 +60,7 @@ class ScaleParams:
         return f"ScaleParams(rho={self.rho}, rho_prime={self.rho_prime}, gamma={self.gamma})"
 
 
-def comould(word, parts, backend):
-    """Right-nested iterated bracket of the slices along a word, a
-    tuple of letters.
-
-    ``parts`` maps each letter (k-vector) to its homogeneous slice.
-    The empty word gives the zero observable by convention.
-    """
-    d = next(iter(parts.values())).d if parts else 1
-    if not word:
-        return Observable.zero(d)
-    acc = parts[word[0]]
-    for letter in word[1:]:
-        acc = backend.bracket(parts[letter], acc)
-    return acc
-
-
-def _contract_range(M, B, r_min, r_max, backend, prune_rel=PRUNE_REL):
+def _contract_range(M, B, r_min, r_max, backend):
     parts = slices(B)
     letters = sorted(parts)
     total = Observable.zero(B.d)
@@ -88,7 +74,7 @@ def _contract_range(M, B, r_min, r_max, backend, prune_rel=PRUNE_REL):
         if r >= r_min:
             value = complex(M(word))
             weight = abs(value) * nested.max_abs()
-            if value != 0 and weight > prune_rel * scale:
+            if value != 0 and weight > PRUNE_REL * scale:
                 total = total + (value / r) * nested
                 scale = max(scale, weight)
         if r == r_max:
@@ -104,8 +90,10 @@ def _contract_range(M, B, r_min, r_max, backend, prune_rel=PRUNE_REL):
 
 
 def contract(M, B, max_r, backend):
-    """Sum of ``(1/r) M(word) * comould(word)`` over words of length
-    1..max_r drawn from the support letters of ``B``."""
+    """Sum of ``(1/r) M(word)`` times the right-nested bracket
+    ``[B_(k_r), ..., [B_(k_2), B_(k_1)]]`` of the Fourier slices of ``B``
+    over the words ``k_1...k_r`` of length 1..max_r drawn from its
+    support letters."""
     return _contract_range(M, B, 1, max_r, backend)
 
 

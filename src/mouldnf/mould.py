@@ -10,10 +10,10 @@ floats and exact Q(i) scalars.
 from __future__ import annotations
 
 import functools
-import json
+import math
 import operator
 
-from .alphabet import factorial, is_resonant, shuffles, sigma, words_over
+from .alphabet import is_resonant, shuffles, sigma, words_over
 from .exact import QI, scalar_abs, scalar_is_zero
 
 
@@ -40,15 +40,6 @@ class Mould:
 
     def __repr__(self):
         return f"Mould({self.name})"
-
-
-def unit_mould():
-    """The multiplicative unit: 1 on the empty word, 0 elsewhere."""
-    return Mould(lambda w: 1 if len(w) == 0 else 0, name="unit")
-
-
-def zero_mould():
-    return Mould(lambda w: 0, name="zero")
 
 
 def ident_mould():
@@ -89,11 +80,6 @@ def times(M, N):
     return Mould(value, name=f"({M.name}x{N.name})")
 
 
-def mbracket(M, N):
-    """Mould commutator ``M x N - N x M``."""
-    return msub(times(M, N), times(N, M))
-
-
 def nabla(M, freq):
     """Multiply the value on each word by its eigenvalue sum.
 
@@ -125,7 +111,7 @@ def resonant_part(M, freq):
     return Mould(value, name=f"[{M.name}]_0")
 
 
-def _series(M, max_r, empty_value, coefficient, name):
+def _series(M, empty_value, coefficient, name):
     """The mould ``w -> sum_k c_k sum_{w = w_1...w_k} M(w_1)...M(w_k)``
     over compositions into non-empty blocks, with ``coefficient(k)``
     giving ``c_k`` as a ``(sign, divisor)`` pair.
@@ -135,16 +121,13 @@ def _series(M, max_r, empty_value, coefficient, name):
     ``P_k(i) = sum_{j=k-1}^{i-1} P_{k-1}(j) M(w[j:i])``: ``M`` is evaluated
     once on each of the ``r(r+1)/2`` non-empty subwords, and the sums take
     O(r^3) products.  Only values of ``M`` on non-empty words enter, so
-    ``k`` stops at ``r``.  ``max_r`` only bounds the words on which
-    evaluation is meaningful; the closure is total either way.
+    ``k`` stops at ``r``.
     """
 
     def value(word):
         r = len(word)
         if r == 0:
             return empty_value
-        if max_r is not None and r > max_r:
-            raise ValueError(f"word length {r} exceeds max_r={max_r}")
         block = {(j, i): M(word[j:i]) for i in range(1, r + 1) for j in range(i)}
         power = {i: block[0, i] for i in range(1, r + 1)}
         total = 0
@@ -163,24 +146,24 @@ def _series(M, max_r, empty_value, coefficient, name):
     return Mould(value, name=name)
 
 
-def mexp(G, max_r=None):
+def mexp(G):
     """Mould exponential ``sum_k G^(x k) / k!`` of an alternal-type mould.
 
     Requires ``G`` to vanish on the empty word.
     """
     if not scalar_is_zero(G(())):
         raise ValueError("mexp requires a mould vanishing on the empty word")
-    return _series(G, max_r, 1, lambda k: (1, factorial(k)), f"exp({G.name})")
+    return _series(G, 1, lambda k: (1, math.factorial(k)), f"exp({G.name})")
 
 
-def mlog(S, max_r=None):
+def mlog(S):
     """Mould logarithm of a group-like mould (``S`` equal to 1 on the
     empty word): alternating sum over block decompositions.
     """
     s_empty = S(())
     if not (s_empty == 1 or s_empty == QI(1, 0)):
         raise ValueError("mlog requires a mould equal to 1 on the empty word")
-    return _series(S, max_r, 0, lambda k: ((-1) ** (k - 1), k), f"log({S.name})")
+    return _series(S, 0, lambda k: ((-1) ** (k - 1), k), f"log({S.name})")
 
 
 class AlternalityReport:
@@ -275,17 +258,21 @@ def dump_table(M, words, exact=False):
     return out
 
 
-def load_table(table, exact=False, default=0, name="golden"):
-    """Inverse of :func:`dump_table`, returning a table-backed mould."""
+def load_table(table, exact=False):
+    """Inverse of :func:`dump_table`, returning a table-backed mould.
+
+    A value that is not an ``[re, im]`` pair of numbers (of fraction
+    strings when ``exact``) raises ``ValueError`` naming its key.
+    """
     data = {}
     for key, pair in table.items():
         w = _parse_word(key)
-        if exact:
-            data[w] = QI.from_strings(pair)
-        else:
-            data[w] = complex(pair[0], pair[1])
-    return from_table(data, default=default, name=name)
-
-
-def dumps_table(M, words, exact=False, **json_kwargs):
-    return json.dumps(dump_table(M, words, exact=exact), sort_keys=True, **json_kwargs)
+        try:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise TypeError
+            data[w] = QI.from_strings(pair) if exact else complex(pair[0], pair[1])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"mould table value at {key!r} is not an [re, im] pair: {pair!r}"
+            ) from None
+    return from_table(data, name="golden")

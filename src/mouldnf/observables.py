@@ -13,7 +13,6 @@ eigenvalues ``i<k, omega>`` on mode vectors.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .alphabet import beta, l1, words_over
@@ -100,11 +99,6 @@ class Observable:
     def zero(cls, d):
         return cls(d, {})
 
-    @classmethod
-    def mode(cls, k, m, c=1.0):
-        k = tuple(int(a) for a in k)
-        return cls(len(k), {(k, m): c})
-
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
@@ -161,14 +155,6 @@ class Observable:
 
     def max_abs(self):
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def evaluate(self, x, xi):
-        """Pointwise value at real phase-space points (test oracle use)."""
-        total = 0j
-        for (k, m), c in self.items_sorted():
-            phase = sum(ki * vi for ki, vi in zip(k, x)) + sum(mi * vi for mi, vi in zip(m, xi))
-            total += c * complex(math.cos(phase), math.sin(phase))
-        return total
 
     def __repr__(self):
         return f"Observable(d={self.d}, modes={len(self.coeffs)})"
@@ -280,11 +266,3 @@ def from_json_dict(data):
         m = tuple(int(c) for c in entry["m"])
         coeffs[(k, m)] = coeffs.get((k, m), 0j) + complex(entry["re"], entry.get("im", 0.0))
     return Observable(int(data["d"]), coeffs, real=bool(data.get("real", False)))
-
-
-def dumps(B, **kwargs):
-    return json.dumps(to_json_dict(B), sort_keys=True, **kwargs)
-
-
-def loads(text):
-    return from_json_dict(json.loads(text))

@@ -22,25 +22,20 @@ import numbers
 
 import numpy as np
 
-from .classical import ClassicalBackend, mode_bracket, poisson_structure_constant
+from .classical import ClassicalBackend, mode_bracket
 
 
 def check_hbar(hbar):
-    """Refuse any ``hbar`` but a finite positive number."""
-    if not (isinstance(hbar, numbers.Real) and math.isfinite(hbar) and hbar > 0):
+    """Refuse any ``hbar`` but a finite positive number (not a bool)."""
+    if isinstance(hbar, bool) or not (
+        isinstance(hbar, numbers.Real) and math.isfinite(hbar) and hbar > 0
+    ):
         raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
 
 
 def sine_coupling(hbar):
     """The Moyal structure constant as a function of the Poisson one."""
     return lambda s: 2.0 / hbar * math.sin(hbar * s / 2.0)
-
-
-def moyal_structure_constant(k, m, kp, mp, hbar):
-    s = poisson_structure_constant(k, m, kp, mp)
-    if s == 0:
-        return 0.0
-    return sine_coupling(hbar)(s)
 
 
 def moyal_bracket(F, G, hbar):
@@ -59,10 +54,6 @@ class WeylMatrix:
         self.hbar = hbar
         self.entries = entries
 
-    @property
-    def size(self):
-        return (2 * self.cutoff + 1) ** self.d
-
     def index(self, n):
         idx = 0
         for c in n:
@@ -73,19 +64,6 @@ class WeylMatrix:
 
     def basis(self):
         return itertools.product(range(-self.cutoff, self.cutoff + 1), repeat=self.d)
-
-    def spectral_norm(self):
-        return float(np.linalg.norm(self.entries, 2))
-
-    def hermiticity_defect(self):
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-    def dump(self):
-        """Dense ``[[re, im], ...]`` rows for debugging dumps."""
-        return [
-            [[float(v.real), float(v.imag)] for v in row]
-            for row in self.entries
-        ]
 
 
 def _kmax(obs):

@@ -50,8 +50,9 @@ class MouldSolver:
         Decides resonance and supplies eigenvalues (exact Q(i) when the
         frequency is exact).
     gauge : Mould, optional
-        Resonant alternal gauge mould.  Only the zero gauge is covered
-        by the test suite; a non-zero gauge is accepted as a hook.
+        Resonant alternal gauge mould, zero when omitted.  The CLI always
+        uses the zero gauge; :func:`verify_equation` checks the
+        zero-gauge condition only.
     """
 
     def __init__(self, freq, gauge=None):

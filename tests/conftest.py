@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mouldnf import (
-    ClassicalBackend,
-    Frequency,
-    MouldSolver,
-    Observable,
-    ScaleParams,
-    norm_rho,
-)
+from mouldnf import ClassicalBackend, Frequency, Observable, ScaleParams
+from mouldnf.observables import norm_rho
+from mouldnf.solver import MouldSolver
 
 PHI = (1 + 5 ** 0.5) / 2
 

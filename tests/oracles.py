@@ -1,24 +1,48 @@
-"""Independent numerical oracles used to pin expected values.
+"""Reference implementations and test-only helpers.
 
-These deliberately avoid the library's own mode arithmetic: the bracket
-oracle differentiates the evaluated functions numerically, and the flow
-oracle integrates the Hamiltonian ODE with RK4.  The two-chain
-exponential keeps the earlier formula of ``apply_exp_ad`` as a
-reference for the fused chain, and the composition sum keeps the
-earlier formula of the mould exponential and logarithm as a reference
-for the prefix recursion.  The per-mask subset sums and the mode-bracket
-double loop with its helper calls are the earlier forms of
-``alphabet._subset_eigenvalues`` and ``classical.mode_bracket``, kept to
-pin their results bit for bit.  The stack solver is the earlier
-``solver.MouldSolver``, with three word-keyed tables and an explicit
-dependency stack, kept to pin the subword-table solver bit for bit.
+Nothing in the package uses these; they pin its results.
+
+* Independent oracles avoid the library's own mode arithmetic: the
+  bracket oracle differentiates pointwise values (:func:`evaluate`)
+  numerically, the flow oracle integrates the Hamiltonian ODE with RK4,
+  and the interleavings are enumerated one by one.
+* Earlier forms of package code, kept to pin the current forms: the
+  two-chain exponential for ``apply_exp_ad``'s fused chain; the
+  composition sum for the prefix recursion of the mould exponential and
+  logarithm; the per-mask subset sums for ``alphabet._subset_eigenvalues``;
+  the mode-bracket double loop with its helper calls for
+  ``classical.mode_bracket``; and the stack solver, the earlier
+  ``solver.MouldSolver`` with three word-keyed tables and an explicit
+  dependency stack, for the subword-table solver.  The last three are
+  compared bit for bit.
+* Small definitions the tests state properties of: the shuffle
+  coefficient, the Poisson and Moyal structure constants of one mode
+  pair, the crude subset bound on ``beta``, the unit and zero moulds,
+  the mould commutator, the comould (right-nested bracket of slices
+  along a word), and the spectral norm and Hermiticity defect of a
+  dense matrix.
 """
 
 import cmath
 import itertools
+import math
+from operator import mul
+
+import numpy as np
 
 from mouldnf import Observable
-from mouldnf.alphabet import is_resonant, sigma
+from mouldnf.alphabet import _subset_eigenvalues, is_resonant, sigma
+from mouldnf.mould import Mould, msub, times
+from mouldnf.quantum import sine_coupling
+
+
+def evaluate(obs, x, xi):
+    """Pointwise value of an observable at a real phase-space point."""
+    total = 0j
+    for (k, m), c in obs.items_sorted():
+        phase = sum(ki * vi for ki, vi in zip(k, x)) + sum(mi * vi for mi, vi in zip(m, xi))
+        total += c * complex(math.cos(phase), math.sin(phase))
+    return total
 
 
 def numeric_poisson(F, G, x, xi, h=1e-5):
@@ -28,14 +52,14 @@ def numeric_poisson(F, G, x, xi, h=1e-5):
         xp, xip = list(x), list(xi)
         if var == "x":
             xp[j] += h
-            up = obs.evaluate(xp, xip)
+            up = evaluate(obs, xp, xip)
             xp[j] -= 2 * h
-            down = obs.evaluate(xp, xip)
+            down = evaluate(obs, xp, xip)
         else:
             xip[j] += h
-            up = obs.evaluate(xp, xip)
+            up = evaluate(obs, xp, xip)
             xip[j] -= 2 * h
-            down = obs.evaluate(xp, xip)
+            down = evaluate(obs, xp, xip)
         return (up - down) / (2 * h)
 
     total = 0j
@@ -243,3 +267,78 @@ class StackSolver:
         self._F[w] = f
         self._S[w] = s
         self._N[w] = n
+
+
+def shuffle_coefficient(a, b, lam):
+    """Number of ways ``lam`` arises by interdigitating ``a`` and ``b``:
+    a dynamic program on prefix pairs; zero when the lengths do not add
+    up."""
+    ra, rb = len(a), len(b)
+    if len(lam) != ra + rb:
+        return 0
+    prev = [1] + [0] * rb
+    for j in range(1, rb + 1):
+        prev[j] = prev[j - 1] if b[j - 1] == lam[j - 1] else 0
+    for i in range(1, ra + 1):
+        cur = [0] * (rb + 1)
+        cur[0] = prev[0] if a[i - 1] == lam[i - 1] else 0
+        for j in range(1, rb + 1):
+            if a[i - 1] == lam[i + j - 1]:
+                cur[j] += prev[j]
+            if b[j - 1] == lam[i + j - 1]:
+                cur[j] += cur[j - 1]
+        prev = cur
+    return prev[rb]
+
+
+def beta_subset_bound(word, tau, freq):
+    """Crude upper bound ``2^r max |lambda_sigma|^(-1/tau)`` on ``beta``."""
+    best = max((lam ** (-1.0 / tau) for lam in _subset_eigenvalues(word, freq)), default=0.0)
+    return 2 ** len(word) * best
+
+
+def poisson_structure_constant(k, m, kp, mp):
+    """Structure constant ``k.m' - m.k'`` of one mode pair (an integer)."""
+    return sum(map(mul, k, mp)) - sum(map(mul, m, kp))
+
+
+def moyal_structure_constant(k, m, kp, mp, hbar):
+    s = poisson_structure_constant(k, m, kp, mp)
+    if s == 0:
+        return 0.0
+    return sine_coupling(hbar)(s)
+
+
+def spectral_norm(entries):
+    return float(np.linalg.norm(entries, 2))
+
+
+def hermiticity_defect(entries):
+    return float(np.max(np.abs(entries - entries.conj().T)))
+
+
+def unit_mould():
+    """The multiplicative unit: 1 on the empty word, 0 elsewhere."""
+    return Mould(lambda w: 1 if len(w) == 0 else 0, name="unit")
+
+
+def zero_mould():
+    return Mould(lambda w: 0, name="zero")
+
+
+def mbracket(M, N):
+    """Mould commutator ``M x N - N x M``."""
+    return msub(times(M, N), times(N, M))
+
+
+def comould(word, parts, backend):
+    """Right-nested iterated bracket of the slices along a word;
+    ``parts`` maps each letter to its slice, and the empty word gives
+    the zero observable."""
+    d = next(iter(parts.values())).d if parts else 1
+    if not word:
+        return Observable.zero(d)
+    acc = parts[word[0]]
+    for letter in word[1:]:
+        acc = backend.bracket(parts[letter], acc)
+    return acc

@@ -5,28 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mouldnf import (
+from mouldnf import Frequency
+from mouldnf.alphabet import (
     DegenerateFrequencyError,
-    Frequency,
+    _subset_eigenvalues,
     beta,
     diophantine_alpha,
     is_resonant,
-    shuffle_coefficient,
-    sigma,
-)
-from mouldnf.alphabet import (
-    _subset_eigenvalues,
-    beta_subset_bound,
     iter_modes,
     ksum,
     l1,
     shuffles,
+    sigma,
     words_over,
 )
 from mouldnf.estimates import fit_growth_constants
 from mouldnf.mould import _parse_word
 
-from oracles import enumerate_interleavings, subset_eigenvalues_by_mask
+from oracles import (
+    beta_subset_bound,
+    enumerate_interleavings,
+    shuffle_coefficient,
+    subset_eigenvalues_by_mask,
+)
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -206,6 +207,7 @@ class TestShuffle:
             counts = {}
             for lam in enumerate_interleavings(a, b):
                 counts[lam] = counts.get(lam, 0) + 1
+            assert shuffles(a, b) == counts
             for lam, expected in counts.items():
                 assert shuffle_coefficient(a, b, lam) == expected
 

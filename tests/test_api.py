@@ -1,8 +1,14 @@
-"""The package's public names: a stale re-export fails here, not at
-import time in user code."""
+"""The package's public names and the README's library example: a stale
+re-export or an example that no longer runs fails here, not in user
+code."""
+
+import re
+from pathlib import Path
 
 import mouldnf
 import mouldnf.alphabet
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def test_star_import_resolves_every_public_name():
@@ -12,9 +18,28 @@ def test_star_import_resolves_every_public_name():
     assert set(mouldnf.__all__) <= set(namespace)
 
 
+def test_exports_the_readme_names():
+    assert sorted(mouldnf.__all__) == [
+        "ClassicalBackend",
+        "Frequency",
+        "Observable",
+        "OutOfDomainError",
+        "QuantumBackend",
+        "ScaleParams",
+        "normalize",
+    ]
+
+
 def test_words_are_plain_tuples():
     # a word is the tuple of its letters; no wrapper class is exported
     for name in ("Word", "EMPTY_WORD"):
         assert name not in mouldnf.__all__
         assert not hasattr(mouldnf, name)
         assert not hasattr(mouldnf.alphabet, name)
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from mouldnf import Observable
 from mouldnf.cli import main
-from mouldnf.observables import to_json_dict
+from mouldnf.observables import norm_rho, to_json_dict
 
 from conftest import TOY_MODES
 
@@ -11,8 +12,6 @@ PHI = (1 + 5 ** 0.5) / 2
 
 
 def toy_b_json():
-    from mouldnf import Observable, norm_rho
-
     base = Observable(2, TOY_MODES)
     return to_json_dict((0.01 / norm_rho(base, 1.0)) * base)
 
@@ -208,6 +207,27 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not (out / report).exists()
 
+    @pytest.mark.parametrize(
+        "tolerances",
+        [[1], {"residual": None}, {"residual": "1e-3"}, {"residul": 1e-3},
+         {"residual": -1e-3}, {"residual": float("nan")}, {"residual": True}],
+        ids=["list", "null", "string", "unknown-key", "negative", "nan", "bool"],
+    )
+    def test_malformed_tolerances_rejected(self, tmp_path, capsys, tolerances):
+        cfg = write_config(tmp_path / "run.json", alphabet=[[1, 0]], max_r=1, samples=5,
+                           tolerances=tolerances)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "verify_report.jsonl").exists()
+
+    def test_boolean_hbar_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json", backend="quantum", N=1, hbar=True)
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "normalize_result.json").exists()
+
     def test_b_path_relative_to_config(self, tmp_path):
         (tmp_path / "b.json").write_text(json.dumps(toy_b_json()))
         cfg = write_config(tmp_path / "run.json", N=1)
@@ -308,21 +328,26 @@ class TestVerifyCommand:
 
 
     @pytest.mark.parametrize(
-        "table",
+        "table, flags",
         [
-            {"F": {"1.5,0": [0.0, 0.0]}, "S": {}, "G": {}},
-            {"F": {"1,0": [0.0, 1.0]}, "G": {}},
-            {"F": {"1": [0.0, 1.0]}, "S": {}, "G": {}},
+            ({"F": {"1.5,0": [0.0, 0.0]}, "S": {}, "G": {}}, []),
+            ({"F": {"1,0": [0.0, 1.0]}, "G": {}}, []),
+            ({"F": {"1": [0.0, 1.0]}, "S": {}, "G": {}}, []),
+            ({"F": {"1,0": [1]}, "S": {}, "G": {}}, []),
+            ({"F": {"1,0": "ab"}, "S": {}, "G": {}}, []),
+            ({"F": {"1,0": ["1"]}, "S": {}, "G": {}}, ["--exact"]),
+            ({"F": {"1,0": ["1", None]}, "S": {}, "G": {}}, ["--exact"]),
         ],
-        ids=["non-integral-key", "no-S-section", "wrong-dimension-key"],
+        ids=["non-integral-key", "no-S-section", "wrong-dimension-key", "one-number-value",
+             "string-value", "exact-one-string-value", "exact-null-part"],
     )
-    def test_malformed_golden_table_rejected(self, tmp_path, capsys, table):
+    def test_malformed_golden_table_rejected(self, tmp_path, capsys, table, flags):
         (tmp_path / "table.json").write_text(json.dumps(table))
         cfg = write_config(
             tmp_path / "run.json", alphabet=[[1, 0]], max_r=1, samples=5, mould_table="table.json"
         )
         out = tmp_path / "out"
-        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["verify", "--config", str(cfg), "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read mould_table: ")
         assert not (out / "verify_report.jsonl").exists()
 

@@ -2,16 +2,11 @@ import math
 
 import pytest
 
-from mouldnf import (
-    MouldSolver,
-    Observable,
-    apply_exp_ad,
-    contract,
-    diophantine_alpha,
-    weighted_tuple_sum,
-    norm_rho,
-    normalize,
-)
+from mouldnf import Observable, normalize
+from mouldnf.alphabet import diophantine_alpha
+from mouldnf.liealg import apply_exp_ad, contract
+from mouldnf.observables import norm_rho, weighted_tuple_sum
+from mouldnf.solver import MouldSolver
 from mouldnf.estimates import (
     BoundReport,
     generator_majorant,

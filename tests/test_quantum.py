@@ -4,19 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from mouldnf import (
-    ClassicalBackend,
-    Observable,
-    QuantumBackend,
-    moyal_bracket,
-    norm_rho,
-    poisson_bracket,
-    validate_moyal,
-    weyl_matrix,
-)
-from mouldnf.quantum import moyal_structure_constant
+from mouldnf import ClassicalBackend, Observable, QuantumBackend
+from mouldnf.classical import poisson_bracket
+from mouldnf.observables import norm_rho
+from mouldnf.quantum import moyal_bracket, validate_moyal, weyl_matrix
 
 from conftest import random_observable
+from oracles import hermiticity_defect, moyal_structure_constant, spectral_norm
 
 
 class TestModeRule:
@@ -83,7 +77,7 @@ class TestWeylMatrix:
         R = Observable(
             1, {((1,), (2,)): 0.5 + 0.25j, ((-1,), (-2,)): 0.5 - 0.25j}, real=True
         )
-        assert weyl_matrix(R, cutoff=4, hbar=0.3).hermiticity_defect() == 0.0
+        assert hermiticity_defect(weyl_matrix(R, cutoff=4, hbar=0.3).entries) == 0.0
 
     def test_cutoff_too_small_raises(self):
         with pytest.raises(ValueError):
@@ -93,14 +87,14 @@ class TestWeylMatrix:
         for _ in range(10):
             B = random_observable(rng, 1, n_modes=4, kmax=2, mmax=2)
             W = weyl_matrix(B, cutoff=4, hbar=0.7)
-            assert W.spectral_norm() <= norm_rho(B, 0.1) * (1 + 1e-12)
+            assert spectral_norm(W.entries) <= norm_rho(B, 0.1) * (1 + 1e-12)
 
-    def test_dense_dump_roundtrips_entries(self):
+    def test_entry_follows_midpoint_rule(self):
+        # mode (k, m) = (1, 1) maps basis vector n = 0 to row n + k = 1
+        # with factor b exp(-i hbar m (n + k/2))
         W = weyl_matrix(Observable(1, {((1,), (1,)): 0.5j}), cutoff=2, hbar=0.3)
-        dumped = W.dump()
-        assert len(dumped) == W.size
-        i, j = W.index((1,)), W.index((0,))
-        assert dumped[i][j] == [W.entries[i, j].real, W.entries[i, j].imag]
+        expected = 0.5j * cmath.exp(-1j * 0.3 * 1 * (0 + 1 / 2))
+        assert abs(W.entries[W.index((1,)), W.index((0,))] - expected) <= 1e-15
 
 
 def _neg(v):
@@ -120,7 +114,7 @@ def _real_observable(rng, d, n_modes=3):
 
 def _dense_defect(obs, hbar):
     kmax = max(max(abs(c) for c in k) for k, _ in obs.coeffs)
-    return weyl_matrix(obs, cutoff=kmax + 1, hbar=hbar).hermiticity_defect()
+    return hermiticity_defect(weyl_matrix(obs, cutoff=kmax + 1, hbar=hbar).entries)
 
 
 def _mirror_sum_bound(obs):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mouldnf import Frequency, MouldSolver, check_alternal, mexp, verify_equation
-from mouldnf.alphabet import beta
+from mouldnf import Frequency
+from mouldnf.alphabet import beta, diophantine_alpha, is_resonant
 from mouldnf.estimates import default_eta, fit_growth_constants
 from mouldnf.exact import QI
-from mouldnf.mould import from_table
+from mouldnf.mould import check_alternal, from_table, mexp, nabla
+from mouldnf.solver import MouldSolver, verify_equation
 
 from oracles import StackSolver
 
@@ -77,8 +78,6 @@ class TestEquation:
         assert rep.max_residual <= 1e-9 * rep.scale
 
     def test_nabla_f_vanishes_off_resonance(self, golden_solver, golden_freq):
-        from mouldnf import nabla
-
         NF = nabla(golden_solver.F_mould, golden_freq)
         for w in words_over(((1, 0), (0, 1)), 3):
             assert NF(w) == 0
@@ -86,8 +85,6 @@ class TestEquation:
 
 class TestStructure:
     def test_f_supported_on_resonant_words(self, golden_solver, golden_freq):
-        from mouldnf import is_resonant
-
         for w in words_over(((1, 0), (-1, 0), (0, 1)), 4):
             if not is_resonant(w, golden_freq):
                 assert golden_solver.values(w)[0] == 0
@@ -126,8 +123,6 @@ class TestGrowthBound:
         # length; a fresh random sample cannot exceed them.
         letters = ((1, 0), (-1, 0), (0, 1))
         rho, tau = 1.0, 1.0
-        from mouldnf import diophantine_alpha
-
         alpha = diophantine_alpha(golden_freq, tau, 5)
         f_list, g_list = fit_growth_constants(
             golden_freq, letters, 4, rho, alpha, tau, limit=3 ** 4 + 1
@@ -151,8 +146,6 @@ class TestGrowthBound:
 class TestGaugeHook:
     def test_nonzero_gauge_accepted(self, rational_freq_float):
         # resonant alternal gauge supported on the resonant letter
-        from mouldnf.mould import from_table
-
         gauge = from_table({((2, -1),): 0.5})
         solver = MouldSolver(rational_freq_float, gauge=gauge)
         F, S, N = solver.values(((2, -1),))
