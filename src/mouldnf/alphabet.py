@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .exact import QI
 
@@ -152,7 +152,7 @@ class Frequency:
         if self.dioph_alpha is not None:
             kbox = min(8, max(4, 2 * self.d))
             for k in iter_modes(self.d, kbox):
-                if self.in_lattice(k):
+                if self._in_lattice(k):
                     continue
                 lhs = abs(sum(ki * wi for ki, wi in zip(k, omega_f)))
                 if lhs < self.dioph_alpha * l1(k) ** (-self.dioph_tau) * (1 - 1e-12):
@@ -162,22 +162,16 @@ class Frequency:
 
     def in_lattice(self, k):
         """Exact membership of ``k`` in the declared resonance lattice."""
-        k = list(_as_int_vector(k))
-        for col, row in self._pivots:
-            if k[col] % row[col] != 0:
-                return False
-            q = k[col] // row[col]
-            k = [a - q * b for a, b in zip(k, row)]
-        return all(c == 0 for c in k)
+        return self._in_lattice(_as_int_vector(k))
 
-    def lattice_class(self, k):
-        """Canonical representative of ``k`` modulo the resonance lattice."""
-        k = list(_as_int_vector(k))
+    def _in_lattice(self, k):
+        """:meth:`in_lattice` for a tuple of ints, trusted unchecked."""
         for col, row in self._pivots:
-            q = k[col] // row[col]
-            if q:
-                k = [a - q * b for a, b in zip(k, row)]
-        return tuple(k)
+            q, rem = divmod(k[col], row[col])
+            if rem:
+                return False
+            k = tuple(a - q * b for a, b in zip(k, row))
+        return not any(k)
 
     def pairing(self, k):
         """<k, omega> as a float, or a Fraction for exact frequencies."""
@@ -193,8 +187,12 @@ class Frequency:
         k = _as_int_vector(k)
         if len(k) != self.d:
             raise ValueError("mode dimension mismatch")
-        if exact_zero and self.in_lattice(k):
-            return QI(0, 0) if self.exact else 0j
+        return self._eigenvalue(k, exact_zero)
+
+    def _eigenvalue(self, k, exact_zero=True):
+        """:meth:`eigenvalue` for a tuple of ``d`` ints, trusted unchecked."""
+        if exact_zero and self._in_lattice(k):
+            return self.zero()
         dot = self.pairing(k)
         if self.exact:
             return QI(0, dot)
@@ -237,58 +235,50 @@ def sigma(word, freq):
         return freq.zero()
     if len(word[0]) != freq.d:
         raise ValueError("word dimension does not match frequency")
-    return freq.eigenvalue(ksum(word), exact_zero=True)
+    return freq._eigenvalue(ksum(word))
 
 
 def is_resonant(word, freq):
     """Whether the letter sum lies in the integer resonance lattice."""
-    if not word:
-        return True
-    ks = ksum(word)
-    return all(c == 0 for c in ks) or freq.in_lattice(ks)
+    return not word or freq._in_lattice(ksum(word))
 
 
-def _subset_eigenvalues(letters, freq):
-    """``|<k_sigma, omega>|`` for every non-empty letter subset ``sigma``
-    whose mode sum ``k_sigma`` is non-resonant (decided exactly), in
-    bitmask order.
-
-    Each subset sum is its lowest letter added to the sum of the rest,
-    an earlier mask; each distinct sum is decided and paired once.
+def subset_sum_counts(word):
+    """``{k_sigma: n}``: the number ``n`` of non-empty letter subsets
+    ``sigma`` of ``word`` whose mode sum is ``k_sigma``, as exact
+    integers.  Built one letter at a time, each new subset being an old
+    one (or none) plus that letter, so the cost is the length times the
+    number of distinct sums rather than ``2^r``.
     """
-    if not letters:
-        return
-    omega_f = tuple(float(c) for c in freq.omega)
-    ksub = [(0,) * len(letters[0])] * (1 << len(letters))
-    lam_of = {}
-    for mask in range(1, len(ksub)):
-        low = mask & -mask
-        k = ksub[mask] = tuple(map(add, ksub[mask ^ low], letters[low.bit_length() - 1]))
-        try:
-            lam = lam_of[k]
-        except KeyError:
-            if all(c == 0 for c in k) or freq.in_lattice(k):
-                lam = None
-            else:
-                lam = abs(sum(ki * wi for ki, wi in zip(k, omega_f)))
-            lam_of[k] = lam
-        if lam is not None:
-            yield lam
+    counts = {}
+    for letter in word:
+        step = dict(counts)
+        step[letter] = step.get(letter, 0) + 1
+        for k, n in counts.items():
+            k = tuple(map(add, k, letter))
+            step[k] = step.get(k, 0) + n
+        counts = step
+    return counts
 
 
 def beta(word, tau, freq):
     """Sum of |lambda_sigma|^(-1/tau) over non-resonant letter subsets.
 
-    ``lambda_sigma`` is the eigenvalue of the subset sum of letters;
-    subsets whose mode sum lies in the resonance lattice are skipped
-    (decided exactly).  Returns 0.0 for the empty word by convention.
+    ``lambda_sigma`` is the eigenvalue of the subset sum of letters, so
+    the sum runs over the distinct sums of :func:`subset_sum_counts`,
+    each weighted by its count; sums in the resonance lattice are
+    skipped (decided exactly).  Summed with ``math.fsum``, so the result
+    does not depend on the order of the sums.  Returns 0.0 for the
+    empty word by convention.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    total = 0.0
-    for lam in _subset_eigenvalues(word, freq):
-        total += lam ** (-1.0 / tau)
-    return total
+    omega_f = tuple(float(c) for c in freq.omega)
+    return math.fsum(
+        n * abs(sum(map(mul, k, omega_f))) ** (-1.0 / tau)
+        for k, n in subset_sum_counts(word).items()
+        if not freq._in_lattice(k)
+    )
 
 
 def shuffles(a, b):
@@ -321,7 +311,7 @@ def diophantine_alpha(freq, tau, K):
     omega_f = tuple(float(c) for c in freq.omega)
     best = None
     for k in iter_modes(freq.d, K):
-        if freq.in_lattice(k):
+        if freq._in_lattice(k):
             continue
         val = abs(sum(ki * wi for ki, wi in zip(k, omega_f))) * l1(k) ** float(tau)
         if best is None or val < best:

@@ -76,6 +76,21 @@ def _integer(data, key, default, where="config"):
     return value
 
 
+def _number(value, name):
+    """``value`` if it is a JSON number (not a bool), else a config error."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _path(data, key):
+    """``data[key]`` if it is absent, null or a string, else a config error."""
+    value = data.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"config.{key} must be a path string, got {value!r}")
+    return value
+
+
 class RunConfig:
     """Validated run configuration; all paths relative to the config file."""
 
@@ -98,14 +113,18 @@ class RunConfig:
                 omega = [Fraction(str(c)) for c in omega]
             except (ValueError, ZeroDivisionError) as err:
                 raise ConfigError(f"--exact requires rational omega: {err}") from err
+        alpha = freq_data.get("alpha")
+        if alpha is not None:
+            alpha = _number(alpha, "config.freq.alpha")
+        tau = _number(freq_data.get("tau", 1.0), "config.freq.tau")
         try:
             if not exact:
                 omega = [float(c) for c in omega]
             self.freq = Frequency(
                 omega,
                 resonance_basis=freq_data.get("resonance_basis", ()),
-                dioph_alpha=freq_data.get("alpha"),
-                dioph_tau=freq_data.get("tau", 1.0),
+                dioph_alpha=alpha,
+                dioph_tau=tau,
             )
         except (TypeError, ValueError) as err:
             raise ConfigError(f"config.freq: {err}") from err
@@ -115,8 +134,11 @@ class RunConfig:
 
         scale_data = data.get("scale", {"rho": 1.0, "rho_prime": 0.5})
         _reject_unknown(scale_data, _SCALE_KEYS, "config.scale")
+        rho, rho_prime = (
+            _number(scale_data.get(key), f"config.scale.{key}") for key in ("rho", "rho_prime")
+        )
         try:
-            self.scale = ScaleParams(scale_data["rho"], scale_data["rho_prime"])
+            self.scale = ScaleParams(rho, rho_prime)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"config.scale: {err}") from err
 
@@ -141,7 +163,7 @@ class RunConfig:
         if "B" in data and "B_path" in data:
             raise ConfigError("give only one of B / B_path")
         self._b_data = data.get("B")
-        self._b_path = data.get("B_path")
+        self._b_path = _path(data, "B_path")
 
         alphabet = data.get("alphabet", [])
         d = self.freq.d
@@ -170,7 +192,7 @@ class RunConfig:
         self.samples = _integer(data, "samples", 100)
         if self.samples < 0:
             raise ConfigError(f"config.samples must be >= 0, got {self.samples}")
-        self.mould_table = data.get("mould_table")
+        self.mould_table = _path(data, "mould_table")
 
     def observable(self):
         if self._b_data is not None:

@@ -4,7 +4,7 @@ An observable is a finite sum ``sum b_km exp(i(k.x + m.xi))`` stored as
 a sparse map ``(k, m) -> complex``.  The same data doubles as a quantum
 Weyl symbol; both backends share this type.  Keeping the modes
 trigonometric in x *and* xi makes the bracket, the weighted norm and
-the homogeneous decomposition exact and finite.
+the Fourier slices exact and finite.
 
 The x0 generator ``omega . xi`` is deliberately not an Observable (its
 weighted norm is not finite); it only ever acts through its diagonal
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .alphabet import beta, l1, words_over
+from .alphabet import l1
 
 PRUNE_REL = 1e-16
 
@@ -185,64 +185,6 @@ def _group_by_x_mode(B, key):
 def slices(B):
     """Decompose by exact x-mode: map ``k -> B_(k)`` (Fourier slice)."""
     return _group_by_x_mode(B, lambda k: k)
-
-
-def homogeneous_parts(B, freq):
-    """Partition into eigen-components of the x0 adjoint action.
-
-    Modes are grouped by the class of ``k`` modulo the resonance
-    lattice (exact integer decision), which is exactly grouping by the
-    eigenvalue ``i<k, omega>`` for a consistent frequency.  The parts
-    sum back to ``B`` bitwise.
-
-    Returns
-    -------
-    dict
-        ``class_representative -> Observable``, sorted by representative.
-    """
-    return _group_by_x_mode(B, freq.lattice_class)
-
-
-def norm_rho_stripped(G, rho):
-    """Part norm with a single x-mode weight: ``sum |b| e^(rho(|m| + |k|))``.
-
-    One of the two e^(rho|k|) factors of :func:`norm_rho` is the budget
-    that the small-divisor weight ``e^(eta beta)`` consumes letter by
-    letter in the geometric-eta estimates; the norm-power bound on the
-    weighted tuple sums holds with this stripped convention.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    total = 0.0
-    for (k, m), c in G.items_sorted():
-        total += abs(c) * math.exp(rho * (l1(m) + l1(k)))
-    return total
-
-
-def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False):
-    """Weighted sum of products of part norms over r-tuples of classes.
-
-    Exact finite sum over all r-tuples of the homogeneous classes of
-    ``B`` of ``prod ||B_li||_rho * exp(eta_r * beta_{tau_r}(word))``.
-    With ``strip_letter_weight`` the part norms drop one e^(rho|k|)
-    factor (see :func:`norm_rho_stripped`); that is the convention under
-    which the geometric eta ladder keeps the sums below ``||B||_rho^r``.
-    """
-    if eta_r <= 0 or tau_r < 1:
-        raise ValueError("need eta_r > 0 and tau_r >= 1")
-    parts = homogeneous_parts(B, freq)
-    if not parts:
-        return 0.0
-    part_norm = norm_rho_stripped if strip_letter_weight else norm_rho
-    norms = {rep: part_norm(part, rho) for rep, part in parts.items()}
-    total = 0.0
-    for word in words_over(parts, r, min_r=r):
-        weight = math.exp(eta_r * beta(word, tau_r, freq))
-        prod = 1.0
-        for rep in word:
-            prod *= norms[rep]
-        total += prod * weight
-    return total
 
 
 def to_json_dict(B):

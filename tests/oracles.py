@@ -9,7 +9,8 @@ Nothing in the package uses these; they pin its results.
 * Earlier forms of package code, kept to pin the current forms: the
   two-chain exponential for ``apply_exp_ad``'s fused chain; the
   composition sum for the prefix recursion of the mould exponential and
-  logarithm; the per-mask subset sums for ``alphabet._subset_eigenvalues``;
+  logarithm; the per-mask subset sums for ``alphabet.subset_sum_counts``
+  and ``alphabet.beta``;
   the mode-bracket double loop with its helper calls for
   ``classical.mode_bracket``; and the stack solver, the earlier
   ``solver.MouldSolver`` with three word-keyed tables and an explicit
@@ -19,8 +20,9 @@ Nothing in the package uses these; they pin its results.
   coefficient, the Poisson and Moyal structure constants of one mode
   pair, the crude subset bound on ``beta``, the unit and zero moulds,
   the mould commutator, the comould (right-nested bracket of slices
-  along a word), and the spectral norm and Hermiticity defect of a
-  dense matrix.
+  along a word), the spectral norm and Hermiticity defect of a dense
+  matrix, and the paper's homogeneous decomposition with the weighted
+  tuple sums over it (lattice classes, the stripped part norm).
 """
 
 import cmath
@@ -31,8 +33,9 @@ from operator import mul
 import numpy as np
 
 from mouldnf import Observable
-from mouldnf.alphabet import _subset_eigenvalues, is_resonant, sigma
+from mouldnf.alphabet import beta, is_resonant, l1, sigma, subset_sum_counts, words_over
 from mouldnf.mould import Mould, msub, times
+from mouldnf.observables import _group_by_x_mode, norm_rho
 from mouldnf.quantum import sine_coupling
 
 
@@ -169,14 +172,19 @@ def composition_series(M, word, coefficient):
     return total
 
 
-def subset_eigenvalues_by_mask(word, freq):
-    """``|<k_sigma, omega>|`` over the non-resonant non-empty letter
-    subsets, each sum rebuilt from its letters and decided afresh, in
-    bitmask order."""
-    omega_f = tuple(float(c) for c in freq.omega)
+def subset_sums_by_mask(word):
+    """The mode sum of every non-empty letter subset, each rebuilt from
+    its letters, in bitmask order."""
     for mask in range(1, 1 << len(word)):
         chosen = [letter for i, letter in enumerate(word) if mask >> i & 1]
-        ksub = [sum(c) for c in zip(*chosen)]
+        yield tuple(sum(c) for c in zip(*chosen))
+
+
+def subset_eigenvalues_by_mask(word, freq):
+    """``|<k_sigma, omega>|`` over the non-resonant non-empty letter
+    subsets, each sum decided afresh, in bitmask order."""
+    omega_f = tuple(float(c) for c in freq.omega)
+    for ksub in subset_sums_by_mask(word):
         if all(c == 0 for c in ksub) or freq.in_lattice(ksub):
             continue
         yield abs(sum(ki * wi for ki, wi in zip(ksub, omega_f)))
@@ -292,8 +300,17 @@ def shuffle_coefficient(a, b, lam):
 
 
 def beta_subset_bound(word, tau, freq):
-    """Crude upper bound ``2^r max |lambda_sigma|^(-1/tau)`` on ``beta``."""
-    best = max((lam ** (-1.0 / tau) for lam in _subset_eigenvalues(word, freq)), default=0.0)
+    """Crude upper bound ``2^r max |lambda_sigma|^(-1/tau)`` on ``beta``,
+    the maximum over the non-resonant distinct subset sums."""
+    omega_f = tuple(float(c) for c in freq.omega)
+    best = max(
+        (
+            abs(sum(ki * wi for ki, wi in zip(k, omega_f))) ** (-1.0 / tau)
+            for k in subset_sum_counts(word)
+            if not freq.in_lattice(k)
+        ),
+        default=0.0,
+    )
     return 2 ** len(word) * best
 
 
@@ -342,3 +359,68 @@ def comould(word, parts, backend):
     for letter in word[1:]:
         acc = backend.bracket(parts[letter], acc)
     return acc
+
+
+def lattice_class(freq, k):
+    """Canonical representative of the integer vector ``k`` modulo the
+    resonance lattice of ``freq``."""
+    k = tuple(k)
+    for col, row in freq._pivots:
+        q = k[col] // row[col]
+        if q:
+            k = tuple(a - q * b for a, b in zip(k, row))
+    return k
+
+
+def homogeneous_parts(B, freq):
+    """Partition into eigen-components of the x0 adjoint action.
+
+    Modes are grouped by the class of ``k`` modulo the resonance
+    lattice (exact integer decision), which is exactly grouping by the
+    eigenvalue ``i<k, omega>`` for a consistent frequency.  The parts
+    sum back to ``B`` bitwise.  Returns ``class_representative ->
+    Observable``, sorted by representative.
+    """
+    return _group_by_x_mode(B, lambda k: lattice_class(freq, k))
+
+
+def norm_rho_stripped(G, rho):
+    """Part norm with a single x-mode weight: ``sum |b| e^(rho(|m| + |k|))``.
+
+    One of the two e^(rho|k|) factors of ``norm_rho`` is the budget
+    that the small-divisor weight ``e^(eta beta)`` consumes letter by
+    letter in the geometric-eta estimates; the norm-power bound on the
+    weighted tuple sums holds with this stripped convention.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    total = 0.0
+    for (k, m), c in G.items_sorted():
+        total += abs(c) * math.exp(rho * (l1(m) + l1(k)))
+    return total
+
+
+def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False):
+    """Weighted sum of products of part norms over r-tuples of classes.
+
+    Exact finite sum over all r-tuples of the homogeneous classes of
+    ``B`` of ``prod ||B_li||_rho * exp(eta_r * beta_{tau_r}(word))``.
+    With ``strip_letter_weight`` the part norms drop one e^(rho|k|)
+    factor (see :func:`norm_rho_stripped`); that is the convention under
+    which the geometric eta ladder keeps the sums below ``||B||_rho^r``.
+    """
+    if eta_r <= 0 or tau_r < 1:
+        raise ValueError("need eta_r > 0 and tau_r >= 1")
+    parts = homogeneous_parts(B, freq)
+    if not parts:
+        return 0.0
+    part_norm = norm_rho_stripped if strip_letter_weight else norm_rho
+    norms = {rep: part_norm(part, rho) for rep, part in parts.items()}
+    total = 0.0
+    for word in words_over(parts, r, min_r=r):
+        weight = math.exp(eta_r * beta(word, tau_r, freq))
+        prod = 1.0
+        for rep in word:
+            prod *= norms[rep]
+        total += prod * weight
+    return total

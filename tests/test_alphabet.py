@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from mouldnf import Frequency
 from mouldnf.alphabet import (
     DegenerateFrequencyError,
-    _subset_eigenvalues,
     beta,
     diophantine_alpha,
     is_resonant,
@@ -17,6 +17,7 @@ from mouldnf.alphabet import (
     l1,
     shuffles,
     sigma,
+    subset_sum_counts,
     words_over,
 )
 from mouldnf.estimates import fit_growth_constants
@@ -25,8 +26,10 @@ from mouldnf.mould import _parse_word
 from oracles import (
     beta_subset_bound,
     enumerate_interleavings,
+    lattice_class,
     shuffle_coefficient,
     subset_eigenvalues_by_mask,
+    subset_sums_by_mask,
 )
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -73,9 +76,9 @@ class TestResonance:
 
     def test_lattice_class_representatives(self, rational_freq_float):
         f = rational_freq_float
-        assert f.lattice_class((2, -1)) == f.lattice_class((4, -2))
-        assert f.lattice_class((1, 0)) != f.lattice_class((2, -1))
-        assert f.lattice_class((0, 0)) == (0, 0)
+        assert lattice_class(f, (2, -1)) == lattice_class(f, (4, -2))
+        assert lattice_class(f, (1, 0)) != lattice_class(f, (2, -1))
+        assert lattice_class(f, (0, 0)) == (0, 0)
 
 
 class TestFrequencyValidation:
@@ -136,11 +139,12 @@ class TestBeta:
             assert beta(w, 1.0, golden_freq) <= beta_subset_bound(w, 1.0, golden_freq) + 1e-12
 
 
-# words of length 1..10 over a pool of at most four letters, so that
+# words of length 1..14 over a pool of at most four letters, so that
 # letters repeat and subset sums coincide or cancel
 REPEATING_WORDS = st.lists(
     st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4, unique=True
-).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)).map(tuple)
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=14)).map(tuple)
+# non-resonant, float resonant, exact resonant
 BETA_FREQUENCIES = [
     Frequency((1.0, PHI)),
     Frequency((1.0, 2.0), resonance_basis=[(2, -1)]),
@@ -148,21 +152,47 @@ BETA_FREQUENCIES = [
 ]
 
 
-class TestBetaBitIdentity:
-    """The incremental subset walk against the per-mask walk: the same
-    eigenvalues in the same order, so the same floats."""
+class TestBetaOracle:
+    """The subset-sum count table and ``beta`` against the per-mask walk."""
+
+    @settings(max_examples=60)
+    @given(REPEATING_WORDS)
+    def test_counts_match_mask_walk(self, word):
+        assert subset_sum_counts(word) == Counter(subset_sums_by_mask(word))
 
     @settings(max_examples=80)
     @given(REPEATING_WORDS, st.sampled_from(BETA_FREQUENCIES), st.sampled_from([1.0, 1.5, 3.0]))
-    def test_matches_per_mask_walk(self, word, freq, tau):
+    def test_matches_fsum_over_masks(self, word, freq, tau):
         reference = list(subset_eigenvalues_by_mask(word, freq))
-        assert list(_subset_eigenvalues(word, freq)) == reference
-        total = 0.0
-        for lam in reference:
-            total += lam ** (-1.0 / tau)
-        assert beta(word, tau, freq) == total
+        expected = math.fsum(lam ** (-1.0 / tau) for lam in reference)
+        assert beta(word, tau, freq) == pytest.approx(expected, rel=1e-13, abs=0.0)
         bound = 2 ** len(word) * max((lam ** (-1.0 / tau) for lam in reference), default=0.0)
         assert beta_subset_bound(word, tau, freq) == bound
+
+    @pytest.mark.parametrize("r", [40, 60])
+    def test_single_repeated_letter_closed_form(self, r):
+        # subsets of c copies of the letter (1,) have eigenvalue c, so
+        # beta = sum_c C(r, c) / c; 2^60 masks, 60 distinct sums
+        expected = math.fsum(math.comb(r, c) / c for c in range(1, r + 1))
+        assert beta(((1,),) * r, 1.0, Frequency((1.0,))) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+class TestTrustedLattice:
+    @given(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=5),
+        st.sampled_from(BETA_FREQUENCIES),
+    )
+    def test_trusted_path_matches_public(self, vectors, freq):
+        for k in vectors:
+            assert freq._in_lattice(k) == freq.in_lattice(k) == freq.in_lattice(list(k))
+            assert freq._eigenvalue(k) == freq.eigenvalue(k)
+
+    def test_public_path_refuses_non_integral(self):
+        for freq in BETA_FREQUENCIES:
+            with pytest.raises(ValueError, match="integral"):
+                freq.in_lattice((1.5, 0))
+            with pytest.raises(ValueError, match="integral"):
+                freq.eigenvalue((1.5, 0))
 
 
 class TestShuffle:

@@ -228,6 +228,39 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not (out / "normalize_result.json").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("freq", "tau", True), ("freq", "alpha", True), ("scale", "rho", True),
+         ("scale", "rho_prime", True), ("freq", "tau", "1.0"), ("freq", "alpha", "1.0")],
+        ids=["tau-bool", "alpha-bool", "rho-bool", "rho_prime-bool", "tau-string", "alpha-string"],
+    )
+    def test_non_number_parameter_rejected(self, tmp_path, capsys, section, key, value):
+        # rho = 2 so that rho_prime = 1 would be in range
+        cfg = write_config(tmp_path / "run.json", N=1, scale={"rho": 2.0, "rho_prime": 0.5})
+        data = json.loads(cfg.read_text())
+        data[section][key] = value
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "normalize_result.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, report",
+        [("normalize", "B_path", "normalize_result.json"), ("verify", "mould_table", "verify_report.jsonl")],
+    )
+    def test_non_string_path_rejected(self, tmp_path, capsys, command, key, report):
+        cfg = write_config(tmp_path / "run.json", N=1, alphabet=[[1, 0]], max_r=1, samples=5)
+        data = json.loads(cfg.read_text())
+        if key == "B_path":
+            del data["B"]
+        data[key] = 5
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / report).exists()
+
     def test_b_path_relative_to_config(self, tmp_path):
         (tmp_path / "b.json").write_text(json.dumps(toy_b_json()))
         cfg = write_config(tmp_path / "run.json", N=1)

@@ -5,7 +5,7 @@ import pytest
 from mouldnf import Observable, normalize
 from mouldnf.alphabet import diophantine_alpha
 from mouldnf.liealg import apply_exp_ad, contract
-from mouldnf.observables import norm_rho, weighted_tuple_sum
+from mouldnf.observables import norm_rho
 from mouldnf.solver import MouldSolver
 from mouldnf.estimates import (
     BoundReport,
@@ -21,6 +21,8 @@ from mouldnf.estimates import (
     verify_remainder_bound,
     verify_semiclassical,
 )
+
+from oracles import weighted_tuple_sum
 
 
 class TestPowerExponentialBound:

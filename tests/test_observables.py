@@ -9,18 +9,10 @@ from mouldnf import Observable
 from mouldnf.alphabet import diophantine_alpha
 from mouldnf.classical import mode_bracket
 from mouldnf.estimates import default_eta
-from mouldnf.observables import (
-    from_json_dict,
-    homogeneous_parts,
-    norm_rho,
-    norm_rho_stripped,
-    slices,
-    to_json_dict,
-    weighted_tuple_sum,
-)
+from mouldnf.observables import from_json_dict, norm_rho, slices, to_json_dict
 
 from conftest import observable_strategy, random_observable
-from oracles import evaluate
+from oracles import evaluate, homogeneous_parts, norm_rho_stripped, weighted_tuple_sum
 
 
 def roundtrip(B):
