@@ -26,6 +26,8 @@ from operator import add, mul
 from .exact import QI
 
 _EXACT_TYPES = (int, Fraction)
+_QI_ZERO = QI(0, 0)
+_QI_ONE = QI(1, 0)
 
 
 def l1(vec):
@@ -195,15 +197,15 @@ class Frequency:
             return self.zero()
         dot = self.pairing(k)
         if self.exact:
-            return QI(0, dot)
+            return QI._of(0, dot.numerator, dot.denominator)
         return complex(0.0, dot)
 
     def zero(self):
-        """The scalar zero of the eigenvalue field."""
-        return QI(0, 0) if self.exact else 0j
+        """The scalar zero of the eigenvalue field (a shared constant)."""
+        return _QI_ZERO if self.exact else 0j
 
     def one(self):
-        return QI(1, 0) if self.exact else complex(1.0)
+        return _QI_ONE if self.exact else complex(1.0)
 
     def __repr__(self):
         return (

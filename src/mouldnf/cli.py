@@ -108,6 +108,8 @@ class RunConfig:
         omega = freq_data.get("omega")
         if not isinstance(omega, list) or not omega:
             raise ConfigError("config.freq.omega must be a non-empty list")
+        if any(isinstance(c, bool) for c in omega):
+            raise ConfigError(f"config.freq.omega entries must not be booleans, got {omega!r}")
         if exact:
             try:
                 omega = [Fraction(str(c)) for c in omega]
@@ -120,9 +122,12 @@ class RunConfig:
         try:
             if not exact:
                 omega = [float(c) for c in omega]
+            basis = freq_data.get("resonance_basis", ())
+            if any(isinstance(c, bool) for b in basis for c in b):
+                raise ValueError(f"resonance_basis entries must not be booleans, got {basis!r}")
             self.freq = Frequency(
                 omega,
-                resonance_basis=freq_data.get("resonance_basis", ()),
+                resonance_basis=basis,
                 dioph_alpha=alpha,
                 dioph_tau=tau,
             )

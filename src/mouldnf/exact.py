@@ -4,73 +4,128 @@ When every component of omega is rational, all eigenvalues are purely
 imaginary rationals and the whole mould recursion stays inside Q(i).
 ``QI`` is a minimal field implementation for that case; it interoperates
 with ``int`` and ``Fraction`` so generic mould code runs unchanged.
+
+A ``QI`` stores one Gaussian-integer numerator over one denominator:
+the value ``(a + ib) / d`` as three ints, kept in lowest terms, so
+``gcd(a, b, d) == 1`` and ``d > 0``.  The form is canonical, so two
+values are equal exactly when their triples are, and every operator is
+plain int arithmetic followed by one three-argument ``math.gcd``; no
+``Fraction`` is built per operation.  ``Fraction`` appears only at the
+boundary: the public constructor, :meth:`QI.from_strings` and the
+``re``/``im`` properties.  A ``QI`` hashes like the complex number it
+is, the rational hash of its real part plus ``sys.hash_info.imag``
+times that of its imaginary part, so ``hash(QI(x, 0)) == hash(x)`` for
+``int`` and ``Fraction`` ``x``, which it compares equal to.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 _RAT = (int, Fraction)
+_MODULUS = sys.hash_info.modulus
+
+
+def _rational_hash(n, d):
+    """``hash(Fraction(n, d))`` for ``d > 0``, without building the Fraction."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    try:
+        inverse = pow(d, -1, _MODULUS)
+    except ValueError:  # d is a multiple of the modulus
+        h = sys.hash_info.inf
+    else:
+        h = abs(n) % _MODULUS * inverse % _MODULUS
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 class QI:
     """A complex number with rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re = Fraction(re)
+        im = Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @staticmethod
+    def _of(a, b, d):
+        """The value ``(a + ib) / d`` for ints ``a``, ``b`` and ``d > 0``,
+        put in lowest terms; the arguments are trusted unchecked."""
+        g = math.gcd(a, b, d)
+        q = _new(QI)
+        if g == 1:
+            q._a = a
+            q._b = b
+            q._d = d
+        else:
+            q._a = a // g
+            q._b = b // g
+            q._d = d // g
+        return q
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     @classmethod
     def coerce(cls, value):
         if isinstance(value, QI):
             return value
         if isinstance(value, _RAT):
-            return cls(value, 0)
+            return _of(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot coerce {value!r} to QI")
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __add__(self, other):
         other = QI.coerce(other)
-        return QI(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        return _of(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = QI.coerce(other)
-        return QI(self.re - other.re, self.im - other.im)
+        d, f = self._d, other._d
+        return _of(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         return QI.coerce(other) - self
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _of(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         other = QI.coerce(other)
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _of(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = QI.coerce(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        a, b, c, e = self._a, self._b, other._a, other._b
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero in QI")
-        return QI(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        f = other._d
+        return _of((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other):
         return QI.coerce(other) / self
@@ -80,16 +135,18 @@ class QI:
             other = QI.coerce(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        d = self._d
+        return _rational_hash(self._a, d) + sys.hash_info.imag * _rational_hash(self._b, d)
 
     def __abs__(self):
-        return math.hypot(float(self.re), float(self.im))
+        # int true division is correctly rounded, so a / d == float(self.re)
+        return math.hypot(self._a / self._d, self._b / self._d)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"QI({self.re!s}, {self.im!s})"
@@ -101,6 +158,10 @@ class QI:
     @classmethod
     def from_strings(cls, pair):
         return cls(Fraction(pair[0]), Fraction(pair[1]))
+
+
+_new = object.__new__
+_of = QI._of
 
 
 def scalar_abs(value):

@@ -14,8 +14,9 @@ Nothing in the package uses these; they pin its results.
   the mode-bracket double loop with its helper calls for
   ``classical.mode_bracket``; and the stack solver, the earlier
   ``solver.MouldSolver`` with three word-keyed tables and an explicit
-  dependency stack, for the subword-table solver.  The last three are
-  compared bit for bit.
+  dependency stack, for the subword-table solver; and the Fraction-pair
+  ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last four
+  are compared bit for bit.
 * Small definitions the tests state properties of: the shuffle
   coefficient, the Poisson and Moyal structure constants of one mode
   pair, the crude subset bound on ``beta``, the unit and zero moulds,
@@ -28,6 +29,7 @@ Nothing in the package uses these; they pin its results.
 import cmath
 import itertools
 import math
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -424,3 +426,97 @@ def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False)
             prod *= norms[rep]
         total += prod * weight
     return total
+
+
+# The earlier ``exact.QI``, one Fraction per part, kept as written (its
+# hash does not match that of an equal int or Fraction).
+_RAT = (int, Fraction)
+
+
+class FractionQI:
+    """A complex number with rational real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @classmethod
+    def coerce(cls, value):
+        if isinstance(value, FractionQI):
+            return value
+        if isinstance(value, _RAT):
+            return cls(value, 0)
+        raise TypeError(f"cannot coerce {value!r} to QI")
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __add__(self, other):
+        other = FractionQI.coerce(other)
+        return FractionQI(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = FractionQI.coerce(other)
+        return FractionQI(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return FractionQI.coerce(other) - self
+
+    def __neg__(self):
+        return FractionQI(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = FractionQI.coerce(other)
+        return FractionQI(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = FractionQI.coerce(other)
+        den = other.re * other.re + other.im * other.im
+        if den == 0:
+            raise ZeroDivisionError("division by zero in QI")
+        return FractionQI(
+            (self.re * other.re + self.im * other.im) / den,
+            (self.im * other.re - self.re * other.im) / den,
+        )
+
+    def __rtruediv__(self, other):
+        return FractionQI.coerce(other) / self
+
+    def __eq__(self, other):
+        try:
+            other = FractionQI.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __abs__(self):
+        return math.hypot(float(self.re), float(self.im))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"QI({self.re!s}, {self.im!s})"
+
+    def as_strings(self):
+        """Serialize as a ``[re, im]`` pair of exact fraction strings."""
+        return [str(self.re), str(self.im)]
+
+    @classmethod
+    def from_strings(cls, pair):
+        return cls(Fraction(pair[0]), Fraction(pair[1]))

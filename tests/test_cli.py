@@ -221,6 +221,22 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not (out / "verify_report.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "command, freq",
+        [
+            ("normalize", {"omega": [True, PHI]}),
+            ("verify", {"omega": ["1", "1"], "resonance_basis": [[True, -1]]}),
+            ("verify --exact", {"omega": ["1", "1"], "resonance_basis": [[True, -1]]}),
+        ],
+        ids=["omega", "resonance-basis", "resonance-basis-exact"],
+    )
+    def test_boolean_frequency_entry_rejected(self, tmp_path, capsys, command, freq):
+        cfg = write_config(tmp_path / "run.json", N=1, samples=5, freq=dict(freq, tau=1.0, K=5))
+        out = tmp_path / "out"
+        assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
     def test_boolean_hbar_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", backend="quantum", N=1, hbar=True)
         out = tmp_path / "out"

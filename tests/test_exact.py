@@ -1,0 +1,158 @@
+"""``exact.QI`` against the Fraction-pair oracle, operator by operator and
+through the whole exact solve."""
+
+import math
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mouldnf.alphabet
+import mouldnf.exact
+import mouldnf.mould
+from mouldnf import Frequency
+from mouldnf.alphabet import words_over
+from mouldnf.exact import QI, scalar_abs, scalar_is_zero
+from mouldnf.mould import dump_table
+from mouldnf.solver import MouldSolver, verify_equation
+
+from oracles import FractionQI
+
+RATIONALS = st.integers(-10 ** 30, 10 ** 30) | st.fractions(max_denominator=10 ** 12)
+PAIRS = st.tuples(RATIONALS, RATIONALS)
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def assert_same(new, old):
+    """``new`` is the QI for the value ``old`` holds, in lowest terms."""
+    assert isinstance(new, QI) and isinstance(old, FractionQI)
+    assert (new.re, new.im) == (old.re, old.im)
+    assert new.as_strings() == old.as_strings()
+    assert repr(new) == repr(old)
+    assert math.gcd(new._a, new._b, new._d) == 1 and new._d > 0
+
+
+def assert_op_matches(op, new_args, old_args):
+    try:
+        expected = op(*old_args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(*new_args)
+        return
+    assert_same(op(*new_args), expected)
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=300)
+    @given(PAIRS, PAIRS)
+    def test_binary_operators(self, x, y):
+        for op in BINARY:
+            assert_op_matches(op, (QI(*x), QI(*y)), (FractionQI(*x), FractionQI(*y)))
+        assert_same(-QI(*x), -FractionQI(*x))
+
+    @settings(max_examples=300)
+    @given(PAIRS, RATIONALS)
+    def test_mixed_with_int_and_fraction(self, x, s):
+        for op in BINARY:
+            assert_op_matches(op, (QI(*x), s), (FractionQI(*x), s))
+            # the reflected forms: __radd__, __rsub__, __rmul__, __rtruediv__
+            assert_op_matches(op, (s, QI(*x)), (s, FractionQI(*x)))
+
+    @settings(max_examples=300)
+    @given(PAIRS, PAIRS, RATIONALS)
+    def test_equality(self, x, y, s):
+        assert (QI(*x) == QI(*y)) == (FractionQI(*x) == FractionQI(*y))
+        assert (QI(*x) == s) == (FractionQI(*x) == s)
+        assert (s == QI(*x)) == (s == FractionQI(*x))
+
+    @settings(max_examples=300)
+    @given(PAIRS)
+    def test_floats_bit_equal(self, x):
+        new, old = QI(*x), FractionQI(*x)
+        assert abs(new) == abs(old)
+        assert complex(new) == complex(old)
+        assert scalar_abs(new) == abs(old)
+
+    @given(PAIRS)
+    def test_boundary_forms(self, x):
+        new, old = QI(*x), FractionQI(*x)
+        assert_same(new, old)
+        assert_same(QI.from_strings(old.as_strings()), old)
+        assert_same(QI.coerce(x[0]), FractionQI.coerce(x[0]))
+        assert bool(new) == bool(old) and scalar_is_zero(new) == old.is_zero()
+
+    @given(PAIRS)
+    def test_division_by_zero(self, x):
+        for zero in (0, Fraction(0), QI(0, 0)):
+            with pytest.raises(ZeroDivisionError):
+                QI(*x) / zero
+        with pytest.raises(ZeroDivisionError):
+            x[0] / QI(0, 0)
+
+
+class TestHash:
+    @settings(max_examples=300)
+    @given(RATIONALS)
+    def test_real_value_hashes_like_its_rational(self, s):
+        assert QI(s, 0) == s and hash(QI(s, 0)) == hash(s)
+        assert len({QI(s, 0), s}) == 1
+
+    def test_seen_collisions_resolved(self):
+        assert len({QI(1, 0), 1}) == 1
+        assert len({QI(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+    @settings(max_examples=300)
+    @given(PAIRS, PAIRS)
+    def test_equal_values_hash_equal(self, x, y):
+        a = QI(*x)
+        b = QI(*y)
+        if b:
+            # (a * b) / b reaches a's value by another route
+            assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+        assert hash(a + b - b) == hash(a)
+
+
+# The verify-exact benchmark's alphabet: (2, -1) is resonant for omega = (1, 2).
+LETTERS = ((1, 0), (1, -1), (2, -1))
+MAX_R = 6
+
+
+class OracleQI(FractionQI):
+    """The oracle, with the trusted constructor ``Frequency`` calls."""
+
+    @staticmethod
+    def _of(a, b, d):
+        return FractionQI(Fraction(a, d), Fraction(b, d))
+
+
+def exact_solve():
+    """F, S and G on every word up to ``MAX_R``, and the equation report."""
+    freq = Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)])
+    solver = MouldSolver(freq)
+    words = [(), *words_over(LETTERS, MAX_R)]
+    tables = {
+        name: dump_table(M, words, exact=True)
+        for name, M in (("F", solver.F_mould), ("S", solver.S_mould), ("G", solver.G_mould))
+    }
+    report = verify_equation(solver, MAX_R, LETTERS)
+    return tables, vars(report), solver.S_mould(LETTERS)
+
+
+def test_exact_solve_matches_fraction_oracle(monkeypatch):
+    tables, report, value = exact_solve()
+    assert isinstance(value, QI)
+    assert report["exact"] and report["max_residual"] == 0.0
+    assert len(tables["S"]) == 1 + sum(len(LETTERS) ** r for r in range(1, MAX_R + 1))
+
+    monkeypatch.setattr(mouldnf.alphabet, "QI", OracleQI)
+    monkeypatch.setattr(mouldnf.alphabet, "_QI_ZERO", FractionQI(0, 0))
+    monkeypatch.setattr(mouldnf.alphabet, "_QI_ONE", FractionQI(1, 0))
+    monkeypatch.setattr(mouldnf.mould, "QI", FractionQI)
+    monkeypatch.setattr(mouldnf.exact, "QI", FractionQI)
+    oracle_tables, oracle_report, oracle_value = exact_solve()
+    assert isinstance(oracle_value, FractionQI)
+
+    assert tables == oracle_tables
+    assert report == oracle_report
