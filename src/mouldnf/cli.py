@@ -28,7 +28,7 @@ from .classical import ClassicalBackend, poisson_bracket
 from .exact import scalar_abs
 from .liealg import OutOfDomainError, ScaleParams, normalize
 from .mould import _parse_word, check_alternal, dump_table, load_table
-from .observables import Observable, from_json_dict, norm_rho, to_json_dict
+from .observables import Observable, _typed, from_json_dict, norm_rho, to_json_dict
 from .quantum import QuantumBackend, check_hbar, moyal_bracket, validate_moyal
 from .solver import MouldSolver, verify_equation
 
@@ -64,23 +64,11 @@ class ConfigError(ValueError):
 
 
 def _reject_unknown(mapping, allowed, where):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object, got {mapping!r}")
     extra = set(mapping) - allowed
     if extra:
         raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
-
-
-def _integer(data, key, default, where="config"):
-    value = data.get(key, default)
-    if type(value) is not int:
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, name):
-    """``value`` if it is a JSON number (not a bool), else a config error."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return value
 
 
 def _path(data, key):
@@ -117,8 +105,8 @@ class RunConfig:
                 raise ConfigError(f"--exact requires rational omega: {err}") from err
         alpha = freq_data.get("alpha")
         if alpha is not None:
-            alpha = _number(alpha, "config.freq.alpha")
-        tau = _number(freq_data.get("tau", 1.0), "config.freq.tau")
+            alpha = _typed(alpha, (int, float), "config.freq.alpha")
+        tau = _typed(freq_data.get("tau", 1.0), (int, float), "config.freq.tau")
         try:
             if not exact:
                 omega = [float(c) for c in omega]
@@ -133,21 +121,22 @@ class RunConfig:
             )
         except (TypeError, ValueError) as err:
             raise ConfigError(f"config.freq: {err}") from err
-        self.K = _integer(freq_data, "K", 5, where="config.freq")
+        self.K = _typed(freq_data.get("K", 5), (int,), "config.freq.K")
         if self.K < 1:
             raise ConfigError(f"config.freq.K must be >= 1, got {self.K}")
 
         scale_data = data.get("scale", {"rho": 1.0, "rho_prime": 0.5})
         _reject_unknown(scale_data, _SCALE_KEYS, "config.scale")
         rho, rho_prime = (
-            _number(scale_data.get(key), f"config.scale.{key}") for key in ("rho", "rho_prime")
+            _typed(scale_data.get(key), (int, float), f"config.scale.{key}")
+            for key in ("rho", "rho_prime")
         )
         try:
             self.scale = ScaleParams(rho, rho_prime)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"config.scale: {err}") from err
 
-        self.N = _integer(data, "N", 1)
+        self.N = _typed(data.get("N", 1), (int,), "config.N")
         if self.N < 1:
             raise ConfigError(f"config.N must be >= 1, got {self.N}")
         self.backend_name = data.get("backend", "classical")
@@ -180,21 +169,19 @@ class RunConfig:
                 f"config.alphabet must be a list of letters of {d} integers each, got {alphabet!r}"
             )
         self.alphabet = [tuple(k) for k in alphabet]
-        self.max_r = _integer(data, "max_r", 4)
+        self.max_r = _typed(data.get("max_r", 4), (int,), "config.max_r")
         self.exponential_order = data.get("exponential_order")
         order = self.exponential_order
         if order is not None and (type(order) is not int or order < 0):
             raise ConfigError(f"config.exponential_order must be an integer >= 0, got {order!r}")
         tols = data.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigError(f"config.tolerances must be an object, got {tols!r}")
         _reject_unknown(tols, set(_DEFAULT_TOLS), "config.tolerances")
         for key, tol in tols.items():
             if type(tol) not in (int, float) or not (math.isfinite(tol) and tol >= 0):
                 raise ConfigError(f"config.tolerances.{key} must be a finite number >= 0, got {tol!r}")
         self.tolerances = {**_DEFAULT_TOLS, **tols}
-        self.seed = _integer(data, "seed", 0)
-        self.samples = _integer(data, "samples", 100)
+        self.seed = _typed(data.get("seed", 0), (int,), "config.seed")
+        self.samples = _typed(data.get("samples", 100), (int,), "config.samples")
         if self.samples < 0:
             raise ConfigError(f"config.samples must be >= 0, got {self.samples}")
         self.mould_table = _path(data, "mould_table")
@@ -210,19 +197,17 @@ class RunConfig:
         else:
             raise ConfigError("config must provide B or B_path")
         try:
-            return from_json_dict(data)
+            B = from_json_dict(data)
         except (ValueError, KeyError) as err:
             raise ConfigError(f"config.B: {err}") from err
+        if B.d != self.freq.d:
+            raise ConfigError(f"config.B has d={B.d}, config.freq.omega has {self.freq.d} entries")
+        return B
 
-    def scalar_hbar(self):
-        if self.hbar is not None:
-            return self.hbar
-        return self.hbar_list[0] if self.hbar_list else None
-
-    def backend(self, hbar=None):
+    def backend(self):
         if self.backend_name == "classical":
             return ClassicalBackend(self.freq)
-        return QuantumBackend(self.freq, hbar if hbar is not None else self.scalar_hbar())
+        return QuantumBackend(self.freq, self.hbar if self.hbar is not None else self.hbar_list[0])
 
 
 def load_config(path, exact=False):

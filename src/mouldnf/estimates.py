@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-
-import numpy as np
+import statistics
 
 from .alphabet import _as_int_vector, beta, diophantine_alpha, words_over
 from .liealg import ScaleParams, order_increment
@@ -265,8 +264,8 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, F_N=None, K=5):
     For each hbar, ``g(hbar)`` is the norm at the target radius of the
     difference between the quantum and classical length-N strata of the
     normal form (the coefficient mould is shared; only the comould
-    differs).  Fits the log-log slope when every g is positive, and
-    checks ``g <= hbar^2 C_N ||B||_rho^N``.
+    differs).  Fits the log-log slope when every g is positive and at
+    least two hbar values differ, and checks ``g <= hbar^2 C_N ||B||_rho^N``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -297,6 +296,8 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, F_N=None, K=5):
             )
         )
     slope = None
-    if len(hbars) >= 2 and all(g > 0.0 for g in g_values):
-        slope = float(np.polyfit(np.log(hbars), np.log(g_values), 1)[0])
+    if len(set(hbars)) >= 2 and all(g > 0.0 for g in g_values):
+        slope = statistics.linear_regression(
+            [math.log(h) for h in hbars], [math.log(g) for g in g_values]
+        ).slope
     return SemiclassicalReport(N, hbars, g_values, slope, c_n, bounds)

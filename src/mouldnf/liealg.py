@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .observables import Observable, norm_rho, slices
+from .observables import PRUNE_REL, Observable, norm_rho, slices
 from .solver import MouldSolver
-
-PRUNE_REL = 1e-16
 
 
 class OutOfDomainError(RuntimeError):

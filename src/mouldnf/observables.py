@@ -198,13 +198,31 @@ def to_json_dict(B):
     return out
 
 
+def _typed(value, types, name):
+    """``value`` if its type is one of ``types`` (so no bool passes as an
+    int), else a ``ValueError``; the check on JSON input, here and in the
+    config reader."""
+    if type(value) not in types:
+        raise ValueError(f"{name} must be {'/'.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def from_json_dict(data):
+    if not isinstance(data, dict):
+        raise ValueError(f"observable must be an object, got {data!r}")
     extra = set(data) - {"d", "coeffs", "real"}
     if extra:
         raise ValueError(f"unknown observable keys: {sorted(extra)}")
+    entries = data["coeffs"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"coeffs must be a list of objects, got {entries!r}")
     coeffs = {}
-    for entry in data["coeffs"]:
-        k = tuple(int(c) for c in entry["k"])
-        m = tuple(int(c) for c in entry["m"])
-        coeffs[(k, m)] = coeffs.get((k, m), 0j) + complex(entry["re"], entry.get("im", 0.0))
-    return Observable(int(data["d"]), coeffs, real=bool(data.get("real", False)))
+    for entry in entries:
+        k, m = (
+            tuple(_typed(c, (int,), key) for c in _typed(entry[key], (list,), key)) for key in "km"
+        )
+        re = _typed(entry["re"], (int, float), "re")
+        im = _typed(entry.get("im", 0.0), (int, float), "im")
+        coeffs[(k, m)] = coeffs.get((k, m), 0j) + complex(re, im)
+    real = _typed(data.get("real", False), (bool,), "real")
+    return Observable(_typed(data["d"], (int,), "d"), coeffs, real=real)

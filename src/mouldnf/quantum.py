@@ -20,8 +20,6 @@ import itertools
 import math
 import numbers
 
-import numpy as np
-
 from .classical import ClassicalBackend, mode_bracket
 
 
@@ -45,25 +43,8 @@ def moyal_bracket(F, G, hbar):
     return mode_bracket(F, G, sine_coupling(hbar))
 
 
-class WeylMatrix:
-    """Dense matrix of a symbol on the Fourier basis e^{i n.x}, |n|_inf <= cutoff."""
-
-    def __init__(self, d, cutoff, hbar, entries):
-        self.d = d
-        self.cutoff = cutoff
-        self.hbar = hbar
-        self.entries = entries
-
-    def index(self, n):
-        idx = 0
-        for c in n:
-            if abs(c) > self.cutoff:
-                raise IndexError(f"basis vector {n} outside cutoff {self.cutoff}")
-            idx = idx * (2 * self.cutoff + 1) + (c + self.cutoff)
-        return idx
-
-    def basis(self):
-        return itertools.product(range(-self.cutoff, self.cutoff + 1), repeat=self.d)
+def _inside(n, bound):
+    return all(abs(c) <= bound for c in n)
 
 
 def _kmax(obs):
@@ -71,7 +52,8 @@ def _kmax(obs):
 
 
 def weyl_matrix(F, cutoff, hbar):
-    """Weyl quantization of a symbol as a dense matrix.
+    """Weyl quantization of a symbol as a sparse matrix ``{(row, col): entry}``
+    on the Fourier basis e^{i n.x}, |n|_inf <= cutoff, keyed by basis tuples.
 
     Mode ``(k, m)`` maps ``e^{i n.x}`` to
     ``exp(-i hbar m.(n + k/2)) e^{i (n+k).x}``, i.e. the entry at row
@@ -86,19 +68,29 @@ def weyl_matrix(F, cutoff, hbar):
         raise ValueError(
             f"cutoff {cutoff} too small: support escapes the box (max |k|_inf = {kmax})"
         )
-    size = (2 * cutoff + 1) ** F.d
-    entries = np.zeros((size, size), dtype=complex)
-    mat = WeylMatrix(F.d, cutoff, hbar, entries)
+    entries = {}
     for (k, m), c in F.items_sorted():
-        for n in mat.basis():
+        for n in itertools.product(range(-cutoff, cutoff + 1), repeat=F.d):
             row = tuple(a + b for a, b in zip(n, k))
-            if any(abs(a) > cutoff for a in row):
+            if not _inside(row, cutoff):
                 continue
             phase = sum(mi * (ni + ki / 2.0) for mi, ni, ki in zip(m, n, k))
-            entries[mat.index(row), mat.index(n)] += c * complex(
+            entries[row, n] = entries.get((row, n), 0j) + c * complex(
                 math.cos(hbar * phase), -math.sin(hbar * phase)
             )
-    return mat
+    return entries
+
+
+def _matmul(A, B):
+    """Product of two sparse matrices keyed by ``(row, col)``."""
+    rows_b = {}
+    for (k, j), b in B.items():
+        rows_b.setdefault(k, []).append((j, b))
+    out = {}
+    for (i, k), a in A.items():
+        for j, b in rows_b.get(k, ()):
+            out[i, j] = out.get((i, j), 0j) + a * b
+    return out
 
 
 class MoyalReport:
@@ -133,17 +125,19 @@ def validate_moyal(F, G, cutoff, hbar, tol=1e-10):
     wf = weyl_matrix(F, cutoff, hbar)
     wg = weyl_matrix(G, cutoff, hbar)
     wb = weyl_matrix(moyal_bracket(F, G, hbar), cutoff, hbar)
-    commutator = (wf.entries @ wg.entries - wg.entries @ wf.entries) / (1j * hbar)
-    interior = [
-        wb.index(n)
-        for n in wb.basis()
-        if all(abs(c) <= cutoff - margin for c in n)
-    ]
-    if not interior:
+    fg, gf = _matmul(wf, wg), _matmul(wg, wf)
+    inner = cutoff - margin
+    if inner < 0:
         raise ValueError("cutoff too small: no interior left after margin")
-    sel = np.ix_(interior, interior)
-    dev = float(np.max(np.abs(wb.entries[sel] - commutator[sel])))
-    return MoyalReport(dev, margin, len(interior), tol)
+    dev = max(
+        (
+            abs(wb.get(key, 0j) - (fg.get(key, 0j) - gf.get(key, 0j)) / (1j * hbar))
+            for key in wb.keys() | fg.keys() | gf.keys()
+            if _inside(key[0], inner) and _inside(key[1], inner)
+        ),
+        default=0.0,
+    )
+    return MoyalReport(dev, margin, (2 * inner + 1) ** F.d, tol)
 
 
 class QuantumBackend(ClassicalBackend):

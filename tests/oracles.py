@@ -21,9 +21,10 @@ Nothing in the package uses these; they pin its results.
   coefficient, the Poisson and Moyal structure constants of one mode
   pair, the crude subset bound on ``beta``, the unit and zero moulds,
   the mould commutator, the comould (right-nested bracket of slices
-  along a word), the spectral norm and Hermiticity defect of a dense
-  matrix, and the paper's homogeneous decomposition with the weighted
-  tuple sums over it (lattice classes, the stripped part norm).
+  along a word), the dense form of a sparse Weyl matrix with its
+  spectral norm and Hermiticity defect, and the paper's homogeneous
+  decomposition with the weighted tuple sums over it (lattice classes,
+  the stripped part norm).
 """
 
 import cmath
@@ -326,6 +327,17 @@ def moyal_structure_constant(k, m, kp, mp, hbar):
     if s == 0:
         return 0.0
     return sine_coupling(hbar)(s)
+
+
+def dense(entries, d, cutoff):
+    """The sparse Weyl matrix ``entries`` as a dense array over the basis
+    box ``|n|_inf <= cutoff``, in lexicographic order of ``n``."""
+    basis = list(itertools.product(range(-cutoff, cutoff + 1), repeat=d))
+    index = {n: i for i, n in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for (row, col), value in entries.items():
+        out[index[row], index[col]] = value
+    return out
 
 
 def spectral_norm(entries):

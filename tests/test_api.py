@@ -2,7 +2,10 @@
 re-export or an example that no longer runs fails here, not in user
 code."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mouldnf
@@ -28,6 +31,14 @@ def test_exports_the_readme_names():
         "ScaleParams",
         "normalize",
     ]
+
+
+def test_cli_import_needs_no_numpy():
+    # the package runs on the standard library alone
+    src = Path(mouldnf.__file__).parent.parent
+    code = "import sys, mouldnf.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_words_are_plain_tuples():

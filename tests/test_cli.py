@@ -154,6 +154,42 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not (out / "normalize_result.json").exists()
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("B", "coeffs", 0, "k"), [1.5, 0]),
+            (("B", "coeffs", 0, "k"), [True, 0]),
+            (("B", "coeffs", 0, "m"), [0, True]),
+            (("B", "coeffs", 0, "k"), 5),
+            (("B", "d"), 2.7),
+            (("B", "d"), True),
+            (("B",), 5),
+            (("B", "coeffs"), 5),
+            (("B", "coeffs"), [5]),
+            (("B", "coeffs", 0, "re"), "1e-3"),
+            (("B", "coeffs", 0, "im"), True),
+            (("B",), {"d": 3, "coeffs": []}),
+            (("B",), {"d": 2, "coeffs": [], "real": "no"}),
+            (("scale",), 5),
+            (("scale",), None),
+        ],
+        ids=["k-float", "k-bool", "m-bool", "k-int", "d-float", "d-bool", "B-int", "coeffs-int",
+             "coeffs-entry-int", "re-string", "im-bool", "d-mismatch", "real-string", "scale-int",
+             "scale-null"],
+    )
+    def test_malformed_b_or_scale_rejected(self, tmp_path, capsys, path, value):
+        cfg = write_config(tmp_path / "run.json", N=1)
+        data = json.loads(cfg.read_text())
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "normalize_result.json").exists()
+
     @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "invalid"])
     def test_unreadable_b_path_rejected(self, tmp_path, capsys, content):
         if content is not None:
@@ -456,6 +492,15 @@ class TestSemiclassicalCommand:
         assert abs(payload["slope"] - 2.0) <= 0.1
         csv_text = (out / "semiclassical.csv").read_text()
         assert csv_text.splitlines()[0] == "hbar,g"
+
+    def test_repeated_hbar_no_slope(self, tmp_path):
+        # one distinct hbar fixes no slope
+        cfg = write_config(tmp_path / "run.json", N=2, hbar_list=[0.1, 0.1], backend="quantum")
+        out = tmp_path / "out"
+        assert main(["semiclassical", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "semiclassical.json").read_text())
+        assert payload["slope"] is None
+        assert len(payload["g_values"]) == 2
 
     def test_single_hbar_values_only(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", N=2, hbar=0.1, backend="quantum")

@@ -10,7 +10,7 @@ from mouldnf.observables import norm_rho
 from mouldnf.quantum import moyal_bracket, validate_moyal, weyl_matrix
 
 from conftest import random_observable
-from oracles import hermiticity_defect, moyal_structure_constant, spectral_norm
+from oracles import dense, hermiticity_defect, moyal_structure_constant, spectral_norm
 
 
 class TestModeRule:
@@ -63,21 +63,21 @@ class TestWeylMatrix:
     def test_pure_x_mode_is_shift_of_ones(self):
         W = weyl_matrix(Observable(1, {((1,), (0,)): 1.0}), cutoff=3, hbar=0.5)
         for n in range(-3, 3):
-            assert W.entries[W.index((n + 1,)), W.index((n,))] == 1.0
-        assert np.count_nonzero(W.entries) == 6
+            assert W[(n + 1,), (n,)] == 1.0
+        assert sum(1 for v in W.values() if v != 0) == 6
 
     def test_pure_xi_mode_is_diagonal_phase(self):
         # validated convention: exp(-i hbar n) on basis vector n
         W = weyl_matrix(Observable(1, {((0,), (1,)): 1.0}), cutoff=3, hbar=0.5)
         expected = [cmath.exp(-0.5j * n) for n in range(-3, 4)]
-        assert np.allclose(np.diag(W.entries), expected)
-        assert np.count_nonzero(W.entries) == 7
+        assert np.allclose([W[(n,), (n,)] for n in range(-3, 4)], expected)
+        assert sum(1 for v in W.values() if v != 0) == 7
 
     def test_real_symbol_gives_hermitian_matrix(self):
         R = Observable(
             1, {((1,), (2,)): 0.5 + 0.25j, ((-1,), (-2,)): 0.5 - 0.25j}, real=True
         )
-        assert hermiticity_defect(weyl_matrix(R, cutoff=4, hbar=0.3).entries) == 0.0
+        assert hermiticity_defect(dense(weyl_matrix(R, cutoff=4, hbar=0.3), 1, 4)) == 0.0
 
     def test_cutoff_too_small_raises(self):
         with pytest.raises(ValueError):
@@ -87,14 +87,14 @@ class TestWeylMatrix:
         for _ in range(10):
             B = random_observable(rng, 1, n_modes=4, kmax=2, mmax=2)
             W = weyl_matrix(B, cutoff=4, hbar=0.7)
-            assert spectral_norm(W.entries) <= norm_rho(B, 0.1) * (1 + 1e-12)
+            assert spectral_norm(dense(W, 1, 4)) <= norm_rho(B, 0.1) * (1 + 1e-12)
 
     def test_entry_follows_midpoint_rule(self):
         # mode (k, m) = (1, 1) maps basis vector n = 0 to row n + k = 1
         # with factor b exp(-i hbar m (n + k/2))
         W = weyl_matrix(Observable(1, {((1,), (1,)): 0.5j}), cutoff=2, hbar=0.3)
         expected = 0.5j * cmath.exp(-1j * 0.3 * 1 * (0 + 1 / 2))
-        assert abs(W.entries[W.index((1,)), W.index((0,))] - expected) <= 1e-15
+        assert abs(W[(1,), (0,)] - expected) <= 1e-15
 
 
 def _neg(v):
@@ -114,7 +114,8 @@ def _real_observable(rng, d, n_modes=3):
 
 def _dense_defect(obs, hbar):
     kmax = max(max(abs(c) for c in k) for k, _ in obs.coeffs)
-    return hermiticity_defect(weyl_matrix(obs, cutoff=kmax + 1, hbar=hbar).entries)
+    W = weyl_matrix(obs, cutoff=kmax + 1, hbar=hbar)
+    return hermiticity_defect(dense(W, obs.d, kmax + 1))
 
 
 def _mirror_sum_bound(obs):
@@ -195,6 +196,14 @@ class TestMoyalWeylConsistency:
             G = random_observable(rng, 2, n_modes=3, kmax=1, mmax=2)
             rep = validate_moyal(F, G, cutoff=6, hbar=0.3)
             assert rep.max_deviation <= 1e-10
+
+    def test_random_pairs_d3(self, rng):
+        # (2 * 8 + 1)^3 = 4913 basis vectors: sparse entries only
+        for _ in range(2):
+            F = random_observable(rng, 3, n_modes=3)
+            G = random_observable(rng, 3, n_modes=3)
+            rep = validate_moyal(F, G, cutoff=8, hbar=0.3, tol=1e-10)
+            assert rep.ok, rep
 
     def test_identical_inputs_both_sides_zero(self):
         F = Observable(1, {((1,), (1,)): 1.0})
