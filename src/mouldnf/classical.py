@@ -14,7 +14,7 @@ materializes as an observable.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, mul, neg
 
 from .observables import Observable
 
@@ -24,24 +24,50 @@ def mode_bracket(F, G, coupling=None):
 
     Every mode pair with a nonzero Poisson constant ``s`` contributes
     ``coupling(s) * c * c'`` at the sum mode; without ``coupling`` the
-    integer ``s`` itself is used (the Poisson bracket).
+    integer ``s`` itself is used (the Poisson bracket).  ``coupling`` is
+    called once per distinct ``s`` of the call.
     """
     if F.d != G.d:
         raise ValueError("dimension mismatch")
     if F is G or F == G:
         # antisymmetry; spares relying on floating cancellation
         return Observable.zero(F.d)
-    g_items = G.items_sorted()
+    # Each mode (k, m) is keyed by the int sum x_i 2^(shift i) over the
+    # signed coordinates x of k + m.  The packing is linear, so the sum
+    # mode's code is code_f + code_g; two sum modes differ by at most
+    # 4 * top < 2^shift per coordinate, so within this call distinct sum
+    # modes get distinct codes.
+    top = max((abs(x) for obs in (F, G) for k, m in obs.coeffs for x in k + m), default=0)
+    shift = (4 * top).bit_length()
+    weights = [1 << (shift * i) for i in range(2 * F.d)]
+    # s = k.m' - m.k' is one dot product of k + m with m' + (-k')
+    g_rows = [
+        (mp + tuple(map(neg, kp)), sum(map(mul, kp + mp, weights)), kp, mp, cp)
+        for (kp, mp), cp in G.items_sorted()
+    ]
+    memo = {}
     data = {}
+    keys = {}
     for (k, m), c in F.items_sorted():
-        for (kp, mp), cp in g_items:
-            s = sum(map(mul, k, mp)) - sum(map(mul, m, kp))
+        u = k + m
+        code_f = sum(map(mul, u, weights))
+        for v, code_g, kp, mp, cp in g_rows:
+            s = sum(map(mul, u, v))
             if s == 0:
                 continue
             if coupling is not None:
-                s = coupling(s)
-            km = (tuple(map(add, k, kp)), tuple(map(add, m, mp)))
-            data[km] = data.get(km, 0j) + s * c * cp
+                w = memo.get(s)
+                if w is None:
+                    w = memo[s] = coupling(s)
+                s = w
+            code = code_f + code_g
+            old = data.get(code)
+            if old is None:
+                data[code] = 0j + s * c * cp
+                keys[code] = (tuple(map(add, k, kp)), tuple(map(add, m, mp)))
+            else:
+                data[code] = old + s * c * cp
+    data = {keys[code]: total for code, total in data.items()}
     return Observable._of(F.d, data, F.real and G.real).prune()
 
 

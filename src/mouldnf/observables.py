@@ -137,7 +137,7 @@ class Observable:
         # public constructor's sum does
         return Observable._of(
             self.d,
-            {km: 0j + scalar * c for km, c in self.coeffs.items() if scalar * c != 0},
+            {km: 0j + p for km, c in self.coeffs.items() if (p := scalar * c) != 0},
             real,
         )
 

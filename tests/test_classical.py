@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mouldnf import ClassicalBackend, Observable
@@ -205,6 +205,35 @@ class TestKernelProperties:
         assert norm_rho(defect, rho) <= bound * (1 + 1e-9)
 
 
+def _wide_observables(d):
+    """Observables with 0..6 modes whose coordinates mix small values
+    with values up to +-2^20, coefficients of modulus at most 1."""
+    coord = st.one_of(
+        st.integers(-2, 2),
+        st.sampled_from([-(2 ** 20), 2 ** 20]),
+        st.integers(-(2 ** 20), 2 ** 20),
+    )
+    mode = st.tuples(st.tuples(*[coord] * d), st.tuples(*[coord] * d))
+    coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    return st.dictionaries(mode, coeff, max_size=6).map(lambda coeffs: Observable(d, coeffs))
+
+
+# For every shift S < 72, the sum modes (2^S, 0) and (0, 1) both occur
+# with nonzero s, and a packing with S bits per coordinate maps both to
+# 2^S: a kernel with any fixed shift in that range merges them.
+_FIXED_SHIFT_COLLIDERS = (
+    Observable(1, {**{((2 ** j,), (-1,)): 1.0 for j in range(72)}, ((-1,), (0,)): 1.0}),
+    Observable(1, {((0,), (1,)): 1.0, ((1,), (1,)): 1.0}),
+)
+# The widest case for a shift sized from the largest coordinate 2^20:
+# the sum modes (2^21, 0) and (-2^21, 1) differ by 2^22 in k, so a
+# packing with 22 bits per coordinate merges them.
+_TIGHT_SHIFT_COLLIDERS = (
+    Observable(1, {((2 ** 20,), (1,)): 1.0, ((-(2 ** 20),), (1,)): 1.0}),
+    Observable(1, {((2 ** 20,), (-1,)): 1.0, ((-(2 ** 20),), (0,)): 1.0}),
+)
+
+
 class TestKernelBitIdentity:
     """The inlined kernel against the earlier double loop: the same
     modes in the same order, the same floats, the same signs of zero."""
@@ -222,3 +251,41 @@ class TestKernelBitIdentity:
         slow = mode_bracket_double_loop(F, G, coupling)
         assert repr(list(fast.coeffs.items())) == repr(list(slow.coeffs.items()))
         assert fast.real == slow.real
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(*[_wide_observables(d)] * 2)), COUPLINGS)
+    @example((Observable(1, {}), Observable(1, {((1,), (1,)): 1.0})), None)
+    @example((Observable(2, {((1, 0), (0, 2)): 1.0}), Observable(2, {})), None)
+    @example((Observable(3, {}), Observable(3, {})), None)
+    @example(_FIXED_SHIFT_COLLIDERS, None)
+    @example(_FIXED_SHIFT_COLLIDERS, sine_coupling(0.1))
+    @example(_TIGHT_SHIFT_COLLIDERS, None)
+    def test_wide_coordinates_and_empty_operands(self, pair, coupling):
+        F, G = pair
+        fast = mode_bracket(F, G, coupling)
+        slow = mode_bracket_double_loop(F, G, coupling)
+        assert repr(list(fast.coeffs.items())) == repr(list(slow.coeffs.items()))
+        assert fast.real == slow.real
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda d: st.tuples(observable_strategy(d, 8, 3), observable_strategy(d, 8, 3))
+        ),
+    )
+    def test_one_coupling_call_per_distinct_s(self, pair):
+        F, G = pair
+        calls = []
+        sine = sine_coupling(0.3)
+
+        def counting(s):
+            calls.append(s)
+            return sine(s)
+
+        fast = mode_bracket(F, G, counting)
+        distinct = {
+            poisson_structure_constant(k, m, kp, mp) for k, m in F.coeffs for kp, mp in G.coeffs
+        }
+        assert sorted(calls) == ([] if F == G else sorted(distinct - {0}))
+        slow = mode_bracket_double_loop(F, G, sine)
+        assert repr(list(fast.coeffs.items())) == repr(list(slow.coeffs.items()))
