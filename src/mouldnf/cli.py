@@ -28,34 +28,47 @@ from .classical import ClassicalBackend, poisson_bracket
 from .exact import scalar_abs
 from .liealg import OutOfDomainError, ScaleParams, normalize
 from .mould import _parse_word, check_alternal, dump_table, load_table
-from .observables import Observable, _typed, from_json_dict, norm_rho, to_json_dict
-from .quantum import QuantumBackend, check_hbar, moyal_bracket, validate_moyal
+from .observables import OBSERVABLE, Observable, _walk, from_json_dict, norm_rho, to_json_dict
+from .quantum import QuantumBackend, moyal_bracket, validate_moyal
 from .solver import MouldSolver, verify_equation
 
-_TOP_KEYS = {
-    "freq",
-    "scale",
-    "N",
-    "backend",
-    "hbar",
-    "hbar_list",
-    "B",
-    "B_path",
-    "alphabet",
-    "max_r",
-    "exponential_order",
-    "tolerances",
-    "seed",
-    "samples",
-    "mould_table",
+# The config's schema, walked by ``observables._walk``: key -> (JSON
+# type, default, check, what the check asks).  The rules across keys
+# are in ``RunConfig``.
+_POSITIVE = (lambda v: 0 < v < math.inf, "> 0 and finite")
+_SCHEMA = {
+    "freq": ({
+        "omega": (["number or string"], ...),
+        "tau": ("number", 1.0, lambda v: 1 <= v < math.inf, ">= 1 and finite"),
+        "resonance_basis": ([["integer"]], []),
+        "K": ("integer", 5, lambda v: v >= 1, ">= 1"),
+        "alpha": ("number", None),
+    }, ...),
+    "scale": ({"rho": ("number", ..., *_POSITIVE), "rho_prime": ("number", ..., *_POSITIVE)},
+              {"rho": 1.0, "rho_prime": 0.5}),
+    "N": ("integer", 1, lambda v: v >= 1, ">= 1"),
+    "backend": ("string", "classical", lambda v: v in ("classical", "quantum"),
+                "'classical' or 'quantum'"),
+    "hbar": ("number", None, *_POSITIVE),
+    "hbar_list": (["number"], None, *_POSITIVE),
+    "B": (OBSERVABLE, None),
+    "B_path": ("string", None),
+    "alphabet": ([["integer"]], []),
+    "max_r": ("integer", 4),
+    "exponential_order": ("integer", None, lambda v: v >= 0, ">= 0"),
+    "tolerances": ({
+        key: ("number", tol, lambda v: 0 <= v < math.inf, ">= 0 and finite")
+        for key, tol in (("residual", 1e-9), ("alternality", 1e-10), ("moyal", 1e-10),
+                         ("commutation", 1e-10))
+    }, {}),
+    "seed": ("integer", 0),
+    "samples": ("integer", 100, lambda v: v >= 0, ">= 0"),
+    "mould_table": ("string", None),
 }
-_FREQ_KEYS = {"omega", "tau", "resonance_basis", "K", "alpha"}
-_SCALE_KEYS = {"rho", "rho_prime"}
-_DEFAULT_TOLS = {
-    "residual": 1e-9,
-    "alternality": 1e-10,
-    "moyal": 1e-10,
-    "commutation": 1e-10,
+# a mould table as ``dump-moulds`` writes it
+_MOULD_TABLE = {
+    "F": ("object", ...), "S": ("object", ...), "G": ("object", ...),
+    "alphabet": ([["integer"]], None), "max_r": ("integer", None), "exact": ("boolean", None),
 }
 
 
@@ -63,128 +76,48 @@ class ConfigError(ValueError):
     pass
 
 
-def _reject_unknown(mapping, allowed, where):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be an object, got {mapping!r}")
-    extra = set(mapping) - allowed
-    if extra:
-        raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
-
-
-def _path(data, key):
-    """``data[key]`` if it is absent, null or a string, else a config error."""
-    value = data.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"config.{key} must be a path string, got {value!r}")
-    return value
-
-
 class RunConfig:
     """Validated run configuration; all paths relative to the config file."""
 
     def __init__(self, data, base_dir, exact=False):
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        _reject_unknown(data, _TOP_KEYS, "config")
+        try:
+            config = _walk(data, _SCHEMA, "config")
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         self.base_dir = Path(base_dir)
         self.exact = exact
 
-        freq_data = data.get("freq")
-        if not isinstance(freq_data, dict):
-            raise ConfigError("config.freq is required")
-        _reject_unknown(freq_data, _FREQ_KEYS, "config.freq")
-        omega = freq_data.get("omega")
-        if not isinstance(omega, list) or not omega:
-            raise ConfigError("config.freq.omega must be a non-empty list")
-        if any(isinstance(c, bool) for c in omega):
-            raise ConfigError(f"config.freq.omega entries must not be booleans, got {omega!r}")
-        if exact:
-            try:
-                omega = [Fraction(str(c)) for c in omega]
-            except (ValueError, ZeroDivisionError) as err:
-                raise ConfigError(f"--exact requires rational omega: {err}") from err
-        alpha = freq_data.get("alpha")
-        if alpha is not None:
-            alpha = _typed(alpha, (int, float), "config.freq.alpha")
-        tau = _typed(freq_data.get("tau", 1.0), (int, float), "config.freq.tau")
+        freq = config["freq"]
         try:
-            if not exact:
-                omega = [float(c) for c in omega]
-            basis = freq_data.get("resonance_basis", ())
-            if any(isinstance(c, bool) for b in basis for c in b):
-                raise ValueError(f"resonance_basis entries must not be booleans, got {basis!r}")
-            self.freq = Frequency(
-                omega,
-                resonance_basis=basis,
-                dioph_alpha=alpha,
-                dioph_tau=tau,
-            )
-        except (TypeError, ValueError) as err:
+            omega = [Fraction(str(c)) if exact else float(c) for c in freq["omega"]]
+        except (ValueError, ZeroDivisionError) as err:
+            raise ConfigError(f"config.freq.omega: {err}") from err
+        try:
+            self.freq = Frequency(omega, resonance_basis=freq["resonance_basis"],
+                                  dioph_alpha=freq["alpha"], dioph_tau=freq["tau"])
+        except ValueError as err:
             raise ConfigError(f"config.freq: {err}") from err
-        self.K = _typed(freq_data.get("K", 5), (int,), "config.freq.K")
-        if self.K < 1:
-            raise ConfigError(f"config.freq.K must be >= 1, got {self.K}")
-
-        scale_data = data.get("scale", {"rho": 1.0, "rho_prime": 0.5})
-        _reject_unknown(scale_data, _SCALE_KEYS, "config.scale")
-        rho, rho_prime = (
-            _typed(scale_data.get(key), (int, float), f"config.scale.{key}")
-            for key in ("rho", "rho_prime")
-        )
+        self.K = freq["K"]
         try:
-            self.scale = ScaleParams(rho, rho_prime)
-        except (TypeError, ValueError) as err:
+            self.scale = ScaleParams(**config["scale"])
+        except ValueError as err:
             raise ConfigError(f"config.scale: {err}") from err
 
-        self.N = _typed(data.get("N", 1), (int,), "config.N")
-        if self.N < 1:
-            raise ConfigError(f"config.N must be >= 1, got {self.N}")
-        self.backend_name = data.get("backend", "classical")
-        if self.backend_name not in ("classical", "quantum"):
-            raise ConfigError("config.backend must be 'classical' or 'quantum'")
-        self.hbar = data.get("hbar")
-        self.hbar_list = data.get("hbar_list")
+        self.backend_name = config["backend"]
+        self.hbar, self.hbar_list = config["hbar"], config["hbar_list"]
         if self.backend_name == "quantum" and self.hbar is None and not self.hbar_list:
             raise ConfigError("quantum backend requires hbar or hbar_list")
-        if self.hbar_list is not None and not isinstance(self.hbar_list, list):
-            raise ConfigError("config.hbar_list must be a list")
-        for hbar in ([] if self.hbar is None else [self.hbar]) + (self.hbar_list or []):
-            try:
-                check_hbar(hbar)
-            except ValueError as err:
-                raise ConfigError(str(err)) from err
-
         if "B" in data and "B_path" in data:
             raise ConfigError("give only one of B / B_path")
-        self._b_data = data.get("B")
-        self._b_path = _path(data, "B_path")
-
-        alphabet = data.get("alphabet", [])
-        d = self.freq.d
-        if not isinstance(alphabet, list) or not all(
-            isinstance(k, list) and len(k) == d and all(type(c) is int for c in k)
-            for k in alphabet
-        ):
-            raise ConfigError(
-                f"config.alphabet must be a list of letters of {d} integers each, got {alphabet!r}"
-            )
-        self.alphabet = [tuple(k) for k in alphabet]
-        self.max_r = _typed(data.get("max_r", 4), (int,), "config.max_r")
-        self.exponential_order = data.get("exponential_order")
-        order = self.exponential_order
-        if order is not None and (type(order) is not int or order < 0):
-            raise ConfigError(f"config.exponential_order must be an integer >= 0, got {order!r}")
-        tols = data.get("tolerances", {})
-        _reject_unknown(tols, set(_DEFAULT_TOLS), "config.tolerances")
-        for key, tol in tols.items():
-            if type(tol) not in (int, float) or not (math.isfinite(tol) and tol >= 0):
-                raise ConfigError(f"config.tolerances.{key} must be a finite number >= 0, got {tol!r}")
-        self.tolerances = {**_DEFAULT_TOLS, **tols}
-        self.seed = _typed(data.get("seed", 0), (int,), "config.seed")
-        self.samples = _typed(data.get("samples", 100), (int,), "config.samples")
-        if self.samples < 0:
-            raise ConfigError(f"config.samples must be >= 0, got {self.samples}")
-        self.mould_table = _path(data, "mould_table")
+        self._b_data, self._b_path = config["B"], config["B_path"]
+        self.alphabet = [tuple(k) for k in config["alphabet"]]
+        if any(len(k) != self.freq.d for k in self.alphabet):
+            raise ConfigError(f"config.alphabet: expected letters of {self.freq.d} integers, "
+                              f"got {config['alphabet']}")
+        self.N, self.max_r, self.seed = config["N"], config["max_r"], config["seed"]
+        self.samples, self.tolerances = config["samples"], config["tolerances"]
+        self.exponential_order = config["exponential_order"]
+        self.mould_table = config["mould_table"]
 
     def observable(self):
         if self._b_data is not None:
@@ -198,7 +131,7 @@ class RunConfig:
             raise ConfigError("config must provide B or B_path")
         try:
             B = from_json_dict(data)
-        except (ValueError, KeyError) as err:
+        except ValueError as err:
             raise ConfigError(f"config.B: {err}") from err
         if B.d != self.freq.d:
             raise ConfigError(f"config.B has d={B.d}, config.freq.omega has {self.freq.d} entries")
@@ -225,8 +158,15 @@ def _write_json(path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _word_count(n_letters, max_r):
-    return sum(n_letters ** r for r in range(1, max_r + 1))
+def _over_budget(n_letters, max_r, max_words):
+    """Whether the words of length 1 to ``max_r`` over ``n_letters``
+    letters number more than ``max_words``; counting stops once they do."""
+    total = 0
+    for r in range(1, max_r + 1):
+        total += n_letters ** r
+        if total > max_words:
+            return True
+    return False
 
 
 def _quantum_diagnostics(result):
@@ -246,7 +186,7 @@ def _quantum_diagnostics(result):
 def cmd_normalize(config, out_dir, max_words):
     B = config.observable()
     n_letters = len({k for k, _ in B.coeffs})
-    if _word_count(max(n_letters, 1), config.N) > max_words:
+    if _over_budget(max(n_letters, 1), config.N, max_words):
         print(f"error: word budget {max_words} exceeded", file=sys.stderr)
         return 2
     backend = config.backend()
@@ -314,7 +254,7 @@ def cmd_dump_moulds(config, out_dir, max_words):
     solver = MouldSolver(config.freq)
     words = []
     if config.alphabet:
-        if _word_count(len(config.alphabet), config.max_r) > max_words:
+        if _over_budget(len(config.alphabet), config.max_r, max_words):
             print(f"error: word budget {max_words} exceeded", file=sys.stderr)
             return 2
         words = list(words_over(config.alphabet, config.max_r))
@@ -379,7 +319,7 @@ def cmd_verify(config, out_dir, max_words):
     emit = lines.append
     all_ok = True
     alphabet = config.alphabet or [(1,) + (0,) * (config.freq.d - 1)]
-    if _word_count(len(alphabet), config.max_r) > max_words:
+    if _over_budget(len(alphabet), config.max_r, max_words):
         print(f"error: word budget {max_words} exceeded", file=sys.stderr)
         return 2
     solver = MouldSolver(config.freq)
@@ -428,9 +368,7 @@ def cmd_verify(config, out_dir, max_words):
         table_path = config.base_dir / config.mould_table
         moulds = {"F": solver.F_mould, "S": solver.S_mould, "G": solver.G_mould}
         try:
-            golden = json.loads(table_path.read_text())
-            if not (isinstance(golden, dict) and all(isinstance(golden.get(n), dict) for n in moulds)):
-                raise ValueError("it needs F, S and G sections, each a JSON object")
+            golden = _walk(json.loads(table_path.read_text()), _MOULD_TABLE, "mould_table")
             refs = []
             for name, mould in moulds.items():
                 words = [_parse_word(key) for key in golden[name]]

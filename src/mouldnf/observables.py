@@ -169,8 +169,11 @@ def norm_rho(G, rho):
     if rho <= 0:
         raise ValueError("rho must be positive")
     total = 0.0
-    for (k, m), c in G.items_sorted():
-        total += abs(c) * math.exp(rho * (l1(m) + 2 * l1(k)))
+    try:
+        for (k, m), c in G.items_sorted():
+            total += abs(c) * math.exp(rho * (l1(m) + 2 * l1(k)))
+    except OverflowError:  # a weight beyond float range
+        return math.inf
     return total
 
 
@@ -198,31 +201,68 @@ def to_json_dict(B):
     return out
 
 
-def _typed(value, types, name):
-    """``value`` if its type is one of ``types`` (so no bool passes as an
-    int), else a ``ValueError``; the check on JSON input, here and in the
-    config reader."""
-    if type(value) not in types:
-        raise ValueError(f"{name} must be {'/'.join(t.__name__ for t in types)}, got {value!r}")
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,),
+               "boolean": (bool,), "object": (dict,)}
+
+
+def _is(value, kind):
+    """Whether ``value`` has the JSON type ``kind``: a bool is no integer,
+    and an integer is a number only if it has a float."""
+    if type(value) not in _JSON_TYPES[kind]:
+        return False
+    try:
+        return kind != "number" or type(value) is float or math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _value(value, kind, check, what, where):
+    if isinstance(kind, dict):
+        return _walk(value, kind, where)
+    if isinstance(kind, list):
+        if type(value) is not list:
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        return [_value(v, kind[0], check, what, f"{where}[{i}]") for i, v in enumerate(value)]
+    if not any(_is(value, k) for k in kind.split(" or ")) or (check and not check(value)):
+        raise ValueError(f"{where}: expected {kind}{f' {what}' if check else ''}, got {value!r}")
     return value
 
 
+def _walk(data, schema, where):
+    """``data`` checked against ``schema``, with defaults filled in.
+
+    A schema maps each key to ``(kind, default)`` or ``(kind, default,
+    check, what)``.  A kind is JSON type names joined by `` or ``, a
+    one-item list ``[kind]`` or a nested schema (a section).  A default
+    of ``...`` makes the key required and ``None`` makes it nullable;
+    ``check`` is asked of each leaf and ``what`` says what it asks.
+    """
+    if type(data) is not dict:
+        raise ValueError(f"{where}: expected an object, got {data!r}")
+    unknown = set(data) - set(schema)
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, (kind, default, *rule) in schema.items():
+        check, what = rule or (None, None)
+        value = data.get(key, default)
+        if value is ...:
+            raise ValueError(f"{where}.{key}: missing")
+        if value is not None or default is not None:
+            value = _value(value, kind, check, what, f"{where}.{key}")
+        out[key] = value
+    return out
+
+
+_COEFF = {"k": (["integer"], ...), "m": (["integer"], ...),
+          "re": ("number", ...), "im": ("number", 0.0)}
+OBSERVABLE = {"d": ("integer", ...), "coeffs": ([_COEFF], ...), "real": ("boolean", False)}
+
+
 def from_json_dict(data):
-    if not isinstance(data, dict):
-        raise ValueError(f"observable must be an object, got {data!r}")
-    extra = set(data) - {"d", "coeffs", "real"}
-    if extra:
-        raise ValueError(f"unknown observable keys: {sorted(extra)}")
-    entries = data["coeffs"]
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError(f"coeffs must be a list of objects, got {entries!r}")
+    data = _walk(data, OBSERVABLE, "observable")
     coeffs = {}
-    for entry in entries:
-        k, m = (
-            tuple(_typed(c, (int,), key) for c in _typed(entry[key], (list,), key)) for key in "km"
-        )
-        re = _typed(entry["re"], (int, float), "re")
-        im = _typed(entry.get("im", 0.0), (int, float), "im")
-        coeffs[(k, m)] = coeffs.get((k, m), 0j) + complex(re, im)
-    real = _typed(data.get("real", False), (bool,), "real")
-    return Observable(_typed(data["d"], (int,), "d"), coeffs, real=real)
+    for entry in data["coeffs"]:
+        km = (tuple(entry["k"]), tuple(entry["m"]))
+        coeffs[km] = coeffs.get(km, 0j) + complex(entry["re"], entry["im"])
+    return Observable(data["d"], coeffs, real=data["real"])

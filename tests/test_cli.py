@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mouldnf import Observable
 from mouldnf.cli import main
@@ -172,10 +180,11 @@ class TestConfigValidation:
             (("B",), {"d": 2, "coeffs": [], "real": "no"}),
             (("scale",), 5),
             (("scale",), None),
+            (("B", "coeffs", 0, "imag"), 0.5),
         ],
         ids=["k-float", "k-bool", "m-bool", "k-int", "d-float", "d-bool", "B-int", "coeffs-int",
              "coeffs-entry-int", "re-string", "im-bool", "d-mismatch", "real-string", "scale-int",
-             "scale-null"],
+             "scale-null", "coeff-unknown-key"],
     )
     def test_malformed_b_or_scale_rejected(self, tmp_path, capsys, path, value):
         cfg = write_config(tmp_path / "run.json", N=1)
@@ -188,6 +197,22 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (out / "normalize_result.json").exists()
+
+    @pytest.mark.parametrize(
+        "path",
+        [("scale", "rho"), ("freq", "tau"), ("hbar",), ("tolerances", "residual"),
+         ("B", "coeffs", 0, "re")],
+        ids=["rho", "tau", "hbar", "tolerance", "re"],
+    )
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, capsys, path):
+        cfg = write_config(tmp_path / "run.json", N=1, backend="quantum", hbar=0.1, tolerances={})
+        data = json.loads(cfg.read_text())
+        _set(data, path, 10 ** 400)
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
         assert not (out / "normalize_result.json").exists()
 
     @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "invalid"])
@@ -328,6 +353,124 @@ class TestConfigValidation:
             main(["normalize", "--config", str(cfg), "--out", str(tmp_path), "--max-words", "10"])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [("normalize", {"N": 10 ** 6}), ("verify", {"max_r": 10 ** 7}),
+         ("dump-moulds", {"max_r": 10 ** 7})],
+    )
+    def test_word_budget_refused_before_counting_every_word(self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path / "run.json", alphabet=[[1, 0], [0, 1], [-1, 0]], **override)
+        start = time.perf_counter()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "word budget 200000 exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"scale": {"rho": 1000.0, "rho_prime": 999.0}},
+         {"B": {"d": 2, "coeffs": [{"k": [400, 0], "m": [0, 1], "re": 1e-3}]}}],
+        ids=["rho", "k"],
+    )
+    def test_weight_beyond_float_range_is_out_of_domain(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path / "run.json", **override)
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "outside the domain of the exponential bound" in capsys.readouterr().err
+        assert not (out / "normalize_result.json").exists()
+
+
+REPO = Path(__file__).parent.parent
+# each shipped config with the command it is made for
+SHIPPED = {
+    "rational_moulds.json": ["dump-moulds", "--exact"],
+    "toy_normalize.json": ["normalize"],
+    "toy_semiclassical.json": ["semiclassical"],
+    "verify_suite.json": ["verify"],
+}
+# keys of the shipped configs that may be null
+NULLABLE = {"hbar", "mould_table"}
+# entries whose finiteness the Frequency and Observable constructors check
+# and report by section
+OWN_FINITENESS = {"omega": "config.freq", "re": "config.B", "im": "config.B"}
+# values out of a declared range, with the path the refusal names
+OUT_OF_RANGE = [
+    (("N",), 0, "config.N"),
+    (("freq", "K"), 0, "config.freq.K"),
+    (("samples",), -1, "config.samples"),
+    (("exponential_order",), -1, "config.exponential_order"),
+    (("freq", "tau"), 0.5, "config.freq.tau"),
+    # rho_prime < rho is a rule across keys, checked by ScaleParams
+    (("scale", "rho_prime"), 1.0, "config.scale"),
+]
+
+
+def _leaves(value, path=()):
+    """``(path, value)`` for every scalar of a JSON document, list entries included."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, value
+
+
+def _key_path(path):
+    """The dotted config path of the key holding the leaf at ``path``."""
+    keys = path[: max(i for i, p in enumerate(path) if isinstance(p, str)) + 1]
+    return "config" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in keys)
+
+
+def _mutations(path, value):
+    """``(bad value, path the refusal names)`` for a leaf of a shipped config."""
+    key = next(p for p in reversed(path) if isinstance(p, str))
+    named = _key_path(path)
+    number = type(value) in (int, float)
+    yield {}, named  # no leaf of a config is an object
+    if number:
+        yield "x", named
+    yield True, named
+    if key not in NULLABLE:
+        yield None, named
+    if number:
+        yield math.nan, OWN_FINITENESS.get(key, named)
+    if type(value) is float:
+        yield 10 ** 400, named
+
+
+def _set(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+# (config, path, [(bad value, path the refusal names), ...]), one per leaf
+MUTATION_CASES = [
+    (name, path, list(_mutations(path, value)))
+    for name in SHIPPED
+    for path, value in _leaves(json.loads((REPO / "configs" / name).read_text()))
+] + [(name, path, [(bad, named)]) for name in SHIPPED for path, bad, named in OUT_OF_RANGE]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(MUTATION_CASES))
+def test_every_mutated_leaf_of_a_shipped_config_is_refused(case):
+    name, path, mutations = case
+    for bad, named in mutations:
+        data = json.loads((REPO / "configs" / name).read_text())
+        _set(data, path, bad)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / name, Path(tmp) / "out"
+            cfg.write_text(json.dumps(data))
+            with contextlib.redirect_stderr(err):
+                code = main([*SHIPPED[name], "--config", str(cfg), "--out", str(out)])
+            assert not out.exists() or not any(out.iterdir())
+        assert code == 2, (path, bad)
+        assert err.getvalue().startswith("config error: ")
+        assert named in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 class TestDumpMoulds:
