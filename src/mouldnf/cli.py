@@ -169,6 +169,16 @@ def _over_budget(n_letters, max_r, max_words):
     return False
 
 
+def _alpha_box_over_budget(config, max_words):
+    """Whether the ``(2K+1)^d`` modes that ``diophantine_alpha`` scans
+    number more than ``max_words``; says so on stderr."""
+    if (2 * config.K + 1) ** config.freq.d <= max_words:
+        return False
+    print(f"error: K = {config.K} scans (2K+1)^{config.freq.d} modes, over the word budget "
+          f"{max_words}", file=sys.stderr)
+    return True
+
+
 def _quantum_diagnostics(result):
     # the symbol's reality defect bounds its Weyl matrix's Hermiticity
     # defect, and a Hermitian generator exponentiates to a unitary
@@ -185,32 +195,21 @@ def _quantum_diagnostics(result):
 
 def cmd_normalize(config, out_dir, max_words):
     B = config.observable()
+    if _alpha_box_over_budget(config, max_words):
+        return 2
     n_letters = len({k for k, _ in B.coeffs})
     if _over_budget(max(n_letters, 1), config.N, max_words):
         print(f"error: word budget {max_words} exceeded", file=sys.stderr)
         return 2
     backend = config.backend()
-    try:
-        result = normalize(
-            B,
-            config.N,
-            config.scale,
-            config.freq,
-            backend,
-            exp_order=config.exponential_order,
-        )
-    except OutOfDomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
+    result = normalize(B, config.N, config.scale, config.freq, backend, config.exponential_order)
     alpha = diophantine_alpha(config.freq, config.freq.dioph_tau, config.K)
     letters = sorted({k for k, _ in B.coeffs})
     _, g_list = estimates.fit_growth_constants(
-        config.freq, letters, config.N ** 2, config.scale.rho, alpha,
-        config.freq.dioph_tau, limit=200, seed=config.seed,
+        config.freq, letters, config.N ** 2, config.scale.rho, alpha, config.seed
     )
     bound = estimates.verify_remainder_bound(
-        result, config.N, config.scale, config.freq, g_list, alpha=alpha, K=config.K
+        result, config.N, config.scale, config.freq, g_list, alpha
     )
     payload = {
         "backend": backend.name,
@@ -398,8 +397,11 @@ def cmd_semiclassical(config, out_dir, max_words):
     if not hbars:
         print("error: semiclassical needs hbar or hbar_list", file=sys.stderr)
         return 2
+    if _alpha_box_over_budget(config, max_words):
+        return 2
     report = estimates.verify_semiclassical(
-        B, config.N, config.scale.rho, config.scale.rho_prime, config.freq, hbars, K=config.K
+        B, config.N, config.scale.rho, config.scale.rho_prime, config.freq, hbars,
+        config.K, config.seed,
     )
     with open(out_dir / "semiclassical.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -446,6 +448,9 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except OutOfDomainError as err:  # a B or generator too large for the series
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,24 +21,21 @@ from .solver import MouldSolver
 
 
 class OutOfDomainError(RuntimeError):
-    """Generator too large for the exponential series domain."""
+    """Generator or perturbation too large for the exponential series domain."""
 
-    def __init__(self, ratio):
-        super().__init__(
-            f"gamma*||Y||_rho/(rho-rho')^2 = {ratio:.6g} >= 1: outside the "
-            "domain of the exponential bound"
-        )
+    def __init__(self, ratio, name="gamma*||Y||_rho/(rho-rho')^2"):
+        super().__init__(f"{name} = {ratio:.6g} >= 1: outside the domain of the exponential bound")
         self.ratio = ratio
 
 
+def chi(delta):
+    """The x0 loss ``1/(e delta)`` of both backends, whose brackets have
+    the constant ``gamma = 1``."""
+    return 1.0 / (math.e * delta)
+
+
 class ScaleParams:
-    """Geometry of the analyticity scale: radii, bracket constant, x0 loss.
-
-    Both backends satisfy the bracket axiom with ``gamma = 1`` and the
-    x0 axiom with ``chi(delta) = 1/(e delta)``, so these are fixed.
-    """
-
-    gamma = 1.0
+    """Radii of the analyticity scale; ``gamma`` and :func:`chi` are fixed."""
 
     def __init__(self, rho, rho_prime):
         if not 0 < rho_prime < rho:
@@ -46,16 +43,24 @@ class ScaleParams:
         self.rho = float(rho)
         self.rho_prime = float(rho_prime)
 
-    @staticmethod
-    def chi(delta):
-        return 1.0 / (math.e * delta)
-
     @property
     def delta(self):
         return self.rho - self.rho_prime
 
     def __repr__(self):
-        return f"ScaleParams(rho={self.rho}, rho_prime={self.rho_prime}, gamma={self.gamma})"
+        return f"ScaleParams(rho={self.rho}, rho_prime={self.rho_prime})"
+
+
+def finite_norm(B, rho, power):
+    """``||B||_rho``; :class:`OutOfDomainError` when its ``power``, the
+    scale of a reported bound, is beyond float range."""
+    norm = norm_rho(B, rho)
+    try:
+        if math.isfinite(norm ** power):
+            return norm
+    except OverflowError:
+        pass
+    raise OutOfDomainError(math.inf, f"||B||_rho^{power}")
 
 
 def _contract_range(M, B, r_min, r_max, backend):
@@ -106,12 +111,12 @@ def exp_ad_tail_bound(norm_y, norm_x, order, params, x0_term=False):
     Returns the bound and the contraction ratio; raises
     :class:`OutOfDomainError` when the ratio reaches 1.
     """
-    q = params.gamma * norm_y / params.delta ** 2
+    q = norm_y / params.delta ** 2
     if q >= 1.0:
         raise OutOfDomainError(q)
     head = norm_x
     if x0_term:
-        head = head + params.delta ** 2 / params.chi(params.delta)
+        head = head + params.delta ** 2 / chi(params.delta)
     return head * q ** (order + 1) / (1.0 - q), q
 
 
@@ -180,20 +185,22 @@ def default_exp_order(N):
     return max(2 * N, 12)
 
 
-def normalize(B, N, params, freq, backend, exp_order=None, solver=None):
+def normalize(B, N, params, freq, backend, exp_order=None):
     """Order-N normal form of ``x0 + B`` for the given bracket backend.
 
     Computes ``Z_N`` and ``Y_N`` by contracting the solver's moulds
     against ``B``, then measures the remainder
     ``E_N = e^{ad_{Y_N}}(x0 + B) - x0 - Z_N`` with the exponential
     truncated at ``exp_order`` (default ``max(2N, 12)``); the dropped
-    tail is bounded and reported.
+    tail is bounded and reported.  A ``B`` with ``||B||_rho^(N+1)``
+    beyond float range is out of the domain.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if B.d != freq.d:
         raise ValueError("observable and frequency dimensions differ")
-    solver = solver or MouldSolver(freq)
+    norm_b = finite_norm(B, params.rho, N + 1)
+    solver = MouldSolver(freq)
     Z = contract(solver.F_mould, B, N, backend)
     Y = contract(solver.G_mould, B, N, backend)
     order = exp_order if exp_order is not None else default_exp_order(N)
@@ -204,7 +211,7 @@ def normalize(B, N, params, freq, backend, exp_order=None, solver=None):
         "Z": norm_rho(Z, rp) if Z else 0.0,
         "Y": norm_rho(Y, rp) if Y else 0.0,
         "E": norm_rho(E, rp) if E else 0.0,
-        "B": norm_rho(B, params.rho) if B else 0.0,
+        "B": norm_b,
     }
     raw = backend.ad_x0(Z, exact_zero=False)
     residual = norm_rho(raw, rp) if raw else 0.0

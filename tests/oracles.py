@@ -24,7 +24,7 @@ Nothing in the package uses these; they pin its results.
   along a word), the dense form of a sparse Weyl matrix with its
   spectral norm and Hermiticity defect, and the paper's homogeneous
   decomposition with the weighted tuple sums over it (lattice classes,
-  the stripped part norm).
+  the stripped part norm), and the generator majorant built on them.
 """
 
 import cmath
@@ -437,6 +437,26 @@ def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False)
         for rep in word:
             prod *= norms[rep]
         total += prod * weight
+    return total
+
+
+def generator_majorant(N, delta, gamma, tau_list, eta_list, G_list, eps_list):
+    """Generator-norm majorant: sum over r of
+    ``((r-1)!/r)(gamma/delta^2)^(r-1) G_r (tau_r/(e eta_r))^(tau_r r) eps_r``
+    with the supplied per-length growth constants and tuple sums."""
+    if min(len(tau_list), len(eta_list), len(G_list), len(eps_list)) < N:
+        raise ValueError("need lists of length >= N")
+    total = 0.0
+    for r in range(1, N + 1):
+        tau_r, eta_r, g_r, eps_r = tau_list[r - 1], eta_list[r - 1], G_list[r - 1], eps_list[r - 1]
+        total += (
+            math.factorial(r - 1)
+            / r
+            * (gamma / delta ** 2) ** (r - 1)
+            * g_r
+            * (tau_r / (math.e * eta_r)) ** (tau_r * r)
+            * eps_r
+        )
     return total
 
 

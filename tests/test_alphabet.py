@@ -20,7 +20,7 @@ from mouldnf.alphabet import (
     subset_sum_counts,
     words_over,
 )
-from mouldnf.estimates import fit_growth_constants
+from mouldnf.estimates import SAMPLE_LIMIT, fit_growth_constants
 from mouldnf.mould import _parse_word
 
 from oracles import (
@@ -301,5 +301,6 @@ class TestWord:
         with pytest.raises(ValueError):
             _parse_word("1.5,0")
         with pytest.raises(ValueError):
-            # two letters, one word per length: the sampled branch
-            fit_growth_constants(golden_freq, [(1, 0), (0.5, 0)], 1, 1.0, 1.0, 1.0, limit=1)
+            # more letters than SAMPLE_LIMIT words of length 1: the sampled branch
+            letters = [(j, 0) for j in range(1, SAMPLE_LIMIT + 1)] + [(0.5, 0)]
+            fit_growth_constants(golden_freq, letters, 1, 1.0, 1.0, seed=7)

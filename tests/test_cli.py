@@ -367,17 +367,34 @@ class TestConfigValidation:
         assert "word budget 200000 exceeded" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "override",
-        [{"scale": {"rho": 1000.0, "rho_prime": 999.0}},
-         {"B": {"d": 2, "coeffs": [{"k": [400, 0], "m": [0, 1], "re": 1e-3}]}}],
-        ids=["rho", "k"],
+        "command, override",
+        [pytest.param(command, override, id=prefix + name)
+         for command, prefix in (("normalize", ""), ("semiclassical", "semiclassical-"))
+         for name, override in (
+             ("rho", {"scale": {"rho": 1000.0, "rho_prime": 999.0}}),
+             ("k", {"B": {"d": 2, "coeffs": [{"k": [400, 0], "m": [0, 1], "re": 1e-3}]}}),
+             ("huge-k", {"B": {"d": 2, "coeffs": [{"k": [10 ** 400, 0], "m": [0, 1], "re": 1e-3}]}}),
+             # a finite norm whose N-th power, the scale of the bound, is not
+             ("power", {"B": {"d": 2, "coeffs": [{"k": [0, 0], "m": [400, 0], "re": 1.0}]}}),
+         )],
     )
-    def test_weight_beyond_float_range_is_out_of_domain(self, tmp_path, capsys, override):
-        cfg = write_config(tmp_path / "run.json", **override)
+    def test_weight_beyond_float_range_is_out_of_domain(self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path / "run.json", hbar_list=[0.1, 0.01], **override)
         out = tmp_path / "out"
-        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert "outside the domain of the exponential bound" in capsys.readouterr().err
-        assert not (out / "normalize_result.json").exists()
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["normalize", "semiclassical"])
+    def test_alpha_box_over_budget_refused(self, tmp_path, capsys, command):
+        # diophantine_alpha scans (2K+1)^d modes; K = 10000 gives 20001^2
+        cfg = write_config(tmp_path / "run.json", hbar_list=[0.1, 0.01],
+                           freq={"omega": [1.0, PHI], "tau": 1.0, "K": 10000})
+        start = time.perf_counter()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "K = 10000" in err and "word budget 200000" in err
 
 
 REPO = Path(__file__).parent.parent
@@ -610,6 +627,14 @@ class TestBundledGoldens:
                 assert abs(fresh_modes[km] - v) <= 1e-9 * scale
         for name, value in golden["norms"].items():
             assert fresh["norms"][name] == pytest.approx(value, rel=1e-9, abs=1e-300)
+        assert len(fresh["bounds"]) == len(golden["bounds"])
+        for got, want in zip(fresh["bounds"], golden["bounds"]):
+            assert (got["name"], got["holds"]) == (want["name"], want["holds"])
+            assert got["inputs"]["precondition_holds"] == want["inputs"]["precondition_holds"]
+            assert got["lhs"] == pytest.approx(want["lhs"], rel=1e-9)
+            assert got["rhs"] == pytest.approx(want["rhs"], rel=1e-9)
+            for name in ("D", "Gamma_N", "Gamma_N2N", "eps_threshold", "normB"):
+                assert got["inputs"][name] == pytest.approx(want["inputs"][name], rel=1e-9), name
 
     def test_verify_suite_with_bundled_table(self, tmp_path):
         cfg = self.REPO / "configs" / "verify_suite.json"

@@ -11,7 +11,7 @@ from mouldnf import (
     ScaleParams,
     normalize,
 )
-from mouldnf.liealg import apply_exp_ad, contract, default_exp_order, order_increment
+from mouldnf.liealg import apply_exp_ad, chi, contract, default_exp_order, order_increment
 from mouldnf.mould import from_table, ident_mould, nabla
 from mouldnf.observables import slices
 from mouldnf.solver import MouldSolver
@@ -243,5 +243,4 @@ class TestScaleParams:
             ScaleParams(0.5, 1.0)
 
     def test_default_chi(self):
-        p = ScaleParams(1.0, 0.5)
-        assert p.chi(0.5) == pytest.approx(1.0 / (math.e * 0.5))
+        assert chi(0.5) == pytest.approx(1.0 / (math.e * 0.5))

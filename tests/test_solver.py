@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mouldnf import Frequency
 from mouldnf.alphabet import beta, diophantine_alpha, is_resonant
-from mouldnf.estimates import default_eta, fit_growth_constants
+from mouldnf.estimates import SAMPLE_LIMIT, default_eta, fit_growth_constants
 from mouldnf.exact import QI
 from mouldnf.mould import check_alternal, from_table, mexp, nabla
 from mouldnf.solver import MouldSolver, verify_equation
@@ -124,9 +124,8 @@ class TestGrowthBound:
         letters = ((1, 0), (-1, 0), (0, 1))
         rho, tau = 1.0, 1.0
         alpha = diophantine_alpha(golden_freq, tau, 5)
-        f_list, g_list = fit_growth_constants(
-            golden_freq, letters, 4, rho, alpha, tau, limit=3 ** 4 + 1
-        )
+        assert len(letters) ** 4 <= SAMPLE_LIMIT  # every word is enumerated
+        f_list, g_list = fit_growth_constants(golden_freq, letters, 4, rho, alpha, seed=7)
         solver = MouldSolver(golden_freq)
         rng = random.Random(99)
         import math
