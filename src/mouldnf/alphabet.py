@@ -302,14 +302,15 @@ def iter_modes(d, kmax):
             yield k
 
 
-def diophantine_alpha(freq, tau, K):
+def diophantine_alpha(freq, K):
     """Empirical lower witness for the Diophantine constant alpha.
 
     Minimizes ``|<k, omega>| * |k|_1^tau`` over the non-resonant modes
-    with ``0 < |k|_1 <= K``.
+    with ``0 < |k|_1 <= K``; ``tau`` is the frequency's.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    tau = freq.dioph_tau
     omega_f = tuple(float(c) for c in freq.omega)
     best = None
     for k in iter_modes(freq.d, K):

@@ -174,8 +174,8 @@ def _alpha_box_over_budget(config, max_words):
     number more than ``max_words``; says so on stderr."""
     if (2 * config.K + 1) ** config.freq.d <= max_words:
         return False
-    print(f"error: K = {config.K} scans (2K+1)^{config.freq.d} modes, over the word budget "
-          f"{max_words}", file=sys.stderr)
+    print(f"error: K = {config.K} scans (2K+1)^{config.freq.d} modes, over the mode budget "
+          f"{max_words} of --max-words", file=sys.stderr)
     return True
 
 
@@ -203,7 +203,7 @@ def cmd_normalize(config, out_dir, max_words):
         return 2
     backend = config.backend()
     result = normalize(B, config.N, config.scale, config.freq, backend, config.exponential_order)
-    alpha = diophantine_alpha(config.freq, config.freq.dioph_tau, config.K)
+    alpha = diophantine_alpha(config.freq, config.K)
     letters = sorted({k for k, _ in B.coeffs})
     _, g_list = estimates.fit_growth_constants(
         config.freq, letters, config.N ** 2, config.scale.rho, alpha, config.seed
@@ -359,7 +359,7 @@ def cmd_verify(config, out_dir, max_words):
             all_ok &= rep.ok
 
         for x in (0.5, 1.0, 2.0):
-            rep = estimates.power_exponential_bound(x, config.freq.dioph_tau, 1.0)
+            rep = estimates.power_exponential_bound(x, config.freq.dioph_tau)
             emit(rep.to_dict())
             all_ok &= rep.holds
 
@@ -399,9 +399,10 @@ def cmd_semiclassical(config, out_dir, max_words):
         return 2
     if _alpha_box_over_budget(config, max_words):
         return 2
+    alpha = diophantine_alpha(config.freq, config.K)
     report = estimates.verify_semiclassical(
         B, config.N, config.scale.rho, config.scale.rho_prime, config.freq, hbars,
-        config.K, config.seed,
+        alpha, config.seed,
     )
     with open(out_dir / "semiclassical.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -426,7 +427,7 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument("--exact", action="store_true", help="exact rational mode (rational omega)")
-    parser.add_argument("--max-words", type=int, default=200000, help="word enumeration safety cap")
+    parser.add_argument("--max-words", type=int, default=200000, help="cap on words and on K-box modes")
     args = parser.parse_args(argv)
 
     try:

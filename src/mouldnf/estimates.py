@@ -2,15 +2,14 @@
 
 Every check is reported as a :class:`BoundReport`; constants are
 evaluated in double precision with a 1e-12 relative slack, which is a
-desk-scale verification, not certified arithmetic.
+desk-scale verification, not certified arithmetic, and a ``B`` or a
+right-hand side beyond float range is refused as out of the domain.
 
 The growth constants of the coefficient moulds have no computable
 closed form, so ``fit_growth_constants`` records the observed suprema
 over enumerated or sampled words.  They are estimates and are only used
-inside upper-bound constants, never as certified values.
-
-Both backends satisfy the bracket axiom with ``gamma = 1`` and the x0
-axiom with :func:`liealg.chi`, so the constants below take neither.
+inside upper-bound constants, never as certified values.  The bracket
+constant ``gamma = 1`` and the x0 loss :func:`liealg.chi` are fixed.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ import math
 import random
 import statistics
 
-from .alphabet import _as_int_vector, beta, diophantine_alpha, words_over
-from .liealg import chi, finite_norm, order_increment
+from .alphabet import _as_int_vector, beta, words_over
+from .liealg import OutOfDomainError, chi, finite_norm, order_increment
 from .observables import norm_rho
 from .classical import ClassicalBackend
 from .quantum import QuantumBackend
@@ -58,13 +57,26 @@ class BoundReport:
         return f"BoundReport({self.name}: {self.lhs:.6e} <= {self.rhs:.6e} [{mark}])"
 
 
-def power_exponential_bound(x, tau, eta):
-    """``x <= (tau/(e eta))^tau exp(eta x^(1/tau))``; equality exactly at
-    the maximizer ``x = (tau/eta)^tau``."""
-    if min(x, tau, eta) <= 0:
-        raise ValueError("x, tau, eta must be positive")
-    rhs = (tau / (math.e * eta)) ** tau * math.exp(eta * x ** (1.0 / tau))
-    return BoundReport("power_exponential", x, rhs, {"x": x, "tau": tau, "eta": eta})
+def power_exponential_bound(x, tau):
+    """``x <= (tau/e)^tau exp(x^(1/tau))``, the ``eta = 1`` case of
+    ``x <= (tau/(e eta))^tau exp(eta x^(1/tau))``; equality exactly at
+    the maximizer ``x = tau^tau``."""
+    if min(x, tau) <= 0:
+        raise ValueError("x, tau must be positive")
+    rhs = (tau / math.e) ** tau * math.exp(x ** (1.0 / tau))
+    return BoundReport("power_exponential", x, rhs, {"x": x, "tau": tau, "eta": 1.0})
+
+
+def _bound_rhs(name, factor, norm_b, power):
+    """``factor * norm_b ** power``; :class:`OutOfDomainError` when it
+    is beyond float range, where the bound would hold vacuously."""
+    try:
+        rhs = factor * norm_b ** power
+    except OverflowError:
+        rhs = math.inf
+    if not math.isfinite(rhs):
+        raise OutOfDomainError(rhs, name)
+    return rhs
 
 
 def default_eta(rho, alpha, tau, r):
@@ -160,11 +172,10 @@ def verify_remainder_bound(result, N, params, freq, G_list, alpha):
         N, params.rho, params.rho_prime, freq.dioph_tau, alpha, G_list
     )
     norm_b = result.norms["B"]
-    lhs = result.norms["E"]
-    rhs = D * norm_b ** (N + 1)
+    rhs = _bound_rhs(f"D*||B||_rho^{N + 1}", D, norm_b, N + 1)
     return BoundReport(
         f"remainder_order_{N}",
-        lhs,
+        result.norms["E"],
         rhs,
         {
             "normB": norm_b,
@@ -207,7 +218,7 @@ class SemiclassicalReport:
         return f"SemiclassicalReport(N={self.N}, slope={s}, ok={self.ok})"
 
 
-def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, K, seed):
+def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
     """Quantum-minus-classical order-N increment across an hbar sweep.
 
     For each hbar, ``g(hbar)`` is the norm at the target radius of the
@@ -215,20 +226,17 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, K, seed):
     normal form (the coefficient mould is shared; only the comould
     differs).  Fits the log-log slope when every g is positive and at
     least two hbar values differ, and checks ``g <= hbar^2 C_N ||B||_rho^N``
-    with ``F_N`` fitted on ``B``'s letters with ``seed``.
+    with ``F_N`` fitted on ``B``'s letters with ``seed`` at the Diophantine ``alpha``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    norm_b = finite_norm(B, rho, N)
-    tau = freq.dioph_tau
-    alpha = diophantine_alpha(freq, tau, K)
-    solver = MouldSolver(freq)
-    F = solver.F_mould
+    norm_b = finite_norm(B, rho)
+    F = MouldSolver(freq).F_mould
     classical = order_increment(F, B, N, ClassicalBackend(freq))
     letters = sorted({k for k, _ in B.coeffs})
     f_list, _ = fit_growth_constants(freq, letters, N, rho, alpha, seed)
     F_N = f_list[N - 1]
-    c_n = gap_constant(N, rho, rho_prime, tau, alpha, F_N)
+    c_n = gap_constant(N, rho, rho_prime, freq.dioph_tau, alpha, F_N)
     hbars, g_values, bounds = [], [], []
     for hbar in hbar_list:
         quantum = order_increment(F, B, N, QuantumBackend(freq, hbar))
@@ -236,14 +244,9 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, K, seed):
         g = norm_rho(diff, rho_prime) if diff else 0.0
         hbars.append(float(hbar))
         g_values.append(g)
-        bounds.append(
-            BoundReport(
-                f"semiclassical_gap_N{N}_hbar{hbar}",
-                g,
-                hbar ** 2 * c_n * norm_b ** N,
-                {"hbar": float(hbar), "C_N": c_n, "normB": norm_b, "F_N": F_N},
-            )
-        )
+        rhs = _bound_rhs(f"hbar^2*C_N*||B||_rho^{N}", hbar ** 2 * c_n, norm_b, N)
+        inputs = {"hbar": float(hbar), "C_N": c_n, "normB": norm_b, "F_N": F_N}
+        bounds.append(BoundReport(f"semiclassical_gap_N{N}_hbar{hbar}", g, rhs, inputs))
     slope = None
     if len(set(hbars)) >= 2 and all(g > 0.0 for g in g_values):
         slope = statistics.linear_regression(

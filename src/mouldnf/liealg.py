@@ -51,16 +51,12 @@ class ScaleParams:
         return f"ScaleParams(rho={self.rho}, rho_prime={self.rho_prime})"
 
 
-def finite_norm(B, rho, power):
-    """``||B||_rho``; :class:`OutOfDomainError` when its ``power``, the
-    scale of a reported bound, is beyond float range."""
+def finite_norm(B, rho):
+    """``||B||_rho``; :class:`OutOfDomainError` when it is beyond float range."""
     norm = norm_rho(B, rho)
-    try:
-        if math.isfinite(norm ** power):
-            return norm
-    except OverflowError:
-        pass
-    raise OutOfDomainError(math.inf, f"||B||_rho^{power}")
+    if not math.isfinite(norm):
+        raise OutOfDomainError(norm, "||B||_rho")
+    return norm
 
 
 def _contract_range(M, B, r_min, r_max, backend):
@@ -105,8 +101,9 @@ def order_increment(M, B, r, backend):
     return _contract_range(M, B, r, r, backend)
 
 
-def exp_ad_tail_bound(norm_y, norm_x, order, params, x0_term=False):
-    """Geometric tail of the truncated exponential at ``order``.
+def exp_ad_tail_bound(norm_y, norm_x, order, params):
+    """Geometric tail at ``order`` of the truncated exponential of
+    ``x0 + X``, with ``norm_x = ||X||_rho``.
 
     Returns the bound and the contraction ratio; raises
     :class:`OutOfDomainError` when the ratio reaches 1.
@@ -114,17 +111,14 @@ def exp_ad_tail_bound(norm_y, norm_x, order, params, x0_term=False):
     q = norm_y / params.delta ** 2
     if q >= 1.0:
         raise OutOfDomainError(q)
-    head = norm_x
-    if x0_term:
-        head = head + params.delta ** 2 / chi(params.delta)
+    head = norm_x + params.delta ** 2 / chi(params.delta)
     return head * q ** (order + 1) / (1.0 - q), q
 
 
-def apply_exp_ad(Y, X, order, params, backend, with_x0=False):
-    """Truncated exponential adjoint ``sum_{d<=order} ad_Y^d X / d!``.
+def apply_exp_ad(Y, X, order, params, backend):
+    """Truncated exponential adjoint ``sum_{d<=order} ad_Y^d (x0 + X) / d!``.
 
-    With ``with_x0`` the conjugated element is ``x0 + X`` and the
-    returned observable omits the (non-representable) x0 itself.  Since
+    The returned observable omits the (non-representable) x0 itself.  Since
     ``ad_Y x0 = -[x0, Y]`` is mode-diagonal, one chain of ``order``
     brackets carries both parts: ``term_1 = [Y, X] - [x0, Y]`` and
     ``term_d = [Y, term_{d-1}] / d``.  Returns the observable and the
@@ -135,12 +129,10 @@ def apply_exp_ad(Y, X, order, params, backend, with_x0=False):
         raise ValueError("order must be >= 0")
     norm_y = norm_rho(Y, params.rho)
     norm_x = norm_rho(X, params.rho)
-    tail, ratio = exp_ad_tail_bound(norm_y, norm_x, order, params, x0_term=with_x0)
+    tail, ratio = exp_ad_tail_bound(norm_y, norm_x, order, params)
     total = X
     if order >= 1:
-        term = backend.bracket(Y, X)
-        if with_x0:
-            term = term - backend.ad_x0(Y)
+        term = backend.bracket(Y, X) - backend.ad_x0(Y)
         total = total + term
     for d in range(2, order + 1):
         term = backend.bracket(Y, term) * (1.0 / d)
@@ -192,19 +184,19 @@ def normalize(B, N, params, freq, backend, exp_order=None):
     against ``B``, then measures the remainder
     ``E_N = e^{ad_{Y_N}}(x0 + B) - x0 - Z_N`` with the exponential
     truncated at ``exp_order`` (default ``max(2N, 12)``); the dropped
-    tail is bounded and reported.  A ``B`` with ``||B||_rho^(N+1)``
-    beyond float range is out of the domain.
+    tail is bounded and reported.  A ``B`` with ``||B||_rho`` beyond
+    float range is out of the domain.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if B.d != freq.d:
         raise ValueError("observable and frequency dimensions differ")
-    norm_b = finite_norm(B, params.rho, N + 1)
+    norm_b = finite_norm(B, params.rho)
     solver = MouldSolver(freq)
     Z = contract(solver.F_mould, B, N, backend)
     Y = contract(solver.G_mould, B, N, backend)
     order = exp_order if exp_order is not None else default_exp_order(N)
-    conjugated, tail, ratio = apply_exp_ad(Y, B, order, params, backend, with_x0=True)
+    conjugated, tail, ratio = apply_exp_ad(Y, B, order, params, backend)
     E = conjugated - Z
     rp = params.rho_prime
     norms = {

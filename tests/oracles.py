@@ -126,16 +126,16 @@ def enumerate_interleavings(a, b):
         yield tuple(out)
 
 
-def two_chain_exp_ad(Y, X, order, backend, with_x0=False):
-    """``sum_{d<=order} ad_Y^d X / d!`` plus, with ``with_x0``, the x0
-    part ``e^{ad_Y} x0 - x0`` as a second chain started at ``-[x0, Y]``
+def two_chain_exp_ad(Y, X, order, backend):
+    """``sum_{d<=order} ad_Y^d X / d!`` plus the x0 part
+    ``e^{ad_Y} x0 - x0`` as a second chain started at ``-[x0, Y]``
     (2 order - 1 brackets in all)."""
     total = X
     term = X
     for d in range(1, order + 1):
         term = backend.bracket(Y, term) * (1.0 / d)
         total = total + term
-    if with_x0 and order >= 1:
+    if order >= 1:
         term = -1.0 * backend.ad_x0(Y)
         total = total + term
         for d in range(2, order + 1):

@@ -94,7 +94,7 @@ class TestAcceptance:
     def test_05_remainder_order_and_bound(self, toy_setup):
         t0 = time.time()
         freq, B, params, backend = toy_setup
-        alpha = diophantine_alpha(freq, 1.0, 5)
+        alpha = diophantine_alpha(freq, 5)
         letters = sorted({k for k, _ in B.coeffs})
         _, g_list = fit_growth_constants(freq, letters, 9, 1.0, alpha, seed=7)
         eps_values = [10 ** -1, 10 ** -1.5, 10 ** -2]
@@ -135,10 +135,10 @@ class TestAcceptance:
         t0 = time.time()
         freq, B, params, _ = toy_setup
         hbars = [10 ** -1, 10 ** -1.5, 10 ** -2]
-        rep1 = verify_semiclassical(B, 1, 1.0, 0.5, freq, hbars, K=5, seed=7)
+        rep1 = verify_semiclassical(B, 1, 1.0, 0.5, freq, hbars, diophantine_alpha(freq, 5), seed=7)
         ok = rep1.g_values == [0.0, 0.0, 0.0]
         for N in (2, 3):
-            rep = verify_semiclassical(B, N, 1.0, 0.5, freq, hbars, K=5, seed=7)
+            rep = verify_semiclassical(B, N, 1.0, 0.5, freq, hbars, diophantine_alpha(freq, 5), seed=7)
             ok = ok and rep.slope is not None and abs(rep.slope - 2.0) <= 0.1
             ok = ok and all(b.holds for b in rep.bounds)
         elapsed = time.time() - t0

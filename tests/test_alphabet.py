@@ -245,7 +245,7 @@ class TestShuffle:
 class TestDiophantineAlpha:
     def test_one_dimensional_unit(self):
         freq = Frequency((1.0,))
-        assert diophantine_alpha(freq, 1.0, 5) == pytest.approx(1.0)
+        assert diophantine_alpha(freq, 5) == pytest.approx(1.0)
 
     def test_golden_brute_force(self, golden_freq):
         # independent enumeration over the K=3 box
@@ -253,8 +253,8 @@ class TestDiophantineAlpha:
             abs(k[0] + PHI * k[1]) * l1(k) ** 1.0
             for k in iter_modes(2, 3)
         )
-        assert diophantine_alpha(golden_freq, 1.0, 3) == pytest.approx(best)
-        assert diophantine_alpha(golden_freq, 1.0, 5) == pytest.approx(1.0)
+        assert diophantine_alpha(golden_freq, 3) == pytest.approx(best)
+        assert diophantine_alpha(golden_freq, 5) == pytest.approx(1.0)
 
     def test_resonant_lattice_excluded(self, rational_freq_float):
         best = min(
@@ -262,12 +262,12 @@ class TestDiophantineAlpha:
             for k in iter_modes(2, 2)
             if not rational_freq_float.in_lattice(k)
         )
-        assert diophantine_alpha(rational_freq_float, 1.0, 2) == pytest.approx(best)
+        assert diophantine_alpha(rational_freq_float, 2) == pytest.approx(best)
 
     def test_degenerate_frequency_raises(self):
         freq = Frequency((0.0,), resonance_basis=[(1,)])
         with pytest.raises(DegenerateFrequencyError):
-            diophantine_alpha(freq, 1.0, 3)
+            diophantine_alpha(freq, 3)
 
 
 class TestWord:

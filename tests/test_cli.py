@@ -385,6 +385,24 @@ class TestConfigValidation:
         assert "outside the domain of the exponential bound" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, power, norm_b",
+        # the rhs factors are D ~ 5e4 and hbar^2 C_N ~ 3.8 at hbar = 1
+        [("normalize", 3, 5e101), ("semiclassical", 2, 1.2e154)],
+    )
+    def test_bound_beyond_float_range_is_out_of_domain(self, tmp_path, capsys, command, power,
+                                                       norm_b):
+        # a resonant mode of norm ~ norm_b whose brackets with the rest vanish
+        p = int(math.log(norm_b / 1e-3))
+        big = {((0, 0), (0, p)): norm_b / math.exp(p)}
+        B = Observable(2, {((1, 0), (0, 1)): 1e-3, ((-1, 0), (0, -1)): 1e-3, **big})
+        assert math.isfinite(norm_rho(B, 1.0) ** power)  # only the rhs overflows
+        cfg = write_config(tmp_path / "run.json", hbar_list=[1.0], B=to_json_dict(B))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "outside the domain of the exponential bound" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command", ["normalize", "semiclassical"])
     def test_alpha_box_over_budget_refused(self, tmp_path, capsys, command):
         # diophantine_alpha scans (2K+1)^d modes; K = 10000 gives 20001^2
@@ -394,7 +412,7 @@ class TestConfigValidation:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert "K = 10000" in err and "word budget 200000" in err
+        assert "K = 10000" in err and "mode budget 200000" in err
 
 
 REPO = Path(__file__).parent.parent

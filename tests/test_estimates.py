@@ -24,22 +24,22 @@ from oracles import generator_majorant, weighted_tuple_sum
 
 class TestPowerExponentialBound:
     def test_extremal_point_holds_with_slack(self):
-        # x = (tau/eta)^tau is the maximizer; equality there
-        rep = power_exponential_bound(1.0, 1.0, 1.0)
+        # x = tau^tau is the maximizer; equality there
+        rep = power_exponential_bound(1.0, 1.0)
         assert rep.lhs == pytest.approx(rep.rhs)
         assert rep.holds
 
     def test_interior_point_strict(self):
-        rep = power_exponential_bound(0.5, 1.0, 1.0)
+        rep = power_exponential_bound(0.5, 1.0)
         assert rep.lhs < rep.rhs
         assert rep.holds
 
     def test_small_x(self):
-        assert power_exponential_bound(1e-9, 2.0, 0.7).holds
+        assert power_exponential_bound(1e-9, 2.0).holds
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            power_exponential_bound(0.0, 1.0, 1.0)
+            power_exponential_bound(0.0, 1.0)
 
 
 class TestGeneratorMajorant:
@@ -83,10 +83,14 @@ class TestExpTailConstant:
 
 
 @pytest.fixture(scope="module")
-def fitted(golden_freq, toy_B):
-    alpha = diophantine_alpha(golden_freq, 1.0, 5)
+def golden_alpha(golden_freq):
+    return diophantine_alpha(golden_freq, 5)
+
+
+@pytest.fixture(scope="module")
+def fitted(golden_freq, golden_alpha, toy_B):
     letters = sorted({k for k, _ in toy_B.coeffs})
-    return alpha, fit_growth_constants(golden_freq, letters, 9, 1.0, alpha, seed=7)
+    return golden_alpha, fit_growth_constants(golden_freq, letters, 9, 1.0, golden_alpha, seed=7)
 
 
 class TestGrowthFitAndRemainder:
@@ -122,8 +126,8 @@ class TestGrowthFitAndRemainder:
         delta = scale_params.delta
         for N in (1, 2, 3):
             Y = contract(solver.G_mould, toy_B, N, classical_backend)
-            full, _, _ = apply_exp_ad(Y, toy_B, 18, scale_params, classical_backend, with_x0=True)
-            trunc, _, _ = apply_exp_ad(Y, toy_B, N, scale_params, classical_backend, with_x0=True)
+            full, _, _ = apply_exp_ad(Y, toy_B, 18, scale_params, classical_backend)
+            trunc, _, _ = apply_exp_ad(Y, toy_B, N, scale_params, classical_backend)
             measured = norm_rho(full - trunc, scale_params.rho_prime)
             eta = [default_eta(1.0, alpha, 1.0, r) for r in range(1, N + 1)]
             eps = [weighted_tuple_sum(toy_B, r, eta[r - 1], 1.0, golden_freq, 1.0) for r in range(1, N + 1)]
@@ -134,20 +138,20 @@ class TestGrowthFitAndRemainder:
 
 
 class TestSemiclassical:
-    def test_order_one_gap_identically_zero(self, toy_B, golden_freq):
-        rep = verify_semiclassical(toy_B, 1, 1.0, 0.5, golden_freq, [0.1, 0.01], K=5, seed=7)
+    def test_order_one_gap_identically_zero(self, toy_B, golden_freq, golden_alpha):
+        rep = verify_semiclassical(toy_B, 1, 1.0, 0.5, golden_freq, [0.1, 0.01], golden_alpha, seed=7)
         assert rep.g_values == [0.0, 0.0]
         assert rep.slope is None
         assert rep.ok
 
-    def test_single_mode_no_bracket_content(self, golden_freq):
+    def test_single_mode_no_bracket_content(self, golden_freq, golden_alpha):
         B = Observable(2, {((1, 0), (0, 1)): 0.001})
-        rep = verify_semiclassical(B, 2, 1.0, 0.5, golden_freq, [0.1], K=5, seed=7)
+        rep = verify_semiclassical(B, 2, 1.0, 0.5, golden_freq, [0.1], golden_alpha, seed=7)
         assert rep.g_values == [0.0]
 
-    def test_order_two_slope(self, toy_B, golden_freq):
+    def test_order_two_slope(self, toy_B, golden_freq, golden_alpha):
         rep = verify_semiclassical(
-            toy_B, 2, 1.0, 0.5, golden_freq, [10 ** -1, 10 ** -1.5, 10 ** -2], K=5, seed=7
+            toy_B, 2, 1.0, 0.5, golden_freq, [10 ** -1, 10 ** -1.5, 10 ** -2], golden_alpha, seed=7
         )
         assert rep.slope == pytest.approx(2.0, abs=0.1)
         assert rep.ok

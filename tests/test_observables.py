@@ -133,7 +133,7 @@ class TestWeightedTupleSum:
         assert weighted_tuple_sum(Observable.zero(2), 2, 0.3, 1.0, golden_freq, 1.0) == 0.0
 
     def test_norm_power_bound_with_geometric_eta(self, toy_B, golden_freq):
-        alpha = diophantine_alpha(golden_freq, 1.0, 5)
+        alpha = diophantine_alpha(golden_freq, 5)
         nb = norm_rho(toy_B, 1.0)
         for r in (1, 2, 3):
             eta_r = default_eta(1.0, alpha, 1.0, r)

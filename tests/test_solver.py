@@ -123,7 +123,7 @@ class TestGrowthBound:
         # length; a fresh random sample cannot exceed them.
         letters = ((1, 0), (-1, 0), (0, 1))
         rho, tau = 1.0, 1.0
-        alpha = diophantine_alpha(golden_freq, tau, 5)
+        alpha = diophantine_alpha(golden_freq, 5)
         assert len(letters) ** 4 <= SAMPLE_LIMIT  # every word is enumerated
         f_list, g_list = fit_growth_constants(golden_freq, letters, 4, rho, alpha, seed=7)
         solver = MouldSolver(golden_freq)
