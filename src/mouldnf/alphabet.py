@@ -245,40 +245,39 @@ def is_resonant(word, freq):
     return not word or freq._in_lattice(ksum(word))
 
 
-def subset_sum_counts(word):
-    """``{k_sigma: n}``: the number ``n`` of non-empty letter subsets
-    ``sigma`` of ``word`` whose mode sum is ``k_sigma``, as exact
-    integers.  Built one letter at a time, each new subset being an old
-    one (or none) plus that letter, so the cost is the length times the
-    number of distinct sums rather than ``2^r``.
+def extend_subset_sums(counts, letter):
+    """The subset-sum counts of a word extended by ``letter``, from the
+    counts ``{k_sigma: n}`` of the word: the number ``n`` of non-empty
+    letter subsets ``sigma`` whose mode sum is ``k_sigma``, as exact
+    integers.  Each new subset is an old one (or none) plus ``letter``,
+    so the cost is the number of distinct sums, and a word's counts,
+    folded from ``{}`` one letter at a time, cost its length times that
+    rather than ``2^r``.
     """
-    counts = {}
-    for letter in word:
-        step = dict(counts)
-        step[letter] = step.get(letter, 0) + 1
-        for k, n in counts.items():
-            k = tuple(map(add, k, letter))
-            step[k] = step.get(k, 0) + n
-        counts = step
-    return counts
+    step = dict(counts)
+    step[letter] = step.get(letter, 0) + 1
+    for k, n in counts.items():
+        k = tuple(map(add, k, letter))
+        step[k] = step.get(k, 0) + n
+    return step
 
 
-def beta(word, tau, freq):
-    """Sum of |lambda_sigma|^(-1/tau) over non-resonant letter subsets.
+def beta(counts, tau, freq):
+    """Sum of |lambda_sigma|^(-1/tau) over the non-resonant letter subsets
+    of the word whose :func:`extend_subset_sums` counts are ``counts``.
 
     ``lambda_sigma`` is the eigenvalue of the subset sum of letters, so
-    the sum runs over the distinct sums of :func:`subset_sum_counts`,
-    each weighted by its count; sums in the resonance lattice are
-    skipped (decided exactly).  Summed with ``math.fsum``, so the result
-    does not depend on the order of the sums.  Returns 0.0 for the
-    empty word by convention.
+    the sum runs over the distinct sums, each decided on the resonance
+    lattice (exactly) and weighted once, times its count.  Summed with
+    ``math.fsum``, so the result does not depend on the order of the
+    sums.  Returns 0.0 for the empty word (``counts = {}``).
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     omega_f = tuple(float(c) for c in freq.omega)
     return math.fsum(
         n * abs(sum(map(mul, k, omega_f))) ** (-1.0 / tau)
-        for k, n in subset_sum_counts(word).items()
+        for k, n in counts.items()
         if not freq._in_lattice(k)
     )
 

@@ -18,7 +18,7 @@ import math
 import random
 import statistics
 
-from .alphabet import _as_int_vector, beta, words_over
+from .alphabet import _as_int_vector, beta, extend_subset_sums
 from .liealg import OutOfDomainError, chi, finite_norm, order_increment
 from .observables import norm_rho
 from .classical import ClassicalBackend
@@ -122,11 +122,16 @@ def norm_power_constants(N, rho, rho_prime, tau, alpha, G_list):
     return D, eps, gamma_n, gamma_n2
 
 
-def _sample_words(alphabet, r, rng):
-    letters = sorted(_as_int_vector(k) for k in alphabet)
-    if len(letters) ** r <= SAMPLE_LIMIT:
-        return list(words_over(letters, r, min_r=r))
-    return [tuple(rng.choice(letters) for _ in range(r)) for _ in range(SAMPLE_LIMIT)]
+def _sample_words(letters, previous, rng):
+    """The fit's words one letter longer than those of ``previous``: all
+    of them while there are at most ``SAMPLE_LIMIT``, else ``SAMPLE_LIMIT``
+    parents (``previous``, or that many drawn from it when it holds fewer)
+    each extended by one letter drawn with ``rng``."""
+    if len(previous) * len(letters) <= SAMPLE_LIMIT:
+        return [w + (k,) for w in previous for k in letters]
+    if len(previous) < SAMPLE_LIMIT:
+        previous = [rng.choice(previous) for _ in range(SAMPLE_LIMIT)]
+    return [w + (rng.choice(letters),) for w in previous]
 
 
 def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
@@ -134,23 +139,31 @@ def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
 
     For each length r, the ratio of ``|F|`` (resp. ``|G|``) to its
     growth-bound shape with unit constant is maximized over all words
-    when there are at most ``SAMPLE_LIMIT``, else over that many words
-    drawn with ``seed``.  ``tau`` is the frequency's.
-    Returns ``(F_list, G_list)`` of length ``r_max``.  Estimates only.
+    when there are at most ``SAMPLE_LIMIT``, else over a seeded
+    prefix-extension walk: each sampled word extends a word of the
+    previous length's list by one letter drawn with ``seed``.  A word
+    whose prefix was evaluated then costs O(r^2) in the solver, in
+    ``log S`` and in its subset-sum counts, which extend the prefix's.
+    ``tau`` is the frequency's.  Returns ``(F_list, G_list)`` of length
+    ``r_max``.  Estimates only.
     """
     tau = freq.dioph_tau
     rng = random.Random(seed)
     solver = MouldSolver(freq)
     F = solver.F_mould
     G = solver.G_mould
+    letters = sorted(_as_int_vector(k) for k in alphabet)
+    words, counts = [()], {(): {}}
     f_list, g_list = [], []
     for r in range(1, r_max + 1):
         eta_r = default_eta(rho, alpha, tau, r)
         base = (tau / (math.e * eta_r)) ** tau
         f_shape, g_shape = base ** (r - 1), base ** r
         f_best, g_best = 0.0, 0.0
-        for w in _sample_words(alphabet, r, rng):
-            shape = math.exp(eta_r * beta(w, tau, freq))
+        words = _sample_words(letters, words, rng)
+        counts = {w: extend_subset_sums(counts[w[:-1]], w[-1]) for w in dict.fromkeys(words)}
+        for w, c in counts.items():
+            shape = math.exp(eta_r * beta(c, tau, freq))
             fv = abs(complex(F(w)))
             gv = abs(complex(G(w)))
             if fv:

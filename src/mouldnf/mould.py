@@ -118,29 +118,40 @@ def _series(M, empty_value, coefficient, name):
 
     The inner sums are the power moulds ``P_k`` on the prefixes of the
     word, by the induction ``P_1(i) = M(w[:i])`` and
-    ``P_k(i) = sum_{j=k-1}^{i-1} P_{k-1}(j) M(w[j:i])``: ``M`` is evaluated
-    once on each of the ``r(r+1)/2`` non-empty subwords, and the sums take
-    O(r^3) products.  Only values of ``M`` on non-empty words enter, so
-    ``k`` stops at ``r``.
+    ``P_k(i) = sum_{j=k-1}^{i-1} P_{k-1}(j) M(w[j:i])``.  ``P_k(i)``
+    depends only on the prefix ``w[:i]``, so the series keeps one memo
+    from each prefix it met to its column ``[P_1(i), ..., P_i(i)]``; a
+    new column reads the cached columns of its proper prefixes and
+    ``M`` on its ``i`` suffixes, O(i^2) products.  A word whose
+    ``w[:-1]`` was met costs O(r^2), and every value is the same sum in
+    the same order however the words arrive.  Only values of ``M`` on
+    non-empty words enter, so ``k`` stops at ``r``.
     """
+    columns = {(): []}
 
     def value(word):
         r = len(word)
         if r == 0:
             return empty_value
-        block = {(j, i): M(word[j:i]) for i in range(1, r + 1) for j in range(i)}
-        power = {i: block[0, i] for i in range(1, r + 1)}
-        total = 0
-        for k in range(1, r + 1):
-            if k > 1:
-                power = {
-                    i: functools.reduce(
-                        operator.add, (power[j] * block[j, i] for j in range(k - 1, i))
+        known = r
+        while word[:known] not in columns:
+            known -= 1
+        cols = [columns[word[:j]] for j in range(1, known + 1)]
+        for i in range(known + 1, r + 1):
+            tails = [M(word[j:i]) for j in range(i)]
+            col = [tails[0]]
+            for k in range(2, i + 1):
+                col.append(
+                    functools.reduce(
+                        operator.add, (cols[j - 1][k - 2] * tails[j] for j in range(k - 1, i))
                     )
-                    for i in range(k, r + 1)
-                }
+                )
+            cols.append(col)
+            columns[word[:i]] = col
+        total = 0
+        for k, power in enumerate(cols[-1], 1):
             sign, divisor = coefficient(k)
-            total = total + (sign * power[r]) / divisor
+            total = total + (sign * power) / divisor
         return total
 
     return Mould(value, name=name)

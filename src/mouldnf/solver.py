@@ -13,11 +13,12 @@ branches on resonance of the full letter sum:
 One table maps each solved word (a tuple of letters) to its (F, S, N)
 values.  The values on a word read only its shorter contiguous subwords
 (the tail and both sides of each proper split), so a new word is solved
-by walking its subwords shortest first.  Keys are tuples of k-vectors,
-not eigenvalues: two letters with equal eigenvalue but different k are
-distinct keys.  The values only depend on the eigenvalues, so this
-merely accepts some duplicate computation in exchange for a simpler
-table.
+by extending its longest solved prefix one letter at a time, each
+extension solving its new suffixes shortest first.  Keys are tuples of
+k-vectors, not eigenvalues: two letters with equal eigenvalue but
+different k are distinct keys.  The values only depend on the
+eigenvalues, so this merely accepts some duplicate computation in
+exchange for a simpler table.
 """
 
 from __future__ import annotations
@@ -61,15 +62,23 @@ class MouldSolver:
         self._table = {(): (freq.zero(), freq.one(), freq.zero())}
 
     def values(self, word):
-        """The (F, S, N) values on ``word``, solving its subwords first."""
+        """The (F, S, N) values on ``word``, solving its subwords first.
+
+        The table is closed under contiguous subwords, so once a prefix
+        ``word[:i]`` is solved the new subwords of ``word[:i + 1]`` are
+        its suffixes; they are solved shortest first, each reading only
+        shorter subwords.  A word whose ``word[:-1]`` is solved costs
+        its r suffixes, O(r^2), and the values do not depend on the
+        order in which words arrive.
+        """
         table = self._table
         if word not in table:
-            # Each value reads only shorter contiguous subwords, so
-            # solving them shortest first needs no dependency stack.
-            r = len(word)
-            for length in range(1, r + 1):
-                for j in range(r - length + 1):
-                    sub = word[j:j + length]
+            known = len(word) - 1
+            while word[:known] not in table:
+                known -= 1
+            for end in range(known + 1, len(word) + 1):
+                for j in range(end - 1, -1, -1):
+                    sub = word[j:end]
                     if sub not in table:
                         table[sub] = self._solve_one(sub)
         return table[word]

@@ -9,8 +9,9 @@ Nothing in the package uses these; they pin its results.
 * Earlier forms of package code, kept to pin the current forms: the
   two-chain exponential for ``apply_exp_ad``'s fused chain; the
   composition sum for the prefix recursion of the mould exponential and
-  logarithm; the per-mask subset sums for ``alphabet.subset_sum_counts``
-  and ``alphabet.beta``;
+  logarithm; the per-mask subset sums for :func:`subset_sum_counts` (the
+  fold of ``alphabet.extend_subset_sums`` over a word) and
+  ``alphabet.beta``;
   the mode-bracket double loop with its helper calls for
   ``classical.mode_bracket``; and the stack solver, the earlier
   ``solver.MouldSolver`` with three word-keyed tables and an explicit
@@ -28,6 +29,7 @@ Nothing in the package uses these; they pin its results.
 """
 
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -36,7 +38,7 @@ from operator import mul
 import numpy as np
 
 from mouldnf import Observable
-from mouldnf.alphabet import beta, is_resonant, l1, sigma, subset_sum_counts, words_over
+from mouldnf.alphabet import beta, extend_subset_sums, is_resonant, l1, sigma, words_over
 from mouldnf.mould import Mould, msub, times
 from mouldnf.observables import _group_by_x_mode, norm_rho
 from mouldnf.quantum import sine_coupling
@@ -302,6 +304,12 @@ def shuffle_coefficient(a, b, lam):
     return prev[rb]
 
 
+def subset_sum_counts(word):
+    """``{k_sigma: n}`` over the non-empty letter subsets of ``word``: the
+    one-letter step of the growth fit's walk folded from ``{}``."""
+    return functools.reduce(extend_subset_sums, word, {})
+
+
 def beta_subset_bound(word, tau, freq):
     """Crude upper bound ``2^r max |lambda_sigma|^(-1/tau)`` on ``beta``,
     the maximum over the non-resonant distinct subset sums."""
@@ -432,7 +440,7 @@ def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False)
     norms = {rep: part_norm(part, rho) for rep, part in parts.items()}
     total = 0.0
     for word in words_over(parts, r, min_r=r):
-        weight = math.exp(eta_r * beta(word, tau_r, freq))
+        weight = math.exp(eta_r * beta(subset_sum_counts(word), tau_r, freq))
         prod = 1.0
         for rep in word:
             prod *= norms[rep]

@@ -60,6 +60,18 @@ class TestNormalizeCommand:
         ).read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
+    def test_byte_identical_reruns_at_sampled_lengths(self, tmp_path):
+        # at N=4 the growth fit runs to length 16; lengths 4..16 of the
+        # shipped toy letters are sampled by the seeded prefix walk
+        config = json.loads((REPO / "configs" / "toy_normalize.json").read_text())
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**config, "N": 4}))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert main(["normalize", "--config", str(cfg), "--out", str(out2)]) == 0
+        for name in ("normalize_result.json", "summary.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_zero_perturbation_all_zero_report(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", B={"d": 2, "coeffs": []}, N=1)
         out = tmp_path / "out"

@@ -3,11 +3,13 @@ import math
 import pytest
 
 from mouldnf import Observable, normalize
-from mouldnf.alphabet import diophantine_alpha
+from mouldnf import estimates
+from mouldnf.alphabet import diophantine_alpha, words_over
 from mouldnf.liealg import apply_exp_ad, chi, contract
 from mouldnf.observables import norm_rho
 from mouldnf.solver import MouldSolver
 from mouldnf.estimates import (
+    SAMPLE_LIMIT,
     BoundReport,
     exp_tail_constant,
     gap_constant,
@@ -135,6 +137,57 @@ class TestGrowthFitAndRemainder:
             assert majorant <= 0.5 * delta ** 2 / 4.0  # smallness hypothesis
             bound = exp_tail_constant(N, delta, norm_rho(toy_B, 1.0)) * majorant ** (N + 1)
             assert measured <= bound * (1 + 1e-12)
+
+
+class TestPrefixWalk:
+    """The fit's sample as a seeded prefix-extension walk, and its work
+    counted in solver-table entries, not timed."""
+
+    @staticmethod
+    def walk(monkeypatch, freq, letters, r_max, alpha, seed):
+        """The fit's word lists per length, and the solver-table size
+        after each length."""
+        solvers, lists, sizes = [], [], []
+
+        class Recording(MouldSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                solvers.append(self)
+
+        sample = estimates._sample_words
+
+        def recording(letters, previous, rng):
+            sizes.append(len(solvers[0]._table))
+            lists.append(sample(letters, previous, rng))
+            return lists[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimates, "MouldSolver", Recording)
+            patch.setattr(estimates, "_sample_words", recording)
+            fit_growth_constants(freq, letters, r_max, 1.0, alpha, seed)
+        sizes.append(len(solvers[0]._table))
+        return lists, sizes[1:]
+
+    def test_walk_extends_the_previous_sample(self, monkeypatch, golden_freq, golden_alpha, toy_B):
+        letters = sorted({k for k, _ in toy_B.coeffs})
+        lists, sizes = self.walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=0)
+        assert len(lists) == 16
+        sampled = 0
+        for r, words in enumerate(lists, 1):
+            if len(letters) ** r <= SAMPLE_LIMIT:
+                assert words == list(words_over(letters, r, min_r=r))
+                continue
+            sampled += 1
+            assert len(words) == SAMPLE_LIMIT
+            parents = set(lists[r - 2])
+            assert all(w[:-1] in parents and w[-1] in letters for w in words)
+            # each word's prefix is solved, so it adds at most its r suffixes
+            assert sizes[r - 1] - sizes[r - 2] <= r * SAMPLE_LIMIT
+        assert sampled == 13
+        again, _ = self.walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=0)
+        other, _ = self.walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=1)
+        assert again == lists
+        assert other[:3] == lists[:3] and other[3:] != lists[3:]
 
 
 class TestSemiclassical:

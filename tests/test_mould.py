@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Frequency
@@ -264,6 +264,46 @@ class TestSeriesRecursion:
             M.calls = 0
             result((X,) * r)
             assert M.calls == r * (r + 1) // 2
+
+
+class TestSeriesColumnMemo:
+    """One series keeps the power columns of every prefix it met, so a
+    word may reuse columns that other words built; its value must not
+    depend on which words came first."""
+
+    @staticmethod
+    def closed_words(words):
+        # every non-empty prefix, so that words extend one another
+        return sorted({w[:i] for w in words for i in range(1, len(w) + 1)})
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 10 ** 6), st.lists(SERIES_WORDS, min_size=1, max_size=4), st.randoms())
+    def test_exact_shuffled_order_equals_composition_sum(self, seed, words, rng):
+        G = seeded_mould(seed, QI(0, 0), exact_value)
+        S = seeded_mould(seed, QI(1, 0), exact_value)
+        exp_g, log_s = mexp(G), mlog(S)
+        words = self.closed_words(words)
+        rng.shuffle(words)
+        for w in words:
+            assert exp_g(w) == composition_series(G, w, EXP_COEFFICIENT)
+            assert log_s(w) == composition_series(S, w, LOG_COEFFICIENT)
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 10 ** 6), st.lists(SERIES_WORDS, min_size=1, max_size=4), st.randoms())
+    def test_float_bit_identical_across_orders(self, seed, words, rng):
+        words = self.closed_words(words)
+        shuffled = list(words)
+        rng.shuffle(shuffled)
+        # longest first: a prefix then finds its own column cached
+        longest_first = sorted(words, key=len, reverse=True)
+        for series, empty in ((mexp, 0j), (mlog, 1 + 0j)):
+            M = seeded_mould(seed, empty, float_value)
+            values = []
+            for order in (shuffled, longest_first):
+                evaluate = series(M)
+                values.append({w: evaluate(w) for w in order})
+            for w in words:
+                assert repr(values[0][w]) == repr(values[1][w])
 
 
 class TestAlternality:

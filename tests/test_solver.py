@@ -13,7 +13,7 @@ from mouldnf.exact import QI
 from mouldnf.mould import check_alternal, from_table, mexp, nabla
 from mouldnf.solver import MouldSolver, verify_equation
 
-from oracles import StackSolver
+from oracles import StackSolver, subset_sum_counts
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -135,7 +135,7 @@ class TestGrowthBound:
             w = tuple(rng.choice(letters) for _ in range(r))
             eta_r = default_eta(rho, alpha, tau, r)
             base = (tau / (math.e * eta_r)) ** tau
-            shape = math.exp(eta_r * beta(w, tau, golden_freq))
+            shape = math.exp(eta_r * beta(subset_sum_counts(w), tau, golden_freq))
             fv = abs(complex(solver.values(w)[0]))
             gv = abs(complex(solver.G_mould(w)))
             assert fv <= f_list[r - 1] * base ** (r - 1) * shape * (1 + 1e-12)
@@ -200,3 +200,36 @@ class TestStackOracle:
             got, want = solver.values(w), oracle.values(w)
             assert got == want
             assert repr(got) == repr(want)
+
+
+class TestSuffixPath:
+    """A word whose prefix is solved adds only its new suffixes; the table
+    must not depend on the order in which words arrive."""
+
+    @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_orders_and_stack_oracle_bit_identical(self, case, data):
+        freq, letters, gauge = SOLVER_CASES[case]
+        drawn = data.draw(
+            st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=7), min_size=1, max_size=5)
+        )
+        # with every prefix in lexicographic order, each word after the
+        # first meets its prefix solved
+        lexicographic = sorted({tuple(w[:i]) for w in drawn for i in range(1, len(w) + 1)})
+        shuffled = data.draw(st.permutations(lexicographic))
+        tables = []
+        for order in (lexicographic, shuffled):
+            solver = MouldSolver(freq, gauge=gauge)
+            for w in order:
+                solver.values(w)
+            table = solver._table
+            assert all(
+                w[j:k] in table for w in table for j in range(len(w)) for k in range(j + 1, len(w) + 1)
+            )
+            tables.append(table)
+        oracle = StackSolver(freq, gauge=gauge)
+        for table in tables:
+            assert table.keys() == tables[0].keys()
+            for w, got in table.items():
+                assert repr(got) == repr(oracle.values(w))
