@@ -14,9 +14,16 @@ materializes as an observable.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from operator import add, mul, neg
 
 from .observables import Observable
+
+# Array typecodes by item size in bytes: unsigned ones pack the biased
+# fields of the structure-constant rows, signed ones read ``s`` back.
+_UNSIGNED = {array(t).itemsize: t for t in "BHILQ"}
+_SIGNED = {array(t).itemsize: t for t in "bhilq"}
 
 
 def mode_bracket(F, G, coupling=None):
@@ -38,37 +45,78 @@ def mode_bracket(F, G, coupling=None):
     # 4 * top < 2^shift per coordinate, so within this call distinct sum
     # modes get distinct codes.
     top = max((abs(x) for obs in (F, G) for k, m in obs.coeffs for x in k + m), default=0)
+    n = 2 * F.d
     shift = (4 * top).bit_length()
-    weights = [1 << (shift * i) for i in range(2 * F.d)]
-    # s = k.m' - m.k' is one dot product of k + m with m' + (-k')
-    g_rows = [
-        (mp + tuple(map(neg, kp)), sum(map(mul, kp + mp, weights)), kp, mp, cp)
-        for (kp, mp), cp in G.items_sorted()
-    ]
+    weights = [1 << (shift * i) for i in range(n)]
+    g_items = G.items_sorted()
+    g_modes = {sum(map(mul, kp + mp, weights)): (kp, mp) for (kp, mp), _ in g_items}
+    cps = [cp for _, cp in g_items]
+    # s = k.m' - m.k' is the dot product of a = k + (-m) with the row
+    # (m', k') of G, so |s| <= n top^2 < 2^(8 width - 1) =: half, with
+    # width the least of 1, 2, 4, 8 bytes (or a power of two beyond).
+    # Column i packs coordinate i of every row of G, biased by top, into
+    # fields of width bytes; then sum_i a_i col_i + (half - top sum(a))
+    # ones holds s_j + half in field j, and flipping each field's top
+    # bit leaves s_j in two's complement.  One big-int dot product thus
+    # gives the s of a mode of F against all of G.
+    bound = n * top * top
+    width = 1
+    while bound >> (8 * width - 1):
+        width *= 2
+    rows = len(g_items)
+    order = sys.byteorder
+    biased = [x + top for kp, mp in g_modes.values() for x in mp + kp]
+    signed = _SIGNED.get(width)
+    if signed:
+        fields = memoryview(array(_UNSIGNED[width], biased))
+        cols = [int.from_bytes(fields[i::n], order) for i in range(n)]
+    else:
+        cols = [
+            int.from_bytes(b"".join(x.to_bytes(width, order) for x in biased[i::n]), order)
+            for i in range(n)
+        ]
+    ones = int.from_bytes((1).to_bytes(width, order) * rows, order)
+    half = 1 << (8 * width - 1)
+    flip = half * ones
     memo = {}
     data = {}
-    keys = {}
-    for (k, m), c in F.items_sorted():
-        u = k + m
-        code_f = sum(map(mul, u, weights))
-        for v, code_g, kp, mp, cp in g_rows:
-            s = sum(map(mul, u, v))
-            if s == 0:
-                continue
-            if coupling is not None:
-                w = memo.get(s)
-                if w is None:
-                    w = memo[s] = coupling(s)
-                s = w
-            code = code_f + code_g
-            old = data.get(code)
-            if old is None:
-                data[code] = 0j + s * c * cp
-                keys[code] = (tuple(map(add, k, kp)), tuple(map(add, m, mp)))
-            else:
-                data[code] = old + s * c * cp
-    data = {keys[code]: total for code, total in data.items()}
-    return Observable._of(F.d, data, F.real and G.real).prune()
+    first = {}
+    f_modes = {}
+    for km, c in F.items_sorted():
+        k, m = km
+        code_f = sum(map(mul, k + m, weights))
+        f_modes[code_f] = km
+        a = k + tuple(map(neg, m))
+        packed = sum(map(mul, a, cols)) + (half - top * sum(a)) * ones
+        raw = (packed ^ flip).to_bytes(width * rows, order)
+        if signed:
+            svals = memoryview(raw).cast(signed)
+        else:
+            svals = [
+                int.from_bytes(raw[i : i + width], order, signed=True)
+                for i in range(0, len(raw), width)
+            ]
+        for s, code_g, cp in zip(svals, g_modes, cps):
+            if s:
+                if coupling is not None:
+                    w = memo.get(s)
+                    if w is None:
+                        w = memo[s] = coupling(s)
+                    s = w
+                code = code_f + code_g
+                old = data.get(code)
+                if old is None:
+                    data[code] = 0j + s * c * cp
+                    first[code] = code_g
+                else:
+                    data[code] = old + s * c * cp
+    # each sum mode's key, from the first pair that reached it
+    out = {}
+    for code, total in data.items():
+        code_g = first[code]
+        (k, m), (kp, mp) = f_modes[code - code_g], g_modes[code_g]
+        out[(tuple(map(add, k, kp)), tuple(map(add, m, mp)))] = total
+    return Observable._of(F.d, out, F.real and G.real).prune()
 
 
 def poisson_bracket(F, G):

@@ -67,16 +67,16 @@ def power_exponential_bound(x, tau):
     return BoundReport("power_exponential", x, rhs, {"x": x, "tau": tau, "eta": 1.0})
 
 
-def _bound_rhs(name, factor, norm_b, power):
-    """``factor * norm_b ** power``; :class:`OutOfDomainError` when it
-    is beyond float range, where the bound would hold vacuously."""
+def _finite(name, compute):
+    """``compute()``; :class:`OutOfDomainError` naming ``name`` when the
+    value is beyond float range, where a bound would hold vacuously."""
     try:
-        rhs = factor * norm_b ** power
+        value = compute()
     except OverflowError:
-        rhs = math.inf
-    if not math.isfinite(rhs):
-        raise OutOfDomainError(rhs, name)
-    return rhs
+        value = math.inf
+    if not math.isfinite(value):
+        raise OutOfDomainError(value, name)
+    return value
 
 
 def default_eta(rho, alpha, tau, r):
@@ -84,9 +84,10 @@ def default_eta(rho, alpha, tau, r):
     return rho * alpha ** (1.0 / tau) * 2.0 ** (-r)
 
 
-def exp_tail_constant(N, delta, normB):
-    """Geometric-series constant of the exponential truncation tail."""
-    return 2.0 * (delta ** 2 / (4.0 * chi(delta / 2.0)) + normB) * (4.0 / delta ** 2) ** (N + 1)
+def exp_tail_constant(N, delta):
+    """Geometric-series constant of the exponential truncation tail, at
+    the unit ``||B||`` of the norm-power constant."""
+    return 2.0 * (delta ** 2 / (4.0 * chi(delta / 2.0)) + 1.0) * (4.0 / delta ** 2) ** (N + 1)
 
 
 def norm_power_constants(N, rho, rho_prime, tau, alpha, G_list):
@@ -95,7 +96,8 @@ def norm_power_constants(N, rho, rho_prime, tau, alpha, G_list):
     Returns ``(D, eps, Gamma_N, Gamma_N2N)`` where
     ``D = C'_{N+1} Gamma_N^{N+1} + 2 N^N Gamma_{N^2,N}`` and the
     Gammas sum the generator majorant with unit eps factors; needs the
-    fitted growth constants up to length N^2.
+    fitted growth constants up to length N^2.  A term or constant beyond
+    float range is refused by name as out of the domain.
     """
     if len(G_list) < N * N:
         raise ValueError(f"need growth constants up to length {N * N}")
@@ -105,19 +107,22 @@ def norm_power_constants(N, rho, rho_prime, tau, alpha, G_list):
         total = 0.0
         for r in range(r_lo, r_hi + 1):
             eta_r = default_eta(rho, alpha, tau, r)
-            total += (
-                math.factorial(r - 1)
+            total += _finite(
+                f"Gamma term at word length {r}",
+                lambda: math.factorial(r - 1)
                 / r
                 * (1.0 / delta ** 2) ** (r - 1)
                 * G_list[r - 1]
-                * (tau / (math.e * eta_r)) ** (tau * r)
+                * (tau / (math.e * eta_r)) ** (tau * r),
             )
         return total
 
     gamma_n = gamma_sum(1, N)
     gamma_n2 = gamma_sum(N + 1, N * N)
-    c_prime = exp_tail_constant(N, delta, 1.0)
-    D = c_prime * gamma_n ** (N + 1) + 2.0 * N ** N * gamma_n2
+    D = _finite(
+        f"D at N = {N}",
+        lambda: exp_tail_constant(N, delta) * gamma_n ** (N + 1) + 2.0 * N ** N * gamma_n2,
+    )
     eps = 1.0 if gamma_n == 0.0 else min(1.0, delta / (8.0 * gamma_n))
     return D, eps, gamma_n, gamma_n2
 
@@ -157,19 +162,25 @@ def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
     f_list, g_list = [], []
     for r in range(1, r_max + 1):
         eta_r = default_eta(rho, alpha, tau, r)
-        base = (tau / (math.e * eta_r)) ** tau
-        f_shape, g_shape = base ** (r - 1), base ** r
+        # the shape grows like 2^(tau r^2) and leaves float range near
+        # r = 32 when tau = 1; base^(r-1) <= max(1, base^r), so finite
+        # g_shape and g_shape * shape keep f_shape * shape finite too
+        name = f"growth shape (tau/(e eta_r))^(tau r) exp(eta_r beta) at word length {r}"
+        base = _finite(name, lambda: (tau / (math.e * eta_r)) ** tau)
+        g_shape = _finite(name, lambda: base ** r)
+        f_shape = base ** (r - 1)
         f_best, g_best = 0.0, 0.0
         words = _sample_words(letters, words, rng)
         counts = {w: extend_subset_sums(counts[w[:-1]], w[-1]) for w in dict.fromkeys(words)}
         for w, c in counts.items():
-            shape = math.exp(eta_r * beta(c, tau, freq))
+            shape = _finite(name, lambda: math.exp(eta_r * beta(c, tau, freq)))
+            g_scale = _finite(name, lambda: g_shape * shape)
             fv = abs(complex(F(w)))
             gv = abs(complex(G(w)))
             if fv:
                 f_best = max(f_best, fv / (f_shape * shape))
             if gv:
-                g_best = max(g_best, gv / (g_shape * shape))
+                g_best = max(g_best, gv / g_scale)
         f_list.append(f_best)
         g_list.append(g_best)
     return f_list, g_list
@@ -185,7 +196,7 @@ def verify_remainder_bound(result, N, params, freq, G_list, alpha):
         N, params.rho, params.rho_prime, freq.dioph_tau, alpha, G_list
     )
     norm_b = result.norms["B"]
-    rhs = _bound_rhs(f"D*||B||_rho^{N + 1}", D, norm_b, N + 1)
+    rhs = _finite(f"D*||B||_rho^{N + 1}", lambda: D * norm_b ** (N + 1))
     return BoundReport(
         f"remainder_order_{N}",
         result.norms["E"],
@@ -202,12 +213,14 @@ def verify_remainder_bound(result, N, params, freq, G_list, alpha):
 
 
 def gap_constant(N, rho, rho_prime, tau, alpha, F_N):
-    """Quantum-classical gap constant at order N (empirical F_N)."""
-    return (
-        F_N
+    """Quantum-classical gap constant at order N (empirical F_N); beyond
+    float range it is refused as out of the domain."""
+    return _finite(
+        f"C_N at word length {N}",
+        lambda: F_N
         / (6.0 * N)
         * (2.0 ** N * tau / (math.e * rho * alpha ** (1.0 / tau))) ** ((N - 1) * tau)
-        * ((N + 2) / (math.e * (rho - rho_prime))) ** (N + 2)
+        * ((N + 2) / (math.e * (rho - rho_prime))) ** (N + 2),
     )
 
 
@@ -257,7 +270,7 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
         g = norm_rho(diff, rho_prime) if diff else 0.0
         hbars.append(float(hbar))
         g_values.append(g)
-        rhs = _bound_rhs(f"hbar^2*C_N*||B||_rho^{N}", hbar ** 2 * c_n, norm_b, N)
+        rhs = _finite(f"hbar^2*C_N*||B||_rho^{N}", lambda: hbar ** 2 * c_n * norm_b ** N)
         inputs = {"hbar": float(hbar), "C_N": c_n, "normB": norm_b, "F_N": F_N}
         bounds.append(BoundReport(f"semiclassical_gap_N{N}_hbar{hbar}", g, rhs, inputs))
     slope = None

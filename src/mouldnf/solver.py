@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 
-from .alphabet import is_resonant, sigma, words_over
+from .alphabet import ksum, words_over
 from .exact import scalar_abs
 from .mould import (
     Mould,
@@ -84,21 +84,27 @@ class MouldSolver:
         return table[word]
 
     def _solve_one(self, word):
+        """The values on a non-empty ``word`` whose proper subwords are
+        solved; its letter sum is formed once and decided on the lattice."""
         table = self._table
+        freq = self.freq
         r = len(word)
+        k = ksum(word)
+        if len(k) != freq.d:
+            raise ValueError("word dimension does not match frequency")
         s_tail = table[word[1:]][1]
-        sum_sf = self.freq.zero()
-        sum_sn = self.freq.zero()
+        sum_sf = freq.zero()
+        sum_sn = freq.zero()
         for i in range(1, r):
             sa = table[word[:i]][1]
             fb, _, nb = table[word[i:]]
             sum_sf = sum_sf + sa * fb
             sum_sn = sum_sn + sa * nb
-        if is_resonant(word, self.freq):
-            n = self.freq.zero() if self.gauge is None else self.gauge(word)
+        if freq._in_lattice(k):
+            n = freq.zero() if self.gauge is None else self.gauge(word)
             return s_tail - sum_sf, (n + sum_sn) / r, n
-        s = (s_tail - sum_sf) / sigma(word, self.freq)
-        return self.freq.zero(), s, r * s - sum_sn
+        s = (s_tail - sum_sf) / freq._eigenvalue(k, exact_zero=False)
+        return freq.zero(), s, r * s - sum_sn
 
     @functools.cached_property
     def F_mould(self):

@@ -25,7 +25,8 @@ Nothing in the package uses these; they pin its results.
   along a word), the dense form of a sparse Weyl matrix with its
   spectral norm and Hermiticity defect, and the paper's homogeneous
   decomposition with the weighted tuple sums over it (lattice classes,
-  the stripped part norm), and the generator majorant built on them.
+  the stripped part norm), the generator majorant built on them, and the
+  exponential-tail constant at a given ``||B||``.
 """
 
 import cmath
@@ -39,6 +40,7 @@ import numpy as np
 
 from mouldnf import Observable
 from mouldnf.alphabet import beta, extend_subset_sums, is_resonant, l1, sigma, words_over
+from mouldnf.liealg import chi
 from mouldnf.mould import Mould, msub, times
 from mouldnf.observables import _group_by_x_mode, norm_rho
 from mouldnf.quantum import sine_coupling
@@ -466,6 +468,13 @@ def generator_majorant(N, delta, gamma, tau_list, eta_list, G_list, eps_list):
             * eps_r
         )
     return total
+
+
+def exp_tail_constant_at(N, delta, normB):
+    """The geometric-series constant of the exponential truncation tail
+    at a given ``||B||``; ``estimates.exp_tail_constant`` is its value at
+    the unit norm of the norm-power constant."""
+    return 2.0 * (delta ** 2 / (4.0 * chi(delta / 2.0)) + normB) * (4.0 / delta ** 2) ** (N + 1)
 
 
 # The earlier ``exact.QI``, one Fraction per part, kept as written (its

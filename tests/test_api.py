@@ -43,7 +43,7 @@ def test_exports_the_readme_names():
 # The standard modules that importing the CLI may load.  perfbench's
 # setup_s times this import together with load_config(...).observable().
 CLI_IMPORTS = set(
-    "__future__ _csv _decimal _json _statistics argparse csv decimal fractions gettext json "
+    "__future__ _csv _decimal _json _statistics argparse array csv decimal fractions gettext json "
     "json.decoder json.encoder json.scanner numbers statistics".split()
 )
 

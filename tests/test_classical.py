@@ -234,6 +234,31 @@ _TIGHT_SHIFT_COLLIDERS = (
 )
 
 
+def _field_width_pairs():
+    """For d = 1, 2, 3 and each boundary 2^b (b = 7, 15, 31, 63) of the
+    kernel's s fields (1, 2, 4, 8 bytes), operands whose largest
+    coordinate t puts 2d t^2 just below 2^b and then just above it, with
+    mode pairs whose s is +2d t^2, -2d t^2, 0 and +-t."""
+    for d in (1, 2, 3):
+        for b in (7, 15, 31, 63):
+            below = math.isqrt((2 ** b - 1) // (2 * d))
+            for t in (below, below + 1):
+                up, down, zero = (t,) * d, (-t,) * d, (0,) * d
+                unit = (1,) + (0,) * (d - 1)
+                F = Observable(d, {(up, up): 1.0, (unit, zero): 0.5 - 0.25j})
+                G = Observable(
+                    d, {(down, up): 1.0, (up, down): -0.25, (up, up): 0.75j, (zero, unit): -1.0}
+                )
+                yield F, G
+
+
+def _with_field_width_examples(test):
+    for pair in _field_width_pairs():
+        for coupling in (None, sine_coupling(0.1)):
+            test = example(pair, coupling)(test)
+    return test
+
+
 class TestKernelBitIdentity:
     """The inlined kernel against the earlier double loop: the same
     modes in the same order, the same floats, the same signs of zero."""
@@ -260,6 +285,7 @@ class TestKernelBitIdentity:
     @example(_FIXED_SHIFT_COLLIDERS, None)
     @example(_FIXED_SHIFT_COLLIDERS, sine_coupling(0.1))
     @example(_TIGHT_SHIFT_COLLIDERS, None)
+    @_with_field_width_examples
     def test_wide_coordinates_and_empty_operands(self, pair, coupling):
         F, G = pair
         fast = mode_bracket(F, G, coupling)

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -89,6 +92,26 @@ class TestNormalizeCommand:
         assert result["backend"].startswith("quantum")
         assert "hermiticity_defect_Y" in result["diagnostics"]
         assert "unitary_conjugation" in result["diagnostics"]
+
+    def test_growth_shape_beyond_float_range_exits_one_without_traceback(self, tmp_path):
+        # at N=6 the fit runs to word length 36, and its growth shape
+        # (tau/(e eta_r))^(tau r) ~ 2^(r^2) leaves float range near r = 33
+        config = json.loads((REPO / "configs" / "toy_normalize.json").read_text())
+        one_mode = {"d": 2, "coeffs": [{"k": [1, 0], "m": [1, 1], "re": 0.001, "im": 0.0}]}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**config, "N": 6, "B": one_mode}))
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        run = subprocess.run(
+            [sys.executable, "-m", "mouldnf.cli", "normalize", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ")
+        assert "word length 33" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert not any(out.iterdir())
 
     def test_out_of_domain_exits_one(self, tmp_path):
         big = {

@@ -1,8 +1,9 @@
 import math
+import re
 
 import pytest
 
-from mouldnf import Observable, normalize
+from mouldnf import Frequency, Observable, OutOfDomainError, normalize
 from mouldnf import estimates
 from mouldnf.alphabet import diophantine_alpha, words_over
 from mouldnf.liealg import apply_exp_ad, chi, contract
@@ -21,7 +22,7 @@ from mouldnf.estimates import (
     verify_semiclassical,
 )
 
-from oracles import generator_majorant, weighted_tuple_sum
+from oracles import exp_tail_constant_at, generator_majorant, weighted_tuple_sum
 
 
 class TestPowerExponentialBound:
@@ -68,19 +69,23 @@ class TestGeneratorMajorant:
 
 class TestExpTailConstant:
     def test_plugin_formula(self):
-        val = exp_tail_constant(2, 0.5, 0.01)
         delta = 0.5
         expected = 2.0 * (delta ** 2 / (4.0 * chi(delta / 2)) + 0.01) * (4.0 / delta ** 2) ** 3
-        assert val == pytest.approx(expected)
+        assert exp_tail_constant_at(2, delta, 0.01) == pytest.approx(expected)
+        # the package's constant is the oracle's at the unit norm, bit for bit
+        for N in (1, 2, 5):
+            assert exp_tail_constant(N, delta) == exp_tail_constant_at(N, delta, 1.0)
 
     def test_zero_norm_limit(self):
-        base = exp_tail_constant(1, 0.5, 0.0)
+        base = exp_tail_constant_at(1, 0.5, 0.0)
         assert base == pytest.approx(2.0 * (0.25 * math.e * 0.25 / 4.0) * 16 ** 2, rel=1e-9)
         assert base == pytest.approx(21.74625462767236, rel=1e-12)
 
     def test_geometric_in_N(self):
-        v2 = exp_tail_constant(2, 0.5, 0.01)
-        v1 = exp_tail_constant(1, 0.5, 0.01)
+        ratio = exp_tail_constant(2, 0.5) / exp_tail_constant(1, 0.5)
+        assert ratio == pytest.approx(4.0 / 0.5 ** 2)
+        v2 = exp_tail_constant_at(2, 0.5, 0.01)
+        v1 = exp_tail_constant_at(1, 0.5, 0.01)
         assert v2 / v1 == pytest.approx(4.0 / 0.5 ** 2)
 
 
@@ -93,6 +98,32 @@ def golden_alpha(golden_freq):
 def fitted(golden_freq, golden_alpha, toy_B):
     letters = sorted({k for k, _ in toy_B.coeffs})
     return golden_alpha, fit_growth_constants(golden_freq, letters, 9, 1.0, golden_alpha, seed=7)
+
+
+class TestFloatRange:
+    """A constant of the bound beyond float range is refused by name and
+    word length, never raised as an ``OverflowError``."""
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 1.0])
+    def test_growth_fit_refuses_the_shape(self, alpha, tau):
+        # the shape (tau/(e eta_r))^(tau r) grows like 2^(tau r^2)
+        freq = Frequency((1.0, (1 + 5 ** 0.5) / 2), dioph_tau=tau)
+        with pytest.raises(OutOfDomainError, match=r"^growth shape .* at word length \d+ = inf"):
+            fit_growth_constants(freq, [(1, 0)], 36, 1.0, alpha, seed=0)
+
+    @pytest.mark.parametrize(
+        "compute, name",
+        [
+            (lambda: norm_power_constants(6, 1.0, 0.5, 1.0, 0.1, [1.0] * 36),
+             "Gamma term at word length 29"),
+            (lambda: norm_power_constants(3, 1.0, 0.5, 1.0, 0.1, [1e200] * 9), "D at N = 3"),
+            (lambda: gap_constant(60, 1.0, 0.5, 1.0, 0.1, 1.0), "C_N at word length 60"),
+        ],
+    )
+    def test_constants_refused_by_name(self, compute, name):
+        with pytest.raises(OutOfDomainError, match=f"^{re.escape(name)} = inf"):
+            compute()
 
 
 class TestGrowthFitAndRemainder:
@@ -135,7 +166,7 @@ class TestGrowthFitAndRemainder:
             eps = [weighted_tuple_sum(toy_B, r, eta[r - 1], 1.0, golden_freq, 1.0) for r in range(1, N + 1)]
             majorant = generator_majorant(N, delta / 2, 1.0, [1.0] * N, eta, g_list, eps)
             assert majorant <= 0.5 * delta ** 2 / 4.0  # smallness hypothesis
-            bound = exp_tail_constant(N, delta, norm_rho(toy_B, 1.0)) * majorant ** (N + 1)
+            bound = exp_tail_constant_at(N, delta, norm_rho(toy_B, 1.0)) * majorant ** (N + 1)
             assert measured <= bound * (1 + 1e-12)
 
 

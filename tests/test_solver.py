@@ -11,6 +11,8 @@ from mouldnf.alphabet import beta, diophantine_alpha, is_resonant
 from mouldnf.estimates import SAMPLE_LIMIT, default_eta, fit_growth_constants
 from mouldnf.exact import QI
 from mouldnf.mould import check_alternal, from_table, mexp, nabla
+from mouldnf import alphabet
+from mouldnf import solver as solver_module
 from mouldnf.solver import MouldSolver, verify_equation
 
 from oracles import StackSolver, subset_sum_counts
@@ -233,3 +235,32 @@ class TestSuffixPath:
             assert table.keys() == tables[0].keys()
             for w, got in table.items():
                 assert repr(got) == repr(oracle.values(w))
+
+
+class TestLetterSums:
+    """Each solved word forms its letter sum once: the resonance decision
+    and the eigenvalue share it."""
+
+    @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+    def test_one_letter_sum_per_solved_word(self, case, monkeypatch):
+        freq, letters, gauge = SOLVER_CASES[case]
+        calls = []
+        real_ksum = alphabet.ksum
+
+        def counting(word):
+            calls.append(word)
+            return real_ksum(word)
+
+        # wherever the solver reaches the letter sum from
+        monkeypatch.setattr(alphabet, "ksum", counting)
+        monkeypatch.setattr(solver_module, "ksum", counting, raising=False)
+        solver = MouldSolver(freq, gauge=gauge)
+        for w in words_over(letters, 3):
+            solver.values(w)
+        solved = [w for w in solver._table if w]
+        assert len(solved) == len(letters) + len(letters) ** 2 + len(letters) ** 3
+        assert sorted(calls) == sorted(solved)
+
+    def test_word_of_another_dimension_refused(self, golden_freq):
+        with pytest.raises(ValueError):
+            MouldSolver(golden_freq).values(((1, 0, 0),))
