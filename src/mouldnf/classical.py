@@ -7,87 +7,142 @@ On modes the bracket is a structure constant times the sum mode:
 which is the bilinear extension of ``d_xi F . d_x G - d_x F . d_xi G``.
 The Moyal bracket differs only in the structure constant, a function of
 the integer ``s = k.m' - m.k'`` (see :mod:`mouldnf.quantum`), so both
-brackets run through :func:`mode_bracket`.  The generator
-``omega . xi`` acts diagonally with eigenvalue ``i<k, omega>`` and never
-materializes as an observable.
+brackets run through one kernel, :func:`code_bracket`, on modes keyed by
+the ints of a :class:`ModeCodes` space.  The generator ``omega . xi``
+acts diagonally with eigenvalue ``i<k, omega>`` and never materializes
+as an observable.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from operator import add, mul, neg
+from operator import mul
 
-from .observables import Observable
+from .observables import REALITY_TOL, Observable
 
-# Array typecodes by item size in bytes: unsigned ones pack the biased
-# fields of the structure-constant rows, signed ones read ``s`` back.
+# Array typecodes by item size in bytes: unsigned ones hold the biased
+# coordinate fields of mode codes, signed ones read ``s`` back.
 _UNSIGNED = {array(t).itemsize: t for t in "BHILQ"}
 _SIGNED = {array(t).itemsize: t for t in "bhilq"}
 
 
-def mode_bracket(F, G, coupling=None):
-    """Bracket of two observables on modes, pruned of rounding dust.
+def top(*observables):
+    """The largest ``|coordinate|`` over the modes of ``observables``."""
+    return max((abs(x) for obs in observables for k, m in obs.coeffs for x in k + m), default=0)
+
+
+class ModeCodes:
+    """One int per mode, for a walk whose modes have coordinates within
+    ``reach`` ``T`` in absolute value.
+
+    The ``n = 2d`` coordinates of ``k + m``, biased by ``T``, are the
+    big-endian fields of ``w`` bytes of the code:
+    ``code = sum (x_i + T) 2^(8w(n-1-i))``, with ``w`` the least of 1, 2,
+    4, 8 bytes (a power of two beyond) with ``n T^2 < 2^(8w-1)``, so a
+    field also holds any structure constant of two modes.  So:
+
+    * codes sort as the ``(k, m)`` tuples do;
+    * the sum of two modes within reach has code ``code + code' - bias``,
+      with ``bias = sum T 2^(8w(n-1-i))`` the code of the zero mode;
+    * the mirror ``(-k, -m)`` has code ``2 bias - code``.
+    """
+
+    def __init__(self, d, reach):
+        self.d = d
+        self.n = n = 2 * d
+        self.reach = reach
+        width = 1
+        while (n * reach * reach) >> (8 * width - 1):
+            width *= 2
+        self.width = width
+        self.typecode = _UNSIGNED.get(width)
+        self.weights = [1 << (8 * width * (n - 1 - i)) for i in range(n)]
+        self.bias = reach * sum(self.weights)
+
+    def encode(self, obs):
+        """``obs`` keyed by codes, in its order; its reality flag is dropped."""
+        weights, bias = self.weights, self.bias
+        data = {bias + sum(map(mul, k + m, weights)): c for (k, m), c in obs.coeffs.items()}
+        return Observable._of(obs.d, data, False)
+
+    def fields(self, codes):
+        """The biased coordinates of ``codes``, one after another: an
+        ``array`` of native ints, or a list beyond 8-byte fields."""
+        width = self.width
+        raw = b"".join(c.to_bytes(self.n * width, "big") for c in codes)
+        if self.typecode is None:
+            return [int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)]
+        out = array(self.typecode, raw)
+        if sys.byteorder == "little":
+            out.byteswap()
+        return out
+
+    def decode(self, obs):
+        """``{(k, m): c}`` of code-keyed ``obs``, in its order."""
+        d, n, reach = self.d, self.n, self.reach
+        flat = [x - reach for x in self.fields(obs.coeffs)]
+        return {
+            (tuple(flat[i : i + d]), tuple(flat[i + d : i + n])): c
+            for i, c in zip(range(0, len(flat), n), obs.coeffs.values())
+        }
+
+    def check_real(self, obs):
+        """:meth:`Observable._check_real` on code-keyed ``obs``."""
+        twice = 2 * self.bias
+        for code, c in obs.coeffs.items():
+            if abs(obs.coeffs.get(twice - code, 0j) - c.conjugate()) > REALITY_TOL * max(1.0, abs(c)):
+                ((k, m),) = self.decode(Observable._of(self.d, {code: c}, False))
+                raise ValueError(f"reality flag violated at mode ({k},{m})")
+
+
+def code_bracket(F, G, coupling, codes, real=False):
+    """Bracket of two code-keyed observables, pruned of rounding dust.
 
     Every mode pair with a nonzero Poisson constant ``s`` contributes
-    ``coupling(s) * c * c'`` at the sum mode; without ``coupling`` the
+    ``coupling(s) * c * c'`` at the sum mode; with ``coupling`` None the
     integer ``s`` itself is used (the Poisson bracket).  ``coupling`` is
-    called once per distinct ``s`` of the call.
+    called once per distinct ``s`` of the call.  With ``real`` the
+    result is checked for the reality symmetry before and after the
+    prune; its flag stays false.
     """
-    if F.d != G.d:
-        raise ValueError("dimension mismatch")
     if F is G or F == G:
         # antisymmetry; spares relying on floating cancellation
-        return Observable.zero(F.d)
-    # Each mode (k, m) is keyed by the int sum x_i 2^(shift i) over the
-    # signed coordinates x of k + m.  The packing is linear, so the sum
-    # mode's code is code_f + code_g; two sum modes differ by at most
-    # 4 * top < 2^shift per coordinate, so within this call distinct sum
-    # modes get distinct codes.
-    top = max((abs(x) for obs in (F, G) for k, m in obs.coeffs for x in k + m), default=0)
-    n = 2 * F.d
-    shift = (4 * top).bit_length()
-    weights = [1 << (shift * i) for i in range(n)]
-    g_items = G.items_sorted()
-    g_modes = {sum(map(mul, kp + mp, weights)): (kp, mp) for (kp, mp), _ in g_items}
-    cps = [cp for _, cp in g_items]
-    # s = k.m' - m.k' is the dot product of a = k + (-m) with the row
-    # (m', k') of G, so |s| <= n top^2 < 2^(8 width - 1) =: half, with
-    # width the least of 1, 2, 4, 8 bytes (or a power of two beyond).
-    # Column i packs coordinate i of every row of G, biased by top, into
-    # fields of width bytes; then sum_i a_i col_i + (half - top sum(a))
-    # ones holds s_j + half in field j, and flipping each field's top
-    # bit leaves s_j in two's complement.  One big-int dot product thus
-    # gives the s of a mode of F against all of G.
-    bound = n * top * top
-    width = 1
-    while bound >> (8 * width - 1):
-        width *= 2
-    rows = len(g_items)
+        return Observable._of(F.d, {}, False)
+    # s = k.m' - m.k' is the dot product of a = (-m) + k with the row
+    # (k', m') of G, so |s| <= n T^2 < 2^(8 width - 1) =: half.  Column i
+    # packs coordinate i of every row of G, biased by T, into fields of
+    # width bytes; then sum_i a_i col_i + (half - T sum(a)) ones holds
+    # s_j + half in field j, and flipping each field's top bit leaves
+    # s_j in two's complement.  One big-int dot product thus gives the
+    # s of a mode of F against all of G.
+    n, d, reach, width = codes.n, codes.d, codes.reach, codes.width
+    g_codes = sorted(G.coeffs)
+    cps = [G.coeffs[code] for code in g_codes]
+    rows = len(g_codes)
     order = sys.byteorder
-    biased = [x + top for kp, mp in g_modes.values() for x in mp + kp]
+    fields = codes.fields(g_codes)
     signed = _SIGNED.get(width)
     if signed:
-        fields = memoryview(array(_UNSIGNED[width], biased))
         cols = [int.from_bytes(fields[i::n], order) for i in range(n)]
     else:
         cols = [
-            int.from_bytes(b"".join(x.to_bytes(width, order) for x in biased[i::n]), order)
+            int.from_bytes(b"".join(x.to_bytes(width, order) for x in fields[i::n]), order)
             for i in range(n)
         ]
     ones = int.from_bytes((1).to_bytes(width, order) * rows, order)
     half = 1 << (8 * width - 1)
     flip = half * ones
+    f_codes = sorted(F.coeffs)
+    f_fields = codes.fields(f_codes)
+    bias = codes.bias
     memo = {}
     data = {}
-    first = {}
-    f_modes = {}
-    for km, c in F.items_sorted():
-        k, m = km
-        code_f = sum(map(mul, k + m, weights))
-        f_modes[code_f] = km
-        a = k + tuple(map(neg, m))
-        packed = sum(map(mul, a, cols)) + (half - top * sum(a)) * ones
+    for j, code_f in enumerate(f_codes):
+        c = F.coeffs[code_f]
+        row = f_fields[j * n : j * n + n]
+        a = [reach - x for x in row[d:]] + [x - reach for x in row[:d]]
+        packed = sum(map(mul, a, cols)) + (half - reach * sum(a)) * ones
         raw = (packed ^ flip).to_bytes(width * rows, order)
         if signed:
             svals = memoryview(raw).cast(signed)
@@ -96,27 +151,38 @@ def mode_bracket(F, G, coupling=None):
                 int.from_bytes(raw[i : i + width], order, signed=True)
                 for i in range(0, len(raw), width)
             ]
-        for s, code_g, cp in zip(svals, g_modes, cps):
+        base = code_f - bias
+        for s, code_g, cp in zip(svals, g_codes, cps):
             if s:
                 if coupling is not None:
                     w = memo.get(s)
                     if w is None:
                         w = memo[s] = coupling(s)
                     s = w
-                code = code_f + code_g
-                old = data.get(code)
-                if old is None:
-                    data[code] = 0j + s * c * cp
-                    first[code] = code_g
-                else:
-                    data[code] = old + s * c * cp
-    # each sum mode's key, from the first pair that reached it
-    out = {}
-    for code, total in data.items():
-        code_g = first[code]
-        (k, m), (kp, mp) = f_modes[code - code_g], g_modes[code_g]
-        out[(tuple(map(add, k, kp)), tuple(map(add, m, mp)))] = total
-    return Observable._of(F.d, out, F.real and G.real).prune()
+                code = base + code_g
+                # the 0j start clears a negative zero of the first product
+                data[code] = data.get(code, 0j) + s * c * cp
+    out = Observable._of(F.d, data, False)
+    if real:
+        codes.check_real(out)
+    out = out.prune()
+    if real:
+        codes.check_real(out)
+    return out
+
+
+def mode_bracket(F, G, coupling=None):
+    """Bracket of two observables, pruned of rounding dust: the
+    :func:`code_bracket` of ``F`` and ``G`` in codes of reach
+    ``2 top(F, G)``, which holds every sum mode."""
+    if F.d != G.d:
+        raise ValueError("dimension mismatch")
+    if F is G or F == G:
+        return Observable.zero(F.d)
+    codes = ModeCodes(F.d, 2 * top(F, G))
+    real = F.real and G.real
+    out = code_bracket(codes.encode(F), codes.encode(G), coupling, codes, real)
+    return Observable._of(F.d, codes.decode(out), real)
 
 
 def poisson_bracket(F, G):
@@ -125,15 +191,17 @@ def poisson_bracket(F, G):
 
 
 class ClassicalBackend:
-    """Bracket backend for the commutative (function) picture."""
+    """Bracket backend for the commutative (function) picture; the
+    bracket kernel's ``coupling`` is the integer ``s`` itself."""
 
     name = "classical"
+    coupling = None
 
     def __init__(self, freq):
         self.freq = freq
 
     def bracket(self, F, G):
-        return poisson_bracket(F, G)
+        return mode_bracket(F, G, self.coupling)
 
     def ad_x0(self, G, exact_zero=True):
         """[x0, G]: multiply each mode by its eigenvalue.

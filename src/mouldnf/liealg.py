@@ -10,12 +10,20 @@ support letters in sorted order (deterministic floating accumulation),
 each extended one letter at a time from its prefix, pruning subtrees
 whose iterated bracket has already vanished and words whose mould value
 is negligible against the accumulated scale.
+
+Both bracket walkers, the word-tree walk of ``contract`` and the
+exponential chain of ``apply_exp_ad``, run on mode codes: each fixes a
+:class:`~mouldnf.classical.ModeCodes` space that holds every mode it can
+reach, encodes its operands once, brackets with
+:func:`~mouldnf.classical.code_bracket` at every step and decodes its
+result once.
 """
 
 from __future__ import annotations
 
 import math
 
+from .classical import ModeCodes, code_bracket, top
 from .observables import PRUNE_REL, Observable, norm_rho, slices
 from .solver import MouldSolver
 
@@ -65,6 +73,10 @@ def _contract_range(M, B, r_min, r_max, backend):
     total = Observable.zero(B.d)
     if not letters:
         return total
+    # a bracket of r slices has coordinates within r top(B)
+    codes = ModeCodes(B.d, r_max * top(B))
+    parts = {letter: codes.encode(part) for letter, part in parts.items()}
+    coupling = backend.coupling
     scale = 0.0
 
     def descend(word, nested):
@@ -79,13 +91,13 @@ def _contract_range(M, B, r_min, r_max, backend):
         if r == r_max:
             return
         for letter in letters:
-            extended = backend.bracket(parts[letter], nested)
+            extended = code_bracket(parts[letter], nested, coupling, codes)
             if extended:
                 descend(word + (letter,), extended)
 
     for letter in letters:
         descend((letter,), parts[letter])
-    return total
+    return Observable._of(B.d, codes.decode(total), False)
 
 
 def contract(M, B, max_r, backend):
@@ -123,21 +135,27 @@ def apply_exp_ad(Y, X, order, params, backend):
     brackets carries both parts: ``term_1 = [Y, X] - [x0, Y]`` and
     ``term_d = [Y, term_{d-1}] / d``.  Returns the observable and the
     geometric tail bound of the dropped orders; the bound is checked
-    before any bracket is taken.
+    before any bracket is taken.  The chain runs on mode codes of reach
+    ``top(X) + order top(Y)``, which holds every term.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     norm_y = norm_rho(Y, params.rho)
     norm_x = norm_rho(X, params.rho)
     tail, ratio = exp_ad_tail_bound(norm_y, norm_x, order, params)
-    total = X
-    if order >= 1:
-        term = backend.bracket(Y, X) - backend.ad_x0(Y)
-        total = total + term
+    if order == 0:
+        return X, tail, ratio
+    if Y.d != X.d:
+        raise ValueError("dimension mismatch")
+    codes = ModeCodes(X.d, top(X) + order * top(Y))
+    y, x = codes.encode(Y), codes.encode(X)
+    coupling = backend.coupling
+    term = code_bracket(y, x, coupling, codes, Y.real and X.real) - codes.encode(backend.ad_x0(Y))
+    total = x + term
     for d in range(2, order + 1):
-        term = backend.bracket(Y, term) * (1.0 / d)
+        term = code_bracket(y, term, coupling, codes) * (1.0 / d)
         total = total + term
-    return total, tail, ratio
+    return Observable._of(X.d, codes.decode(total), False), tail, ratio
 
 
 class NormalFormResult:

@@ -47,9 +47,10 @@ def ident_mould():
     return Mould(lambda w: 1 if len(w) == 1 else 0, name="I")
 
 
-def from_table(table, default=0, name="table"):
+def from_table(table):
+    """The mould with the values of ``table`` on its words and 0 elsewhere."""
     table = dict(table)
-    return Mould(lambda w: table.get(w, default), name=name)
+    return Mould(lambda w: table.get(w, 0), name="table")
 
 
 def madd(M, N):
@@ -286,4 +287,4 @@ def load_table(table, exact=False):
             raise ValueError(
                 f"mould table value at {key!r} is not an [re, im] pair: {pair!r}"
             ) from None
-    return from_table(data, name="golden")
+    return from_table(data)

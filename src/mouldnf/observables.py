@@ -18,6 +18,8 @@ import math
 from .alphabet import l1
 
 PRUNE_REL = 1e-16
+# relative tolerance of the reality symmetry b(-k,-m) = conj b(k,m)
+REALITY_TOL = 1e-12
 
 
 def _key(k, m):
@@ -85,7 +87,7 @@ class Observable:
 
     def _check_real(self):
         for (k, m), c, defect in self._mirror_defects():
-            if defect > 1e-12 * max(1.0, abs(c)):
+            if defect > REALITY_TOL * max(1.0, abs(c)):
                 raise ValueError(f"reality flag violated at mode ({k},{m})")
 
     def reality_defect(self):
@@ -146,11 +148,11 @@ class Observable:
     def __neg__(self):
         return (-1.0) * self
 
-    def prune(self, rel=PRUNE_REL):
+    def prune(self):
         if not self.coeffs:
             return self
-        top = max(abs(c) for c in self.coeffs.values())
-        data = {km: c for km, c in self.coeffs.items() if c != 0 and abs(c) > rel * top}
+        floor = PRUNE_REL * max(map(abs, self.coeffs.values()))
+        data = {km: c for km, c in self.coeffs.items() if c != 0 and abs(c) > floor}
         return Observable._of(self.d, data, self.real)
 
     def max_abs(self):

@@ -142,16 +142,14 @@ def validate_moyal(F, G, cutoff, hbar, tol=1e-10):
 
 class QuantumBackend(ClassicalBackend):
     """Bracket backend for the Weyl-symbol picture at fixed hbar; only
-    the bracket differs from :class:`ClassicalBackend`."""
+    the coupling differs from :class:`ClassicalBackend`."""
 
     def __init__(self, freq, hbar):
         check_hbar(hbar)
         super().__init__(freq)
         self.hbar = float(hbar)
+        self.coupling = sine_coupling(self.hbar)
 
     @property
     def name(self):
         return f"quantum(hbar={self.hbar})"
-
-    def bracket(self, F, G):
-        return moyal_bracket(F, G, self.hbar)

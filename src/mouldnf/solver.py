@@ -53,7 +53,9 @@ class MouldSolver:
     gauge : Mould, optional
         Resonant alternal gauge mould, zero when omitted.  The CLI always
         uses the zero gauge; :func:`verify_equation` checks the
-        zero-gauge condition only.
+        zero-gauge condition only.  The gauge stays a parameter because
+        it is part of the paper's mould equation, and the solver's
+        covariance under it is checked with a nonzero one.
     """
 
     def __init__(self, freq, gauge=None):

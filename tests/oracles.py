@@ -8,6 +8,8 @@ Nothing in the package uses these; they pin its results.
   and the interleavings are enumerated one by one.
 * Earlier forms of package code, kept to pin the current forms: the
   two-chain exponential for ``apply_exp_ad``'s fused chain; the
+  tuple-keyed exponential chain and comould walk, on the backend's
+  ``bracket``, for ``apply_exp_ad`` and ``contract`` on mode codes; the
   composition sum for the prefix recursion of the mould exponential and
   logarithm; the per-mask subset sums for :func:`subset_sum_counts` (the
   fold of ``alphabet.extend_subset_sums`` over a word) and
@@ -27,6 +29,8 @@ Nothing in the package uses these; they pin its results.
   decomposition with the weighted tuple sums over it (lattice classes,
   the stripped part norm), the generator majorant built on them, and the
   exponential-tail constant at a given ``||B||``.
+* Variants of package code at values its callers never use: a prune at
+  another relative threshold, and a table mould with another default.
 """
 
 import cmath
@@ -40,9 +44,9 @@ import numpy as np
 
 from mouldnf import Observable
 from mouldnf.alphabet import beta, extend_subset_sums, is_resonant, l1, sigma, words_over
-from mouldnf.liealg import chi
+from mouldnf.liealg import chi, exp_ad_tail_bound
 from mouldnf.mould import Mould, msub, times
-from mouldnf.observables import _group_by_x_mode, norm_rho
+from mouldnf.observables import PRUNE_REL, _group_by_x_mode, norm_rho, slices
 from mouldnf.quantum import sine_coupling
 
 
@@ -146,6 +150,70 @@ def two_chain_exp_ad(Y, X, order, backend):
             term = backend.bracket(Y, term) * (1.0 / d)
             total = total + term
     return total
+
+
+def tuple_exp_ad(Y, X, order, params, backend):
+    """``apply_exp_ad`` as one chain of ``backend.bracket`` calls on
+    tuple-keyed observables."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    norm_y = norm_rho(Y, params.rho)
+    norm_x = norm_rho(X, params.rho)
+    tail, ratio = exp_ad_tail_bound(norm_y, norm_x, order, params)
+    total = X
+    if order >= 1:
+        term = backend.bracket(Y, X) - backend.ad_x0(Y)
+        total = total + term
+    for d in range(2, order + 1):
+        term = backend.bracket(Y, term) * (1.0 / d)
+        total = total + term
+    return total, tail, ratio
+
+
+def tuple_contract_range(M, B, r_min, r_max, backend):
+    """``liealg._contract_range`` as a walk of ``backend.bracket`` calls
+    on tuple-keyed observables."""
+    parts = slices(B)
+    letters = sorted(parts)
+    total = Observable.zero(B.d)
+    if not letters:
+        return total
+    scale = 0.0
+
+    def descend(word, nested):
+        nonlocal total, scale
+        r = len(word)
+        if r >= r_min:
+            value = complex(M(word))
+            weight = abs(value) * nested.max_abs()
+            if value != 0 and weight > PRUNE_REL * scale:
+                total = total + (value / r) * nested
+                scale = max(scale, weight)
+        if r == r_max:
+            return
+        for letter in letters:
+            extended = backend.bracket(parts[letter], nested)
+            if extended:
+                descend(word + (letter,), extended)
+
+    for letter in letters:
+        descend((letter,), parts[letter])
+    return total
+
+
+def prune_at(obs, rel):
+    """``obs.prune()`` at the relative threshold ``rel``."""
+    if not obs.coeffs:
+        return obs
+    top = max(abs(c) for c in obs.coeffs.values())
+    data = {km: c for km, c in obs.coeffs.items() if c != 0 and abs(c) > rel * top}
+    return Observable._of(obs.d, data, obs.real)
+
+
+def table_mould(table, default):
+    """``mould.from_table`` with ``default`` off the table."""
+    table = dict(table)
+    return Mould(lambda w: table.get(w, default), name="table")
 
 
 def compositions(word, nparts):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mouldnf import ClassicalBackend, Observable
-from mouldnf.classical import mode_bracket, poisson_bracket
+from mouldnf.classical import ModeCodes, code_bracket, mode_bracket, poisson_bracket, top
 from mouldnf.observables import norm_rho
 from mouldnf.quantum import moyal_bracket, sine_coupling
 
@@ -315,3 +315,109 @@ class TestKernelBitIdentity:
         assert sorted(calls) == ([] if F == G else sorted(distinct - {0}))
         slow = mode_bracket_double_loop(F, G, sine)
         assert repr(list(fast.coeffs.items())) == repr(list(slow.coeffs.items()))
+
+
+def _code(codes, k, m):
+    (code,) = codes.encode(Observable(len(k), {(k, m): 1.0})).coeffs
+    return code
+
+
+@st.composite
+def _code_spaces(draw):
+    """A dimension, a reach of any field width, and modes within it."""
+    d = draw(st.integers(1, 3))
+    reach = draw(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 80)))
+    coord = st.one_of(st.integers(-reach, reach), st.sampled_from([-reach, reach]))
+    mode = st.tuples(st.tuples(*[coord] * d), st.tuples(*[coord] * d))
+    return d, reach, draw(st.lists(mode, min_size=1, max_size=6, unique=True))
+
+
+def _with_code_space_examples(test):
+    """The operands of the field-width and collider pairs, at the reach
+    of their largest coordinate: every field width, 1, 2, 4, 8 bytes and
+    wider, each just below and above its boundary."""
+    for F, G in (*_field_width_pairs(), _FIXED_SHIFT_COLLIDERS):
+        test = example((F.d, top(F, G), list({**F.coeffs, **G.coeffs})))(test)
+    return test
+
+
+class TestModeCodes:
+    """The laws of the code space that the kernel and the walkers rely on."""
+
+    @PROPERTY_SETTINGS
+    @given(_code_spaces())
+    @_with_code_space_examples
+    def test_code_laws(self, space):
+        d, reach, modes = space
+        codes = ModeCodes(d, reach)
+        obs = Observable(d, {km: 1.0 for km in modes})
+        encoded = codes.encode(obs)
+        # decoding gives the modes back, in their order
+        assert list(codes.decode(encoded)) == list(obs.coeffs)
+        # codes sort as the (k, m) tuples do
+        by_code = Observable._of(d, {code: 1.0 for code in sorted(encoded.coeffs)}, False)
+        assert list(codes.decode(by_code)) == sorted(obs.coeffs)
+        zero = (0,) * d
+        assert _code(codes, zero, zero) == codes.bias
+        for k, m in modes:
+            code = _code(codes, k, m)
+            minus_k, minus_m = tuple(-x for x in k), tuple(-x for x in m)
+            # the mirror (-k, -m)
+            assert _code(codes, minus_k, minus_m) == 2 * codes.bias - code
+            # the sum of two modes within reach
+            for kp, mp in [*modes, (minus_k, minus_m), (zero, zero)]:
+                ks, ms = tuple(map(sum, zip(k, kp))), tuple(map(sum, zip(m, mp)))
+                if all(abs(x) <= reach for x in ks + ms):
+                    assert _code(codes, ks, ms) == code + _code(codes, kp, mp) - codes.bias
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(*[_wide_observables(d)] * 2)), COUPLINGS)
+    @example(_FIXED_SHIFT_COLLIDERS, None)
+    @example(_FIXED_SHIFT_COLLIDERS, sine_coupling(0.1))
+    @_with_field_width_examples
+    def test_kernel_is_independent_of_reach(self, pair, coupling):
+        # the walkers' reaches exceed the one of mode_bracket, so their
+        # fields are wider; the bracket must not see the difference
+        F, G = pair
+        expected = repr(list(mode_bracket(F, G, coupling).coeffs.items()))
+        t = top(F, G)
+        for reach in (2 * t, 2 * t + 100, 2 ** 20 * (t + 1), 2 ** 70 * (t + 1)):
+            codes = ModeCodes(F.d, reach)
+            out = code_bracket(codes.encode(F), codes.encode(G), coupling, codes)
+            assert repr(list(codes.decode(out).items())) == expected
+
+    @pytest.mark.parametrize(
+        "tiny",
+        [
+            # kept at (2, 1) while its mirror, within 1e-12 of its
+            # conjugate, is pruned: refused after the prune only
+            {((2,), (0,)): 5.0000005e-11, ((-2,), (-2,)): -0.49995e-10},
+            # pruned at (3, 1), with no mirror: refused before the prune only
+            {((3,), (0,)): 1e-11},
+        ],
+    )
+    def test_reality_checked_before_and_after_the_prune(self, tiny):
+        F = Observable(1, {((1,), (0,)): 1e6, ((-1,), (-2,)): -1e6, **tiny}, _prune=False)
+        G = Observable(1, {((0,), (1,)): 1.0})
+        # flagged real unchecked, so that the bracket's own checks refuse
+        F.real = G.real = True
+        with pytest.raises(ValueError) as oracle:
+            mode_bracket_double_loop(F, G)
+        codes = ModeCodes(1, 2 * top(F, G))
+        with pytest.raises(ValueError) as coded:
+            code_bracket(codes.encode(F), codes.encode(G), None, codes, real=True)
+        assert str(coded.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("reach", [2, 2 ** 40])
+    def test_reality_check_on_codes(self, reach):
+        # a mode without its conjugate mirror is refused as the
+        # public constructor refuses it, naming the same mode
+        data = {((1, -2), (0, 1)): 1.0 + 0.5j, ((-1, 2), (0, -1)): 1.0 - 0.5j, ((2, 0), (1, 1)): 0.25}
+        with pytest.raises(ValueError) as public:
+            Observable(2, data, real=True)
+        codes = ModeCodes(2, reach)
+        with pytest.raises(ValueError) as coded:
+            codes.check_real(codes.encode(Observable(2, data)))
+        assert str(coded.value) == str(public.value)
+        del data[((2, 0), (1, 1))]
+        codes.check_real(codes.encode(Observable(2, data)))

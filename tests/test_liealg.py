@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mouldnf import (
     ClassicalBackend,
@@ -11,22 +13,24 @@ from mouldnf import (
     ScaleParams,
     normalize,
 )
+from mouldnf import liealg
+from mouldnf.classical import code_bracket
 from mouldnf.liealg import apply_exp_ad, chi, contract, default_exp_order, order_increment
 from mouldnf.mould import from_table, ident_mould, nabla
-from mouldnf.observables import slices
+from mouldnf.observables import norm_rho, slices
 from mouldnf.solver import MouldSolver
 
-from oracles import comould, evaluate, hamiltonian_flow, mbracket, two_chain_exp_ad, zero_mould
-
-
-class CountingBackend(ClassicalBackend):
-    """Classical backend that counts its bracket calls."""
-
-    calls = 0
-
-    def bracket(self, F, G):
-        self.calls += 1
-        return super().bracket(F, G)
+from conftest import PHI, TOY_MODES, observable_strategy
+from oracles import (
+    comould,
+    evaluate,
+    hamiltonian_flow,
+    mbracket,
+    tuple_contract_range,
+    tuple_exp_ad,
+    two_chain_exp_ad,
+    zero_mould,
+)
 
 
 class TestComould:
@@ -127,18 +131,26 @@ class TestApplyExpAd:
         assert out.coeffs == toy_B.coeffs
         assert tail > 0.0
 
-    def test_one_bracket_per_order(self, toy_B, golden_freq, scale_params):
-        backend = CountingBackend(golden_freq)
+    def test_one_bracket_per_order(self, toy_B, golden_freq, scale_params, monkeypatch):
+        # the chain calls the code kernel by its name in liealg
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return code_bracket(*args, **kwargs)
+
+        monkeypatch.setattr(liealg, "code_bracket", counting)
+        backend = ClassicalBackend(golden_freq)
         Y = 0.01 * toy_B
         for order in range(6):
-            backend.calls = 0
+            calls.clear()
             apply_exp_ad(Y, toy_B, order, scale_params, backend)
-            assert backend.calls == order
+            assert len(calls) == order
         # out of the domain: refused before any bracket is taken
-        backend.calls = 0
+        calls.clear()
         with pytest.raises(OutOfDomainError):
             apply_exp_ad(1e4 * toy_B, toy_B, 6, scale_params, backend)
-        assert backend.calls == 0
+        assert calls == []
 
     @pytest.mark.parametrize("hbar", [None, 0.1])
     def test_fused_chain_matches_two_chains(self, toy_B, golden_freq, scale_params, hbar):
@@ -187,6 +199,86 @@ class TestApplyExpAd:
             xf, xif = hamiltonian_flow(Y, x0, xi0)
             expected = evaluate(X, xf, xif) + xif[0] - xi0[0]
             assert abs(evaluate(series, x0, xi0) - expected) <= 1e-6
+
+
+def _outcome(walk, *args):
+    """What a walker gives: its results with every observable as the
+    repr of its items in order and its reality flag, or the error."""
+    try:
+        result = walk(*args)
+    except ValueError as err:
+        return "ValueError", str(err)
+    parts = result if isinstance(result, tuple) else (result,)
+    return [
+        (repr(list(part.coeffs.items())), part.real) if isinstance(part, Observable) else part
+        for part in parts
+    ]
+
+
+def _realified(obs):
+    """``obs`` plus its conjugate mirror, flagged real."""
+    data = {}
+    for (k, m) in obs.coeffs:
+        mirror = (tuple(-a for a in k), tuple(-a for a in m))
+        data[(k, m)] = obs.coeffs[(k, m)] + obs.coeffs.get(mirror, 0j).conjugate()
+        data[mirror] = data[(k, m)].conjugate()
+    return Observable(obs.d, data, real=True)
+
+
+GOLDEN = Frequency((1.0, PHI), dioph_tau=1.0)
+# None is the classical backend; a float is the quantum backend's hbar
+HBARS = st.one_of(st.none(), st.floats(0.01, 2.0))
+OPERANDS = st.one_of(
+    st.just(Observable(2, {})),
+    observable_strategy(2, 4),
+    observable_strategy(2, 4).map(_realified),
+)
+TOY = Observable(2, TOY_MODES)
+
+
+def _backend(hbar):
+    return ClassicalBackend(GOLDEN) if hbar is None else QuantumBackend(GOLDEN, hbar)
+
+
+class TestWalkersOnCodes:
+    """The walkers on mode codes against their tuple-keyed forms on the
+    backend's bracket: the same modes in the same order, the same
+    floats, signs of zero and reality flags, the same tails."""
+
+    @settings(max_examples=60)
+    @given(OPERANDS, OPERANDS, st.integers(0, 12), HBARS, st.booleans())
+    @example(Observable(2, {}), Observable(2, {}), 12, None, False)
+    @example(Observable(2, {((1, 0), (0, 1)): 1.0}), Observable(2, {}), 12, 0.1, False)
+    @example(Observable(2, {((1, 0), (0, 1)): 1.0}), Observable(2, {}), 12, None, True)
+    @example(_realified(TOY), _realified(TOY), 12, None, False)
+    @example(TOY, TOY, 12, 0.1, True)
+    def test_exp_chain_matches_tuple_chain(self, Y, X, order, hbar, same):
+        params = ScaleParams(1.0, 0.5)
+        # ||Y|| at 0.4 delta^2 keeps the chain inside its domain
+        norm = norm_rho(Y, params.rho)
+        if norm:
+            Y = (0.4 * params.delta ** 2 / norm) * Y
+        if same:
+            X = Y
+        backend = _backend(hbar)
+        fast = _outcome(apply_exp_ad, Y, X, order, params, backend)
+        assert fast == _outcome(tuple_exp_ad, Y, X, order, params, backend)
+
+    @settings(max_examples=60)
+    @given(
+        B=OPERANDS,
+        mould=st.sampled_from(["F_mould", "G_mould"]),
+        r_range=st.integers(1, 3).flatmap(lambda r: st.tuples(st.integers(1, r), st.just(r))),
+        hbar=HBARS,
+    )
+    @example(B=TOY, mould="F_mould", r_range=(1, 3), hbar=None)
+    @example(B=TOY, mould="G_mould", r_range=(1, 3), hbar=0.1)
+    @example(B=_realified(TOY), mould="G_mould", r_range=(3, 3), hbar=None)
+    def test_contraction_matches_tuple_walk(self, golden_solver, B, mould, r_range, hbar):
+        M = getattr(golden_solver, mould)
+        backend = _backend(hbar)
+        fast = _outcome(liealg._contract_range, M, B, *r_range, backend)
+        assert fast == _outcome(tuple_contract_range, M, B, *r_range, backend)
 
 
 class TestNormalize:

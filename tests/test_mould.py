@@ -27,7 +27,7 @@ from mouldnf.mould import (
     times,
 )
 
-from oracles import composition_series, unit_mould, zero_mould
+from oracles import composition_series, table_mould, unit_mould, zero_mould
 
 X, Y, Z = (1, 0), (0, 1), (-1, 0)
 LETTERS = (X, Y, Z)
@@ -138,7 +138,7 @@ class TestResonantPart:
             assert RI(w) == 0
 
     def test_filters_word_list(self, rational_freq_float):
-        M = unit_filled = from_table({}, default=1.0)
+        M = unit_filled = table_mould({}, 1.0)
         R = resonant_part(M, rational_freq_float)
         assert R(((2, -1),)) == 1.0
         assert R(((1, 0),)) == 0
@@ -335,7 +335,7 @@ class TestTableIO:
 
     def test_exact_roundtrip(self):
         table_in = {(X,): QI(1, 2), (X, Y): QI("1/3", "-2/7")}
-        M = from_table(table_in, default=QI(0, 0))
+        M = table_mould(table_in, QI(0, 0))
         dumped = dump_table(M, list(table_in), exact=True)
         loaded = load_table(dumped, exact=True)
         for w, v in table_in.items():

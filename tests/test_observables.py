@@ -12,7 +12,7 @@ from mouldnf.estimates import default_eta
 from mouldnf.observables import from_json_dict, norm_rho, slices, to_json_dict
 
 from conftest import observable_strategy, random_observable
-from oracles import evaluate, homogeneous_parts, norm_rho_stripped, weighted_tuple_sum
+from oracles import evaluate, homogeneous_parts, norm_rho_stripped, prune_at, weighted_tuple_sum
 
 
 def roundtrip(B):
@@ -81,7 +81,7 @@ class TestArithmetic:
         # no zero and no negative-zero part survives in sums, scalar
         # multiples, pruned copies and brackets
         F, G = pair
-        for result in (F + G, F - G, scalar * F, (F + G).prune(1e-3), mode_bracket(F, G)):
+        for result in (F + G, F - G, scalar * F, prune_at(F + G, 1e-3), mode_bracket(F, G)):
             public = Observable(result.d, result.coeffs, real=result.real, _prune=False)
             assert repr(list(result.coeffs.items())) == repr(list(public.coeffs.items()))
 
