@@ -177,7 +177,7 @@ class Frequency:
 
     def pairing(self, k):
         """<k, omega> as a float, or a Fraction for exact frequencies."""
-        return sum(ki * wi for ki, wi in zip(k, self.omega))
+        return sum(map(mul, k, self.omega))
 
     def eigenvalue(self, k, exact_zero=True):
         """i<k, omega> for a mode vector ``k``.
@@ -262,24 +262,36 @@ def extend_subset_sums(counts, letter):
     return step
 
 
-def beta(counts, tau, freq):
+class DivisorWeights(dict):
+    """``|lambda_k|^(-1/tau)``, ``tau`` the frequency's, of each letter sum
+    ``k`` looked up, formed on first lookup: 0.0 on the resonance lattice
+    (decided exactly), else from the float pairing ``<k, omega>``."""
+
+    def __init__(self, freq):
+        super().__init__()
+        self.freq = freq
+        self.exponent = -1.0 / freq.dioph_tau
+        self.omega_f = tuple(float(c) for c in freq.omega)
+
+    def __missing__(self, k):
+        weight = 0.0
+        if not self.freq._in_lattice(k):
+            weight = abs(sum(map(mul, k, self.omega_f))) ** self.exponent
+        self[k] = weight
+        return weight
+
+
+def beta(counts, weights):
     """Sum of |lambda_sigma|^(-1/tau) over the non-resonant letter subsets
     of the word whose :func:`extend_subset_sums` counts are ``counts``.
 
     ``lambda_sigma`` is the eigenvalue of the subset sum of letters, so
-    the sum runs over the distinct sums, each decided on the resonance
-    lattice (exactly) and weighted once, times its count.  Summed with
-    ``math.fsum``, so the result does not depend on the order of the
-    sums.  Returns 0.0 for the empty word (``counts = {}``).
+    the sum runs over the distinct sums, each weighted by the
+    :class:`DivisorWeights` ``weights`` times its count, with
+    ``math.fsum``: the result depends neither on the order of the sums
+    nor on the exact zeros of resonant ones.  0.0 for ``counts = {}``.
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    omega_f = tuple(float(c) for c in freq.omega)
-    return math.fsum(
-        n * abs(sum(map(mul, k, omega_f))) ** (-1.0 / tau)
-        for k, n in counts.items()
-        if not freq._in_lattice(k)
-    )
+    return math.fsum(n * weights[k] for k, n in counts.items())
 
 
 def shuffles(a, b):

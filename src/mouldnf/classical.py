@@ -78,6 +78,19 @@ class ModeCodes:
             out.byteswap()
         return out
 
+    def rows(self, obs):
+        """Code-keyed ``obs`` as :func:`code_bracket`'s left operand, formed
+        once per walk: ``obs`` and its modes in code order as
+        ``(code - bias, c, a, T sum(a))``, with ``a = (-m) + k``."""
+        d, n, reach = self.d, self.n, self.reach
+        codes = sorted(obs.coeffs)
+        flat = [x - reach for x in self.fields(codes)]
+        out = []
+        for i, code in zip(range(0, len(flat), n), codes):
+            a = [-x for x in flat[i + d : i + n]] + flat[i : i + d]
+            out.append((code - self.bias, obs.coeffs[code], a, reach * sum(a)))
+        return obs, out
+
     def decode(self, obs):
         """``{(k, m): c}`` of code-keyed ``obs``, in its order."""
         d, n, reach = self.d, self.n, self.reach
@@ -96,8 +109,9 @@ class ModeCodes:
                 raise ValueError(f"reality flag violated at mode ({k},{m})")
 
 
-def code_bracket(F, G, coupling, codes, real=False):
-    """Bracket of two code-keyed observables, pruned of rounding dust.
+def code_bracket(left, G, coupling, codes, real=False):
+    """Bracket of the left operand ``left = codes.rows(F)`` with the
+    code-keyed observable ``G``, pruned of rounding dust.
 
     Every mode pair with a nonzero Poisson constant ``s`` contributes
     ``coupling(s) * c * c'`` at the sum mode; with ``coupling`` None the
@@ -106,6 +120,7 @@ def code_bracket(F, G, coupling, codes, real=False):
     result is checked for the reality symmetry before and after the
     prune; its flag stays false.
     """
+    F, f_rows = left
     if F is G or F == G:
         # antisymmetry; spares relying on floating cancellation
         return Observable._of(F.d, {}, False)
@@ -116,7 +131,7 @@ def code_bracket(F, G, coupling, codes, real=False):
     # s_j + half in field j, and flipping each field's top bit leaves
     # s_j in two's complement.  One big-int dot product thus gives the
     # s of a mode of F against all of G.
-    n, d, reach, width = codes.n, codes.d, codes.reach, codes.width
+    n, width = codes.n, codes.width
     g_codes = sorted(G.coeffs)
     cps = [G.coeffs[code] for code in g_codes]
     rows = len(g_codes)
@@ -133,16 +148,10 @@ def code_bracket(F, G, coupling, codes, real=False):
     ones = int.from_bytes((1).to_bytes(width, order) * rows, order)
     half = 1 << (8 * width - 1)
     flip = half * ones
-    f_codes = sorted(F.coeffs)
-    f_fields = codes.fields(f_codes)
-    bias = codes.bias
     memo = {}
     data = {}
-    for j, code_f in enumerate(f_codes):
-        c = F.coeffs[code_f]
-        row = f_fields[j * n : j * n + n]
-        a = [reach - x for x in row[d:]] + [x - reach for x in row[:d]]
-        packed = sum(map(mul, a, cols)) + (half - reach * sum(a)) * ones
+    for base, c, a, reach_sum in f_rows:
+        packed = sum(map(mul, a, cols)) + (half - reach_sum) * ones
         raw = (packed ^ flip).to_bytes(width * rows, order)
         if signed:
             svals = memoryview(raw).cast(signed)
@@ -151,7 +160,6 @@ def code_bracket(F, G, coupling, codes, real=False):
                 int.from_bytes(raw[i : i + width], order, signed=True)
                 for i in range(0, len(raw), width)
             ]
-        base = code_f - bias
         for s, code_g, cp in zip(svals, g_codes, cps):
             if s:
                 if coupling is not None:
@@ -181,7 +189,7 @@ def mode_bracket(F, G, coupling=None):
         return Observable.zero(F.d)
     codes = ModeCodes(F.d, 2 * top(F, G))
     real = F.real and G.real
-    out = code_bracket(codes.encode(F), codes.encode(G), coupling, codes, real)
+    out = code_bracket(codes.rows(codes.encode(F)), codes.encode(G), coupling, codes, real)
     return Observable._of(F.d, codes.decode(out), real)
 
 

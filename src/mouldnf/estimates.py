@@ -18,7 +18,7 @@ import math
 import random
 import statistics
 
-from .alphabet import _as_int_vector, beta, extend_subset_sums
+from .alphabet import DivisorWeights, _as_int_vector, beta, extend_subset_sums
 from .liealg import OutOfDomainError, chi, finite_norm, order_increment
 from .observables import norm_rho
 from .classical import ClassicalBackend
@@ -139,51 +139,45 @@ def _sample_words(letters, previous, rng):
     return [w + (rng.choice(letters),) for w in previous]
 
 
-def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
-    """Observed suprema of the coefficient-mould ratios per word length.
+def fit_growth_constants(M, freq, alphabet, r_max, rho, alpha, seed, lag=0):
+    """Observed suprema of a coefficient mould's ratio per word length.
 
-    For each length r, the ratio of ``|F|`` (resp. ``|G|``) to its
-    growth-bound shape with unit constant is maximized over all words
-    when there are at most ``SAMPLE_LIMIT``, else over a seeded
-    prefix-extension walk: each sampled word extends a word of the
-    previous length's list by one letter drawn with ``seed``.  A word
-    whose prefix was evaluated then costs O(r^2) in the solver, in
-    ``log S`` and in its subset-sum counts, which extend the prefix's.
-    ``tau`` is the frequency's.  Returns ``(F_list, G_list)`` of length
+    For each length r, the ratio of ``|M|`` to its growth-bound shape
+    with unit constant, ``(tau/(e eta_r))^(tau (r - lag)) exp(eta_r beta)``,
+    is maximized over all words when there are at most ``SAMPLE_LIMIT``,
+    else over a seeded prefix-extension walk: each sampled word extends
+    a word of the previous length's list by one letter drawn with
+    ``seed``.  ``M`` is the generator mould G (``lag = 0``) or the
+    normal-form mould F (``lag = 1``: a resonant word is not divided by
+    its own letter sum).  A word whose prefix was evaluated costs O(r^2)
+    in the solver, in ``log S`` and in its subset-sum counts, which
+    extend the prefix's, and each distinct subset sum is weighed once
+    per fit.  ``tau`` is the frequency's.  Returns the list of length
     ``r_max``.  Estimates only.
     """
     tau = freq.dioph_tau
     rng = random.Random(seed)
-    solver = MouldSolver(freq)
-    F = solver.F_mould
-    G = solver.G_mould
+    weights = DivisorWeights(freq)
     letters = sorted(_as_int_vector(k) for k in alphabet)
     words, counts = [()], {(): {}}
-    f_list, g_list = [], []
+    suprema = []
     for r in range(1, r_max + 1):
         eta_r = default_eta(rho, alpha, tau, r)
         # the shape grows like 2^(tau r^2) and leaves float range near
-        # r = 32 when tau = 1; base^(r-1) <= max(1, base^r), so finite
-        # g_shape and g_shape * shape keep f_shape * shape finite too
+        # r = 32 when tau = 1
         name = f"growth shape (tau/(e eta_r))^(tau r) exp(eta_r beta) at word length {r}"
         base = _finite(name, lambda: (tau / (math.e * eta_r)) ** tau)
-        g_shape = _finite(name, lambda: base ** r)
-        f_shape = base ** (r - 1)
-        f_best, g_best = 0.0, 0.0
+        power = _finite(name, lambda: base ** (r - lag))
+        best = 0.0
         words = _sample_words(letters, words, rng)
         counts = {w: extend_subset_sums(counts[w[:-1]], w[-1]) for w in dict.fromkeys(words)}
         for w, c in counts.items():
-            shape = _finite(name, lambda: math.exp(eta_r * beta(c, tau, freq)))
-            g_scale = _finite(name, lambda: g_shape * shape)
-            fv = abs(complex(F(w)))
-            gv = abs(complex(G(w)))
-            if fv:
-                f_best = max(f_best, fv / (f_shape * shape))
-            if gv:
-                g_best = max(g_best, gv / g_scale)
-        f_list.append(f_best)
-        g_list.append(g_best)
-    return f_list, g_list
+            scale = _finite(name, lambda: power * math.exp(eta_r * beta(c, weights)))
+            value = abs(complex(M(w)))
+            if value:
+                best = max(best, value / scale)
+        suprema.append(best)
+    return suprema
 
 
 def verify_remainder_bound(result, N, params, freq, G_list, alpha):
@@ -260,8 +254,7 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
     F = MouldSolver(freq).F_mould
     classical = order_increment(F, B, N, ClassicalBackend(freq))
     letters = sorted({k for k, _ in B.coeffs})
-    f_list, _ = fit_growth_constants(freq, letters, N, rho, alpha, seed)
-    F_N = f_list[N - 1]
+    F_N = fit_growth_constants(F, freq, letters, N, rho, alpha, seed, lag=1)[N - 1]
     c_n = gap_constant(N, rho, rho_prime, freq.dioph_tau, alpha, F_N)
     hbars, g_values, bounds = [], [], []
     for hbar in hbar_list:

@@ -15,8 +15,8 @@ Both bracket walkers, the word-tree walk of ``contract`` and the
 exponential chain of ``apply_exp_ad``, run on mode codes: each fixes a
 :class:`~mouldnf.classical.ModeCodes` space that holds every mode it can
 reach, encodes its operands once, brackets with
-:func:`~mouldnf.classical.code_bracket` at every step and decodes its
-result once.
+:func:`~mouldnf.classical.code_bracket` at every step, with the rows of
+its fixed left operands decoded once, and decodes its result once.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ def _contract_range(M, B, r_min, r_max, backend):
     # a bracket of r slices has coordinates within r top(B)
     codes = ModeCodes(B.d, r_max * top(B))
     parts = {letter: codes.encode(part) for letter, part in parts.items()}
+    lefts = {letter: codes.rows(part) for letter, part in parts.items()}
     coupling = backend.coupling
     scale = 0.0
 
@@ -91,7 +92,7 @@ def _contract_range(M, B, r_min, r_max, backend):
         if r == r_max:
             return
         for letter in letters:
-            extended = code_bracket(parts[letter], nested, coupling, codes)
+            extended = code_bracket(lefts[letter], nested, coupling, codes)
             if extended:
                 descend(word + (letter,), extended)
 
@@ -148,7 +149,7 @@ def apply_exp_ad(Y, X, order, params, backend):
     if Y.d != X.d:
         raise ValueError("dimension mismatch")
     codes = ModeCodes(X.d, top(X) + order * top(Y))
-    y, x = codes.encode(Y), codes.encode(X)
+    y, x = codes.rows(codes.encode(Y)), codes.encode(X)
     coupling = backend.coupling
     term = code_bracket(y, x, coupling, codes, Y.real and X.real) - codes.encode(backend.ad_x0(Y))
     total = x + term
@@ -165,6 +166,8 @@ class NormalFormResult:
     ----------
     Z, Y, E : Observable
         Normal form, generator, and measured remainder.
+    G : Mould
+        The generator mould contracted into ``Y``, for the growth fit.
     norms : dict
         ``||Z||, ||Y||, ||E||`` at the target radius.
     commutation_residual : float
@@ -174,10 +177,11 @@ class NormalFormResult:
         Geometric bound on the exponential truncation actually dropped.
     """
 
-    def __init__(self, Z, Y, E, norms, commutation_residual, exp_tail_bound, exp_order, ratio):
+    def __init__(self, Z, Y, E, G, norms, commutation_residual, exp_tail_bound, exp_order, ratio):
         self.Z = Z
         self.Y = Y
         self.E = E
+        self.G = G
         self.norms = norms
         self.commutation_residual = commutation_residual
         self.exp_tail_bound = exp_tail_bound
@@ -225,4 +229,4 @@ def normalize(B, N, params, freq, backend, exp_order=None):
     }
     raw = backend.ad_x0(Z, exact_zero=False)
     residual = norm_rho(raw, rp) if raw else 0.0
-    return NormalFormResult(Z, Y, E, norms, residual, tail, order, ratio)
+    return NormalFormResult(Z, Y, E, solver.G_mould, norms, residual, tail, order, ratio)

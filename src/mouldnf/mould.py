@@ -9,9 +9,7 @@ floats and exact Q(i) scalars.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 
 from .alphabet import is_resonant, shuffles, sigma, words_over
 from .exact import QI, scalar_abs, scalar_is_zero
@@ -31,12 +29,10 @@ class Mould:
         self.name = name
 
     def __call__(self, word):
-        try:
-            return self._memo[word]
-        except KeyError:
-            value = self._fn(word)
-            self._memo[word] = value
-            return value
+        value = self._memo.get(word)
+        if value is None:
+            value = self._memo[word] = self._fn(word)
+        return value
 
     def __repr__(self):
         return f"Mould({self.name})"
@@ -119,36 +115,35 @@ def _series(M, empty_value, coefficient, name):
 
     The inner sums are the power moulds ``P_k`` on the prefixes of the
     word, by the induction ``P_1(i) = M(w[:i])`` and
-    ``P_k(i) = sum_{j=k-1}^{i-1} P_{k-1}(j) M(w[j:i])``.  ``P_k(i)``
-    depends only on the prefix ``w[:i]``, so the series keeps one memo
-    from each prefix it met to its column ``[P_1(i), ..., P_i(i)]``; a
-    new column reads the cached columns of its proper prefixes and
-    ``M`` on its ``i`` suffixes, O(i^2) products.  A word whose
-    ``w[:-1]`` was met costs O(r^2), and every value is the same sum in
-    the same order however the words arrive.  Only values of ``M`` on
-    non-empty words enter, so ``k`` stops at ``r``.
+    ``P_k(i) = sum_{j=k-1}^{i-1} P_{k-1}(j) M(w[j:i])``, a left fold.
+    ``P_k(i)`` depends only on the prefix ``w[:i]``, so the series keeps
+    one memo from each prefix it met to the columns ``[P_1, ..., P_j]``
+    of its prefixes ``w[:j]``, itself last; a new column reads its
+    parent's entry and ``M`` on its ``i`` suffixes, O(i^2) products.  A
+    word whose ``w[:-1]`` was met costs O(r^2) and two lookups (itself,
+    as a longer word's prefix, then its parent), and every value is the
+    same sum in the same order however the words arrive.  Only values of
+    ``M`` on non-empty words enter, so ``k`` stops at ``r``.
     """
-    columns = {(): []}
+    memo = {(): []}
 
     def value(word):
         r = len(word)
         if r == 0:
             return empty_value
         known = r
-        while word[:known] not in columns:
+        while (cols := memo.get(word[:known])) is None:
             known -= 1
-        cols = [columns[word[:j]] for j in range(1, known + 1)]
         for i in range(known + 1, r + 1):
             tails = [M(word[j:i]) for j in range(i)]
             col = [tails[0]]
             for k in range(2, i + 1):
-                col.append(
-                    functools.reduce(
-                        operator.add, (cols[j - 1][k - 2] * tails[j] for j in range(k - 1, i))
-                    )
-                )
-            cols.append(col)
-            columns[word[:i]] = col
+                power = cols[k - 2][k - 2] * tails[k - 1]
+                for j in range(k, i):
+                    power = power + cols[j - 1][k - 2] * tails[j]
+                col.append(power)
+            cols = cols + [col]
+            memo[word[:i]] = cols
         total = 0
         for k, power in enumerate(cols[-1], 1):
             sign, divisor = coefficient(k)

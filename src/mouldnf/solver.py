@@ -11,12 +11,13 @@ branches on resonance of the full letter sum:
   auxiliary mould.
 
 One table maps each solved word (a tuple of letters) to its (F, S, N)
-values.  The values on a word read only its shorter contiguous subwords
-(the tail and both sides of each proper split), so a new word is solved
-by extending its longest solved prefix one letter at a time, each
-extension solving its new suffixes shortest first.  Keys are tuples of
-k-vectors, not eigenvalues: two letters with equal eigenvalue but
-different k are distinct keys.  The values only depend on the
+values, and another to S on its non-empty prefixes.  The values on a
+word read only S on its prefixes and (F, N) on its suffixes, so a new
+word is solved by extending its longest solved prefix one letter at a
+time, each extension solving its new suffixes shortest first from the
+suffixes solved just before and its parent's prefixes.  Keys are
+tuples of k-vectors, not eigenvalues: two letters with equal eigenvalue
+but different k are distinct keys.  The values only depend on the
 eigenvalues, so this merely accepts some duplicate computation in
 exchange for a simpler table.
 """
@@ -62,6 +63,7 @@ class MouldSolver:
         self.freq = freq
         self.gauge = gauge
         self._table = {(): (freq.zero(), freq.one(), freq.zero())}
+        self._prefix_s = {(): []}
 
     def values(self, word):
         """The (F, S, N) values on ``word``, solving its subwords first.
@@ -73,33 +75,37 @@ class MouldSolver:
         its r suffixes, O(r^2), and the values do not depend on the
         order in which words arrive.
         """
-        table = self._table
-        if word not in table:
+        table, prefix_s = self._table, self._prefix_s
+        entry = table.get(word)
+        if entry is None:
             known = len(word) - 1
             while word[:known] not in table:
                 known -= 1
             for end in range(known + 1, len(word) + 1):
+                suffixes = []
                 for j in range(end - 1, -1, -1):
                     sub = word[j:end]
-                    if sub not in table:
-                        table[sub] = self._solve_one(sub)
-        return table[word]
+                    entry = table.get(sub)
+                    if entry is None:
+                        below = prefix_s[sub[:-1]]
+                        entry = table[sub] = self._solve_one(sub, below, suffixes)
+                        prefix_s[sub] = below + [entry[1]]
+                    suffixes.append(entry)
+        return entry
 
-    def _solve_one(self, word):
-        """The values on a non-empty ``word`` whose proper subwords are
-        solved; its letter sum is formed once and decided on the lattice."""
-        table = self._table
+    def _solve_one(self, word, prefix_s, suffixes):
+        """The values on a non-empty ``word`` from S on its proper
+        prefixes and the values on its proper suffixes, both shortest
+        first; its letter sum is formed once and decided on the lattice."""
         freq = self.freq
         r = len(word)
         k = ksum(word)
         if len(k) != freq.d:
             raise ValueError("word dimension does not match frequency")
-        s_tail = table[word[1:]][1]
+        s_tail = suffixes[-1][1] if suffixes else freq.one()
         sum_sf = freq.zero()
         sum_sn = freq.zero()
-        for i in range(1, r):
-            sa = table[word[:i]][1]
-            fb, _, nb = table[word[i:]]
+        for sa, (fb, _, nb) in zip(prefix_s, reversed(suffixes)):
             sum_sf = sum_sf + sa * fb
             sum_sn = sum_sn + sa * nb
         if freq._in_lattice(k):

@@ -13,7 +13,9 @@ Nothing in the package uses these; they pin its results.
   composition sum for the prefix recursion of the mould exponential and
   logarithm; the per-mask subset sums for :func:`subset_sum_counts` (the
   fold of ``alphabet.extend_subset_sums`` over a word) and
-  ``alphabet.beta``;
+  ``alphabet.beta``; the per-word ``beta`` (:func:`beta_per_word`,
+  deciding and weighting every sum afresh) for ``alphabet.beta`` on
+  ``alphabet.DivisorWeights`` kept across words;
   the mode-bracket double loop with its helper calls for
   ``classical.mode_bracket``; and the stack solver, the earlier
   ``solver.MouldSolver`` with three word-keyed tables and an explicit
@@ -43,7 +45,7 @@ from operator import mul
 import numpy as np
 
 from mouldnf import Observable
-from mouldnf.alphabet import beta, extend_subset_sums, is_resonant, l1, sigma, words_over
+from mouldnf.alphabet import extend_subset_sums, is_resonant, l1, sigma, words_over
 from mouldnf.liealg import chi, exp_ad_tail_bound
 from mouldnf.mould import Mould, msub, times
 from mouldnf.observables import PRUNE_REL, _group_by_x_mode, norm_rho, slices
@@ -380,6 +382,20 @@ def subset_sum_counts(word):
     return functools.reduce(extend_subset_sums, word, {})
 
 
+def beta_per_word(counts, tau, freq):
+    """``alphabet.beta`` as each word formed it before the weights were
+    kept across words: every distinct sum of ``counts`` decided on the
+    lattice and weighted afresh, resonant sums left out of the fsum."""
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
+    omega_f = tuple(float(c) for c in freq.omega)
+    return math.fsum(
+        n * abs(sum(map(mul, k, omega_f))) ** (-1.0 / tau)
+        for k, n in counts.items()
+        if not freq._in_lattice(k)
+    )
+
+
 def beta_subset_bound(word, tau, freq):
     """Crude upper bound ``2^r max |lambda_sigma|^(-1/tau)`` on ``beta``,
     the maximum over the non-resonant distinct subset sums."""
@@ -510,7 +526,7 @@ def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False)
     norms = {rep: part_norm(part, rho) for rep, part in parts.items()}
     total = 0.0
     for word in words_over(parts, r, min_r=r):
-        weight = math.exp(eta_r * beta(subset_sum_counts(word), tau_r, freq))
+        weight = math.exp(eta_r * beta_per_word(subset_sum_counts(word), tau_r, freq))
         prod = 1.0
         for rep in word:
             prod *= norms[rep]

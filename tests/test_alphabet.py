@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mouldnf import Frequency
 from mouldnf.alphabet import (
     DegenerateFrequencyError,
+    DivisorWeights,
     beta,
     diophantine_alpha,
     is_resonant,
@@ -21,8 +22,10 @@ from mouldnf.alphabet import (
 )
 from mouldnf.estimates import SAMPLE_LIMIT, fit_growth_constants
 from mouldnf.mould import _parse_word
+from mouldnf.solver import MouldSolver
 
 from oracles import (
+    beta_per_word,
     beta_subset_bound,
     enumerate_interleavings,
     lattice_class,
@@ -33,6 +36,15 @@ from oracles import (
 )
 
 PHI = (1 + 5 ** 0.5) / 2
+
+
+def with_tau(freq, tau):
+    return Frequency(freq.omega, freq.resonance_basis, dioph_tau=tau)
+
+
+def beta_of(word, tau, freq):
+    """``beta`` of one word at ``tau``, on weights formed for it alone."""
+    return beta(subset_sum_counts(word), DivisorWeights(with_tau(freq, tau)))
 
 
 class TestSigma:
@@ -114,29 +126,29 @@ class TestFrequencyValidation:
 class TestBeta:
     def test_single_unit_eigenvalue(self):
         freq = Frequency((1.0,))
-        assert beta(subset_sum_counts(((1,),)), 1.0, freq) == pytest.approx(1.0)
+        assert beta_of(((1,),), 1.0, freq) == pytest.approx(1.0)
 
     def test_two_letters_enumerated(self):
         # eigenvalues i and 2i: subsets give 1 + 1/2 + 1/3
         freq = Frequency((1.0,))
         w = ((1,), (2,))
-        assert beta(subset_sum_counts(w), 1.0, freq) == pytest.approx(1.0 + 0.5 + 1.0 / 3.0)
+        assert beta_of(w, 1.0, freq) == pytest.approx(1.0 + 0.5 + 1.0 / 3.0)
 
     def test_cancelling_pair_subset_excluded(self, golden_freq):
         w = ((1, 0), (-1, 0))
-        assert beta(subset_sum_counts(w), 1.0, golden_freq) == pytest.approx(2.0)
+        assert beta_of(w, 1.0, golden_freq) == pytest.approx(2.0)
 
     def test_empty_word_convention(self, golden_freq):
-        assert beta(subset_sum_counts(()), 1.0, golden_freq) == 0.0
+        assert beta_of((), 1.0, golden_freq) == 0.0
 
     def test_monotone_in_appended_letters(self, golden_freq):
         w = ((1, 0),)
         w2 = ((1, 0), (0, 1))
-        assert beta(subset_sum_counts(w2), 1.0, golden_freq) >= beta(subset_sum_counts(w), 1.0, golden_freq)
+        assert beta_of(w2, 1.0, golden_freq) >= beta_of(w, 1.0, golden_freq)
 
     def test_crude_upper_bound(self, golden_freq):
         for w in (((1, 0),), ((1, 0), (0, 1)), ((1, 0), (-1, 0), (0, 1))):
-            assert beta(subset_sum_counts(w), 1.0, golden_freq) <= beta_subset_bound(w, 1.0, golden_freq) + 1e-12
+            assert beta_of(w, 1.0, golden_freq) <= beta_subset_bound(w, 1.0, golden_freq) + 1e-12
 
 
 # words of length 1..14 over a pool of at most four letters, so that
@@ -165,16 +177,36 @@ class TestBetaOracle:
     def test_matches_fsum_over_masks(self, word, freq, tau):
         reference = list(subset_eigenvalues_by_mask(word, freq))
         expected = math.fsum(lam ** (-1.0 / tau) for lam in reference)
-        assert beta(subset_sum_counts(word), tau, freq) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert beta_of(word, tau, freq) == pytest.approx(expected, rel=1e-13, abs=0.0)
         bound = 2 ** len(word) * max((lam ** (-1.0 / tau) for lam in reference), default=0.0)
         assert beta_subset_bound(word, tau, freq) == bound
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(REPEATING_WORDS, min_size=1, max_size=5),
+        st.sampled_from(BETA_FREQUENCIES),
+        st.sampled_from([1.0, 1.5, 3.0]),
+    )
+    def test_weights_kept_across_words_match_per_word(self, words, freq, tau):
+        # one set of weights serves every word, as in a growth fit; each
+        # word ends on the mirror of its first letter, so its counts hold
+        # the lattice sum 0 (and, at the resonant frequencies, often more)
+        freq = with_tau(freq, tau)
+        weights = DivisorWeights(freq)
+        met = set()
+        for word in words:
+            counts = subset_sum_counts(word + (tuple(-c for c in word[0]),))
+            assert any(freq.in_lattice(k) for k in counts)
+            assert repr(beta(counts, weights)) == repr(beta_per_word(counts, tau, freq))
+            met.update(counts)
+        assert weights.keys() == met
 
     @pytest.mark.parametrize("r", [40, 60])
     def test_single_repeated_letter_closed_form(self, r):
         # subsets of c copies of the letter (1,) have eigenvalue c, so
         # beta = sum_c C(r, c) / c; 2^60 masks, 60 distinct sums
         expected = math.fsum(math.comb(r, c) / c for c in range(1, r + 1))
-        assert beta(subset_sum_counts(((1,),) * r), 1.0, Frequency((1.0,))) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert beta_of(((1,),) * r, 1.0, Frequency((1.0,))) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestTrustedLattice:
@@ -303,4 +335,5 @@ class TestWord:
         with pytest.raises(ValueError):
             # more letters than SAMPLE_LIMIT words of length 1: the sampled branch
             letters = [(j, 0) for j in range(1, SAMPLE_LIMIT + 1)] + [(0.5, 0)]
-            fit_growth_constants(golden_freq, letters, 1, 1.0, 1.0, seed=7)
+            G = MouldSolver(golden_freq).G_mould
+            fit_growth_constants(G, golden_freq, letters, 1, 1.0, 1.0, seed=7)

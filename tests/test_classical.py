@@ -383,7 +383,7 @@ class TestModeCodes:
         t = top(F, G)
         for reach in (2 * t, 2 * t + 100, 2 ** 20 * (t + 1), 2 ** 70 * (t + 1)):
             codes = ModeCodes(F.d, reach)
-            out = code_bracket(codes.encode(F), codes.encode(G), coupling, codes)
+            out = code_bracket(codes.rows(codes.encode(F)), codes.encode(G), coupling, codes)
             assert repr(list(codes.decode(out).items())) == expected
 
     @pytest.mark.parametrize(
@@ -405,7 +405,7 @@ class TestModeCodes:
             mode_bracket_double_loop(F, G)
         codes = ModeCodes(1, 2 * top(F, G))
         with pytest.raises(ValueError) as coded:
-            code_bracket(codes.encode(F), codes.encode(G), None, codes, real=True)
+            code_bracket(codes.rows(codes.encode(F)), codes.encode(G), None, codes, real=True)
         assert str(coded.value) == str(oracle.value)
 
     @pytest.mark.parametrize("reach", [2, 2 ** 40])

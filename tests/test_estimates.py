@@ -5,7 +5,7 @@ import pytest
 
 from mouldnf import Frequency, Observable, OutOfDomainError, normalize
 from mouldnf import estimates
-from mouldnf.alphabet import diophantine_alpha, words_over
+from mouldnf.alphabet import diophantine_alpha, ksum, words_over
 from mouldnf.liealg import apply_exp_ad, chi, contract
 from mouldnf.observables import norm_rho
 from mouldnf.solver import MouldSolver
@@ -22,7 +22,7 @@ from mouldnf.estimates import (
     verify_semiclassical,
 )
 
-from oracles import exp_tail_constant_at, generator_majorant, weighted_tuple_sum
+from oracles import exp_tail_constant_at, generator_majorant, subset_sum_counts, weighted_tuple_sum
 
 
 class TestPowerExponentialBound:
@@ -97,7 +97,8 @@ def golden_alpha(golden_freq):
 @pytest.fixture(scope="module")
 def fitted(golden_freq, golden_alpha, toy_B):
     letters = sorted({k for k, _ in toy_B.coeffs})
-    return golden_alpha, fit_growth_constants(golden_freq, letters, 9, 1.0, golden_alpha, seed=7)
+    G = MouldSolver(golden_freq).G_mould
+    return golden_alpha, fit_growth_constants(G, golden_freq, letters, 9, 1.0, golden_alpha, seed=7)
 
 
 class TestFloatRange:
@@ -110,7 +111,7 @@ class TestFloatRange:
         # the shape (tau/(e eta_r))^(tau r) grows like 2^(tau r^2)
         freq = Frequency((1.0, (1 + 5 ** 0.5) / 2), dioph_tau=tau)
         with pytest.raises(OutOfDomainError, match=r"^growth shape .* at word length \d+ = inf"):
-            fit_growth_constants(freq, [(1, 0)], 36, 1.0, alpha, seed=0)
+            fit_growth_constants(MouldSolver(freq).G_mould, freq, [(1, 0)], 36, 1.0, alpha, seed=0)
 
     @pytest.mark.parametrize(
         "compute, name",
@@ -129,7 +130,7 @@ class TestFloatRange:
 class TestGrowthFitAndRemainder:
 
     def test_fitted_constants_positive_up_to_N2(self, fitted):
-        _, (f_list, g_list) = fitted
+        _, g_list = fitted
         assert len(g_list) == 9
         assert all(g >= 0 for g in g_list)
         assert g_list[0] > 0
@@ -137,7 +138,7 @@ class TestGrowthFitAndRemainder:
     def test_remainder_bound_holds_under_threshold(
         self, fitted, toy_B, golden_freq, scale_params, classical_backend
     ):
-        alpha, (_, g_list) = fitted
+        alpha, g_list = fitted
         for N in (1, 2):
             res = normalize(toy_B, N, scale_params, golden_freq, classical_backend)
             rep = verify_remainder_bound(res, N, scale_params, golden_freq, g_list, alpha)
@@ -145,7 +146,7 @@ class TestGrowthFitAndRemainder:
             assert rep.holds
 
     def test_norm_power_constants_shapes(self, fitted):
-        alpha, (_, g_list) = fitted
+        alpha, g_list = fitted
         D, eps, gamma_n, gamma_n2 = norm_power_constants(2, 1.0, 0.5, 1.0, alpha, g_list)
         assert D > 0 and eps > 0 and gamma_n > 0 and gamma_n2 >= 0
         with pytest.raises(ValueError):
@@ -154,7 +155,7 @@ class TestGrowthFitAndRemainder:
     def test_truncation_tail_bound(self, fitted, toy_B, golden_freq, scale_params, classical_backend):
         # geometric-series lemma: the measured truncation error of the
         # exponential at order N obeys C_sg * E^{N+1} under smallness
-        alpha, (_, g_list) = fitted
+        alpha, g_list = fitted
         solver = MouldSolver(golden_freq)
         delta = scale_params.delta
         for N in (1, 2, 3):
@@ -178,25 +179,19 @@ class TestPrefixWalk:
     def walk(monkeypatch, freq, letters, r_max, alpha, seed):
         """The fit's word lists per length, and the solver-table size
         after each length."""
-        solvers, lists, sizes = [], [], []
-
-        class Recording(MouldSolver):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                solvers.append(self)
-
+        lists, sizes = [], []
+        solver = MouldSolver(freq)
         sample = estimates._sample_words
 
         def recording(letters, previous, rng):
-            sizes.append(len(solvers[0]._table))
+            sizes.append(len(solver._table))
             lists.append(sample(letters, previous, rng))
             return lists[-1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(estimates, "MouldSolver", Recording)
             patch.setattr(estimates, "_sample_words", recording)
-            fit_growth_constants(freq, letters, r_max, 1.0, alpha, seed)
-        sizes.append(len(solvers[0]._table))
+            fit_growth_constants(solver.G_mould, freq, letters, r_max, 1.0, alpha, seed)
+        sizes.append(len(solver._table))
         return lists, sizes[1:]
 
     def test_walk_extends_the_previous_sample(self, monkeypatch, golden_freq, golden_alpha, toy_B):
@@ -219,6 +214,78 @@ class TestPrefixWalk:
         other, _ = self.walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=1)
         assert again == lists
         assert other[:3] == lists[:3] and other[3:] != lists[3:]
+
+
+# The fit's lists on the toy letters, from its form that scored F and G
+# in one fit and weighed every word's subset sums afresh.
+FIT_PINS = {
+    ("G", 0): "[0.8243606353500641, 0.18539422138690206, 0.02980310928211229, "
+    "0.0005423833371166071, 4.54127881204884e-06, 5.426006298840722e-09, "
+    "1.9977818827162524e-12, 3.4866180969363137e-16, 3.2482342451805737e-21]",
+    ("G", 7): "[0.8243606353500641, 0.18539422138690206, 0.02980310928211229, "
+    "0.0005423833371166071, 4.54127881204884e-06, 7.221563180674583e-09, "
+    "3.834884709459123e-12, 5.3233076321519084e-17, 3.851239470611752e-21]",
+    ("F", 0): "[0.0, 0.41218031767503205, 0.06179807379563402, 0.002852861271582646, "
+    "1.6949479284893972e-05]",
+    ("F", 7): "[0.0, 0.41218031767503205, 0.06179807379563402, 0.002852861271582646, "
+    "2.4213541835562817e-05]",
+}
+
+
+class TestFitWork:
+    """The fit scores one mould bit for bit as before, and its work is
+    counted, not timed."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_lists_pinned(self, golden_freq, golden_alpha, toy_B, seed):
+        letters = sorted({k for k, _ in toy_B.coeffs})
+        solver = MouldSolver(golden_freq)
+        g_list = fit_growth_constants(solver.G_mould, golden_freq, letters, 9, 1.0, golden_alpha, seed)
+        # F after G on the same solver, as values do not depend on the
+        # order in which words arrive
+        f_list = fit_growth_constants(
+            solver.F_mould, golden_freq, letters, 5, 1.0, golden_alpha, seed, lag=1
+        )
+        assert repr(g_list) == FIT_PINS["G", seed]
+        assert repr(f_list) == FIT_PINS["F", seed]
+
+    def test_one_solve_per_entry_one_weight_per_sum(self, monkeypatch, golden_freq, golden_alpha, toy_B):
+        letters = sorted({k for k, _ in toy_B.coeffs})
+        decided, solved, built, lists = [], [], [], []
+
+        class CountingFrequency(Frequency):
+            def _in_lattice(self, k):
+                decided.append(k)
+                return super()._in_lattice(k)
+
+        class Recording(MouldSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        solve_one, sample = MouldSolver._solve_one, estimates._sample_words
+
+        def counting_solve(self, word, *args):
+            solved.append(word)
+            return solve_one(self, word, *args)
+
+        def recording(*args):
+            lists.append(sample(*args))
+            return lists[-1]
+
+        freq = CountingFrequency(golden_freq.omega, dioph_tau=golden_freq.dioph_tau)
+        solver = MouldSolver(freq)
+        with monkeypatch.context() as patch:
+            patch.setattr(MouldSolver, "_solve_one", counting_solve)
+            patch.setattr(estimates, "MouldSolver", Recording)
+            patch.setattr(estimates, "_sample_words", recording)
+            fit_growth_constants(solver.G_mould, freq, letters, 9, 1.0, golden_alpha, seed=0)
+        assert built == []
+        assert sorted(solved) == sorted(w for w in solver._table if w)
+        # each solved word decides its letter sum once; each distinct
+        # subset sum of the whole fit is decided (and weighed) once
+        sums = set().union(*(subset_sum_counts(w) for words in lists for w in words))
+        assert sorted(decided) == sorted([ksum(w) for w in solved] + list(sums))
 
 
 class TestSemiclassical:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Frequency
-from mouldnf.alphabet import beta, diophantine_alpha, is_resonant
+from mouldnf.alphabet import DivisorWeights, beta, diophantine_alpha, is_resonant
 from mouldnf.estimates import SAMPLE_LIMIT, default_eta, fit_growth_constants
 from mouldnf.exact import QI
 from mouldnf.mould import check_alternal, from_table, mexp, nabla
@@ -127,7 +127,9 @@ class TestGrowthBound:
         rho, tau = 1.0, 1.0
         alpha = diophantine_alpha(golden_freq, 5)
         assert len(letters) ** 4 <= SAMPLE_LIMIT  # every word is enumerated
-        f_list, g_list = fit_growth_constants(golden_freq, letters, 4, rho, alpha, seed=7)
+        solver = MouldSolver(golden_freq)
+        f_list = fit_growth_constants(solver.F_mould, golden_freq, letters, 4, rho, alpha, seed=7, lag=1)
+        g_list = fit_growth_constants(solver.G_mould, golden_freq, letters, 4, rho, alpha, seed=7)
         solver = MouldSolver(golden_freq)
         rng = random.Random(99)
         import math
@@ -137,7 +139,7 @@ class TestGrowthBound:
             w = tuple(rng.choice(letters) for _ in range(r))
             eta_r = default_eta(rho, alpha, tau, r)
             base = (tau / (math.e * eta_r)) ** tau
-            shape = math.exp(eta_r * beta(subset_sum_counts(w), tau, golden_freq))
+            shape = math.exp(eta_r * beta(subset_sum_counts(w), DivisorWeights(golden_freq)))
             fv = abs(complex(solver.values(w)[0]))
             gv = abs(complex(solver.G_mould(w)))
             assert fv <= f_list[r - 1] * base ** (r - 1) * shape * (1 + 1e-12)
