@@ -26,8 +26,8 @@ from operator import add, mul
 from .exact import QI
 
 _EXACT_TYPES = (int, Fraction)
-_QI_ZERO = QI(0, 0)
-_QI_ONE = QI(1, 0)
+_QI_ZERO = QI.coerce(0)
+_QI_ONE = QI.coerce(1)
 
 
 def l1(vec):
@@ -117,6 +117,10 @@ class Frequency:
         self.exact = all(isinstance(c, _EXACT_TYPES) for c in omega)
         if self.exact:
             self.omega = tuple(Fraction(c) for c in omega)
+            # <k, omega> = sum(k_i num_i) / den: integer numerators over
+            # one common denominator, so a pairing builds no Fraction
+            self._den = math.lcm(*(c.denominator for c in self.omega))
+            self._num = tuple(c.numerator * (self._den // c.denominator) for c in self.omega)
         else:
             self.omega = tuple(float(c) for c in omega)
             if not all(math.isfinite(c) for c in self.omega):
@@ -175,10 +179,6 @@ class Frequency:
             k = tuple(a - q * b for a, b in zip(k, row))
         return not any(k)
 
-    def pairing(self, k):
-        """<k, omega> as a float, or a Fraction for exact frequencies."""
-        return sum(map(mul, k, self.omega))
-
     def eigenvalue(self, k, exact_zero=True):
         """i<k, omega> for a mode vector ``k``.
 
@@ -195,10 +195,9 @@ class Frequency:
         """:meth:`eigenvalue` for a tuple of ``d`` ints, trusted unchecked."""
         if exact_zero and self._in_lattice(k):
             return self.zero()
-        dot = self.pairing(k)
         if self.exact:
-            return QI._of(0, dot.numerator, dot.denominator)
-        return complex(0.0, dot)
+            return QI._of(0, sum(map(mul, k, self._num)), self._den)
+        return complex(0.0, sum(map(mul, k, self.omega)))
 
     def zero(self):
         """The scalar zero of the eigenvalue field (a shared constant)."""
@@ -225,19 +224,6 @@ def words_over(alphabet, max_r, min_r=1):
     letters = sorted(_as_int_vector(k) for k in alphabet)
     for r in range(min_r, max_r + 1):
         yield from itertools.product(letters, repeat=r)
-
-
-def sigma(word, freq):
-    """Eigenvalue sum i<sum_j k_j, omega> of a word, in floating point.
-
-    Whether the sum *is* zero is not decided from this value; use
-    :func:`is_resonant`.
-    """
-    if not word:
-        return freq.zero()
-    if len(word[0]) != freq.d:
-        raise ValueError("word dimension does not match frequency")
-    return freq._eigenvalue(ksum(word))
 
 
 def is_resonant(word, freq):

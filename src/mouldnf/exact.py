@@ -8,14 +8,19 @@ with ``int`` and ``Fraction`` so generic mould code runs unchanged.
 A ``QI`` stores one Gaussian-integer numerator over one denominator:
 the value ``(a + ib) / d`` as three ints, kept in lowest terms, so
 ``gcd(a, b, d) == 1`` and ``d > 0``.  The form is canonical, so two
-values are equal exactly when their triples are, and every operator is
-plain int arithmetic followed by one three-argument ``math.gcd``; no
-``Fraction`` is built per operation.  ``Fraction`` appears only at the
-boundary: the public constructor, :meth:`QI.from_strings` and the
-``re``/``im`` properties.  A ``QI`` hashes like the complex number it
-is, the rational hash of its real part plus ``sys.hash_info.imag``
-times that of its imaginary part, so ``hash(QI(x, 0)) == hash(x)`` for
-``int`` and ``Fraction`` ``x``, which it compares equal to.
+values are equal exactly when their triples are.  An operator on two
+nonzero values is plain int arithmetic followed by one three-argument
+``math.gcd``.  Exact zeros take no arithmetic: ``x + 0``, ``0 + x``
+and ``x - 0`` are ``x``, and ``x * 0``, ``0 * x`` and ``0 / x`` (after
+the zero-divisor check) the shared zero; ``int`` 0 and 1 coerce to
+shared constants.  Every result is the same canonical triple either
+way, and no ``Fraction`` is built per operation.  ``Fraction`` appears
+only at the boundary: the public constructor, :meth:`QI.from_strings`
+and the ``re``/``im`` properties.  A ``QI`` hashes like the complex
+number it is, the rational hash of its real part plus
+``sys.hash_info.imag`` times that of its imaginary part, so
+``hash(QI(x, 0)) == hash(x)`` for ``int`` and ``Fraction`` ``x``, which
+it compares equal to.
 """
 
 from __future__ import annotations
@@ -84,6 +89,8 @@ class QI:
         if isinstance(value, QI):
             return value
         if isinstance(value, _RAT):
+            if type(value) is int and 0 <= value <= 1:
+                return _ONE if value else _ZERO
             return _of(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot coerce {value!r} to QI")
 
@@ -91,17 +98,25 @@ class QI:
         return not (self._a or self._b)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __add__(self, other):
-        other = QI.coerce(other)
+        if type(other) is not QI:
+            other = QI.coerce(other)
+        if not (other._a or other._b):
+            return self
+        if not (self._a or self._b):
+            return other
         d, f = self._d, other._d
         return _of(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = QI.coerce(other)
+        if type(other) is not QI:
+            other = QI.coerce(other)
+        if not (other._a or other._b):
+            return self
         d, f = self._d, other._d
         return _of(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
@@ -112,18 +127,24 @@ class QI:
         return _of(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = QI.coerce(other)
+        if type(other) is not QI:
+            other = QI.coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
+        if not (a or b) or not (c or e):
+            return _ZERO
         return _of(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QI.coerce(other)
+        if type(other) is not QI:
+            other = QI.coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero in QI")
+        if not (a or b):
+            return _ZERO
         f = other._d
         return _of((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
@@ -162,6 +183,8 @@ class QI:
 
 _new = object.__new__
 _of = QI._of
+_ZERO = _of(0, 0, 1)
+_ONE = _of(1, 0, 1)
 
 
 def scalar_abs(value):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .alphabet import is_resonant, shuffles, sigma, words_over
+from .alphabet import is_resonant, ksum, shuffles, words_over
 from .exact import QI, scalar_abs, scalar_is_zero
 
 
@@ -65,13 +65,21 @@ def times(M, N):
     """Mould product: sum of ``M(a) N(b)`` over the r+1 splittings.
 
     Splittings include the empty factors, so the unit mould is a
-    two-sided identity.
+    two-sided identity.  A split with an exactly zero factor is skipped
+    (the right factor is not evaluated when the left one is zero).  The
+    sum starts at int 0 and never holds a float -0.0, so a skipped
+    product, a signed zero when the other factor is finite, would not
+    change it; a word whose every split is skipped gets int 0.
     """
 
     def value(word):
         total = 0
         for i in range(len(word) + 1):
-            total = total + M(word[:i]) * N(word[i:])
+            a = M(word[:i])
+            if a:
+                b = N(word[i:])
+                if b:
+                    total = total + a * b
         return total
 
     return Mould(value, name=f"({M.name}x{N.name})")
@@ -81,13 +89,17 @@ def nabla(M, freq):
     """Multiply the value on each word by its eigenvalue sum.
 
     The factor is exactly zero on resonant words (integer-lattice
-    decision), never a tiny float.
+    decision), never a tiny float.  Each word's letter sum is formed
+    once, decided on the lattice once and, off it, paired with omega.
     """
 
     def value(word):
-        if is_resonant(word, freq):
+        k = ksum(word)
+        if not word or freq._in_lattice(k):
             return freq.zero()
-        return sigma(word, freq) * M(word)
+        if len(k) != freq.d:
+            raise ValueError("word dimension does not match frequency")
+        return freq._eigenvalue(k, exact_zero=False) * M(word)
 
     return Mould(value, name=f"nabla({M.name})")
 

@@ -105,9 +105,14 @@ class MouldSolver:
         s_tail = suffixes[-1][1] if suffixes else freq.one()
         sum_sf = freq.zero()
         sum_sn = freq.zero()
+        # F vanishes off the resonant words and, under the zero gauge, N
+        # on them; skipping an exactly zero term leaves the sums (from +0,
+        # never -0.0) bit for bit those of summing every term
         for sa, (fb, _, nb) in zip(prefix_s, reversed(suffixes)):
-            sum_sf = sum_sf + sa * fb
-            sum_sn = sum_sn + sa * nb
+            if fb:
+                sum_sf = sum_sf + sa * fb
+            if nb:
+                sum_sn = sum_sn + sa * nb
         if freq._in_lattice(k):
             n = freq.zero() if self.gauge is None else self.gauge(word)
             return s_tail - sum_sf, (n + sum_sn) / r, n

@@ -45,11 +45,12 @@ from operator import mul
 import numpy as np
 
 from mouldnf import Observable
-from mouldnf.alphabet import extend_subset_sums, is_resonant, l1, sigma, words_over
+from mouldnf.alphabet import extend_subset_sums, is_resonant, ksum, l1, words_over
 from mouldnf.liealg import chi, exp_ad_tail_bound
 from mouldnf.mould import Mould, msub, times
 from mouldnf.observables import PRUNE_REL, _group_by_x_mode, norm_rho, slices
 from mouldnf.quantum import sine_coupling
+from mouldnf.solver import MouldSolver
 
 
 def evaluate(obs, x, xi):
@@ -347,11 +348,42 @@ class StackSolver:
             n = self._gauge_value(w)
         else:
             f = self.freq.zero()
-            s = (s_tail - sum_sf) / sigma(w, self.freq)
+            s = (s_tail - sum_sf) / self.freq.eigenvalue(ksum(w))
             n = r * s - sum_sn
         self._F[w] = f
         self._S[w] = s
         self._N[w] = n
+
+
+class SummingSolver(MouldSolver):
+    """The subword-table solver with every suffix term summed, exactly
+    zero or not: the sums that skipping zero terms must reproduce."""
+
+    def _solve_one(self, word, prefix_s, suffixes):
+        freq = self.freq
+        r = len(word)
+        k = ksum(word)
+        if len(k) != freq.d:
+            raise ValueError("word dimension does not match frequency")
+        s_tail = suffixes[-1][1] if suffixes else freq.one()
+        sum_sf = freq.zero()
+        sum_sn = freq.zero()
+        for sa, (fb, _, nb) in zip(prefix_s, reversed(suffixes)):
+            sum_sf = sum_sf + sa * fb
+            sum_sn = sum_sn + sa * nb
+        if freq._in_lattice(k):
+            n = freq.zero() if self.gauge is None else self.gauge(word)
+            return s_tail - sum_sf, (n + sum_sn) / r, n
+        s = (s_tail - sum_sf) / freq._eigenvalue(k, exact_zero=False)
+        return freq.zero(), s, r * s - sum_sn
+
+
+def times_all_splits(M, N, word):
+    """``(M x N)(word)``, every split summed, exactly zero or not."""
+    total = 0
+    for i in range(len(word) + 1):
+        total = total + M(word[:i]) * N(word[i:])
+    return total
 
 
 def shuffle_coefficient(a, b, lam):

@@ -605,6 +605,29 @@ class TestVerifyCommand:
         eq = next(l for l in lines if l["name"] == "mould_equation")
         assert eq["exact"] and eq["max_residual"] == 0.0
 
+    @pytest.mark.parametrize(
+        "shifts, sign",
+        [((0, 0, 0), -1), ((-2, 1, 2), 1), ((2, -1, -2), -1), ((1, 2, -2), 1), ((-1, -2, 1), -1)],
+    )
+    def test_exact_report_invariant_under_resonant_shift_and_sign(self, tmp_path, shifts, sign):
+        # shifting a letter by t (2, -1), the resonance vector of omega =
+        # (1, 2), keeps its eigenvalue; negating every letter conjugates
+        # every value: the report stays byte for byte the same
+        letters = [[1, 0], [1, -1], [2, -1]]
+        reports = []
+        for tag, t_list, s in (("base", (0, 0, 0), 1), ("moved", shifts, sign)):
+            alphabet = [[s * (a + t * b) for a, b in zip(k, (2, -1))] for k, t in zip(letters, t_list)]
+            cfg = write_config(
+                tmp_path / f"{tag}.json",
+                freq={"omega": ["1", "2"], "tau": 1.0, "resonance_basis": [[2, -1]]},
+                alphabet=alphabet,
+                max_r=4,
+            )
+            out = tmp_path / tag
+            assert main(["verify", "--config", str(cfg), "--out", str(out), "--exact"]) == 0
+            reports.append((out / "verify_report.jsonl").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_corrupted_golden_table_fails(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", alphabet=[[1, 0], [-1, 0]], max_r=2, samples=5)
         out = tmp_path / "out"

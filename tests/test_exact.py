@@ -6,7 +6,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mouldnf.alphabet
@@ -26,12 +26,16 @@ BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
 def assert_same(new, old):
-    """``new`` is the QI for the value ``old`` holds, in lowest terms."""
+    """``new`` is the QI for the value ``old`` holds, in lowest terms:
+    the canonical triple and hash of the QI built from its parts."""
     assert isinstance(new, QI) and isinstance(old, FractionQI)
     assert (new.re, new.im) == (old.re, old.im)
     assert new.as_strings() == old.as_strings()
     assert repr(new) == repr(old)
     assert math.gcd(new._a, new._b, new._d) == 1 and new._d > 0
+    built = QI(old.re, old.im)
+    assert (new._a, new._b, new._d) == (built._a, built._b, built._d)
+    assert hash(new) == hash(built)
 
 
 def assert_op_matches(op, new_args, old_args):
@@ -85,11 +89,42 @@ class TestAgainstFractionOracle:
 
     @given(PAIRS)
     def test_division_by_zero(self, x):
-        for zero in (0, Fraction(0), QI(0, 0)):
+        # 0/0 raises too: the zero-divisor check comes before any zero
+        # short cut
+        for numerator in (QI(*x), QI(0, 0)):
+            for zero in (0, Fraction(0), QI(0, 0), QI(1, 1) - QI(1, 1)):
+                with pytest.raises(ZeroDivisionError):
+                    numerator / zero
+        for numerator in (x[0], 0):
             with pytest.raises(ZeroDivisionError):
-                QI(*x) / zero
-        with pytest.raises(ZeroDivisionError):
-            x[0] / QI(0, 0)
+                numerator / QI(0, 0)
+
+
+# 0, 1 and -1 drawn often, each as an int, a Fraction, a real QI or a
+# part of a QI, next to the general rationals
+UNITS = st.sampled_from((0, 1, -1))
+PARTS = UNITS | RATIONALS
+OPERANDS = st.one_of(
+    st.tuples(PARTS, PARTS).map(lambda x: (QI(*x), FractionQI(*x))),
+    UNITS.map(lambda s: (QI(s), FractionQI(s))),
+    PARTS.map(lambda s: (s, s)),
+    PARTS.map(lambda s: (Fraction(s), Fraction(s))),
+)
+
+
+class TestZerosAndUnits:
+    """The exact-zero and unit short cuts give the oracle's value as the
+    same canonical triple, with the same hash."""
+
+    @settings(max_examples=500)
+    @given(OPERANDS, OPERANDS)
+    def test_binary_operators_both_sides(self, x, y):
+        (new_x, old_x), (new_y, old_y) = x, y
+        assume(isinstance(new_x, QI) or isinstance(new_y, QI))
+        # with a QI on either side this covers the reflected forms
+        for op in BINARY:
+            assert_op_matches(op, (new_x, new_y), (old_x, old_y))
+
 
 
 class TestHash:
@@ -138,6 +173,40 @@ def exact_solve():
     }
     report = verify_equation(solver, MAX_R, LETTERS)
     return tables, vars(report), solver.S_mould(LETTERS)
+
+
+class TestVerifyWork:
+    """The exact verify solve, counted, not timed: exactly zero operands
+    cost no Q(i) arithmetic, and eigenvalues build no Fraction."""
+
+    # ``vars`` of the report, as summing every zero term gives it
+    REPORT = (
+        "{'words_checked': 1093, 'max_residual': 0.0, 'max_nabla_f': 0.0, 'max_gauge': 0.0, "
+        "'scale': 20.0, 'exact': True, 'tol': 1e-09}"
+    )
+
+    def test_counts_pinned(self, monkeypatch):
+        freq = Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)])
+        solver = MouldSolver(freq)
+        counts = {"QI._of": 0, "Fraction": 0}
+        of, new = QI._of, Fraction.__new__
+
+        def counting_of(a, b, d):
+            counts["QI._of"] += 1
+            return of(a, b, d)
+
+        def counting_new(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            # the operators' module-level alias and the eigenvalues' QI._of
+            patch.setattr(mouldnf.exact, "_of", counting_of)
+            patch.setattr(QI, "_of", staticmethod(counting_of))
+            patch.setattr(Fraction, "__new__", counting_new)
+            report = verify_equation(solver, MAX_R, LETTERS)
+        assert repr(vars(report)) == self.REPORT
+        assert counts == {"QI._of": 42806, "Fraction": 0}
 
 
 def test_exact_solve_matches_fraction_oracle(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Frequency
+from mouldnf.alphabet import ksum
 from mouldnf.exact import QI, scalar_abs
 from mouldnf.mould import (
     Mould,
@@ -100,6 +101,23 @@ class TestNabla:
         NM = nabla(M, golden_freq)
         for w in words_up_to(3):
             assert NM(w) == 0
+
+    def test_one_letter_sum_and_one_decision_per_word(self, rational_freq_float):
+        decided = []
+
+        class CountingFrequency(Frequency):
+            def _in_lattice(self, k):
+                decided.append(k)
+                return super()._in_lattice(k)
+
+        freq = CountingFrequency(rational_freq_float.omega, rational_freq_float.resonance_basis)
+        M = random_mould(11)
+        words = words_up_to(3, letters=((1, 0), (1, -1), (2, -1)))[1:]
+        values = [nabla(M, freq)(w) for w in words]
+        assert decided == [ksum(w) for w in words]
+        for w, value in zip(words, values):
+            k = ksum(w)
+            assert value == (0 if freq.in_lattice(k) else freq.eigenvalue(k, exact_zero=False) * M(w))
 
     def test_derivation_of_times_exact_on_integer_omega(self, rational_freq_float):
         freq = rational_freq_float

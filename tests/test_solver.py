@@ -10,12 +10,12 @@ from mouldnf import Frequency
 from mouldnf.alphabet import DivisorWeights, beta, diophantine_alpha, is_resonant
 from mouldnf.estimates import SAMPLE_LIMIT, default_eta, fit_growth_constants
 from mouldnf.exact import QI
-from mouldnf.mould import check_alternal, from_table, mexp, nabla
+from mouldnf.mould import check_alternal, from_table, ident_mould, mexp, nabla, times
 from mouldnf import alphabet
 from mouldnf import solver as solver_module
 from mouldnf.solver import MouldSolver, verify_equation
 
-from oracles import StackSolver, subset_sum_counts
+from oracles import StackSolver, SummingSolver, subset_sum_counts, times_all_splits
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -204,6 +204,24 @@ class TestStackOracle:
             got, want = solver.values(w), oracle.values(w)
             assert got == want
             assert repr(got) == repr(want)
+
+
+class TestZeroSkips:
+    """Skipping exactly zero terms leaves every float value bit for bit
+    as summing them does: the sums start at +0 and never hold -0.0."""
+
+    def test_solver_values_bit_identical(self, golden_freq, toy_B):
+        letters = sorted({k for k, _ in toy_B.coeffs})
+        solver, oracle = MouldSolver(golden_freq), SummingSolver(golden_freq)
+        for w in words_over(letters, 5):
+            assert repr(solver.values(w)) == repr(oracle.values(w))
+
+    def test_products_bit_identical(self, golden_solver):
+        S, F = golden_solver.S_mould, golden_solver.F_mould
+        for M, N in ((ident_mould(), S), (S, F), (F, S)):
+            product = times(M, N)
+            for w in [(), *words_over(((1, 0), (-1, 0), (2, 0)), 4)]:
+                assert repr(complex(product(w))) == repr(complex(times_all_splits(M, N, w)))
 
 
 class TestSuffixPath:
