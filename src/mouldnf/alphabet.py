@@ -218,11 +218,11 @@ def ksum(word):
     return tuple(map(sum, zip(*word)))
 
 
-def words_over(alphabet, max_r, min_r=1):
-    """All words of length ``min_r..max_r`` over ``alphabet``: by length,
+def words_over(alphabet, max_r):
+    """All words of length ``1..max_r`` over ``alphabet``: by length,
     then lexicographically in the sorted letters, which must be integral."""
     letters = sorted(_as_int_vector(k) for k in alphabet)
-    for r in range(min_r, max_r + 1):
+    for r in range(1, max_r + 1):
         yield from itertools.product(letters, repeat=r)
 
 

@@ -19,7 +19,7 @@ import sys
 from array import array
 from operator import mul
 
-from .observables import REALITY_TOL, Observable
+from .observables import Observable
 
 # Array typecodes by item size in bytes: unsigned ones hold the biased
 # coordinate fields of mode codes, signed ones read ``s`` back.
@@ -102,11 +102,7 @@ class ModeCodes:
 
     def check_real(self, obs):
         """:meth:`Observable._check_real` on code-keyed ``obs``."""
-        twice = 2 * self.bias
-        for code, c in obs.coeffs.items():
-            if abs(obs.coeffs.get(twice - code, 0j) - c.conjugate()) > REALITY_TOL * max(1.0, abs(c)):
-                ((k, m),) = self.decode(Observable._of(self.d, {code: c}, False))
-                raise ValueError(f"reality flag violated at mode ({k},{m})")
+        Observable._of(self.d, self.decode(obs), True)
 
 
 def code_bracket(left, G, coupling, codes, real=False):

@@ -160,11 +160,13 @@ def _write_json(path, payload):
 
 def _over_budget(n_letters, max_r, max_words):
     """Whether the words of length 1 to ``max_r`` over ``n_letters``
-    letters number more than ``max_words``; counting stops once they do."""
+    letters number more than ``max_words``, counting only until they do;
+    says so on stderr."""
     total = 0
     for r in range(1, max_r + 1):
         total += n_letters ** r
         if total > max_words:
+            print(f"error: word budget {max_words} exceeded", file=sys.stderr)
             return True
     return False
 
@@ -199,7 +201,6 @@ def cmd_normalize(config, out_dir, max_words):
         return 2
     n_letters = len({k for k, _ in B.coeffs})
     if _over_budget(max(n_letters, 1), config.N, max_words):
-        print(f"error: word budget {max_words} exceeded", file=sys.stderr)
         return 2
     backend = config.backend()
     result = normalize(B, config.N, config.scale, config.freq, backend, config.exponential_order)
@@ -208,9 +209,7 @@ def cmd_normalize(config, out_dir, max_words):
     g_list = estimates.fit_growth_constants(
         result.G, config.freq, letters, config.N ** 2, config.scale.rho, alpha, config.seed
     )
-    bound = estimates.verify_remainder_bound(
-        result, config.N, config.scale, config.freq, g_list, alpha
-    )
+    bound = estimates.verify_remainder_bound(result, config.N, config.scale, g_list)
     payload = {
         "backend": backend.name,
         "N": config.N,
@@ -254,7 +253,6 @@ def cmd_dump_moulds(config, out_dir, max_words):
     words = []
     if config.alphabet:
         if _over_budget(len(config.alphabet), config.max_r, max_words):
-            print(f"error: word budget {max_words} exceeded", file=sys.stderr)
             return 2
         words = list(words_over(config.alphabet, config.max_r))
     payload = {
@@ -319,7 +317,6 @@ def cmd_verify(config, out_dir, max_words):
     all_ok = True
     alphabet = config.alphabet or [(1,) + (0,) * (config.freq.d - 1)]
     if _over_budget(len(alphabet), config.max_r, max_words):
-        print(f"error: word budget {max_words} exceeded", file=sys.stderr)
         return 2
     solver = MouldSolver(config.freq)
     eq = verify_equation(solver, config.max_r, alphabet, tol=config.tolerances["residual"])

@@ -94,9 +94,6 @@ class QI:
             return _of(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot coerce {value!r} to QI")
 
-    def is_zero(self):
-        return not (self._a or self._b)
-
     def __bool__(self):
         return bool(self._a or self._b)
 
@@ -192,9 +189,3 @@ def scalar_abs(value):
     if isinstance(value, QI):
         return abs(value)
     return abs(complex(value))
-
-
-def scalar_is_zero(value):
-    if isinstance(value, QI):
-        return value.is_zero()
-    return value == 0

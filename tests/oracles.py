@@ -21,7 +21,11 @@ Nothing in the package uses these; they pin its results.
   ``solver.MouldSolver`` with three word-keyed tables and an explicit
   dependency stack, for the subword-table solver; and the Fraction-pair
   ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last four
-  are compared bit for bit.
+  are compared bit for bit.  The shaped growth fit, which divided every
+  word by the growth shape ``(tau/(e eta_r))^(tau (r - lag))``, and the
+  shaped constants, which multiplied it back in, for the shape-free
+  fit, ``norm_power_constants`` and ``gap_constant``; these agree to
+  rounding.
 * Small definitions the tests state properties of: the shuffle
   coefficient, the Poisson and Moyal structure constants of one mode
   pair, the crude subset bound on ``beta``, the unit and zero moulds,
@@ -39,13 +43,23 @@ import cmath
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 from operator import mul
 
 import numpy as np
 
 from mouldnf import Observable
-from mouldnf.alphabet import extend_subset_sums, is_resonant, ksum, l1, words_over
+from mouldnf.alphabet import (
+    DivisorWeights,
+    _as_int_vector,
+    beta,
+    extend_subset_sums,
+    is_resonant,
+    ksum,
+    l1,
+)
+from mouldnf.estimates import _finite, _sample_words, default_eta, exp_tail_constant
 from mouldnf.liealg import chi, exp_ad_tail_bound
 from mouldnf.mould import Mould, msub, times
 from mouldnf.observables import PRUNE_REL, _group_by_x_mode, norm_rho, slices
@@ -557,7 +571,7 @@ def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False)
     part_norm = norm_rho_stripped if strip_letter_weight else norm_rho
     norms = {rep: part_norm(part, rho) for rep, part in parts.items()}
     total = 0.0
-    for word in words_over(parts, r, min_r=r):
+    for word in itertools.product(sorted(parts), repeat=r):
         weight = math.exp(eta_r * beta_per_word(subset_sum_counts(word), tau_r, freq))
         prod = 1.0
         for rep in word:
@@ -591,6 +605,85 @@ def exp_tail_constant_at(N, delta, normB):
     at a given ``||B||``; ``estimates.exp_tail_constant`` is its value at
     the unit norm of the norm-power constant."""
     return 2.0 * (delta ** 2 / (4.0 * chi(delta / 2.0)) + normB) * (4.0 / delta ** 2) ** (N + 1)
+
+
+def growth_shape(rho, alpha, tau, r, lag=0):
+    """``(tau/(e eta_r))^(tau (r - lag))``, formed as the shaped fit
+    formed it; refused by name beyond float range."""
+    eta_r = default_eta(rho, alpha, tau, r)
+    name = f"growth shape (tau/(e eta_r))^(tau r) exp(eta_r beta) at word length {r}"
+    base = _finite(name, lambda: (tau / (math.e * eta_r)) ** tau)
+    return _finite(name, lambda: base ** (r - lag))
+
+
+def shaped_fit_growth_constants(M, freq, alphabet, r_max, rho, alpha, seed, lag=0):
+    """The growth fit with every word divided by its growth shape
+    :func:`growth_shape` (``lag = 1`` for the normal-form mould F), on
+    the same seeded prefix-extension walk."""
+    tau = freq.dioph_tau
+    rng = random.Random(seed)
+    weights = DivisorWeights(freq)
+    letters = sorted(_as_int_vector(k) for k in alphabet)
+    words, counts = [()], {(): {}}
+    suprema = []
+    for r in range(1, r_max + 1):
+        eta_r = default_eta(rho, alpha, tau, r)
+        name = f"growth shape (tau/(e eta_r))^(tau r) exp(eta_r beta) at word length {r}"
+        power = growth_shape(rho, alpha, tau, r, lag)
+        best = 0.0
+        words = _sample_words(letters, words, rng)
+        counts = {w: extend_subset_sums(counts[w[:-1]], w[-1]) for w in dict.fromkeys(words)}
+        for w, c in counts.items():
+            scale = _finite(name, lambda: power * math.exp(eta_r * beta(c, weights)))
+            value = abs(complex(M(w)))
+            if value:
+                best = max(best, value / scale)
+        suprema.append(best)
+    return suprema
+
+
+def shaped_norm_power_constants(N, rho, rho_prime, tau, alpha, G_list):
+    """``(D, eps, Gamma_N, Gamma_N2N)`` from shaped growth constants,
+    each Gamma term multiplying the shape ``(tau/(e eta_r))^(tau r)``
+    back in."""
+    if len(G_list) < N * N:
+        raise ValueError(f"need growth constants up to length {N * N}")
+    delta = rho - rho_prime
+
+    def gamma_sum(r_lo, r_hi):
+        total = 0.0
+        for r in range(r_lo, r_hi + 1):
+            eta_r = default_eta(rho, alpha, tau, r)
+            total += _finite(
+                f"Gamma term at word length {r}",
+                lambda: math.factorial(r - 1)
+                / r
+                * (1.0 / delta ** 2) ** (r - 1)
+                * G_list[r - 1]
+                * (tau / (math.e * eta_r)) ** (tau * r),
+            )
+        return total
+
+    gamma_n = gamma_sum(1, N)
+    gamma_n2 = gamma_sum(N + 1, N * N)
+    D = _finite(
+        f"D at N = {N}",
+        lambda: exp_tail_constant(N, delta) * gamma_n ** (N + 1) + 2.0 * N ** N * gamma_n2,
+    )
+    eps = 1.0 if gamma_n == 0.0 else min(1.0, delta / (8.0 * gamma_n))
+    return D, eps, gamma_n, gamma_n2
+
+
+def shaped_gap_constant(N, rho, rho_prime, tau, alpha, F_N):
+    """``C_N`` from the shaped F constant at length N, multiplying its
+    shape ``(tau/(e eta_N))^(tau (N - 1))`` back in."""
+    return _finite(
+        f"C_N at word length {N}",
+        lambda: F_N
+        / (6.0 * N)
+        * (2.0 ** N * tau / (math.e * rho * alpha ** (1.0 / tau))) ** ((N - 1) * tau)
+        * ((N + 2) / (math.e * (rho - rho_prime))) ** (N + 2),
+    )
 
 
 # The earlier ``exact.QI``, one Fraction per part, kept as written (its

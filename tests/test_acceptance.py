@@ -106,7 +106,7 @@ class TestAcceptance:
             for eps in eps_values:
                 res = normalize(eps * B, N, params, freq, backend)
                 norms.append(res.norms["E"])
-                rep = verify_remainder_bound(res, N, params, freq, g_list, alpha)
+                rep = verify_remainder_bound(res, N, params, g_list)
                 if rep.inputs["precondition_holds"]:
                     qualifying += 1
                     ok = ok and rep.holds

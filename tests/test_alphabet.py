@@ -326,11 +326,6 @@ class TestWord:
             ((1, 0), (1, 0)),
         ]
 
-    def test_words_over_min_length(self):
-        words = list(words_over([(1,), (2,), (3,)], 3, min_r=3))
-        assert len(words) == 27 and all(len(w) == 3 for w in words)
-        assert list(words_over([(1,)], 2, min_r=3)) == []
-
     def test_non_integer_letter_rejected(self, golden_freq):
         # letters are checked where they enter: an enumerated alphabet,
         # a mould-table key, and a sampled growth-fit alphabet

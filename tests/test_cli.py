@@ -2,9 +2,6 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -93,25 +90,27 @@ class TestNormalizeCommand:
         assert "hermiticity_defect_Y" in result["diagnostics"]
         assert "unitary_conjugation" in result["diagnostics"]
 
-    def test_growth_shape_beyond_float_range_exits_one_without_traceback(self, tmp_path):
-        # at N=6 the fit runs to word length 36, and its growth shape
-        # (tau/(e eta_r))^(tau r) ~ 2^(r^2) leaves float range near r = 33
+    def test_normalize_reports_through_N_11_then_refuses_a_Gamma_term(self, tmp_path, capsys):
+        # the fit runs to word length N^2; the growth shape
+        # (tau/(e eta_r))^(tau r) ~ 2^(r^2), which left float range near
+        # r = 33, is no longer formed, so the first refusal is a Gamma term
         config = json.loads((REPO / "configs" / "toy_normalize.json").read_text())
         one_mode = {"d": 2, "coeffs": [{"k": [1, 0], "m": [1, 1], "re": 0.001, "im": 0.0}]}
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({**config, "N": 6, "B": one_mode}))
-        out = tmp_path / "out"
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        run = subprocess.run(
-            [sys.executable, "-m", "mouldnf.cli", "normalize", "--config", str(cfg),
-             "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert run.returncode == 1
-        assert run.stderr.startswith("error: ")
-        assert "word length 33" in run.stderr
-        assert "Traceback" not in run.stderr
-        assert not any(out.iterdir())
+        for N in range(1, 13):
+            cfg = tmp_path / f"run{N}.json"
+            cfg.write_text(json.dumps({**config, "N": N, "B": one_mode}))
+            out = tmp_path / f"out{N}"
+            code = main(["normalize", "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if N < 12:
+                assert code == 0 and err == "", N
+                bound = json.loads((out / "normalize_result.json").read_text())["bounds"][0]
+                assert math.isfinite(bound["inputs"]["D"])
+            else:
+                assert code == 1
+                assert err.startswith("error: Gamma term at word length 135 = inf")
+                assert not any(out.iterdir())
 
     def test_out_of_domain_exits_one(self, tmp_path):
         big = {
@@ -382,12 +381,22 @@ class TestConfigValidation:
         cfg.write_text(json.dumps(data))
         assert main(["normalize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
-    def test_word_budget_cap(self, tmp_path):
+    def test_word_budget_cap(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", N=3)
         assert (
             main(["normalize", "--config", str(cfg), "--out", str(tmp_path), "--max-words", "10"])
             == 2
         )
+        # 10 is below the 11^2 modes of the K box, which is refused first;
+        # at N = 4 the 340 words over the 4 letters pass a budget of 200
+        # only after the box does
+        assert "mode budget 10" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "run.json", N=4)
+        assert (
+            main(["normalize", "--config", str(cfg), "--out", str(tmp_path), "--max-words", "200"])
+            == 2
+        )
+        assert capsys.readouterr().err == "error: word budget 200 exceeded\n"
 
     @pytest.mark.parametrize(
         "command, override",
@@ -399,7 +408,7 @@ class TestConfigValidation:
         start = time.perf_counter()
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "word budget 200000 exceeded" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: word budget 200000 exceeded\n"
 
     @pytest.mark.parametrize(
         "command, override",

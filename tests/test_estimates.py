@@ -1,11 +1,15 @@
+import ast
+import itertools
 import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mouldnf import Frequency, Observable, OutOfDomainError, normalize
 from mouldnf import estimates
-from mouldnf.alphabet import diophantine_alpha, ksum, words_over
+from mouldnf.alphabet import diophantine_alpha, ksum
 from mouldnf.liealg import apply_exp_ad, chi, contract
 from mouldnf.observables import norm_rho
 from mouldnf.solver import MouldSolver
@@ -22,7 +26,16 @@ from mouldnf.estimates import (
     verify_semiclassical,
 )
 
-from oracles import exp_tail_constant_at, generator_majorant, subset_sum_counts, weighted_tuple_sum
+from oracles import (
+    exp_tail_constant_at,
+    generator_majorant,
+    growth_shape,
+    shaped_fit_growth_constants,
+    shaped_gap_constant,
+    shaped_norm_power_constants,
+    subset_sum_counts,
+    weighted_tuple_sum,
+)
 
 
 class TestPowerExponentialBound:
@@ -108,23 +121,33 @@ class TestFloatRange:
     @pytest.mark.parametrize("tau", [1.0, 2.0])
     @pytest.mark.parametrize("alpha", [0.01, 0.1, 1.0])
     def test_growth_fit_refuses_the_shape(self, alpha, tau):
-        # the shape (tau/(e eta_r))^(tau r) grows like 2^(tau r^2)
+        # the fit leaves out the shape (tau/(e eta_r))^(tau r), which grows
+        # like 2^(tau r^2) and left float range near r = 32, so a fit to
+        # length 36 finishes finite
         freq = Frequency((1.0, (1 + 5 ** 0.5) / 2), dioph_tau=tau)
-        with pytest.raises(OutOfDomainError, match=r"^growth shape .* at word length \d+ = inf"):
-            fit_growth_constants(MouldSolver(freq).G_mould, freq, [(1, 0)], 36, 1.0, alpha, seed=0)
+        fit = fit_growth_constants(MouldSolver(freq).G_mould, freq, [(1, 0)], 36, 1.0, alpha, seed=0)
+        assert len(fit) == 36 and all(math.isfinite(g) for g in fit)
+        assert fit[0] > 0
 
     @pytest.mark.parametrize(
         "compute, name",
         [
-            (lambda: norm_power_constants(6, 1.0, 0.5, 1.0, 0.1, [1.0] * 36),
+            # growth constants near the top of float range from length 29 on
+            (lambda: norm_power_constants(6, 1.0, 0.5, [1.0] * 28 + [1e300] * 8),
              "Gamma term at word length 29"),
-            (lambda: norm_power_constants(3, 1.0, 0.5, 1.0, 0.1, [1e200] * 9), "D at N = 3"),
-            (lambda: gap_constant(60, 1.0, 0.5, 1.0, 0.1, 1.0), "C_N at word length 60"),
+            (lambda: norm_power_constants(3, 1.0, 0.5, [1e200] * 9), "D at N = 3"),
+            (lambda: gap_constant(60, 1.0, 0.5, 1e300), "C_N at word length 60"),
         ],
     )
     def test_constants_refused_by_name(self, compute, name):
         with pytest.raises(OutOfDomainError, match=f"^{re.escape(name)} = inf"):
             compute()
+
+    def test_reported_F_N_refused_by_name(self, toy_B, golden_freq):
+        # at tau = 2 the length-2 shape is (2/(e eta_2))^2 ~ 8.7/alpha
+        freq = Frequency(golden_freq.omega, dioph_tau=2.0)
+        with pytest.raises(OutOfDomainError, match=r"^F_N at word length 2 = inf"):
+            verify_semiclassical(toy_B, 2, 1.0, 0.5, freq, [0.1], 1e-308, seed=7)
 
 
 class TestGrowthFitAndRemainder:
@@ -141,21 +164,23 @@ class TestGrowthFitAndRemainder:
         alpha, g_list = fitted
         for N in (1, 2):
             res = normalize(toy_B, N, scale_params, golden_freq, classical_backend)
-            rep = verify_remainder_bound(res, N, scale_params, golden_freq, g_list, alpha)
+            rep = verify_remainder_bound(res, N, scale_params, g_list)
             assert rep.inputs["precondition_holds"]
             assert rep.holds
 
     def test_norm_power_constants_shapes(self, fitted):
         alpha, g_list = fitted
-        D, eps, gamma_n, gamma_n2 = norm_power_constants(2, 1.0, 0.5, 1.0, alpha, g_list)
+        D, eps, gamma_n, gamma_n2 = norm_power_constants(2, 1.0, 0.5, g_list)
         assert D > 0 and eps > 0 and gamma_n > 0 and gamma_n2 >= 0
         with pytest.raises(ValueError):
-            norm_power_constants(4, 1.0, 0.5, 1.0, alpha, g_list)
+            norm_power_constants(4, 1.0, 0.5, g_list)
 
     def test_truncation_tail_bound(self, fitted, toy_B, golden_freq, scale_params, classical_backend):
         # geometric-series lemma: the measured truncation error of the
         # exponential at order N obeys C_sg * E^{N+1} under smallness
         alpha, g_list = fitted
+        # the majorant multiplies each length's growth shape back in
+        g_list = [g / growth_shape(1.0, alpha, 1.0, r) for r, g in enumerate(g_list, 1)]
         solver = MouldSolver(golden_freq)
         delta = scale_params.delta
         for N in (1, 2, 3):
@@ -201,7 +226,7 @@ class TestPrefixWalk:
         sampled = 0
         for r, words in enumerate(lists, 1):
             if len(letters) ** r <= SAMPLE_LIMIT:
-                assert words == list(words_over(letters, r, min_r=r))
+                assert words == list(itertools.product(letters, repeat=r))
                 continue
             sampled += 1
             assert len(words) == SAMPLE_LIMIT
@@ -217,7 +242,8 @@ class TestPrefixWalk:
 
 
 # The fit's lists on the toy letters, from its form that scored F and G
-# in one fit and weighed every word's subset sums afresh.
+# in one fit, weighed every word's subset sums afresh and divided every
+# word by its growth shape.
 FIT_PINS = {
     ("G", 0): "[0.8243606353500641, 0.18539422138690206, 0.02980310928211229, "
     "0.0005423833371166071, 4.54127881204884e-06, 5.426006298840722e-09, "
@@ -233,8 +259,8 @@ FIT_PINS = {
 
 
 class TestFitWork:
-    """The fit scores one mould bit for bit as before, and its work is
-    counted, not timed."""
+    """The fit scores one mould as before, to rounding once its growth
+    shape is divided out, and its work is counted, not timed."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_lists_pinned(self, golden_freq, golden_alpha, toy_B, seed):
@@ -243,11 +269,13 @@ class TestFitWork:
         g_list = fit_growth_constants(solver.G_mould, golden_freq, letters, 9, 1.0, golden_alpha, seed)
         # F after G on the same solver, as values do not depend on the
         # order in which words arrive
-        f_list = fit_growth_constants(
-            solver.F_mould, golden_freq, letters, 5, 1.0, golden_alpha, seed, lag=1
-        )
-        assert repr(g_list) == FIT_PINS["G", seed]
-        assert repr(f_list) == FIT_PINS["F", seed]
+        f_list = fit_growth_constants(solver.F_mould, golden_freq, letters, 5, 1.0, golden_alpha, seed)
+        for name, fit, lag in (("G", g_list, 0), ("F", f_list, 1)):
+            pins = ast.literal_eval(FIT_PINS[name, seed])
+            assert len(fit) == len(pins)
+            for r, (g, pin) in enumerate(zip(fit, pins), 1):
+                shaped = g / growth_shape(1.0, golden_alpha, 1.0, r, lag)
+                assert math.isclose(shaped, pin, rel_tol=1e-14, abs_tol=0.0), (name, r)
 
     def test_one_solve_per_entry_one_weight_per_sum(self, monkeypatch, golden_freq, golden_alpha, toy_B):
         letters = sorted({k for k, _ in toy_B.coeffs})
@@ -308,9 +336,63 @@ class TestSemiclassical:
         assert rep.ok
 
     def test_gap_constant_formula(self):
-        val = gap_constant(2, 1.0, 0.5, 1.0, 1.0, 0.5)
+        # F_N = 0.5 times its length-2 shape 4/e at rho = alpha = tau = 1
+        val = gap_constant(2, 1.0, 0.5, 0.5 * 4.0 / math.e)
         expected = 0.5 / 12.0 * (4.0 / math.e) ** 1 * (4.0 / (math.e * 0.5)) ** 4
         assert val == pytest.approx(expected)
+
+
+@pytest.fixture(scope="module")
+def toy_solver(golden_freq):
+    """One solver for every example: the mould values do not depend on
+    ``tau``, which only the fit's weights and shape read."""
+    return MouldSolver(golden_freq)
+
+
+class TestShapeCancels:
+    """The growth shape that the shaped fit divided out of every word
+    and the shaped constants multiplied back in cancels: the shape-free
+    constants agree with the shaped ones to rounding."""
+
+    @settings(max_examples=20)
+    @given(
+        N=st.integers(1, 4),
+        tau=st.floats(1.0, 2.0),
+        rho=st.floats(0.5, 2.0),
+        ratio=st.floats(0.1, 0.9),
+        alpha=st.floats(0.01, 1.0),
+    )
+    def test_constants_agree_with_the_shaped_oracle(self, toy_solver, golden_freq, toy_B, N, tau,
+                                                     rho, ratio, alpha):
+        freq = Frequency(golden_freq.omega, dioph_tau=tau)
+        letters = sorted({k for k, _ in toy_B.coeffs})
+        rho_prime = rho * ratio
+        G, F = toy_solver.G_mould, toy_solver.F_mould
+        try:
+            old = shaped_norm_power_constants(
+                N, rho, rho_prime, tau, alpha,
+                shaped_fit_growth_constants(G, freq, letters, N * N, rho, alpha, seed=0),
+            ) + (shaped_gap_constant(
+                N, rho, rho_prime, tau, alpha,
+                shaped_fit_growth_constants(F, freq, letters, N, rho, alpha, seed=0, lag=1)[N - 1],
+            ),)
+        except OutOfDomainError:
+            return  # compared only where the shaped form is finite
+        new = norm_power_constants(
+            N, rho, rho_prime, fit_growth_constants(G, freq, letters, N * N, rho, alpha, seed=0)
+        ) + (gap_constant(
+            N, rho, rho_prime, fit_growth_constants(F, freq, letters, N, rho, alpha, seed=0)[N - 1]
+        ),)
+        for name, a, b in zip(("D", "eps", "Gamma_N", "Gamma_N2N", "C_N"), new, old):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), name
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_reported_F_N_is_the_shaped_fit(self, toy_B, golden_freq, golden_alpha, N):
+        rep = verify_semiclassical(toy_B, N, 1.0, 0.5, golden_freq, [0.1], golden_alpha, seed=7)
+        F = MouldSolver(golden_freq).F_mould
+        letters = sorted({k for k, _ in toy_B.coeffs})
+        shaped = shaped_fit_growth_constants(F, golden_freq, letters, N, 1.0, golden_alpha, seed=7, lag=1)
+        assert math.isclose(rep.bounds[0].inputs["F_N"], shaped[N - 1], rel_tol=1e-14, abs_tol=0.0)
 
 
 class TestBoundReport:
