@@ -210,6 +210,9 @@ def cmd_normalize(config, out_dir, max_words):
         result.G, config.freq, letters, config.N ** 2, config.scale.rho, alpha, config.seed
     )
     bound = estimates.verify_remainder_bound(result, config.N, config.scale, g_list)
+    # the bound is proved only under its smallness hypothesis; the exit
+    # code still reads "holds" alone
+    applies = bound.inputs["precondition_holds"]
     payload = {
         "backend": backend.name,
         "N": config.N,
@@ -221,7 +224,7 @@ def cmd_normalize(config, out_dir, max_words):
         "Z": to_json_dict(result.Z.prune()),
         "Y": to_json_dict(result.Y.prune()),
         "E": to_json_dict(result.E.prune()),
-        "bounds": [bound.to_dict()],
+        "bounds": [{**bound.to_dict(), "applies": applies}],
     }
     if config.backend_name == "quantum":
         # hermiticity of the generator's matrix is the unitarity of the
@@ -230,7 +233,7 @@ def cmd_normalize(config, out_dir, max_words):
     _write_json(out_dir / "normalize_result.json", payload)
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["backend", "N", "norm_B", "norm_Z", "norm_Y", "norm_E", "residual"])
+        writer.writerow(["backend", "N", "norm_B", "norm_Z", "norm_Y", "norm_E", "residual", "bound_applies"])
         writer.writerow(
             [
                 backend.name,
@@ -240,6 +243,7 @@ def cmd_normalize(config, out_dir, max_words):
                 repr(result.norms["Y"]),
                 repr(result.norms["E"]),
                 repr(result.commutation_residual),
+                repr(applies),
             ]
         )
     ok = bound.holds and result.commutation_residual <= (

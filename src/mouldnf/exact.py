@@ -12,15 +12,18 @@ values are equal exactly when their triples are.  An operator on two
 nonzero values is plain int arithmetic followed by one three-argument
 ``math.gcd``.  Exact zeros take no arithmetic: ``x + 0``, ``0 + x``
 and ``x - 0`` are ``x``, and ``x * 0``, ``0 * x`` and ``0 / x`` (after
-the zero-divisor check) the shared zero; ``int`` 0 and 1 coerce to
-shared constants.  Every result is the same canonical triple either
-way, and no ``Fraction`` is built per operation.  ``Fraction`` appears
-only at the boundary: the public constructor, :meth:`QI.from_strings`
-and the ``re``/``im`` properties.  A ``QI`` hashes like the complex
-number it is, the rational hash of its real part plus
-``sys.hash_info.imag`` times that of its imaginary part, so
-``hash(QI(x, 0)) == hash(x)`` for ``int`` and ``Fraction`` ``x``, which
-it compares equal to.
+the zero-divisor check) zero; ``int`` 0 and 1 coerce to shared
+constants.  No ``int`` operand of ``*`` or ``/``, or ``int`` 0 added,
+is coerced: ``x + 0``, ``x * 1`` and ``x / 1`` are ``x``, ``x * n``
+scales the numerators and ``x / n`` the denominator, with the sign of a
+negative ``n`` moved to the numerators.  Every result is the same
+canonical triple either way, and no ``Fraction`` is built per
+operation.  ``Fraction`` appears only at the boundary: the public
+constructor, :meth:`QI.from_strings` and the ``re``/``im`` properties.
+A ``QI`` hashes like the complex number it is, the rational hash of its
+real part plus ``sys.hash_info.imag`` times that of its imaginary part,
+so ``hash(QI(x, 0)) == hash(x)`` for ``int`` and ``Fraction`` ``x``,
+which it compares equal to.
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ class QI:
 
     def __add__(self, other):
         if type(other) is not QI:
+            if type(other) is int and not other:
+                return self
             other = QI.coerce(other)
         if not (other._a or other._b):
             return self
@@ -125,6 +130,8 @@ class QI:
 
     def __mul__(self, other):
         if type(other) is not QI:
+            if type(other) is int:
+                return self if other == 1 else _of(self._a * other, self._b * other, self._d)
             other = QI.coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         if not (a or b) or not (c or e):
@@ -135,6 +142,9 @@ class QI:
 
     def __truediv__(self, other):
         if type(other) is not QI:
+            if type(other) is int and other:
+                n = -1 if other < 0 else 1
+                return self if other == 1 else _of(n * self._a, n * self._b, n * other * self._d)
             other = QI.coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         norm = c * c + e * e

@@ -57,10 +57,6 @@ def msub(M, N):
     return Mould(lambda w: M(w) - N(w), name=f"({M.name}-{N.name})")
 
 
-def mneg(M):
-    return Mould(lambda w: -M(w), name=f"-{M.name}")
-
-
 def times(M, N):
     """Mould product: sum of ``M(a) N(b)`` over the r+1 splittings.
 
@@ -120,24 +116,32 @@ def resonant_part(M, freq):
     return Mould(value, name=f"[{M.name}]_0")
 
 
-def _series(M, empty_value, coefficient, name):
+def _series(M, empty_value, divisor, name):
     """The mould ``w -> sum_k c_k sum_{w = w_1...w_k} M(w_1)...M(w_k)``
-    over compositions into non-empty blocks, with ``coefficient(k)``
-    giving ``c_k`` as a ``(sign, divisor)`` pair.
+    over compositions into non-empty blocks, with ``divisor(k)`` giving
+    the signed int ``1 / c_k``.
 
     The inner sums are the power moulds ``P_k`` on the prefixes of the
     word, by the induction ``P_1(i) = M(w[:i])`` and
     ``P_k(i) = sum_{j=k-1}^{i-1} P_{k-1}(j) M(w[j:i])``, a left fold.
-    ``P_k(i)`` depends only on the prefix ``w[:i]``, so the series keeps
-    one memo from each prefix it met to the columns ``[P_1, ..., P_j]``
-    of its prefixes ``w[:j]``, itself last; a new column reads its
-    parent's entry and ``M`` on its ``i`` suffixes, O(i^2) products.  A
-    word whose ``w[:-1]`` was met costs O(r^2) and two lookups (itself,
-    as a longer word's prefix, then its parent), and every value is the
-    same sum in the same order however the words arrive.  Only values of
-    ``M`` on non-empty words enter, so ``k`` stops at ``r``.
+    ``P_k(i)`` depends only on ``M`` and the prefix ``w[:i]``, so every
+    series over ``M`` shares one memo, kept with ``M``, from each prefix
+    met to the columns ``[P_1, ..., P_j]`` of its prefixes ``w[:j]``,
+    itself last; a new column reads its parent's entry and ``M`` on its
+    ``i`` suffixes, O(i^2) products.  A word whose ``w[:-1]`` was met
+    costs O(r^2) and two lookups (itself, as a longer word's prefix,
+    then its parent), and every value is the same sum in the same order
+    however the words arrive.  Only values of ``M`` on non-empty words
+    enter, so ``k`` stops at ``r``.
+
+    Each fold starts from int 0 and skips a product with an exactly
+    zero factor, and the final sum skips an exactly zero power
+    ``k >= 2``.  For finite values these change only the sign of a zero
+    part of a column, and the final sum, from int 0, never holds a
+    -0.0, so values are bit for bit those of summing every term; a fold
+    with every product skipped leaves int 0 in its column.
     """
-    memo = {(): []}
+    memo = vars(M).setdefault("_power_columns", {(): []})
 
     def value(word):
         r = len(word)
@@ -148,31 +152,36 @@ def _series(M, empty_value, coefficient, name):
             known -= 1
         for i in range(known + 1, r + 1):
             tails = [M(word[j:i]) for j in range(i)]
-            col = [tails[0]]
-            for k in range(2, i + 1):
-                power = cols[k - 2][k - 2] * tails[k - 1]
-                for j in range(k, i):
-                    power = power + cols[j - 1][k - 2] * tails[j]
-                col.append(power)
+            # P_k at w[:j] times M(w[j:i]) is added to P_(k+1), in order of j
+            col = [tails[0]] + [0] * (i - 1)
+            for j in range(1, i):
+                b = tails[j]
+                if b:
+                    for k, a in enumerate(cols[j - 1], 1):
+                        if a:
+                            col[k] = col[k] + a * b
             cols = cols + [col]
             memo[word[:i]] = cols
         total = 0
         for k, power in enumerate(cols[-1], 1):
-            sign, divisor = coefficient(k)
-            total = total + (sign * power) / divisor
+            if power or k == 1:  # the first term gives a zero sum its type
+                total = total + power / divisor(k)
         return total
 
     return Mould(value, name=name)
 
 
-def mexp(G):
-    """Mould exponential ``sum_k G^(x k) / k!`` of an alternal-type mould.
+def mexp(G, sign=1):
+    """Mould exponential ``sum_k (sign G)^(x k) / k!`` of an alternal-type
+    mould, for ``sign`` 1 or -1; ``exp(-G)`` reads the power columns of
+    ``exp(G)``, since ``P_k[-G] = (-1)^k P_k[G]``.
 
     Requires ``G`` to vanish on the empty word.
     """
     if G(()):
         raise ValueError("mexp requires a mould vanishing on the empty word")
-    return _series(G, 1, lambda k: (1, math.factorial(k)), f"exp({G.name})")
+    minus = "-" if sign < 0 else ""
+    return _series(G, 1, lambda k: sign ** k * math.factorial(k), f"exp({minus}{G.name})")
 
 
 def mlog(S):
@@ -182,7 +191,7 @@ def mlog(S):
     s_empty = S(())
     if s_empty != 1:
         raise ValueError("mlog requires a mould equal to 1 on the empty word")
-    return _series(S, 0, lambda k: ((-1) ** (k - 1), k), f"log({S.name})")
+    return _series(S, 0, lambda k: (-1) ** (k - 1) * k, f"log({S.name})")
 
 
 class AlternalityReport:

@@ -34,7 +34,6 @@ from .mould import (
     madd,
     mexp,
     mlog,
-    mneg,
     msub,
     nabla,
     nabla1,
@@ -177,7 +176,7 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     S_times_F = times(S, F)
     residual = madd(msub(nabla_S, I_times_S), S_times_F)
     nabla_F = nabla(F, freq)
-    gauge_check = resonant_part(times(mexp(mneg(G)), nabla1(mexp(G))), freq)
+    gauge_check = resonant_part(times(mexp(G, -1), nabla1(mexp(G))), freq)
 
     words = [(), *words_over(alphabet, max_r)]
     max_res = 0.0

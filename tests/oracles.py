@@ -11,8 +11,10 @@ Nothing in the package uses these; they pin its results.
   tuple-keyed exponential chain and comould walk, on the backend's
   ``bracket``, for ``apply_exp_ad`` and ``contract`` on mode codes; the
   composition sum for the prefix recursion of the mould exponential and
-  logarithm; the per-mask subset sums for :func:`subset_sum_counts` (the
-  fold of ``alphabet.extend_subset_sums`` over a word) and
+  logarithm, and that recursion summing every term (:func:`summing_series`)
+  for the one that skips exact zeros; the per-mask subset sums for
+  :func:`subset_sum_counts` (the fold of ``alphabet.extend_subset_sums``
+  over a word) and
   ``alphabet.beta``; the per-word ``beta`` (:func:`beta_per_word`,
   deciding and weighting every sum afresh) for ``alphabet.beta`` on
   ``alphabet.DivisorWeights`` kept across words;
@@ -29,6 +31,7 @@ Nothing in the package uses these; they pin its results.
 * Small definitions the tests state properties of: the shuffle
   coefficient, the Poisson and Moyal structure constants of one mode
   pair, the crude subset bound on ``beta``, the unit and zero moulds,
+  the negated mould,
   the mould commutator, the comould (right-nested bracket of slices
   along a word), the dense form of a sparse Weyl matrix with its
   spectral norm and Hermiticity defect, and the paper's homogeneous
@@ -264,6 +267,38 @@ def composition_series(M, word, coefficient):
     return total
 
 
+def summing_series(M, empty_value, coefficient):
+    """The prefix recursion of exp/log with its own column memo, summing
+    every term: no product with a zero factor and no zero power is
+    skipped, and each fold starts from its first product."""
+    memo = {(): []}
+
+    def value(word):
+        r = len(word)
+        if r == 0:
+            return empty_value
+        known = r
+        while (cols := memo.get(word[:known])) is None:
+            known -= 1
+        for i in range(known + 1, r + 1):
+            tails = [M(word[j:i]) for j in range(i)]
+            col = [tails[0]]
+            for k in range(2, i + 1):
+                power = cols[k - 2][k - 2] * tails[k - 1]
+                for j in range(k, i):
+                    power = power + cols[j - 1][k - 2] * tails[j]
+                col.append(power)
+            cols = cols + [col]
+            memo[word[:i]] = cols
+        total = 0
+        for k, power in enumerate(cols[-1], 1):
+            sign, divisor = coefficient(k)
+            total = total + (sign * power) / divisor
+        return total
+
+    return Mould(value, name="summing")
+
+
 def subset_sums_by_mask(word):
     """The mode sum of every non-empty letter subset, each rebuilt from
     its letters, in bitmask order."""
@@ -495,6 +530,11 @@ def unit_mould():
 
 def zero_mould():
     return Mould(lambda w: 0, name="zero")
+
+
+def mneg(M):
+    """The mould ``-M``."""
+    return Mould(lambda w: -M(w), name=f"-{M.name}")
 
 
 def mbracket(M, N):

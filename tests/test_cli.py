@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -71,6 +72,23 @@ class TestNormalizeCommand:
         assert main(["normalize", "--config", str(cfg), "--out", str(out2)]) == 0
         for name in ("normalize_result.json", "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_bound_applies_only_under_its_hypothesis(self, tmp_path):
+        # ||B||_rho of the shipped toy is under the smallness threshold at
+        # N = 2 and over it at N = 3; the bound's sides still compare, and
+        # the exit code follows "holds" alone
+        config = json.loads((REPO / "configs" / "toy_normalize.json").read_text())
+        for N, applies in ((2, True), (3, False)):
+            cfg = tmp_path / f"run{N}.json"
+            cfg.write_text(json.dumps({**config, "N": N}))
+            out = tmp_path / f"out{N}"
+            assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 0
+            bound = json.loads((out / "normalize_result.json").read_text())["bounds"][0]
+            assert bound["holds"] is True
+            assert bound["applies"] is bound["inputs"]["precondition_holds"] is applies
+            with open(out / "summary.csv", newline="") as fh:
+                header, row = csv.reader(fh)
+            assert (header[-1], row[-1]) == ("bound_applies", repr(applies))
 
     def test_zero_perturbation_all_zero_report(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", B={"d": 2, "coeffs": []}, N=1)

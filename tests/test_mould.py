@@ -21,14 +21,20 @@ from mouldnf.mould import (
     madd,
     mexp,
     mlog,
-    mneg,
     nabla,
     nabla1,
     resonant_part,
     times,
 )
 
-from oracles import composition_series, table_mould, unit_mould, zero_mould
+from oracles import (
+    composition_series,
+    mneg,
+    summing_series,
+    table_mould,
+    unit_mould,
+    zero_mould,
+)
 
 X, Y, Z = (1, 0), (0, 1), (-1, 0)
 LETTERS = (X, Y, Z)
@@ -315,13 +321,67 @@ class TestSeriesColumnMemo:
         # longest first: a prefix then finds its own column cached
         longest_first = sorted(words, key=len, reverse=True)
         for series, empty in ((mexp, 0j), (mlog, 1 + 0j)):
-            M = seeded_mould(seed, empty, float_value)
             values = []
             for order in (shuffled, longest_first):
-                evaluate = series(M)
+                # a fresh mould each time: series over one mould share columns
+                evaluate = series(seeded_mould(seed, empty, float_value))
                 values.append({w: evaluate(w) for w in order})
             for w in words:
                 assert repr(values[0][w]) == repr(values[1][w])
+
+
+def float_value_with_zeros(rng):
+    # each part +0.0, -0.0 or not zero, so about a quarter of the values
+    # are exact zeros
+    return complex(*(rng.choice((0.0, -0.0, rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in "ri"))
+
+
+def exact_value_with_zeros(rng):
+    return QI(0, 0) if rng.random() < 0.3 else exact_value(rng)
+
+
+class TestSharedColumnsAndZeroSkips:
+    """Every series over one mould shares its power columns, so exp(-G)
+    reads those of exp(G); products and powers that are exactly zero are
+    skipped.  Both give the values of the fold that sums every term into
+    one memo per series."""
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 10 ** 6), st.lists(SERIES_WORDS, min_size=1, max_size=4))
+    def test_exp_of_minus_equals_exp_of_negated(self, seed, words):
+        for empty, value in ((QI(0, 0), exact_value_with_zeros), (0j, float_value_with_zeros)):
+            G = seeded_mould(seed, empty, value)
+            exp_g, exp_minus_g, reference = mexp(G), mexp(G, -1), mexp(mneg(G))
+            for w in words:
+                # the prefixes of w are in the memo once exp(G) has met w
+                exp_g(w)
+                assert repr(exp_minus_g(w)) == repr(reference(w))
+                assert exp_minus_g(w) == reference(w)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 10 ** 6), st.lists(SERIES_WORDS, min_size=1, max_size=4))
+    def test_skipping_series_equals_summing_fold(self, seed, words):
+        for (series, coefficient, empty), value in itertools.product(
+            ((mexp, EXP_COEFFICIENT, 0), (mlog, LOG_COEFFICIENT, 1)),
+            (exact_value_with_zeros, float_value_with_zeros),
+        ):
+            exact = value is exact_value_with_zeros
+            M = seeded_mould(seed, QI(empty, 0) if exact else complex(empty), value)
+            new = series(M)
+            old = summing_series(M, new(()), coefficient)
+            for w in words:
+                assert repr(new(w)) == repr(old(w))
+                assert new(w) == old(w)
+
+    def test_exp_of_minus_evaluates_no_word_again(self):
+        G = CountingMould(0.0)
+        word = (X, Y, Z, X, Y)
+        expected = mexp(mneg(Mould(G)))(word)
+        exp_g, exp_minus_g = mexp(G), mexp(G, -1)
+        exp_g(word)
+        G.calls = 0
+        assert repr(exp_minus_g(word)) == repr(expected)
+        assert G.calls == 0
 
 
 class TestAlternality:
