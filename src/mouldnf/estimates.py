@@ -19,7 +19,7 @@ import random
 import statistics
 
 from .alphabet import DivisorWeights, _as_int_vector, beta, extend_subset_sums
-from .liealg import OutOfDomainError, chi, finite_norm, order_increment
+from .liealg import OutOfDomainError, chi, contract, finite_norm
 from .observables import norm_rho
 from .classical import ClassicalBackend
 from .quantum import QuantumBackend
@@ -230,9 +230,11 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
 
     For each hbar, ``g(hbar)`` is the norm at the target radius of the
     difference between the quantum and classical length-N strata of the
-    normal form (the coefficient mould is shared; only the comould
-    differs).  Fits the log-log slope when every g is positive and at
-    least two hbar values differ, and checks ``g <= hbar^2 C_N ||B||_rho^N``
+    normal form: ``F`` contracted over the words of length N alone
+    (``r_min = N``), so its pruning scale is that of the stratum.  The
+    coefficient mould is shared; only the comould differs.  Fits the
+    log-log slope when every g is positive and at least two hbar values
+    differ, and checks ``g <= hbar^2 C_N ||B||_rho^N``
     with ``C_N`` from the F supremum fitted on ``B``'s letters with ``seed``
     at the Diophantine ``alpha``.
     """
@@ -240,7 +242,7 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
         raise ValueError("N must be >= 1")
     norm_b = finite_norm(B, rho)
     F = MouldSolver(freq).F_mould
-    classical = order_increment(F, B, N, ClassicalBackend(freq))
+    (classical,) = contract([F], B, N, ClassicalBackend(freq), N)
     letters = sorted({k for k, _ in B.coeffs})
     F_sup = fit_growth_constants(F, freq, letters, N, rho, alpha, seed)[N - 1]
     c_n = gap_constant(N, rho, rho_prime, F_sup)
@@ -253,7 +255,7 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
     )
     hbars, g_values, bounds = [], [], []
     for hbar in hbar_list:
-        quantum = order_increment(F, B, N, QuantumBackend(freq, hbar))
+        (quantum,) = contract([F], B, N, QuantumBackend(freq, hbar), N)
         diff = quantum - classical
         g = norm_rho(diff, rho_prime) if diff else 0.0
         hbars.append(float(hbar))

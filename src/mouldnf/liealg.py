@@ -1,15 +1,15 @@
 """Comould contraction and the normal-form driver.
 
-``contract`` pairs a mould with the iterated brackets of a
-perturbation's Fourier slices; ``normalize`` assembles the order-N
-normal form, the generator, and the measured remainder of the truncated
-exponential conjugation.
+``contract`` pairs a list of moulds with one comould, the iterated
+brackets of a perturbation's Fourier slices; ``normalize`` assembles the
+order-N normal form and the generator from one such walk, and measures
+the remainder of the truncated exponential conjugation.
 
 Words (tuples of letters) are enumerated over the perturbation's own
 support letters in sorted order (deterministic floating accumulation),
 each extended one letter at a time from its prefix, pruning subtrees
-whose iterated bracket has already vanished and words whose mould value
-is negligible against the accumulated scale.
+whose iterated bracket has already vanished.  Each mould drops the words
+whose value is negligible against its own accumulated scale.
 
 Both bracket walkers, the word-tree walk of ``contract`` and the
 exponential chain of ``apply_exp_ad``, run on mode codes: each fixes a
@@ -67,28 +67,39 @@ def finite_norm(B, rho):
     return norm
 
 
-def _contract_range(M, B, r_min, r_max, backend):
+def contract(moulds, B, r_max, backend, r_min=1):
+    """One contraction per mould of ``moulds``: the sum of
+    ``(1/r) M(word)`` times the right-nested bracket
+    ``[B_(k_r), ..., [B_(k_2), B_(k_1)]]`` of the Fourier slices of ``B``
+    over the words ``k_1...k_r`` of length ``r_min..r_max`` drawn from
+    its support letters.
+
+    One descent takes each bracket once for every mould.  Each mould
+    keeps its own pruning scale, so its sum is the one its walk alone
+    would give.
+    """
     parts = slices(B)
     letters = sorted(parts)
-    total = Observable.zero(B.d)
+    totals = [Observable.zero(B.d) for _ in moulds]
     if not letters:
-        return total
+        return totals
     # a bracket of r slices has coordinates within r top(B)
     codes = ModeCodes(B.d, r_max * top(B))
+    scales = [0.0] * len(moulds)
     parts = {letter: codes.encode(part) for letter, part in parts.items()}
     lefts = {letter: codes.rows(part) for letter, part in parts.items()}
     coupling = backend.coupling
-    scale = 0.0
 
     def descend(word, nested):
-        nonlocal total, scale
         r = len(word)
         if r >= r_min:
-            value = complex(M(word))
-            weight = abs(value) * nested.max_abs()
-            if value != 0 and weight > PRUNE_REL * scale:
-                total = total + (value / r) * nested
-                scale = max(scale, weight)
+            peak = nested.max_abs()
+            for i, M in enumerate(moulds):
+                value = complex(M(word))
+                weight = abs(value) * peak
+                if value != 0 and weight > PRUNE_REL * scales[i]:
+                    totals[i] = totals[i] + (value / r) * nested
+                    scales[i] = max(scales[i], weight)
         if r == r_max:
             return
         for letter in letters:
@@ -98,20 +109,7 @@ def _contract_range(M, B, r_min, r_max, backend):
 
     for letter in letters:
         descend((letter,), parts[letter])
-    return Observable._of(B.d, codes.decode(total), False)
-
-
-def contract(M, B, max_r, backend):
-    """Sum of ``(1/r) M(word)`` times the right-nested bracket
-    ``[B_(k_r), ..., [B_(k_2), B_(k_1)]]`` of the Fourier slices of ``B``
-    over the words ``k_1...k_r`` of length 1..max_r drawn from its
-    support letters."""
-    return _contract_range(M, B, 1, max_r, backend)
-
-
-def order_increment(M, B, r, backend):
-    """The length-``r`` stratum of :func:`contract` alone."""
-    return _contract_range(M, B, r, r, backend)
+    return [Observable._of(B.d, codes.decode(total), False) for total in totals]
 
 
 def exp_ad_tail_bound(norm_y, norm_x, order, params):
@@ -215,8 +213,7 @@ def normalize(B, N, params, freq, backend, exp_order=None):
         raise ValueError("observable and frequency dimensions differ")
     norm_b = finite_norm(B, params.rho)
     solver = MouldSolver(freq)
-    Z = contract(solver.F_mould, B, N, backend)
-    Y = contract(solver.G_mould, B, N, backend)
+    Z, Y = contract([solver.F_mould, solver.G_mould], B, N, backend)
     order = exp_order if exp_order is not None else default_exp_order(N)
     conjugated, tail, ratio = apply_exp_ad(Y, B, order, params, backend)
     E = conjugated - Z

@@ -38,11 +38,6 @@ class Mould:
         return f"Mould({self.name})"
 
 
-def ident_mould():
-    """The mould that is 1 exactly on one-letter words."""
-    return Mould(lambda w: 1 if len(w) == 1 else 0, name="I")
-
-
 def from_table(table):
     """The mould with the values of ``table`` on its words and 0 elsewhere."""
     table = dict(table)

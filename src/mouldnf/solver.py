@@ -30,7 +30,6 @@ from .alphabet import ksum, words_over
 from .exact import scalar_abs
 from .mould import (
     Mould,
-    ident_mould,
     madd,
     mexp,
     mlog,
@@ -172,7 +171,9 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     F = solver.F_mould
     G = solver.G_mould
     nabla_S = nabla(S, freq)
-    I_times_S = times(ident_mould(), S)
+    # times(I, S) with I the mould that is 1 on one-letter words: S on
+    # the word less its first letter, and 0 on the empty word
+    I_times_S = Mould(lambda w: S(w[1:]) if w else 0, name=f"(Ix{S.name})")
     S_times_F = times(S, F)
     residual = madd(msub(nabla_S, I_times_S), S_times_F)
     nabla_F = nabla(F, freq)

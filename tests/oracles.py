@@ -30,7 +30,9 @@ Nothing in the package uses these; they pin its results.
   rounding.
 * Small definitions the tests state properties of: the shuffle
   coefficient, the Poisson and Moyal structure constants of one mode
-  pair, the crude subset bound on ``beta``, the unit and zero moulds,
+  pair, the crude subset bound on ``beta``, the unit, zero and
+  one-letter moulds (the last is the left factor of the product that
+  ``solver.verify_equation`` takes as a shift),
   the negated mould,
   the mould commutator, the comould (right-nested bracket of slices
   along a word), the dense form of a sparse Weyl matrix with its
@@ -191,8 +193,8 @@ def tuple_exp_ad(Y, X, order, params, backend):
 
 
 def tuple_contract_range(M, B, r_min, r_max, backend):
-    """``liealg._contract_range`` as a walk of ``backend.bracket`` calls
-    on tuple-keyed observables."""
+    """``liealg.contract`` of the one mould ``M`` as a walk of
+    ``backend.bracket`` calls on tuple-keyed observables."""
     parts = slices(B)
     letters = sorted(parts)
     total = Observable.zero(B.d)
@@ -530,6 +532,11 @@ def unit_mould():
 
 def zero_mould():
     return Mould(lambda w: 0, name="zero")
+
+
+def ident_mould():
+    """The mould that is 1 exactly on one-letter words."""
+    return Mould(lambda w: 1 if len(w) == 1 else 0, name="I")
 
 
 def mneg(M):

@@ -739,6 +739,20 @@ class TestBundledGoldens:
             for name in ("D", "Gamma_N", "Gamma_N2N", "eps_threshold", "normB"):
                 assert got["inputs"][name] == pytest.approx(want["inputs"][name], rel=1e-9), name
 
+    def test_semiclassical_matches_golden(self, tmp_path):
+        cfg = self.REPO / "configs" / "toy_semiclassical.json"
+        assert main(["semiclassical", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        fresh = json.loads((tmp_path / "semiclassical.json").read_text())
+        golden = json.loads((self.REPO / "goldens" / "semiclassical_golden.json").read_text())
+        assert fresh["g_values"] == pytest.approx(golden["g_values"], rel=1e-9)
+        assert fresh["C_N"] == pytest.approx(golden["C_N"], rel=1e-9)
+        assert fresh["slope"] == pytest.approx(golden["slope"], rel=1e-9)
+        assert len(fresh["bounds"]) == len(golden["bounds"])
+        for got, want in zip(fresh["bounds"], golden["bounds"]):
+            assert (got["name"], got["holds"]) == (want["name"], want["holds"])
+            assert got["lhs"] == pytest.approx(want["lhs"], rel=1e-9)
+            assert got["rhs"] == pytest.approx(want["rhs"], rel=1e-9)
+
     def test_verify_suite_with_bundled_table(self, tmp_path):
         cfg = self.REPO / "configs" / "verify_suite.json"
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0

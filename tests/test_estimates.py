@@ -184,7 +184,7 @@ class TestGrowthFitAndRemainder:
         solver = MouldSolver(golden_freq)
         delta = scale_params.delta
         for N in (1, 2, 3):
-            Y = contract(solver.G_mould, toy_B, N, classical_backend)
+            (Y,) = contract([solver.G_mould], toy_B, N, classical_backend)
             full, _, _ = apply_exp_ad(Y, toy_B, 18, scale_params, classical_backend)
             trunc, _, _ = apply_exp_ad(Y, toy_B, N, scale_params, classical_backend)
             measured = norm_rho(full - trunc, scale_params.rho_prime)

@@ -254,8 +254,9 @@ class TestVerifyWork:
                 patch.setattr(QI, name, counting_operator(vars(QI)[name]))
             report = verify_equation(solver, MAX_R, LETTERS)
         assert repr(vars(report)) == self.REPORT
-        # summing every term and coercing every int operand took 42806 and 61130
-        assert counts == {"QI._of": 28249, "QI operators": 37450, "Fraction": 0}
+        # summing every term and coercing every int operand took 42806 and 61130;
+        # times(I, S) as a product rather than a shift took 37450 operators
+        assert counts == {"QI._of": 28249, "QI operators": 35308, "Fraction": 0}
 
 
 def test_exact_solve_matches_fraction_oracle(monkeypatch):

@@ -15,8 +15,8 @@ from mouldnf import (
 )
 from mouldnf import liealg
 from mouldnf.classical import code_bracket
-from mouldnf.liealg import apply_exp_ad, chi, contract, default_exp_order, order_increment
-from mouldnf.mould import from_table, ident_mould, nabla
+from mouldnf.liealg import apply_exp_ad, chi, contract, default_exp_order
+from mouldnf.mould import from_table, nabla
 from mouldnf.observables import norm_rho, slices
 from mouldnf.solver import MouldSolver
 
@@ -25,6 +25,7 @@ from oracles import (
     comould,
     evaluate,
     hamiltonian_flow,
+    ident_mould,
     mbracket,
     tuple_contract_range,
     tuple_exp_ad,
@@ -57,11 +58,11 @@ class TestComould:
 
 class TestContract:
     def test_ident_mould_reassembles_B(self, toy_B, classical_backend):
-        out = contract(ident_mould(), toy_B, 3, classical_backend)
+        (out,) = contract([ident_mould()], toy_B, 3, classical_backend)
         assert out.coeffs == pytest.approx(toy_B.coeffs)
 
     def test_zero_mould_gives_zero(self, toy_B, classical_backend):
-        assert not contract(zero_mould(), toy_B, 3, classical_backend)
+        assert not contract([zero_mould()], toy_B, 3, classical_backend)[0]
 
     def test_order2_on_two_mode_toy_matches_hand_value(self, golden_freq):
         # modes on k and -k with non-conjugate m content so the pair
@@ -72,14 +73,14 @@ class TestContract:
         parts = slices(B)
         lam = 1j
         solver = MouldSolver(golden_freq)
-        Z2 = order_increment(solver.F_mould, B, 2, backend)
+        (Z2,) = contract([solver.F_mould], B, 2, backend, r_min=2)
         expected = (-1 / lam) * backend.bracket(parts[(-1, 0)], parts[(1, 0)])
         assert Z2.coeffs == pytest.approx(expected.coeffs)
 
     def test_deterministic_accumulation(self, toy_B, golden_freq, classical_backend):
         solver = MouldSolver(golden_freq)
-        a = contract(solver.F_mould, toy_B, 3, classical_backend)
-        b = contract(MouldSolver(golden_freq).F_mould, toy_B, 3, classical_backend)
+        (a,) = contract([solver.F_mould], toy_B, 3, classical_backend)
+        (b,) = contract([MouldSolver(golden_freq).F_mould], toy_B, 3, classical_backend)
         assert a.coeffs == b.coeffs
 
 
@@ -109,18 +110,16 @@ class TestMouldComouldIdentities:
         # commutator contracts to the swapped bracket of contractions
         M, N = self._alternal_pair()
         Bs = Observable(2, {km: c for km, c in toy_B.coeffs.items() if km[0] in ((1, 0), (-1, 0))})
-        lhs = contract(mbracket(M, N), Bs, 4, classical_backend)
-        rhs = classical_backend.bracket(
-            contract(N, Bs, 2, classical_backend), contract(M, Bs, 2, classical_backend)
-        )
+        (lhs,) = contract([mbracket(M, N)], Bs, 4, classical_backend)
+        rhs = classical_backend.bracket(*contract([N, M], Bs, 2, classical_backend))
         diff = lhs - rhs
         assert diff.max_abs() <= 1e-9 * max(lhs.max_abs(), 1e-30)
 
     def test_x0_contraction_identity(self, toy_B, golden_freq, classical_backend):
         M, N = self._alternal_pair()
         Bs = Observable(2, {km: c for km, c in toy_B.coeffs.items() if km[0] in ((1, 0), (-1, 0))})
-        lhs = classical_backend.ad_x0(contract(M, Bs, 2, classical_backend))
-        rhs = contract(nabla(M, golden_freq), Bs, 2, classical_backend)
+        lhs = classical_backend.ad_x0(contract([M], Bs, 2, classical_backend)[0])
+        (rhs,)= contract([nabla(M, golden_freq)], Bs, 2, classical_backend)
         diff = lhs - rhs
         assert diff.max_abs() <= 1e-12 * max(lhs.max_abs(), 1e-30)
 
@@ -155,7 +154,7 @@ class TestApplyExpAd:
     @pytest.mark.parametrize("hbar", [None, 0.1])
     def test_fused_chain_matches_two_chains(self, toy_B, golden_freq, scale_params, hbar):
         backend = ClassicalBackend(golden_freq) if hbar is None else QuantumBackend(golden_freq, hbar)
-        Y = contract(MouldSolver(golden_freq).G_mould, toy_B, 3, backend)
+        (Y,) = contract([MouldSolver(golden_freq).G_mould], toy_B, 3, backend)
         order = default_exp_order(3)
         fused, _, _ = apply_exp_ad(Y, toy_B, order, scale_params, backend)
         reference = two_chain_exp_ad(Y, toy_B, order, backend)
@@ -208,7 +207,7 @@ def _outcome(walk, *args):
         result = walk(*args)
     except ValueError as err:
         return "ValueError", str(err)
-    parts = result if isinstance(result, tuple) else (result,)
+    parts = result if isinstance(result, (tuple, list)) else (result,)
     return [
         (repr(list(part.coeffs.items())), part.real) if isinstance(part, Observable) else part
         for part in parts
@@ -234,6 +233,8 @@ OPERANDS = st.one_of(
     observable_strategy(2, 4).map(_realified),
 )
 TOY = Observable(2, TOY_MODES)
+# the toy_B fixture: the B of configs/toy_normalize.json
+TOY_B = (0.01 / norm_rho(TOY, 1.0)) * TOY
 
 
 def _backend(hbar):
@@ -267,18 +268,29 @@ class TestWalkersOnCodes:
     @settings(max_examples=60)
     @given(
         B=OPERANDS,
-        mould=st.sampled_from(["F_mould", "G_mould"]),
+        names=st.lists(st.sampled_from(["F_mould", "G_mould"]), min_size=1, max_size=3),
         r_range=st.integers(1, 3).flatmap(lambda r: st.tuples(st.integers(1, r), st.just(r))),
         hbar=HBARS,
     )
-    @example(B=TOY, mould="F_mould", r_range=(1, 3), hbar=None)
-    @example(B=TOY, mould="G_mould", r_range=(1, 3), hbar=0.1)
-    @example(B=_realified(TOY), mould="G_mould", r_range=(3, 3), hbar=None)
-    def test_contraction_matches_tuple_walk(self, golden_solver, B, mould, r_range, hbar):
-        M = getattr(golden_solver, mould)
+    @example(B=TOY, names=["F_mould"], r_range=(1, 3), hbar=None)
+    @example(B=TOY, names=["G_mould"], r_range=(1, 3), hbar=0.1)
+    @example(B=_realified(TOY), names=["G_mould"], r_range=(3, 3), hbar=None)
+    # each mould keeps its own pruning scale: on this operand one scale
+    # shared by G and F changes the sums
+    @example(B=_realified(TOY), names=["G_mould", "F_mould"], r_range=(1, 3), hbar=None)
+    @example(B=TOY, names=["G_mould", "F_mould", "G_mould"], r_range=(2, 3), hbar=0.1)
+    # a stratum keeps its own pruning scale: on this operand the length-6
+    # part of a 1..6 walk differs from the walk of length 6 alone
+    @example(B=TOY_B, names=["F_mould", "G_mould"], r_range=(6, 6), hbar=None)
+    def test_contraction_matches_tuple_walk(self, golden_solver, B, names, r_range, hbar):
+        # one walk of several moulds gives each the walk of that mould alone
+        moulds = [getattr(golden_solver, name) for name in names]
+        r_min, r_max = r_range
         backend = _backend(hbar)
-        fast = _outcome(liealg._contract_range, M, B, *r_range, backend)
-        assert fast == _outcome(tuple_contract_range, M, B, *r_range, backend)
+        fast = _outcome(contract, moulds, B, r_max, backend, r_min)
+        assert fast == _outcome(
+            lambda: [tuple_contract_range(M, B, r_min, r_max, backend) for M in moulds]
+        )
 
 
 class TestNormalize:

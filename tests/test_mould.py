@@ -16,7 +16,6 @@ from mouldnf.mould import (
     check_alternal,
     dump_table,
     from_table,
-    ident_mould,
     load_table,
     madd,
     mexp,
@@ -29,6 +28,7 @@ from mouldnf.mould import (
 
 from oracles import (
     composition_series,
+    ident_mould,
     mneg,
     summing_series,
     table_mould,

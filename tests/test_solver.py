@@ -10,12 +10,12 @@ from mouldnf import Frequency
 from mouldnf.alphabet import DivisorWeights, beta, diophantine_alpha, is_resonant
 from mouldnf.estimates import SAMPLE_LIMIT, default_eta, fit_growth_constants
 from mouldnf.exact import QI
-from mouldnf.mould import check_alternal, from_table, ident_mould, mexp, nabla, times
+from mouldnf.mould import check_alternal, from_table, mexp, nabla, times
 from mouldnf import alphabet
 from mouldnf import solver as solver_module
 from mouldnf.solver import MouldSolver, verify_equation
 
-from oracles import StackSolver, SummingSolver, subset_sum_counts, times_all_splits
+from oracles import StackSolver, SummingSolver, ident_mould, subset_sum_counts, times_all_splits
 
 PHI = (1 + 5 ** 0.5) / 2
 
