@@ -18,6 +18,7 @@ addition, which the norm estimates rely on).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -226,11 +227,6 @@ def words_over(alphabet, max_r):
         yield from itertools.product(letters, repeat=r)
 
 
-def is_resonant(word, freq):
-    """Whether the letter sum lies in the integer resonance lattice."""
-    return not word or freq._in_lattice(ksum(word))
-
-
 def extend_subset_sums(counts, letter):
     """The subset-sum counts of a word extended by ``letter``, from the
     counts ``{k_sigma: n}`` of the word: the number ``n`` of non-empty
@@ -280,14 +276,26 @@ def beta(counts, weights):
     return math.fsum(n * weights[k] for k, n in counts.items())
 
 
+@functools.cache
+def _shuffle_patterns(ra, rb):
+    """The interleavings of words of lengths ``ra`` and ``rb``, each as
+    the indices of its letters in their concatenation, in the order of
+    the first word's positions in ``itertools.combinations``."""
+    total = ra + rb
+    patterns = []
+    for positions in itertools.combinations(range(total), ra):
+        pos_set = set(positions)
+        ia, ib = iter(range(ra)), iter(range(ra, total))
+        patterns.append(tuple(next(ia) if p in pos_set else next(ib) for p in range(total)))
+    return tuple(patterns)
+
+
 def shuffles(a, b):
     """Multiset of interleavings of ``a`` and ``b`` as ``{word: count}``."""
+    letter = (*a, *b).__getitem__
     counts = {}
-    total = len(a) + len(b)
-    for positions in itertools.combinations(range(total), len(a)):
-        pos_set = set(positions)
-        ia, ib = iter(a), iter(b)
-        w = tuple(next(ia) if p in pos_set else next(ib) for p in range(total))
+    for pattern in _shuffle_patterns(len(a), len(b)):
+        w = tuple(map(letter, pattern))
         counts[w] = counts.get(w, 0) + 1
     return counts
 

@@ -1,17 +1,19 @@
-"""The mould algebra: product, derivations, exp/log, alternality.
+"""Moulds: exp/log, the alternality check and tables of values.
 
 A mould is a scalar-valued function on words (tuples of letters),
 represented here as a lazily evaluated, memoized callable.  Moulds are
 total functions and are never materialized as tables; evaluation of the
-same word twice returns bit-identical values.  All operations work uniformly over complex
-floats and exact Q(i) scalars.
+same word twice returns bit-identical values.  All operations work
+uniformly over complex floats and exact Q(i) scalars.  The mould product
+and derivations that the mould equation is written in are evaluated word
+by word where the equation is checked (``solver.verify_equation``).
 """
 
 from __future__ import annotations
 
 import math
 
-from .alphabet import is_resonant, ksum, shuffles, words_over
+from .alphabet import shuffles, words_over
 from .exact import QI, scalar_abs
 
 
@@ -42,73 +44,6 @@ def from_table(table):
     """The mould with the values of ``table`` on its words and 0 elsewhere."""
     table = dict(table)
     return Mould(lambda w: table.get(w, 0), name="table")
-
-
-def madd(M, N):
-    return Mould(lambda w: M(w) + N(w), name=f"({M.name}+{N.name})")
-
-
-def msub(M, N):
-    return Mould(lambda w: M(w) - N(w), name=f"({M.name}-{N.name})")
-
-
-def times(M, N):
-    """Mould product: sum of ``M(a) N(b)`` over the r+1 splittings.
-
-    Splittings include the empty factors, so the unit mould is a
-    two-sided identity.  A split with an exactly zero factor is skipped
-    (the right factor is not evaluated when the left one is zero).  The
-    sum starts at int 0 and never holds a float -0.0, so a skipped
-    product, a signed zero when the other factor is finite, would not
-    change it; a word whose every split is skipped gets int 0.
-    """
-
-    def value(word):
-        total = 0
-        for i in range(len(word) + 1):
-            a = M(word[:i])
-            if a:
-                b = N(word[i:])
-                if b:
-                    total = total + a * b
-        return total
-
-    return Mould(value, name=f"({M.name}x{N.name})")
-
-
-def nabla(M, freq):
-    """Multiply the value on each word by its eigenvalue sum.
-
-    The factor is exactly zero on resonant words (integer-lattice
-    decision), never a tiny float.  Each word's letter sum is formed
-    once, decided on the lattice once and, off it, paired with omega.
-    """
-
-    def value(word):
-        k = ksum(word)
-        if not word or freq._in_lattice(k):
-            return freq.zero()
-        if len(k) != freq.d:
-            raise ValueError("word dimension does not match frequency")
-        return freq._eigenvalue(k, exact_zero=False) * M(word)
-
-    return Mould(value, name=f"nabla({M.name})")
-
-
-def nabla1(M):
-    """Multiply the value on each word by the word length."""
-    return Mould(lambda w: len(w) * M(w), name=f"nabla1({M.name})")
-
-
-def resonant_part(M, freq):
-    """Keep values on resonant words, zero elsewhere."""
-
-    def value(word):
-        if is_resonant(word, freq):
-            return M(word)
-        return freq.zero()
-
-    return Mould(value, name=f"[{M.name}]_0")
 
 
 def _series(M, empty_value, divisor, name):

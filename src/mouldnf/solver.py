@@ -28,17 +28,7 @@ import functools
 
 from .alphabet import ksum, words_over
 from .exact import scalar_abs
-from .mould import (
-    Mould,
-    madd,
-    mexp,
-    mlog,
-    msub,
-    nabla,
-    nabla1,
-    resonant_part,
-    times,
-)
+from .mould import Mould, mexp, mlog
 
 
 class MouldSolver:
@@ -161,23 +151,28 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     """Evaluate the defining equation's residual word by word.
 
     Checks three identities on every word of length <= ``max_r`` over
-    ``alphabet``: the main equation (derivative of the group-like mould
-    against its product form), the vanishing derivative of the
-    normal-form mould, and the zero-gauge condition on the resonant part
-    of ``exp(-G) x nabla1 exp(G)``.
+    ``alphabet``: the main equation ``nabla S - I x S + S x F = 0``
+    (``nabla`` multiplies a word's value by its eigenvalue sum, and
+    ``I x S`` is ``S`` on the word less its first letter), the vanishing
+    of ``nabla F``, and the zero-gauge condition: on resonant words,
+    ``sum_i exp(-G)(w[:i]) |w[i:]| exp(G)(w[i:])`` vanishes.
+
+    Each word forms its letter sum and decides resonance once: off the
+    lattice one eigenvalue serves ``nabla S`` and ``nabla F``, on it both
+    are exactly zero and the gauge sum is formed.  Only moulds read again
+    on subwords are memoized (S, F, G and ``exp(+-G)``), and
+    ``|w| exp(G)(w)``, which the gauge sums read on suffixes, in a dict.
     """
     freq = solver.freq
-    S = solver.S_mould
-    F = solver.F_mould
-    G = solver.G_mould
-    nabla_S = nabla(S, freq)
-    # times(I, S) with I the mould that is 1 on one-letter words: S on
-    # the word less its first letter, and 0 on the empty word
-    I_times_S = Mould(lambda w: S(w[1:]) if w else 0, name=f"(Ix{S.name})")
-    S_times_F = times(S, F)
-    residual = madd(msub(nabla_S, I_times_S), S_times_F)
-    nabla_F = nabla(F, freq)
-    gauge_check = resonant_part(times(mexp(G, -1), nabla1(mexp(G))), freq)
+    S, F = solver.S_mould, solver.F_mould
+    exp_minus_g, exp_g = mexp(solver.G_mould, -1), mexp(solver.G_mould)
+    weighted = {}
+
+    def weighted_exp_g(word):
+        value = weighted.get(word)
+        if value is None:
+            value = weighted[word] = len(word) * exp_g(word)
+        return value
 
     words = [(), *words_over(alphabet, max_r)]
     max_res = 0.0
@@ -185,11 +180,37 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     max_gauge = 0.0
     scale = 0.0
     for w in words:
-        max_res = max(max_res, scalar_abs(residual(w)))
-        max_nf = max(max_nf, scalar_abs(nabla_F(w)))
-        max_gauge = max(max_gauge, scalar_abs(gauge_check(w)))
-        scale = max(
-            scale,
-            scalar_abs(nabla_S(w)) + scalar_abs(I_times_S(w)) + scalar_abs(S_times_F(w)),
-        )
+        k = ksum(w)
+        resonant = not w or freq._in_lattice(k)
+        if resonant:
+            nabla_s = nabla_f = freq.zero()
+        else:
+            if len(k) != freq.d:
+                raise ValueError("word dimension does not match frequency")
+            lam = freq._eigenvalue(k, exact_zero=False)
+            nabla_s = lam * S(w)
+            nabla_f = lam * F(w)
+        shift = S(w[1:]) if w else 0
+        s_f = _split_sum(S, F, w)
+        gauge = _split_sum(exp_minus_g, weighted_exp_g, w) if resonant else freq.zero()
+        max_res = max(max_res, scalar_abs((nabla_s - shift) + s_f))
+        max_nf = max(max_nf, scalar_abs(nabla_f))
+        max_gauge = max(max_gauge, scalar_abs(gauge))
+        scale = max(scale, scalar_abs(nabla_s) + scalar_abs(shift) + scalar_abs(s_f))
     return EquationReport(len(words), max_res, max_nf, max_gauge, scale, freq.exact, tol)
+
+
+def _split_sum(left, right, word):
+    """``sum_i left(word[:i]) right(word[i:])`` over the r+1 splittings,
+    from int 0; a split with an exactly zero factor is skipped (``right``
+    is not evaluated when the left factor is zero).  The sum never holds
+    a float -0.0, so a skipped product, a signed zero when the other
+    factor is finite, would not change it."""
+    total = 0
+    for i in range(len(word) + 1):
+        a = left(word[:i])
+        if a:
+            b = right(word[i:])
+            if b:
+                total = total + a * b
+    return total

@@ -21,8 +21,14 @@ Nothing in the package uses these; they pin its results.
   the mode-bracket double loop with its helper calls for
   ``classical.mode_bracket``; and the stack solver, the earlier
   ``solver.MouldSolver`` with three word-keyed tables and an explicit
-  dependency stack, for the subword-table solver; and the Fraction-pair
-  ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last four
+  dependency stack, for the subword-table solver; the equation check
+  assembled from memoized combinator moulds (the product ``times``,
+  ``madd``, ``msub``, the derivations ``nabla`` and ``nabla1``, the
+  projection ``resonant_part`` on ``is_resonant``) for the word-by-word
+  ``solver.verify_equation``; the interleavings rebuilt from
+  ``itertools.combinations`` on every call for ``alphabet.shuffles`` on
+  patterns kept per length pair; and the Fraction-pair
+  ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last six
   are compared bit for bit.  The shaped growth fit, which divided every
   word by the growth shape ``(tau/(e eta_r))^(tau (r - lag))``, and the
   shaped constants, which multiplied it back in, for the shape-free
@@ -60,16 +66,17 @@ from mouldnf.alphabet import (
     _as_int_vector,
     beta,
     extend_subset_sums,
-    is_resonant,
     ksum,
     l1,
+    words_over,
 )
 from mouldnf.estimates import _finite, _sample_words, default_eta, exp_tail_constant
+from mouldnf.exact import scalar_abs
 from mouldnf.liealg import chi, exp_ad_tail_bound
-from mouldnf.mould import Mould, msub, times
+from mouldnf.mould import Mould, mexp
 from mouldnf.observables import PRUNE_REL, _group_by_x_mode, norm_rho, slices
 from mouldnf.quantum import sine_coupling
-from mouldnf.solver import MouldSolver
+from mouldnf.solver import EquationReport, MouldSolver
 
 
 def evaluate(obs, x, xi):
@@ -154,6 +161,19 @@ def enumerate_interleavings(a, b):
                 out.append(b[ib])
                 ib += 1
         yield tuple(out)
+
+
+def combination_shuffles(a, b):
+    """``alphabet.shuffles`` as it rebuilt every interleaving from
+    ``itertools.combinations`` on each call."""
+    counts = {}
+    total = len(a) + len(b)
+    for positions in itertools.combinations(range(total), len(a)):
+        pos_set = set(positions)
+        ia, ib = iter(a), iter(b)
+        w = tuple(next(ia) if p in pos_set else next(ib) for p in range(total))
+        counts[w] = counts.get(w, 0) + 1
+    return counts
 
 
 def two_chain_exp_ad(Y, X, order, backend):
@@ -542,6 +562,111 @@ def ident_mould():
 def mneg(M):
     """The mould ``-M``."""
     return Mould(lambda w: -M(w), name=f"-{M.name}")
+
+
+def madd(M, N):
+    return Mould(lambda w: M(w) + N(w), name=f"({M.name}+{N.name})")
+
+
+def msub(M, N):
+    return Mould(lambda w: M(w) - N(w), name=f"({M.name}-{N.name})")
+
+
+def times(M, N):
+    """Mould product: sum of ``M(a) N(b)`` over the r+1 splittings.
+
+    Splittings include the empty factors, so the unit mould is a
+    two-sided identity.  A split with an exactly zero factor is skipped
+    (the right factor is not evaluated when the left one is zero).  The
+    sum starts at int 0 and never holds a float -0.0, so a skipped
+    product, a signed zero when the other factor is finite, would not
+    change it; a word whose every split is skipped gets int 0.
+    """
+
+    def value(word):
+        total = 0
+        for i in range(len(word) + 1):
+            a = M(word[:i])
+            if a:
+                b = N(word[i:])
+                if b:
+                    total = total + a * b
+        return total
+
+    return Mould(value, name=f"({M.name}x{N.name})")
+
+
+def nabla(M, freq):
+    """Multiply the value on each word by its eigenvalue sum.
+
+    The factor is exactly zero on resonant words (integer-lattice
+    decision), never a tiny float.  Each word's letter sum is formed
+    once, decided on the lattice once and, off it, paired with omega.
+    """
+
+    def value(word):
+        k = ksum(word)
+        if not word or freq._in_lattice(k):
+            return freq.zero()
+        if len(k) != freq.d:
+            raise ValueError("word dimension does not match frequency")
+        return freq._eigenvalue(k, exact_zero=False) * M(word)
+
+    return Mould(value, name=f"nabla({M.name})")
+
+
+def nabla1(M):
+    """Multiply the value on each word by the word length."""
+    return Mould(lambda w: len(w) * M(w), name=f"nabla1({M.name})")
+
+
+def resonant_part(M, freq):
+    """Keep values on resonant words, zero elsewhere."""
+
+    def value(word):
+        if is_resonant(word, freq):
+            return M(word)
+        return freq.zero()
+
+    return Mould(value, name=f"[{M.name}]_0")
+
+
+def is_resonant(word, freq):
+    """Whether the letter sum lies in the integer resonance lattice."""
+    return not word or freq._in_lattice(ksum(word))
+
+
+def combinator_verify_equation(solver, max_r, alphabet, tol=1e-9):
+    """``solver.verify_equation`` assembled, as it was, from memoized
+    combinator moulds: each word's letter sum is formed and decided in
+    ``nabla(S)``, ``nabla(F)`` and ``resonant_part``."""
+    freq = solver.freq
+    S = solver.S_mould
+    F = solver.F_mould
+    G = solver.G_mould
+    nabla_S = nabla(S, freq)
+    # times(I, S) with I the mould that is 1 on one-letter words: S on
+    # the word less its first letter, and 0 on the empty word
+    I_times_S = Mould(lambda w: S(w[1:]) if w else 0, name=f"(Ix{S.name})")
+    S_times_F = times(S, F)
+    residual = madd(msub(nabla_S, I_times_S), S_times_F)
+    nabla_F = nabla(F, freq)
+    gauge_check = resonant_part(times(mexp(G, -1), nabla1(mexp(G))), freq)
+
+    words = [(), *words_over(alphabet, max_r)]
+    max_res = 0.0
+    max_nf = 0.0
+    max_gauge = 0.0
+    scale = 0.0
+    for w in words:
+        max_res = max(max_res, scalar_abs(residual(w)))
+        max_nf = max(max_nf, scalar_abs(nabla_F(w)))
+        max_gauge = max(max_gauge, scalar_abs(gauge_check(w)))
+        scale = max(
+            scale,
+            scalar_abs(nabla_S(w)) + scalar_abs(I_times_S(w)) + scalar_abs(S_times_F(w)),
+        )
+    return EquationReport(len(words), max_res, max_nf, max_gauge, scale, freq.exact, tol)
 
 
 def mbracket(M, N):

@@ -12,7 +12,6 @@ from mouldnf.alphabet import (
     DivisorWeights,
     beta,
     diophantine_alpha,
-    is_resonant,
     iter_modes,
     ksum,
     l1,
@@ -20,14 +19,17 @@ from mouldnf.alphabet import (
     words_over,
 )
 from mouldnf.estimates import SAMPLE_LIMIT, fit_growth_constants
-from mouldnf.mould import Mould, _parse_word, nabla
+from mouldnf.mould import Mould, _parse_word
 from mouldnf.solver import MouldSolver
 
 from oracles import (
     beta_per_word,
     beta_subset_bound,
+    combination_shuffles,
     enumerate_interleavings,
+    is_resonant,
     lattice_class,
+    nabla,
     shuffle_coefficient,
     subset_eigenvalues_by_mask,
     subset_sum_counts,
@@ -278,6 +280,17 @@ class TestShuffle:
             assert shuffles(a, b) == counts
             for lam, expected in counts.items():
                 assert shuffle_coefficient(a, b, lam) == expected
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.sampled_from(((1, 0), (0, 1), (-1, 0))), max_size=4),
+        st.lists(st.sampled_from(((1, 0), (0, 1), (-1, 0))), max_size=4),
+    )
+    def test_cached_patterns_match_combinations_body(self, a, b):
+        # the same interleavings, counts and insertion order as rebuilding
+        # them from itertools.combinations, whichever length pair came first
+        a, b = tuple(a), tuple(b)
+        assert list(shuffles(a, b).items()) == list(combination_shuffles(a, b).items())
 
 
 class TestDiophantineAlpha:

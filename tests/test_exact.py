@@ -15,7 +15,7 @@ import mouldnf.mould
 from mouldnf import Frequency
 from mouldnf.alphabet import words_over
 from mouldnf.exact import QI, scalar_abs
-from mouldnf.mould import dump_table
+from mouldnf.mould import Mould, dump_table
 from mouldnf.solver import MouldSolver, verify_equation
 
 from oracles import FractionQI
@@ -216,7 +216,8 @@ QI_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
 class TestVerifyWork:
     """The exact verify solve, counted, not timed: exactly zero operands
     cost no Q(i) arithmetic, exp(-G) shares the power columns of exp(G),
-    int operands are not coerced, and eigenvalues build no Fraction."""
+    int operands are not coerced, eigenvalues build no Fraction, and
+    each word forms one eigenvalue and evaluates no combinator mould."""
 
     # ``vars`` of the report, as summing every zero term gives it
     REPORT = (
@@ -227,8 +228,8 @@ class TestVerifyWork:
     def test_counts_pinned(self, monkeypatch):
         freq = Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)])
         solver = MouldSolver(freq)
-        counts = {"QI._of": 0, "QI operators": 0, "Fraction": 0}
-        of, new = QI._of, Fraction.__new__
+        counts = {"QI._of": 0, "QI operators": 0, "Fraction": 0, "Mould calls": 0}
+        of, new, call = QI._of, Fraction.__new__, Mould.__call__
 
         def counting_of(a, b, d):
             counts["QI._of"] += 1
@@ -237,6 +238,10 @@ class TestVerifyWork:
         def counting_new(cls, *args, **kwargs):
             counts["Fraction"] += 1
             return new(cls, *args, **kwargs)
+
+        def counting_call(mould, word):
+            counts["Mould calls"] += 1
+            return call(mould, word)
 
         def counting_operator(op):
             def counted(*args):
@@ -250,13 +255,16 @@ class TestVerifyWork:
             patch.setattr(mouldnf.exact, "_of", counting_of)
             patch.setattr(QI, "_of", staticmethod(counting_of))
             patch.setattr(Fraction, "__new__", counting_new)
+            patch.setattr(Mould, "__call__", counting_call)
             for name in QI_OPERATORS:
                 patch.setattr(QI, name, counting_operator(vars(QI)[name]))
             report = verify_equation(solver, MAX_R, LETTERS)
         assert repr(vars(report)) == self.REPORT
         # summing every term and coercing every int operand took 42806 and 61130;
-        # times(I, S) as a product rather than a shift took 37450 operators
-        assert counts == {"QI._of": 28249, "QI operators": 35308, "Fraction": 0}
+        # times(I, S) as a product rather than a shift took 37450 operators;
+        # the equation assembled from memoized combinator moulds took 28249
+        # QI._of (two eigenvalues per non-resonant word) and 34611 mould calls
+        assert counts == {"QI._of": 27379, "QI operators": 35308, "Fraction": 0, "Mould calls": 22171}
 
 
 def test_exact_solve_matches_fraction_oracle(monkeypatch):

@@ -16,7 +16,7 @@ from mouldnf import (
 from mouldnf import liealg
 from mouldnf.classical import code_bracket
 from mouldnf.liealg import apply_exp_ad, chi, contract, default_exp_order
-from mouldnf.mould import from_table, nabla
+from mouldnf.mould import from_table
 from mouldnf.observables import norm_rho, slices
 from mouldnf.solver import MouldSolver
 
@@ -27,6 +27,7 @@ from oracles import (
     hamiltonian_flow,
     ident_mould,
     mbracket,
+    nabla,
     tuple_contract_range,
     tuple_exp_ad,
     two_chain_exp_ad,

@@ -17,21 +17,21 @@ from mouldnf.mould import (
     dump_table,
     from_table,
     load_table,
-    madd,
     mexp,
     mlog,
-    nabla,
-    nabla1,
-    resonant_part,
-    times,
 )
 
 from oracles import (
     composition_series,
     ident_mould,
+    madd,
     mneg,
+    nabla,
+    nabla1,
+    resonant_part,
     summing_series,
     table_mould,
+    times,
     unit_mould,
     zero_mould,
 )

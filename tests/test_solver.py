@@ -3,19 +3,29 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Frequency
-from mouldnf.alphabet import DivisorWeights, beta, diophantine_alpha, is_resonant
+from mouldnf.alphabet import DivisorWeights, beta, diophantine_alpha
 from mouldnf.estimates import SAMPLE_LIMIT, default_eta, fit_growth_constants
 from mouldnf.exact import QI
-from mouldnf.mould import check_alternal, from_table, mexp, nabla, times
+from mouldnf.mould import check_alternal, from_table, mexp
 from mouldnf import alphabet
 from mouldnf import solver as solver_module
 from mouldnf.solver import MouldSolver, verify_equation
 
-from oracles import StackSolver, SummingSolver, ident_mould, subset_sum_counts, times_all_splits
+from oracles import (
+    StackSolver,
+    SummingSolver,
+    combinator_verify_equation,
+    ident_mould,
+    is_resonant,
+    nabla,
+    subset_sum_counts,
+    times,
+    times_all_splits,
+)
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -254,6 +264,50 @@ class TestSuffixPath:
             assert table.keys() == tables[0].keys()
             for w, got in table.items():
                 assert repr(got) == repr(oracle.values(w))
+
+
+# Letters resonant for some frequency below and not for others: (2, -1)
+# and (-2, 1) for omega = (1, 2), (3, -1) for omega = (0.1, 0.3), where
+# the float pairing of the lattice vector is 5.6e-17, not 0; over the
+# golden mean only words whose opposite letters cancel are resonant.
+VERIFY_LETTERS = ((1, 0), (-1, 0), (0, 1), (1, -1), (2, -1), (-2, 1), (3, -1))
+VERIFY_CASES = {
+    "golden": Frequency((1.0, PHI)),
+    "rational_float": Frequency((1.0, 2.0), resonance_basis=[(2, -1)]),
+    "rational_exact": Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)]),
+    "tenths": Frequency((0.1, 0.3), resonance_basis=[(3, -1)]),
+}
+
+
+class TestCombinatorOracle:
+    """The word-by-word check gives the report of the equation assembled
+    from memoized combinator moulds: ``==`` in Q(i), the same ``repr``
+    in floats."""
+
+    @pytest.mark.parametrize("gauged", [False, True], ids=["zero_gauge", "gauge"])
+    @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+    @settings(max_examples=30)
+    @given(
+        letters=st.lists(st.sampled_from(VERIFY_LETTERS), min_size=1, max_size=3, unique=True),
+        max_r=st.integers(1, 4),
+    )
+    @example(letters=list(MIXED_ALPHABET), max_r=4)
+    # test_exact.TestVerifyWork's alphabet, which is MIXED_ALPHABET, and length
+    @example(letters=list(MIXED_ALPHABET), max_r=6)
+    def test_report_matches_combinator_oracle(self, case, gauged, letters, max_r):
+        freq = VERIFY_CASES[case]
+        gauge = None
+        if gauged:
+            # alternal: one half on the letters resonant for some case; the
+            # solver reads it only on the words resonant for the case at hand
+            half = Fraction(1, 2) if freq.exact else 0.5
+            gauge = from_table({((2, -1),): half, ((-2, 1),): half, ((3, -1),): half})
+        got = verify_equation(MouldSolver(freq, gauge=gauge), max_r, letters)
+        want = combinator_verify_equation(MouldSolver(freq, gauge=gauge), max_r, letters)
+        if freq.exact:
+            assert vars(got) == vars(want)
+        else:
+            assert repr(vars(got)) == repr(vars(want))
 
 
 class TestLetterSums:
