@@ -114,6 +114,9 @@ class RunConfig:
         if any(len(k) != self.freq.d for k in self.alphabet):
             raise ConfigError(f"config.alphabet: expected letters of {self.freq.d} integers, "
                               f"got {config['alphabet']}")
+        for i, k in enumerate(self.alphabet):
+            if k in self.alphabet[:i]:
+                raise ConfigError(f"config.alphabet: letter {list(k)} is repeated")
         self.N, self.max_r, self.seed = config["N"], config["max_r"], config["seed"]
         self.samples, self.tolerances = config["samples"], config["tolerances"]
         self.exponential_order = config["exponential_order"]

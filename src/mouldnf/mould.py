@@ -149,16 +149,24 @@ def check_alternal(M, max_r, alphabet, tol=1e-10):
 
     For every pair of non-empty words ``a, b`` over ``alphabet`` with
     ``r(a) + r(b) <= max_r``, the shuffle sum of ``M`` must vanish below
-    ``tol`` relative to an accumulated magnitude scale: the larger of
-    the pair's own term mass and the largest term mass seen anywhere in
-    the run (degenerate pairs whose every term is rounding dust would
-    otherwise self-normalize to ratio one).
+    ``tol`` relative to an accumulated magnitude scale: the largest of
+    the pair's own term mass, the largest term mass seen anywhere in
+    the run and the largest ``|M(w)|`` over the words of length
+    ``1..max_r`` (degenerate pairs whose every term is rounding dust
+    would otherwise self-normalize to ratio one; on a one-letter
+    alphabet every pair is such dust for an alternal mould, and only
+    the one-letter words carry its size).  A longer word ``w`` is a
+    term of the pair ``(w[:1], w[1:])``, so the term masses already
+    bound its ``|M(w)|`` and only the one-letter words are read for
+    it.  A shuffle term whose value is exactly zero is skipped: the
+    sum starts at int 0, so this changes at most the sign of a zero
+    part, which ``scalar_abs`` does not see.
     """
     if M(()):
         raise ValueError("an alternal-type mould must vanish on the empty word")
     checked = []
     pairs = 0
-    global_scale = 0.0
+    global_scale = max((scalar_abs(M(w)) for w in words_over(alphabet, 1)), default=0.0)
     for a in words_over(alphabet, max_r - 1):
         for b in words_over(alphabet, max_r - len(a)):
             pairs += 1
@@ -166,8 +174,9 @@ def check_alternal(M, max_r, alphabet, tol=1e-10):
             scale = 0.0
             for lam, mult in sorted(shuffles(a, b).items()):
                 v = M(lam)
-                total = total + mult * v
-                scale += mult * scalar_abs(v)
+                if v:
+                    total = total + mult * v
+                    scale += mult * scalar_abs(v)
             checked.append((a, b, scalar_abs(total), scale))
             global_scale = max(global_scale, scale)
     violations = []

@@ -159,12 +159,20 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
 
     Each word forms its letter sum and decides resonance once: off the
     lattice one eigenvalue serves ``nabla S`` and ``nabla F``, on it both
-    are exactly zero and the gauge sum is formed.  Only moulds read again
-    on subwords are memoized (S, F, G and ``exp(+-G)``), and
-    ``|w| exp(G)(w)``, which the gauge sums read on suffixes, in a dict.
+    are exactly zero and the gauge sum is formed.  The main equation
+    reads no mould and hashes no subword: each word asks the solver once
+    for its values and keeps two lists, S on its prefixes (that of
+    ``w[:-1]`` plus its own S) and the values on its suffixes (its own,
+    then those of ``w[1:]``), both words checked one length earlier and
+    found by their position in the enumeration; only the previous
+    length's lists are kept.  The shift ``S(w[1:])`` is the second
+    suffix entry.  The S x F sum runs over the r+1 splits from int 0 and
+    skips a split with an exactly zero factor, and only nonzero values
+    are measured.  The gauge sums, formed on resonant words only, read
+    the memoized moulds ``exp(+-G)``, and ``|w| exp(G)(w)``, which they
+    read again on suffixes, from a dict.
     """
     freq = solver.freq
-    S, F = solver.S_mould, solver.F_mould
     exp_minus_g, exp_g = mexp(solver.G_mould, -1), mexp(solver.G_mould)
     weighted = {}
 
@@ -174,12 +182,30 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
             value = weighted[word] = len(word) * exp_g(word)
         return value
 
+    empty = solver.values(())
     words = [(), *words_over(alphabet, max_r)]
+    # words_over lists each length in itertools.product order over its n
+    # letters: the i-th word w of a length has w[:-1] at i // n and w[1:]
+    # at i mod n^(r-1) among the words one letter shorter
+    n = sum(len(w) == 1 for w in words)
+    # per word of a length, in order: S on w[:i] and the values on w[i:], i = 0..r
+    shorter, current, length = [], [([empty[1]], [empty])], 0
     max_res = 0.0
     max_nf = 0.0
     max_gauge = 0.0
     scale = 0.0
     for w in words:
+        if len(w) != length:
+            shorter, current, length = current, [], len(w)
+        if w:
+            i = len(current)
+            entry = solver.values(w)
+            lefts = [*shorter[i // n][0], entry[1]]
+            tails = [entry, *shorter[i % len(shorter)][1]]
+            current.append((lefts, tails))
+        else:
+            lefts, tails = current[0]
+            entry = empty
         k = ksum(w)
         resonant = not w or freq._in_lattice(k)
         if resonant:
@@ -188,16 +214,26 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
             if len(k) != freq.d:
                 raise ValueError("word dimension does not match frequency")
             lam = freq._eigenvalue(k, exact_zero=False)
-            nabla_s = lam * S(w)
-            nabla_f = lam * F(w)
-        shift = S(w[1:]) if w else 0
-        s_f = _split_sum(S, F, w)
+            nabla_s = lam * entry[1]
+            nabla_f = lam * entry[0]
+        shift = tails[1][1] if w else 0
+        s_f = 0
+        for a, tail in zip(lefts, tails):
+            b = tail[0]
+            if b and a:  # F, the zero factor off the resonant suffixes, first
+                s_f = s_f + a * b
         gauge = _split_sum(exp_minus_g, weighted_exp_g, w) if resonant else freq.zero()
-        max_res = max(max_res, scalar_abs((nabla_s - shift) + s_f))
-        max_nf = max(max_nf, scalar_abs(nabla_f))
-        max_gauge = max(max_gauge, scalar_abs(gauge))
-        scale = max(scale, scalar_abs(nabla_s) + scalar_abs(shift) + scalar_abs(s_f))
+        max_res = max(max_res, _measure((nabla_s - shift) + s_f))
+        max_nf = max(max_nf, _measure(nabla_f))
+        max_gauge = max(max_gauge, _measure(gauge))
+        scale = max(scale, _measure(nabla_s) + _measure(shift) + _measure(s_f))
     return EquationReport(len(words), max_res, max_nf, max_gauge, scale, freq.exact, tol)
+
+
+def _measure(value):
+    """``scalar_abs(value)``, taken only of a nonzero value: an exact
+    zero of any type measures 0.0, as its ``scalar_abs`` does."""
+    return scalar_abs(value) if value else 0.0
 
 
 def _split_sum(left, right, word):

@@ -27,8 +27,10 @@ Nothing in the package uses these; they pin its results.
   projection ``resonant_part`` on ``is_resonant``) for the word-by-word
   ``solver.verify_equation``; the interleavings rebuilt from
   ``itertools.combinations`` on every call for ``alphabet.shuffles`` on
-  patterns kept per length pair; and the Fraction-pair
-  ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last six
+  patterns kept per length pair; the shuffle check summing every term
+  (:func:`summing_check_alternal`) for ``mould.check_alternal``, which
+  skips exactly zero terms; and the Fraction-pair
+  ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last seven
   are compared bit for bit.  The shaped growth fit, which divided every
   word by the growth shape ``(tau/(e eta_r))^(tau (r - lag))``, and the
   shaped constants, which multiplied it back in, for the shape-free
@@ -73,7 +75,7 @@ from mouldnf.alphabet import (
 from mouldnf.estimates import _finite, _sample_words, default_eta, exp_tail_constant
 from mouldnf.exact import scalar_abs
 from mouldnf.liealg import chi, exp_ad_tail_bound
-from mouldnf.mould import Mould, mexp
+from mouldnf.mould import AlternalityReport, Mould, mexp
 from mouldnf.observables import PRUNE_REL, _group_by_x_mode, norm_rho, slices
 from mouldnf.quantum import sine_coupling
 from mouldnf.solver import EquationReport, MouldSolver
@@ -174,6 +176,42 @@ def combination_shuffles(a, b):
         w = tuple(next(ia) if p in pos_set else next(ib) for p in range(total))
         counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+def summing_check_alternal(M, max_r, alphabet, tol=1e-10):
+    """``mould.check_alternal`` as it summed every shuffle term, exact
+    zeros included, with its reference raised to the largest ``|M(w)|``
+    over every word of length ``1..max_r`` (``check_alternal`` reads
+    only the one-letter words for it)."""
+    if M(()):
+        raise ValueError("an alternal-type mould must vanish on the empty word")
+    checked = []
+    pairs = 0
+    global_scale = max((scalar_abs(M(w)) for w in words_over(alphabet, max_r)), default=0.0)
+    for a in words_over(alphabet, max_r - 1):
+        for b in words_over(alphabet, max_r - len(a)):
+            pairs += 1
+            total = 0
+            scale = 0.0
+            for lam, mult in sorted(combination_shuffles(a, b).items()):
+                v = M(lam)
+                total = total + mult * v
+                scale += mult * scalar_abs(v)
+            checked.append((a, b, scalar_abs(total), scale))
+            global_scale = max(global_scale, scale)
+    violations = []
+    max_ratio = 0.0
+    for a, b, resid, scale in checked:
+        ref = max(scale, global_scale)
+        if ref > 0.0:
+            ratio = resid / ref
+            max_ratio = max(max_ratio, ratio)
+            if ratio > tol:
+                violations.append((a, b, resid, ref))
+        elif resid > 0.0:
+            violations.append((a, b, resid, ref))
+            max_ratio = float("inf")
+    return AlternalityReport(pairs, violations, max_ratio, tol)
 
 
 def two_chain_exp_ad(Y, X, order, backend):

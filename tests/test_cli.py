@@ -321,6 +321,19 @@ class TestConfigValidation:
         assert not (out / report).exists()
 
     @pytest.mark.parametrize(
+        "command, report", [("verify", "verify_report.jsonl"), ("dump-moulds", "moulds.json")]
+    )
+    def test_repeated_letter_rejected(self, tmp_path, capsys, command, report):
+        # a repeated letter would repeat every word 2^r times
+        cfg = write_config(tmp_path / "run.json", alphabet=[[0, 1], [1, 0], [0, 1]], max_r=2,
+                           samples=5)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "letter [0, 1] is repeated" in err
+        assert not (out / report).exists()
+
+    @pytest.mark.parametrize(
         "tolerances",
         [[1], {"residual": None}, {"residual": "1e-3"}, {"residul": 1e-3},
          {"residual": -1e-3}, {"residual": float("nan")}, {"residual": True}],
@@ -631,6 +644,18 @@ class TestVerifyCommand:
         lines = [json.loads(l) for l in (out / "verify_report.jsonl").read_text().splitlines()]
         eq = next(l for l in lines if l["name"] == "mould_equation")
         assert eq["exact"] and eq["max_residual"] == 0.0
+
+    def test_one_letter_default_alphabet_passes(self, tmp_path):
+        # no alphabet: the one letter (1, 0); G vanishes on its words of
+        # length >= 2, so every shuffle sum is rounding dust
+        cfg = write_config(tmp_path / "run.json", freq={"omega": [1.0, 2.0], "tau": 1.0, "K": 5},
+                           alphabet=[], max_r=4, samples=5)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "verify_report.jsonl").read_text().splitlines()
+        alternality_g = next(l for l in map(json.loads, report) if l["name"] == "alternality_G")
+        assert alternality_g["ok"] and alternality_g["max_ratio"] < 1e-10
+        assert alternality_g["pairs"] == 6
 
     @pytest.mark.parametrize(
         "shifts, sign",

@@ -217,7 +217,8 @@ class TestVerifyWork:
     """The exact verify solve, counted, not timed: exactly zero operands
     cost no Q(i) arithmetic, exp(-G) shares the power columns of exp(G),
     int operands are not coerced, eigenvalues build no Fraction, and
-    each word forms one eigenvalue and evaluates no combinator mould."""
+    each word forms one eigenvalue, evaluates no combinator mould and
+    reads S and F from lists rather than moulds."""
 
     # ``vars`` of the report, as summing every zero term gives it
     REPORT = (
@@ -263,8 +264,9 @@ class TestVerifyWork:
         # summing every term and coercing every int operand took 42806 and 61130;
         # times(I, S) as a product rather than a shift took 37450 operators;
         # the equation assembled from memoized combinator moulds took 28249
-        # QI._of (two eigenvalues per non-resonant word) and 34611 mould calls
-        assert counts == {"QI._of": 27379, "QI operators": 35308, "Fraction": 0, "Mould calls": 22171}
+        # QI._of (two eigenvalues per non-resonant word) and 34611 mould calls;
+        # S and F read through their moulds on prefixes and suffixes took 22171
+        assert counts == {"QI._of": 27379, "QI operators": 35308, "Fraction": 0, "Mould calls": 5698}
 
 
 def test_exact_solve_matches_fraction_oracle(monkeypatch):

@@ -20,6 +20,7 @@ from mouldnf.mould import (
     mexp,
     mlog,
 )
+from mouldnf.solver import MouldSolver
 
 from oracles import (
     composition_series,
@@ -29,6 +30,7 @@ from oracles import (
     nabla,
     nabla1,
     resonant_part,
+    summing_check_alternal,
     summing_series,
     table_mould,
     times,
@@ -400,6 +402,27 @@ class TestAlternality:
         rep = check_alternal(M, 2, (X, Y), tol=1e-10)
         assert not rep.ok
         assert rep.violations
+
+    def test_one_letter_float_generator_passes(self):
+        # G vanishes on (1, 0)^r for r >= 2, so every shuffle sum, and each
+        # pair's own mass, is rounding dust; G((1, 0)) sets the reference
+        solver = MouldSolver(Frequency((1.0, 2.0)))
+        assert check_alternal(solver.G_mould, 4, [X]).ok
+        S_off_empty = Mould(lambda w: solver.S_mould(w) if w else 0j, name="S - 1")
+        assert not check_alternal(S_off_empty, 4, [X]).ok
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 10 ** 6),
+        st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3, unique=True),
+        st.integers(1, 4),
+    )
+    def test_zero_skipping_matches_summing_check(self, seed, letters, max_r):
+        for empty, value in ((QI(0, 0), exact_value_with_zeros), (0j, float_value_with_zeros)):
+            got = check_alternal(seeded_mould(seed, empty, value), max_r, letters)
+            want = summing_check_alternal(seeded_mould(seed, empty, value), max_r, letters)
+            assert repr(vars(got)) == repr(vars(want))
+            assert vars(got) == vars(want)
 
 
 class TestTableIO:

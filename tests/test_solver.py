@@ -294,6 +294,9 @@ class TestCombinatorOracle:
     @example(letters=list(MIXED_ALPHABET), max_r=4)
     # test_exact.TestVerifyWork's alphabet, which is MIXED_ALPHABET, and length
     @example(letters=list(MIXED_ALPHABET), max_r=6)
+    # one letter: the CLI's default (1, 0), and (2, -1), resonant for omega = (1, 2)
+    @example(letters=[(1, 0)], max_r=6)
+    @example(letters=[(2, -1)], max_r=6)
     def test_report_matches_combinator_oracle(self, case, gauged, letters, max_r):
         freq = VERIFY_CASES[case]
         gauge = None
