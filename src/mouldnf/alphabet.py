@@ -27,7 +27,6 @@ from operator import add, mul
 from .exact import QI
 
 _EXACT_TYPES = (int, Fraction)
-_QI_ZERO = QI.coerce(0)
 _QI_ONE = QI.coerce(1)
 
 
@@ -109,6 +108,12 @@ class Frequency:
         Diophantine parameters; when ``dioph_alpha`` is set, the lower
         bound ``|<k, omega>| >= alpha * |k|^(-tau)`` is spot-checked on
         a box of modes at construction.
+
+    Attributes
+    ----------
+    divisors : Divisors
+        The one resonance decision per letter sum: ``divisors[k]`` is
+        ``None`` on the lattice, else the eigenvalue ``i<k, omega>``.
     """
 
     def __init__(self, omega, resonance_basis=(), dioph_alpha=None, dioph_tau=1.0):
@@ -145,6 +150,7 @@ class Frequency:
             col = next(i for i, c in enumerate(row) if c != 0)
             self._pivots.append((col, row))
         self._check_consistency()
+        self.divisors = Divisors(self)
 
     def _check_consistency(self):
         omega_f = tuple(float(c) for c in self.omega)
@@ -201,8 +207,9 @@ class Frequency:
         return complex(0.0, sum(map(mul, k, self.omega)))
 
     def zero(self):
-        """The scalar zero of the eigenvalue field (a shared constant)."""
-        return _QI_ZERO if self.exact else 0j
+        """The scalar zero of the eigenvalue field: ``int`` 0 in exact
+        mode, where it is the only exact zero, else ``0j``."""
+        return 0 if self.exact else 0j
 
     def one(self):
         return _QI_ONE if self.exact else complex(1.0)
@@ -212,6 +219,26 @@ class Frequency:
             f"Frequency(omega={self.omega!r}, resonance_basis={self.resonance_basis!r},"
             f" exact={self.exact})"
         )
+
+
+class Divisors(dict):
+    """The resonance decision of each letter sum ``k`` looked up, made
+    once, on first lookup: ``None`` on the resonance lattice, else the
+    eigenvalue ``i<k, omega>``, the divisor of a non-resonant word.  A
+    hit is a plain dict lookup; a ``k`` of another dimension than the
+    frequency's raises ``ValueError``."""
+
+    def __init__(self, freq):
+        super().__init__()
+        self.freq = freq
+
+    def __missing__(self, k):
+        freq = self.freq
+        if len(k) != freq.d:
+            raise ValueError("word dimension does not match frequency")
+        value = None if freq._in_lattice(k) else freq._eigenvalue(k, exact_zero=False)
+        self[k] = value
+        return value
 
 
 def ksum(word):

@@ -340,8 +340,11 @@ def cmd_verify(config, out_dir, max_words):
     )
     all_ok &= eq.ok
 
-    for name, mould in (("F", solver.F_mould), ("G", solver.G_mould)):
-        rep = check_alternal(mould, min(config.max_r, 4), alphabet, tol=config.tolerances["alternality"])
+    reports = check_alternal(
+        [solver.F_mould, solver.G_mould], min(config.max_r, 4), alphabet,
+        tol=config.tolerances["alternality"],
+    )
+    for name, rep in zip("FG", reports):
         emit(
             {
                 "name": f"alternality_{name}",

@@ -9,12 +9,18 @@ A ``QI`` stores one Gaussian-integer numerator over one denominator:
 the value ``(a + ib) / d`` as three ints, kept in lowest terms, so
 ``gcd(a, b, d) == 1`` and ``d > 0``.  The form is canonical, so two
 values are equal exactly when their triples are.  An operator on two
-nonzero values is plain int arithmetic followed by one three-argument
-``math.gcd``.  Exact zeros take no arithmetic: ``x + 0``, ``0 + x``
-and ``x - 0`` are ``x``, and ``x * 0``, ``0 * x`` and ``0 / x`` (after
-the zero-divisor check) zero; ``int`` 0 and 1 coerce to shared
-constants.  No ``int`` operand of ``*`` or ``/``, or ``int`` 0 added,
-is coerced: ``x + 0``, ``x * 1`` and ``x / 1`` are ``x``, ``x * n``
+``QI`` values is plain int arithmetic followed by one three-argument
+``math.gcd``.
+
+Zero is ``int`` 0, and a ``QI`` is never zero: ``QI(0, 0)``,
+``QI.from_strings(["0", "0"])``, ``QI.coerce(0)`` and every operator
+whose value vanishes return ``int`` 0.  ``QI`` defines no ``__bool__``,
+so a truth test (``if value:``) of an exact value runs at C speed: int 0
+is false and a ``QI`` true.  A zero ``int`` or ``Fraction`` operand
+takes no arithmetic and no coercion: ``x + 0`` and ``x - 0`` are ``x``,
+``0 - x`` is ``-x``, ``x * 0`` and ``0 / x`` are ``0``, and ``x / 0``
+raises ``ZeroDivisionError``.  No other ``int`` operand of ``*`` or
+``/`` is coerced either: ``x * 1`` and ``x / 1`` are ``x``, ``x * n``
 scales the numerators and ``x / n`` the denominator, with the sign of a
 negative ``n`` moved to the numerators.  Every result is the same
 canonical triple either way, and no ``Fraction`` is built per
@@ -51,22 +57,24 @@ def _rational_hash(n, d):
 
 
 class QI:
-    """A complex number with rational real and imaginary parts."""
+    """A nonzero complex number with rational real and imaginary parts;
+    its zero is ``int`` 0, which the constructors return."""
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         re = Fraction(re)
         im = Fraction(im)
         d = math.lcm(re.denominator, im.denominator)
-        self._a = re.numerator * (d // re.denominator)
-        self._b = im.numerator * (d // im.denominator)
-        self._d = d
+        return _of(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
 
     @staticmethod
     def _of(a, b, d):
         """The value ``(a + ib) / d`` for ints ``a``, ``b`` and ``d > 0``,
-        put in lowest terms; the arguments are trusted unchecked."""
+        put in lowest terms, or ``int`` 0; the arguments are trusted
+        unchecked."""
+        if not (a or b):
+            return 0
         g = math.gcd(a, b, d)
         q = _new(QI)
         if g == 1:
@@ -89,26 +97,20 @@ class QI:
 
     @classmethod
     def coerce(cls, value):
+        """``value`` as a ``QI``, or ``int`` 0 for a zero ``int`` or ``Fraction``."""
         if isinstance(value, QI):
             return value
         if isinstance(value, _RAT):
             if type(value) is int and 0 <= value <= 1:
-                return _ONE if value else _ZERO
+                return _ONE if value else 0
             return _of(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot coerce {value!r} to QI")
 
-    def __bool__(self):
-        return bool(self._a or self._b)
-
     def __add__(self, other):
         if type(other) is not QI:
-            if type(other) is int and not other:
+            if not other and isinstance(other, _RAT):
                 return self
             other = QI.coerce(other)
-        if not (other._a or other._b):
-            return self
-        if not (self._a or self._b):
-            return other
         d, f = self._d, other._d
         return _of(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
@@ -116,13 +118,15 @@ class QI:
 
     def __sub__(self, other):
         if type(other) is not QI:
+            if not other and isinstance(other, _RAT):
+                return self
             other = QI.coerce(other)
-        if not (other._a or other._b):
-            return self
         d, f = self._d, other._d
         return _of(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
+        if not other and isinstance(other, _RAT):
+            return -self
         return QI.coerce(other) - self
 
     def __neg__(self):
@@ -131,11 +135,13 @@ class QI:
     def __mul__(self, other):
         if type(other) is not QI:
             if type(other) is int:
+                if not other:
+                    return 0
                 return self if other == 1 else _of(self._a * other, self._b * other, self._d)
+            if not other and isinstance(other, _RAT):
+                return 0
             other = QI.coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
-        if not (a or b) or not (c or e):
-            return _ZERO
         return _of(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
@@ -145,17 +151,16 @@ class QI:
             if type(other) is int and other:
                 n = -1 if other < 0 else 1
                 return self if other == 1 else _of(n * self._a, n * self._b, n * other * self._d)
+            if not other and isinstance(other, _RAT):
+                raise ZeroDivisionError("division by zero in QI")
             other = QI.coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
-        norm = c * c + e * e
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in QI")
-        if not (a or b):
-            return _ZERO
         f = other._d
-        return _of((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
+        return _of((a * c + b * e) * f, (b * c - a * e) * f, self._d * (c * c + e * e))
 
     def __rtruediv__(self, other):
+        if not other and isinstance(other, _RAT):
+            return 0
         return QI.coerce(other) / self
 
     def __eq__(self, other):
@@ -163,7 +168,9 @@ class QI:
             other = QI.coerce(other)
         except TypeError:
             return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        return (
+            type(other) is QI and self._a == other._a and self._b == other._b and self._d == other._d
+        )
 
     def __hash__(self):
         d = self._d
@@ -190,7 +197,6 @@ class QI:
 
 _new = object.__new__
 _of = QI._of
-_ZERO = _of(0, 0, 1)
 _ONE = _of(1, 0, 1)
 
 

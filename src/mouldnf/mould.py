@@ -65,11 +65,13 @@ def _series(M, empty_value, divisor, name):
     enter, so ``k`` stops at ``r``.
 
     Each fold starts from int 0 and skips a product with an exactly
-    zero factor, and the final sum skips an exactly zero power
-    ``k >= 2``.  For finite values these change only the sign of a zero
-    part of a column, and the final sum, from int 0, never holds a
-    -0.0, so values are bit for bit those of summing every term; a fold
-    with every product skipped leaves int 0 in its column.
+    zero factor, and the final sum divides no exactly zero power: one
+    with ``k >= 2`` is skipped, and that with ``k = 1`` is added as it
+    is, so a zero sum has the type of ``M`` and an int 0 is never
+    divided into a float.  For finite values these change only the sign
+    of a zero part of a column, and the final sum, from int 0, never
+    holds a -0.0, so values are bit for bit those of summing every term;
+    a fold with every product skipped leaves int 0 in its column.
     """
     memo = vars(M).setdefault("_power_columns", {(): []})
 
@@ -94,8 +96,10 @@ def _series(M, empty_value, divisor, name):
             memo[word[:i]] = cols
         total = 0
         for k, power in enumerate(cols[-1], 1):
-            if power or k == 1:  # the first term gives a zero sum its type
+            if power:
                 total = total + power / divisor(k)
+            elif k == 1:  # the first term gives a zero sum its type, undivided
+                total = total + power
         return total
 
     return Mould(value, name=name)
@@ -144,8 +148,12 @@ class AlternalityReport:
         )
 
 
-def check_alternal(M, max_r, alphabet, tol=1e-10):
+def check_alternal(moulds, max_r, alphabet, tol=1e-10):
     """Check the shuffle relations for all word pairs up to ``max_r``.
+
+    ``moulds`` is a list of moulds, and one report is returned for each,
+    in order; a single mould, not in a list, gets its one report.  Each
+    pair's shuffles are built and sorted once and serve every mould.
 
     For every pair of non-empty words ``a, b`` over ``alphabet`` with
     ``r(a) + r(b) <= max_r``, the shuffle sum of ``M`` must vanish below
@@ -162,23 +170,38 @@ def check_alternal(M, max_r, alphabet, tol=1e-10):
     sum starts at int 0, so this changes at most the sign of a zero
     part, which ``scalar_abs`` does not see.
     """
-    if M(()):
-        raise ValueError("an alternal-type mould must vanish on the empty word")
-    checked = []
+    if callable(moulds):
+        return check_alternal([moulds], max_r, alphabet, tol)[0]
+    for M in moulds:
+        if M(()):
+            raise ValueError("an alternal-type mould must vanish on the empty word")
+    checked = [[] for _ in moulds]
     pairs = 0
-    global_scale = max((scalar_abs(M(w)) for w in words_over(alphabet, 1)), default=0.0)
     for a in words_over(alphabet, max_r - 1):
         for b in words_over(alphabet, max_r - len(a)):
             pairs += 1
-            total = 0
-            scale = 0.0
-            for lam, mult in sorted(shuffles(a, b).items()):
-                v = M(lam)
-                if v:
-                    total = total + mult * v
-                    scale += mult * scalar_abs(v)
-            checked.append((a, b, scalar_abs(total), scale))
-            global_scale = max(global_scale, scale)
+            terms = sorted(shuffles(a, b).items())
+            for M, rows in zip(moulds, checked):
+                total = 0
+                scale = 0.0
+                for lam, mult in terms:
+                    v = M(lam)
+                    if v:
+                        total = total + mult * v
+                        scale += mult * scalar_abs(v)
+                rows.append((a, b, scalar_abs(total), scale))
+    letters = list(words_over(alphabet, 1))
+    return [
+        _alternality_report(rows, pairs, max((scalar_abs(M(w)) for w in letters), default=0.0), tol)
+        for M, rows in zip(moulds, checked)
+    ]
+
+
+def _alternality_report(checked, pairs, letter_scale, tol):
+    """The report on one mould's ``(a, b, residual, term mass)`` rows,
+    each measured against the largest of its own mass, every row's and
+    ``letter_scale``."""
+    global_scale = max([letter_scale, *(scale for _, _, _, scale in checked)])
     violations = []
     max_ratio = 0.0
     for a, b, resid, scale in checked:
@@ -218,7 +241,7 @@ def dump_table(M, words, exact=False):
     for w in sorted(set(words), key=lambda w: (len(w), w)):
         v = M(w)
         if exact:
-            out[_serialize_word(w)] = QI.coerce(v).as_strings()
+            out[_serialize_word(w)] = QI.coerce(v).as_strings() if v else ["0", "0"]
         else:
             c = complex(v)
             out[_serialize_word(w)] = [c.real, c.imag]

@@ -25,6 +25,7 @@ exchange for a simpler table.
 from __future__ import annotations
 
 import functools
+from operator import add
 
 from .alphabet import ksum, words_over
 from .exact import scalar_abs
@@ -84,12 +85,11 @@ class MouldSolver:
     def _solve_one(self, word, prefix_s, suffixes):
         """The values on a non-empty ``word`` from S on its proper
         prefixes and the values on its proper suffixes, both shortest
-        first; its letter sum is formed once and decided on the lattice."""
+        first; its letter sum is formed once and its resonance read from
+        the frequency's one decision per letter sum."""
         freq = self.freq
         r = len(word)
-        k = ksum(word)
-        if len(k) != freq.d:
-            raise ValueError("word dimension does not match frequency")
+        lam = freq.divisors[ksum(word)]
         s_tail = suffixes[-1][1] if suffixes else freq.one()
         sum_sf = freq.zero()
         sum_sn = freq.zero()
@@ -101,10 +101,13 @@ class MouldSolver:
                 sum_sf = sum_sf + sa * fb
             if nb:
                 sum_sn = sum_sn + sa * nb
-        if freq._in_lattice(k):
+        if lam is None:
             n = freq.zero() if self.gauge is None else self.gauge(word)
-            return s_tail - sum_sf, (n + sum_sn) / r, n
-        s = (s_tail - sum_sf) / freq._eigenvalue(k, exact_zero=False)
+            s = n + sum_sn
+            # only a nonzero S is divided: int 0 / r is a float, and a
+            # float zero here is +0, which r > 0 leaves as it is
+            return s_tail - sum_sf, s / r if s else s, n
+        s = (s_tail - sum_sf) / lam
         return freq.zero(), s, r * s - sum_sn
 
     @functools.cached_property
@@ -157,9 +160,11 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     of ``nabla F``, and the zero-gauge condition: on resonant words,
     ``sum_i exp(-G)(w[:i]) |w[i:]| exp(G)(w[i:])`` vanishes.
 
-    Each word forms its letter sum and decides resonance once: off the
-    lattice one eigenvalue serves ``nabla S`` and ``nabla F``, on it both
-    are exactly zero and the gauge sum is formed.  The main equation
+    Each word's letter sum is that of ``w[:-1]`` plus its last letter,
+    and its resonance is read from the frequency's ``divisors``, one
+    decision per distinct letter sum: off the lattice one eigenvalue
+    serves ``nabla S`` and ``nabla F``, on it both are exactly zero and
+    the gauge sum is formed.  The main equation
     reads no mould and hashes no subword: each word asks the solver once
     for its values and keeps two lists, S on its prefixes (that of
     ``w[:-1]`` plus its own S) and the values on its suffixes (its own,
@@ -183,13 +188,15 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
         return value
 
     empty = solver.values(())
+    divisors = freq.divisors
     words = [(), *words_over(alphabet, max_r)]
     # words_over lists each length in itertools.product order over its n
     # letters: the i-th word w of a length has w[:-1] at i // n and w[1:]
     # at i mod n^(r-1) among the words one letter shorter
     n = sum(len(w) == 1 for w in words)
-    # per word of a length, in order: S on w[:i] and the values on w[i:], i = 0..r
-    shorter, current, length = [], [([empty[1]], [empty])], 0
+    # per word of a length, in order: S on w[:i] and the values on w[i:],
+    # i = 0..r, and its letter sum, that of w[:-1] plus w[-1]
+    shorter, current, length = [], [([empty[1]], [empty], (0,) * freq.d)], 0
     max_res = 0.0
     max_nf = 0.0
     max_gauge = 0.0
@@ -200,20 +207,18 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
         if w:
             i = len(current)
             entry = solver.values(w)
-            lefts = [*shorter[i // n][0], entry[1]]
+            lefts, _, k = shorter[i // n]
+            lefts = [*lefts, entry[1]]
             tails = [entry, *shorter[i % len(shorter)][1]]
-            current.append((lefts, tails))
+            k = tuple(map(add, k, w[-1]))
+            current.append((lefts, tails, k))
         else:
-            lefts, tails = current[0]
+            lefts, tails, k = current[0]
             entry = empty
-        k = ksum(w)
-        resonant = not w or freq._in_lattice(k)
-        if resonant:
+        lam = divisors[k]
+        if lam is None:
             nabla_s = nabla_f = freq.zero()
         else:
-            if len(k) != freq.d:
-                raise ValueError("word dimension does not match frequency")
-            lam = freq._eigenvalue(k, exact_zero=False)
             nabla_s = lam * entry[1]
             nabla_f = lam * entry[0]
         shift = tails[1][1] if w else 0
@@ -222,7 +227,7 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
             b = tail[0]
             if b and a:  # F, the zero factor off the resonant suffixes, first
                 s_f = s_f + a * b
-        gauge = _split_sum(exp_minus_g, weighted_exp_g, w) if resonant else freq.zero()
+        gauge = _split_sum(exp_minus_g, weighted_exp_g, w) if lam is None else freq.zero()
         max_res = max(max_res, _measure((nabla_s - shift) + s_f))
         max_nf = max(max_nf, _measure(nabla_f))
         max_gauge = max(max_gauge, _measure(gauge))

@@ -310,6 +310,12 @@ def compositions(word, nparts):
             yield (head, *rest)
 
 
+def divide(x, n):
+    """``x / n``, except that the exact zero, int 0, stays int 0 where
+    int / int would make it a float."""
+    return x if type(x) is int and x == 0 else x / n
+
+
 def composition_series(M, word, coefficient):
     """``sum_k c_k sum_{word = w_1...w_k} M(w_1)...M(w_k)`` summed over
     all 2^(r-1) compositions of a non-empty ``word``, with ``c_k`` given
@@ -323,7 +329,7 @@ def composition_series(M, word, coefficient):
                 prod = prod * M(p)
             ksum = ksum + prod
         sign, divisor = coefficient(k)
-        total = total + (sign * ksum) / divisor
+        total = total + divide(sign * ksum, divisor)
     return total
 
 
@@ -353,7 +359,7 @@ def summing_series(M, empty_value, coefficient):
         total = 0
         for k, power in enumerate(cols[-1], 1):
             sign, divisor = coefficient(k)
-            total = total + (sign * power) / divisor
+            total = total + divide(sign * power, divisor)
         return total
 
     return Mould(value, name="summing")
@@ -453,7 +459,7 @@ class StackSolver:
             sum_sn = sum_sn + sa * self._N[b]
         if is_resonant(w, self.freq):
             f = s_tail - sum_sf
-            s = (self._gauge_value(w) + sum_sn) / r
+            s = divide(self._gauge_value(w) + sum_sn, r)
             n = self._gauge_value(w)
         else:
             f = self.freq.zero()
@@ -482,7 +488,7 @@ class SummingSolver(MouldSolver):
             sum_sn = sum_sn + sa * nb
         if freq._in_lattice(k):
             n = freq.zero() if self.gauge is None else self.gauge(word)
-            return s_tail - sum_sf, (n + sum_sn) / r, n
+            return s_tail - sum_sf, divide(n + sum_sn, r), n
         s = (s_tail - sum_sf) / freq._eigenvalue(k, exact_zero=False)
         return freq.zero(), s, r * s - sum_sn
 

@@ -310,10 +310,11 @@ class TestFitWork:
             fit_growth_constants(solver.G_mould, freq, letters, 9, 1.0, golden_alpha, seed=0)
         assert built == []
         assert sorted(solved) == sorted(w for w in solver._table if w)
-        # each solved word decides its letter sum once; each distinct
-        # subset sum of the whole fit is decided (and weighed) once
+        # the solver decides each distinct letter sum of its words once;
+        # each distinct subset sum of the whole fit is decided (and
+        # weighed) once
         sums = set().union(*(subset_sum_counts(w) for words in lists for w in words))
-        assert sorted(decided) == sorted([ksum(w) for w in solved] + list(sums))
+        assert sorted(decided) == sorted([*{ksum(w) for w in solved}, *sums])
 
 
 class TestSemiclassical:

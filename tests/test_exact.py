@@ -4,6 +4,7 @@ through the whole exact solve."""
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,21 +15,28 @@ import mouldnf.exact
 import mouldnf.mould
 from mouldnf import Frequency
 from mouldnf.alphabet import words_over
+from mouldnf.cli import load_config
 from mouldnf.exact import QI, scalar_abs
-from mouldnf.mould import Mould, dump_table
+from mouldnf.mould import Mould, dump_table, mexp
 from mouldnf.solver import MouldSolver, verify_equation
 
 from oracles import FractionQI
 
+REPO = Path(__file__).parent.parent
 RATIONALS = st.integers(-10 ** 30, 10 ** 30) | st.fractions(max_denominator=10 ** 12)
 PAIRS = st.tuples(RATIONALS, RATIONALS)
 BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
 def assert_same(new, old):
-    """``new`` is the QI for the value ``old`` holds, in lowest terms:
-    the canonical triple and hash of the QI built from its parts."""
-    assert isinstance(new, QI) and isinstance(old, FractionQI)
+    """``new`` is int 0, the only exact zero, when the value ``old``
+    holds is zero, and otherwise the QI for it, in lowest terms: the
+    canonical triple and hash of the QI built from its parts."""
+    assert isinstance(old, FractionQI)
+    if old.is_zero():
+        assert type(new) is int and new == 0
+        return
+    assert isinstance(new, QI)
     assert (new.re, new.im) == (old.re, old.im)
     assert new.as_strings() == old.as_strings()
     assert repr(new) == repr(old)
@@ -45,7 +53,13 @@ def assert_op_matches(op, new_args, old_args):
         with pytest.raises(ZeroDivisionError):
             op(*new_args)
         return
-    assert_same(op(*new_args), expected)
+    got = op(*new_args)
+    if not any(isinstance(a, QI) for a in new_args):
+        # int 0, the QI of a zero pair, with an int or a Fraction is
+        # their own arithmetic: 0 / n is a float
+        assert Fraction(got) == expected.re and expected.im == 0
+        return
+    assert_same(got, expected)
 
 
 class TestAgainstFractionOracle:
@@ -127,6 +141,40 @@ class TestZerosAndUnits:
 
 
 
+NONZERO = st.tuples(PARTS, PARTS).filter(any).map(lambda x: (QI(*x), FractionQI(*x)))
+
+
+class TestIntZero:
+    """Zero is int 0, the only exact zero: no QI is zero, and each of
+    the nine operators gives int 0 exactly when the oracle's value is
+    zero, and otherwise a QI with the oracle's canonical triple."""
+
+    @given(PARTS, PARTS)
+    def test_constructors_return_int_zero(self, re, im):
+        pair = [str(Fraction(re)), str(Fraction(im))]
+        for value in (QI(re, im), QI.from_strings(pair)):
+            assert_same(value, FractionQI(re, im))
+        for zero in (0, Fraction(0)):
+            assert type(QI.coerce(zero)) is int and QI.coerce(zero) == 0
+        assert "__bool__" not in vars(QI)
+
+    @settings(max_examples=500)
+    @given(NONZERO, OPERANDS)
+    def test_nine_operators(self, x, y):
+        (new_x, old_x), (new_y, old_y) = x, y
+        for name in QI_OPERATORS:
+            new_args, old_args = ((new_x,), (old_x,)) if name == "__neg__" else ((new_x, new_y), (old_x, old_y))
+            try:
+                expected = getattr(FractionQI, name)(*old_args)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    getattr(QI, name)(*new_args)
+                continue
+            got = getattr(QI, name)(*new_args)
+            assert (type(got) is int and got == 0) == expected.is_zero(), name
+            assert_same(got, expected)
+
+
 # int operands 0 and +-1 drawn often, next to large ones of either sign
 INTS = UNITS | st.integers(-10 ** 30, 10 ** 30)
 
@@ -148,6 +196,7 @@ class TestIntOperands:
     @given(st.tuples(PARTS, PARTS))
     def test_int_identities_return_the_operand(self, x):
         x = QI(*x)
+        assume(isinstance(x, QI))  # a zero pair is int 0, and 0 / 1 a float
         assert x + 0 is x and 0 + x is x
         assert x * 1 is x and 1 * x is x and x / 1 is x
 
@@ -214,11 +263,11 @@ QI_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
 
 
 class TestVerifyWork:
-    """The exact verify solve, counted, not timed: exactly zero operands
-    cost no Q(i) arithmetic, exp(-G) shares the power columns of exp(G),
-    int operands are not coerced, eigenvalues build no Fraction, and
-    each word forms one eigenvalue, evaluates no combinator mould and
-    reads S and F from lists rather than moulds."""
+    """The exact verify solve, counted, not timed: zero is int 0 and
+    costs no Q(i) arithmetic, exp(-G) shares the power columns of exp(G),
+    int operands are not coerced, eigenvalues build no Fraction, each
+    distinct letter sum forms one eigenvalue, and each word evaluates no
+    combinator mould and reads S and F from lists rather than moulds."""
 
     # ``vars`` of the report, as summing every zero term gives it
     REPORT = (
@@ -265,8 +314,38 @@ class TestVerifyWork:
         # times(I, S) as a product rather than a shift took 37450 operators;
         # the equation assembled from memoized combinator moulds took 28249
         # QI._of (two eigenvalues per non-resonant word) and 34611 mould calls;
-        # S and F read through their moulds on prefixes and suffixes took 22171
-        assert counts == {"QI._of": 27379, "QI operators": 35308, "Fraction": 0, "Mould calls": 5698}
+        # S and F read through their moulds on prefixes and suffixes took 22171;
+        # a QI zero, and an eigenvalue formed per word in the solve and in
+        # the check, took 27379 QI._of and 35308 operators
+        assert counts == {"QI._of": 25591, "QI operators": 34397, "Fraction": 0, "Mould calls": 5698}
+
+
+def closure_values(freq, alphabet, max_r=5):
+    """F, S, N, G, exp(G) and exp(-G) on every word up to ``max_r``."""
+    solver = MouldSolver(freq)
+    G = solver.G_mould
+    exp_g, exp_minus_g = mexp(G), mexp(G, -1)
+    for w in [(), *words_over(alphabet, max_r)]:
+        yield (w, *solver.values(w), G(w), exp_g(w), exp_minus_g(w))
+
+
+@pytest.mark.parametrize("source", ["verify-exact-r6", "rational_moulds.json"])
+def test_exact_values_are_int_zero_one_or_nonzero_qi(source):
+    if source == "verify-exact-r6":
+        freq = Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)])
+        alphabet = LETTERS
+    else:
+        config = load_config(REPO / "configs" / source, exact=True)
+        freq, alphabet = config.freq, config.alphabet
+    kinds = set()
+    for w, *values in closure_values(freq, alphabet):
+        for value in values:
+            if type(value) is int:
+                assert value in (0, 1), (w, value)
+            else:
+                assert type(value) is QI and (value._a or value._b), (w, value)
+            kinds.add(type(value))
+    assert kinds == {int, QI}
 
 
 def test_exact_solve_matches_fraction_oracle(monkeypatch):
@@ -276,7 +355,6 @@ def test_exact_solve_matches_fraction_oracle(monkeypatch):
     assert len(tables["S"]) == 1 + sum(len(LETTERS) ** r for r in range(1, MAX_R + 1))
 
     monkeypatch.setattr(mouldnf.alphabet, "QI", OracleQI)
-    monkeypatch.setattr(mouldnf.alphabet, "_QI_ZERO", FractionQI(0, 0))
     monkeypatch.setattr(mouldnf.alphabet, "_QI_ONE", FractionQI(1, 0))
     monkeypatch.setattr(mouldnf.mould, "QI", FractionQI)
     monkeypatch.setattr(mouldnf.exact, "QI", FractionQI)

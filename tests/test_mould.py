@@ -425,6 +425,32 @@ class TestAlternality:
             assert vars(got) == vars(want)
 
 
+class TestAlternalityOfSeveralMoulds:
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans()), min_size=1, max_size=3),
+        st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3, unique=True),
+        st.integers(1, 4),
+    )
+    def test_one_walk_matches_each_mould_alone(self, moulds, letters, max_r):
+        # exact and float moulds in one list, each with exact zeros
+        def mould(seed, exact):
+            if exact:
+                return seeded_mould(seed, QI(0, 0), exact_value_with_zeros)
+            return seeded_mould(seed, 0j, float_value_with_zeros)
+
+        reports = check_alternal([mould(*m) for m in moulds], max_r, letters)
+        assert len(reports) == len(moulds)
+        for m, got in zip(moulds, reports):
+            want = summing_check_alternal(mould(*m), max_r, letters)
+            assert repr(vars(got)) == repr(vars(want))
+            assert vars(got) == vars(want)
+
+    def test_every_mould_checked_for_the_empty_word(self):
+        with pytest.raises(ValueError):
+            check_alternal([ident_mould(), unit_mould()], 3, LETTERS)
+
+
 class TestTableIO:
     def test_float_roundtrip(self):
         M = random_mould(19)
