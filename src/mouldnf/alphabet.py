@@ -241,11 +241,6 @@ class Divisors(dict):
         return value
 
 
-def ksum(word):
-    """The letter sum of a word; ``()`` for the empty word."""
-    return tuple(map(sum, zip(*word)))
-
-
 def words_over(alphabet, max_r):
     """All words of length ``1..max_r`` over ``alphabet``: by length,
     then lexicographically in the sorted letters, which must be integral."""

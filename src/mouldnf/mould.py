@@ -154,6 +154,11 @@ def check_alternal(moulds, max_r, alphabet, tol=1e-10):
     ``moulds`` is a list of moulds, and one report is returned for each,
     in order; a single mould, not in a list, gets its one report.  Each
     pair's shuffles are built and sorted once and serve every mould.
+    ``sh(a, b)`` and ``sh(b, a)`` are one multiset, so the sums of a
+    pair, met first as ``(a, b)``, are kept for its mirror ``(b, a)``,
+    whose sorted terms, and so its residual and mass, are the same bits.
+    ``pairs_checked`` counts ordered pairs, and a violation is listed
+    under both orders.
 
     For every pair of non-empty words ``a, b`` over ``alphabet`` with
     ``r(a) + r(b) <= max_r``, the shuffle sum of ``M`` must vanish below
@@ -176,20 +181,28 @@ def check_alternal(moulds, max_r, alphabet, tol=1e-10):
         if M(()):
             raise ValueError("an alternal-type mould must vanish on the empty word")
     checked = [[] for _ in moulds]
+    mirrored = {}
     pairs = 0
     for a in words_over(alphabet, max_r - 1):
         for b in words_over(alphabet, max_r - len(a)):
             pairs += 1
-            terms = sorted(shuffles(a, b).items())
-            for M, rows in zip(moulds, checked):
-                total = 0
-                scale = 0.0
-                for lam, mult in terms:
-                    v = M(lam)
-                    if v:
-                        total = total + mult * v
-                        scale += mult * scalar_abs(v)
-                rows.append((a, b, scalar_abs(total), scale))
+            sums = mirrored.pop((a, b), None)
+            if sums is None:
+                terms = sorted(shuffles(a, b).items())
+                sums = []
+                for M in moulds:
+                    total = 0
+                    scale = 0.0
+                    for lam, mult in terms:
+                        v = M(lam)
+                        if v:
+                            total = total + mult * v
+                            scale += mult * scalar_abs(v)
+                    sums.append((scalar_abs(total), scale))
+                if a != b:
+                    mirrored[b, a] = sums
+            for rows, (resid, scale) in zip(checked, sums):
+                rows.append((a, b, resid, scale))
     letters = list(words_over(alphabet, 1))
     return [
         _alternality_report(rows, pairs, max((scalar_abs(M(w)) for w in letters), default=0.0), tol)

@@ -11,15 +11,19 @@ branches on resonance of the full letter sum:
   auxiliary mould.
 
 One table maps each solved word (a tuple of letters) to its (F, S, N)
-values, and another to S on its non-empty prefixes.  The values on a
-word read only S on its prefixes and (F, N) on its suffixes, so a new
-word is solved by extending its longest solved prefix one letter at a
-time, each extension solving its new suffixes shortest first from the
-suffixes solved just before and its parent's prefixes.  Keys are
-tuples of k-vectors, not eigenvalues: two letters with equal eigenvalue
-but different k are distinct keys.  The values only depend on the
-eigenvalues, so this merely accepts some duplicate computation in
-exchange for a simpler table.
+values, and another to its prefix record: S on its prefixes, from the
+empty word to itself, and its letter sum.  The values on a word read
+only S on its prefixes and (F, N) on its suffixes, so one step,
+:meth:`MouldSolver.extend`, solves a word from the prefix record of
+``w[:-1]``, the values on the suffixes of ``w[1:]`` and its letter sum,
+that of ``w[:-1]`` plus its last letter.  Both callers hold those
+inputs: the lazy :meth:`MouldSolver.values` extends a word's longest
+solved prefix one letter at a time, solving the new suffixes shortest
+first, and :func:`verify_equation` walks every word by length and finds
+them by position.  Keys are tuples of k-vectors, not eigenvalues: two
+letters with equal eigenvalue but different k are distinct keys.  The
+values only depend on the eigenvalues, so this merely accepts some
+duplicate computation in exchange for a simpler table.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import functools
 from operator import add
 
-from .alphabet import ksum, words_over
+from .alphabet import words_over
 from .exact import scalar_abs
 from .mould import Mould, mexp, mlog
 
@@ -52,51 +56,68 @@ class MouldSolver:
         self.freq = freq
         self.gauge = gauge
         self._table = {(): (freq.zero(), freq.one(), freq.zero())}
-        self._prefix_s = {(): []}
+        self._prefixes = {(): ([freq.one()], ())}
 
     def values(self, word):
         """The (F, S, N) values on ``word``, solving its subwords first.
 
         The table is closed under contiguous subwords, so once a prefix
         ``word[:i]`` is solved the new subwords of ``word[:i + 1]`` are
-        its suffixes; they are solved shortest first, each reading only
-        shorter subwords.  A word whose ``word[:-1]`` is solved costs
-        its r suffixes, O(r^2), and the values do not depend on the
-        order in which words arrive.
+        its suffixes; each missing one is solved by :meth:`extend`,
+        shortest first, from the suffixes visited just before it and its
+        parent's prefix record.  A word whose ``word[:-1]`` is solved
+        costs its r suffixes, O(r^2), and the values do not depend on
+        the order in which words arrive.
         """
-        table, prefix_s = self._table, self._prefix_s
+        table = self._table
         entry = table.get(word)
         if entry is None:
+            prefixes, empty = self._prefixes, table[()]
             known = len(word) - 1
             while word[:known] not in table:
                 known -= 1
             for end in range(known + 1, len(word) + 1):
-                suffixes = []
+                tails = [empty]
                 for j in range(end - 1, -1, -1):
                     sub = word[j:end]
                     entry = table.get(sub)
                     if entry is None:
-                        below = prefix_s[sub[:-1]]
-                        entry = table[sub] = self._solve_one(sub, below, suffixes)
-                        prefix_s[sub] = below + [entry[1]]
-                    suffixes.append(entry)
+                        lefts, k = prefixes[sub[:-1]]
+                        letter = sub[-1]
+                        k = tuple(map(add, k, letter)) if k else letter
+                        entry = self.extend(sub, lefts, tails, k)
+                    tails.insert(0, entry)
         return entry
 
-    def _solve_one(self, word, prefix_s, suffixes):
-        """The values on a non-empty ``word`` from S on its proper
-        prefixes and the values on its proper suffixes, both shortest
-        first; its letter sum is formed once and its resonance read from
-        the frequency's one decision per letter sum."""
+    def extend(self, word, lefts, tails, k):
+        """Solve and record a non-empty ``word``, returning its (F, S, N).
+
+        ``lefts`` is S on the prefixes of ``word[:-1]`` from the empty
+        word, ``tails`` the values on the suffixes of ``word[1:]``,
+        longest first down to the empty word, and ``k`` the word's letter
+        sum; its resonance is read from the frequency's one decision per
+        letter sum.  A recorded word returns its recorded entry.  The
+        prefix record of the word, S on its prefixes (``lefts`` plus its
+        own S) and ``k``, is kept for the words that extend it; the
+        empty word's letter sum is ``()``, so a one-letter word's sum is
+        its letter, which ``Frequency.divisors`` refuses in another
+        dimension.
+        """
+        table = self._table
+        entry = table.get(word)
+        if entry is not None:
+            return entry
         freq = self.freq
         r = len(word)
-        lam = freq.divisors[ksum(word)]
-        s_tail = suffixes[-1][1] if suffixes else freq.one()
+        lam = freq.divisors[k]
+        s_tail = tails[0][1]
         sum_sf = freq.zero()
         sum_sn = freq.zero()
+        # the proper splits, S on w[:i] and the values on w[i:], i = 1..r-1;
         # F vanishes off the resonant words and, under the zero gauge, N
         # on them; skipping an exactly zero term leaves the sums (from +0,
         # never -0.0) bit for bit those of summing every term
-        for sa, (fb, _, nb) in zip(prefix_s, reversed(suffixes)):
+        for sa, (fb, _, nb) in zip(lefts[1:], tails):
             if fb:
                 sum_sf = sum_sf + sa * fb
             if nb:
@@ -106,9 +127,13 @@ class MouldSolver:
             s = n + sum_sn
             # only a nonzero S is divided: int 0 / r is a float, and a
             # float zero here is +0, which r > 0 leaves as it is
-            return s_tail - sum_sf, s / r if s else s, n
-        s = (s_tail - sum_sf) / lam
-        return freq.zero(), s, r * s - sum_sn
+            entry = (s_tail - sum_sf, s / r if s else s, n)
+        else:
+            s = (s_tail - sum_sf) / lam
+            entry = (freq.zero(), s, r * s - sum_sn)
+        table[word] = entry
+        self._prefixes[word] = ([*lefts, entry[1]], k)
+        return entry
 
     @functools.cached_property
     def F_mould(self):
@@ -160,22 +185,29 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     of ``nabla F``, and the zero-gauge condition: on resonant words,
     ``sum_i exp(-G)(w[:i]) |w[i:]| exp(G)(w[i:])`` vanishes.
 
-    Each word's letter sum is that of ``w[:-1]`` plus its last letter,
-    and its resonance is read from the frequency's ``divisors``, one
-    decision per distinct letter sum: off the lattice one eigenvalue
-    serves ``nabla S`` and ``nabla F``, on it both are exactly zero and
-    the gauge sum is formed.  The main equation
-    reads no mould and hashes no subword: each word asks the solver once
-    for its values and keeps two lists, S on its prefixes (that of
-    ``w[:-1]`` plus its own S) and the values on its suffixes (its own,
-    then those of ``w[1:]``), both words checked one length earlier and
-    found by their position in the enumeration; only the previous
-    length's lists are kept.  The shift ``S(w[1:])`` is the second
-    suffix entry.  The S x F sum runs over the r+1 splits from int 0 and
-    skips a split with an exactly zero factor, and only nonzero values
-    are measured.  The gauge sums, formed on resonant words only, read
-    the memoized moulds ``exp(+-G)``, and ``|w| exp(G)(w)``, which they
-    read again on suffixes, from a dict.
+    The walk solves each word once, in walk order, through
+    ``solver.extend``, and calls ``solver.values`` for no word.  Each
+    word keeps two lists: its prefix record from the solver (S on its
+    prefixes, from the empty word, and its letter sum) and the values on
+    its suffixes (its own, then those of ``w[1:]``).  Its ``w[:-1]`` and
+    ``w[1:]`` were walked one length earlier and are found by their
+    position in the enumeration, so the solve step gets the record of
+    the one and the suffix values of the other without hashing either;
+    only the previous length's lists are kept.  The letter sum is that
+    of ``w[:-1]`` plus the last letter (a one-letter word's is its
+    letter), and its resonance is read from the frequency's
+    ``divisors``, one decision per distinct letter sum: off the lattice
+    one eigenvalue serves ``nabla S`` and ``nabla F``, on it both are
+    exactly zero and the gauge sum is formed.  The walked words are
+    closed under subwords, so the solver's tables stay so, and the
+    moulds ``F``, ``S`` and ``G`` then read every walked word as a hit.
+
+    The main equation reads no mould.  The shift ``S(w[1:])`` is the
+    second suffix entry.  The S x F sum runs over the r+1 splits from
+    int 0 and skips a split with an exactly zero factor, and only
+    nonzero values are measured.  The gauge sums, formed on resonant
+    words only, read the memoized moulds ``exp(+-G)``, and
+    ``|w| exp(G)(w)``, which they read again on suffixes, from a dict.
     """
     freq = solver.freq
     exp_minus_g, exp_g = mexp(solver.G_mould, -1), mexp(solver.G_mould)
@@ -187,16 +219,16 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
             value = weighted[word] = len(word) * exp_g(word)
         return value
 
-    empty = solver.values(())
+    prefixes = solver._prefixes
     divisors = freq.divisors
     words = [(), *words_over(alphabet, max_r)]
     # words_over lists each length in itertools.product order over its n
     # letters: the i-th word w of a length has w[:-1] at i // n and w[1:]
     # at i mod n^(r-1) among the words one letter shorter
     n = sum(len(w) == 1 for w in words)
-    # per word of a length, in order: S on w[:i] and the values on w[i:],
-    # i = 0..r, and its letter sum, that of w[:-1] plus w[-1]
-    shorter, current, length = [], [([empty[1]], [empty], (0,) * freq.d)], 0
+    # per word of a length, in order: the solver's prefix record (S on
+    # w[:i], i = 0..r, and the letter sum) and the values on w[i:]
+    shorter, current, length = [], [(prefixes[()], [solver._table[()]])], 0
     max_res = 0.0
     max_nf = 0.0
     max_gauge = 0.0
@@ -206,16 +238,20 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
             shorter, current, length = current, [], len(w)
         if w:
             i = len(current)
-            entry = solver.values(w)
-            lefts, _, k = shorter[i // n]
-            lefts = [*lefts, entry[1]]
-            tails = [entry, *shorter[i % len(shorter)][1]]
-            k = tuple(map(add, k, w[-1]))
-            current.append((lefts, tails, k))
+            (lefts, k), _ = shorter[i // n]
+            below = shorter[i % len(shorter)][1]
+            letter = w[-1]
+            k = tuple(map(add, k, letter)) if k else letter
+            entry = solver.extend(w, lefts, below, k)
+            record = prefixes[w]
+            tails = [entry, *below]
+            current.append((record, tails))
+            lefts = record[0]
+            lam = divisors[k]
         else:
-            lefts, tails, k = current[0]
-            entry = empty
-        lam = divisors[k]
+            (lefts, _), tails = current[0]
+            entry = tails[0]
+            lam = None  # the empty word's letter sum, 0, is on every lattice
         if lam is None:
             nabla_s = nabla_f = freq.zero()
         else:

@@ -36,9 +36,10 @@ Nothing in the package uses these; they pin its results.
   shaped constants, which multiplied it back in, for the shape-free
   fit, ``norm_power_constants`` and ``gap_constant``; these agree to
   rounding.
-* Small definitions the tests state properties of: the shuffle
-  coefficient, the Poisson and Moyal structure constants of one mode
-  pair, the crude subset bound on ``beta``, the unit, zero and
+* Small definitions the tests state properties of: the letter sum of
+  a word (:func:`ksum`; the solver carries it one letter at a time),
+  the shuffle coefficient, the Poisson and Moyal structure constants of
+  one mode pair, the crude subset bound on ``beta``, the unit, zero and
   one-letter moulds (the last is the left factor of the product that
   ``solver.verify_equation`` takes as a shift),
   the negated mould,
@@ -68,7 +69,6 @@ from mouldnf.alphabet import (
     _as_int_vector,
     beta,
     extend_subset_sums,
-    ksum,
     l1,
     words_over,
 )
@@ -406,6 +406,11 @@ def mode_bracket_double_loop(F, G, coupling=None):
     return Observable(F.d, data, real=F.real and G.real, _prune=False).prune()
 
 
+def ksum(word):
+    """The letter sum of a word; ``()`` for the empty word."""
+    return tuple(map(sum, zip(*word)))
+
+
 class StackSolver:
     """(F, S, N) by the earlier memoized induction: three word-keyed
     tables, and a stack that lists each new word's missing tail,
@@ -472,25 +477,34 @@ class StackSolver:
 
 class SummingSolver(MouldSolver):
     """The subword-table solver with every suffix term summed, exactly
-    zero or not: the sums that skipping zero terms must reproduce."""
+    zero or not: the sums that skipping zero terms must reproduce.  Its
+    ``extend`` is the one ``values`` calls, and it forms the letter sum
+    afresh rather than reading the carried one."""
 
-    def _solve_one(self, word, prefix_s, suffixes):
+    def extend(self, word, lefts, tails, k):
+        entry = self._table.get(word)
+        if entry is not None:
+            return entry
         freq = self.freq
         r = len(word)
         k = ksum(word)
         if len(k) != freq.d:
             raise ValueError("word dimension does not match frequency")
-        s_tail = suffixes[-1][1] if suffixes else freq.one()
+        s_tail = tails[0][1]
         sum_sf = freq.zero()
         sum_sn = freq.zero()
-        for sa, (fb, _, nb) in zip(prefix_s, reversed(suffixes)):
+        for sa, (fb, _, nb) in zip(lefts[1:], tails):
             sum_sf = sum_sf + sa * fb
             sum_sn = sum_sn + sa * nb
         if freq._in_lattice(k):
             n = freq.zero() if self.gauge is None else self.gauge(word)
-            return s_tail - sum_sf, divide(n + sum_sn, r), n
-        s = (s_tail - sum_sf) / freq._eigenvalue(k, exact_zero=False)
-        return freq.zero(), s, r * s - sum_sn
+            entry = (s_tail - sum_sf, divide(n + sum_sn, r), n)
+        else:
+            s = (s_tail - sum_sf) / freq._eigenvalue(k, exact_zero=False)
+            entry = (freq.zero(), s, r * s - sum_sn)
+        self._table[word] = entry
+        self._prefixes[word] = ([*lefts, entry[1]], k)
+        return entry
 
 
 def times_all_splits(M, N, word):

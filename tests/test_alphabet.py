@@ -13,7 +13,6 @@ from mouldnf.alphabet import (
     beta,
     diophantine_alpha,
     iter_modes,
-    ksum,
     l1,
     shuffles,
     words_over,
@@ -28,6 +27,7 @@ from oracles import (
     combination_shuffles,
     enumerate_interleavings,
     is_resonant,
+    ksum,
     lattice_class,
     nabla,
     shuffle_coefficient,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mouldnf import Frequency, Observable, OutOfDomainError, normalize
 from mouldnf import estimates
-from mouldnf.alphabet import diophantine_alpha, ksum
+from mouldnf.alphabet import diophantine_alpha
 from mouldnf.liealg import apply_exp_ad, chi, contract
 from mouldnf.observables import norm_rho
 from mouldnf.solver import MouldSolver
@@ -30,6 +30,7 @@ from oracles import (
     exp_tail_constant_at,
     generator_majorant,
     growth_shape,
+    ksum,
     shaped_fit_growth_constants,
     shaped_gap_constant,
     shaped_norm_power_constants,
@@ -291,11 +292,11 @@ class TestFitWork:
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        solve_one, sample = MouldSolver._solve_one, estimates._sample_words
+        extend, sample = MouldSolver.extend, estimates._sample_words
 
         def counting_solve(self, word, *args):
             solved.append(word)
-            return solve_one(self, word, *args)
+            return extend(self, word, *args)
 
         def recording(*args):
             lists.append(sample(*args))
@@ -304,7 +305,7 @@ class TestFitWork:
         freq = CountingFrequency(golden_freq.omega, dioph_tau=golden_freq.dioph_tau)
         solver = MouldSolver(freq)
         with monkeypatch.context() as patch:
-            patch.setattr(MouldSolver, "_solve_one", counting_solve)
+            patch.setattr(MouldSolver, "extend", counting_solve)
             patch.setattr(estimates, "MouldSolver", Recording)
             patch.setattr(estimates, "_sample_words", recording)
             fit_growth_constants(solver.G_mould, freq, letters, 9, 1.0, golden_alpha, seed=0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Frequency
-from mouldnf.alphabet import ksum
+from mouldnf import mould as mould_module
 from mouldnf.exact import QI, scalar_abs
 from mouldnf.mould import (
     Mould,
@@ -25,6 +25,7 @@ from mouldnf.solver import MouldSolver
 from oracles import (
     composition_series,
     ident_mould,
+    ksum,
     madd,
     mneg,
     nabla,
@@ -423,6 +424,34 @@ class TestAlternality:
             want = summing_check_alternal(seeded_mould(seed, empty, value), max_r, letters)
             assert repr(vars(got)) == repr(vars(want))
             assert vars(got) == vars(want)
+
+
+class TestMirroredPairs:
+    """``sh(a, b)`` and ``sh(b, a)`` are one multiset: each unordered pair
+    is summed once, and its mirror reads the same residual and mass."""
+
+    def test_one_shuffle_sum_per_unordered_pair(self, monkeypatch):
+        built = []
+        shuffles = mould_module.shuffles
+
+        def counting(a, b):
+            built.append((a, b))
+            return shuffles(a, b)
+
+        monkeypatch.setattr(mould_module, "shuffles", counting)
+        for empty, value in ((QI(0, 0), exact_value_with_zeros), (0j, float_value_with_zeros)):
+            built.clear()
+            M = seeded_mould(5, empty, value)
+            got = check_alternal(M, 4, LETTERS)
+            # 3 + 9 pairs are their own mirror among the 306 ordered pairs
+            assert len(built) == len(set(built)) == 159
+            assert got.pairs_checked == 306
+            want = summing_check_alternal(seeded_mould(5, empty, value), 4, LETTERS)
+            assert repr(vars(got)) == repr(vars(want))
+            assert vars(got) == vars(want)
+            violated = {(a, b) for a, b, _, _ in got.violations}
+            assert len(violated) > 100
+            assert all((b, a) in violated for a, b in violated)
 
 
 class TestAlternalityOfSeveralMoulds:

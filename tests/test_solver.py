@@ -21,6 +21,7 @@ from oracles import (
     combinator_verify_equation,
     ident_mould,
     is_resonant,
+    ksum,
     nabla,
     subset_sum_counts,
     times,
@@ -314,29 +315,118 @@ class TestCombinatorOracle:
 
 
 class TestLetterSums:
-    """Each solved word forms its letter sum once: the resonance decision
-    and the eigenvalue share it."""
+    """Each solved word forms its letter sum in one step, its parent's
+    sum plus its last letter: the resonance decision and the eigenvalue
+    share it."""
 
     @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
     def test_one_letter_sum_per_solved_word(self, case, monkeypatch):
         freq, letters, gauge = SOLVER_CASES[case]
-        calls = []
-        real_ksum = alphabet.ksum
+        steps, extended = [], []
+        extend = MouldSolver.extend
 
-        def counting(word):
-            calls.append(word)
-            return real_ksum(word)
+        def counting_add(a, b):
+            steps.append((a, b))
+            return a + b
 
-        # wherever the solver reaches the letter sum from
-        monkeypatch.setattr(alphabet, "ksum", counting)
-        monkeypatch.setattr(solver_module, "ksum", counting, raising=False)
+        def recording(self, word, lefts, tails, k):
+            extended.append((word, k))
+            return extend(self, word, lefts, tails, k)
+
+        monkeypatch.setattr(solver_module, "add", counting_add)
+        monkeypatch.setattr(MouldSolver, "extend", recording)
         solver = MouldSolver(freq, gauge=gauge)
         for w in words_over(letters, 3):
             solver.values(w)
         solved = [w for w in solver._table if w]
         assert len(solved) == len(letters) + len(letters) ** 2 + len(letters) ** 3
-        assert sorted(calls) == sorted(solved)
+        assert sorted(extended) == sorted((w, ksum(w)) for w in solved)
+        # a one-letter word's sum is its letter; a longer one adds its
+        # last letter's d entries to its parent's sum
+        assert len(steps) == freq.d * sum(len(w) > 1 for w in solved)
 
     def test_word_of_another_dimension_refused(self, golden_freq):
         with pytest.raises(ValueError):
             MouldSolver(golden_freq).values(((1, 0, 0),))
+
+    def test_longer_word_of_another_dimension_refused(self, golden_freq):
+        # the sum of a carried prefix would silently drop the extra entry
+        with pytest.raises(ValueError):
+            MouldSolver(golden_freq).values(((1, 0), (1, 0, 0)))
+
+    @pytest.mark.parametrize("letters", [[(1, 0, 0)], [(1, 0), (1, 0, 0)]])
+    def test_verify_letter_of_another_dimension_refused(self, golden_freq, letters):
+        with pytest.raises(ValueError):
+            verify_equation(MouldSolver(golden_freq), 2, letters)
+
+
+class TestVerifyWalk:
+    """``verify_equation`` solves each word once, in walk order, through
+    ``MouldSolver.extend``, and leaves the tables that ``values`` fills."""
+
+    @pytest.mark.parametrize("gauged", [False, True], ids=["zero_gauge", "gauge"])
+    @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+    @settings(max_examples=15)
+    @given(
+        letters=st.lists(st.sampled_from(VERIFY_LETTERS), min_size=1, max_size=3, unique=True),
+        max_r=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_tables_equal_values_and_stack_oracle(self, case, gauged, letters, max_r, data):
+        freq = VERIFY_CASES[case]
+        gauge = None
+        if gauged:
+            half = Fraction(1, 2) if freq.exact else 0.5
+            gauge = from_table({((2, -1),): half, ((-2, 1),): half, ((3, -1),): half})
+        walked = MouldSolver(freq, gauge=gauge)
+        report = verify_equation(walked, max_r, letters)
+        lazy = MouldSolver(freq, gauge=gauge)
+        for w in data.draw(st.permutations([(), *words_over(letters, max_r)])):
+            lazy.values(w)
+        oracle = StackSolver(freq, gauge=gauge)
+        assert walked._table.keys() == lazy._table.keys()
+        assert walked._prefixes.keys() == lazy._prefixes.keys()
+        for w, got in walked._table.items():
+            assert repr(got) == repr(lazy._table[w]) == repr(oracle.values(w))
+            assert repr(walked._prefixes[w]) == repr(lazy._prefixes[w])
+        # a walk over recorded words reads their entries as they are
+        assert repr(vars(verify_equation(lazy, max_r, letters))) == repr(vars(report))
+        assert lazy._table.keys() == walked._table.keys()
+
+    def test_each_word_solved_once_in_walk_order(self, monkeypatch):
+        freq = VERIFY_CASES["rational_exact"]
+        extended, solved, hits = [], [], []
+        extend, values = MouldSolver.extend, MouldSolver.values
+
+        def recording_extend(self, word, *args):
+            extended.append(word)
+            if word not in self._table:
+                solved.append(word)
+            return extend(self, word, *args)
+
+        def recording_values(self, word):
+            hits.append(word in self._table)
+            return values(self, word)
+
+        monkeypatch.setattr(MouldSolver, "extend", recording_extend)
+        monkeypatch.setattr(MouldSolver, "values", recording_values)
+        assert verify_equation(MouldSolver(freq), 5, MIXED_ALPHABET).ok
+        walk = list(alphabet.words_over(MIXED_ALPHABET, 5))
+        assert extended == solved == walk
+        # the gauge sums read S through its mould: every word it asks
+        # for is recorded, so values() solves nothing
+        assert hits and all(hits)
+
+    def test_walk_without_resonant_words_enters_no_values_call(self, golden_freq, monkeypatch):
+        # over the golden mean no word over these letters is resonant, so
+        # no gauge sum reads S once G (which reads S on the empty word) is built
+        solver = MouldSolver(golden_freq)
+        solver.G_mould
+
+        def refused(self, word):
+            raise AssertionError(f"values({word!r}) entered")
+
+        monkeypatch.setattr(MouldSolver, "values", refused)
+        assert verify_equation(solver, 4, ((1, 0), (0, 1), (1, 1))).ok
+        assert len(solver._table) == 1 + 3 + 9 + 27 + 81
+
