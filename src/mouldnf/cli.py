@@ -32,6 +32,8 @@ from .observables import OBSERVABLE, Observable, _walk, from_json_dict, norm_rho
 from .quantum import QuantumBackend, moyal_bracket, validate_moyal
 from .solver import MouldSolver, verify_equation
 
+MOYAL_CUTOFF = 8  # half-width of the basis box of verify's Moyal check
+
 # The config's schema, walked by ``observables._walk``: key -> (JSON
 # type, default, check, what the check asks).  The rules across keys
 # are in ``RunConfig``.
@@ -174,12 +176,12 @@ def _over_budget(n_letters, max_r, max_words):
     return False
 
 
-def _alpha_box_over_budget(config, max_words):
-    """Whether the ``(2K+1)^d`` modes that ``diophantine_alpha`` scans
-    number more than ``max_words``; says so on stderr."""
-    if (2 * config.K + 1) ** config.freq.d <= max_words:
+def _box_over_budget(what, radius, d, max_words):
+    """Whether the ``(2 radius + 1)^d`` modes that ``what`` scans number
+    more than ``max_words``; says so on stderr."""
+    if (2 * radius + 1) ** d <= max_words:
         return False
-    print(f"error: K = {config.K} scans (2K+1)^{config.freq.d} modes, over the mode budget "
+    print(f"error: {what} scans (2*{radius}+1)^{d} modes, over the mode budget "
           f"{max_words} of --max-words", file=sys.stderr)
     return True
 
@@ -200,7 +202,7 @@ def _quantum_diagnostics(result):
 
 def cmd_normalize(config, out_dir, max_words):
     B = config.observable()
-    if _alpha_box_over_budget(config, max_words):
+    if _box_over_budget(f"K = {config.K}", config.K, config.freq.d, max_words):
         return 2
     n_letters = len({k for k, _ in B.coeffs})
     if _over_budget(max(n_letters, 1), config.N, max_words):
@@ -325,6 +327,9 @@ def cmd_verify(config, out_dir, max_words):
     alphabet = config.alphabet or [(1,) + (0,) * (config.freq.d - 1)]
     if _over_budget(len(alphabet), config.max_r, max_words):
         return 2
+    moyal = f"the Moyal check at cutoff {MOYAL_CUTOFF}"
+    if not config.exact and _box_over_budget(moyal, MOYAL_CUTOFF, config.freq.d, max_words):
+        return 2
     solver = MouldSolver(config.freq)
     eq = verify_equation(solver, config.max_r, alphabet, tol=config.tolerances["residual"])
     emit(
@@ -361,7 +366,7 @@ def cmd_verify(config, out_dir, max_words):
         for _ in range(3):
             F = _random_observable(rng, config.freq.d, 3)
             G = _random_observable(rng, config.freq.d, 3)
-            rep = validate_moyal(F, G, cutoff=8, hbar=config.hbar or 0.5, tol=config.tolerances["moyal"])
+            rep = validate_moyal(F, G, MOYAL_CUTOFF, config.hbar or 0.5, config.tolerances["moyal"])
             emit({"name": "moyal_validation", "ok": rep.ok, "max_dev": rep.max_deviation})
             all_ok &= rep.ok
 
@@ -404,7 +409,7 @@ def cmd_semiclassical(config, out_dir, max_words):
     if not hbars:
         print("error: semiclassical needs hbar or hbar_list", file=sys.stderr)
         return 2
-    if _alpha_box_over_budget(config, max_words):
+    if _box_over_budget(f"K = {config.K}", config.K, config.freq.d, max_words):
         return 2
     alpha = diophantine_alpha(config.freq, config.K)
     report = estimates.verify_semiclassical(

@@ -29,8 +29,11 @@ Nothing in the package uses these; they pin its results.
   ``itertools.combinations`` on every call for ``alphabet.shuffles`` on
   patterns kept per length pair; the shuffle check summing every term
   (:func:`summing_check_alternal`) for ``mould.check_alternal``, which
-  skips exactly zero terms; and the Fraction-pair
-  ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last seven
+  skips exactly zero terms; the Weyl matrices on the basis box and their
+  sparse product (:func:`weyl_matrix`, :func:`matrix_validate_moyal`)
+  for ``quantum.weyl_operator`` and the matrix-free
+  ``quantum.validate_moyal``; and the Fraction-pair
+  ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last eight
   are compared bit for bit.  The shaped growth fit, which divided every
   word by the growth shape ``(tau/(e eta_r))^(tau (r - lag))``, and the
   shaped constants, which multiplied it back in, for the shape-free
@@ -77,7 +80,7 @@ from mouldnf.exact import scalar_abs
 from mouldnf.liealg import chi, exp_ad_tail_bound
 from mouldnf.mould import AlternalityReport, Mould, mexp
 from mouldnf.observables import PRUNE_REL, _group_by_x_mode, norm_rho, slices
-from mouldnf.quantum import sine_coupling
+from mouldnf.quantum import MoyalReport, _inside, _kmax, check_hbar, moyal_bracket, sine_coupling
 from mouldnf.solver import EquationReport, MouldSolver
 
 
@@ -582,6 +585,71 @@ def moyal_structure_constant(k, m, kp, mp, hbar):
     if s == 0:
         return 0.0
     return sine_coupling(hbar)(s)
+
+
+def weyl_matrix(F, cutoff, hbar):
+    """Weyl quantization of a symbol as a sparse matrix ``{(row, col): entry}``
+    on the Fourier basis e^{i n.x}, |n|_inf <= cutoff, keyed by basis tuples.
+
+    Mode ``(k, m)`` maps ``e^{i n.x}`` to
+    ``exp(-i hbar m.(n + k/2)) e^{i (n+k).x}``, i.e. the entry at row
+    ``n+k``, column ``n`` is ``b_km exp(-i hbar m.(n + k/2))`` (midpoint
+    rule).  Rows falling outside the basis box are the inherent
+    truncation; callers compare on the interior only.
+    """
+    check_hbar(hbar)
+    kmax = _kmax(F)
+    if cutoff < kmax + 1:
+        raise ValueError(
+            f"cutoff {cutoff} too small: support escapes the box (max |k|_inf = {kmax})"
+        )
+    entries = {}
+    for (k, m), c in F.items_sorted():
+        for n in itertools.product(range(-cutoff, cutoff + 1), repeat=F.d):
+            row = tuple(a + b for a, b in zip(n, k))
+            if not _inside(row, cutoff):
+                continue
+            phase = sum(mi * (ni + ki / 2.0) for mi, ni, ki in zip(m, n, k))
+            entries[row, n] = entries.get((row, n), 0j) + c * complex(
+                math.cos(hbar * phase), -math.sin(hbar * phase)
+            )
+    return entries
+
+
+def _matmul(A, B):
+    """Product of two sparse matrices keyed by ``(row, col)``."""
+    rows_b = {}
+    for (k, j), b in B.items():
+        rows_b.setdefault(k, []).append((j, b))
+    out = {}
+    for (i, k), a in A.items():
+        for j, b in rows_b.get(k, ()):
+            out[i, j] = out.get((i, j), 0j) + a * b
+    return out
+
+
+def matrix_validate_moyal(F, G, cutoff, hbar, tol=1e-10):
+    """``quantum.validate_moyal`` on Weyl matrices over the whole
+    ``cutoff`` box: the commutator is a sparse matrix product, compared
+    on the interior rows and columns.  Refuses where a symbol's or the
+    bracket's modes reach the box edge."""
+    margin = _kmax(F) + _kmax(G)
+    wf = weyl_matrix(F, cutoff, hbar)
+    wg = weyl_matrix(G, cutoff, hbar)
+    wb = weyl_matrix(moyal_bracket(F, G, hbar), cutoff, hbar)
+    fg, gf = _matmul(wf, wg), _matmul(wg, wf)
+    inner = cutoff - margin
+    if inner < 0:
+        raise ValueError("cutoff too small: no interior left after margin")
+    dev = max(
+        (
+            abs(wb.get(key, 0j) - (fg.get(key, 0j) - gf.get(key, 0j)) / (1j * hbar))
+            for key in wb.keys() | fg.keys() | gf.keys()
+            if _inside(key[0], inner) and _inside(key[1], inner)
+        ),
+        default=0.0,
+    )
+    return MoyalReport(dev, margin, (2 * inner + 1) ** F.d, tol)
 
 
 def dense(entries, d, cutoff):

@@ -24,11 +24,11 @@ from mouldnf.estimates import (
 from mouldnf.exact import QI
 from mouldnf.mould import check_alternal
 from mouldnf.observables import norm_rho
-from mouldnf.quantum import moyal_bracket, validate_moyal, weyl_matrix
+from mouldnf.quantum import moyal_bracket, validate_moyal
 from mouldnf.solver import MouldSolver, verify_equation
 
 from conftest import random_observable
-from oracles import dense, spectral_norm
+from oracles import dense, spectral_norm, weyl_matrix
 
 EXACT_ALPHABET = ((1, 0), (1, -1), (2, -1))
 FLOAT_ALPHABET = ((1, 0), (0, 1), (-1, 0))

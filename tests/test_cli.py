@@ -489,6 +489,20 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "K = 10000" in err and "mode budget 200000" in err
 
+    def test_moyal_box_over_budget_refused_before_equation_check(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # float verify's Moyal check scans (2*8+1)^d basis vectors: 17^5 = 1419857
+        def unreached(*args, **kwargs):
+            raise AssertionError("ran before the refusal")
+
+        monkeypatch.setattr("mouldnf.cli.verify_equation", unreached)
+        monkeypatch.setattr("mouldnf.cli.validate_moyal", unreached)
+        omega = [1.0, PHI, 2 ** 0.5, 3 ** 0.5, 5 ** 0.5]
+        cfg = write_config(tmp_path / "run.json", freq={"omega": omega, "tau": 1.0, "K": 5})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "the Moyal check at cutoff 8" in err and "mode budget 200000" in err
+
 
 REPO = Path(__file__).parent.parent
 # each shipped config with the command it is made for

@@ -1,16 +1,26 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mouldnf import ClassicalBackend, Observable, QuantumBackend
 from mouldnf.classical import poisson_bracket
 from mouldnf.observables import norm_rho
-from mouldnf.quantum import moyal_bracket, validate_moyal, weyl_matrix
+from mouldnf.quantum import _inside, _kmax, moyal_bracket, validate_moyal, weyl_operator
 
 from conftest import random_observable
-from oracles import dense, hermiticity_defect, moyal_structure_constant, spectral_norm
+from oracles import (
+    dense,
+    hermiticity_defect,
+    matrix_validate_moyal,
+    moyal_structure_constant,
+    spectral_norm,
+    weyl_matrix,
+)
 
 
 class TestModeRule:
@@ -179,6 +189,9 @@ class TestHbarCheck:
             QuantumBackend(golden_freq, hbar)
         with pytest.raises(ValueError, match="finite and positive"):
             weyl_matrix(self.F, cutoff=2, hbar=hbar)
+        # refused before the interior is sized: cutoff -1 leaves none
+        with pytest.raises(ValueError, match="finite and positive"):
+            validate_moyal(self.F, self.G, cutoff=-1, hbar=hbar)
 
 
 class TestMoyalWeylConsistency:
@@ -209,6 +222,61 @@ class TestMoyalWeylConsistency:
         F = Observable(1, {((1,), (1,)): 1.0})
         rep = validate_moyal(F, F, cutoff=6, hbar=0.5)
         assert rep.max_deviation <= 1e-14
+
+    def test_single_interior_column(self):
+        # margin 2 at cutoff 2: the bracket's modes reach |k| = 2, the
+        # box edge, where the matrix oracle refuses
+        F = Observable(1, {((1,), (0,)): 1.0, ((-1,), (1,)): 0.5})
+        G = Observable(1, {((-1,), (1,)): 1.0, ((1,), (2,)): 0.3j})
+        rep = validate_moyal(F, G, cutoff=2, hbar=0.5)
+        assert (rep.interior_margin, rep.interior_count) == (2, 1)
+        assert rep.max_deviation <= 1e-12
+        with pytest.raises(ValueError, match="too small"):
+            matrix_validate_moyal(F, G, cutoff=2, hbar=0.5)
+        with pytest.raises(ValueError, match="no interior"):
+            validate_moyal(F, G, cutoff=1, hbar=0.5)
+
+
+@st.composite
+def symbols(draw, d):
+    """A symbol with one to three x-modes ``k``, each carrying one to
+    four xi-modes ``m``, so that several modes share a row shift."""
+    vec = lambda bound: st.tuples(*[st.integers(-bound, bound)] * d)
+    coeff = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+    ks = draw(st.lists(vec(2 if d < 3 else 1), min_size=1, max_size=3, unique=True))
+    return Observable(d, {
+        (k, m): c for k in ks
+        for m, c in draw(st.dictionaries(vec(2), coeff, min_size=1, max_size=4)).items()
+    })
+
+
+HBARS = st.sampled_from([0.05, 0.3, 0.5, 1.0])
+
+
+class TestWeylOperatorAgainstMatrixOracle:
+    @settings(max_examples=40)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(symbols(d), HBARS, st.integers(1, 2))))
+    def test_columns_equal_oracle_columns(self, case):
+        F, hbar, extra = case
+        cutoff = _kmax(F) + extra
+        columns = {}
+        for (row, col), entry in weyl_matrix(F, cutoff, hbar).items():
+            columns.setdefault(col, {})[row] = entry
+        op = weyl_operator(F, hbar)
+        for n in itertools.product(range(-cutoff, cutoff + 1), repeat=F.d):
+            image = op({n: 1.0})
+            assert {row: v for row, v in image.items() if _inside(row, cutoff)} == columns.get(n, {})
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.tuples(symbols(d), symbols(d), HBARS, st.integers(1, 2))))
+    def test_validate_moyal_equals_matrix_oracle(self, case):
+        F, G, hbar, extra = case
+        cutoff = _kmax(F) + _kmax(G) + extra
+        new = validate_moyal(F, G, cutoff, hbar)
+        old = matrix_validate_moyal(F, G, cutoff, hbar)
+        assert (new.max_deviation, new.interior_margin, new.interior_count) == (
+            old.max_deviation, old.interior_margin, old.interior_count)
 
 
 class TestSemiclassicalDefect:
