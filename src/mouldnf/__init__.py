@@ -10,19 +10,17 @@ in its submodules (``mouldnf.mould``, ``mouldnf.estimates``, ...).
 """
 
 from .alphabet import Frequency
-from .classical import ClassicalBackend
+from .classical import Backend
 from .liealg import OutOfDomainError, ScaleParams, normalize
 from .observables import Observable
-from .quantum import QuantumBackend
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassicalBackend",
+    "Backend",
     "Frequency",
     "Observable",
     "OutOfDomainError",
-    "QuantumBackend",
     "ScaleParams",
     "normalize",
 ]

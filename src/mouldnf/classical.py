@@ -1,4 +1,4 @@
-"""The shared mode-bracket kernel and the Poisson-bracket backend.
+"""The shared mode-bracket kernel and the bracket backend.
 
 On modes the bracket is a structure constant times the sum mode:
 
@@ -6,15 +6,16 @@ On modes the bracket is a structure constant times the sum mode:
 
 which is the bilinear extension of ``d_xi F . d_x G - d_x F . d_xi G``.
 The Moyal bracket differs only in the structure constant, a function of
-the integer ``s = k.m' - m.k'`` (see :mod:`mouldnf.quantum`), so both
+the integer ``s = k.m' - m.k'``: ``(2/hbar) sin(hbar s / 2)``.  So both
 brackets run through one kernel, :func:`code_bracket`, on modes keyed by
-the ints of a :class:`ModeCodes` space.  The generator ``omega . xi``
-acts diagonally with eigenvalue ``i<k, omega>`` and never materializes
-as an observable.
+the ints of a :class:`ModeCodes` space, and one :class:`Backend` holds
+either.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import sys
 from array import array
 from operator import mul
@@ -189,36 +190,34 @@ def mode_bracket(F, G, coupling=None):
     return Observable._of(F.d, codes.decode(out), real)
 
 
-def poisson_bracket(F, G):
-    """Poisson bracket of two observables, pruned of rounding dust."""
-    return mode_bracket(F, G)
+def check_hbar(hbar):
+    """Refuse any ``hbar`` but a finite positive number (not a bool)."""
+    if isinstance(hbar, bool) or not (
+        isinstance(hbar, numbers.Real) and math.isfinite(hbar) and hbar > 0
+    ):
+        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
 
 
-class ClassicalBackend:
-    """Bracket backend for the commutative (function) picture; the
-    bracket kernel's ``coupling`` is the integer ``s`` itself."""
+def sine_coupling(hbar):
+    """The Moyal structure constant as a function of the Poisson one."""
+    return lambda s: 2.0 / hbar * math.sin(hbar * s / 2.0)
+
+
+class Backend:
+    """The bracket of a normal-form run: ``Backend()`` is the Poisson
+    bracket, ``Backend(hbar)`` the Moyal bracket at ``hbar``.  The two
+    differ only in the kernel's ``coupling``: None (the integer ``s``
+    itself) or :func:`sine_coupling`."""
 
     name = "classical"
     coupling = None
 
-    def __init__(self, freq):
-        self.freq = freq
+    def __init__(self, hbar=None):
+        if hbar is not None:
+            check_hbar(hbar)
+            self.hbar = float(hbar)
+            self.coupling = sine_coupling(self.hbar)
+            self.name = f"quantum(hbar={self.hbar})"
 
     def bracket(self, F, G):
         return mode_bracket(F, G, self.coupling)
-
-    def ad_x0(self, G, exact_zero=True):
-        """[x0, G]: multiply each mode by its eigenvalue.
-
-        The generator is linear in xi, so this action is the same for
-        every bracket backend.  With ``exact_zero`` resonant modes are
-        annihilated exactly, consistent with the resonance decisions
-        elsewhere; without it the raw floating inner product is used
-        (diagnostics).
-        """
-        data = {}
-        for (k, m), c in G.items_sorted():
-            lam = complex(self.freq.eigenvalue(k, exact_zero=exact_zero))
-            if lam != 0:
-                data[(k, m)] = lam * c
-        return Observable(G.d, data, _prune=False)

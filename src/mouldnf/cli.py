@@ -24,12 +24,12 @@ from pathlib import Path
 
 from . import estimates
 from .alphabet import Frequency, diophantine_alpha, words_over
-from .classical import ClassicalBackend, poisson_bracket
+from .classical import Backend
 from .exact import scalar_abs
-from .liealg import OutOfDomainError, ScaleParams, normalize
+from .liealg import OutOfDomainError, ScaleParams, ad_x0, normalize
 from .mould import _parse_word, check_alternal, dump_table, load_table
 from .observables import OBSERVABLE, Observable, _walk, from_json_dict, norm_rho, to_json_dict
-from .quantum import QuantumBackend, moyal_bracket, validate_moyal
+from .quantum import validate_moyal
 from .solver import MouldSolver, verify_equation
 
 MOYAL_CUTOFF = 8  # half-width of the basis box of verify's Moyal check
@@ -144,8 +144,8 @@ class RunConfig:
 
     def backend(self):
         if self.backend_name == "classical":
-            return ClassicalBackend(self.freq)
-        return QuantumBackend(self.freq, self.hbar if self.hbar is not None else self.hbar_list[0])
+            return Backend()
+        return Backend(self.hbar if self.hbar is not None else self.hbar_list[0])
 
 
 def load_config(path, exact=False):
@@ -295,24 +295,24 @@ def _axiom_samples(config, rng, emit):
     d = freq.d
     tol = 1.0 + 1e-12
     failures = 0
-    backend_c = ClassicalBackend(freq)
-    hbar = config.hbar or 0.1
+    poisson = Backend().bracket
+    moyal = Backend(config.hbar or 0.1).bracket
 
     for i in range(config.samples):
         rho = rng.uniform(0.6, 1.4)
         rho_p = rng.uniform(0.15 * rho, 0.85 * rho)
         rho_pp = rng.uniform(rho_p + 0.05 * rho, rho)
         F, G = _random_observable(rng, d, 4), _random_observable(rng, d, 4)
-        lhs = norm_rho(poisson_bracket(F, G), rho_p)
+        lhs = norm_rho(poisson(F, G), rho_p)
         rhs = norm_rho(F, rho) * norm_rho(G, rho_pp) / (
             math.e ** 2 * (rho - rho_p) * (rho_pp - rho_p)
         )
         if lhs > rhs * tol:
             failures += 1
-        lhs_q = norm_rho(moyal_bracket(F, G, hbar), rho_p)
+        lhs_q = norm_rho(moyal(F, G), rho_p)
         if lhs_q > rhs * tol:
             failures += 1
-        lhs_x0 = norm_rho(backend_c.ad_x0(G, exact_zero=False), rho_p)
+        lhs_x0 = norm_rho(ad_x0(freq, G, exact_zero=False), rho_p)
         if lhs_x0 > norm_rho(G, rho) / (math.e * (rho - rho_p)) * tol:
             failures += 1
     emit({"name": "axiom_samples", "samples": config.samples, "failures": failures})

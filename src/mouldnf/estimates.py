@@ -19,10 +19,9 @@ import random
 import statistics
 
 from .alphabet import DivisorWeights, _as_int_vector, beta, extend_subset_sums
+from .classical import Backend
 from .liealg import OutOfDomainError, chi, contract, finite_norm
 from .observables import norm_rho
-from .classical import ClassicalBackend
-from .quantum import QuantumBackend
 from .solver import MouldSolver
 
 SLACK = 1e-12
@@ -242,7 +241,7 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
         raise ValueError("N must be >= 1")
     norm_b = finite_norm(B, rho)
     F = MouldSolver(freq).F_mould
-    (classical,) = contract([F], B, N, ClassicalBackend(freq), N)
+    (classical,) = contract([F], B, N, Backend(), N)
     letters = sorted({k for k, _ in B.coeffs})
     F_sup = fit_growth_constants(F, freq, letters, N, rho, alpha, seed)[N - 1]
     c_n = gap_constant(N, rho, rho_prime, F_sup)
@@ -255,7 +254,7 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
     )
     hbars, g_values, bounds = [], [], []
     for hbar in hbar_list:
-        (quantum,) = contract([F], B, N, QuantumBackend(freq, hbar), N)
+        (quantum,) = contract([F], B, N, Backend(hbar), N)
         diff = quantum - classical
         g = norm_rho(diff, rho_prime) if diff else 0.0
         hbars.append(float(hbar))

@@ -112,6 +112,23 @@ def contract(moulds, B, r_max, backend, r_min=1):
     return [Observable._of(B.d, codes.decode(total), False) for total in totals]
 
 
+def ad_x0(freq, G, exact_zero=True):
+    """[x0, G] for ``x0 = omega . xi``: each mode times its eigenvalue
+    ``i<k, omega>``.
+
+    The generator is linear in xi, so this action is the same under
+    every bracket.  With ``exact_zero`` resonant modes are annihilated
+    exactly, consistent with the resonance decisions elsewhere; without
+    it the raw floating inner product is used (diagnostics).
+    """
+    data = {}
+    for (k, m), c in G.items_sorted():
+        lam = complex(freq.eigenvalue(k, exact_zero=exact_zero))
+        if lam != 0:
+            data[(k, m)] = lam * c
+    return Observable(G.d, data, _prune=False)
+
+
 def exp_ad_tail_bound(norm_y, norm_x, order, params):
     """Geometric tail at ``order`` of the truncated exponential of
     ``x0 + X``, with ``norm_x = ||X||_rho``.
@@ -126,8 +143,9 @@ def exp_ad_tail_bound(norm_y, norm_x, order, params):
     return head * q ** (order + 1) / (1.0 - q), q
 
 
-def apply_exp_ad(Y, X, order, params, backend):
-    """Truncated exponential adjoint ``sum_{d<=order} ad_Y^d (x0 + X) / d!``.
+def apply_exp_ad(Y, X, order, params, freq, backend):
+    """Truncated exponential adjoint ``sum_{d<=order} ad_Y^d (x0 + X) / d!``,
+    with ``x0`` the generator of ``freq`` and ``ad`` the bracket of ``backend``.
 
     The returned observable omits the (non-representable) x0 itself.  Since
     ``ad_Y x0 = -[x0, Y]`` is mode-diagonal, one chain of ``order``
@@ -149,7 +167,7 @@ def apply_exp_ad(Y, X, order, params, backend):
     codes = ModeCodes(X.d, top(X) + order * top(Y))
     y, x = codes.rows(codes.encode(Y)), codes.encode(X)
     coupling = backend.coupling
-    term = code_bracket(y, x, coupling, codes, Y.real and X.real) - codes.encode(backend.ad_x0(Y))
+    term = code_bracket(y, x, coupling, codes, Y.real and X.real) - codes.encode(ad_x0(freq, Y))
     total = x + term
     for d in range(2, order + 1):
         term = code_bracket(y, term, coupling, codes) * (1.0 / d)
@@ -198,7 +216,9 @@ def default_exp_order(N):
 
 
 def normalize(B, N, params, freq, backend, exp_order=None):
-    """Order-N normal form of ``x0 + B`` for the given bracket backend.
+    """Order-N normal form of ``x0 + B`` for the given bracket backend,
+    with ``x0`` the generator of ``freq``: the solver's resonance
+    decisions and the x0 action both read it.
 
     Computes ``Z_N`` and ``Y_N`` by contracting the solver's moulds
     against ``B``, then measures the remainder
@@ -215,7 +235,7 @@ def normalize(B, N, params, freq, backend, exp_order=None):
     solver = MouldSolver(freq)
     Z, Y = contract([solver.F_mould, solver.G_mould], B, N, backend)
     order = exp_order if exp_order is not None else default_exp_order(N)
-    conjugated, tail, ratio = apply_exp_ad(Y, B, order, params, backend)
+    conjugated, tail, ratio = apply_exp_ad(Y, B, order, params, freq, backend)
     E = conjugated - Z
     rp = params.rho_prime
     norms = {
@@ -224,6 +244,6 @@ def normalize(B, N, params, freq, backend, exp_order=None):
         "E": norm_rho(E, rp) if E else 0.0,
         "B": norm_b,
     }
-    raw = backend.ad_x0(Z, exact_zero=False)
+    raw = ad_x0(freq, Z, exact_zero=False)
     residual = norm_rho(raw, rp) if raw else 0.0
     return NormalFormResult(Z, Y, E, solver.G_mould, norms, residual, tail, order, ratio)

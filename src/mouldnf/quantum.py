@@ -1,8 +1,9 @@
-"""Moyal-bracket backend and Weyl-operator cross-validation on L2(T^d).
+"""Weyl-operator cross-validation of the Moyal bracket on L2(T^d).
 
 The deformed bracket is implemented at the level of structure
-constants only: on a pair of modes the classical constant
-``s = k.m' - m.k'`` is replaced by ``(2/hbar) sin(hbar s / 2)``.
+constants only (:class:`mouldnf.classical.Backend` with ``hbar``): on a
+pair of modes the classical constant ``s = k.m' - m.k'`` is replaced by
+``(2/hbar) sin(hbar s / 2)``.
 
 Convention note.  The half-angle form, together with the midpoint
 quantization phase ``exp(-i hbar m.(n + k/2))`` below, is the unique
@@ -18,29 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 
-from .classical import ClassicalBackend, mode_bracket
-
-
-def check_hbar(hbar):
-    """Refuse any ``hbar`` but a finite positive number (not a bool)."""
-    if isinstance(hbar, bool) or not (
-        isinstance(hbar, numbers.Real) and math.isfinite(hbar) and hbar > 0
-    ):
-        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
-
-
-def sine_coupling(hbar):
-    """The Moyal structure constant as a function of the Poisson one."""
-    return lambda s: 2.0 / hbar * math.sin(hbar * s / 2.0)
-
-
-def moyal_bracket(F, G, hbar):
-    """Deformed bracket of two symbols: the Poisson mode kernel with
-    sine-deformed structure constants."""
-    check_hbar(hbar)
-    return mode_bracket(F, G, sine_coupling(hbar))
+from .classical import Backend, check_hbar
 
 
 def _inside(n, bound):
@@ -110,12 +90,12 @@ def validate_moyal(F, G, cutoff, hbar, tol=1e-10):
     interior of one column is checked even where the bracket's modes
     reach the edge of the ``cutoff`` box.
     """
-    check_hbar(hbar)
+    moyal = Backend(hbar)  # refuses a bad hbar before any work
     margin = _kmax(F) + _kmax(G)
     inner = cutoff - margin
     if inner < 0:
         raise ValueError("cutoff too small: no interior left after margin")
-    op_f, op_g, op_b = (weyl_operator(X, hbar) for X in (F, G, moyal_bracket(F, G, hbar)))
+    op_f, op_g, op_b = (weyl_operator(X, hbar) for X in (F, G, moyal.bracket(F, G)))
 
     def deviations(n):
         e_n = {n: 1.0}
@@ -127,18 +107,3 @@ def validate_moyal(F, G, cutoff, hbar, tol=1e-10):
     interior = itertools.product(range(-inner, inner + 1), repeat=F.d)
     dev = max((x for n in interior for x in deviations(n)), default=0.0)
     return MoyalReport(dev, margin, (2 * inner + 1) ** F.d, tol)
-
-
-class QuantumBackend(ClassicalBackend):
-    """Bracket backend for the Weyl-symbol picture at fixed hbar; only
-    the coupling differs from :class:`ClassicalBackend`."""
-
-    def __init__(self, freq, hbar):
-        check_hbar(hbar)
-        super().__init__(freq)
-        self.hbar = float(hbar)
-        self.coupling = sine_coupling(self.hbar)
-
-    @property
-    def name(self):
-        return f"quantum(hbar={self.hbar})"

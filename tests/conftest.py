@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mouldnf import ClassicalBackend, Frequency, Observable, ScaleParams
+from mouldnf import Backend, Frequency, Observable, ScaleParams
 from mouldnf.observables import norm_rho
 from mouldnf.solver import MouldSolver
 
@@ -63,8 +63,8 @@ def golden_solver(golden_freq):
 
 
 @pytest.fixture(scope="session")
-def classical_backend(golden_freq):
-    return ClassicalBackend(golden_freq)
+def classical_backend():
+    return Backend()
 
 
 @pytest.fixture

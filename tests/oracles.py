@@ -66,7 +66,7 @@ from operator import mul
 
 import numpy as np
 
-from mouldnf import Observable
+from mouldnf import Backend, Observable
 from mouldnf.alphabet import (
     DivisorWeights,
     _as_int_vector,
@@ -75,12 +75,13 @@ from mouldnf.alphabet import (
     l1,
     words_over,
 )
+from mouldnf.classical import check_hbar, sine_coupling
 from mouldnf.estimates import _finite, _sample_words, default_eta, exp_tail_constant
 from mouldnf.exact import scalar_abs
-from mouldnf.liealg import chi, exp_ad_tail_bound
+from mouldnf.liealg import ad_x0, chi, exp_ad_tail_bound
 from mouldnf.mould import AlternalityReport, Mould, mexp
 from mouldnf.observables import PRUNE_REL, _group_by_x_mode, norm_rho, slices
-from mouldnf.quantum import MoyalReport, _inside, _kmax, check_hbar, moyal_bracket, sine_coupling
+from mouldnf.quantum import MoyalReport, _inside, _kmax
 from mouldnf.solver import EquationReport, MouldSolver
 
 
@@ -217,7 +218,7 @@ def summing_check_alternal(M, max_r, alphabet, tol=1e-10):
     return AlternalityReport(pairs, violations, max_ratio, tol)
 
 
-def two_chain_exp_ad(Y, X, order, backend):
+def two_chain_exp_ad(Y, X, order, freq, backend):
     """``sum_{d<=order} ad_Y^d X / d!`` plus the x0 part
     ``e^{ad_Y} x0 - x0`` as a second chain started at ``-[x0, Y]``
     (2 order - 1 brackets in all)."""
@@ -227,7 +228,7 @@ def two_chain_exp_ad(Y, X, order, backend):
         term = backend.bracket(Y, term) * (1.0 / d)
         total = total + term
     if order >= 1:
-        term = -1.0 * backend.ad_x0(Y)
+        term = -1.0 * ad_x0(freq, Y)
         total = total + term
         for d in range(2, order + 1):
             term = backend.bracket(Y, term) * (1.0 / d)
@@ -235,7 +236,7 @@ def two_chain_exp_ad(Y, X, order, backend):
     return total
 
 
-def tuple_exp_ad(Y, X, order, params, backend):
+def tuple_exp_ad(Y, X, order, params, freq, backend):
     """``apply_exp_ad`` as one chain of ``backend.bracket`` calls on
     tuple-keyed observables."""
     if order < 0:
@@ -245,7 +246,7 @@ def tuple_exp_ad(Y, X, order, params, backend):
     tail, ratio = exp_ad_tail_bound(norm_y, norm_x, order, params)
     total = X
     if order >= 1:
-        term = backend.bracket(Y, X) - backend.ad_x0(Y)
+        term = backend.bracket(Y, X) - ad_x0(freq, Y)
         total = total + term
     for d in range(2, order + 1):
         term = backend.bracket(Y, term) * (1.0 / d)
@@ -636,7 +637,7 @@ def matrix_validate_moyal(F, G, cutoff, hbar, tol=1e-10):
     margin = _kmax(F) + _kmax(G)
     wf = weyl_matrix(F, cutoff, hbar)
     wg = weyl_matrix(G, cutoff, hbar)
-    wb = weyl_matrix(moyal_bracket(F, G, hbar), cutoff, hbar)
+    wb = weyl_matrix(Backend(hbar).bracket(F, G), cutoff, hbar)
     fg, gf = _matmul(wf, wg), _matmul(wg, wf)
     inner = cutoff - margin
     if inner < 0:

@@ -13,18 +13,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mouldnf import ClassicalBackend, Frequency, ScaleParams, normalize
+from mouldnf import Backend, Frequency, ScaleParams, normalize
 from mouldnf.alphabet import diophantine_alpha
-from mouldnf.classical import poisson_bracket
 from mouldnf.estimates import (
     fit_growth_constants,
     verify_remainder_bound,
     verify_semiclassical,
 )
 from mouldnf.exact import QI
+from mouldnf.liealg import ad_x0
 from mouldnf.mould import check_alternal
 from mouldnf.observables import norm_rho
-from mouldnf.quantum import moyal_bracket, validate_moyal
+from mouldnf.quantum import validate_moyal
 from mouldnf.solver import MouldSolver, verify_equation
 
 from conftest import random_observable
@@ -42,8 +42,7 @@ def _report(num, label, ok):
 @pytest.fixture(scope="module")
 def toy_setup(golden_freq, toy_B):
     params = ScaleParams(1.0, 0.5)
-    backend = ClassicalBackend(golden_freq)
-    return golden_freq, toy_B, params, backend
+    return golden_freq, toy_B, params, Backend()
 
 
 class TestAcceptance:
@@ -149,7 +148,7 @@ class TestAcceptance:
     def test_08_banach_scale_axioms(self, golden_freq):
         t0 = time.time()
         rng = random.Random(11)
-        backend_c = ClassicalBackend(golden_freq)
+        poisson = Backend().bracket
         violations = 0
         tol = 1 + 1e-12
 
@@ -162,14 +161,14 @@ class TestAcceptance:
             rhs = norm_rho(F, rho) * norm_rho(G, rho_pp) / (
                 math.e ** 2 * (rho - rho_p) * (rho_pp - rho_p)
             )
-            if norm_rho(poisson_bracket(F, G), rho_p) > rhs * tol:
+            if norm_rho(poisson(F, G), rho_p) > rhs * tol:
                 violations += 1
 
         for _ in range(500):  # x0 axiom
             rho = rng.uniform(0.6, 1.4)
             rho_p = rng.uniform(0.15 * rho, 0.9 * rho)
             G = random_observable(rng, 2, n_modes=3)
-            lhs = norm_rho(backend_c.ad_x0(G, exact_zero=False), rho_p)
+            lhs = norm_rho(ad_x0(golden_freq, G, exact_zero=False), rho_p)
             if lhs > norm_rho(G, rho) / (math.e * (rho - rho_p)) * tol:
                 violations += 1
 
@@ -183,7 +182,7 @@ class TestAcceptance:
             rhs = norm_rho(F, rho) * norm_rho(G, rho_pp) / (
                 math.e ** 2 * (rho - rho_p) * (rho_pp - rho_p)
             )
-            if norm_rho(moyal_bracket(F, G, hbar), rho_p) > rhs * tol:
+            if norm_rho(Backend(hbar).bracket(F, G), rho_p) > rhs * tol:
                 violations += 1
 
         for _ in range(500):  # iterated bracket bound, nesting <= 4
@@ -194,7 +193,7 @@ class TestAcceptance:
             Xs = [random_observable(rng, 1, n_modes=2) for _ in range(depth)]
             acc = Y
             for Xi in Xs:
-                acc = poisson_bracket(Xi, acc)
+                acc = poisson(Xi, acc)
             lhs = norm_rho(acc, rho_p) / math.factorial(depth)
             rhs = (1.0 / (rho - rho_p) ** 2) ** depth * norm_rho(Y, rho)
             for Xi in Xs:
@@ -217,8 +216,8 @@ class TestAcceptance:
             classical = mods[0]
             quantum = mods[0]
             for nxt in mods[1:]:
-                classical = poisson_bracket(nxt, classical)
-                quantum = moyal_bracket(nxt, quantum, hbar)
+                classical = Backend().bracket(nxt, classical)
+                quantum = Backend(hbar).bracket(nxt, quantum)
             diff = quantum - classical
             defect = norm_rho(diff, rho_p) if diff else 0.0
             bound = hbar ** 2 / 6 * ((depth + 2) / (math.e * (rho - rho_p))) ** (depth + 2)

@@ -30,11 +30,10 @@ def test_star_import_resolves_every_public_name():
 
 def test_exports_the_readme_names():
     assert sorted(mouldnf.__all__) == [
-        "ClassicalBackend",
+        "Backend",
         "Frequency",
         "Observable",
         "OutOfDomainError",
-        "QuantumBackend",
         "ScaleParams",
         "normalize",
     ]

@@ -186,8 +186,8 @@ class TestGrowthFitAndRemainder:
         delta = scale_params.delta
         for N in (1, 2, 3):
             (Y,) = contract([solver.G_mould], toy_B, N, classical_backend)
-            full, _, _ = apply_exp_ad(Y, toy_B, 18, scale_params, classical_backend)
-            trunc, _, _ = apply_exp_ad(Y, toy_B, N, scale_params, classical_backend)
+            full, _, _ = apply_exp_ad(Y, toy_B, 18, scale_params, golden_freq, classical_backend)
+            trunc, _, _ = apply_exp_ad(Y, toy_B, N, scale_params, golden_freq, classical_backend)
             measured = norm_rho(full - trunc, scale_params.rho_prime)
             eta = [default_eta(1.0, alpha, 1.0, r) for r in range(1, N + 1)]
             eps = [weighted_tuple_sum(toy_B, r, eta[r - 1], 1.0, golden_freq, 1.0) for r in range(1, N + 1)]

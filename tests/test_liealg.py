@@ -4,18 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mouldnf import (
-    ClassicalBackend,
-    Frequency,
-    Observable,
-    OutOfDomainError,
-    QuantumBackend,
-    ScaleParams,
-    normalize,
-)
+from mouldnf import Backend, Frequency, Observable, OutOfDomainError, ScaleParams, normalize
 from mouldnf import liealg
 from mouldnf.classical import code_bracket
-from mouldnf.liealg import apply_exp_ad, chi, contract, default_exp_order
+from mouldnf.liealg import ad_x0, apply_exp_ad, chi, contract, default_exp_order
 from mouldnf.mould import from_table
 from mouldnf.observables import norm_rho, slices
 from mouldnf.solver import MouldSolver
@@ -69,7 +61,7 @@ class TestContract:
         # modes on k and -k with non-conjugate m content so the pair
         # bracket survives; the only resonant 2-words are (k,-k) and
         # (-k,k), with coefficient mould values -1/lambda and +1/lambda.
-        backend = ClassicalBackend(golden_freq)
+        backend = Backend()
         B = Observable(2, {((1, 0), (1, 1)): 0.02, ((-1, 0), (1, 0)): 0.03})
         parts = slices(B)
         lam = 1j
@@ -119,15 +111,17 @@ class TestMouldComouldIdentities:
     def test_x0_contraction_identity(self, toy_B, golden_freq, classical_backend):
         M, N = self._alternal_pair()
         Bs = Observable(2, {km: c for km, c in toy_B.coeffs.items() if km[0] in ((1, 0), (-1, 0))})
-        lhs = classical_backend.ad_x0(contract([M], Bs, 2, classical_backend)[0])
+        lhs = ad_x0(golden_freq, contract([M], Bs, 2, classical_backend)[0])
         (rhs,)= contract([nabla(M, golden_freq)], Bs, 2, classical_backend)
         diff = lhs - rhs
         assert diff.max_abs() <= 1e-12 * max(lhs.max_abs(), 1e-30)
 
 
 class TestApplyExpAd:
-    def test_order_zero_returns_input(self, toy_B, scale_params, classical_backend):
-        out, tail, ratio = apply_exp_ad(0.0001 * toy_B, toy_B, 0, scale_params, classical_backend)
+    def test_order_zero_returns_input(self, toy_B, golden_freq, scale_params, classical_backend):
+        out, tail, ratio = apply_exp_ad(
+            0.0001 * toy_B, toy_B, 0, scale_params, golden_freq, classical_backend
+        )
         assert out.coeffs == toy_B.coeffs
         assert tail > 0.0
 
@@ -140,40 +134,40 @@ class TestApplyExpAd:
             return code_bracket(*args, **kwargs)
 
         monkeypatch.setattr(liealg, "code_bracket", counting)
-        backend = ClassicalBackend(golden_freq)
+        backend = Backend()
         Y = 0.01 * toy_B
         for order in range(6):
             calls.clear()
-            apply_exp_ad(Y, toy_B, order, scale_params, backend)
+            apply_exp_ad(Y, toy_B, order, scale_params, golden_freq, backend)
             assert len(calls) == order
         # out of the domain: refused before any bracket is taken
         calls.clear()
         with pytest.raises(OutOfDomainError):
-            apply_exp_ad(1e4 * toy_B, toy_B, 6, scale_params, backend)
+            apply_exp_ad(1e4 * toy_B, toy_B, 6, scale_params, golden_freq, backend)
         assert calls == []
 
     @pytest.mark.parametrize("hbar", [None, 0.1])
     def test_fused_chain_matches_two_chains(self, toy_B, golden_freq, scale_params, hbar):
-        backend = ClassicalBackend(golden_freq) if hbar is None else QuantumBackend(golden_freq, hbar)
+        backend = Backend(hbar)
         (Y,) = contract([MouldSolver(golden_freq).G_mould], toy_B, 3, backend)
         order = default_exp_order(3)
-        fused, _, _ = apply_exp_ad(Y, toy_B, order, scale_params, backend)
-        reference = two_chain_exp_ad(Y, toy_B, order, backend)
+        fused, _, _ = apply_exp_ad(Y, toy_B, order, scale_params, golden_freq, backend)
+        reference = two_chain_exp_ad(Y, toy_B, order, golden_freq, backend)
         assert (fused - reference).max_abs() <= 1e-13 * reference.max_abs()
 
     def test_single_mode_generator_on_x0(self, golden_freq, scale_params):
-        backend = ClassicalBackend(golden_freq)
+        backend = Backend()
         Y = Observable(2, {((1, 0), (0, 1)): 0.001})
-        out, _, _ = apply_exp_ad(Y, Observable.zero(2), 10, scale_params, backend)
+        out, _, _ = apply_exp_ad(Y, Observable.zero(2), 10, scale_params, golden_freq, backend)
         lam = complex(golden_freq.eigenvalue((1, 0)))
         expected = -lam * Y
         assert out.coeffs == pytest.approx(expected.coeffs)
 
     def test_out_of_domain_raises_with_ratio(self, golden_freq, scale_params):
-        backend = ClassicalBackend(golden_freq)
+        backend = Backend()
         Y = Observable(2, {((1, 0), (0, 1)): 10.0})
         with pytest.raises(OutOfDomainError) as err:
-            apply_exp_ad(Y, Y, 4, scale_params, backend)
+            apply_exp_ad(Y, Y, 4, scale_params, golden_freq, backend)
         assert err.value.ratio >= 1.0
 
     def test_matches_hamiltonian_flow_oracle(self, rng):
@@ -182,7 +176,7 @@ class TestApplyExpAd:
         # is (x0 + X) after the flow minus x0 before it, x0 = xi here
         freq = Frequency((1.0,))
         params = ScaleParams(1.0, 0.5)
-        backend = ClassicalBackend(freq)
+        backend = Backend()
         y = {((1,), (1,)): 0.0004 + 0.0002j, ((2,), (-1,)): 0.0003 - 0.0001j}
         y[((-1,), (-1,))] = y[((1,), (1,))].conjugate()
         y[((-2,), (1,))] = y[((2,), (-1,))].conjugate()
@@ -192,7 +186,7 @@ class TestApplyExpAd:
             {((1,), (0,)): 0.5, ((-1,), (0,)): 0.5, ((0,), (1,)): 0.3, ((0,), (-1,)): 0.3},
             real=True,
         )
-        series, _, _ = apply_exp_ad(Y, X, 24, params, backend)
+        series, _, _ = apply_exp_ad(Y, X, 24, params, freq, backend)
         for _ in range(4):
             x0 = [rng.uniform(0, 2 * math.pi)]
             xi0 = [rng.uniform(-1, 1)]
@@ -238,10 +232,6 @@ TOY = Observable(2, TOY_MODES)
 TOY_B = (0.01 / norm_rho(TOY, 1.0)) * TOY
 
 
-def _backend(hbar):
-    return ClassicalBackend(GOLDEN) if hbar is None else QuantumBackend(GOLDEN, hbar)
-
-
 class TestWalkersOnCodes:
     """The walkers on mode codes against their tuple-keyed forms on the
     backend's bracket: the same modes in the same order, the same
@@ -262,9 +252,9 @@ class TestWalkersOnCodes:
             Y = (0.4 * params.delta ** 2 / norm) * Y
         if same:
             X = Y
-        backend = _backend(hbar)
-        fast = _outcome(apply_exp_ad, Y, X, order, params, backend)
-        assert fast == _outcome(tuple_exp_ad, Y, X, order, params, backend)
+        backend = Backend(hbar)
+        fast = _outcome(apply_exp_ad, Y, X, order, params, GOLDEN, backend)
+        assert fast == _outcome(tuple_exp_ad, Y, X, order, params, GOLDEN, backend)
 
     @settings(max_examples=60)
     @given(
@@ -287,7 +277,7 @@ class TestWalkersOnCodes:
         # one walk of several moulds gives each the walk of that mould alone
         moulds = [getattr(golden_solver, name) for name in names]
         r_min, r_max = r_range
-        backend = _backend(hbar)
+        backend = Backend(hbar)
         fast = _outcome(contract, moulds, B, r_max, backend, r_min)
         assert fast == _outcome(
             lambda: [tuple_contract_range(M, B, r_min, r_max, backend) for M in moulds]
@@ -315,7 +305,7 @@ class TestNormalize:
     def test_normal_form_on_declared_lattice(self, rational_freq_float, scale_params):
         # two non-resonant letters whose sum lies on the resonance
         # lattice: the order-2 normal form lives at k = (2,-1)
-        backend = ClassicalBackend(rational_freq_float)
+        backend = Backend()
         B = Observable(2, {((1, 0), (0, 1)): 0.0002, ((1, -1), (1, 0)): 0.0003})
         res = normalize(B, 2, scale_params, rational_freq_float, backend)
         assert res.Z
@@ -328,7 +318,7 @@ class TestNormalize:
         assert res.exp_tail_bound <= 1e-3 * res.norms["E"]
 
     def test_quantum_backend_runs(self, toy_B, golden_freq, scale_params):
-        res = normalize(toy_B, 2, scale_params, golden_freq, QuantumBackend(golden_freq, 0.1))
+        res = normalize(toy_B, 2, scale_params, golden_freq, Backend(0.1))
         assert all(k == (0, 0) for k, _ in res.Z.coeffs)
         assert res.norms["E"] > 0.0
 
