@@ -104,19 +104,19 @@ class Frequency:
     resonance_basis : sequence of integer vectors, optional
         Integer vectors spanning ``{k : <k, omega> = 0}``.  Defaults to
         the trivial lattice ``{0}`` (non-resonant frequency).
-    dioph_alpha, dioph_tau : float, optional
-        Diophantine parameters; when ``dioph_alpha`` is set, the lower
-        bound ``|<k, omega>| >= alpha * |k|^(-tau)`` is spot-checked on
-        a box of modes at construction.
+    dioph_tau : float, optional
+        Diophantine exponent ``tau >= 1`` of the small-divisor weights
+        ``|<k, omega>|^(-1/tau)``.
 
     Attributes
     ----------
     divisors : Divisors
         The one resonance decision per letter sum: ``divisors[k]`` is
         ``None`` on the lattice, else the eigenvalue ``i<k, omega>``.
+        Every resonance question of the package is a lookup here.
     """
 
-    def __init__(self, omega, resonance_basis=(), dioph_alpha=None, dioph_tau=1.0):
+    def __init__(self, omega, resonance_basis=(), dioph_tau=1.0):
         omega = tuple(omega)
         if not omega:
             raise ValueError("omega must be non-empty")
@@ -135,9 +135,6 @@ class Frequency:
         self.dioph_tau = float(dioph_tau)
         if not (math.isfinite(self.dioph_tau) and self.dioph_tau >= 1.0):
             raise ValueError(f"dioph_tau must be finite and >= 1, got {self.dioph_tau!r}")
-        self.dioph_alpha = None if dioph_alpha is None else float(dioph_alpha)
-        if self.dioph_alpha is not None and not math.isfinite(self.dioph_alpha):
-            raise ValueError(f"dioph_alpha must be finite, got {self.dioph_alpha!r}")
 
         basis = tuple(_as_int_vector(b) for b in resonance_basis)
         for b in basis:
@@ -153,32 +150,22 @@ class Frequency:
         self.divisors = Divisors(self)
 
     def _check_consistency(self):
-        omega_f = tuple(float(c) for c in self.omega)
         for b in self.resonance_basis:
-            dot = sum(bi * wi for bi, wi in zip(b, omega_f))
+            dot = sum(map(mul, b, self.omega))
             if self.exact:
-                exact_dot = sum(bi * wi for bi, wi in zip(b, self.omega))
-                if exact_dot != 0:
-                    raise ValueError(f"declared resonance {b} has <k,omega> = {exact_dot}")
-            elif abs(dot) > 1e-12 * l1(b) * l1(omega_f):
+                if dot != 0:
+                    raise ValueError(f"declared resonance {b} has <k,omega> = {dot}")
+            elif abs(dot) > 1e-12 * l1(b) * l1(self.omega):
                 raise ValueError(f"declared resonance {b} is not numerically consistent")
-        if self.dioph_alpha is not None:
-            kbox = min(8, max(4, 2 * self.d))
-            for k in iter_modes(self.d, kbox):
-                if self._in_lattice(k):
-                    continue
-                lhs = abs(sum(ki * wi for ki, wi in zip(k, omega_f)))
-                if lhs < self.dioph_alpha * l1(k) ** (-self.dioph_tau) * (1 - 1e-12):
-                    raise ValueError(
-                        f"dioph_alpha={self.dioph_alpha} violated at k={k}: |<k,omega>|={lhs}"
-                    )
 
     def in_lattice(self, k):
-        """Exact membership of ``k`` in the declared resonance lattice."""
-        return self._in_lattice(_as_int_vector(k))
+        """Exact membership of ``k`` in the declared resonance lattice,
+        read from :attr:`divisors`."""
+        return self.divisors[_as_int_vector(k)] is None
 
     def _in_lattice(self, k):
-        """:meth:`in_lattice` for a tuple of ints, trusted unchecked."""
+        """The lattice decision for a tuple of ``d`` ints, made afresh;
+        :class:`Divisors` makes it once per letter sum for all readers."""
         for col, row in self._pivots:
             q, rem = divmod(k[col], row[col])
             if rem:
@@ -189,9 +176,9 @@ class Frequency:
     def eigenvalue(self, k, exact_zero=True):
         """i<k, omega> for a mode vector ``k``.
 
-        With ``exact_zero`` (the default) the value is exactly zero for
-        lattice members, matching the resonance decision used everywhere
-        else.
+        With ``exact_zero`` (the default) the value is read from
+        :attr:`divisors`, exactly zero for lattice members; without it
+        the raw pairing is formed (diagnostics).
         """
         k = _as_int_vector(k)
         if len(k) != self.d:
@@ -200,8 +187,9 @@ class Frequency:
 
     def _eigenvalue(self, k, exact_zero=True):
         """:meth:`eigenvalue` for a tuple of ``d`` ints, trusted unchecked."""
-        if exact_zero and self._in_lattice(k):
-            return self.zero()
+        if exact_zero:
+            value = self.divisors[k]
+            return self.zero() if value is None else value
         if self.exact:
             return QI._of(0, sum(map(mul, k, self._num)), self._den)
         return complex(0.0, sum(map(mul, k, self.omega)))
@@ -268,19 +256,17 @@ def extend_subset_sums(counts, letter):
 
 class DivisorWeights(dict):
     """``|lambda_k|^(-1/tau)``, ``tau`` the frequency's, of each letter sum
-    ``k`` looked up, formed on first lookup: 0.0 on the resonance lattice
-    (decided exactly), else from the float pairing ``<k, omega>``."""
+    ``k`` looked up, formed on first lookup from ``Frequency.divisors``:
+    0.0 on the resonance lattice, else from the divisor's modulus."""
 
     def __init__(self, freq):
         super().__init__()
-        self.freq = freq
+        self.divisors = freq.divisors
         self.exponent = -1.0 / freq.dioph_tau
-        self.omega_f = tuple(float(c) for c in freq.omega)
 
     def __missing__(self, k):
-        weight = 0.0
-        if not self.freq._in_lattice(k):
-            weight = abs(sum(map(mul, k, self.omega_f))) ** self.exponent
+        divisor = self.divisors[k]
+        weight = 0.0 if divisor is None else abs(divisor) ** self.exponent
         self[k] = weight
         return weight
 
@@ -333,17 +319,18 @@ def diophantine_alpha(freq, K):
     """Empirical lower witness for the Diophantine constant alpha.
 
     Minimizes ``|<k, omega>| * |k|_1^tau`` over the non-resonant modes
-    with ``0 < |k|_1 <= K``; ``tau`` is the frequency's.
+    with ``0 < |k|_1 <= K``, read from ``Frequency.divisors``; ``tau``
+    is the frequency's.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     tau = freq.dioph_tau
-    omega_f = tuple(float(c) for c in freq.omega)
     best = None
     for k in iter_modes(freq.d, K):
-        if freq._in_lattice(k):
+        divisor = freq.divisors[k]
+        if divisor is None:
             continue
-        val = abs(sum(ki * wi for ki, wi in zip(k, omega_f))) * l1(k) ** float(tau)
+        val = abs(divisor) * l1(k) ** float(tau)
         if best is None or val < best:
             best = val
     if best is None:

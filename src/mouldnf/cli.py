@@ -44,7 +44,6 @@ _SCHEMA = {
         "tau": ("number", 1.0, lambda v: 1 <= v < math.inf, ">= 1 and finite"),
         "resonance_basis": ([["integer"]], []),
         "K": ("integer", 5, lambda v: v >= 1, ">= 1"),
-        "alpha": ("number", None),
     }, ...),
     "scale": ({"rho": ("number", ..., *_POSITIVE), "rho_prime": ("number", ..., *_POSITIVE)},
               {"rho": 1.0, "rho_prime": 0.5}),
@@ -95,8 +94,7 @@ class RunConfig:
         except (ValueError, ZeroDivisionError) as err:
             raise ConfigError(f"config.freq.omega: {err}") from err
         try:
-            self.freq = Frequency(omega, resonance_basis=freq["resonance_basis"],
-                                  dioph_alpha=freq["alpha"], dioph_tau=freq["tau"])
+            self.freq = Frequency(omega, resonance_basis=freq["resonance_basis"], dioph_tau=freq["tau"])
         except ValueError as err:
             raise ConfigError(f"config.freq: {err}") from err
         self.K = freq["K"]

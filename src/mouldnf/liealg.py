@@ -117,9 +117,10 @@ def ad_x0(freq, G, exact_zero=True):
     ``i<k, omega>``.
 
     The generator is linear in xi, so this action is the same under
-    every bracket.  With ``exact_zero`` resonant modes are annihilated
-    exactly, consistent with the resonance decisions elsewhere; without
-    it the raw floating inner product is used (diagnostics).
+    every bracket.  With ``exact_zero`` each eigenvalue is read from
+    ``freq.divisors``, so resonant modes are annihilated exactly by the
+    one decision of their ``k``; without it the raw inner product is
+    formed (diagnostics).
     """
     data = {}
     for (k, m), c in G.items_sorted():

@@ -179,17 +179,13 @@ def norm_rho(G, rho):
     return total
 
 
-def _group_by_x_mode(B, key):
-    """Split ``B`` into ``key(k) -> Observable``, sorted by key."""
+def slices(B):
+    """Decompose by exact x-mode: map ``k -> B_(k)`` (Fourier slice),
+    sorted by ``k``."""
     parts = {}
     for (k, m), c in B.items_sorted():
-        parts.setdefault(key(k), {})[(k, m)] = c
-    return {g: Observable(B.d, data, _prune=False) for g, data in sorted(parts.items())}
-
-
-def slices(B):
-    """Decompose by exact x-mode: map ``k -> B_(k)`` (Fourier slice)."""
-    return _group_by_x_mode(B, lambda k: k)
+        parts.setdefault(k, {})[(k, m)] = c
+    return {k: Observable(B.d, data, _prune=False) for k, data in sorted(parts.items())}
 
 
 def to_json_dict(B):

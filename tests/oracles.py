@@ -80,7 +80,7 @@ from mouldnf.estimates import _finite, _sample_words, default_eta, exp_tail_cons
 from mouldnf.exact import scalar_abs
 from mouldnf.liealg import ad_x0, chi, exp_ad_tail_bound
 from mouldnf.mould import AlternalityReport, Mould, mexp
-from mouldnf.observables import PRUNE_REL, _group_by_x_mode, norm_rho, slices
+from mouldnf.observables import PRUNE_REL, norm_rho, slices
 from mouldnf.quantum import MoyalReport, _inside, _kmax
 from mouldnf.solver import EquationReport, MouldSolver
 
@@ -382,7 +382,7 @@ def subset_eigenvalues_by_mask(word, freq):
     subsets, each sum decided afresh, in bitmask order."""
     omega_f = tuple(float(c) for c in freq.omega)
     for ksub in subset_sums_by_mask(word):
-        if all(c == 0 for c in ksub) or freq.in_lattice(ksub):
+        if all(c == 0 for c in ksub) or freq._in_lattice(ksub):
             continue
         yield abs(sum(ki * wi for ki, wi in zip(ksub, omega_f)))
 
@@ -569,7 +569,7 @@ def beta_subset_bound(word, tau, freq):
         (
             abs(sum(ki * wi for ki, wi in zip(k, omega_f))) ** (-1.0 / tau)
             for k in subset_sum_counts(word)
-            if not freq.in_lattice(k)
+            if not freq._in_lattice(k)
         ),
         default=0.0,
     )
@@ -834,7 +834,10 @@ def homogeneous_parts(B, freq):
     sum back to ``B`` bitwise.  Returns ``class_representative ->
     Observable``, sorted by representative.
     """
-    return _group_by_x_mode(B, lambda k: lattice_class(freq, k))
+    parts = {}
+    for (k, m), c in B.items_sorted():
+        parts.setdefault(lattice_class(freq, k), {})[(k, m)] = c
+    return {g: Observable(B.d, data, _prune=False) for g, data in sorted(parts.items())}
 
 
 def norm_rho_stripped(G, rho):

@@ -1,9 +1,10 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Frequency
@@ -110,17 +111,12 @@ class TestFrequencyValidation:
         with pytest.raises(ValueError):
             Frequency((Fraction(1), Fraction(2)), resonance_basis=[(1, -1)])
 
-    def test_diophantine_witness_check(self):
-        Frequency((1.0, PHI), dioph_alpha=0.9, dioph_tau=1.0)
-        with pytest.raises(ValueError):
-            Frequency((1.0, PHI), dioph_alpha=50.0, dioph_tau=1.0)
-
     def test_tau_below_one_rejected(self):
         with pytest.raises(ValueError):
             Frequency((1.0,), dioph_tau=0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["omega", "dioph_tau", "dioph_alpha"])
+    @pytest.mark.parametrize("field", ["omega", "dioph_tau"])
     def test_non_finite_parameters_rejected(self, field, bad):
         kwargs = {"omega": (1.0, PHI)}
         if field == "omega":
@@ -233,6 +229,66 @@ class TestTrustedLattice:
                 freq.in_lattice((1.5, 0))
             with pytest.raises(ValueError, match="integral"):
                 freq.eigenvalue((1.5, 0))
+
+    @pytest.mark.parametrize(
+        "freq, k",
+        [(Frequency((1.0, 2.0), resonance_basis=[(2, -1)]), (2,)),
+         (Frequency((1.0, 2.0), resonance_basis=[(2, -1)]), (2, -1, 5)),
+         (Frequency((1.0, 1.618)), (0,))],
+        ids=["short", "long", "short-zero"],
+    )
+    def test_public_path_refuses_wrong_dimension(self, freq, k):
+        with pytest.raises(ValueError, match="dimension"):
+            freq.in_lattice(k)
+        with pytest.raises(ValueError, match="dimension"):
+            freq.eigenvalue(k)
+
+
+@st.composite
+def saturated_lattices(draw):
+    """A frequency whose declared basis (one or two vectors, d = 2 or 3)
+    spans exactly ``{k : <k, normal> = 0}`` for an integer ``normal``,
+    with ``omega`` a multiple of ``normal``, exact or float, so that the
+    pairing with ``normal`` decides resonance independently of the
+    lattice reduction."""
+    small = st.integers(-4, 4)
+    if draw(st.booleans()):
+        # d = 2: a primitive u, given alone or as two coprime multiples
+        u = draw(st.tuples(small, small).filter(lambda v: math.gcd(*v) == 1))
+        normal = (-u[1], u[0])
+        basis = [u]
+        if draw(st.booleans()):
+            a, b = draw(st.tuples(small, small).filter(lambda v: math.gcd(*v) == 1 and all(v)))
+            basis = [tuple(a * c for c in u), tuple(b * c for c in u)]
+    else:
+        # d = 3: u, v with coprime cross product, whose entries are the
+        # 2x2 minors of [u; v], so that u and v span its whole kernel
+        u, v = draw(st.tuples(small, small, small)), draw(st.tuples(small, small, small))
+        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        assume(math.gcd(*normal) == 1)
+        basis = [u, v]
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(5, 2)]))
+    omega = [scale * c for c in normal]
+    if draw(st.booleans()):
+        omega = [float(c) for c in omega]
+    tau = draw(st.sampled_from([1.0, 2.5]))
+    return Frequency(omega, resonance_basis=basis, dioph_tau=tau), normal
+
+
+class TestOneDecisionPerSum:
+    @given(saturated_lattices(), st.data())
+    def test_readers_agree_with_the_table(self, lattice, data):
+        freq, normal = lattice
+        weights = DivisorWeights(freq)
+        for k in data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * freq.d), min_size=1, max_size=6)):
+            divisor = freq.divisors[k]
+            assert (divisor is None) == (sum(map(mul, k, normal)) == 0)
+            assert freq.in_lattice(k) == (divisor is None)
+            if divisor is None:
+                assert freq.eigenvalue(k) == freq.zero() and weights[k] == 0.0
+            else:
+                assert freq.eigenvalue(k) == divisor == freq.eigenvalue(k, exact_zero=False)
+                assert weights[k] == abs(divisor) ** (-1.0 / freq.dioph_tau) > 0.0
 
 
 class TestShuffle:

@@ -147,6 +147,20 @@ class TestConfigValidation:
         cfg.write_text(json.dumps(data))
         assert main(["normalize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "value",
+        [None, 1.0, math.nan, math.inf, True, "1.0"],
+        ids=["null", "number", "nan", "inf", "bool", "string"],
+    )
+    def test_declared_alpha_is_an_unknown_key(self, tmp_path, capsys, value):
+        # no computation reads a declared alpha: the bounds use the
+        # empirical witness on the box K, so the key is not in the schema
+        cfg = write_config(tmp_path / "run.json", freq={"omega": [1.0, PHI], "alpha": value})
+        out = tmp_path / "out"
+        assert main(["normalize", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config.freq: unknown keys ['alpha']" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
     def test_missing_b_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
         data = json.loads(cfg.read_text())
@@ -179,7 +193,7 @@ class TestConfigValidation:
         assert not (out / "normalize_result.json").exists()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("key", ["omega", "tau", "alpha"])
+    @pytest.mark.parametrize("key", ["omega", "tau"])
     def test_non_finite_frequency_rejected(self, tmp_path, bad, key):
         freq = {"omega": [1.0, PHI], "tau": 1.0, "K": 5}
         freq[key] = [1.0, bad] if key == "omega" else bad
@@ -372,9 +386,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("freq", "tau", True), ("freq", "alpha", True), ("scale", "rho", True),
-         ("scale", "rho_prime", True), ("freq", "tau", "1.0"), ("freq", "alpha", "1.0")],
-        ids=["tau-bool", "alpha-bool", "rho-bool", "rho_prime-bool", "tau-string", "alpha-string"],
+        [("freq", "tau", True), ("scale", "rho", True), ("scale", "rho_prime", True),
+         ("freq", "tau", "1.0")],
+        ids=["tau-bool", "rho-bool", "rho_prime-bool", "tau-string"],
     )
     def test_non_number_parameter_rejected(self, tmp_path, capsys, section, key, value):
         # rho = 2 so that rho_prime = 1 would be in range
@@ -769,6 +783,8 @@ class TestBundledGoldens:
                 assert abs(fresh_modes[km] - v) <= 1e-9 * scale
         for name, value in golden["norms"].items():
             assert fresh["norms"][name] == pytest.approx(value, rel=1e-9, abs=1e-300)
+        assert fresh["exp_order"] == golden["exp_order"]
+        assert fresh["exp_tail_bound"] == pytest.approx(golden["exp_tail_bound"], rel=1e-9, abs=0.0)
         assert len(fresh["bounds"]) == len(golden["bounds"])
         for got, want in zip(fresh["bounds"], golden["bounds"]):
             assert (got["name"], got["holds"]) == (want["name"], want["holds"])

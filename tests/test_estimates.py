@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mouldnf import Frequency, Observable, OutOfDomainError, normalize
+from mouldnf import Backend, Frequency, Observable, OutOfDomainError, normalize
 from mouldnf import estimates
 from mouldnf.alphabet import diophantine_alpha
 from mouldnf.liealg import apply_exp_ad, chi, contract
@@ -311,11 +311,29 @@ class TestFitWork:
             fit_growth_constants(solver.G_mould, freq, letters, 9, 1.0, golden_alpha, seed=0)
         assert built == []
         assert sorted(solved) == sorted(w for w in solver._table if w)
-        # the solver decides each distinct letter sum of its words once;
-        # each distinct subset sum of the whole fit is decided (and
-        # weighed) once
+        # the solver and the weights read one table, so each distinct
+        # sum, a letter sum of the solver's words or a subset sum of the
+        # fit's, is decided once
         sums = set().union(*(subset_sum_counts(w) for words in lists for w in words))
-        assert sorted(decided) == sorted([*{ksum(w) for w in solved}, *sums])
+        assert sorted(decided) == sorted({*(ksum(w) for w in solved), *sums})
+
+    def test_normalize_and_fit_decide_each_sum_once(self, golden_freq, scale_params, toy_B):
+        decided = []
+
+        class CountingFrequency(Frequency):
+            def _in_lattice(self, k):
+                decided.append(k)
+                return super()._in_lattice(k)
+
+        freq = CountingFrequency(golden_freq.omega, dioph_tau=golden_freq.dioph_tau)
+        N = 3
+        res = normalize(toy_B, N, scale_params, freq, Backend())
+        alpha = diophantine_alpha(freq, 5)
+        letters = sorted({k for k, _ in toy_B.coeffs})
+        fit_growth_constants(res.G, freq, letters, N ** 2, scale_params.rho, alpha, seed=0)
+        # the solver, the x0 action of the exponential chain, the witness
+        # alpha and the fit's weights all read freq.divisors
+        assert len(decided) == len(set(decided)) == len(freq.divisors)
 
 
 class TestSemiclassical:
