@@ -4,9 +4,11 @@ A letter is an integer mode vector ``k`` in Z^d, a tuple of ints; its
 scalar eigenvalue ``i<k, omega>`` is derived from a :class:`Frequency`.
 A word is the tuple of its letters: ``()`` is the empty word, ``len``
 its length, slices and ``+`` its splits and concatenations, and it keys
-every memo table downstream.  Letters are checked to be integral once,
-where they enter from outside the program (:func:`words_over` checks
-its alphabet); inside, words are trusted.
+the solver's and the moulds' memo tables.  The growth fit keys nothing
+by word: it carries letter sums as :class:`SumCodes` ints.  Letters are
+checked to be integral once, where they enter from outside the program
+(:func:`words_over` checks its alphabet, :class:`SumCodes` its letters);
+inside, words are trusted.
 
 Resonance (a vanishing eigenvalue sum) is always decided exactly on the
 integer lattice spanned by the declared resonance basis, never by
@@ -22,7 +24,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .exact import QI
 
@@ -92,6 +94,38 @@ def _hermite_normal_form(rows):
     return [tuple(r) for r in mat[:pivot_row] if any(c != 0 for c in r)]
 
 
+def _det(mat):
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination; 1 for the empty matrix."""
+    mat = [list(row) for row in mat]
+    n = len(mat)
+    sign, prev = 1, 1
+    for i in range(n):
+        pivot = next((p for p in range(i, n) if mat[p][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            mat[i], mat[pivot] = mat[pivot], mat[i]
+            sign = -sign
+        for p in range(i + 1, n):
+            for q in range(i + 1, n):
+                mat[p][q] = (mat[p][q] * mat[i][i] - mat[p][i] * mat[i][q]) // prev
+        prev = mat[i][i]
+    return sign * prev
+
+
+class _Lookup(dict):
+    """A dict that forms a missing value by ``fill(key)`` and keeps it."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class Frequency:
     """A frequency vector with its declared resonance lattice.
 
@@ -103,17 +137,21 @@ class Frequency:
         returned as :class:`~mouldnf.exact.QI` values.
     resonance_basis : sequence of integer vectors, optional
         Integer vectors spanning ``{k : <k, omega> = 0}``.  Defaults to
-        the trivial lattice ``{0}`` (non-resonant frequency).
+        the trivial lattice ``{0}`` (non-resonant frequency).  A basis
+        whose span is a proper sublattice of the integer vectors in its
+        real span (the gcd of its maximal minors is not 1) is refused
+        with ``ValueError``: it leaves resonances undeclared.
     dioph_tau : float, optional
         Diophantine exponent ``tau >= 1`` of the small-divisor weights
         ``|<k, omega>|^(-1/tau)``.
 
     Attributes
     ----------
-    divisors : Divisors
-        The one resonance decision per letter sum: ``divisors[k]`` is
-        ``None`` on the lattice, else the eigenvalue ``i<k, omega>``.
-        Every resonance question of the package is a lookup here.
+    divisors : dict
+        The one resonance decision per letter sum, made on first lookup
+        and kept: ``divisors[k]`` is ``None`` on the lattice, else the
+        eigenvalue ``i<k, omega>``.  Every resonance question of the
+        package is a lookup here.
     """
 
     def __init__(self, omega, resonance_basis=(), dioph_tau=1.0):
@@ -147,7 +185,13 @@ class Frequency:
             col = next(i for i, c in enumerate(row) if c != 0)
             self._pivots.append((col, row))
         self._check_consistency()
-        self.divisors = Divisors(self)
+        index = math.gcd(*(_det([[row[c] for c in cols] for row in self._hnf])
+                           for cols in itertools.combinations(range(self.d), len(self._hnf))))
+        if index != 1:
+            # a resonant k off the declared lattice would get the divisor 0
+            raise ValueError(f"resonance basis {basis} spans a sublattice of index {index} of the "
+                             "resonances it implies; declare a basis of all of them")
+        self.divisors = _Lookup(self._decide)
 
     def _check_consistency(self):
         for b in self.resonance_basis:
@@ -163,9 +207,18 @@ class Frequency:
         read from :attr:`divisors`."""
         return self.divisors[_as_int_vector(k)] is None
 
+    def _decide(self, k):
+        """The entry of :attr:`divisors` for a letter sum ``k`` met first:
+        ``None`` on the resonance lattice, else the eigenvalue
+        ``i<k, omega>``, the divisor of a non-resonant word; a ``k`` of
+        another dimension than the frequency's raises ``ValueError``."""
+        if len(k) != self.d:
+            raise ValueError("word dimension does not match frequency")
+        return None if self._in_lattice(k) else self._eigenvalue(k, exact_zero=False)
+
     def _in_lattice(self, k):
         """The lattice decision for a tuple of ``d`` ints, made afresh;
-        :class:`Divisors` makes it once per letter sum for all readers."""
+        :meth:`_decide` makes it once per letter sum for all readers."""
         for col, row in self._pivots:
             q, rem = divmod(k[col], row[col])
             if rem:
@@ -209,26 +262,6 @@ class Frequency:
         )
 
 
-class Divisors(dict):
-    """The resonance decision of each letter sum ``k`` looked up, made
-    once, on first lookup: ``None`` on the resonance lattice, else the
-    eigenvalue ``i<k, omega>``, the divisor of a non-resonant word.  A
-    hit is a plain dict lookup; a ``k`` of another dimension than the
-    frequency's raises ``ValueError``."""
-
-    def __init__(self, freq):
-        super().__init__()
-        self.freq = freq
-
-    def __missing__(self, k):
-        freq = self.freq
-        if len(k) != freq.d:
-            raise ValueError("word dimension does not match frequency")
-        value = None if freq._in_lattice(k) else freq._eigenvalue(k, exact_zero=False)
-        self[k] = value
-        return value
-
-
 def words_over(alphabet, max_r):
     """All words of length ``1..max_r`` over ``alphabet``: by length,
     then lexicographically in the sorted letters, which must be integral."""
@@ -237,38 +270,85 @@ def words_over(alphabet, max_r):
         yield from itertools.product(letters, repeat=r)
 
 
+class SumCodes:
+    """Int codes of the letter sums of words of up to ``r_max`` letters
+    over ``letters``, for a frequency ``freq``.
+
+    A vector ``v`` of ``d`` coordinates within the reach
+    ``R = r_max * top``, ``top`` the largest ``|coordinate|`` of the
+    letters, has the code ``sum v_i (2R + 1)^(d-1-i)``: its balanced
+    digits.  The code is linear, so the sum of the codes of up to
+    ``r_max`` letters is the code of their letter sum, codes sort as the
+    vectors do, and the empty sum has code 0.  :meth:`encode` refuses a
+    vector of another dimension, or beyond ``top``, with ``ValueError``.
+
+    Attributes
+    ----------
+    divisors, weights : dict
+        Views of the frequency's one decision per letter sum, by code:
+        ``divisors[code]`` is ``freq.divisors`` of the decoded sum, and
+        ``weights[code]`` its small-divisor weight
+        ``|lambda_k|^(-1/tau)``, ``tau`` the frequency's, 0.0 on the
+        resonance lattice.  Each is formed on first lookup and kept.
+    """
+
+    def __init__(self, freq, letters, r_max):
+        self.d = freq.d
+        self.top = max((max(map(abs, self._checked(k))) for k in letters), default=0)
+        self.reach = r_max * self.top
+        self.base = 2 * self.reach + 1
+        exponent = -1.0 / freq.dioph_tau
+
+        def weight(code):
+            divisor = self.divisors[code]
+            return 0.0 if divisor is None else abs(divisor) ** exponent
+
+        self.divisors = _Lookup(lambda code: freq.divisors[self.decode(code)])
+        self.weights = _Lookup(weight)
+
+    def _checked(self, k):
+        k = _as_int_vector(k)
+        if len(k) != self.d:
+            raise ValueError(f"letter {k} is not of dimension {self.d}")
+        return k
+
+    def encode(self, k):
+        """The code of a vector ``k`` within the letters' ``top``."""
+        k = self._checked(k)
+        if any(abs(c) > self.top for c in k):
+            raise ValueError(f"letter {k} is beyond the reach {self.top} of the codes")
+        code = 0
+        for c in k:
+            code = code * self.base + c
+        return code
+
+    def decode(self, code):
+        """The vector of a code, a tuple of ``d`` ints."""
+        reach, base = self.reach, self.base
+        out = []
+        for _ in range(self.d):
+            digit = (code + reach) % base - reach
+            out.append(digit)
+            code = (code - digit) // base
+        return tuple(reversed(out))
+
+
 def extend_subset_sums(counts, letter):
     """The subset-sum counts of a word extended by ``letter``, from the
     counts ``{k_sigma: n}`` of the word: the number ``n`` of non-empty
-    letter subsets ``sigma`` whose mode sum is ``k_sigma``, as exact
-    integers.  Each new subset is an old one (or none) plus ``letter``,
-    so the cost is the number of distinct sums, and a word's counts,
-    folded from ``{}`` one letter at a time, cost its length times that
-    rather than ``2^r``.
+    letter subsets ``sigma`` whose mode sum has the :class:`SumCodes`
+    code ``k_sigma``, as exact integers; ``letter`` is a code too.  Each
+    new subset is an old one (or none) plus ``letter``, so the cost is
+    the number of distinct sums, and a word's counts, folded from ``{}``
+    one letter at a time, cost its length times that rather than
+    ``2^r``.
     """
     step = dict(counts)
     step[letter] = step.get(letter, 0) + 1
     for k, n in counts.items():
-        k = tuple(map(add, k, letter))
+        k += letter
         step[k] = step.get(k, 0) + n
     return step
-
-
-class DivisorWeights(dict):
-    """``|lambda_k|^(-1/tau)``, ``tau`` the frequency's, of each letter sum
-    ``k`` looked up, formed on first lookup from ``Frequency.divisors``:
-    0.0 on the resonance lattice, else from the divisor's modulus."""
-
-    def __init__(self, freq):
-        super().__init__()
-        self.divisors = freq.divisors
-        self.exponent = -1.0 / freq.dioph_tau
-
-    def __missing__(self, k):
-        divisor = self.divisors[k]
-        weight = 0.0 if divisor is None else abs(divisor) ** self.exponent
-        self[k] = weight
-        return weight
 
 
 def beta(counts, weights):
@@ -276,8 +356,8 @@ def beta(counts, weights):
     of the word whose :func:`extend_subset_sums` counts are ``counts``.
 
     ``lambda_sigma`` is the eigenvalue of the subset sum of letters, so
-    the sum runs over the distinct sums, each weighted by the
-    :class:`DivisorWeights` ``weights`` times its count, with
+    the sum runs over the distinct sums, each weighted by its
+    :class:`SumCodes` weight in ``weights`` times its count, with
     ``math.fsum``: the result depends neither on the order of the sums
     nor on the exact zeros of resonant ones.  0.0 for ``counts = {}``.
     """

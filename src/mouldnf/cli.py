@@ -209,8 +209,8 @@ def cmd_normalize(config, out_dir, max_words):
     result = normalize(B, config.N, config.scale, config.freq, backend, config.exponential_order)
     alpha = diophantine_alpha(config.freq, config.K)
     letters = sorted({k for k, _ in B.coeffs})
-    g_list = estimates.fit_growth_constants(
-        result.G, config.freq, letters, config.N ** 2, config.scale.rho, alpha, config.seed
+    _, g_list = estimates.fit_growth_constants(
+        config.freq, letters, config.N ** 2, config.scale.rho, alpha, config.seed
     )
     bound = estimates.verify_remainder_bound(result, config.N, config.scale, g_list)
     # the bound is proved only under its smallness hypothesis; the exit

@@ -18,11 +18,12 @@ import math
 import random
 import statistics
 
-from .alphabet import DivisorWeights, _as_int_vector, beta, extend_subset_sums
+from .alphabet import SumCodes, beta, extend_subset_sums
 from .classical import Backend
 from .liealg import OutOfDomainError, chi, contract, finite_norm
+from .mould import log_divisor, power_column, series_sum
 from .observables import norm_rho
-from .solver import MouldSolver
+from .solver import MouldSolver, solve
 
 SLACK = 1e-12
 # words per length of the growth fit; more are sampled down to this many
@@ -123,51 +124,97 @@ def norm_power_constants(N, rho, rho_prime, G_list):
 
 
 def _sample_words(letters, previous, rng):
-    """The fit's words one letter longer than those of ``previous``: all
-    of them while there are at most ``SAMPLE_LIMIT``, else ``SAMPLE_LIMIT``
-    parents (``previous``, or that many drawn from it when it holds fewer)
-    each extended by one letter drawn with ``rng``."""
+    """The fit's words one letter longer than those of ``previous``, each
+    as the pair of its parent in ``previous`` and its last letter: all of
+    them while there are at most ``SAMPLE_LIMIT``, else ``SAMPLE_LIMIT``
+    parents (``previous``, or that many drawn from it when it holds
+    fewer) each extended by one letter drawn with ``rng``."""
     if len(previous) * len(letters) <= SAMPLE_LIMIT:
-        return [w + (k,) for w in previous for k in letters]
+        return [(w, k) for w in previous for k in letters]
     if len(previous) < SAMPLE_LIMIT:
         previous = [rng.choice(previous) for _ in range(SAMPLE_LIMIT)]
-    return [w + (rng.choice(letters),) for w in previous]
+    return [(w, rng.choice(letters)) for w in previous]
 
 
-def fit_growth_constants(M, freq, alphabet, r_max, rho, alpha, seed):
-    """Observed suprema of a coefficient mould's ratio per word length.
+def _extend(state, letter, codes, zero, one):
+    """The frontier state of a word extended by ``letter``, a code.
+
+    A state of a word ``w`` of length r is ``(records, cols, counts, f)``:
+    ``records[j]``, j = 0..r, is the prefix record of the suffix
+    ``w[j:]``, S on its prefixes from the empty word and the code of its
+    letter sum (``records[r]`` is the empty word's); ``cols`` the log-S
+    power columns of the prefixes of ``w``; ``counts`` its subset-sum
+    counts; ``f`` the value of F on ``w``.  The r + 1 new suffixes are
+    solved shortest first by :func:`solver.solve`, each from its parent
+    suffix's record and the values just solved, and S on them makes the
+    new column, by :func:`mould.power_column`.  So the values are bit
+    for bit those of ``MouldSolver`` and ``mlog``, and no table keyed by
+    words is read or written.
+    """
+    records, cols, counts, _ = state
+    divisors = codes.divisors
+    tails = [(zero, one, zero)]
+    extended = [([one], 0)]
+    for lefts, k in reversed(records):
+        k += letter
+        entry = solve(divisors[k], lefts, tails, zero, zero)
+        tails.insert(0, entry)
+        extended.append(([*lefts, entry[1]], k))
+    extended.reverse()
+    cols = cols + [power_column(cols, [entry[1] for entry in tails[:-1]])]
+    return extended, cols, extend_subset_sums(counts, letter), tails[0][0]
+
+
+def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
+    """Observed suprema of the coefficient moulds' ratios per word length.
 
     For each length r, ``|M(w)| / exp(eta_r beta(w))`` is maximized over
     all words when there are at most ``SAMPLE_LIMIT``, else over a seeded
     prefix-extension walk: each sampled word extends a word of the
     previous length's list by one letter drawn with ``seed``.  ``M`` is
-    the generator mould G or the normal-form mould F.  The growth shape
-    of the paper's bound is left out: the constants that use these
-    suprema would multiply it back in.  A word whose prefix was
-    evaluated costs O(r^2) in the solver, in ``log S`` and in its
-    subset-sum counts, which extend the prefix's, and each distinct
-    subset sum is weighed once per fit.  ``tau`` is the frequency's.
-    Returns the list of length ``r_max``.  Estimates only.
+    the normal-form mould F and the generator mould G = log S, both
+    scored on the one walk.  The growth shape of the paper's bound is
+    left out: the constants that use these suprema would multiply it
+    back in.  The walk keeps one length's frontier of word states
+    (:func:`_extend`): each distinct sampled word is one step from its
+    parent's state, O(r^2) in the solve, in ``log S`` and in its
+    subset-sum counts, and each distinct subset sum is weighed once per
+    fit.  Letter sums are :class:`alphabet.SumCodes` ints.  ``tau`` is
+    the frequency's.  Returns the F and G lists, each of length
+    ``r_max``.  Estimates only.
     """
     tau = freq.dioph_tau
     rng = random.Random(seed)
-    weights = DivisorWeights(freq)
-    letters = sorted(_as_int_vector(k) for k in alphabet)
-    words, counts = [()], {(): {}}
-    suprema = []
+    codes = SumCodes(freq, alphabet, r_max)
+    letters = sorted(map(codes.encode, alphabet))  # codes sort as the letters do
+    zero, one = freq.zero(), freq.one()
+    frontier = [([([one], 0)], [], {}, zero)]
+    f_sup, g_sup = [], []
     for r in range(1, r_max + 1):
         eta_r = default_eta(rho, alpha, tau, r)
         name = f"exp(eta_r beta) at word length {r}"
-        best = 0.0
-        words = _sample_words(letters, words, rng)
-        counts = {w: extend_subset_sums(counts[w[:-1]], w[-1]) for w in dict.fromkeys(words)}
-        for w, c in counts.items():
-            scale = _finite(name, lambda: math.exp(eta_r * beta(c, weights)))
-            value = abs(complex(M(w)))
-            if value:
-                best = max(best, value / scale)
-        suprema.append(best)
-    return suprema
+        best_f = best_g = 0.0
+        # each distinct word of the previous length is one state, so a
+        # sampled word is named by its parent's id and its letter
+        states = {}
+        sampled = _sample_words(letters, frontier, rng)
+        frontier = []
+        for parent, letter in sampled:
+            key = id(parent), letter
+            state = states.get(key)
+            if state is None:
+                state = states[key] = _extend(parent, letter, codes, zero, one)
+                _, cols, counts, f = state
+                scale = _finite(name, lambda: math.exp(eta_r * beta(counts, codes.weights)))
+                f, g = abs(complex(f)), abs(complex(series_sum(cols[-1], log_divisor)))
+                if f:
+                    best_f = max(best_f, f / scale)
+                if g:
+                    best_g = max(best_g, g / scale)
+            frontier.append(state)
+        f_sup.append(best_f)
+        g_sup.append(best_g)
+    return f_sup, g_sup
 
 
 def verify_remainder_bound(result, N, params, G_list):
@@ -243,7 +290,7 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
     F = MouldSolver(freq).F_mould
     (classical,) = contract([F], B, N, Backend(), N)
     letters = sorted({k for k, _ in B.coeffs})
-    F_sup = fit_growth_constants(F, freq, letters, N, rho, alpha, seed)[N - 1]
+    F_sup = fit_growth_constants(freq, letters, N, rho, alpha, seed)[0][N - 1]
     c_n = gap_constant(N, rho, rho_prime, F_sup)
     # the reported F_N is F_sup over the length-N growth shape
     # (tau/(e eta_N))^(tau (N - 1)); a resonant word is not divided by its

@@ -183,8 +183,6 @@ class NormalFormResult:
     ----------
     Z, Y, E : Observable
         Normal form, generator, and measured remainder.
-    G : Mould
-        The generator mould contracted into ``Y``, for the growth fit.
     norms : dict
         ``||Z||, ||Y||, ||E||`` at the target radius.
     commutation_residual : float
@@ -194,11 +192,10 @@ class NormalFormResult:
         Geometric bound on the exponential truncation actually dropped.
     """
 
-    def __init__(self, Z, Y, E, G, norms, commutation_residual, exp_tail_bound, exp_order, ratio):
+    def __init__(self, Z, Y, E, norms, commutation_residual, exp_tail_bound, exp_order, ratio):
         self.Z = Z
         self.Y = Y
         self.E = E
-        self.G = G
         self.norms = norms
         self.commutation_residual = commutation_residual
         self.exp_tail_bound = exp_tail_bound
@@ -247,4 +244,4 @@ def normalize(B, N, params, freq, backend, exp_order=None):
     }
     raw = ad_x0(freq, Z, exact_zero=False)
     residual = norm_rho(raw, rp) if raw else 0.0
-    return NormalFormResult(Z, Y, E, solver.G_mould, norms, residual, tail, order, ratio)
+    return NormalFormResult(Z, Y, E, norms, residual, tail, order, ratio)

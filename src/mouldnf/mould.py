@@ -83,26 +83,46 @@ def _series(M, empty_value, divisor, name):
         while (cols := memo.get(word[:known])) is None:
             known -= 1
         for i in range(known + 1, r + 1):
-            tails = [M(word[j:i]) for j in range(i)]
-            # P_k at w[:j] times M(w[j:i]) is added to P_(k+1), in order of j
-            col = [tails[0]] + [0] * (i - 1)
-            for j in range(1, i):
-                b = tails[j]
-                if b:
-                    for k, a in enumerate(cols[j - 1], 1):
-                        if a:
-                            col[k] = col[k] + a * b
-            cols = cols + [col]
+            cols = cols + [power_column(cols, [M(word[j:i]) for j in range(i)])]
             memo[word[:i]] = cols
-        total = 0
-        for k, power in enumerate(cols[-1], 1):
-            if power:
-                total = total + power / divisor(k)
-            elif k == 1:  # the first term gives a zero sum its type, undivided
-                total = total + power
-        return total
+        return series_sum(cols[-1], divisor)
 
     return Mould(value, name=name)
+
+
+def power_column(cols, tails):
+    """The column ``[P_1, ..., P_i]`` of the power moulds of ``M`` at a
+    prefix ``w[:i]``, from the columns ``cols`` of its prefixes
+    ``w[:1], ..., w[:i-1]`` and ``tails``, ``M`` on its ``i`` suffixes,
+    longest first; see :func:`_series` for the fold and its skipped
+    products."""
+    i = len(tails)
+    # P_k at w[:j] times M(w[j:i]) is added to P_(k+1), in order of j
+    col = [tails[0]] + [0] * (i - 1)
+    for j in range(1, i):
+        b = tails[j]
+        if b:
+            for k, a in enumerate(cols[j - 1], 1):
+                if a:
+                    col[k] = col[k] + a * b
+    return col
+
+
+def series_sum(col, divisor):
+    """``sum_k P_k / divisor(k)`` over a word's own column ``col``, from
+    int 0; see :func:`_series` for the skipped terms."""
+    total = 0
+    for k, power in enumerate(col, 1):
+        if power:
+            total = total + power / divisor(k)
+        elif k == 1:  # the first term gives a zero sum its type, undivided
+            total = total + power
+    return total
+
+
+def log_divisor(k):
+    """The signed int ``1 / c_k`` of the log series, ``(-1)^(k-1) k``."""
+    return (-1) ** (k - 1) * k
 
 
 def mexp(G, sign=1):
@@ -125,7 +145,7 @@ def mlog(S):
     s_empty = S(())
     if s_empty != 1:
         raise ValueError("mlog requires a mould equal to 1 on the empty word")
-    return _series(S, 0, lambda k: (-1) ** (k - 1) * k, f"log({S.name})")
+    return _series(S, 0, log_divisor, f"log({S.name})")
 
 
 class AlternalityReport:

@@ -20,8 +20,11 @@ that of ``w[:-1]`` plus its last letter.  Both callers hold those
 inputs: the lazy :meth:`MouldSolver.values` extends a word's longest
 solved prefix one letter at a time, solving the new suffixes shortest
 first, and :func:`verify_equation` walks every word by length and finds
-them by position.  Keys are tuples of k-vectors, not eigenvalues: two
-letters with equal eigenvalue but different k are distinct keys.  The
+them by position.  The arithmetic of the step is the pure :func:`solve`,
+which the growth fit's frontier of word states
+(``estimates.fit_growth_constants``) calls too, with no table.  Keys
+are tuples of k-vectors, not eigenvalues: two letters with equal
+eigenvalue but different k are distinct keys.  The
 values only depend on the eigenvalues, so this merely accepts some
 duplicate computation in exchange for a simpler table.
 """
@@ -34,6 +37,38 @@ from operator import add
 from .alphabet import words_over
 from .exact import scalar_abs
 from .mould import Mould, mexp, mlog
+
+
+def solve(lam, lefts, tails, zero, n):
+    """The (F, S, N) values of a non-empty word: the one solve step.
+
+    ``lefts`` is S on the prefixes of ``w[:-1]`` from the empty word (so
+    the word's length is ``len(lefts)``), ``tails`` the values on the
+    suffixes of ``w[1:]``, longest first down to the empty word, ``lam``
+    the word's divisor from ``Frequency.divisors`` (``None`` when it is
+    resonant), ``zero`` the frequency's zero and ``n`` the gauge value
+    on a resonant word.
+    """
+    r = len(lefts)
+    s_tail = tails[0][1]
+    sum_sf = zero
+    sum_sn = zero
+    # the proper splits, S on w[:i] and the values on w[i:], i = 1..r-1;
+    # F vanishes off the resonant words and, under the zero gauge, N
+    # on them; skipping an exactly zero term leaves the sums (from +0,
+    # never -0.0) bit for bit those of summing every term
+    for sa, (fb, _, nb) in zip(lefts[1:], tails):
+        if fb:
+            sum_sf = sum_sf + sa * fb
+        if nb:
+            sum_sn = sum_sn + sa * nb
+    if lam is None:
+        s = n + sum_sn
+        # only a nonzero S is divided: int 0 / r is a float, and a
+        # float zero here is +0, which r > 0 leaves as it is
+        return (s_tail - sum_sf, s / r if s else s, n)
+    s = (s_tail - sum_sf) / lam
+    return (zero, s, r * s - sum_sn)
 
 
 class MouldSolver:
@@ -108,29 +143,9 @@ class MouldSolver:
         if entry is not None:
             return entry
         freq = self.freq
-        r = len(word)
         lam = freq.divisors[k]
-        s_tail = tails[0][1]
-        sum_sf = freq.zero()
-        sum_sn = freq.zero()
-        # the proper splits, S on w[:i] and the values on w[i:], i = 1..r-1;
-        # F vanishes off the resonant words and, under the zero gauge, N
-        # on them; skipping an exactly zero term leaves the sums (from +0,
-        # never -0.0) bit for bit those of summing every term
-        for sa, (fb, _, nb) in zip(lefts[1:], tails):
-            if fb:
-                sum_sf = sum_sf + sa * fb
-            if nb:
-                sum_sn = sum_sn + sa * nb
-        if lam is None:
-            n = freq.zero() if self.gauge is None else self.gauge(word)
-            s = n + sum_sn
-            # only a nonzero S is divided: int 0 / r is a float, and a
-            # float zero here is +0, which r > 0 leaves as it is
-            entry = (s_tail - sum_sf, s / r if s else s, n)
-        else:
-            s = (s_tail - sum_sf) / lam
-            entry = (freq.zero(), s, r * s - sum_sn)
+        n = freq.zero() if self.gauge is None or lam is not None else self.gauge(word)
+        entry = solve(lam, lefts, tails, freq.zero(), n)
         table[word] = entry
         self._prefixes[word] = ([*lefts, entry[1]], k)
         return entry

@@ -14,10 +14,13 @@ Nothing in the package uses these; they pin its results.
   logarithm, and that recursion summing every term (:func:`summing_series`)
   for the one that skips exact zeros; the per-mask subset sums for
   :func:`subset_sum_counts` (the fold of ``alphabet.extend_subset_sums``
-  over a word) and
+  over a word's letter-sum codes) and
   ``alphabet.beta``; the per-word ``beta`` (:func:`beta_per_word`,
   deciding and weighting every sum afresh) for ``alphabet.beta`` on
-  ``alphabet.DivisorWeights`` kept across words;
+  ``alphabet.SumCodes`` weights kept across words; the growth fit
+  driven by the solver's moulds on word tuples
+  (:func:`mould_fit_growth_constants`), one mould at a time, for the
+  frontier walk of ``estimates.fit_growth_constants``;
   the mode-bracket double loop with its helper calls for
   ``classical.mode_bracket``; and the stack solver, the earlier
   ``solver.MouldSolver`` with three word-keyed tables and an explicit
@@ -34,7 +37,8 @@ Nothing in the package uses these; they pin its results.
   for ``quantum.weyl_operator`` and the matrix-free
   ``quantum.validate_moyal``; and the Fraction-pair
   ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last eight
-  are compared bit for bit.  The shaped growth fit, which divided every
+  are compared bit for bit, and so is the mould-driven fit.  The shaped
+  growth fit (the mould-driven one with a ``lag``), which divided every
   word by the growth shape ``(tau/(e eta_r))^(tau (r - lag))``, and the
   shaped constants, which multiplied it back in, for the shape-free
   fit, ``norm_power_constants`` and ``gap_constant``; these agree to
@@ -62,21 +66,20 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
 from mouldnf import Backend, Observable
 from mouldnf.alphabet import (
-    DivisorWeights,
+    SumCodes,
     _as_int_vector,
-    beta,
     extend_subset_sums,
     l1,
     words_over,
 )
 from mouldnf.classical import check_hbar, sine_coupling
-from mouldnf.estimates import _finite, _sample_words, default_eta, exp_tail_constant
+from mouldnf.estimates import SAMPLE_LIMIT, _finite, default_eta, exp_tail_constant
 from mouldnf.exact import scalar_abs
 from mouldnf.liealg import ad_x0, chi, exp_ad_tail_bound
 from mouldnf.mould import AlternalityReport, Mould, mexp
@@ -541,10 +544,27 @@ def shuffle_coefficient(a, b, lam):
     return prev[rb]
 
 
-def subset_sum_counts(word):
-    """``{k_sigma: n}`` over the non-empty letter subsets of ``word``: the
-    one-letter step of the growth fit's walk folded from ``{}``."""
-    return functools.reduce(extend_subset_sums, word, {})
+def word_codes(freq, word):
+    """The letter-sum codes of the letters of ``word``, up to its length."""
+    return SumCodes(freq, word, max(len(word), 1))
+
+
+def subset_sum_counts(word, codes):
+    """``{k_sigma: n}`` over the non-empty letter subsets of ``word``,
+    each sum by its code in ``codes``: the one-letter step of the growth
+    fit's frontier folded from ``{}``."""
+    return functools.reduce(extend_subset_sums, map(codes.encode, word), {})
+
+
+def tuple_subset_sums(counts, letter):
+    """The one-letter step of the subset-sum counts keyed by letter-sum
+    tuples, as the mould-driven growth fit took it."""
+    step = dict(counts)
+    step[letter] = step.get(letter, 0) + 1
+    for k, n in counts.items():
+        k = tuple(map(add, k, letter))
+        step[k] = step.get(k, 0) + n
+    return step
 
 
 def beta_per_word(counts, tau, freq):
@@ -565,10 +585,11 @@ def beta_subset_bound(word, tau, freq):
     """Crude upper bound ``2^r max |lambda_sigma|^(-1/tau)`` on ``beta``,
     the maximum over the non-resonant distinct subset sums."""
     omega_f = tuple(float(c) for c in freq.omega)
+    codes = word_codes(freq, word)
     best = max(
         (
             abs(sum(ki * wi for ki, wi in zip(k, omega_f))) ** (-1.0 / tau)
-            for k in subset_sum_counts(word)
+            for k in map(codes.decode, subset_sum_counts(word, codes))
             if not freq._in_lattice(k)
         ),
         default=0.0,
@@ -874,7 +895,8 @@ def weighted_tuple_sum(B, r, eta_r, tau_r, freq, rho, strip_letter_weight=False)
     norms = {rep: part_norm(part, rho) for rep, part in parts.items()}
     total = 0.0
     for word in itertools.product(sorted(parts), repeat=r):
-        weight = math.exp(eta_r * beta_per_word(subset_sum_counts(word), tau_r, freq))
+        counts = functools.reduce(tuple_subset_sums, word, {})
+        weight = math.exp(eta_r * beta_per_word(counts, tau_r, freq))
         prod = 1.0
         for rep in word:
             prod *= norms[rep]
@@ -918,25 +940,54 @@ def growth_shape(rho, alpha, tau, r, lag=0):
     return _finite(name, lambda: base ** (r - lag))
 
 
-def shaped_fit_growth_constants(M, freq, alphabet, r_max, rho, alpha, seed, lag=0):
-    """The growth fit with every word divided by its growth shape
-    :func:`growth_shape` (``lag = 1`` for the normal-form mould F), on
-    the same seeded prefix-extension walk."""
-    tau = freq.dioph_tau
+def tuple_fit_walk(freq, alphabet, r_max, seed):
+    """The growth fit's words as the mould-driven fit walked them: for
+    each length r, ``(r, counts)`` with ``counts`` the tuple-keyed
+    subset-sum counts of its distinct sampled words, in order of first
+    draw; the same rng stream as ``estimates._sample_words``."""
     rng = random.Random(seed)
-    weights = DivisorWeights(freq)
     letters = sorted(_as_int_vector(k) for k in alphabet)
     words, counts = [()], {(): {}}
-    suprema = []
     for r in range(1, r_max + 1):
+        if len(words) * len(letters) <= SAMPLE_LIMIT:
+            words = [w + (k,) for w in words for k in letters]
+        else:
+            if len(words) < SAMPLE_LIMIT:
+                words = [rng.choice(words) for _ in range(SAMPLE_LIMIT)]
+            words = [w + (rng.choice(letters),) for w in words]
+        counts = {w: tuple_subset_sums(counts[w[:-1]], w[-1]) for w in dict.fromkeys(words)}
+        yield r, counts
+
+
+def tuple_beta(counts, freq, weights):
+    """``alphabet.beta`` on tuple-keyed counts, each sum's weight read
+    from ``freq.divisors`` and kept in ``weights``."""
+    for k in counts:
+        if k not in weights:
+            divisor = freq.divisors[k]
+            weights[k] = 0.0 if divisor is None else abs(divisor) ** (-1.0 / freq.dioph_tau)
+    return math.fsum(n * weights[k] for k, n in counts.items())
+
+
+def mould_fit_growth_constants(M, freq, alphabet, r_max, rho, alpha, seed, lag=None):
+    """The growth fit as it scored one mould ``M`` on word tuples, on
+    the subword-table solver's moulds: the reference of the frontier's
+    F and G lists.  With ``lag`` every word is also divided by its
+    growth shape :func:`growth_shape` (``lag = 1`` for the normal-form
+    mould F), as the shaped fit did."""
+    tau = freq.dioph_tau
+    weights = {}
+    suprema = []
+    for r, counts in tuple_fit_walk(freq, alphabet, r_max, seed):
         eta_r = default_eta(rho, alpha, tau, r)
-        name = f"growth shape (tau/(e eta_r))^(tau r) exp(eta_r beta) at word length {r}"
-        power = growth_shape(rho, alpha, tau, r, lag)
+        if lag is None:
+            name, power = f"exp(eta_r beta) at word length {r}", 1.0
+        else:
+            name = f"growth shape (tau/(e eta_r))^(tau r) exp(eta_r beta) at word length {r}"
+            power = growth_shape(rho, alpha, tau, r, lag)
         best = 0.0
-        words = _sample_words(letters, words, rng)
-        counts = {w: extend_subset_sums(counts[w[:-1]], w[-1]) for w in dict.fromkeys(words)}
         for w, c in counts.items():
-            scale = _finite(name, lambda: power * math.exp(eta_r * beta(c, weights)))
+            scale = _finite(name, lambda: power * math.exp(eta_r * tuple_beta(c, freq, weights)))
             value = abs(complex(M(w)))
             if value:
                 best = max(best, value / scale)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mouldnf import Frequency
 from mouldnf.alphabet import (
     DegenerateFrequencyError,
-    DivisorWeights,
+    SumCodes,
     beta,
     diophantine_alpha,
     iter_modes,
@@ -20,7 +20,6 @@ from mouldnf.alphabet import (
 )
 from mouldnf.estimates import SAMPLE_LIMIT, fit_growth_constants
 from mouldnf.mould import Mould, _parse_word
-from mouldnf.solver import MouldSolver
 
 from oracles import (
     beta_per_word,
@@ -35,6 +34,7 @@ from oracles import (
     subset_eigenvalues_by_mask,
     subset_sum_counts,
     subset_sums_by_mask,
+    word_codes,
 )
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -46,7 +46,8 @@ def with_tau(freq, tau):
 
 def beta_of(word, tau, freq):
     """``beta`` of one word at ``tau``, on weights formed for it alone."""
-    return beta(subset_sum_counts(word), DivisorWeights(with_tau(freq, tau)))
+    codes = word_codes(with_tau(freq, tau), word)
+    return beta(subset_sum_counts(word, codes), codes.weights)
 
 
 def sigma(word, freq):
@@ -111,6 +112,30 @@ class TestFrequencyValidation:
         with pytest.raises(ValueError):
             Frequency((Fraction(1), Fraction(2)), resonance_basis=[(1, -1)])
 
+    @pytest.mark.parametrize(
+        "omega, basis, index",
+        [((1.0, 1.0), [(2, -2)], 2),
+         ((Fraction(1), Fraction(1)), [(3, -3)], 3),
+         ((1.0, 1.0, 1.0), [(2, -2, 0), (0, 1, -1)], 2),
+         ((1.0, 1.0, 1.0), [(1, -1, 0), (1, 2, -3)], 3)],
+        ids=["float-d2", "exact-d2", "d3-scaled-row", "d3-index-3"],
+    )
+    def test_unsaturated_basis_rejected(self, omega, basis, index):
+        # the basis spans a proper sublattice of the resonances it implies
+        # (its maximal minors share the factor index), so a resonant sum
+        # off it, such as (1, -1) in d = 2, would get the divisor 0
+        with pytest.raises(ValueError, match=f"sublattice of index {index} "):
+            Frequency(omega, resonance_basis=basis)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [[(1, -1)], [(2, -2), (3, -3)], [(1, -1), (2, -2)]],
+        ids=["primitive", "coprime-multiples", "dependent"],
+    )
+    def test_saturated_basis_accepted(self, basis):
+        freq = Frequency((1.0, 1.0), resonance_basis=basis)
+        assert freq.divisors[(1, -1)] is None and freq.divisors[(1, 0)] == 1j
+
     def test_tau_below_one_rejected(self):
         with pytest.raises(ValueError):
             Frequency((1.0,), dioph_tau=0.5)
@@ -174,7 +199,9 @@ class TestBetaOracle:
     @settings(max_examples=60)
     @given(REPEATING_WORDS)
     def test_counts_match_mask_walk(self, word):
-        assert subset_sum_counts(word) == Counter(subset_sums_by_mask(word))
+        codes = word_codes(BETA_FREQUENCIES[0], word)
+        counts = subset_sum_counts(word, codes)
+        assert {codes.decode(k): n for k, n in counts.items()} == Counter(subset_sums_by_mask(word))
 
     @settings(max_examples=80)
     @given(REPEATING_WORDS, st.sampled_from(BETA_FREQUENCIES), st.sampled_from([1.0, 1.5, 3.0]))
@@ -196,13 +223,16 @@ class TestBetaOracle:
         # word ends on the mirror of its first letter, so its counts hold
         # the lattice sum 0 (and, at the resonant frequencies, often more)
         freq = with_tau(freq, tau)
-        weights = DivisorWeights(freq)
+        words = [word + (tuple(-c for c in word[0]),) for word in words]
+        codes = SumCodes(freq, [k for word in words for k in word], max(map(len, words)))
+        weights = codes.weights
         met = set()
         for word in words:
-            counts = subset_sum_counts(word + (tuple(-c for c in word[0]),))
+            coded = subset_sum_counts(word, codes)
+            counts = {codes.decode(k): n for k, n in coded.items()}
             assert any(freq.in_lattice(k) for k in counts)
-            assert repr(beta(counts, weights)) == repr(beta_per_word(counts, tau, freq))
-            met.update(counts)
+            assert repr(beta(coded, weights)) == repr(beta_per_word(counts, tau, freq))
+            met.update(coded)
         assert weights.keys() == met
 
     @pytest.mark.parametrize("r", [40, 60])
@@ -279,16 +309,44 @@ class TestOneDecisionPerSum:
     @given(saturated_lattices(), st.data())
     def test_readers_agree_with_the_table(self, lattice, data):
         freq, normal = lattice
-        weights = DivisorWeights(freq)
+        codes = SumCodes(freq, [(9,) * freq.d], 1)
         for k in data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * freq.d), min_size=1, max_size=6)):
             divisor = freq.divisors[k]
+            code = codes.encode(k)
             assert (divisor is None) == (sum(map(mul, k, normal)) == 0)
             assert freq.in_lattice(k) == (divisor is None)
+            assert codes.divisors[code] is divisor
             if divisor is None:
-                assert freq.eigenvalue(k) == freq.zero() and weights[k] == 0.0
+                assert freq.eigenvalue(k) == freq.zero() and codes.weights[code] == 0.0
             else:
                 assert freq.eigenvalue(k) == divisor == freq.eigenvalue(k, exact_zero=False)
-                assert weights[k] == abs(divisor) ** (-1.0 / freq.dioph_tau) > 0.0
+                assert codes.weights[code] == abs(divisor) ** (-1.0 / freq.dioph_tau) > 0.0
+
+
+class TestSumCodes:
+    @settings(max_examples=80)
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 8), st.data())
+    def test_sum_of_codes_is_the_code_of_the_sum(self, d, top, r_max, data):
+        freq = Frequency((1.0, PHI, 2.0 ** 0.5)[:d])
+        letter = st.tuples(*[st.integers(-top, top)] * d)
+        letters = data.draw(st.lists(letter, min_size=1, max_size=4))
+        codes = SumCodes(freq, letters, r_max)
+        word = data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=r_max))
+        assert codes.decode(sum(map(codes.encode, word))) == ksum(word)
+        # codes sort as the letters do
+        assert sorted(letters, key=codes.encode) == sorted(letters)
+
+    @pytest.mark.parametrize("k", [(1,), (1, 0, 0), (3, 0), (0, -3), (0.5, 0)],
+                             ids=["short", "long", "beyond", "beyond-negative", "non-integral"])
+    def test_letter_refused(self, golden_freq, k):
+        # a letter beyond the top coordinate 2 of the codes' letters would
+        # carry into the next coordinate's digit of a sum of 5 letters
+        codes = SumCodes(golden_freq, [(2, -1), (-1, 0)], 5)
+        with pytest.raises(ValueError):
+            codes.encode(k)
+        if len(k) != 2 or k == (0.5, 0):
+            with pytest.raises(ValueError):
+                SumCodes(golden_freq, [(2, -1), k], 5)
 
 
 class TestShuffle:
@@ -405,5 +463,4 @@ class TestWord:
         with pytest.raises(ValueError):
             # more letters than SAMPLE_LIMIT words of length 1: the sampled branch
             letters = [(j, 0) for j in range(1, SAMPLE_LIMIT + 1)] + [(0.5, 0)]
-            G = MouldSolver(golden_freq).G_mould
-            fit_growth_constants(G, golden_freq, letters, 1, 1.0, 1.0, seed=7)
+            fit_growth_constants(golden_freq, letters, 1, 1.0, 1.0, seed=7)

@@ -161,6 +161,23 @@ class TestConfigValidation:
         assert "config.freq: unknown keys ['alpha']" in capsys.readouterr().err
         assert not any(out.glob("*"))
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_unsaturated_resonance_basis_refused(self, tmp_path, capsys, exact):
+        # (2, -2) spans half of the resonances of omega = (1, 1): the mode
+        # k = (1, -1) is resonant off the declared lattice, and its words
+        # would be divided by the divisor 0
+        b = {"d": 2, "coeffs": [{"k": [1, -1], "m": [1, 0], "re": 0.001, "im": 0.0},
+                                {"k": [1, 0], "m": [0, 1], "re": 0.001, "im": 0.0}]}
+        cfg = write_config(tmp_path / "run.json", B=b,
+                           freq={"omega": [1.0, 1.0], "resonance_basis": [[2, -2]]})
+        out = tmp_path / "out"
+        argv = ["normalize", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--exact"] * exact) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.freq: resonance basis ((2, -2),) spans a "
+                              "sublattice of index 2")
+        assert "Traceback" not in err and not any(out.glob("*"))
+
     def test_missing_b_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
         data = json.loads(cfg.read_text())

@@ -1,16 +1,23 @@
 import ast
+import functools
 import itertools
+import json
 import math
 import re
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Backend, Frequency, Observable, OutOfDomainError, normalize
-from mouldnf import estimates
+from mouldnf import estimates, liealg
 from mouldnf.alphabet import diophantine_alpha
+from mouldnf.cli import main
 from mouldnf.liealg import apply_exp_ad, chi, contract
+from mouldnf.mould import Mould
 from mouldnf.observables import norm_rho
 from mouldnf.solver import MouldSolver
 from mouldnf.estimates import (
@@ -31,12 +38,15 @@ from oracles import (
     generator_majorant,
     growth_shape,
     ksum,
-    shaped_fit_growth_constants,
+    mould_fit_growth_constants,
     shaped_gap_constant,
     shaped_norm_power_constants,
-    subset_sum_counts,
+    tuple_subset_sums,
     weighted_tuple_sum,
 )
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestPowerExponentialBound:
@@ -111,8 +121,7 @@ def golden_alpha(golden_freq):
 @pytest.fixture(scope="module")
 def fitted(golden_freq, golden_alpha, toy_B):
     letters = sorted({k for k, _ in toy_B.coeffs})
-    G = MouldSolver(golden_freq).G_mould
-    return golden_alpha, fit_growth_constants(G, golden_freq, letters, 9, 1.0, golden_alpha, seed=7)
+    return golden_alpha, fit_growth_constants(golden_freq, letters, 9, 1.0, golden_alpha, seed=7)[1]
 
 
 class TestFloatRange:
@@ -126,8 +135,8 @@ class TestFloatRange:
         # like 2^(tau r^2) and left float range near r = 32, so a fit to
         # length 36 finishes finite
         freq = Frequency((1.0, (1 + 5 ** 0.5) / 2), dioph_tau=tau)
-        fit = fit_growth_constants(MouldSolver(freq).G_mould, freq, [(1, 0)], 36, 1.0, alpha, seed=0)
-        assert len(fit) == 36 and all(math.isfinite(g) for g in fit)
+        for fit in fit_growth_constants(freq, [(1, 0)], 36, 1.0, alpha, seed=0):
+            assert len(fit) == 36 and all(math.isfinite(g) for g in fit)
         assert fit[0] > 0
 
     @pytest.mark.parametrize(
@@ -197,35 +206,49 @@ class TestGrowthFitAndRemainder:
             assert measured <= bound * (1 + 1e-12)
 
 
+def record_walk(monkeypatch, freq, letters, r_max, alpha, seed):
+    """The fit's sampled words per length, with repeats, each named by
+    its frontier pair of parent state and letter code; its steps per
+    length; and its F and G lists."""
+    samples, steps, words, kept, decode = [], [], {}, [], {}
+    sample, extend = estimates._sample_words, estimates._extend
+
+    def recording(letters, previous, rng):
+        if not samples:
+            words[id(previous[0])] = ()
+            kept.append(previous[0])
+        samples.append(sample(letters, previous, rng))
+        steps.append(0)
+        return samples[-1]
+
+    def stepping(state, letter, codes, *args):
+        steps[-1] += 1
+        decode[letter] = codes.decode(letter)
+        new = extend(state, letter, codes, *args)
+        words[id(new)] = words[id(state)] + (decode[letter],)
+        kept.append(new)  # kept alive, so that no id is reused
+        return new
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimates, "_sample_words", recording)
+        patch.setattr(estimates, "_extend", stepping)
+        fit = fit_growth_constants(freq, letters, r_max, 1.0, alpha, seed)
+    lists = [[words[id(parent)] + (decode[k],) for parent, k in pairs] for pairs in samples]
+    return lists, steps, fit
+
+
 class TestPrefixWalk:
-    """The fit's sample as a seeded prefix-extension walk, and its work
-    counted in solver-table entries, not timed."""
-
-    @staticmethod
-    def walk(monkeypatch, freq, letters, r_max, alpha, seed):
-        """The fit's word lists per length, and the solver-table size
-        after each length."""
-        lists, sizes = [], []
-        solver = MouldSolver(freq)
-        sample = estimates._sample_words
-
-        def recording(letters, previous, rng):
-            sizes.append(len(solver._table))
-            lists.append(sample(letters, previous, rng))
-            return lists[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(estimates, "_sample_words", recording)
-            fit_growth_constants(solver.G_mould, freq, letters, r_max, 1.0, alpha, seed)
-        sizes.append(len(solver._table))
-        return lists, sizes[1:]
+    """The fit's sample as a seeded prefix-extension walk on a frontier of
+    word states, its work counted in steps, not timed."""
 
     def test_walk_extends_the_previous_sample(self, monkeypatch, golden_freq, golden_alpha, toy_B):
         letters = sorted({k for k, _ in toy_B.coeffs})
-        lists, sizes = self.walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=0)
-        assert len(lists) == 16
+        lists, steps, _ = record_walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=0)
+        assert len(lists) == len(steps) == 16
         sampled = 0
         for r, words in enumerate(lists, 1):
+            # one step per distinct sampled word
+            assert steps[r - 1] == len(set(words))
             if len(letters) ** r <= SAMPLE_LIMIT:
                 assert words == list(itertools.product(letters, repeat=r))
                 continue
@@ -233,11 +256,9 @@ class TestPrefixWalk:
             assert len(words) == SAMPLE_LIMIT
             parents = set(lists[r - 2])
             assert all(w[:-1] in parents and w[-1] in letters for w in words)
-            # each word's prefix is solved, so it adds at most its r suffixes
-            assert sizes[r - 1] - sizes[r - 2] <= r * SAMPLE_LIMIT
         assert sampled == 13
-        again, _ = self.walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=0)
-        other, _ = self.walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=1)
+        again, _, _ = record_walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=0)
+        other, _, _ = record_walk(monkeypatch, golden_freq, letters, 16, golden_alpha, seed=1)
         assert again == lists
         assert other[:3] == lists[:3] and other[3:] != lists[3:]
 
@@ -266,12 +287,10 @@ class TestFitWork:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_lists_pinned(self, golden_freq, golden_alpha, toy_B, seed):
         letters = sorted({k for k, _ in toy_B.coeffs})
-        solver = MouldSolver(golden_freq)
-        g_list = fit_growth_constants(solver.G_mould, golden_freq, letters, 9, 1.0, golden_alpha, seed)
-        # F after G on the same solver, as values do not depend on the
-        # order in which words arrive
-        f_list = fit_growth_constants(solver.F_mould, golden_freq, letters, 5, 1.0, golden_alpha, seed)
-        for name, fit, lag in (("G", g_list, 0), ("F", f_list, 1)):
+        # one walk to length 9 scores F and G; a walk's lengths 1..5 do
+        # not depend on its r_max
+        f_list, g_list = fit_growth_constants(golden_freq, letters, 9, 1.0, golden_alpha, seed)
+        for name, fit, lag in (("G", g_list, 0), ("F", f_list[:5], 1)):
             pins = ast.literal_eval(FIT_PINS[name, seed])
             assert len(fit) == len(pins)
             for r, (g, pin) in enumerate(zip(fit, pins), 1):
@@ -280,42 +299,35 @@ class TestFitWork:
 
     def test_one_solve_per_entry_one_weight_per_sum(self, monkeypatch, golden_freq, golden_alpha, toy_B):
         letters = sorted({k for k, _ in toy_B.coeffs})
-        decided, solved, built, lists = [], [], [], []
+        decided, touched = [], []
 
         class CountingFrequency(Frequency):
             def _in_lattice(self, k):
                 decided.append(k)
                 return super()._in_lattice(k)
 
-        class Recording(MouldSolver):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        extend, sample = MouldSolver.extend, estimates._sample_words
-
-        def counting_solve(self, word, *args):
-            solved.append(word)
-            return extend(self, word, *args)
-
-        def recording(*args):
-            lists.append(sample(*args))
-            return lists[-1]
+        def refused(name):
+            def call(*args, **kwargs):
+                touched.append(name)
+                raise AssertionError(f"the fit called {name}")
+            return call
 
         freq = CountingFrequency(golden_freq.omega, dioph_tau=golden_freq.dioph_tau)
-        solver = MouldSolver(freq)
         with monkeypatch.context() as patch:
-            patch.setattr(MouldSolver, "extend", counting_solve)
-            patch.setattr(estimates, "MouldSolver", Recording)
-            patch.setattr(estimates, "_sample_words", recording)
-            fit_growth_constants(solver.G_mould, freq, letters, 9, 1.0, golden_alpha, seed=0)
-        assert built == []
-        assert sorted(solved) == sorted(w for w in solver._table if w)
-        # the solver and the weights read one table, so each distinct
-        # sum, a letter sum of the solver's words or a subset sum of the
-        # fit's, is decided once
-        sums = set().union(*(subset_sum_counts(w) for words in lists for w in words))
-        assert sorted(decided) == sorted({*(ksum(w) for w in solved), *sums})
+            # no solver table and no mould memo: the frontier holds the states
+            for name in ("__init__", "values", "extend"):
+                patch.setattr(MouldSolver, name, refused(f"MouldSolver.{name}"))
+            patch.setattr(Mould, "__call__", refused("a mould"))
+            lists, steps, _ = record_walk(monkeypatch, freq, letters, 9, golden_alpha, seed=0)
+        assert touched == []
+        # one step per distinct sampled word, so one solve per new suffix
+        assert steps == [len(set(words)) for words in lists]
+        # the solve steps and the weights read one table, so each distinct
+        # sum, a suffix's letter sum or a subset sum of the fit's words, is
+        # decided once; every suffix sum is a subset sum
+        sums = set().union(*(functools.reduce(tuple_subset_sums, w, {}) for words in lists for w in words))
+        assert {ksum(w[j:]) for words in lists for w in words for j in range(len(w))} <= sums
+        assert sorted(decided) == sorted(sums)
 
     def test_normalize_and_fit_decide_each_sum_once(self, golden_freq, scale_params, toy_B):
         decided = []
@@ -330,10 +342,96 @@ class TestFitWork:
         res = normalize(toy_B, N, scale_params, freq, Backend())
         alpha = diophantine_alpha(freq, 5)
         letters = sorted({k for k, _ in toy_B.coeffs})
-        fit_growth_constants(res.G, freq, letters, N ** 2, scale_params.rho, alpha, seed=0)
+        fit_growth_constants(freq, letters, N ** 2, scale_params.rho, alpha, seed=0)
         # the solver, the x0 action of the exponential chain, the witness
         # alpha and the fit's weights all read freq.divisors
         assert len(decided) == len(set(decided)) == len(freq.divisors)
+
+
+PHI = (1 + 5 ** 0.5) / 2
+# (frequency, letters, r_max): the golden float omega on the toy letters,
+# the exact resonant omega on the verify-exact-r6 letters, and a float
+# resonant one; each r_max crosses SAMPLE_LIMIT (4^4, 3^5 and 4^4 words)
+FIT_CONFIGS = {
+    "golden": (lambda tau: Frequency((1.0, PHI), dioph_tau=tau),
+               [(-2, 0), (-1, 0), (1, 0), (2, 0)], 9),
+    "exact": (lambda tau: Frequency((Fraction(1), Fraction(2)), [(2, -1)], dioph_tau=tau),
+              [(1, 0), (1, -1), (2, -1)], 7),
+    "resonant-float": (lambda tau: Frequency((1.0, 2.0), [(2, -1)], dioph_tau=tau),
+                       [(1, 0), (1, -1), (2, -1), (-3, 1)], 7),
+}
+
+
+class TestFrontierMatchesMouldFit:
+    """The frontier's F and G lists are bit for bit those of the fit
+    that scored the solver's moulds on word tuples."""
+
+    @settings(max_examples=15)
+    @given(
+        name=st.sampled_from(sorted(FIT_CONFIGS)),
+        seed=st.integers(0, 2 ** 32),
+        tau=st.sampled_from([1.0, 1.5]),
+        alpha=st.floats(0.05, 1.0),
+        shift=st.integers(-2, 2),
+    )
+    def test_lists_bit_identical(self, name, seed, tau, alpha, shift):
+        make, letters, r_max = FIT_CONFIGS[name]
+        freq = make(tau)
+        if freq.resonance_basis:
+            # the verify-exact-r6 inputs move a letter along the resonance
+            a, b = freq.resonance_basis[0]
+            letters = [(letters[0][0] + shift * a, letters[0][1] + shift * b), *letters[1:]]
+        f_list, g_list = fit_growth_constants(freq, letters, r_max, 1.0, alpha, seed)
+        solver = MouldSolver(freq)
+        for fit, mould in ((f_list, solver.F_mould), (g_list, solver.G_mould)):
+            reference = mould_fit_growth_constants(mould, freq, letters, r_max, 1.0, alpha, seed)
+            assert [x.hex() for x in fit] == [x.hex() for x in reference]
+            assert repr(fit) == repr(reference)
+
+
+class TestFitMemory:
+    def test_peak_under_6_mb_at_length_16(self, golden_freq, golden_alpha, toy_B):
+        # the fit of CLI normalize at N = 4 keeps two lengths' frontiers
+        # of at most SAMPLE_LIMIT states; scoring the solver's moulds
+        # kept every sampled word's subwords (11.7 MB)
+        letters = sorted({k for k, _ in toy_B.coeffs})
+        tracemalloc.start()
+        try:
+            fit_growth_constants(golden_freq, letters, 16, 1.0, golden_alpha, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
+    def test_normalize_solver_tables_do_not_grow_during_the_fit(self, monkeypatch, tmp_path):
+        built, sizes = [], []
+
+        class Recording(MouldSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        def size():
+            (solver,) = built
+            moulds = (solver.F_mould, solver.S_mould, solver.G_mould)
+            return (len(solver._table), len(solver._prefixes), *(len(m._memo) for m in moulds),
+                    len(vars(solver.S_mould)["_power_columns"]))
+
+        fit = estimates.fit_growth_constants
+
+        def measured(*args, **kwargs):
+            sizes.append(size())
+            result = fit(*args, **kwargs)
+            sizes.append(size())
+            return result
+
+        config = json.loads((REPO / "configs" / "toy_normalize.json").read_text())
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**config, "N": 3}))
+        monkeypatch.setattr(liealg, "MouldSolver", Recording)
+        monkeypatch.setattr(estimates, "fit_growth_constants", measured)
+        assert main(["normalize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(sizes) == 2 and sizes[0] == sizes[1] and sizes[0][0] > 1
 
 
 class TestSemiclassical:
@@ -391,18 +489,17 @@ class TestShapeCancels:
         try:
             old = shaped_norm_power_constants(
                 N, rho, rho_prime, tau, alpha,
-                shaped_fit_growth_constants(G, freq, letters, N * N, rho, alpha, seed=0),
+                mould_fit_growth_constants(G, freq, letters, N * N, rho, alpha, seed=0, lag=0),
             ) + (shaped_gap_constant(
                 N, rho, rho_prime, tau, alpha,
-                shaped_fit_growth_constants(F, freq, letters, N, rho, alpha, seed=0, lag=1)[N - 1],
+                mould_fit_growth_constants(F, freq, letters, N, rho, alpha, seed=0, lag=1)[N - 1],
             ),)
         except OutOfDomainError:
             return  # compared only where the shaped form is finite
-        new = norm_power_constants(
-            N, rho, rho_prime, fit_growth_constants(G, freq, letters, N * N, rho, alpha, seed=0)
-        ) + (gap_constant(
-            N, rho, rho_prime, fit_growth_constants(F, freq, letters, N, rho, alpha, seed=0)[N - 1]
-        ),)
+        f_list, g_list = fit_growth_constants(freq, letters, N * N, rho, alpha, seed=0)
+        new = norm_power_constants(N, rho, rho_prime, g_list) + (
+            gap_constant(N, rho, rho_prime, f_list[N - 1]),
+        )
         for name, a, b in zip(("D", "eps", "Gamma_N", "Gamma_N2N", "C_N"), new, old):
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), name
 
@@ -411,7 +508,7 @@ class TestShapeCancels:
         rep = verify_semiclassical(toy_B, N, 1.0, 0.5, golden_freq, [0.1], golden_alpha, seed=7)
         F = MouldSolver(golden_freq).F_mould
         letters = sorted({k for k, _ in toy_B.coeffs})
-        shaped = shaped_fit_growth_constants(F, golden_freq, letters, N, 1.0, golden_alpha, seed=7, lag=1)
+        shaped = mould_fit_growth_constants(F, golden_freq, letters, N, 1.0, golden_alpha, seed=7, lag=1)
         assert math.isclose(rep.bounds[0].inputs["F_N"], shaped[N - 1], rel_tol=1e-14, abs_tol=0.0)
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Frequency
-from mouldnf.alphabet import DivisorWeights, beta, diophantine_alpha
+from mouldnf.alphabet import beta, diophantine_alpha
 from mouldnf.estimates import SAMPLE_LIMIT, default_eta, fit_growth_constants
 from mouldnf.exact import QI
 from mouldnf.mould import check_alternal, from_table, mexp
@@ -26,6 +26,7 @@ from oracles import (
     subset_sum_counts,
     times,
     times_all_splits,
+    word_codes,
 )
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -138,9 +139,7 @@ class TestGrowthBound:
         rho, tau = 1.0, 1.0
         alpha = diophantine_alpha(golden_freq, 5)
         assert len(letters) ** 4 <= SAMPLE_LIMIT  # every word is enumerated
-        solver = MouldSolver(golden_freq)
-        f_list = fit_growth_constants(solver.F_mould, golden_freq, letters, 4, rho, alpha, seed=7)
-        g_list = fit_growth_constants(solver.G_mould, golden_freq, letters, 4, rho, alpha, seed=7)
+        f_list, g_list = fit_growth_constants(golden_freq, letters, 4, rho, alpha, seed=7)
         solver = MouldSolver(golden_freq)
         rng = random.Random(99)
         import math
@@ -149,7 +148,8 @@ class TestGrowthBound:
             r = rng.randint(1, 4)
             w = tuple(rng.choice(letters) for _ in range(r))
             eta_r = default_eta(rho, alpha, tau, r)
-            shape = math.exp(eta_r * beta(subset_sum_counts(w), DivisorWeights(golden_freq)))
+            codes = word_codes(golden_freq, w)
+            shape = math.exp(eta_r * beta(subset_sum_counts(w, codes), codes.weights))
             fv = abs(complex(solver.values(w)[0]))
             gv = abs(complex(solver.G_mould(w)))
             assert fv <= f_list[r - 1] * shape * (1 + 1e-12)
