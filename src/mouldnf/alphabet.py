@@ -5,17 +5,20 @@ scalar eigenvalue ``i<k, omega>`` is derived from a :class:`Frequency`.
 A word is the tuple of its letters: ``()`` is the empty word, ``len``
 its length, slices and ``+`` its splits and concatenations, and it keys
 the solver's and the moulds' memo tables.  The growth fit keys nothing
-by word: it carries letter sums as :class:`SumCodes` ints.  Letters are
-checked to be integral once, where they enter from outside the program
-(:func:`words_over` checks its alphabet, :class:`SumCodes` its letters);
+by word: it carries letter sums as the ints of a
+:class:`~mouldnf.classical.VectorCodes` codec.  Letters are checked to be
+integral once, where they enter from outside the program
+(:func:`words_over` checks its alphabet, the codec the fit's letters);
 inside, words are trusted.
 
 Resonance (a vanishing eigenvalue sum) is always decided exactly on the
 integer lattice spanned by the declared resonance basis, never by
 comparing a floating-point inner product against zero; small divisors
-would otherwise be misclassified.  Throughout this package ``|k|`` means
-the l1 norm (the weights it induces are sub-multiplicative under mode
-addition, which the norm estimates rely on).
+would otherwise be misclassified.  A pairing is compared with zero only
+to refuse a resonant sum that the declared lattice leaves out.
+Throughout this package ``|k|`` means the l1 norm (the weights it
+induces are sub-multiplicative under mode addition, which the norm
+estimates rely on).
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ def _as_int_vector(vec):
 
 class DegenerateFrequencyError(ValueError):
     """Raised when a frequency box contains no non-resonant modes."""
+
+
+class UndeclaredResonanceError(ValueError):
+    """Raised when a letter sum off the declared lattice is resonant: the
+    declared basis leaves it out."""
 
 
 def _hermite_normal_form(rows):
@@ -140,7 +148,9 @@ class Frequency:
         the trivial lattice ``{0}`` (non-resonant frequency).  A basis
         whose span is a proper sublattice of the integer vectors in its
         real span (the gcd of its maximal minors is not 1) is refused
-        with ``ValueError``: it leaves resonances undeclared.
+        with ``ValueError``: it leaves resonances undeclared.  One of
+        lower rank than the resonances does too: a resonant sum off its
+        lattice raises :class:`UndeclaredResonanceError` when decided.
     dioph_tau : float, optional
         Diophantine exponent ``tau >= 1`` of the small-divisor weights
         ``|<k, omega>|^(-1/tau)``.
@@ -178,29 +188,28 @@ class Frequency:
         for b in basis:
             if len(b) != self.d:
                 raise ValueError("resonance basis dimension mismatch")
+            if not self._resonant(b):
+                raise ValueError(f"declared resonance {b} does not pair with omega to zero")
         self.resonance_basis = basis
         self._hnf = _hermite_normal_form(basis)
         self._pivots = []
         for row in self._hnf:
             col = next(i for i, c in enumerate(row) if c != 0)
             self._pivots.append((col, row))
-        self._check_consistency()
         index = math.gcd(*(_det([[row[c] for c in cols] for row in self._hnf])
                            for cols in itertools.combinations(range(self.d), len(self._hnf))))
         if index != 1:
-            # a resonant k off the declared lattice would get the divisor 0
+            # refused up front, not only when a resonant k off the lattice is decided
             raise ValueError(f"resonance basis {basis} spans a sublattice of index {index} of the "
                              "resonances it implies; declare a basis of all of them")
         self.divisors = _Lookup(self._decide)
 
-    def _check_consistency(self):
-        for b in self.resonance_basis:
-            dot = sum(map(mul, b, self.omega))
-            if self.exact:
-                if dot != 0:
-                    raise ValueError(f"declared resonance {b} has <k,omega> = {dot}")
-            elif abs(dot) > 1e-12 * l1(b) * l1(self.omega):
-                raise ValueError(f"declared resonance {b} is not numerically consistent")
+    def _resonant(self, k):
+        """Whether ``<k, omega>`` is zero: exactly, or for a float omega
+        within ``1e-12 |k| |omega|``."""
+        if self.exact:
+            return sum(map(mul, k, self._num)) == 0
+        return abs(sum(map(mul, k, self.omega))) <= 1e-12 * l1(k) * l1(self.omega)
 
     def in_lattice(self, k):
         """Exact membership of ``k`` in the declared resonance lattice,
@@ -211,10 +220,16 @@ class Frequency:
         """The entry of :attr:`divisors` for a letter sum ``k`` met first:
         ``None`` on the resonance lattice, else the eigenvalue
         ``i<k, omega>``, the divisor of a non-resonant word; a ``k`` of
-        another dimension than the frequency's raises ``ValueError``."""
+        another dimension than the frequency's raises ``ValueError``, a
+        resonant one off the lattice :class:`UndeclaredResonanceError`."""
         if len(k) != self.d:
             raise ValueError("word dimension does not match frequency")
-        return None if self._in_lattice(k) else self._eigenvalue(k, exact_zero=False)
+        if self._in_lattice(k):
+            return None
+        if self._resonant(k):
+            raise UndeclaredResonanceError(f"letter sum {k} is resonant but off the declared "
+                                           "lattice; declare a basis of all the resonances")
+        return self._eigenvalue(k, exact_zero=False)
 
     def _in_lattice(self, k):
         """The lattice decision for a tuple of ``d`` ints, made afresh;
@@ -270,74 +285,13 @@ def words_over(alphabet, max_r):
         yield from itertools.product(letters, repeat=r)
 
 
-class SumCodes:
-    """Int codes of the letter sums of words of up to ``r_max`` letters
-    over ``letters``, for a frequency ``freq``.
-
-    A vector ``v`` of ``d`` coordinates within the reach
-    ``R = r_max * top``, ``top`` the largest ``|coordinate|`` of the
-    letters, has the code ``sum v_i (2R + 1)^(d-1-i)``: its balanced
-    digits.  The code is linear, so the sum of the codes of up to
-    ``r_max`` letters is the code of their letter sum, codes sort as the
-    vectors do, and the empty sum has code 0.  :meth:`encode` refuses a
-    vector of another dimension, or beyond ``top``, with ``ValueError``.
-
-    Attributes
-    ----------
-    divisors, weights : dict
-        Views of the frequency's one decision per letter sum, by code:
-        ``divisors[code]`` is ``freq.divisors`` of the decoded sum, and
-        ``weights[code]`` its small-divisor weight
-        ``|lambda_k|^(-1/tau)``, ``tau`` the frequency's, 0.0 on the
-        resonance lattice.  Each is formed on first lookup and kept.
-    """
-
-    def __init__(self, freq, letters, r_max):
-        self.d = freq.d
-        self.top = max((max(map(abs, self._checked(k))) for k in letters), default=0)
-        self.reach = r_max * self.top
-        self.base = 2 * self.reach + 1
-        exponent = -1.0 / freq.dioph_tau
-
-        def weight(code):
-            divisor = self.divisors[code]
-            return 0.0 if divisor is None else abs(divisor) ** exponent
-
-        self.divisors = _Lookup(lambda code: freq.divisors[self.decode(code)])
-        self.weights = _Lookup(weight)
-
-    def _checked(self, k):
-        k = _as_int_vector(k)
-        if len(k) != self.d:
-            raise ValueError(f"letter {k} is not of dimension {self.d}")
-        return k
-
-    def encode(self, k):
-        """The code of a vector ``k`` within the letters' ``top``."""
-        k = self._checked(k)
-        if any(abs(c) > self.top for c in k):
-            raise ValueError(f"letter {k} is beyond the reach {self.top} of the codes")
-        code = 0
-        for c in k:
-            code = code * self.base + c
-        return code
-
-    def decode(self, code):
-        """The vector of a code, a tuple of ``d`` ints."""
-        reach, base = self.reach, self.base
-        out = []
-        for _ in range(self.d):
-            digit = (code + reach) % base - reach
-            out.append(digit)
-            code = (code - digit) // base
-        return tuple(reversed(out))
-
-
 def extend_subset_sums(counts, letter):
     """The subset-sum counts of a word extended by ``letter``, from the
     counts ``{k_sigma: n}`` of the word: the number ``n`` of non-empty
-    letter subsets ``sigma`` whose mode sum has the :class:`SumCodes`
-    code ``k_sigma``, as exact integers; ``letter`` is a code too.  Each
+    letter subsets ``sigma`` whose mode sum has the
+    :class:`~mouldnf.classical.VectorCodes` code ``k_sigma``, as exact
+    integers; ``letter`` is a code too, and the codes' reach holds every
+    sum, so a sum of codes is the code of the letter sum.  Each
     new subset is an old one (or none) plus ``letter``, so the cost is
     the number of distinct sums, and a word's counts, folded from ``{}``
     one letter at a time, cost its length times that rather than
@@ -356,8 +310,9 @@ def beta(counts, weights):
     of the word whose :func:`extend_subset_sums` counts are ``counts``.
 
     ``lambda_sigma`` is the eigenvalue of the subset sum of letters, so
-    the sum runs over the distinct sums, each weighted by its
-    :class:`SumCodes` weight in ``weights`` times its count, with
+    the sum runs over the distinct sums, each weighted by its weight in
+    ``weights``, keyed by :class:`~mouldnf.classical.VectorCodes` code
+    as the growth fit keeps them, times its count, with
     ``math.fsum``: the result depends neither on the order of the sums
     nor on the exact zeros of resonant ones.  0.0 for ``counts = {}``.
     """

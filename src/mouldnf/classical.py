@@ -8,8 +8,9 @@ which is the bilinear extension of ``d_xi F . d_x G - d_x F . d_xi G``.
 The Moyal bracket differs only in the structure constant, a function of
 the integer ``s = k.m' - m.k'``: ``(2/hbar) sin(hbar s / 2)``.  So both
 brackets run through one kernel, :func:`code_bracket`, on modes keyed by
-the ints of a :class:`ModeCodes` space, and one :class:`Backend` holds
-either.
+the ints of a :func:`mode_codes` space, and one :class:`Backend` holds
+either.  The codes are those of :class:`VectorCodes`, which the growth
+fit uses for its letter sums too.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import sys
 from array import array
 from operator import mul
 
+from .alphabet import _as_int_vector
 from .observables import Observable
 
 # Array typecodes by item size in bytes: unsigned ones hold the biased
-# coordinate fields of mode codes, signed ones read ``s`` back.
+# coordinate fields of codes, signed ones read ``s`` back.
 _UNSIGNED = {array(t).itemsize: t for t in "BHILQ"}
 _SIGNED = {array(t).itemsize: t for t in "bhilq"}
 
@@ -33,45 +35,45 @@ def top(*observables):
     return max((abs(x) for obs in observables for k, m in obs.coeffs for x in k + m), default=0)
 
 
-class ModeCodes:
-    """One int per mode, for a walk whose modes have coordinates within
-    ``reach`` ``T`` in absolute value.
+class VectorCodes:
+    """One int per integer vector of ``n`` coordinates within ``reach``
+    ``T``: the kernel's modes and the growth fit's letter sums.
 
-    The ``n = 2d`` coordinates of ``k + m``, biased by ``T``, are the
-    big-endian fields of ``w`` bytes of the code:
-    ``code = sum (x_i + T) 2^(8w(n-1-i))``, with ``w`` the least of 1, 2,
-    4, 8 bytes (a power of two beyond) with ``n T^2 < 2^(8w-1)``, so a
-    field also holds any structure constant of two modes.  So:
-
-    * codes sort as the ``(k, m)`` tuples do;
-    * the sum of two modes within reach has code ``code + code' - bias``,
-      with ``bias = sum T 2^(8w(n-1-i))`` the code of the zero mode;
-    * the mirror ``(-k, -m)`` has code ``2 bias - code``.
+    The coordinates are the balanced big-endian fields of ``w`` bytes of
+    ``code = sum x_i 2^(8w(n-1-i))``, with ``w`` the least power of two
+    with ``max(T, largest) < 2^(8w-1)``, ``largest`` the largest
+    magnitude the caller forms in a field.  So the zero vector has code
+    0, codes sort as the vectors do, a sum within reach has the sum of
+    the codes and the mirror ``-x`` has ``-code``.  :meth:`encode` checks
+    a vector from outside the program; inside, ``x`` has the code
+    ``sum(map(mul, x, weights))``.
     """
 
-    def __init__(self, d, reach):
-        self.d = d
-        self.n = n = 2 * d
-        self.reach = reach
+    def __init__(self, n, reach, largest=0):
         width = 1
-        while (n * reach * reach) >> (8 * width - 1):
+        while max(reach, largest) >> (8 * width - 1):
             width *= 2
-        self.width = width
+        self.n, self.reach, self.width = n, reach, width
         self.typecode = _UNSIGNED.get(width)
         self.weights = [1 << (8 * width * (n - 1 - i)) for i in range(n)]
-        self.bias = reach * sum(self.weights)
+        # the code of (T, ..., T): a code plus it has the fields x_i + T >= 0
+        self._shift = reach * sum(self.weights)
 
-    def encode(self, obs):
-        """``obs`` keyed by codes, in its order; its reality flag is dropped."""
-        weights, bias = self.weights, self.bias
-        data = {bias + sum(map(mul, k + m, weights)): c for (k, m), c in obs.coeffs.items()}
-        return Observable._of(obs.d, data, False)
+    def encode(self, vec):
+        """The code of ``vec``; one of another dimension, non-integral or
+        beyond reach is refused with ``ValueError``."""
+        x = _as_int_vector(vec)
+        if len(x) != self.n:
+            raise ValueError(f"vector {x} is not of dimension {self.n}")
+        if any(abs(c) > self.reach for c in x):
+            raise ValueError(f"vector {x} is beyond the reach {self.reach} of the codes")
+        return sum(map(mul, x, self.weights))
 
     def fields(self, codes):
-        """The biased coordinates of ``codes``, one after another: an
-        ``array`` of native ints, or a list beyond 8-byte fields."""
-        width = self.width
-        raw = b"".join(c.to_bytes(self.n * width, "big") for c in codes)
+        """The coordinates of ``codes`` plus ``T``, one after another: an
+        ``array`` of native unsigned ints, or a list beyond 8-byte fields."""
+        width, size, shift = self.width, self.n * self.width, self._shift
+        raw = b"".join((c + shift).to_bytes(size, "big") for c in codes)
         if self.typecode is None:
             return [int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)]
         out = array(self.typecode, raw)
@@ -79,35 +81,56 @@ class ModeCodes:
             out.byteswap()
         return out
 
-    def rows(self, obs):
-        """Code-keyed ``obs`` as :func:`code_bracket`'s left operand, formed
-        once per walk: ``obs`` and its modes in code order as
-        ``(code - bias, c, a, T sum(a))``, with ``a = (-m) + k``."""
-        d, n, reach = self.d, self.n, self.reach
-        codes = sorted(obs.coeffs)
-        flat = [x - reach for x in self.fields(codes)]
-        out = []
-        for i, code in zip(range(0, len(flat), n), codes):
-            a = [-x for x in flat[i + d : i + n]] + flat[i : i + d]
-            out.append((code - self.bias, obs.coeffs[code], a, reach * sum(a)))
-        return obs, out
+    def vectors(self, codes):
+        """The coordinates of ``codes``, one after another, in a list."""
+        reach = self.reach
+        return [x - reach for x in self.fields(codes)]
 
-    def decode(self, obs):
-        """``{(k, m): c}`` of code-keyed ``obs``, in its order."""
-        d, n, reach = self.d, self.n, self.reach
-        flat = [x - reach for x in self.fields(obs.coeffs)]
-        return {
-            (tuple(flat[i : i + d]), tuple(flat[i + d : i + n])): c
-            for i, c in zip(range(0, len(flat), n), obs.coeffs.values())
-        }
+    def decode(self, code):
+        """The vector of ``code``, a tuple of ``n`` ints."""
+        return tuple(self.vectors([code]))
 
-    def check_real(self, obs):
-        """:meth:`Observable._check_real` on code-keyed ``obs``."""
-        Observable._of(self.d, self.decode(obs), True)
+
+def mode_codes(d, reach):
+    """The codes of modes ``(k, m)`` as vectors ``k + m`` within ``reach``,
+    whose fields hold any structure constant ``|s| <= 2d T^2`` of two."""
+    return VectorCodes(2 * d, reach, 2 * d * reach * reach)
+
+
+def encode_modes(codes, obs):
+    """``obs`` keyed by its modes' codes, in its order; its reality flag
+    is dropped."""
+    weights = codes.weights
+    data = {sum(map(mul, k + m, weights)): c for (k, m), c in obs.coeffs.items()}
+    return Observable._of(obs.d, data, False)
+
+
+def mode_rows(codes, obs):
+    """Code-keyed ``obs`` as :func:`code_bracket`'s left operand, formed
+    once per walk: ``obs`` and its modes in code order as
+    ``(code, c, a, T sum(a))``, with ``a = (-m) + k``."""
+    d, n, reach = obs.d, codes.n, codes.reach
+    order = sorted(obs.coeffs)
+    flat = codes.vectors(order)
+    out = []
+    for i, code in zip(range(0, len(flat), n), order):
+        a = [-x for x in flat[i + d : i + n]] + flat[i : i + d]
+        out.append((code, obs.coeffs[code], a, reach * sum(a)))
+    return obs, out
+
+
+def decode_modes(codes, obs):
+    """``{(k, m): c}`` of code-keyed ``obs``, in its order."""
+    d, n = obs.d, codes.n
+    flat = codes.vectors(obs.coeffs)
+    return {
+        (tuple(flat[i : i + d]), tuple(flat[i + d : i + n])): c
+        for i, c in zip(range(0, len(flat), n), obs.coeffs.values())
+    }
 
 
 def code_bracket(left, G, coupling, codes, real=False):
-    """Bracket of the left operand ``left = codes.rows(F)`` with the
+    """Bracket of the left operand ``left = mode_rows(codes, F)`` with the
     code-keyed observable ``G``, pruned of rounding dust.
 
     Every mode pair with a nonzero Poisson constant ``s`` contributes
@@ -169,10 +192,11 @@ def code_bracket(left, G, coupling, codes, real=False):
                 data[code] = data.get(code, 0j) + s * c * cp
     out = Observable._of(F.d, data, False)
     if real:
-        codes.check_real(out)
+        # the reality symmetry, checked on the decoded modes
+        Observable._of(F.d, decode_modes(codes, out), True)
     out = out.prune()
     if real:
-        codes.check_real(out)
+        Observable._of(F.d, decode_modes(codes, out), True)
     return out
 
 
@@ -184,10 +208,11 @@ def mode_bracket(F, G, coupling=None):
         raise ValueError("dimension mismatch")
     if F is G or F == G:
         return Observable.zero(F.d)
-    codes = ModeCodes(F.d, 2 * top(F, G))
+    codes = mode_codes(F.d, 2 * top(F, G))
     real = F.real and G.real
-    out = code_bracket(codes.rows(codes.encode(F)), codes.encode(G), coupling, codes, real)
-    return Observable._of(F.d, codes.decode(out), real)
+    left = mode_rows(codes, encode_modes(codes, F))
+    out = code_bracket(left, encode_modes(codes, G), coupling, codes, real)
+    return Observable._of(F.d, decode_modes(codes, out), real)
 
 
 def check_hbar(hbar):

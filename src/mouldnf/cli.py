@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import estimates
-from .alphabet import Frequency, diophantine_alpha, words_over
+from .alphabet import Frequency, UndeclaredResonanceError, diophantine_alpha, words_over
 from .classical import Backend
 from .exact import scalar_abs
 from .liealg import OutOfDomainError, ScaleParams, ad_x0, normalize
@@ -456,7 +456,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](config, out_dir, args.max_words)
-    except ConfigError as err:
+    except (ConfigError, UndeclaredResonanceError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except OutOfDomainError as err:  # a B or generator too large for the series

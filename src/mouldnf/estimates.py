@@ -18,8 +18,8 @@ import math
 import random
 import statistics
 
-from .alphabet import SumCodes, beta, extend_subset_sums
-from .classical import Backend
+from .alphabet import _as_int_vector, _Lookup, beta, extend_subset_sums
+from .classical import Backend, VectorCodes
 from .liealg import OutOfDomainError, chi, contract, finite_norm
 from .mould import log_divisor, power_column, series_sum
 from .observables import norm_rho
@@ -136,7 +136,26 @@ def _sample_words(letters, previous, rng):
     return [(w, rng.choice(letters)) for w in previous]
 
 
-def _extend(state, letter, codes, zero, one):
+def letter_sums(freq, alphabet, r_max):
+    """``(codes, divisors, weights)`` of the sums of up to ``r_max``
+    integral letters of ``alphabet``: their :class:`classical.VectorCodes`
+    (reach ``r_max`` times the letters' largest ``|coordinate|``) and,
+    by code, ``freq.divisors`` of the decoded sum and its small-divisor
+    weight ``|lambda_k|^(-1/tau)``, 0.0 on the resonance lattice; each
+    formed on first lookup and kept, so a distinct sum is decided once.
+    """
+    alphabet = [_as_int_vector(k) for k in alphabet]
+    codes = VectorCodes(freq.d, r_max * max((abs(c) for k in alphabet for c in k), default=0))
+    divisors = _Lookup(lambda code: freq.divisors[codes.decode(code)])
+
+    def weight(code):
+        divisor = divisors[code]
+        return 0.0 if divisor is None else abs(divisor) ** (-1.0 / freq.dioph_tau)
+
+    return codes, divisors, _Lookup(weight)
+
+
+def _extend(state, letter, divisors, zero, one):
     """The frontier state of a word extended by ``letter``, a code.
 
     A state of a word ``w`` of length r is ``(records, cols, counts, f)``:
@@ -152,7 +171,6 @@ def _extend(state, letter, codes, zero, one):
     words is read or written.
     """
     records, cols, counts, _ = state
-    divisors = codes.divisors
     tails = [(zero, one, zero)]
     extended = [([one], 0)]
     for lefts, k in reversed(records):
@@ -179,13 +197,13 @@ def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
     (:func:`_extend`): each distinct sampled word is one step from its
     parent's state, O(r^2) in the solve, in ``log S`` and in its
     subset-sum counts, and each distinct subset sum is weighed once per
-    fit.  Letter sums are :class:`alphabet.SumCodes` ints.  ``tau`` is
+    fit.  Letter sums are the codes of :func:`letter_sums`.  ``tau`` is
     the frequency's.  Returns the F and G lists, each of length
     ``r_max``.  Estimates only.
     """
     tau = freq.dioph_tau
     rng = random.Random(seed)
-    codes = SumCodes(freq, alphabet, r_max)
+    codes, divisors, weights = letter_sums(freq, alphabet, r_max)
     letters = sorted(map(codes.encode, alphabet))  # codes sort as the letters do
     zero, one = freq.zero(), freq.one()
     frontier = [([([one], 0)], [], {}, zero)]
@@ -203,9 +221,9 @@ def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
             key = id(parent), letter
             state = states.get(key)
             if state is None:
-                state = states[key] = _extend(parent, letter, codes, zero, one)
+                state = states[key] = _extend(parent, letter, divisors, zero, one)
                 _, cols, counts, f = state
-                scale = _finite(name, lambda: math.exp(eta_r * beta(counts, codes.weights)))
+                scale = _finite(name, lambda: math.exp(eta_r * beta(counts, weights)))
                 f, g = abs(complex(f)), abs(complex(series_sum(cols[-1], log_divisor)))
                 if f:
                     best_f = max(best_f, f / scale)

@@ -13,7 +13,7 @@ whose value is negligible against its own accumulated scale.
 
 Both bracket walkers, the word-tree walk of ``contract`` and the
 exponential chain of ``apply_exp_ad``, run on mode codes: each fixes a
-:class:`~mouldnf.classical.ModeCodes` space that holds every mode it can
+:func:`~mouldnf.classical.mode_codes` space that holds every mode it can
 reach, encodes its operands once, brackets with
 :func:`~mouldnf.classical.code_bracket` at every step, with the rows of
 its fixed left operands decoded once, and decodes its result once.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .classical import ModeCodes, code_bracket, top
+from .classical import code_bracket, decode_modes, encode_modes, mode_codes, mode_rows, top
 from .observables import PRUNE_REL, Observable, norm_rho, slices
 from .solver import MouldSolver
 
@@ -84,10 +84,10 @@ def contract(moulds, B, r_max, backend, r_min=1):
     if not letters:
         return totals
     # a bracket of r slices has coordinates within r top(B)
-    codes = ModeCodes(B.d, r_max * top(B))
+    codes = mode_codes(B.d, r_max * top(B))
     scales = [0.0] * len(moulds)
-    parts = {letter: codes.encode(part) for letter, part in parts.items()}
-    lefts = {letter: codes.rows(part) for letter, part in parts.items()}
+    parts = {letter: encode_modes(codes, part) for letter, part in parts.items()}
+    lefts = {letter: mode_rows(codes, part) for letter, part in parts.items()}
     coupling = backend.coupling
 
     def descend(word, nested):
@@ -109,7 +109,7 @@ def contract(moulds, B, r_max, backend, r_min=1):
 
     for letter in letters:
         descend((letter,), parts[letter])
-    return [Observable._of(B.d, codes.decode(total), False) for total in totals]
+    return [Observable._of(B.d, decode_modes(codes, total), False) for total in totals]
 
 
 def ad_x0(freq, G, exact_zero=True):
@@ -165,15 +165,16 @@ def apply_exp_ad(Y, X, order, params, freq, backend):
         return X, tail, ratio
     if Y.d != X.d:
         raise ValueError("dimension mismatch")
-    codes = ModeCodes(X.d, top(X) + order * top(Y))
-    y, x = codes.rows(codes.encode(Y)), codes.encode(X)
+    codes = mode_codes(X.d, top(X) + order * top(Y))
+    y, x = mode_rows(codes, encode_modes(codes, Y)), encode_modes(codes, X)
     coupling = backend.coupling
-    term = code_bracket(y, x, coupling, codes, Y.real and X.real) - codes.encode(ad_x0(freq, Y))
+    term = code_bracket(y, x, coupling, codes, Y.real and X.real)
+    term = term - encode_modes(codes, ad_x0(freq, Y))
     total = x + term
     for d in range(2, order + 1):
         term = code_bracket(y, term, coupling, codes) * (1.0 / d)
         total = total + term
-    return Observable._of(X.d, codes.decode(total), False), tail, ratio
+    return Observable._of(X.d, decode_modes(codes, total), False), tail, ratio
 
 
 class NormalFormResult:

@@ -14,10 +14,11 @@ Nothing in the package uses these; they pin its results.
   logarithm, and that recursion summing every term (:func:`summing_series`)
   for the one that skips exact zeros; the per-mask subset sums for
   :func:`subset_sum_counts` (the fold of ``alphabet.extend_subset_sums``
-  over a word's letter-sum codes) and
+  over a word's letter-sum codes, the ints of the one codec
+  ``classical.VectorCodes``) and
   ``alphabet.beta``; the per-word ``beta`` (:func:`beta_per_word`,
   deciding and weighting every sum afresh) for ``alphabet.beta`` on
-  ``alphabet.SumCodes`` weights kept across words; the growth fit
+  the weights of ``estimates.letter_sums`` kept across words; the growth fit
   driven by the solver's moulds on word tuples
   (:func:`mould_fit_growth_constants`), one mould at a time, for the
   frontier walk of ``estimates.fit_growth_constants``;
@@ -72,14 +73,13 @@ import numpy as np
 
 from mouldnf import Backend, Observable
 from mouldnf.alphabet import (
-    SumCodes,
     _as_int_vector,
     extend_subset_sums,
     l1,
     words_over,
 )
 from mouldnf.classical import check_hbar, sine_coupling
-from mouldnf.estimates import SAMPLE_LIMIT, _finite, default_eta, exp_tail_constant
+from mouldnf.estimates import SAMPLE_LIMIT, _finite, default_eta, exp_tail_constant, letter_sums
 from mouldnf.exact import scalar_abs
 from mouldnf.liealg import ad_x0, chi, exp_ad_tail_bound
 from mouldnf.mould import AlternalityReport, Mould, mexp
@@ -545,8 +545,9 @@ def shuffle_coefficient(a, b, lam):
 
 
 def word_codes(freq, word):
-    """The letter-sum codes of the letters of ``word``, up to its length."""
-    return SumCodes(freq, word, max(len(word), 1))
+    """The growth fit's letter sums of the letters of ``word``, up to its
+    length: ``estimates.letter_sums``' codec, divisors and weights."""
+    return letter_sums(freq, word, max(len(word), 1))
 
 
 def subset_sum_counts(word, codes):
@@ -585,7 +586,7 @@ def beta_subset_bound(word, tau, freq):
     """Crude upper bound ``2^r max |lambda_sigma|^(-1/tau)`` on ``beta``,
     the maximum over the non-resonant distinct subset sums."""
     omega_f = tuple(float(c) for c in freq.omega)
-    codes = word_codes(freq, word)
+    codes, _, _ = word_codes(freq, word)
     best = max(
         (
             abs(sum(ki * wi for ki, wi in zip(k, omega_f))) ** (-1.0 / tau)

@@ -178,6 +178,24 @@ class TestConfigValidation:
                               "sublattice of index 2")
         assert "Traceback" not in err and not any(out.glob("*"))
 
+    @pytest.mark.parametrize("command, exact", [("normalize", False), ("verify", True),
+                                                ("dump-moulds", True), ("semiclassical", False)])
+    def test_incomplete_resonance_basis_refused(self, tmp_path, capsys, command, exact):
+        # (1, -1, 0) is one of two independent resonances of omega =
+        # (1, 1, 1): the letter sum (0, 1, -1) is resonant off the
+        # declared lattice, and its words would be divided by the divisor 0
+        b = {"d": 3, "coeffs": [{"k": [0, 1, -1], "m": [1, 0, 0], "re": 0.001, "im": 0.0},
+                                {"k": [1, 0, 0], "m": [0, 1, 0], "re": 0.001, "im": 0.0}]}
+        cfg = write_config(tmp_path / "run.json", B=b, alphabet=[[0, 1, -1], [1, 0, 0]], max_r=3,
+                           freq={"omega": ["1", "1", "1"], "resonance_basis": [[1, -1, 0]]},
+                           hbar_list=[0.1, 0.05])
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--exact"] * exact) == 2
+        err = capsys.readouterr().err
+        # semiclassical meets (-2, 0, 2) first, in the witness alpha's mode box
+        assert err.startswith("config error: letter sum (")
+        assert ") is resonant but off the declared lattice" in err and "Traceback" not in err
+
     def test_missing_b_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
         data = json.loads(cfg.read_text())

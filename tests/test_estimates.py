@@ -213,18 +213,19 @@ def record_walk(monkeypatch, freq, letters, r_max, alpha, seed):
     samples, steps, words, kept, decode = [], [], {}, [], {}
     sample, extend = estimates._sample_words, estimates._extend
 
-    def recording(letters, previous, rng):
+    def recording(coded, previous, rng):
         if not samples:
             words[id(previous[0])] = ()
             kept.append(previous[0])
-        samples.append(sample(letters, previous, rng))
+            # the fit's letter codes sort as its letters do
+            decode.update(zip(coded, sorted(letters)))
+        samples.append(sample(coded, previous, rng))
         steps.append(0)
         return samples[-1]
 
-    def stepping(state, letter, codes, *args):
+    def stepping(state, letter, *args):
         steps[-1] += 1
-        decode[letter] = codes.decode(letter)
-        new = extend(state, letter, codes, *args)
+        new = extend(state, letter, *args)
         words[id(new)] = words[id(state)] + (decode[letter],)
         kept.append(new)  # kept alive, so that no id is reused
         return new

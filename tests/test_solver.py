@@ -148,8 +148,8 @@ class TestGrowthBound:
             r = rng.randint(1, 4)
             w = tuple(rng.choice(letters) for _ in range(r))
             eta_r = default_eta(rho, alpha, tau, r)
-            codes = word_codes(golden_freq, w)
-            shape = math.exp(eta_r * beta(subset_sum_counts(w, codes), codes.weights))
+            codes, _, weights = word_codes(golden_freq, w)
+            shape = math.exp(eta_r * beta(subset_sum_counts(w, codes), weights))
             fv = abs(complex(solver.values(w)[0]))
             gv = abs(complex(solver.G_mould(w)))
             assert fv <= f_list[r - 1] * shape * (1 + 1e-12)
