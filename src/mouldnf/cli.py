@@ -55,7 +55,7 @@ _SCHEMA = {
     "B": (OBSERVABLE, None),
     "B_path": ("string", None),
     "alphabet": ([["integer"]], []),
-    "max_r": ("integer", 4),
+    "max_r": ("integer", 4, lambda v: v >= 1, ">= 1"),
     "exponential_order": ("integer", None, lambda v: v >= 0, ">= 0"),
     "tolerances": ({
         key: ("number", tol, lambda v: 0 <= v < math.inf, ">= 0 and finite")

@@ -23,7 +23,7 @@ from .classical import Backend, VectorCodes
 from .liealg import OutOfDomainError, chi, contract, finite_norm
 from .mould import log_divisor, power_column, series_sum
 from .observables import norm_rho
-from .solver import MouldSolver, solve
+from .solver import MouldSolver, step
 
 SLACK = 1e-12
 # words per length of the growth fit; more are sampled down to this many
@@ -155,32 +155,32 @@ def letter_sums(freq, alphabet, r_max):
     return codes, divisors, _Lookup(weight)
 
 
-def _extend(state, letter, divisors, zero, one):
+def _extend(state, letter, divisors, zero):
     """The frontier state of a word extended by ``letter``, a code.
 
-    A state of a word ``w`` of length r is ``(records, cols, counts, f)``:
-    ``records[j]``, j = 0..r, is the prefix record of the suffix
-    ``w[j:]``, S on its prefixes from the empty word and the code of its
-    letter sum (``records[r]`` is the empty word's); ``cols`` the log-S
-    power columns of the prefixes of ``w``; ``counts`` its subset-sum
-    counts; ``f`` the value of F on ``w``.  The r + 1 new suffixes are
-    solved shortest first by :func:`solver.solve`, each from its parent
-    suffix's record and the values just solved, and S on them makes the
-    new column, by :func:`mould.power_column`.  So the values are bit
-    for bit those of ``MouldSolver`` and ``mlog``, and no table keyed by
-    words is read or written.
+    A state of a word ``w`` is ``(node, cols, counts)``: ``node`` its
+    word node (:func:`solver.step`), with letter sums as codes, the
+    empty word's 0; ``cols`` the log-S power columns of the prefixes of
+    ``w``; ``counts`` its subset-sum counts.  The r + 1 new suffixes
+    ``w[j:] + letter`` are built shortest first by :func:`solver.step`,
+    each from its parent ``w[j:]`` on the shift chain of ``w`` and the
+    suffix just built, and S on them makes the new column, by
+    :func:`mould.power_column`.  So the values are bit for bit those of
+    ``MouldSolver`` and ``mlog``, and no table keyed by words is read or
+    written.
     """
-    records, cols, counts, _ = state
-    tails = [(zero, one, zero)]
-    extended = [([one], 0)]
-    for lefts, k in reversed(records):
-        k += letter
-        entry = solve(divisors[k], lefts, tails, zero, zero)
-        tails.insert(0, entry)
-        extended.append(([*lefts, entry[1]], k))
-    extended.reverse()
-    cols = cols + [power_column(cols, [entry[1] for entry in tails[:-1]])]
-    return extended, cols, extend_subset_sums(counts, letter), tails[0][0]
+    node, cols, counts = state
+    chain = [node]
+    while node[3] is not None:
+        node = node[3]
+        chain.append(node)
+    suffix_s = []
+    for parent in reversed(chain):  # node is the empty word's, the first shift
+        k = parent[2] + letter
+        node = step(parent, node, k, divisors[k], zero, zero)
+        suffix_s.append(node[0][1])
+    suffix_s.reverse()
+    return node, cols + [power_column(cols, suffix_s)], extend_subset_sums(counts, letter)
 
 
 def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
@@ -206,7 +206,7 @@ def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
     codes, divisors, weights = letter_sums(freq, alphabet, r_max)
     letters = sorted(map(codes.encode, alphabet))  # codes sort as the letters do
     zero, one = freq.zero(), freq.one()
-    frontier = [([([one], 0)], [], {}, zero)]
+    frontier = [(((zero, one, zero), [one], 0, None), [], {})]
     f_sup, g_sup = [], []
     for r in range(1, r_max + 1):
         eta_r = default_eta(rho, alpha, tau, r)
@@ -221,10 +221,10 @@ def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
             key = id(parent), letter
             state = states.get(key)
             if state is None:
-                state = states[key] = _extend(parent, letter, divisors, zero, one)
-                _, cols, counts, f = state
+                state = states[key] = _extend(parent, letter, divisors, zero)
+                node, cols, counts = state
                 scale = _finite(name, lambda: math.exp(eta_r * beta(counts, weights)))
-                f, g = abs(complex(f)), abs(complex(series_sum(cols[-1], log_divisor)))
+                f, g = abs(complex(node[0][0])), abs(complex(series_sum(cols[-1], log_divisor)))
                 if f:
                     best_f = max(best_f, f / scale)
                 if g:

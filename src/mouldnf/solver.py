@@ -10,23 +10,24 @@ branches on resonance of the full letter sum:
   group-like value is fixed by the gauge (zero here) through an
   auxiliary mould.
 
-One table maps each solved word (a tuple of letters) to its (F, S, N)
-values, and another to its prefix record: S on its prefixes, from the
-empty word to itself, and its letter sum.  The values on a word read
-only S on its prefixes and (F, N) on its suffixes, so one step,
-:meth:`MouldSolver.extend`, solves a word from the prefix record of
-``w[:-1]``, the values on the suffixes of ``w[1:]`` and its letter sum,
-that of ``w[:-1]`` plus its last letter.  Both callers hold those
-inputs: the lazy :meth:`MouldSolver.values` extends a word's longest
-solved prefix one letter at a time, solving the new suffixes shortest
-first, and :func:`verify_equation` walks every word by length and finds
-them by position.  The arithmetic of the step is the pure :func:`solve`,
-which the growth fit's frontier of word states
-(``estimates.fit_growth_constants``) calls too, with no table.  Keys
-are tuples of k-vectors, not eigenvalues: two letters with equal
-eigenvalue but different k are distinct keys.  The
-values only depend on the eigenvalues, so this merely accepts some
-duplicate computation in exchange for a simpler table.
+A solved word is one **word node**, the plain tuple ``(entry, lefts, k,
+shift)``: ``entry`` its (F, S, N), ``lefts`` S on its prefixes from the
+empty word through itself, ``k`` its letter sum and ``shift`` the node
+of ``w[1:]`` (``None`` for the empty word), so the shift chain of a node
+holds the values on all of the word's suffixes.  The values on a word
+read only S on its prefixes and (F, N) on its suffixes, so one step,
+:func:`step`, builds the node of a word from the node of its parent
+``w[:-1]``, the node of its shift and its letter sum.  Its three drivers
+differ only in how they find those nodes: :class:`MouldSolver` keeps
+one dict from word to node and extends a word's longest solved prefix
+one letter at a time, :func:`verify_equation` walks every word by
+length and finds them by position, and the growth fit's frontier
+(``estimates.fit_growth_constants``) builds a word's new suffixes along
+its parent's shift chain, with no table.  Keys are tuples of k-vectors,
+not eigenvalues: two letters with equal eigenvalue but different k are
+distinct keys.  The values only depend on the eigenvalues, so this
+merely accepts some duplicate computation in exchange for a simpler
+table.
 """
 
 from __future__ import annotations
@@ -39,36 +40,43 @@ from .exact import scalar_abs
 from .mould import Mould, mexp, mlog
 
 
-def solve(lam, lefts, tails, zero, n):
-    """The (F, S, N) values of a non-empty word: the one solve step.
+def step(parent, shift, k, lam, zero, n):
+    """The node of a non-empty word from the node ``parent`` of its
+    ``w[:-1]`` and the node ``shift`` of its ``w[1:]``: the one solve
+    step.
 
-    ``lefts`` is S on the prefixes of ``w[:-1]`` from the empty word (so
-    the word's length is ``len(lefts)``), ``tails`` the values on the
-    suffixes of ``w[1:]``, longest first down to the empty word, ``lam``
-    the word's divisor from ``Frequency.divisors`` (``None`` when it is
-    resonant), ``zero`` the frequency's zero and ``n`` the gauge value
-    on a resonant word.
+    ``k`` is the word's letter sum, ``lam`` its divisor from
+    ``Frequency.divisors`` (``None`` when it is resonant), ``zero`` the
+    frequency's zero and ``n`` the gauge value on a resonant word.  The
+    word's length is that of the parent's ``lefts``.
     """
+    lefts = parent[1]
     r = len(lefts)
-    s_tail = tails[0][1]
+    s_tail = shift[0][1]
     sum_sf = zero
     sum_sn = zero
-    # the proper splits, S on w[:i] and the values on w[i:], i = 1..r-1;
-    # F vanishes off the resonant words and, under the zero gauge, N
-    # on them; skipping an exactly zero term leaves the sums (from +0,
-    # never -0.0) bit for bit those of summing every term
-    for sa, (fb, _, nb) in zip(lefts[1:], tails):
+    # the proper splits, S on w[:i] and the values on w[i:], i = 1..r-1,
+    # down the shift chain; F vanishes off the resonant words and, under
+    # the zero gauge, N on them; skipping an exactly zero term leaves
+    # the sums (from +0, never -0.0) bit for bit those of summing every
+    # term
+    node = shift
+    for sa in lefts[1:]:
+        fb, _, nb = node[0]
         if fb:
             sum_sf = sum_sf + sa * fb
         if nb:
             sum_sn = sum_sn + sa * nb
+        node = node[3]
     if lam is None:
         s = n + sum_sn
         # only a nonzero S is divided: int 0 / r is a float, and a
         # float zero here is +0, which r > 0 leaves as it is
-        return (s_tail - sum_sf, s / r if s else s, n)
-    s = (s_tail - sum_sf) / lam
-    return (zero, s, r * s - sum_sn)
+        entry = (s_tail - sum_sf, s / r if s else s, n)
+    else:
+        s = (s_tail - sum_sf) / lam
+        entry = (zero, s, r * s - sum_sn)
+    return entry, [*lefts, entry[1]], k, shift
 
 
 class MouldSolver:
@@ -90,8 +98,7 @@ class MouldSolver:
     def __init__(self, freq, gauge=None):
         self.freq = freq
         self.gauge = gauge
-        self._table = {(): (freq.zero(), freq.one(), freq.zero())}
-        self._prefixes = {(): ([freq.one()], ())}
+        self._nodes = {(): ((freq.zero(), freq.one(), freq.zero()), [freq.one()], (), None)}
 
     def values(self, word):
         """The (F, S, N) values on ``word``, solving its subwords first.
@@ -99,56 +106,41 @@ class MouldSolver:
         The table is closed under contiguous subwords, so once a prefix
         ``word[:i]`` is solved the new subwords of ``word[:i + 1]`` are
         its suffixes; each missing one is solved by :meth:`extend`,
-        shortest first, from the suffixes visited just before it and its
-        parent's prefix record.  A word whose ``word[:-1]`` is solved
-        costs its r suffixes, O(r^2), and the values do not depend on
-        the order in which words arrive.
+        shortest first, from its parent's node and the suffix visited
+        just before it, its shift.  A word whose ``word[:-1]`` is solved
+        costs its r suffixes, O(r^2), with no recursion, and the values
+        do not depend on the order in which words arrive.
         """
-        table = self._table
-        entry = table.get(word)
-        if entry is None:
-            prefixes, empty = self._prefixes, table[()]
+        nodes = self._nodes
+        node = nodes.get(word)
+        if node is None:
             known = len(word) - 1
-            while word[:known] not in table:
+            while word[:known] not in nodes:
                 known -= 1
             for end in range(known + 1, len(word) + 1):
-                tails = [empty]
+                node = nodes[()]
                 for j in range(end - 1, -1, -1):
                     sub = word[j:end]
-                    entry = table.get(sub)
-                    if entry is None:
-                        lefts, k = prefixes[sub[:-1]]
-                        letter = sub[-1]
-                        k = tuple(map(add, k, letter)) if k else letter
-                        entry = self.extend(sub, lefts, tails, k)
-                    tails.insert(0, entry)
-        return entry
+                    node = nodes.get(sub) or self.extend(sub, nodes[sub[:-1]], node)
+        return node[0]
 
-    def extend(self, word, lefts, tails, k):
-        """Solve and record a non-empty ``word``, returning its (F, S, N).
+    def extend(self, word, parent, shift):
+        """Solve and record a new non-empty ``word`` from the nodes of its
+        ``word[:-1]`` and ``word[1:]``, returning its node.
 
-        ``lefts`` is S on the prefixes of ``word[:-1]`` from the empty
-        word, ``tails`` the values on the suffixes of ``word[1:]``,
-        longest first down to the empty word, and ``k`` the word's letter
-        sum; its resonance is read from the frequency's one decision per
-        letter sum.  A recorded word returns its recorded entry.  The
-        prefix record of the word, S on its prefixes (``lefts`` plus its
-        own S) and ``k``, is kept for the words that extend it; the
-        empty word's letter sum is ``()``, so a one-letter word's sum is
-        its letter, which ``Frequency.divisors`` refuses in another
-        dimension.
+        The letter sum is the parent's plus the last letter (the empty
+        word's sum is ``()``, so a one-letter word's is its letter, which
+        ``Frequency.divisors`` refuses in another dimension), and its
+        resonance is read from the frequency's one decision per letter
+        sum.
         """
-        table = self._table
-        entry = table.get(word)
-        if entry is not None:
-            return entry
         freq = self.freq
+        letter = word[-1]
+        k = tuple(map(add, parent[2], letter)) if parent[2] else letter
         lam = freq.divisors[k]
         n = freq.zero() if self.gauge is None or lam is not None else self.gauge(word)
-        entry = solve(lam, lefts, tails, freq.zero(), n)
-        table[word] = entry
-        self._prefixes[word] = ([*lefts, entry[1]], k)
-        return entry
+        node = self._nodes[word] = step(parent, shift, k, lam, freq.zero(), n)
+        return node
 
     @functools.cached_property
     def F_mould(self):
@@ -201,28 +193,25 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     ``sum_i exp(-G)(w[:i]) |w[i:]| exp(G)(w[i:])`` vanishes.
 
     The walk solves each word once, in walk order, through
-    ``solver.extend``, and calls ``solver.values`` for no word.  Each
-    word keeps two lists: its prefix record from the solver (S on its
-    prefixes, from the empty word, and its letter sum) and the values on
-    its suffixes (its own, then those of ``w[1:]``).  Its ``w[:-1]`` and
-    ``w[1:]`` were walked one length earlier and are found by their
-    position in the enumeration, so the solve step gets the record of
-    the one and the suffix values of the other without hashing either;
-    only the previous length's lists are kept.  The letter sum is that
-    of ``w[:-1]`` plus the last letter (a one-letter word's is its
-    letter), and its resonance is read from the frequency's
-    ``divisors``, one decision per distinct letter sum: off the lattice
-    one eigenvalue serves ``nabla S`` and ``nabla F``, on it both are
-    exactly zero and the gauge sum is formed.  The walked words are
-    closed under subwords, so the solver's tables stay so, and the
-    moulds ``F``, ``S`` and ``G`` then read every walked word as a hit.
+    ``solver.extend``, and calls ``solver.values`` for no word.  A word's
+    ``w[:-1]`` and ``w[1:]`` were walked one length earlier and their
+    nodes are found by position in the enumeration, without hashing
+    either; only the previous length's nodes are kept.  A word the
+    solver has recorded is read as it is.  The resonance of the word's
+    letter sum is read from the frequency's ``divisors``, one decision
+    per distinct sum: off the lattice one eigenvalue serves ``nabla S``
+    and ``nabla F``, on it both are exactly zero and the gauge sum is
+    formed.  The walked words are closed under subwords, so the solver's
+    table stays so, and the moulds ``F``, ``S`` and ``G`` then read every
+    walked word as a hit.
 
-    The main equation reads no mould.  The shift ``S(w[1:])`` is the
-    second suffix entry.  The S x F sum runs over the r+1 splits from
-    int 0 and skips a split with an exactly zero factor, and only
-    nonzero values are measured.  The gauge sums, formed on resonant
-    words only, read the memoized moulds ``exp(+-G)``, and
-    ``|w| exp(G)(w)``, which they read again on suffixes, from a dict.
+    The main equation reads no mould: ``S x F`` pairs the node's
+    ``lefts`` with F down its shift chain, and the shift ``S(w[1:])`` is
+    the shift node's.  The S x F sum runs over the r+1 splits from int
+    0 and skips a split with an exactly zero factor, and only nonzero
+    values are measured.  The gauge sums, formed on resonant words only,
+    read the memoized moulds ``exp(+-G)``, and ``|w| exp(G)(w)``, which
+    they read again on suffixes, from a dict.
     """
     freq = solver.freq
     exp_minus_g, exp_g = mexp(solver.G_mould, -1), mexp(solver.G_mould)
@@ -234,16 +223,14 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
             value = weighted[word] = len(word) * exp_g(word)
         return value
 
-    prefixes = solver._prefixes
+    nodes = solver._nodes
     divisors = freq.divisors
     words = [(), *words_over(alphabet, max_r)]
     # words_over lists each length in itertools.product order over its n
     # letters: the i-th word w of a length has w[:-1] at i // n and w[1:]
     # at i mod n^(r-1) among the words one letter shorter
     n = sum(len(w) == 1 for w in words)
-    # per word of a length, in order: the solver's prefix record (S on
-    # w[:i], i = 0..r, and the letter sum) and the values on w[i:]
-    shorter, current, length = [], [(prefixes[()], [solver._table[()]])], 0
+    shorter, current, length = [], [nodes[()]], 0
     max_res = 0.0
     max_nf = 0.0
     max_gauge = 0.0
@@ -253,31 +240,25 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
             shorter, current, length = current, [], len(w)
         if w:
             i = len(current)
-            (lefts, k), _ = shorter[i // n]
-            below = shorter[i % len(shorter)][1]
-            letter = w[-1]
-            k = tuple(map(add, k, letter)) if k else letter
-            entry = solver.extend(w, lefts, below, k)
-            record = prefixes[w]
-            tails = [entry, *below]
-            current.append((record, tails))
-            lefts = record[0]
-            lam = divisors[k]
+            node = nodes.get(w) or solver.extend(w, shorter[i // n], shorter[i % len(shorter)])
+            current.append(node)
+            lam = divisors[node[2]]
         else:
-            (lefts, _), tails = current[0]
-            entry = tails[0]
+            node = current[0]
             lam = None  # the empty word's letter sum, 0, is on every lattice
+        entry, lefts, _, below = node
         if lam is None:
             nabla_s = nabla_f = freq.zero()
         else:
             nabla_s = lam * entry[1]
             nabla_f = lam * entry[0]
-        shift = tails[1][1] if w else 0
+        shift = below[0][1] if w else 0
         s_f = 0
-        for a, tail in zip(lefts, tails):
-            b = tail[0]
+        for a in lefts:
+            b = node[0][0]
             if b and a:  # F, the zero factor off the resonant suffixes, first
                 s_f = s_f + a * b
+            node = node[3]
         gauge = _split_sum(exp_minus_g, weighted_exp_g, w) if lam is None else freq.zero()
         max_res = max(max_res, _measure((nabla_s - shift) + s_f))
         max_nf = max(max_nf, _measure(nabla_f))

@@ -25,7 +25,12 @@ Nothing in the package uses these; they pin its results.
   the mode-bracket double loop with its helper calls for
   ``classical.mode_bracket``; and the stack solver, the earlier
   ``solver.MouldSolver`` with three word-keyed tables and an explicit
-  dependency stack, for the subword-table solver; the equation check
+  dependency stack, for the node-table solver; the summing solver
+  (:class:`SummingSolver`), a solver of its own on one word-keyed
+  table that solves a word's subwords shortest first, sums every split
+  term, exactly zero or not, and forms each letter sum afresh, for
+  ``solver.step``, which skips exact zeros and carries letter sums one
+  letter at a time; the equation check
   assembled from memoized combinator moulds (the product ``times``,
   ``madd``, ``msub``, the derivations ``nabla`` and ``nabla1``, the
   projection ``resonant_part`` on ``is_resonant``) for the word-by-word
@@ -37,7 +42,7 @@ Nothing in the package uses these; they pin its results.
   sparse product (:func:`weyl_matrix`, :func:`matrix_validate_moyal`)
   for ``quantum.weyl_operator`` and the matrix-free
   ``quantum.validate_moyal``; and the Fraction-pair
-  ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last eight
+  ``FractionQI`` for the Gaussian-integer ``exact.QI``.  The last nine
   are compared bit for bit, and so is the mould-driven fit.  The shaped
   growth fit (the mould-driven one with a ``lag``), which divided every
   word by the growth shape ``(tau/(e eta_r))^(tau (r - lag))``, and the
@@ -85,7 +90,7 @@ from mouldnf.liealg import ad_x0, chi, exp_ad_tail_bound
 from mouldnf.mould import AlternalityReport, Mould, mexp
 from mouldnf.observables import PRUNE_REL, norm_rho, slices
 from mouldnf.quantum import MoyalReport, _inside, _kmax
-from mouldnf.solver import EquationReport, MouldSolver
+from mouldnf.solver import EquationReport
 
 
 def evaluate(obs, x, xi):
@@ -482,36 +487,46 @@ class StackSolver:
         self._N[w] = n
 
 
-class SummingSolver(MouldSolver):
-    """The subword-table solver with every suffix term summed, exactly
-    zero or not: the sums that skipping zero terms must reproduce.  Its
-    ``extend`` is the one ``values`` calls, and it forms the letter sum
-    afresh rather than reading the carried one."""
+class SummingSolver:
+    """(F, S, N) by induction on word length on one word-keyed table,
+    every split term summed, exactly zero or not: the sums that skipping
+    zero terms must reproduce.  A word's subwords are solved shortest
+    first, each forming its letter sum afresh and deciding it on the
+    frequency's raw lattice test."""
 
-    def extend(self, word, lefts, tails, k):
-        entry = self._table.get(word)
-        if entry is not None:
-            return entry
-        freq = self.freq
+    def __init__(self, freq, gauge=None):
+        self.freq = freq
+        self.gauge = gauge
+        self._table = {(): (freq.zero(), freq.one(), freq.zero())}
+
+    def values(self, word):
+        table = self._table
+        for length in range(1, len(word) + 1):
+            for j in range(len(word) - length + 1):
+                sub = word[j:j + length]
+                if sub not in table:
+                    table[sub] = self._solve(sub)
+        return table[word]
+
+    def _solve(self, word):
+        freq, table = self.freq, self._table
         r = len(word)
         k = ksum(word)
         if len(k) != freq.d:
             raise ValueError("word dimension does not match frequency")
-        s_tail = tails[0][1]
         sum_sf = freq.zero()
         sum_sn = freq.zero()
-        for sa, (fb, _, nb) in zip(lefts[1:], tails):
+        for i in range(1, r):
+            sa = table[word[:i]][1]
+            fb, _, nb = table[word[i:]]
             sum_sf = sum_sf + sa * fb
             sum_sn = sum_sn + sa * nb
+        s_tail = table[word[1:]][1]
         if freq._in_lattice(k):
             n = freq.zero() if self.gauge is None else self.gauge(word)
-            entry = (s_tail - sum_sf, divide(n + sum_sn, r), n)
-        else:
-            s = (s_tail - sum_sf) / freq._eigenvalue(k, exact_zero=False)
-            entry = (freq.zero(), s, r * s - sum_sn)
-        self._table[word] = entry
-        self._prefixes[word] = ([*lefts, entry[1]], k)
-        return entry
+            return (s_tail - sum_sf, divide(n + sum_sn, r), n)
+        s = (s_tail - sum_sf) / freq._eigenvalue(k, exact_zero=False)
+        return (freq.zero(), s, r * s - sum_sn)
 
 
 def times_all_splits(M, N, word):

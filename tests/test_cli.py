@@ -571,6 +571,7 @@ OUT_OF_RANGE = [
     (("N",), 0, "config.N"),
     (("freq", "K"), 0, "config.freq.K"),
     (("samples",), -1, "config.samples"),
+    (("max_r",), 0, "config.max_r"),
     (("exponential_order",), -1, "config.exponential_order"),
     (("freq", "tau"), 0.5, "config.freq.tau"),
     # rho_prime < rho is a rule across keys, checked by ScaleParams

@@ -415,7 +415,7 @@ class TestFitMemory:
         def size():
             (solver,) = built
             moulds = (solver.F_mould, solver.S_mould, solver.G_mould)
-            return (len(solver._table), len(solver._prefixes), *(len(m._memo) for m in moulds),
+            return (len(solver._nodes), *(len(m._memo) for m in moulds),
                     len(vars(solver.S_mould)["_power_columns"]))
 
         fit = estimates.fit_growth_constants

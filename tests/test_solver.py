@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -255,7 +256,7 @@ class TestSuffixPath:
             solver = MouldSolver(freq, gauge=gauge)
             for w in order:
                 solver.values(w)
-            table = solver._table
+            table = solver._nodes
             assert all(
                 w[j:k] in table for w in table for j in range(len(w)) for k in range(j + 1, len(w) + 1)
             )
@@ -263,8 +264,29 @@ class TestSuffixPath:
         oracle = StackSolver(freq, gauge=gauge)
         for table in tables:
             assert table.keys() == tables[0].keys()
-            for w, got in table.items():
-                assert repr(got) == repr(oracle.values(w))
+            for w, node in table.items():
+                assert repr(node[0]) == repr(oracle.values(w))
+
+
+class TestLongWords:
+    """Mould-table keys come from outside the program and can be long:
+    ``values`` extends the longest solved prefix with no recursion."""
+
+    def test_word_longer_than_the_recursion_limit(self, golden_freq):
+        word = ((1, 0),) * 300
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            got = MouldSolver(golden_freq).values(word)
+        finally:
+            sys.setrecursionlimit(limit)
+        stepwise = MouldSolver(golden_freq)
+        for i in range(1, len(word) + 1):
+            stepwise.values(word[:i])
+        assert repr(got) == repr(stepwise.values(word))
 
 
 # Letters resonant for some frequency below and not for others: (2, -1)
@@ -329,16 +351,17 @@ class TestLetterSums:
             steps.append((a, b))
             return a + b
 
-        def recording(self, word, lefts, tails, k):
-            extended.append((word, k))
-            return extend(self, word, lefts, tails, k)
+        def recording(self, word, parent, shift):
+            node = extend(self, word, parent, shift)
+            extended.append((word, node[2]))
+            return node
 
         monkeypatch.setattr(solver_module, "add", counting_add)
         monkeypatch.setattr(MouldSolver, "extend", recording)
         solver = MouldSolver(freq, gauge=gauge)
         for w in words_over(letters, 3):
             solver.values(w)
-        solved = [w for w in solver._table if w]
+        solved = [w for w in solver._nodes if w]
         assert len(solved) == len(letters) + len(letters) ** 2 + len(letters) ** 3
         assert sorted(extended) == sorted((w, ksum(w)) for w in solved)
         # a one-letter word's sum is its letter; a longer one adds its
@@ -362,7 +385,8 @@ class TestLetterSums:
 
 class TestVerifyWalk:
     """``verify_equation`` solves each word once, in walk order, through
-    ``MouldSolver.extend``, and leaves the tables that ``values`` fills."""
+    ``MouldSolver.extend``, and leaves the node table that ``values``
+    fills."""
 
     @pytest.mark.parametrize("gauged", [False, True], ids=["zero_gauge", "gauge"])
     @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
@@ -384,14 +408,16 @@ class TestVerifyWalk:
         for w in data.draw(st.permutations([(), *words_over(letters, max_r)])):
             lazy.values(w)
         oracle = StackSolver(freq, gauge=gauge)
-        assert walked._table.keys() == lazy._table.keys()
-        assert walked._prefixes.keys() == lazy._prefixes.keys()
-        for w, got in walked._table.items():
-            assert repr(got) == repr(lazy._table[w]) == repr(oracle.values(w))
-            assert repr(walked._prefixes[w]) == repr(lazy._prefixes[w])
+        assert walked._nodes.keys() == lazy._nodes.keys()
+        for w, node in walked._nodes.items():
+            entry, lefts, k, shift = node
+            assert repr(entry) == repr(lazy._nodes[w][0]) == repr(oracle.values(w))
+            assert repr((lefts, k)) == repr(lazy._nodes[w][1:3])
+            # the shift is the table's own node of w[1:]
+            assert shift is (walked._nodes[w[1:]] if w else None)
         # a walk over recorded words reads their entries as they are
         assert repr(vars(verify_equation(lazy, max_r, letters))) == repr(vars(report))
-        assert lazy._table.keys() == walked._table.keys()
+        assert lazy._nodes.keys() == walked._nodes.keys()
 
     def test_each_word_solved_once_in_walk_order(self, monkeypatch):
         freq = VERIFY_CASES["rational_exact"]
@@ -400,12 +426,12 @@ class TestVerifyWalk:
 
         def recording_extend(self, word, *args):
             extended.append(word)
-            if word not in self._table:
+            if word not in self._nodes:
                 solved.append(word)
             return extend(self, word, *args)
 
         def recording_values(self, word):
-            hits.append(word in self._table)
+            hits.append(word in self._nodes)
             return values(self, word)
 
         monkeypatch.setattr(MouldSolver, "extend", recording_extend)
@@ -428,5 +454,5 @@ class TestVerifyWalk:
 
         monkeypatch.setattr(MouldSolver, "values", refused)
         assert verify_equation(solver, 4, ((1, 0), (0, 1), (1, 1))).ok
-        assert len(solver._table) == 1 + 3 + 9 + 27 + 81
+        assert len(solver._nodes) == 1 + 3 + 9 + 27 + 81
 
