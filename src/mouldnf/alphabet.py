@@ -8,8 +8,8 @@ the solver's and the moulds' memo tables.  The growth fit keys nothing
 by word: it carries letter sums as the ints of a
 :class:`~mouldnf.classical.VectorCodes` codec.  Letters are checked to be
 integral once, where they enter from outside the program
-(:func:`words_over` checks its alphabet, the codec the fit's letters);
-inside, words are trusted.
+(:func:`words_over` checks its alphabet, the codec the fit's letters,
+:func:`~mouldnf.mould.read_table` table keys); inside, words are trusted.
 
 Resonance (a vanishing eigenvalue sum) is always decided exactly on the
 integer lattice spanned by the declared resonance basis, never by
@@ -210,11 +210,6 @@ class Frequency:
         if self.exact:
             return sum(map(mul, k, self._num)) == 0
         return abs(sum(map(mul, k, self.omega))) <= 1e-12 * l1(k) * l1(self.omega)
-
-    def in_lattice(self, k):
-        """Exact membership of ``k`` in the declared resonance lattice,
-        read from :attr:`divisors`."""
-        return self.divisors[_as_int_vector(k)] is None
 
     def _decide(self, k):
         """The entry of :attr:`divisors` for a letter sum ``k`` met first:

@@ -23,11 +23,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import estimates
-from .alphabet import Frequency, UndeclaredResonanceError, diophantine_alpha, words_over
+from .alphabet import Frequency, UndeclaredResonanceError, diophantine_alpha
 from .classical import Backend
 from .exact import scalar_abs
 from .liealg import OutOfDomainError, ScaleParams, ad_x0, normalize
-from .mould import _parse_word, check_alternal, dump_table, load_table
+from .mould import check_alternal, read_table, write_table
 from .observables import OBSERVABLE, Observable, _walk, from_json_dict, norm_rho, to_json_dict
 from .quantum import validate_moyal
 from .solver import MouldSolver, verify_equation
@@ -65,11 +65,6 @@ _SCHEMA = {
     "seed": ("integer", 0),
     "samples": ("integer", 100, lambda v: v >= 0, ">= 0"),
     "mould_table": ("string", None),
-}
-# a mould table as ``dump-moulds`` writes it
-_MOULD_TABLE = {
-    "F": ("object", ...), "S": ("object", ...), "G": ("object", ...),
-    "alphabet": ([["integer"]], None), "max_r": ("integer", None), "exact": ("boolean", None),
 }
 
 
@@ -174,6 +169,20 @@ def _over_budget(n_letters, max_r, max_words):
     return False
 
 
+def _table_over_budget(tables, max_words):
+    """Whether the keys of ``tables`` take more than ``max_words`` words to
+    solve: one for a key whose ``w[:-1]`` and ``w[1:]`` are keys or empty,
+    else its ``L (L + 1) / 2`` subwords; says so on stderr."""
+    keys = {()}.union(*tables.values())
+    total = sum(1 if w[:-1] in keys and w[1:] in keys else len(w) * (len(w) + 1) // 2
+                for w in keys.difference([()]))
+    if total <= max_words:
+        return False
+    print(f"error: the mould_table keys take {total} words, over the word budget "
+          f"{max_words} of --max-words", file=sys.stderr)
+    return True
+
+
 def _box_over_budget(what, radius, d, max_words):
     """Whether the ``(2 radius + 1)^d`` modes that ``what`` scans number
     more than ``max_words``; says so on stderr."""
@@ -198,12 +207,15 @@ def _quantum_diagnostics(result):
     return out
 
 
+def _comould_over_budget(config, B, max_words):
+    """Whether the K box or the comould walk's words exceed ``max_words``."""
+    return (_box_over_budget(f"K = {config.K}", config.K, config.freq.d, max_words)
+            or _over_budget(len({k for k, _ in B.coeffs}) or 1, config.N, max_words))
+
+
 def cmd_normalize(config, out_dir, max_words):
     B = config.observable()
-    if _box_over_budget(f"K = {config.K}", config.K, config.freq.d, max_words):
-        return 2
-    n_letters = len({k for k, _ in B.coeffs})
-    if _over_budget(max(n_letters, 1), config.N, max_words):
+    if _comould_over_budget(config, B, max_words):
         return 2
     backend = config.backend()
     result = normalize(B, config.N, config.scale, config.freq, backend, config.exponential_order)
@@ -256,21 +268,12 @@ def cmd_normalize(config, out_dir, max_words):
 
 
 def cmd_dump_moulds(config, out_dir, max_words):
+    if config.alphabet and _over_budget(len(config.alphabet), config.max_r, max_words):
+        return 2
     solver = MouldSolver(config.freq)
-    words = []
-    if config.alphabet:
-        if _over_budget(len(config.alphabet), config.max_r, max_words):
-            return 2
-        words = list(words_over(config.alphabet, config.max_r))
-    payload = {
-        "alphabet": [list(k) for k in config.alphabet],
-        "max_r": config.max_r,
-        "exact": config.exact,
-        "F": dump_table(solver.F_mould, words, exact=config.exact),
-        "S": dump_table(solver.S_mould, words, exact=config.exact),
-        "G": dump_table(solver.G_mould, words, exact=config.exact),
-    }
-    _write_json(out_dir / "moulds.json", payload)
+    moulds = {"F": solver.F_mould, "S": solver.S_mould, "G": solver.G_mould}
+    _write_json(out_dir / "moulds.json",
+                write_table(moulds, config.alphabet, config.max_r, config.exact))
     return 0
 
 
@@ -328,6 +331,16 @@ def cmd_verify(config, out_dir, max_words):
     moyal = f"the Moyal check at cutoff {MOYAL_CUTOFF}"
     if not config.exact and _box_over_budget(moyal, MOYAL_CUTOFF, config.freq.d, max_words):
         return 2
+    golden = {}
+    if config.mould_table:
+        try:
+            data = json.loads((config.base_dir / config.mould_table).read_text())
+            golden = read_table(data, config.freq.d, config.exact)
+        except (OSError, ValueError) as err:  # a JSONDecodeError is a ValueError
+            print(f"error: cannot read mould_table: {err}", file=sys.stderr)
+            return 2
+        if _table_over_budget(golden, max_words):
+            return 2
     solver = MouldSolver(config.freq)
     eq = verify_equation(solver, config.max_r, alphabet, tol=config.tolerances["residual"])
     emit(
@@ -374,23 +387,11 @@ def cmd_verify(config, out_dir, max_words):
             all_ok &= rep.holds
 
     if config.mould_table:
-        table_path = config.base_dir / config.mould_table
         moulds = {"F": solver.F_mould, "S": solver.S_mould, "G": solver.G_mould}
-        try:
-            golden = _walk(json.loads(table_path.read_text()), _MOULD_TABLE, "mould_table")
-            refs = []
-            for name, mould in moulds.items():
-                words = [_parse_word(key) for key in golden[name]]
-                if any(len(k) != config.freq.d for w in words for k in w):
-                    raise ValueError(f"a key in {name} has a letter not of dimension {config.freq.d}")
-                refs.append((mould, load_table(golden[name], exact=config.exact), words))
-        except (OSError, ValueError) as err:  # a JSONDecodeError is a ValueError
-            print(f"error: cannot read mould_table: {err}", file=sys.stderr)
-            return 2
         worst = 0.0
-        for mould, ref, words in refs:
-            for w in words:
-                worst = max(worst, scalar_abs(mould(w) - ref(w)))
+        for name, table in golden.items():
+            for w, value in table.items():
+                worst = max(worst, scalar_abs(moulds[name](w) - value))
         ok = worst <= config.tolerances["residual"]
         emit({"name": "golden_mould_table", "ok": ok, "max_deviation": worst})
         all_ok &= ok
@@ -407,7 +408,7 @@ def cmd_semiclassical(config, out_dir, max_words):
     if not hbars:
         print("error: semiclassical needs hbar or hbar_list", file=sys.stderr)
         return 2
-    if _box_over_budget(f"K = {config.K}", config.K, config.freq.d, max_words):
+    if _comould_over_budget(config, B, max_words):
         return 2
     alpha = diophantine_alpha(config.freq, config.K)
     report = estimates.verify_semiclassical(

@@ -15,6 +15,7 @@ import math
 
 from .alphabet import shuffles, words_over
 from .exact import QI, scalar_abs
+from .observables import _walk
 
 
 class Mould:
@@ -38,12 +39,6 @@ class Mould:
 
     def __repr__(self):
         return f"Mould({self.name})"
-
-
-def from_table(table):
-    """The mould with the values of ``table`` on its words and 0 elsewhere."""
-    table = dict(table)
-    return Mould(lambda w: table.get(w, 0), name="table")
 
 
 def _series(M, empty_value, divisor, name):
@@ -172,8 +167,8 @@ def check_alternal(moulds, max_r, alphabet, tol=1e-10):
     """Check the shuffle relations for all word pairs up to ``max_r``.
 
     ``moulds`` is a list of moulds, and one report is returned for each,
-    in order; a single mould, not in a list, gets its one report.  Each
-    pair's shuffles are built and sorted once and serve every mould.
+    in order.  Each pair's shuffles are built and sorted once and serve
+    every mould.
     ``sh(a, b)`` and ``sh(b, a)`` are one multiset, so the sums of a
     pair, met first as ``(a, b)``, are kept for its mirror ``(b, a)``,
     whose sorted terms, and so its residual and mass, are the same bits.
@@ -195,8 +190,6 @@ def check_alternal(moulds, max_r, alphabet, tol=1e-10):
     sum starts at int 0, so this changes at most the sign of a zero
     part, which ``scalar_abs`` does not see.
     """
-    if callable(moulds):
-        return check_alternal([moulds], max_r, alphabet, tol)[0]
     for M in moulds:
         if M(()):
             raise ValueError("an alternal-type mould must vanish on the empty word")
@@ -250,52 +243,61 @@ def _alternality_report(checked, pairs, letter_scale, tol):
     return AlternalityReport(pairs, violations, max_ratio, tol)
 
 
-def _serialize_word(word):
-    return "|".join(",".join(str(c) for c in k) for k in word)
+# a mould table as ``dump-moulds`` writes it, walked by ``observables._walk``
+_TABLE = {
+    "F": ("object", ...), "S": ("object", ...), "G": ("object", ...),
+    "alphabet": ([["integer"]], None), "max_r": ("integer", None), "exact": ("boolean", None),
+}
 
 
-def _parse_word(text):
-    """The word a table key names; its letters must be integers."""
-    if text == "":
-        return ()
-    try:
-        return tuple(tuple(int(c) for c in part.split(",")) for part in text.split("|"))
-    except ValueError:
-        raise ValueError(f"mould table key {text!r} is not a word of integer letters") from None
-
-
-def dump_table(M, words, exact=False):
-    """Materialize mould values on given words as a JSON-ready dict.
+def write_table(moulds, alphabet, max_r, exact=False):
+    """The ``moulds.json`` payload of ``moulds``, a map from each of F, S
+    and G to its mould, on the words of length 1 to ``max_r`` over
+    ``alphabet`` (keyed ``"k1,k2|k1,k2"`` by length, then word order).
 
     Values are ``[re, im]`` float pairs, or exact fraction strings when
     ``exact`` is set.
     """
-    out = {}
-    for w in sorted(set(words), key=lambda w: (len(w), w)):
-        v = M(w)
-        if exact:
-            out[_serialize_word(w)] = QI.coerce(v).as_strings() if v else ["0", "0"]
-        else:
-            c = complex(v)
-            out[_serialize_word(w)] = [c.real, c.imag]
-    return out
+    keys = {w: "|".join(",".join(map(str, k)) for k in w) for w in words_over(alphabet, max_r)}
+    payload = {"alphabet": [list(k) for k in alphabet], "max_r": max_r, "exact": exact}
+    for name in "FSG":
+        table = payload[name] = {}
+        for w, key in keys.items():
+            v = moulds[name](w)
+            if exact:
+                table[key] = QI.coerce(v).as_strings() if v else ["0", "0"]
+            else:
+                table[key] = [complex(v).real, complex(v).imag]
+    return payload
 
 
-def load_table(table, exact=False):
-    """Inverse of :func:`dump_table`, returning a table-backed mould.
+def read_table(data, d, exact=False):
+    """The ``{word: value}`` tables of F, S and G in ``data``, a loaded
+    :func:`write_table` payload, keyed by name; each key becomes a word
+    of letters of ``d`` integers and each value a scalar (a ``QI`` or int
+    0 when ``exact``), both read once.
 
-    A value that is not an ``[re, im]`` pair of numbers (of fraction
-    strings when ``exact``) raises ``ValueError`` naming its key.
+    A section missing, a key not such a word or a value not an
+    ``[re, im]`` pair of numbers (of fraction strings when ``exact``)
+    raises ``ValueError`` naming the section or key.
     """
-    data = {}
-    for key, pair in table.items():
-        w = _parse_word(key)
-        try:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise TypeError
-            data[w] = QI.from_strings(pair) if exact else complex(pair[0], pair[1])
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(
-                f"mould table value at {key!r} is not an [re, im] pair: {pair!r}"
-            ) from None
-    return from_table(data)
+    data = _walk(data, _TABLE, "mould_table")
+    tables = {}
+    for name in "FSG":
+        table = tables[name] = {}
+        for key, pair in data[name].items():
+            try:
+                w = tuple(tuple(map(int, k.split(","))) for k in key.split("|")) if key else ()
+            except ValueError:
+                raise ValueError(f"mould table key {key!r} is not a word of integer letters") from None
+            if any(len(k) != d for k in w):
+                raise ValueError(f"a key in {name} has a letter not of dimension {d}")
+            try:
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise TypeError
+                table[w] = QI.from_strings(pair) if exact else complex(pair[0], pair[1])
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"mould table value at {key!r} is not an [re, im] pair: {pair!r}"
+                ) from None
+    return tables

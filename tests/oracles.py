@@ -303,7 +303,8 @@ def prune_at(obs, rel):
 
 
 def table_mould(table, default):
-    """``mould.from_table`` with ``default`` off the table."""
+    """The mould with the values of ``table`` on its words and
+    ``default`` off them."""
     table = dict(table)
     return Mould(lambda w: table.get(w, default), name="table")
 

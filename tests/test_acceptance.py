@@ -62,7 +62,7 @@ class TestAcceptance:
         solver = MouldSolver(golden_freq)
         ok = True
         for mould in (solver.F_mould, solver.G_mould):
-            rep = check_alternal(mould, 4, FLOAT_ALPHABET, tol=1e-10)
+            (rep,) = check_alternal([mould], 4, FLOAT_ALPHABET, tol=1e-10)
             ok = ok and rep.ok
         elapsed = time.time() - t0
         ok = ok and elapsed < 10.0

@@ -18,7 +18,7 @@ from mouldnf.alphabet import (
     words_over,
 )
 from mouldnf.estimates import SAMPLE_LIMIT, fit_growth_constants, letter_sums
-from mouldnf.mould import Mould, _parse_word
+from mouldnf.mould import Mould, read_table
 
 from oracles import (
     beta_per_word,
@@ -228,7 +228,7 @@ class TestBetaOracle:
         for word in words:
             coded = subset_sum_counts(word, codes)
             counts = {codes.decode(k): n for k, n in coded.items()}
-            assert any(freq.in_lattice(k) for k in counts)
+            assert any(freq.divisors[k] is None for k in counts)
             assert repr(beta(coded, weights)) == repr(beta_per_word(counts, tau, freq))
             met.update(coded)
         assert weights.keys() == met
@@ -248,13 +248,11 @@ class TestTrustedLattice:
     )
     def test_trusted_path_matches_public(self, vectors, freq):
         for k in vectors:
-            assert freq._in_lattice(k) == freq.in_lattice(k) == freq.in_lattice(list(k))
-            assert freq._eigenvalue(k) == freq.eigenvalue(k)
+            assert freq._in_lattice(k) == (freq.divisors[k] is None)
+            assert freq._eigenvalue(k) == freq.eigenvalue(k) == freq.eigenvalue(list(k))
 
     def test_public_path_refuses_non_integral(self):
         for freq in BETA_FREQUENCIES:
-            with pytest.raises(ValueError, match="integral"):
-                freq.in_lattice((1.5, 0))
             with pytest.raises(ValueError, match="integral"):
                 freq.eigenvalue((1.5, 0))
 
@@ -266,8 +264,6 @@ class TestTrustedLattice:
         ids=["short", "long", "short-zero"],
     )
     def test_public_path_refuses_wrong_dimension(self, freq, k):
-        with pytest.raises(ValueError, match="dimension"):
-            freq.in_lattice(k)
         with pytest.raises(ValueError, match="dimension"):
             freq.eigenvalue(k)
 
@@ -312,7 +308,6 @@ class TestOneDecisionPerSum:
             divisor = freq.divisors[k]
             code = codes.encode(k)
             assert (divisor is None) == (sum(map(mul, k, normal)) == 0)
-            assert freq.in_lattice(k) == (divisor is None)
             assert divisors[code] is divisor
             if divisor is None:
                 assert freq.eigenvalue(k) == freq.zero() and weights[code] == 0.0
@@ -425,7 +420,7 @@ class TestDiophantineAlpha:
         best = min(
             abs(k[0] + 2.0 * k[1]) * l1(k)
             for k in iter_modes(2, 2)
-            if not rational_freq_float.in_lattice(k)
+            if rational_freq_float.divisors[k] is not None
         )
         assert diophantine_alpha(rational_freq_float, 2) == pytest.approx(best)
 
@@ -459,7 +454,7 @@ class TestWord:
         with pytest.raises(ValueError):
             list(words_over([(0.5, 0)], 1))
         with pytest.raises(ValueError):
-            _parse_word("1.5,0")
+            read_table({"F": {"1.5,0": [0.0, 0.0]}, "S": {}, "G": {}}, 2)
         with pytest.raises(ValueError):
             # more letters than SAMPLE_LIMIT words of length 1: the sampled branch
             letters = [(j, 0) for j in range(1, SAMPLE_LIMIT + 1)] + [(0.5, 0)]

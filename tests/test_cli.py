@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Observable
-from mouldnf.cli import main
+from mouldnf.cli import _table_over_budget, main
+from mouldnf.mould import read_table
 from mouldnf.observables import norm_rho, to_json_dict
 
 from conftest import TOY_MODES
@@ -23,6 +24,11 @@ PHI = (1 + 5 ** 0.5) / 2
 def toy_b_json():
     base = Observable(2, TOY_MODES)
     return to_json_dict((0.01 / norm_rho(base, 1.0)) * base)
+
+
+def unreached(*args, **kwargs):
+    """A stand-in for a step that a refusal must come before."""
+    raise AssertionError("ran before the refusal")
 
 
 def write_config(path, **overrides):
@@ -538,12 +544,56 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "K = 10000" in err and "mode budget 200000" in err
 
+    def test_semiclassical_word_budget(self, tmp_path, capsys, monkeypatch):
+        # the walk of the 4 toy letters to N = 4 takes 340 words, as in
+        # normalize; the K box of 11^2 modes fits a budget of 200
+        monkeypatch.setattr("mouldnf.cli.estimates.verify_semiclassical", unreached)
+        config = json.loads((REPO / "configs" / "toy_semiclassical.json").read_text())
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**config, "N": 4}))
+        out = tmp_path / "out"
+        assert main(["semiclassical", "--config", str(cfg), "--out", str(out), "--max-words", "200"]) == 2
+        assert capsys.readouterr().err == "error: word budget 200 exceeded\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("max_words, code", [(300, 2), (464, 2), (465, 0)])
+    def test_mould_table_keys_budgeted_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                        max_words, code):
+        # one key of the 30 distinct letters (1, 0), ..., (30, 0) takes its
+        # 465 subwords; the Moyal box of 17^2 modes and the one config
+        # word fit every budget here
+        key = "|".join(f"{j},0" for j in range(1, 31))
+        (tmp_path / "table.json").write_text(json.dumps({"F": {key: [0.0, 0.0]}, "S": {}, "G": {}}))
+        cfg = write_config(
+            tmp_path / "run.json", alphabet=[[1, 0]], max_r=1, samples=5, mould_table="table.json"
+        )
+        if code:
+            monkeypatch.setattr("mouldnf.cli.MouldSolver", unreached)
+        out = tmp_path / "out"
+        argv = ["verify", "--config", str(cfg), "--out", str(out), "--max-words", str(max_words)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (f"error: the mould_table keys take 465 words, over the word budget "
+                           f"{max_words} of --max-words\n")
+            assert not (out / "verify_report.jsonl").exists()
+        else:
+            assert err == ""
+            last = json.loads((out / "verify_report.jsonl").read_text().splitlines()[-1])
+            assert last == {"name": "golden_mould_table", "ok": True, "max_deviation": 0.0}
+
+    @pytest.mark.parametrize("golden", ["moulds_golden.json", "moulds_exact_golden.json"])
+    def test_shipped_table_keys_count_once_each(self, capsys, golden):
+        exact = golden == "moulds_exact_golden.json"
+        tables = read_table(json.loads((REPO / "goldens" / golden).read_text()), 2, exact)
+        assert {len(t) for t in tables.values()} == {39}
+        assert not _table_over_budget(tables, 39)
+        assert _table_over_budget(tables, 38)
+        assert "keys take 39 words" in capsys.readouterr().err
+
     def test_moyal_box_over_budget_refused_before_equation_check(self, tmp_path, capsys,
                                                                  monkeypatch):
         # float verify's Moyal check scans (2*8+1)^d basis vectors: 17^5 = 1419857
-        def unreached(*args, **kwargs):
-            raise AssertionError("ran before the refusal")
-
         monkeypatch.setattr("mouldnf.cli.verify_equation", unreached)
         monkeypatch.setattr("mouldnf.cli.validate_moyal", unreached)
         omega = [1.0, PHI, 2 ** 0.5, 3 ** 0.5, 5 ** 0.5]
@@ -778,7 +828,9 @@ class TestVerifyCommand:
         ids=["non-integral-key", "no-S-section", "wrong-dimension-key", "one-number-value",
              "string-value", "exact-one-string-value", "exact-null-part"],
     )
-    def test_malformed_golden_table_rejected(self, tmp_path, capsys, table, flags):
+    def test_malformed_golden_table_rejected(self, tmp_path, capsys, monkeypatch, table, flags):
+        # the table is read before any mould is solved
+        monkeypatch.setattr("mouldnf.cli.verify_equation", unreached)
         (tmp_path / "table.json").write_text(json.dumps(table))
         cfg = write_config(
             tmp_path / "run.json", alphabet=[[1, 0]], max_r=1, samples=5, mould_table="table.json"

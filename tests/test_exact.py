@@ -17,7 +17,7 @@ from mouldnf import Frequency
 from mouldnf.alphabet import words_over
 from mouldnf.cli import load_config
 from mouldnf.exact import QI, scalar_abs
-from mouldnf.mould import Mould, dump_table, mexp
+from mouldnf.mould import Mould, mexp, write_table
 from mouldnf.solver import MouldSolver, verify_equation
 
 from oracles import FractionQI
@@ -248,11 +248,8 @@ def exact_solve():
     """F, S and G on every word up to ``MAX_R``, and the equation report."""
     freq = Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)])
     solver = MouldSolver(freq)
-    words = [(), *words_over(LETTERS, MAX_R)]
-    tables = {
-        name: dump_table(M, words, exact=True)
-        for name, M in (("F", solver.F_mould), ("S", solver.S_mould), ("G", solver.G_mould))
-    }
+    moulds = {"F": solver.F_mould, "S": solver.S_mould, "G": solver.G_mould}
+    tables = write_table(moulds, LETTERS, MAX_R, exact=True)
     report = verify_equation(solver, MAX_R, LETTERS)
     return tables, vars(report), solver.S_mould(LETTERS)
 
@@ -352,7 +349,7 @@ def test_exact_solve_matches_fraction_oracle(monkeypatch):
     tables, report, value = exact_solve()
     assert isinstance(value, QI)
     assert report["exact"] and report["max_residual"] == 0.0
-    assert len(tables["S"]) == 1 + sum(len(LETTERS) ** r for r in range(1, MAX_R + 1))
+    assert len(tables["S"]) == sum(len(LETTERS) ** r for r in range(1, MAX_R + 1))
 
     monkeypatch.setattr(mouldnf.alphabet, "QI", OracleQI)
     monkeypatch.setattr(mouldnf.alphabet, "_QI_ONE", FractionQI(1, 0))

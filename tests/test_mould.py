@@ -14,11 +14,10 @@ from mouldnf.exact import QI, scalar_abs
 from mouldnf.mould import (
     Mould,
     check_alternal,
-    dump_table,
-    from_table,
-    load_table,
     mexp,
     mlog,
+    read_table,
+    write_table,
 )
 from mouldnf.solver import MouldSolver
 
@@ -126,7 +125,7 @@ class TestNabla:
         assert decided == [ksum(w) for w in words]
         for w, value in zip(words, values):
             k = ksum(w)
-            assert value == (0 if freq.in_lattice(k) else freq.eigenvalue(k, exact_zero=False) * M(w))
+            assert value == (0 if freq.divisors[k] is None else freq.eigenvalue(k, exact_zero=False) * M(w))
 
     def test_derivation_of_times_exact_on_integer_omega(self, rational_freq_float):
         freq = rational_freq_float
@@ -181,7 +180,7 @@ class TestExpLog:
 
     def test_exp_on_pair_of_single_letter_support(self):
         table = {(X,): 0.3 + 0.1j, (Y,): -0.2j, (Z,): 0.7}
-        G = from_table(table)
+        G = table_mould(table, 0)
         E = mexp(G)
         # only the two-block composition survives: G(x)G(y)/2!
         assert E((X, Y)) == pytest.approx(table[(X,)] * table[(Y,)] / 2)
@@ -389,18 +388,18 @@ class TestSharedColumnsAndZeroSkips:
 
 class TestAlternality:
     def test_ident_is_alternal(self):
-        rep = check_alternal(ident_mould(), 4, LETTERS)
+        (rep,) = check_alternal([ident_mould()], 4, LETTERS)
         assert rep.ok
         assert rep.pairs_checked > 0
 
     def test_unit_mould_fails_precondition(self):
         with pytest.raises(ValueError):
-            check_alternal(unit_mould(), 3, LETTERS)
+            check_alternal([unit_mould()], 3, LETTERS)
 
     def test_violating_mould_reported(self):
         table = {(X, Y): 1.0, (Y, X): 1.0}
-        M = from_table(table)
-        rep = check_alternal(M, 2, (X, Y), tol=1e-10)
+        M = table_mould(table, 0)
+        (rep,) = check_alternal([M], 2, (X, Y), tol=1e-10)
         assert not rep.ok
         assert rep.violations
 
@@ -408,9 +407,9 @@ class TestAlternality:
         # G vanishes on (1, 0)^r for r >= 2, so every shuffle sum, and each
         # pair's own mass, is rounding dust; G((1, 0)) sets the reference
         solver = MouldSolver(Frequency((1.0, 2.0)))
-        assert check_alternal(solver.G_mould, 4, [X]).ok
+        assert check_alternal([solver.G_mould], 4, [X])[0].ok
         S_off_empty = Mould(lambda w: solver.S_mould(w) if w else 0j, name="S - 1")
-        assert not check_alternal(S_off_empty, 4, [X]).ok
+        assert not check_alternal([S_off_empty], 4, [X])[0].ok
 
     @settings(max_examples=60)
     @given(
@@ -420,7 +419,7 @@ class TestAlternality:
     )
     def test_zero_skipping_matches_summing_check(self, seed, letters, max_r):
         for empty, value in ((QI(0, 0), exact_value_with_zeros), (0j, float_value_with_zeros)):
-            got = check_alternal(seeded_mould(seed, empty, value), max_r, letters)
+            (got,) = check_alternal([seeded_mould(seed, empty, value)], max_r, letters)
             want = summing_check_alternal(seeded_mould(seed, empty, value), max_r, letters)
             assert repr(vars(got)) == repr(vars(want))
             assert vars(got) == vars(want)
@@ -442,7 +441,7 @@ class TestMirroredPairs:
         for empty, value in ((QI(0, 0), exact_value_with_zeros), (0j, float_value_with_zeros)):
             built.clear()
             M = seeded_mould(5, empty, value)
-            got = check_alternal(M, 4, LETTERS)
+            (got,) = check_alternal([M], 4, LETTERS)
             # 3 + 9 pairs are their own mirror among the 306 ordered pairs
             assert len(built) == len(set(built)) == 159
             assert got.pairs_checked == 306
@@ -482,26 +481,43 @@ class TestAlternalityOfSeveralMoulds:
 
 class TestTableIO:
     def test_float_roundtrip(self):
-        M = random_mould(19)
-        words = words_up_to(3)
-        table = json.loads(json.dumps(dump_table(M, words), sort_keys=True))
-        loaded = load_table(table)
-        for w in words:
-            assert loaded(w) == pytest.approx(M(w))
+        moulds = {name: random_mould(seed) for name, seed in zip("FSG", (19, 20, 21))}
+        payload = write_table(moulds, LETTERS, 3)
+        assert (payload["alphabet"], payload["max_r"], payload["exact"]) == ([list(k) for k in LETTERS], 3, False)
+        loaded = read_table(json.loads(json.dumps(payload, sort_keys=True)), 2)
+        words = words_up_to(3)[1:]
+        for name, M in moulds.items():
+            assert loaded[name].keys() == set(words)
+            for w in words:
+                assert loaded[name][w] == M(w)
 
     def test_exact_roundtrip(self):
         table_in = {(X,): QI(1, 2), (X, Y): QI("1/3", "-2/7")}
         M = table_mould(table_in, QI(0, 0))
-        dumped = dump_table(M, list(table_in), exact=True)
-        loaded = load_table(dumped, exact=True)
-        for w, v in table_in.items():
-            assert loaded(w) == v
+        dumped = write_table({"F": M, "S": M, "G": M}, [X, Y], 2, exact=True)
+        loaded = read_table(json.loads(json.dumps(dumped)), 2, exact=True)
+        for name in "FSG":
+            assert len(loaded[name]) == 6
+            for w, v in loaded[name].items():
+                assert v == table_in.get(w, 0)
+                assert type(v) is (QI if w in table_in else int)
 
     def test_serialization_is_sorted_and_stable(self):
         M = random_mould(20)
-        words = words_up_to(2)
-        dumped = json.dumps(dump_table(M, words), sort_keys=True)
-        assert dumped == json.dumps(dump_table(M, list(reversed(words))), sort_keys=True)
+        moulds = {"F": M, "S": M, "G": M}
+        dumped = write_table(moulds, LETTERS, 2)
+        words = sorted(words_up_to(2)[1:], key=lambda w: (len(w), w))
+        assert list(dumped["F"]) == ["|".join(f"{a},{b}" for a, b in w) for w in words]
+        reordered = write_table(moulds, list(reversed(LETTERS)), 2)
+        assert json.dumps(reordered["F"]) == json.dumps(dumped["F"])
+
+    def test_malformed_key_refused_naming_key_or_section(self):
+        for key in ("1.5,0", "1,0|x", "1,,0"):
+            with pytest.raises(ValueError, match="not a word of integer letters"):
+                read_table({"F": {}, "S": {}, "G": {key: [0.0, 0.0]}}, 2)
+        with pytest.raises(ValueError, match="a key in S has a letter not of dimension 2"):
+            read_table({"F": {"1,0": [0.0, 0.0]}, "S": {"1,0|1": [0.0, 0.0]}, "G": {}}, 2)
+        assert read_table({"F": {"": [1.0, 0.0]}, "S": {}, "G": {}}, 2)["F"] == {(): 1 + 0j}
 
 
 class TestScalarHelpers:

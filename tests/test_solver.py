@@ -11,7 +11,7 @@ from mouldnf import Frequency
 from mouldnf.alphabet import beta, diophantine_alpha
 from mouldnf.estimates import SAMPLE_LIMIT, default_eta, fit_growth_constants
 from mouldnf.exact import QI
-from mouldnf.mould import check_alternal, from_table, mexp
+from mouldnf.mould import check_alternal, mexp
 from mouldnf import alphabet
 from mouldnf import solver as solver_module
 from mouldnf.solver import MouldSolver, verify_equation
@@ -25,6 +25,7 @@ from oracles import (
     ksum,
     nabla,
     subset_sum_counts,
+    table_mould,
     times,
     times_all_splits,
     word_codes,
@@ -112,7 +113,7 @@ class TestStructure:
     def test_alternality_of_f_and_g(self, rational_freq_float):
         solver = MouldSolver(rational_freq_float)
         for mould in (solver.F_mould, solver.G_mould):
-            rep = check_alternal(mould, 4, MIXED_ALPHABET, tol=1e-10)
+            (rep,) = check_alternal([mould], 4, MIXED_ALPHABET, tol=1e-10)
             assert rep.ok, rep.violations[:3]
 
     def test_homogeneity_under_frequency_scaling(self):
@@ -160,7 +161,7 @@ class TestGrowthBound:
 class TestGaugeHook:
     def test_nonzero_gauge_accepted(self, rational_freq_float):
         # resonant alternal gauge supported on the resonant letter
-        gauge = from_table({((2, -1),): 0.5})
+        gauge = table_mould({((2, -1),): 0.5}, 0)
         solver = MouldSolver(rational_freq_float, gauge=gauge)
         F, S, N = solver.values(((2, -1),))
         assert N == 0.5
@@ -191,7 +192,7 @@ SOLVER_CASES = {
     "gauge": (
         Frequency((1.0, 2.0), resonance_basis=[(2, -1)]),
         RATIONAL_LETTERS,
-        from_table({((2, -1),): 0.5}),
+        table_mould({((2, -1),): 0.5}, 0),
     ),
 }
 
@@ -327,7 +328,7 @@ class TestCombinatorOracle:
             # alternal: one half on the letters resonant for some case; the
             # solver reads it only on the words resonant for the case at hand
             half = Fraction(1, 2) if freq.exact else 0.5
-            gauge = from_table({((2, -1),): half, ((-2, 1),): half, ((3, -1),): half})
+            gauge = table_mould({((2, -1),): half, ((-2, 1),): half, ((3, -1),): half}, 0)
         got = verify_equation(MouldSolver(freq, gauge=gauge), max_r, letters)
         want = combinator_verify_equation(MouldSolver(freq, gauge=gauge), max_r, letters)
         if freq.exact:
@@ -401,7 +402,7 @@ class TestVerifyWalk:
         gauge = None
         if gauged:
             half = Fraction(1, 2) if freq.exact else 0.5
-            gauge = from_table({((2, -1),): half, ((-2, 1),): half, ((3, -1),): half})
+            gauge = table_mould({((2, -1),): half, ((-2, 1),): half, ((3, -1),): half}, 0)
         walked = MouldSolver(freq, gauge=gauge)
         report = verify_equation(walked, max_r, letters)
         lazy = MouldSolver(freq, gauge=gauge)
