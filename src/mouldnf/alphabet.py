@@ -280,8 +280,8 @@ def words_over(alphabet, max_r):
         yield from itertools.product(letters, repeat=r)
 
 
-def extend_subset_sums(counts, letter):
-    """The subset-sum counts of a word extended by ``letter``, from the
+def grow_subset_sums(counts, letter):
+    """The subset-sum counts of a word with ``letter`` appended, from the
     counts ``{k_sigma: n}`` of the word: the number ``n`` of non-empty
     letter subsets ``sigma`` whose mode sum has the
     :class:`~mouldnf.classical.VectorCodes` code ``k_sigma``, as exact
@@ -302,7 +302,7 @@ def extend_subset_sums(counts, letter):
 
 def beta(counts, weights):
     """Sum of |lambda_sigma|^(-1/tau) over the non-resonant letter subsets
-    of the word whose :func:`extend_subset_sums` counts are ``counts``.
+    of the word whose :func:`grow_subset_sums` counts are ``counts``.
 
     ``lambda_sigma`` is the eigenvalue of the subset sum of letters, so
     the sum runs over the distinct sums, each weighted by its weight in

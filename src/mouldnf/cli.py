@@ -27,7 +27,7 @@ from .alphabet import Frequency, UndeclaredResonanceError, diophantine_alpha
 from .classical import Backend
 from .exact import scalar_abs
 from .liealg import OutOfDomainError, ScaleParams, ad_x0, normalize
-from .mould import check_alternal, read_table, write_table
+from .mould import check_alternal, read_table, unique_keys, write_table
 from .observables import OBSERVABLE, Observable, _walk, from_json_dict, norm_rho, to_json_dict
 from .quantum import validate_moyal
 from .solver import MouldSolver, verify_equation
@@ -334,7 +334,8 @@ def cmd_verify(config, out_dir, max_words):
     golden = {}
     if config.mould_table:
         try:
-            data = json.loads((config.base_dir / config.mould_table).read_text())
+            text = (config.base_dir / config.mould_table).read_text()
+            data = json.loads(text, object_pairs_hook=unique_keys)
             golden = read_table(data, config.freq.d, config.exact)
         except (OSError, ValueError) as err:  # a JSONDecodeError is a ValueError
             print(f"error: cannot read mould_table: {err}", file=sys.stderr)

@@ -18,12 +18,12 @@ import math
 import random
 import statistics
 
-from .alphabet import _as_int_vector, _Lookup, beta, extend_subset_sums
+from .alphabet import _as_int_vector, _Lookup, beta, grow_subset_sums
 from .classical import Backend, VectorCodes
 from .liealg import OutOfDomainError, chi, contract, finite_norm
-from .mould import log_divisor, power_column, series_sum
+from .mould import log_divisor, series_sum
 from .observables import norm_rho
-from .solver import MouldSolver, step
+from .solver import MouldSolver, log_column, step
 
 SLACK = 1e-12
 # words per length of the growth fit; more are sampled down to this many
@@ -128,7 +128,7 @@ def _sample_words(letters, previous, rng):
     as the pair of its parent in ``previous`` and its last letter: all of
     them while there are at most ``SAMPLE_LIMIT``, else ``SAMPLE_LIMIT``
     parents (``previous``, or that many drawn from it when it holds
-    fewer) each extended by one letter drawn with ``rng``."""
+    fewer) each followed by one letter drawn with ``rng``."""
     if len(previous) * len(letters) <= SAMPLE_LIMIT:
         return [(w, k) for w in previous for k in letters]
     if len(previous) < SAMPLE_LIMIT:
@@ -155,8 +155,8 @@ def letter_sums(freq, alphabet, r_max):
     return codes, divisors, _Lookup(weight)
 
 
-def _extend(state, letter, divisors, zero):
-    """The frontier state of a word extended by ``letter``, a code.
+def _grow(state, letter, divisors, zero):
+    """The frontier state of a word with ``letter``, a code, appended.
 
     A state of a word ``w`` is ``(node, cols, counts)``: ``node`` its
     word node (:func:`solver.step`), with letter sums as codes, the
@@ -164,23 +164,19 @@ def _extend(state, letter, divisors, zero):
     ``w``; ``counts`` its subset-sum counts.  The r + 1 new suffixes
     ``w[j:] + letter`` are built shortest first by :func:`solver.step`,
     each from its parent ``w[j:]`` on the shift chain of ``w`` and the
-    suffix just built, and S on them makes the new column, by
-    :func:`mould.power_column`.  So the values are bit for bit those of
-    ``MouldSolver`` and ``mlog``, and no table keyed by words is read or
-    written.
+    suffix just built, and the new column is :func:`solver.log_column`
+    of the last.  So the values are bit for bit those of
+    ``MouldSolver`` and ``mlog``, and no table of words is kept.
     """
     node, cols, counts = state
     chain = [node]
     while node[3] is not None:
         node = node[3]
         chain.append(node)
-    suffix_s = []
     for parent in reversed(chain):  # node is the empty word's, the first shift
         k = parent[2] + letter
         node = step(parent, node, k, divisors[k], zero, zero)
-        suffix_s.append(node[0][1])
-    suffix_s.reverse()
-    return node, cols + [power_column(cols, suffix_s)], extend_subset_sums(counts, letter)
+    return node, cols + [log_column(cols, node)], grow_subset_sums(counts, letter)
 
 
 def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
@@ -188,13 +184,13 @@ def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
 
     For each length r, ``|M(w)| / exp(eta_r beta(w))`` is maximized over
     all words when there are at most ``SAMPLE_LIMIT``, else over a seeded
-    prefix-extension walk: each sampled word extends a word of the
-    previous length's list by one letter drawn with ``seed``.  ``M`` is
+    prefix walk: each sampled word is a word of the previous length's
+    list followed by one letter drawn with ``seed``.  ``M`` is
     the normal-form mould F and the generator mould G = log S, both
     scored on the one walk.  The growth shape of the paper's bound is
     left out: the constants that use these suprema would multiply it
     back in.  The walk keeps one length's frontier of word states
-    (:func:`_extend`): each distinct sampled word is one step from its
+    (:func:`_grow`): each distinct sampled word is one step from its
     parent's state, O(r^2) in the solve, in ``log S`` and in its
     subset-sum counts, and each distinct subset sum is weighed once per
     fit.  Letter sums are the codes of :func:`letter_sums`.  ``tau`` is
@@ -221,7 +217,7 @@ def fit_growth_constants(freq, alphabet, r_max, rho, alpha, seed):
             key = id(parent), letter
             state = states.get(key)
             if state is None:
-                state = states[key] = _extend(parent, letter, divisors, zero)
+                state = states[key] = _grow(parent, letter, divisors, zero)
                 node, cols, counts = state
                 scale = _finite(name, lambda: math.exp(eta_r * beta(counts, weights)))
                 f, g = abs(complex(node[0][0])), abs(complex(series_sum(cols[-1], log_divisor)))
@@ -305,8 +301,8 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
     if N < 1:
         raise ValueError("N must be >= 1")
     norm_b = finite_norm(B, rho)
-    F = MouldSolver(freq).F_mould
-    (classical,) = contract([F], B, N, Backend(), N)
+    solver = MouldSolver(freq)
+    classical = contract(solver, B, N, Backend(), N)[0]
     letters = sorted({k for k, _ in B.coeffs})
     F_sup = fit_growth_constants(freq, letters, N, rho, alpha, seed)[0][N - 1]
     c_n = gap_constant(N, rho, rho_prime, F_sup)
@@ -319,7 +315,7 @@ def verify_semiclassical(B, N, rho, rho_prime, freq, hbar_list, alpha, seed):
     )
     hbars, g_values, bounds = [], [], []
     for hbar in hbar_list:
-        (quantum,) = contract([F], B, N, Backend(hbar), N)
+        quantum = contract(solver, B, N, Backend(hbar), N)[0]
         diff = quantum - classical
         g = norm_rho(diff, rho_prime) if diff else 0.0
         hbars.append(float(hbar))

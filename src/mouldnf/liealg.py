@@ -1,15 +1,13 @@
 """Comould contraction and the normal-form driver.
 
-``contract`` pairs a list of moulds with one comould, the iterated
-brackets of a perturbation's Fourier slices; ``normalize`` assembles the
-order-N normal form and the generator from one such walk, and measures
-the remainder of the truncated exponential conjugation.
-
-Words (tuples of letters) are enumerated over the perturbation's own
-support letters in sorted order (deterministic floating accumulation),
-each extended one letter at a time from its prefix, pruning subtrees
-whose iterated bracket has already vanished.  Each mould drops the words
-whose value is negligible against its own accumulated scale.
+``contract`` pairs the solver's F and G with one comould, the iterated
+brackets of a perturbation's Fourier slices, walking the solver's trie
+over the perturbation's support letters in sorted order (deterministic
+floating accumulation).  It prunes subtrees whose bracket has vanished,
+and each mould drops the words whose value is negligible against its
+own accumulated scale.  ``normalize`` assembles the order-N normal form
+and the generator from one such walk, and measures the remainder of the
+truncated exponential conjugation.
 
 Both bracket walkers, the word-tree walk of ``contract`` and the
 exponential chain of ``apply_exp_ad``, run on mode codes: each fixes a
@@ -24,8 +22,9 @@ from __future__ import annotations
 import math
 
 from .classical import code_bracket, decode_modes, encode_modes, mode_codes, mode_rows, top
+from .mould import log_divisor, series_sum
 from .observables import PRUNE_REL, Observable, norm_rho, slices
-from .solver import MouldSolver
+from .solver import MouldSolver, log_column
 
 
 class OutOfDomainError(RuntimeError):
@@ -67,35 +66,35 @@ def finite_norm(B, rho):
     return norm
 
 
-def contract(moulds, B, r_max, backend, r_min=1):
-    """One contraction per mould of ``moulds``: the sum of
-    ``(1/r) M(word)`` times the right-nested bracket
-    ``[B_(k_r), ..., [B_(k_2), B_(k_1)]]`` of the Fourier slices of ``B``
-    over the words ``k_1...k_r`` of length ``r_min..r_max`` drawn from
-    its support letters.
+def contract(solver, B, r_max, backend, r_min=1):
+    """``[Z, Y]``, the sums of ``(1/r) F(word)`` and ``(1/r) G(word)``
+    times the right-nested bracket ``[B_(k_r), ..., [B_(k_2), B_(k_1)]]``
+    of the Fourier slices of ``B`` over the words ``k_1...k_r`` of length
+    ``r_min..r_max`` drawn from its support letters.
 
-    One descent takes each bracket once for every mould.  Each mould
-    keeps its own pruning scale, so its sum is the one its walk alone
-    would give.
+    The walk carries each word's node in the trie of ``solver`` and the
+    log-S power columns of its prefixes: F is read off the node and G
+    from :func:`~mouldnf.solver.log_column`.  Each mould keeps its own
+    pruning scale, so its sum is the one its walk alone would give.
     """
     parts = slices(B)
     letters = sorted(parts)
-    totals = [Observable.zero(B.d) for _ in moulds]
+    totals = [Observable.zero(B.d), Observable.zero(B.d)]
     if not letters:
         return totals
     # a bracket of r slices has coordinates within r top(B)
     codes = mode_codes(B.d, r_max * top(B))
-    scales = [0.0] * len(moulds)
+    scales = [0.0, 0.0]
     parts = {letter: encode_modes(codes, part) for letter, part in parts.items()}
     lefts = {letter: mode_rows(codes, part) for letter, part in parts.items()}
     coupling = backend.coupling
 
-    def descend(word, nested):
+    def descend(word, node, cols, nested):
         r = len(word)
-        if r >= r_min:
+        if r >= max(r_min, 1):
             peak = nested.max_abs()
-            for i, M in enumerate(moulds):
-                value = complex(M(word))
+            for i, value in enumerate((node[0][0], series_sum(cols[-1], log_divisor))):
+                value = complex(value)
                 weight = abs(value) * peak
                 if value != 0 and weight > PRUNE_REL * scales[i]:
                     totals[i] = totals[i] + (value / r) * nested
@@ -103,12 +102,13 @@ def contract(moulds, B, r_max, backend, r_min=1):
         if r == r_max:
             return
         for letter in letters:
-            extended = code_bracket(lefts[letter], nested, coupling, codes)
-            if extended:
-                descend(word + (letter,), extended)
+            deeper = code_bracket(lefts[letter], nested, coupling, codes) if word else parts[letter]
+            if deeper:
+                longer = word + (letter,)
+                below = solver.child(node, longer)
+                descend(longer, below, cols + [log_column(cols, below)], deeper)
 
-    for letter in letters:
-        descend((letter,), parts[letter])
+    descend((), solver.root, [], None)
     return [Observable._of(B.d, decode_modes(codes, total), False) for total in totals]
 
 
@@ -231,8 +231,7 @@ def normalize(B, N, params, freq, backend, exp_order=None):
     if B.d != freq.d:
         raise ValueError("observable and frequency dimensions differ")
     norm_b = finite_norm(B, params.rho)
-    solver = MouldSolver(freq)
-    Z, Y = contract([solver.F_mould, solver.G_mould], B, N, backend)
+    Z, Y = contract(MouldSolver(freq), B, N, backend)
     order = exp_order if exp_order is not None else default_exp_order(N)
     conjugated, tail, ratio = apply_exp_ad(Y, B, order, params, freq, backend)
     E = conjugated - Z

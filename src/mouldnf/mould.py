@@ -250,6 +250,11 @@ _TABLE = {
 }
 
 
+def _key(word):
+    """The table key ``"k1,k2|k1,k2"`` of ``word``."""
+    return "|".join(",".join(map(str, k)) for k in word)
+
+
 def write_table(moulds, alphabet, max_r, exact=False):
     """The ``moulds.json`` payload of ``moulds``, a map from each of F, S
     and G to its mould, on the words of length 1 to ``max_r`` over
@@ -258,7 +263,7 @@ def write_table(moulds, alphabet, max_r, exact=False):
     Values are ``[re, im]`` float pairs, or exact fraction strings when
     ``exact`` is set.
     """
-    keys = {w: "|".join(",".join(map(str, k)) for k in w) for w in words_over(alphabet, max_r)}
+    keys = {w: _key(w) for w in words_over(alphabet, max_r)}
     payload = {"alphabet": [list(k) for k in alphabet], "max_r": max_r, "exact": exact}
     for name in "FSG":
         table = payload[name] = {}
@@ -271,15 +276,26 @@ def write_table(moulds, alphabet, max_r, exact=False):
     return payload
 
 
+def unique_keys(pairs):
+    """``json``'s ``object_pairs_hook`` refusing a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def read_table(data, d, exact=False):
     """The ``{word: value}`` tables of F, S and G in ``data``, a loaded
     :func:`write_table` payload, keyed by name; each key becomes a word
     of letters of ``d`` integers and each value a scalar (a ``QI`` or int
     0 when ``exact``), both read once.
 
-    A section missing, a key not such a word or a value not an
-    ``[re, im]`` pair of numbers (of fraction strings when ``exact``)
-    raises ``ValueError`` naming the section or key.
+    A section missing, a key other than the one :func:`write_table`
+    writes for its word or a value not an ``[re, im]`` pair of numbers
+    (of fraction strings when ``exact``) raises ``ValueError`` naming
+    the section or key.
     """
     data = _walk(data, _TABLE, "mould_table")
     tables = {}
@@ -288,6 +304,8 @@ def read_table(data, d, exact=False):
         for key, pair in data[name].items():
             try:
                 w = tuple(tuple(map(int, k.split(","))) for k in key.split("|")) if key else ()
+                if _key(w) != key:  # int reads " 1", "+1", "01" and "1_0" too
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"mould table key {key!r} is not a word of integer letters") from None
             if any(len(k) != d for k in w):

@@ -10,24 +10,16 @@ branches on resonance of the full letter sum:
   group-like value is fixed by the gauge (zero here) through an
   auxiliary mould.
 
-A solved word is one **word node**, the plain tuple ``(entry, lefts, k,
-shift)``: ``entry`` its (F, S, N), ``lefts`` S on its prefixes from the
-empty word through itself, ``k`` its letter sum and ``shift`` the node
-of ``w[1:]`` (``None`` for the empty word), so the shift chain of a node
-holds the values on all of the word's suffixes.  The values on a word
-read only S on its prefixes and (F, N) on its suffixes, so one step,
-:func:`step`, builds the node of a word from the node of its parent
-``w[:-1]``, the node of its shift and its letter sum.  Its three drivers
-differ only in how they find those nodes: :class:`MouldSolver` keeps
-one dict from word to node and extends a word's longest solved prefix
-one letter at a time, :func:`verify_equation` walks every word by
-length and finds them by position, and the growth fit's frontier
-(``estimates.fit_growth_constants``) builds a word's new suffixes along
-its parent's shift chain, with no table.  Keys are tuples of k-vectors,
-not eigenvalues: two letters with equal eigenvalue but different k are
-distinct keys.  The values only depend on the eigenvalues, so this
-merely accepts some duplicate computation in exchange for a simpler
-table.
+A solved word is one **word node**, the tuple ``(entry, lefts, k,
+shift)``: its (F, S, N), S on its prefixes from the empty word through
+itself, its letter sum and the node of ``w[1:]`` (``None`` for the empty
+word).  One step, :func:`step`, builds a node from the nodes of
+``w[:-1]`` and ``w[1:]``.  :class:`MouldSolver` keeps its nodes, each
+with a fifth entry, its children by letter, as a trie whose shift is the
+suffix link (Aho and Corasick, CACM 18, 1975), so the node of ``w + a``
+is ``child(node(w), w + a)``, found with no word hashed.  The growth fit
+(``estimates.fit_growth_constants``) steps its frontier with the same
+:func:`step` and keeps no trie.
 """
 
 from __future__ import annotations
@@ -37,7 +29,7 @@ from operator import add
 
 from .alphabet import words_over
 from .exact import scalar_abs
-from .mould import Mould, mexp, mlog
+from .mould import Mould, mexp, mlog, power_column
 
 
 def step(parent, shift, k, lam, zero, n):
@@ -79,8 +71,20 @@ def step(parent, shift, k, lam, zero, n):
     return entry, [*lefts, entry[1]], k, shift
 
 
+def log_column(cols, node):
+    """The power column of S at the word of ``node`` from the columns
+    ``cols`` of its proper prefixes and S down its shift chain; G on the
+    word is its ``series_sum`` by ``log_divisor``, bit for bit ``mlog``'s."""
+    tails = []
+    while node[3] is not None:
+        tails.append(node[0][1])
+        node = node[3]
+    return power_column(cols, tails)
+
+
 class MouldSolver:
-    """Memoized induction computing F, S = e^G, N and G for a frequency.
+    """Memoized induction computing F, S = e^G, N and G for a frequency,
+    on a trie of word nodes rooted at the empty word's, ``root``.
 
     Parameters
     ----------
@@ -98,49 +102,44 @@ class MouldSolver:
     def __init__(self, freq, gauge=None):
         self.freq = freq
         self.gauge = gauge
-        self._nodes = {(): ((freq.zero(), freq.one(), freq.zero()), [freq.one()], (), None)}
+        self.root = ((freq.zero(), freq.one(), freq.zero()), [freq.one()], (), None, {})
+
+    def child(self, parent, word):
+        """The node of the non-empty ``word`` whose ``word[:-1]`` has the
+        node ``parent``, solved and recorded on first ask.
+
+        Its shift is the child of the parent's shift by the same letter:
+        the shift chain is walked down to the first node that has the
+        letter, and the missing nodes are solved upward from there, with
+        no recursion.  A letter sum is the parent's plus the last letter
+        (``Frequency.divisors`` refuses one of another dimension).
+        """
+        letter = word[-1]
+        chain, below = [], parent
+        while below is not None and letter not in below[4]:
+            chain.append(below)
+            below = below[3]
+        node = self.root if below is None else below[4][letter]
+        freq, zero = self.freq, self.freq.zero()
+        # chain[i] is the node of word[i:-1]
+        for i in range(len(chain) - 1, -1, -1):
+            above = chain[i]
+            k = tuple(map(add, above[2], letter)) if above[2] else letter
+            lam = freq.divisors[k]
+            n = zero if self.gauge is None or lam is not None else self.gauge(word[i:])
+            node = above[4][letter] = (*step(above, node, k, lam, zero, n), {})
+        return node
+
+    def node(self, word):
+        """The node of ``word``, walked down the children from the root."""
+        node = self.root
+        for i, letter in enumerate(word):
+            node = node[4].get(letter) or self.child(node, word[:i + 1])
+        return node
 
     def values(self, word):
-        """The (F, S, N) values on ``word``, solving its subwords first.
-
-        The table is closed under contiguous subwords, so once a prefix
-        ``word[:i]`` is solved the new subwords of ``word[:i + 1]`` are
-        its suffixes; each missing one is solved by :meth:`extend`,
-        shortest first, from its parent's node and the suffix visited
-        just before it, its shift.  A word whose ``word[:-1]`` is solved
-        costs its r suffixes, O(r^2), with no recursion, and the values
-        do not depend on the order in which words arrive.
-        """
-        nodes = self._nodes
-        node = nodes.get(word)
-        if node is None:
-            known = len(word) - 1
-            while word[:known] not in nodes:
-                known -= 1
-            for end in range(known + 1, len(word) + 1):
-                node = nodes[()]
-                for j in range(end - 1, -1, -1):
-                    sub = word[j:end]
-                    node = nodes.get(sub) or self.extend(sub, nodes[sub[:-1]], node)
-        return node[0]
-
-    def extend(self, word, parent, shift):
-        """Solve and record a new non-empty ``word`` from the nodes of its
-        ``word[:-1]`` and ``word[1:]``, returning its node.
-
-        The letter sum is the parent's plus the last letter (the empty
-        word's sum is ``()``, so a one-letter word's is its letter, which
-        ``Frequency.divisors`` refuses in another dimension), and its
-        resonance is read from the frequency's one decision per letter
-        sum.
-        """
-        freq = self.freq
-        letter = word[-1]
-        k = tuple(map(add, parent[2], letter)) if parent[2] else letter
-        lam = freq.divisors[k]
-        n = freq.zero() if self.gauge is None or lam is not None else self.gauge(word)
-        node = self._nodes[word] = step(parent, shift, k, lam, freq.zero(), n)
-        return node
+        """The (F, S, N) values on ``word``."""
+        return self.node(word)[0]
 
     @functools.cached_property
     def F_mould(self):
@@ -192,26 +191,18 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     of ``nabla F``, and the zero-gauge condition: on resonant words,
     ``sum_i exp(-G)(w[:i]) |w[i:]| exp(G)(w[i:])`` vanishes.
 
-    The walk solves each word once, in walk order, through
-    ``solver.extend``, and calls ``solver.values`` for no word.  A word's
-    ``w[:-1]`` and ``w[1:]`` were walked one length earlier and their
-    nodes are found by position in the enumeration, without hashing
-    either; only the previous length's nodes are kept.  A word the
-    solver has recorded is read as it is.  The resonance of the word's
-    letter sum is read from the frequency's ``divisors``, one decision
-    per distinct sum: off the lattice one eigenvalue serves ``nabla S``
-    and ``nabla F``, on it both are exactly zero and the gauge sum is
-    formed.  The walked words are closed under subwords, so the solver's
-    table stays so, and the moulds ``F``, ``S`` and ``G`` then read every
-    walked word as a hit.
+    The walk goes down the solver's trie level by level, in
+    ``words_over`` order, keeping one length's ``(word, node)`` list, so
+    each word is solved once, by ``solver.child``, in walk order.  The
+    word's resonance is read from ``freq.divisors``: off the lattice one
+    eigenvalue serves ``nabla S`` and ``nabla F``, on it both are exactly
+    zero and the gauge sum is formed.
 
     The main equation reads no mould: ``S x F`` pairs the node's
-    ``lefts`` with F down its shift chain, and the shift ``S(w[1:])`` is
-    the shift node's.  The S x F sum runs over the r+1 splits from int
-    0 and skips a split with an exactly zero factor, and only nonzero
-    values are measured.  The gauge sums, formed on resonant words only,
-    read the memoized moulds ``exp(+-G)``, and ``|w| exp(G)(w)``, which
-    they read again on suffixes, from a dict.
+    ``lefts`` with F down its shift chain, from int 0, skipping a split
+    with an exactly zero factor, and only nonzero values are measured.
+    The gauge sums read the memoized moulds ``exp(+-G)``, and
+    ``|w| exp(G)(w)``, which they read again on suffixes, from a dict.
     """
     freq = solver.freq
     exp_minus_g, exp_g = mexp(solver.G_mould, -1), mexp(solver.G_mould)
@@ -223,48 +214,41 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
             value = weighted[word] = len(word) * exp_g(word)
         return value
 
-    nodes = solver._nodes
     divisors = freq.divisors
-    words = [(), *words_over(alphabet, max_r)]
-    # words_over lists each length in itertools.product order over its n
-    # letters: the i-th word w of a length has w[:-1] at i // n and w[1:]
-    # at i mod n^(r-1) among the words one letter shorter
-    n = sum(len(w) == 1 for w in words)
-    shorter, current, length = [], [nodes[()]], 0
+    letters = [w[0] for w in words_over(alphabet, 1)]
+    level = [((), solver.root)]
+    words = 0
     max_res = 0.0
     max_nf = 0.0
     max_gauge = 0.0
     scale = 0.0
-    for w in words:
-        if len(w) != length:
-            shorter, current, length = current, [], len(w)
-        if w:
-            i = len(current)
-            node = nodes.get(w) or solver.extend(w, shorter[i // n], shorter[i % len(shorter)])
-            current.append(node)
-            lam = divisors[node[2]]
-        else:
-            node = current[0]
-            lam = None  # the empty word's letter sum, 0, is on every lattice
-        entry, lefts, _, below = node
-        if lam is None:
-            nabla_s = nabla_f = freq.zero()
-        else:
-            nabla_s = lam * entry[1]
-            nabla_f = lam * entry[0]
-        shift = below[0][1] if w else 0
-        s_f = 0
-        for a in lefts:
-            b = node[0][0]
-            if b and a:  # F, the zero factor off the resonant suffixes, first
-                s_f = s_f + a * b
-            node = node[3]
-        gauge = _split_sum(exp_minus_g, weighted_exp_g, w) if lam is None else freq.zero()
-        max_res = max(max_res, _measure((nabla_s - shift) + s_f))
-        max_nf = max(max_nf, _measure(nabla_f))
-        max_gauge = max(max_gauge, _measure(gauge))
-        scale = max(scale, _measure(nabla_s) + _measure(shift) + _measure(s_f))
-    return EquationReport(len(words), max_res, max_nf, max_gauge, scale, freq.exact, tol)
+    for r in range(max_r + 1):
+        if r:
+            level = [(v, solver.child(node, v))
+                     for w, node in level for a in letters for v in [w + (a,)]]
+        words += len(level)
+        for w, node in level:
+            entry, lefts, k, below, _ = node
+            # the empty word's letter sum, 0, is on every lattice
+            lam = divisors[k] if w else None
+            if lam is None:
+                nabla_s = nabla_f = freq.zero()
+            else:
+                nabla_s = lam * entry[1]
+                nabla_f = lam * entry[0]
+            shift = below[0][1] if w else 0
+            s_f = 0
+            for a in lefts:
+                b = node[0][0]
+                if b and a:  # F, the zero factor off the resonant suffixes, first
+                    s_f = s_f + a * b
+                node = node[3]
+            gauge = _split_sum(exp_minus_g, weighted_exp_g, w) if lam is None else freq.zero()
+            max_res = max(max_res, _measure((nabla_s - shift) + s_f))
+            max_nf = max(max_nf, _measure(nabla_f))
+            max_gauge = max(max_gauge, _measure(gauge))
+            scale = max(scale, _measure(nabla_s) + _measure(shift) + _measure(s_f))
+    return EquationReport(words, max_res, max_nf, max_gauge, scale, freq.exact, tol)
 
 
 def _measure(value):

@@ -13,7 +13,7 @@ Nothing in the package uses these; they pin its results.
   composition sum for the prefix recursion of the mould exponential and
   logarithm, and that recursion summing every term (:func:`summing_series`)
   for the one that skips exact zeros; the per-mask subset sums for
-  :func:`subset_sum_counts` (the fold of ``alphabet.extend_subset_sums``
+  :func:`subset_sum_counts` (the fold of ``alphabet.grow_subset_sums``
   over a word's letter-sum codes, the ints of the one codec
   ``classical.VectorCodes``) and
   ``alphabet.beta``; the per-word ``beta`` (:func:`beta_per_word`,
@@ -79,7 +79,7 @@ import numpy as np
 from mouldnf import Backend, Observable
 from mouldnf.alphabet import (
     _as_int_vector,
-    extend_subset_sums,
+    grow_subset_sums,
     l1,
     words_over,
 )
@@ -263,8 +263,9 @@ def tuple_exp_ad(Y, X, order, params, freq, backend):
 
 
 def tuple_contract_range(M, B, r_min, r_max, backend):
-    """``liealg.contract`` of the one mould ``M`` as a walk of
-    ``backend.bracket`` calls on tuple-keyed observables."""
+    """The contraction of the one mould ``M``, as ``liealg.contract``
+    forms those of F and G, by a walk of ``backend.bracket`` calls on
+    tuple-keyed observables."""
     parts = slices(B)
     letters = sorted(parts)
     total = Observable.zero(B.d)
@@ -424,6 +425,19 @@ def ksum(word):
     return tuple(map(sum, zip(*word)))
 
 
+def trie_table(solver):
+    """``{word: node}`` over every node of ``solver``'s trie, the empty
+    word's first, each parent before its children."""
+    table = {(): solver.root}
+    stack = [((), solver.root)]
+    while stack:
+        word, node = stack.pop()
+        for letter, below in node[4].items():
+            table[word + (letter,)] = below
+            stack.append((word + (letter,), below))
+    return table
+
+
 class StackSolver:
     """(F, S, N) by the earlier memoized induction: three word-keyed
     tables, and a stack that lists each new word's missing tail,
@@ -570,7 +584,7 @@ def subset_sum_counts(word, codes):
     """``{k_sigma: n}`` over the non-empty letter subsets of ``word``,
     each sum by its code in ``codes``: the one-letter step of the growth
     fit's frontier folded from ``{}``."""
-    return functools.reduce(extend_subset_sums, map(codes.encode, word), {})
+    return functools.reduce(grow_subset_sums, map(codes.encode, word), {})
 
 
 def tuple_subset_sums(counts, letter):

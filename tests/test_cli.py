@@ -824,14 +824,22 @@ class TestVerifyCommand:
             ({"F": {"1,0": "ab"}, "S": {}, "G": {}}, []),
             ({"F": {"1,0": ["1"]}, "S": {}, "G": {}}, ["--exact"]),
             ({"F": {"1,0": ["1", None]}, "S": {}, "G": {}}, ["--exact"]),
+            # int reads "1_0" as 10: a key other than the one written for its word
+            ({"F": {}, "S": {"1_0,0": [0.0, -0.1]}, "G": {}}, []),
+            # two spellings of one word, whose last value would win
+            ({"F": {}, "S": {" 1,0": [9.0, 9.0], "1,0": [0.0, -1.0]}, "G": {}}, []),
+            # one key given twice, which json would read as its last value
+            ('{"F": {}, "S": {"1,0": [9.0, 9.0], "1,0": [0.0, -1.0]}, "G": {}}', []),
         ],
         ids=["non-integral-key", "no-S-section", "wrong-dimension-key", "one-number-value",
-             "string-value", "exact-one-string-value", "exact-null-part"],
+             "string-value", "exact-one-string-value", "exact-null-part", "digit-separator-key",
+             "two-spellings-of-one-word", "repeated-key"],
     )
     def test_malformed_golden_table_rejected(self, tmp_path, capsys, monkeypatch, table, flags):
         # the table is read before any mould is solved
         monkeypatch.setattr("mouldnf.cli.verify_equation", unreached)
-        (tmp_path / "table.json").write_text(json.dumps(table))
+        text = table if isinstance(table, str) else json.dumps(table)
+        (tmp_path / "table.json").write_text(text)
         cfg = write_config(
             tmp_path / "run.json", alphabet=[[1, 0]], max_r=1, samples=5, mould_table="table.json"
         )

@@ -512,7 +512,8 @@ class TestTableIO:
         assert json.dumps(reordered["F"]) == json.dumps(dumped["F"])
 
     def test_malformed_key_refused_naming_key_or_section(self):
-        for key in ("1.5,0", "1,0|x", "1,,0"):
+        # int would also read these, as other spellings of written keys
+        for key in ("1.5,0", "1,0|x", "1,,0", " 1,0", "+1,0", "01,0", "-0,0", "1_0,0"):
             with pytest.raises(ValueError, match="not a word of integer letters"):
                 read_table({"F": {}, "S": {}, "G": {key: [0.0, 0.0]}}, 2)
         with pytest.raises(ValueError, match="a key in S has a letter not of dimension 2"):

@@ -27,6 +27,7 @@ from oracles import (
     subset_sum_counts,
     table_mould,
     times,
+    trie_table,
     times_all_splits,
     word_codes,
 )
@@ -237,8 +238,9 @@ class TestZeroSkips:
 
 
 class TestSuffixPath:
-    """A word whose prefix is solved adds only its new suffixes; the table
-    must not depend on the order in which words arrive."""
+    """A word whose prefix is solved adds only its new suffixes; the trie
+    must not depend on the order in which words arrive, and each node's
+    shift is the node of its word less the first letter."""
 
     @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
     @settings(max_examples=25)
@@ -257,7 +259,7 @@ class TestSuffixPath:
             solver = MouldSolver(freq, gauge=gauge)
             for w in order:
                 solver.values(w)
-            table = solver._nodes
+            table = trie_table(solver)
             assert all(
                 w[j:k] in table for w in table for j in range(len(w)) for k in range(j + 1, len(w) + 1)
             )
@@ -268,26 +270,51 @@ class TestSuffixPath:
             for w, node in table.items():
                 assert repr(node[0]) == repr(oracle.values(w))
 
+    @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_shift_is_node_of_suffix(self, case, data):
+        freq, letters, gauge = SOLVER_CASES[case]
+        drawn = data.draw(st.lists(
+            st.lists(st.sampled_from(letters), min_size=1, max_size=7).map(tuple), min_size=1, max_size=5
+        ))
+        solver = MouldSolver(freq, gauge=gauge)
+        oracle = StackSolver(freq, gauge=gauge)
+        for w in drawn:
+            assert repr(solver.values(w)) == repr(oracle.values(w))
+        table = trie_table(solver)
+        for w, node in table.items():
+            if w:
+                assert node[3] is solver.node(w[1:])
+                assert repr(node[0]) == repr(oracle.values(w))
+        # the suffixes were recorded: finding them solved nothing
+        assert trie_table(solver).keys() == table.keys()
+
 
 class TestLongWords:
     """Mould-table keys come from outside the program and can be long:
-    ``values`` extends the longest solved prefix with no recursion."""
+    ``child`` builds a node's missing shift chain with no recursion.  A
+    periodic word finds each new node's shift one step down its chain,
+    so only a random one would catch a recursive build."""
 
     def test_word_longer_than_the_recursion_limit(self, golden_freq):
-        word = ((1, 0),) * 300
+        periodic = ((1, 0),) * 300
+        rng = random.Random(300)
+        drawn = tuple(rng.choice([(1, 0), (0, 1)]) for _ in range(300))
         frame, depth = sys._getframe(), 0
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 100)
-        try:
-            got = MouldSolver(golden_freq).values(word)
-        finally:
-            sys.setrecursionlimit(limit)
-        stepwise = MouldSolver(golden_freq)
-        for i in range(1, len(word) + 1):
-            stepwise.values(word[:i])
-        assert repr(got) == repr(stepwise.values(word))
+        for word in (periodic, drawn):
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(depth + 100)
+            try:
+                got = MouldSolver(golden_freq).values(word)
+            finally:
+                sys.setrecursionlimit(limit)
+            stepwise = MouldSolver(golden_freq)
+            for i in range(1, len(word) + 1):
+                stepwise.values(word[:i])
+            assert repr(got) == repr(stepwise.values(word))
 
 
 # Letters resonant for some frequency below and not for others: (2, -1)
@@ -345,26 +372,29 @@ class TestLetterSums:
     @pytest.mark.parametrize("case", sorted(SOLVER_CASES))
     def test_one_letter_sum_per_solved_word(self, case, monkeypatch):
         freq, letters, gauge = SOLVER_CASES[case]
-        steps, extended = [], []
-        extend = MouldSolver.extend
+        steps, stepped = [], []
+        step = solver_module.step
 
         def counting_add(a, b):
             steps.append((a, b))
             return a + b
 
-        def recording(self, word, parent, shift):
-            node = extend(self, word, parent, shift)
-            extended.append((word, node[2]))
+        def recording(parent, shift, k, *args):
+            node = step(parent, shift, k, *args)
+            stepped.append(node[0])
             return node
 
         monkeypatch.setattr(solver_module, "add", counting_add)
-        monkeypatch.setattr(MouldSolver, "extend", recording)
+        monkeypatch.setattr(solver_module, "step", recording)
         solver = MouldSolver(freq, gauge=gauge)
         for w in words_over(letters, 3):
             solver.values(w)
-        solved = [w for w in solver._nodes if w]
+        table = trie_table(solver)
+        solved = [w for w in table if w]
         assert len(solved) == len(letters) + len(letters) ** 2 + len(letters) ** 3
-        assert sorted(extended) == sorted((w, ksum(w)) for w in solved)
+        # each solved word is stepped once, with its letter sum
+        assert sorted(map(id, stepped)) == sorted(id(table[w][0]) for w in solved)
+        assert all(table[w][2] == ksum(w) for w in solved)
         # a one-letter word's sum is its letter; a longer one adds its
         # last letter's d entries to its parent's sum
         assert len(steps) == freq.d * sum(len(w) > 1 for w in solved)
@@ -386,8 +416,7 @@ class TestLetterSums:
 
 class TestVerifyWalk:
     """``verify_equation`` solves each word once, in walk order, through
-    ``MouldSolver.extend``, and leaves the node table that ``values``
-    fills."""
+    ``MouldSolver.child``, and leaves the trie that ``values`` fills."""
 
     @pytest.mark.parametrize("gauged", [False, True], ids=["zero_gauge", "gauge"])
     @pytest.mark.parametrize("case", sorted(VERIFY_CASES))
@@ -409,37 +438,44 @@ class TestVerifyWalk:
         for w in data.draw(st.permutations([(), *words_over(letters, max_r)])):
             lazy.values(w)
         oracle = StackSolver(freq, gauge=gauge)
-        assert walked._nodes.keys() == lazy._nodes.keys()
-        for w, node in walked._nodes.items():
-            entry, lefts, k, shift = node
-            assert repr(entry) == repr(lazy._nodes[w][0]) == repr(oracle.values(w))
-            assert repr((lefts, k)) == repr(lazy._nodes[w][1:3])
-            # the shift is the table's own node of w[1:]
-            assert shift is (walked._nodes[w[1:]] if w else None)
+        walked_table, lazy_table = trie_table(walked), trie_table(lazy)
+        assert walked_table.keys() == lazy_table.keys()
+        for w, node in walked_table.items():
+            entry, lefts, k, shift, _ = node
+            assert repr(entry) == repr(lazy_table[w][0]) == repr(oracle.values(w))
+            assert repr((lefts, k)) == repr(lazy_table[w][1:3])
+            # the shift is the trie's own node of w[1:]
+            assert shift is (walked_table[w[1:]] if w else None)
         # a walk over recorded words reads their entries as they are
         assert repr(vars(verify_equation(lazy, max_r, letters))) == repr(vars(report))
-        assert lazy._nodes.keys() == walked._nodes.keys()
+        assert trie_table(lazy).keys() == walked_table.keys()
 
     def test_each_word_solved_once_in_walk_order(self, monkeypatch):
         freq = VERIFY_CASES["rational_exact"]
-        extended, solved, hits = [], [], []
-        extend, values = MouldSolver.extend, MouldSolver.values
+        asked, solved, stepped, hits = [], [], [], []
+        child, values, step = MouldSolver.child, MouldSolver.values, solver_module.step
 
-        def recording_extend(self, word, *args):
-            extended.append(word)
-            if word not in self._nodes:
+        def recording_child(self, parent, word):
+            asked.append(word)
+            if word[-1] not in parent[4]:
                 solved.append(word)
-            return extend(self, word, *args)
+            return child(self, parent, word)
+
+        def recording_step(*args):
+            stepped.append(args)
+            return step(*args)
 
         def recording_values(self, word):
-            hits.append(word in self._nodes)
+            hits.append(word in trie_table(self))
             return values(self, word)
 
-        monkeypatch.setattr(MouldSolver, "extend", recording_extend)
+        monkeypatch.setattr(MouldSolver, "child", recording_child)
+        monkeypatch.setattr(solver_module, "step", recording_step)
         monkeypatch.setattr(MouldSolver, "values", recording_values)
         assert verify_equation(MouldSolver(freq), 5, MIXED_ALPHABET).ok
         walk = list(alphabet.words_over(MIXED_ALPHABET, 5))
-        assert extended == solved == walk
+        assert asked == solved == walk
+        assert len(stepped) == len(walk)
         # the gauge sums read S through its mould: every word it asks
         # for is recorded, so values() solves nothing
         assert hits and all(hits)
@@ -455,5 +491,5 @@ class TestVerifyWalk:
 
         monkeypatch.setattr(MouldSolver, "values", refused)
         assert verify_equation(solver, 4, ((1, 0), (0, 1), (1, 1))).ok
-        assert len(solver._nodes) == 1 + 3 + 9 + 27 + 81
+        assert len(trie_table(solver)) == 1 + 3 + 9 + 27 + 81
 
