@@ -9,7 +9,9 @@ by word: it carries letter sums as the ints of a
 :class:`~mouldnf.classical.VectorCodes` codec.  Letters are checked to be
 integral once, where they enter from outside the program
 (:func:`words_over` checks its alphabet, the codec the fit's letters,
-:func:`~mouldnf.mould.read_table` table keys); inside, words are trusted.
+:func:`~mouldnf.mould.read_table` table keys, the public
+:class:`~mouldnf.observables.Observable` constructor its modes); inside,
+words are trusted.
 
 Resonance (a vanishing eigenvalue sum) is always decided exactly on the
 integer lattice spanned by the declared resonance basis, never by
@@ -40,8 +42,9 @@ def l1(vec):
 
 
 def _as_int_vector(vec):
-    out = tuple(int(c) for c in vec)
-    if any(c != int(c) for c in vec):
+    vec = tuple(vec)
+    out = tuple(map(int, vec))
+    if out != vec:
         raise ValueError(f"mode vector must be integral, got {vec!r}")
     return out
 
@@ -102,24 +105,12 @@ def _hermite_normal_form(rows):
     return [tuple(r) for r in mat[:pivot_row] if any(c != 0 for c in r)]
 
 
-def _det(mat):
-    """Determinant of a square integer matrix, by fraction-free (Bareiss)
-    elimination; 1 for the empty matrix."""
-    mat = [list(row) for row in mat]
-    n = len(mat)
-    sign, prev = 1, 1
-    for i in range(n):
-        pivot = next((p for p in range(i, n) if mat[p][i]), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            mat[i], mat[pivot] = mat[pivot], mat[i]
-            sign = -sign
-        for p in range(i + 1, n):
-            for q in range(i + 1, n):
-                mat[p][q] = (mat[p][q] * mat[i][i] - mat[p][i] * mat[i][q]) // prev
-        prev = mat[i][i]
-    return sign * prev
+def _lattice_index(hnf):
+    """The gcd of the maximal minors of the Hermite normal form rows
+    ``hnf``, 1 for none: the index of their lattice in the integer vectors
+    of its real span.  Unimodular row and column operations keep the gcd,
+    so it is the product of the pivots of the HNF of the transpose."""
+    return math.prod(next(c for c in row if c) for row in _hermite_normal_form(zip(*hnf)))
 
 
 class _Lookup(dict):
@@ -196,8 +187,7 @@ class Frequency:
         for row in self._hnf:
             col = next(i for i, c in enumerate(row) if c != 0)
             self._pivots.append((col, row))
-        index = math.gcd(*(_det([[row[c] for c in cols] for row in self._hnf])
-                           for cols in itertools.combinations(range(self.d), len(self._hnf))))
+        index = _lattice_index(self._hnf)
         if index != 1:
             # refused up front, not only when a resonant k off the lattice is decided
             raise ValueError(f"resonance basis {basis} spans a sublattice of index {index} of the "

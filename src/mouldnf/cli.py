@@ -156,41 +156,40 @@ def _write_json(path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _over_budget(n_letters, max_r, max_words):
-    """Whether the words of length 1 to ``max_r`` over ``n_letters``
-    letters number more than ``max_words``, counting only until they do;
-    says so on stderr."""
+def _refused(what, count, unit, max_words):
+    """Whether ``what``, which takes ``count`` ``unit``, is over the budget
+    ``max_words``; if so says so on one line of stderr.  ``count`` is an
+    int, or an iterable of parts summed only until they pass the budget:
+    a count stopped before its last part reads "more than max_words"."""
+    parts = iter([count] if isinstance(count, int) else count)
     total = 0
-    for r in range(1, max_r + 1):
-        total += n_letters ** r
+    for part in parts:
+        total += part
         if total > max_words:
-            print(f"error: word budget {max_words} exceeded", file=sys.stderr)
-            return True
-    return False
+            break
+    else:
+        return False
+    if next(parts, None) is not None:
+        total = f"more than {max_words}"
+    print(f"error: {what} takes {total} {unit}, over the budget {max_words} of --max-words",
+          file=sys.stderr)
+    return True
 
 
-def _table_over_budget(tables, max_words):
-    """Whether the keys of ``tables`` take more than ``max_words`` words to
-    solve: one for a key whose ``w[:-1]`` and ``w[1:]`` are keys or empty,
-    else its ``L (L + 1) / 2`` subwords; says so on stderr."""
+def _words(n_letters, max_len):
+    """The count of the words of length 1 to ``max_len`` over ``n_letters``
+    letters, as one part per length."""
+    return (n_letters ** r for r in range(1, max_len + 1))
+
+
+def _table_letters(tables):
+    """The letters the solve of the keys of ``tables`` holds: ``L + 1`` for
+    a key of length ``L`` whose ``w[:-1]`` and ``w[1:]`` are keys or empty,
+    else the ``L (L + 1) (L + 5) / 6`` of all its subwords' nodes."""
     keys = {()}.union(*tables.values())
-    total = sum(1 if w[:-1] in keys and w[1:] in keys else len(w) * (len(w) + 1) // 2
-                for w in keys.difference([()]))
-    if total <= max_words:
-        return False
-    print(f"error: the mould_table keys take {total} words, over the word budget "
-          f"{max_words} of --max-words", file=sys.stderr)
-    return True
-
-
-def _box_over_budget(what, radius, d, max_words):
-    """Whether the ``(2 radius + 1)^d`` modes that ``what`` scans number
-    more than ``max_words``; says so on stderr."""
-    if (2 * radius + 1) ** d <= max_words:
-        return False
-    print(f"error: {what} scans (2*{radius}+1)^{d} modes, over the mode budget "
-          f"{max_words} of --max-words", file=sys.stderr)
-    return True
+    return sum(len(w) + 1 if w[:-1] in keys and w[1:] in keys
+               else len(w) * (len(w) + 1) * (len(w) + 5) // 6
+               for w in keys.difference([()]))
 
 
 def _quantum_diagnostics(result):
@@ -207,15 +206,18 @@ def _quantum_diagnostics(result):
     return out
 
 
-def _comould_over_budget(config, B, max_words):
-    """Whether the K box or the comould walk's words exceed ``max_words``."""
-    return (_box_over_budget(f"K = {config.K}", config.K, config.freq.d, max_words)
-            or _over_budget(len({k for k, _ in B.coeffs}) or 1, config.N, max_words))
+def _comould_refused(config, B, max_words):
+    """Whether the K box, then the comould walk of ``B``'s letters to N,
+    is over ``max_words``."""
+    d, n = config.freq.d, len({k for k, _ in B.coeffs}) or 1
+    return (_refused(f"the K = {config.K} box", (2 * config.K + 1) ** d, "modes", max_words)
+            or _refused(f"the comould walk to N = {config.N} over {n} letters",
+                        _words(n, config.N), "words", max_words))
 
 
 def cmd_normalize(config, out_dir, max_words):
     B = config.observable()
-    if _comould_over_budget(config, B, max_words):
+    if _comould_refused(config, B, max_words):
         return 2
     backend = config.backend()
     result = normalize(B, config.N, config.scale, config.freq, backend, config.exponential_order)
@@ -268,7 +270,9 @@ def cmd_normalize(config, out_dir, max_words):
 
 
 def cmd_dump_moulds(config, out_dir, max_words):
-    if config.alphabet and _over_budget(len(config.alphabet), config.max_r, max_words):
+    n = len(config.alphabet)
+    if n and _refused(f"the word walk to max_r = {config.max_r} over {n} letters",
+                      _words(n, config.max_r), "words", max_words):
         return 2
     solver = MouldSolver(config.freq)
     moulds = {"F": solver.F_mould, "S": solver.S_mould, "G": solver.G_mould}
@@ -326,10 +330,11 @@ def cmd_verify(config, out_dir, max_words):
     emit = lines.append
     all_ok = True
     alphabet = config.alphabet or [(1,) + (0,) * (config.freq.d - 1)]
-    if _over_budget(len(alphabet), config.max_r, max_words):
+    if _refused(f"the word walk to max_r = {config.max_r} over {len(alphabet)} letters",
+                _words(len(alphabet), config.max_r), "words", max_words):
         return 2
-    moyal = f"the Moyal check at cutoff {MOYAL_CUTOFF}"
-    if not config.exact and _box_over_budget(moyal, MOYAL_CUTOFF, config.freq.d, max_words):
+    if not config.exact and _refused(f"the Moyal check at cutoff {MOYAL_CUTOFF}",
+                                     (2 * MOYAL_CUTOFF + 1) ** config.freq.d, "modes", max_words):
         return 2
     golden = {}
     if config.mould_table:
@@ -340,7 +345,8 @@ def cmd_verify(config, out_dir, max_words):
         except (OSError, ValueError) as err:  # a JSONDecodeError is a ValueError
             print(f"error: cannot read mould_table: {err}", file=sys.stderr)
             return 2
-        if _table_over_budget(golden, max_words):
+        if _refused("the solve of the mould_table keys", _table_letters(golden), "letters",
+                    max_words):
             return 2
     solver = MouldSolver(config.freq)
     eq = verify_equation(solver, config.max_r, alphabet, tol=config.tolerances["residual"])
@@ -409,7 +415,7 @@ def cmd_semiclassical(config, out_dir, max_words):
     if not hbars:
         print("error: semiclassical needs hbar or hbar_list", file=sys.stderr)
         return 2
-    if _comould_over_budget(config, B, max_words):
+    if _comould_refused(config, B, max_words):
         return 2
     alpha = diophantine_alpha(config.freq, config.K)
     report = estimates.verify_semiclassical(
@@ -439,7 +445,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument("--exact", action="store_true", help="exact rational mode (rational omega)")
-    parser.add_argument("--max-words", type=int, default=200000, help="cap on words and on K-box modes")
+    parser.add_argument("--max-words", type=int, default=200000,
+                        help="budget of words, modes and table-key letters")
     args = parser.parse_args(argv)
 
     try:

@@ -250,7 +250,7 @@ _TABLE = {
 }
 
 
-def _key(word):
+def _table_key(word):
     """The table key ``"k1,k2|k1,k2"`` of ``word``."""
     return "|".join(",".join(map(str, k)) for k in word)
 
@@ -263,7 +263,7 @@ def write_table(moulds, alphabet, max_r, exact=False):
     Values are ``[re, im]`` float pairs, or exact fraction strings when
     ``exact`` is set.
     """
-    keys = {w: _key(w) for w in words_over(alphabet, max_r)}
+    keys = {w: _table_key(w) for w in words_over(alphabet, max_r)}
     payload = {"alphabet": [list(k) for k in alphabet], "max_r": max_r, "exact": exact}
     for name in "FSG":
         table = payload[name] = {}
@@ -304,7 +304,7 @@ def read_table(data, d, exact=False):
         for key, pair in data[name].items():
             try:
                 w = tuple(tuple(map(int, k.split(","))) for k in key.split("|")) if key else ()
-                if _key(w) != key:  # int reads " 1", "+1", "01" and "1_0" too
+                if _table_key(w) != key:  # int reads " 1", "+1", "01" and "1_0" too
                     raise ValueError
             except ValueError:
                 raise ValueError(f"mould table key {key!r} is not a word of integer letters") from None

@@ -15,15 +15,11 @@ from __future__ import annotations
 
 import math
 
-from .alphabet import l1
+from .alphabet import _as_int_vector, l1
 
 PRUNE_REL = 1e-16
 # relative tolerance of the reality symmetry b(-k,-m) = conj b(k,m)
 REALITY_TOL = 1e-12
-
-
-def _key(k, m):
-    return tuple(int(c) for c in k), tuple(int(c) for c in m)
 
 
 class Observable:
@@ -34,6 +30,7 @@ class Observable:
     d : int
         Phase-space dimension (modes live in Z^d x Z^d).
     coeffs : mapping ``(k, m) -> complex``, optional
+        Its modes' entries must be integral, else ``ValueError``.
     real : bool
         Declares the reality symmetry ``b_{-k,-m} = conj(b_{k,m})``;
         validated on construction.
@@ -49,7 +46,7 @@ class Observable:
         data = {}
         if coeffs:
             for (k, m), c in coeffs.items():
-                k, m = _key(k, m)
+                k, m = _as_int_vector(k), _as_int_vector(m)
                 if len(k) != self.d or len(m) != self.d:
                     raise ValueError(f"mode ({k},{m}) does not match d={self.d}")
                 c = complex(c)

@@ -48,7 +48,9 @@ Nothing in the package uses these; they pin its results.
   word by the growth shape ``(tau/(e eta_r))^(tau (r - lag))``, and the
   shaped constants, which multiplied it back in, for the shape-free
   fit, ``norm_power_constants`` and ``gap_constant``; these agree to
-  rounding.
+  rounding.  The gcd of a basis's maximal minors by Bareiss
+  determinants (:func:`minors_lattice_index`) for the pivot product of
+  ``alphabet._lattice_index``; these agree exactly.
 * Small definitions the tests state properties of: the letter sum of
   a word (:func:`ksum`; the solver carries it one letter at a time),
   the shuffle coefficient, the Poisson and Moyal structure constants of
@@ -418,6 +420,33 @@ def mode_bracket_double_loop(F, G, coupling=None):
             km = (tuple(a + b for a, b in zip(k, kp)), tuple(a + b for a, b in zip(m, mp)))
             data[km] = data.get(km, 0j) + s * c * cp
     return Observable(F.d, data, real=F.real and G.real, _prune=False).prune()
+
+
+def _det(mat):
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination; 1 for the empty matrix."""
+    mat = [list(row) for row in mat]
+    n = len(mat)
+    sign, prev = 1, 1
+    for i in range(n):
+        pivot = next((p for p in range(i, n) if mat[p][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            mat[i], mat[pivot] = mat[pivot], mat[i]
+            sign = -sign
+        for p in range(i + 1, n):
+            for q in range(i + 1, n):
+                mat[p][q] = (mat[p][q] * mat[i][i] - mat[p][i] * mat[i][q]) // prev
+        prev = mat[i][i]
+    return sign * prev
+
+
+def minors_lattice_index(rows, d):
+    """The gcd of the maximal minors of the integer ``rows`` of length
+    ``d``, one determinant per choice of columns; 1 for no rows."""
+    return math.gcd(*(_det([[row[c] for c in cols] for row in rows])
+                      for cols in itertools.combinations(range(d), len(rows))))
 
 
 def ksum(word):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from mouldnf import Frequency
 from mouldnf.alphabet import (
     DegenerateFrequencyError,
+    _hermite_normal_form,
+    _lattice_index,
     beta,
     diophantine_alpha,
     iter_modes,
@@ -28,6 +30,7 @@ from oracles import (
     is_resonant,
     ksum,
     lattice_class,
+    minors_lattice_index,
     nabla,
     shuffle_coefficient,
     subset_eigenvalues_by_mask,
@@ -297,6 +300,16 @@ def saturated_lattices(draw):
         omega = [float(c) for c in omega]
     tau = draw(st.sampled_from([1.0, 2.5]))
     return Frequency(omega, resonance_basis=basis, dioph_tau=tau), normal
+
+
+class TestLatticeIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d), max_size=d))))
+    def test_pivot_product_matches_gcd_of_maximal_minors(self, d_basis):
+        d, basis = d_basis
+        hnf = _hermite_normal_form(basis)
+        assert _lattice_index(hnf) == minors_lattice_index(hnf, d)
 
 
 class TestOneDecisionPerSum:

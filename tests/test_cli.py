@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import random
 import tempfile
 import time
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Observable
-from mouldnf.cli import _table_over_budget, main
+from mouldnf.cli import _table_letters, main
 from mouldnf.mould import read_table
 from mouldnf.observables import norm_rho, to_json_dict
 
@@ -476,13 +477,16 @@ class TestConfigValidation:
         # 10 is below the 11^2 modes of the K box, which is refused first;
         # at N = 4 the 340 words over the 4 letters pass a budget of 200
         # only after the box does
-        assert "mode budget 10" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: the K = 5 box takes 121 modes, over the budget 10 of --max-words\n")
         cfg = write_config(tmp_path / "run.json", N=4)
         assert (
             main(["normalize", "--config", str(cfg), "--out", str(tmp_path), "--max-words", "200"])
             == 2
         )
-        assert capsys.readouterr().err == "error: word budget 200 exceeded\n"
+        assert capsys.readouterr().err == (
+            "error: the comould walk to N = 4 over 4 letters takes 340 words, over the budget "
+            "200 of --max-words\n")
 
     @pytest.mark.parametrize(
         "command, override",
@@ -494,7 +498,11 @@ class TestConfigValidation:
         start = time.perf_counter()
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err == "error: word budget 200000 exceeded\n"
+        # normalize walks the 4 letters of B, the others the 3 of the alphabet
+        what = ("the comould walk to N = 1000000 over 4 letters" if command == "normalize"
+                else "the word walk to max_r = 10000000 over 3 letters")
+        assert capsys.readouterr().err == (
+            f"error: {what} takes more than 200000 words, over the budget 200000 of --max-words\n")
 
     @pytest.mark.parametrize(
         "command, override",
@@ -541,8 +549,8 @@ class TestConfigValidation:
         start = time.perf_counter()
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert "K = 10000" in err and "mode budget 200000" in err
+        assert capsys.readouterr().err == ("error: the K = 10000 box takes 400040001 modes, "
+                                           "over the budget 200000 of --max-words\n")
 
     def test_semiclassical_word_budget(self, tmp_path, capsys, monkeypatch):
         # the walk of the 4 toy letters to N = 4 takes 340 words, as in
@@ -553,15 +561,17 @@ class TestConfigValidation:
         cfg.write_text(json.dumps({**config, "N": 4}))
         out = tmp_path / "out"
         assert main(["semiclassical", "--config", str(cfg), "--out", str(out), "--max-words", "200"]) == 2
-        assert capsys.readouterr().err == "error: word budget 200 exceeded\n"
+        assert capsys.readouterr().err == (
+            "error: the comould walk to N = 4 over 4 letters takes 340 words, over the budget "
+            "200 of --max-words\n")
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("max_words, code", [(300, 2), (464, 2), (465, 0)])
+    @pytest.mark.parametrize("max_words, code", [(300, 2), (5424, 2), (5425, 0)])
     def test_mould_table_keys_budgeted_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                         max_words, code):
-        # one key of the 30 distinct letters (1, 0), ..., (30, 0) takes its
-        # 465 subwords; the Moyal box of 17^2 modes and the one config
-        # word fit every budget here
+        # one key of the 30 distinct letters (1, 0), ..., (30, 0) takes the
+        # 30 * 31 * 35 / 6 = 5425 letters of its subwords' nodes; the Moyal
+        # box of 17^2 modes and the one config word fit every budget here
         key = "|".join(f"{j},0" for j in range(1, 31))
         (tmp_path / "table.json").write_text(json.dumps({"F": {key: [0.0, 0.0]}, "S": {}, "G": {}}))
         cfg = write_config(
@@ -574,8 +584,8 @@ class TestConfigValidation:
         assert main(argv) == code
         err = capsys.readouterr().err
         if code:
-            assert err == (f"error: the mould_table keys take 465 words, over the word budget "
-                           f"{max_words} of --max-words\n")
+            assert err == (f"error: the solve of the mould_table keys takes 5425 letters, over the "
+                           f"budget {max_words} of --max-words\n")
             assert not (out / "verify_report.jsonl").exists()
         else:
             assert err == ""
@@ -583,13 +593,13 @@ class TestConfigValidation:
             assert last == {"name": "golden_mould_table", "ok": True, "max_deviation": 0.0}
 
     @pytest.mark.parametrize("golden", ["moulds_golden.json", "moulds_exact_golden.json"])
-    def test_shipped_table_keys_count_once_each(self, capsys, golden):
+    def test_shipped_table_keys_count_once_each(self, golden):
+        # each of the 39 keys, of length 1 to 4 with its w[:-1] and w[1:]
+        # among them, counts its length + 1 letters
         exact = golden == "moulds_exact_golden.json"
         tables = read_table(json.loads((REPO / "goldens" / golden).read_text()), 2, exact)
         assert {len(t) for t in tables.values()} == {39}
-        assert not _table_over_budget(tables, 39)
-        assert _table_over_budget(tables, 38)
-        assert "keys take 39 words" in capsys.readouterr().err
+        assert _table_letters(tables) == sum(len(w) + 1 for w in tables["F"]) == 141
 
     def test_moyal_box_over_budget_refused_before_equation_check(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -599,8 +609,42 @@ class TestConfigValidation:
         omega = [1.0, PHI, 2 ** 0.5, 3 ** 0.5, 5 ** 0.5]
         cfg = write_config(tmp_path / "run.json", freq={"omega": omega, "tau": 1.0, "K": 5})
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "the Moyal check at cutoff 8" in err and "mode budget 200000" in err
+        assert capsys.readouterr().err == ("error: the Moyal check at cutoff 8 takes 1419857 modes, "
+                                           "over the budget 200000 of --max-words\n")
+
+    @pytest.mark.parametrize(
+        "command, override, refusal",
+        [pytest.param("dump-moulds", {"alphabet": [[1, 0], [0, 1], [-1, 0]], "max_r": 10 ** 7},
+                      "the word walk to max_r = 10000000 over 3 letters takes more than 200000 "
+                      "words", id="word-walk"),
+         pytest.param("semiclassical", {"N": 10 ** 6, "hbar_list": [0.1]},
+                      "the comould walk to N = 1000000 over 4 letters takes more than 200000 "
+                      "words", id="comould-walk"),
+         pytest.param("normalize", {"freq": {"omega": [1.0, PHI], "tau": 1.0, "K": 10000}},
+                      "the K = 10000 box takes 400040001 modes", id="k-box"),
+         pytest.param("verify", {"freq": {"omega": [1.0, PHI, 2 ** 0.5, 3 ** 0.5, 5 ** 0.5]}},
+                      "the Moyal check at cutoff 8 takes 1419857 modes", id="moyal-box"),
+         # one random two-letter key of 600 letters, whose w[:-1] and w[1:]
+         # are not keys: 600 * 601 * 605 / 6 letters in its subwords' nodes
+         pytest.param("verify", {"alphabet": [[1, 0]], "max_r": 1, "mould_table": "table.json"},
+                      "the solve of the mould_table keys takes 36360500 letters",
+                      id="table-keys")],
+    )
+    def test_every_refusal_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       command, override, refusal):
+        for step in ("MouldSolver", "verify_equation", "validate_moyal", "normalize",
+                     "diophantine_alpha", "estimates.fit_growth_constants",
+                     "estimates.verify_semiclassical"):
+            monkeypatch.setattr(f"mouldnf.cli.{step}", unreached)
+        rng = random.Random(0)
+        key = "|".join(rng.choice(["1,0", "0,1"]) for _ in range(600))
+        (tmp_path / "table.json").write_text(json.dumps({"F": {key: [0.0, 0.0]}, "S": {}, "G": {}}))
+        cfg = write_config(tmp_path / "run.json", **override)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {refusal}, over the budget 200000 of --max-words\n")
+        assert not any(out.iterdir())
 
 
 REPO = Path(__file__).parent.parent

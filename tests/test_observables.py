@@ -59,6 +59,16 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Observable(1, {((1,), (2,)): 1 + 1j}, real=True)
 
+    def test_non_integral_mode_refused_as_from_json_dict_refuses_it(self):
+        # an integral float is the same mode; 1.5 and 2.7 are none
+        assert Observable(2, {((1.0, 0), (0, 2)): 1.0}).coeffs == {((1, 0), (0, 2)): 1 + 0j}
+        for mode in (((1.5, 0), (0, 2)), ((1, 0), (0, 2.7))):
+            with pytest.raises(ValueError, match="integral"):
+                Observable(2, {mode: 1.0})
+            with pytest.raises(ValueError, match="integer"):
+                from_json_dict({"d": 2, "coeffs": [{"k": list(mode[0]), "m": list(mode[1]),
+                                                    "re": 1.0}]})
+
     @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)])
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match=r"mode \(\(1,\),\(0,\)\) is not finite"):
