@@ -3,9 +3,9 @@
 A letter is an integer mode vector ``k`` in Z^d, a tuple of ints; its
 scalar eigenvalue ``i<k, omega>`` is derived from a :class:`Frequency`.
 A word is the tuple of its letters: ``()`` is the empty word, ``len``
-its length, slices and ``+`` its splits and concatenations, and it keys
-the solver's and the moulds' memo tables.  The growth fit keys nothing
-by word: it carries letter sums as the ints of a
+its length, slices and ``+`` its splits and concatenations.  The solver
+and the growth fit key nothing by word: the solver walks a trie of word
+nodes letter by letter, and the fit carries letter sums as the ints of a
 :class:`~mouldnf.classical.VectorCodes` codec.  Letters are checked to be
 integral once, where they enter from outside the program
 (:func:`words_over` checks its alphabet, the codec the fit's letters,

@@ -275,10 +275,14 @@ def cmd_dump_moulds(config, out_dir, max_words):
                       _words(n, config.max_r), "words", max_words):
         return 2
     solver = MouldSolver(config.freq)
-    moulds = {"F": solver.F_mould, "S": solver.S_mould, "G": solver.G_mould}
     _write_json(out_dir / "moulds.json",
-                write_table(moulds, config.alphabet, config.max_r, config.exact))
+                write_table(_moulds(solver), config.alphabet, config.max_r, config.exact))
     return 0
+
+
+def _moulds(solver):
+    """F, S and G of ``solver`` by name, each a callable on words."""
+    return {"F": lambda w: solver.values(w)[0], "S": lambda w: solver.values(w)[1], "G": solver.G}
 
 
 def _random_observable(rng, d, n_modes):
@@ -349,6 +353,7 @@ def cmd_verify(config, out_dir, max_words):
                     max_words):
             return 2
     solver = MouldSolver(config.freq)
+    moulds = _moulds(solver)
     eq = verify_equation(solver, config.max_r, alphabet, tol=config.tolerances["residual"])
     emit(
         {
@@ -364,7 +369,7 @@ def cmd_verify(config, out_dir, max_words):
     all_ok &= eq.ok
 
     reports = check_alternal(
-        [solver.F_mould, solver.G_mould], min(config.max_r, 4), alphabet,
+        [moulds["F"], moulds["G"]], min(config.max_r, 4), alphabet,
         tol=config.tolerances["alternality"],
     )
     for name, rep in zip("FG", reports):
@@ -394,7 +399,6 @@ def cmd_verify(config, out_dir, max_words):
             all_ok &= rep.holds
 
     if config.mould_table:
-        moulds = {"F": solver.F_mould, "S": solver.S_mould, "G": solver.G_mould}
         worst = 0.0
         for name, table in golden.items():
             for w, value in table.items():

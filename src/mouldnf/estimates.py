@@ -166,7 +166,8 @@ def _grow(state, letter, divisors, zero):
     each from its parent ``w[j:]`` on the shift chain of ``w`` and the
     suffix just built, and the new column is :func:`solver.log_column`
     of the last.  So the values are bit for bit those of
-    ``MouldSolver`` and ``mlog``, and no table of words is kept.
+    ``MouldSolver.values`` and ``MouldSolver.G``, and no table of words
+    is kept.
     """
     node, cols, counts = state
     chain = [node]

@@ -1,96 +1,33 @@
-"""Moulds: exp/log, the alternality check and tables of values.
+"""Moulds: power series, the alternality check and tables of values.
 
-A mould is a scalar-valued function on words (tuples of letters),
-represented here as a lazily evaluated, memoized callable.  Moulds are
-total functions and are never materialized as tables; evaluation of the
-same word twice returns bit-identical values.  All operations work
-uniformly over complex floats and exact Q(i) scalars.  The mould product
-and derivations that the mould equation is written in are evaluated word
-by word where the equation is checked (``solver.verify_equation``).
+A mould is a scalar-valued function on words (tuples of letters).  The
+solver's moulds are not objects of their own: F and S live on its trie
+of word nodes, and G = log S and exp(+-G) in memos keyed by node
+(``solver.MouldSolver``).  This module holds the two steps that exp and
+log are formed by, :func:`power_column` and :func:`series_sum`, over
+complex floats and exact Q(i) scalars alike, and the shuffle check and
+the ``moulds.json`` table, which take one callable on words per mould.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
 from .alphabet import shuffles, words_over
 from .exact import QI, scalar_abs
 from .observables import _walk
 
 
-class Mould:
-    """A memoized map from a letter tuple to a scalar.
-
-    Evaluation is pure given a frozen memo table: concurrent reads are
-    safe, and recomputing a word concurrently yields identical values,
-    so memo insertion only needs to be atomic-or-serialized.
-    """
-
-    def __init__(self, fn, name="M"):
-        self._fn = fn
-        self._memo = {}
-        self.name = name
-
-    def __call__(self, word):
-        value = self._memo.get(word)
-        if value is None:
-            value = self._memo[word] = self._fn(word)
-        return value
-
-    def __repr__(self):
-        return f"Mould({self.name})"
-
-
-def _series(M, empty_value, divisor, name):
-    """The mould ``w -> sum_k c_k sum_{w = w_1...w_k} M(w_1)...M(w_k)``
-    over compositions into non-empty blocks, with ``divisor(k)`` giving
-    the signed int ``1 / c_k``.
-
-    The inner sums are the power moulds ``P_k`` on the prefixes of the
-    word, by the induction ``P_1(i) = M(w[:i])`` and
-    ``P_k(i) = sum_{j=k-1}^{i-1} P_{k-1}(j) M(w[j:i])``, a left fold.
-    ``P_k(i)`` depends only on ``M`` and the prefix ``w[:i]``, so every
-    series over ``M`` shares one memo, kept with ``M``, from each prefix
-    met to the columns ``[P_1, ..., P_j]`` of its prefixes ``w[:j]``,
-    itself last; a new column reads its parent's entry and ``M`` on its
-    ``i`` suffixes, O(i^2) products.  A word whose ``w[:-1]`` was met
-    costs O(r^2) and two lookups (itself, as a longer word's prefix,
-    then its parent), and every value is the same sum in the same order
-    however the words arrive.  Only values of ``M`` on non-empty words
-    enter, so ``k`` stops at ``r``.
-
-    Each fold starts from int 0 and skips a product with an exactly
-    zero factor, and the final sum divides no exactly zero power: one
-    with ``k >= 2`` is skipped, and that with ``k = 1`` is added as it
-    is, so a zero sum has the type of ``M`` and an int 0 is never
-    divided into a float.  For finite values these change only the sign
-    of a zero part of a column, and the final sum, from int 0, never
-    holds a -0.0, so values are bit for bit those of summing every term;
-    a fold with every product skipped leaves int 0 in its column.
-    """
-    memo = vars(M).setdefault("_power_columns", {(): []})
-
-    def value(word):
-        r = len(word)
-        if r == 0:
-            return empty_value
-        known = r
-        while (cols := memo.get(word[:known])) is None:
-            known -= 1
-        for i in range(known + 1, r + 1):
-            cols = cols + [power_column(cols, [M(word[j:i]) for j in range(i)])]
-            memo[word[:i]] = cols
-        return series_sum(cols[-1], divisor)
-
-    return Mould(value, name=name)
-
-
 def power_column(cols, tails):
     """The column ``[P_1, ..., P_i]`` of the power moulds of ``M`` at a
-    prefix ``w[:i]``, from the columns ``cols`` of its prefixes
-    ``w[:1], ..., w[:i-1]`` and ``tails``, ``M`` on its ``i`` suffixes,
-    longest first; see :func:`_series` for the fold and its skipped
-    products."""
+    prefix ``w[:i]``, from the columns ``cols`` of ``w[:1], ...,
+    w[:i-1]`` and ``tails``, ``M`` on its ``i`` suffixes, longest first:
+    ``P_1 = M(w[:i])`` and ``P_k = sum_j P_(k-1)(w[:j]) M(w[j:i])``, a
+    left fold from int 0 that skips a product with an exactly zero
+    factor.  In floats this changes only the sign of a zero part of a
+    column, which :func:`series_sum` never carries into a value, so
+    values are bit for bit those of summing every term.
+    """
     i = len(tails)
     # P_k at w[:j] times M(w[j:i]) is added to P_(k+1), in order of j
     col = [tails[0]] + [0] * (i - 1)
@@ -104,8 +41,9 @@ def power_column(cols, tails):
 
 
 def series_sum(col, divisor):
-    """``sum_k P_k / divisor(k)`` over a word's own column ``col``, from
-    int 0; see :func:`_series` for the skipped terms."""
+    """The series value ``sum_k P_k / divisor(k)`` over a word's own
+    column ``col``, from int 0: an exactly zero power is skipped, but the
+    first is added undivided, so a zero sum has the type of ``M``."""
     total = 0
     for k, power in enumerate(col, 1):
         if power:
@@ -118,29 +56,6 @@ def series_sum(col, divisor):
 def log_divisor(k):
     """The signed int ``1 / c_k`` of the log series, ``(-1)^(k-1) k``."""
     return (-1) ** (k - 1) * k
-
-
-def mexp(G, sign=1):
-    """Mould exponential ``sum_k (sign G)^(x k) / k!`` of an alternal-type
-    mould, for ``sign`` 1 or -1; ``exp(-G)`` reads the power columns of
-    ``exp(G)``, since ``P_k[-G] = (-1)^k P_k[G]``.
-
-    Requires ``G`` to vanish on the empty word.
-    """
-    if G(()):
-        raise ValueError("mexp requires a mould vanishing on the empty word")
-    minus = "-" if sign < 0 else ""
-    return _series(G, 1, lambda k: sign ** k * math.factorial(k), f"exp({minus}{G.name})")
-
-
-def mlog(S):
-    """Mould logarithm of a group-like mould (``S`` equal to 1 on the
-    empty word): alternating sum over block decompositions.
-    """
-    s_empty = S(())
-    if s_empty != 1:
-        raise ValueError("mlog requires a mould equal to 1 on the empty word")
-    return _series(S, 0, log_divisor, f"log({S.name})")
 
 
 class AlternalityReport:
@@ -293,9 +208,11 @@ def read_table(data, d, exact=False):
     0 when ``exact``), both read once.
 
     A section missing, a key other than the one :func:`write_table`
-    writes for its word or a value not an ``[re, im]`` pair of numbers
-    (of fraction strings when ``exact``) raises ``ValueError`` naming
-    the section or key.
+    writes for its word or a value not an ``[re, im]`` pair of finite
+    numbers raises ``ValueError`` naming the section or key.  Each part
+    is read through ``Fraction``, which takes fraction strings and JSON
+    numbers alike, so either mode reads a table of either kind; a float
+    part reads back as itself.
     """
     data = _walk(data, _TABLE, "mould_table")
     tables = {}
@@ -313,9 +230,10 @@ def read_table(data, d, exact=False):
             try:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise TypeError
-                table[w] = QI.from_strings(pair) if exact else complex(pair[0], pair[1])
-            except (TypeError, ValueError, ZeroDivisionError):
+                real, imag = map(Fraction, pair)  # NaN and infinities are refused here
+                table[w] = QI(real, imag) if exact else complex(float(real), float(imag))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise ValueError(
-                    f"mould table value at {key!r} is not an [re, im] pair: {pair!r}"
+                    f"mould table value at {key!r} is not an [re, im] pair of finite numbers: {pair!r}"
                 ) from None
     return tables

@@ -17,19 +17,20 @@ word).  One step, :func:`step`, builds a node from the nodes of
 ``w[:-1]`` and ``w[1:]``.  :class:`MouldSolver` keeps its nodes, each
 with a fifth entry, its children by letter, as a trie whose shift is the
 suffix link (Aho and Corasick, CACM 18, 1975), so the node of ``w + a``
-is ``child(node(w), w + a)``, found with no word hashed.  The growth fit
-(``estimates.fit_growth_constants``) steps its frontier with the same
+is ``child(node(w), w + a)``, found with no word hashed.  G = log S and
+exp(+-G) are kept beside the trie, in memos keyed by node.  The growth
+fit (``estimates.fit_growth_constants``) steps its frontier with the same
 :func:`step` and keeps no trie.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from operator import add
 
 from .alphabet import words_over
 from .exact import scalar_abs
-from .mould import Mould, mexp, mlog, power_column
+from .mould import log_divisor, power_column, series_sum
 
 
 def step(parent, shift, k, lam, zero, n):
@@ -74,7 +75,7 @@ def step(parent, shift, k, lam, zero, n):
 def log_column(cols, node):
     """The power column of S at the word of ``node`` from the columns
     ``cols`` of its proper prefixes and S down its shift chain; G on the
-    word is its ``series_sum`` by ``log_divisor``, bit for bit ``mlog``'s."""
+    word is its ``series_sum`` by ``log_divisor``, as in ``MouldSolver.G``."""
     tails = []
     while node[3] is not None:
         tails.append(node[0][1])
@@ -86,12 +87,16 @@ class MouldSolver:
     """Memoized induction computing F, S = e^G, N and G for a frequency,
     on a trie of word nodes rooted at the empty word's, ``root``.
 
+    G and exp(+-G) live in memos keyed by ``id(node)``, safe since a node
+    lives as long as the solver: a node's power columns of S and of G and
+    its values of G and exp(+-G), each formed on first ask.
+
     Parameters
     ----------
     freq : Frequency
         Decides resonance and supplies eigenvalues (exact Q(i) when the
         frequency is exact).
-    gauge : Mould, optional
+    gauge : callable, optional
         Resonant alternal gauge mould, zero when omitted.  The CLI always
         uses the zero gauge; :func:`verify_equation` checks the
         zero-gauge condition only.  The gauge stays a parameter because
@@ -103,6 +108,9 @@ class MouldSolver:
         self.freq = freq
         self.gauge = gauge
         self.root = ((freq.zero(), freq.one(), freq.zero()), [freq.one()], (), None, {})
+        self._log_columns, self._exp_columns = {}, {}
+        self._g = {id(self.root): 0}
+        self._exp = {sign: {id(self.root): 1} for sign in (1, -1)}
 
     def child(self, parent, word):
         """The node of the non-empty ``word`` whose ``word[:-1]`` has the
@@ -130,29 +138,61 @@ class MouldSolver:
             node = above[4][letter] = (*step(above, node, k, lam, zero, n), {})
         return node
 
+    def path(self, word):
+        """The nodes of the prefixes of ``word``, walked down the children
+        from the root: the root's first, the word's own last."""
+        nodes = [self.root]
+        for i, letter in enumerate(word, 1):
+            nodes.append(nodes[-1][4].get(letter) or self.child(nodes[-1], word[:i]))
+        return nodes
+
     def node(self, word):
-        """The node of ``word``, walked down the children from the root."""
-        node = self.root
-        for i, letter in enumerate(word):
-            node = node[4].get(letter) or self.child(node, word[:i + 1])
-        return node
+        """The node of ``word``."""
+        return self.path(word)[-1]
 
     def values(self, word):
         """The (F, S, N) values on ``word``."""
         return self.node(word)[0]
 
-    @functools.cached_property
-    def F_mould(self):
-        return Mould(lambda w: self.values(w)[0], name="F")
+    def G(self, word):
+        """G = log S on ``word``: the ``series_sum`` by ``log_divisor`` of
+        its power column of S, :func:`log_column`."""
+        return self._sum(word, self._g, self._log_columns,
+                         lambda cols, node, prefix: log_column(cols, node), log_divisor)
 
-    @functools.cached_property
-    def S_mould(self):
-        return Mould(lambda w: self.values(w)[1], name="S")
+    def exp(self, word, sign=1):
+        """exp(sign G) on ``word``, for ``sign`` 1 or -1: the ``series_sum``
+        by ``sign^k k!`` of its power column of G.  exp(-G) reads the
+        columns of exp(G), since ``P_k[-G] = (-1)^k P_k[G]``."""
+        return self._sum(word, self._exp[sign], self._exp_columns, self._exp_column,
+                         lambda k: sign ** k * math.factorial(k))
 
-    @functools.cached_property
-    def G_mould(self):
-        """G = log S, built once so that every caller shares its memo."""
-        return mlog(self.S_mould)
+    def _sum(self, word, values, columns, column, divisor):
+        """The value on ``word`` in ``values``, formed on first ask as the
+        ``series_sum`` by ``divisor`` of its column in ``columns``; a
+        prefix's missing column is formed once, as ``column(cols, node,
+        prefix)`` of the columns ``cols`` of its proper prefixes."""
+        nodes = self.path(word)
+        value = values.get(id(nodes[-1]))
+        if value is None:
+            cols = []
+            for i in range(1, len(nodes)):
+                col = columns.get(id(nodes[i]))
+                if col is None:
+                    col = columns[id(nodes[i])] = column(cols, nodes[i], word[:i])
+                cols.append(col)
+            value = values[id(nodes[-1])] = series_sum(cols[-1], divisor)
+        return value
+
+    def _exp_column(self, cols, node, word):
+        """The power column of G at ``word``, whose node is ``node``, from
+        G on its suffixes, read down its shift chain."""
+        tails = []
+        for j in range(len(word)):
+            value = self._g.get(id(node))
+            tails.append(self.G(word[j:]) if value is None else value)
+            node = node[3]
+        return power_column(cols, tails)
 
 
 class EquationReport:
@@ -201,19 +241,13 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
     The main equation reads no mould: ``S x F`` pairs the node's
     ``lefts`` with F down its shift chain, from int 0, skipping a split
     with an exactly zero factor, and only nonzero values are measured.
-    The gauge sums read the memoized moulds ``exp(+-G)``, and
-    ``|w| exp(G)(w)``, which they read again on suffixes, from a dict.
+    The gauge sum, formed only on resonant words, reads exp(+-G) from
+    ``solver.exp``, formed once per node.  It starts from int 0, forms
+    the left factor first and the right one only when the left is
+    nonzero, and skips a split with an exactly zero factor, which, as
+    the sum never holds a float -0.0, changes no bit.
     """
     freq = solver.freq
-    exp_minus_g, exp_g = mexp(solver.G_mould, -1), mexp(solver.G_mould)
-    weighted = {}
-
-    def weighted_exp_g(word):
-        value = weighted.get(word)
-        if value is None:
-            value = weighted[word] = len(word) * exp_g(word)
-        return value
-
     divisors = freq.divisors
     letters = [w[0] for w in words_over(alphabet, 1)]
     level = [((), solver.root)]
@@ -243,7 +277,14 @@ def verify_equation(solver, max_r, alphabet, tol=1e-9):
                 if b and a:  # F, the zero factor off the resonant suffixes, first
                     s_f = s_f + a * b
                 node = node[3]
-            gauge = _split_sum(exp_minus_g, weighted_exp_g, w) if lam is None else freq.zero()
+            gauge = 0
+            if lam is None:
+                for i in range(r):  # the split with the empty suffix weighs 0
+                    a = solver.exp(w[:i], -1)
+                    if a:
+                        b = (r - i) * solver.exp(w[i:])
+                        if b:
+                            gauge = gauge + a * b
             max_res = max(max_res, _measure((nabla_s - shift) + s_f))
             max_nf = max(max_nf, _measure(nabla_f))
             max_gauge = max(max_gauge, _measure(gauge))
@@ -255,19 +296,3 @@ def _measure(value):
     """``scalar_abs(value)``, taken only of a nonzero value: an exact
     zero of any type measures 0.0, as its ``scalar_abs`` does."""
     return scalar_abs(value) if value else 0.0
-
-
-def _split_sum(left, right, word):
-    """``sum_i left(word[:i]) right(word[i:])`` over the r+1 splittings,
-    from int 0; a split with an exactly zero factor is skipped (``right``
-    is not evaluated when the left factor is zero).  The sum never holds
-    a float -0.0, so a skipped product, a signed zero when the other
-    factor is finite, would not change it."""
-    total = 0
-    for i in range(len(word) + 1):
-        a = left(word[:i])
-        if a:
-            b = right(word[i:])
-            if b:
-                total = total + a * b
-    return total

@@ -48,7 +48,11 @@ Nothing in the package uses these; they pin its results.
   word by the growth shape ``(tau/(e eta_r))^(tau (r - lag))``, and the
   shaped constants, which multiplied it back in, for the shape-free
   fit, ``norm_power_constants`` and ``gap_constant``; these agree to
-  rounding.  The gcd of a basis's maximal minors by Bareiss
+  rounding.  The mould layer the package kept until its moulds moved
+  onto the solver's trie, memoized callables keyed by word tuple
+  (:class:`Mould`, with the series ``mexp`` and ``mlog``), for
+  ``MouldSolver.G`` and ``MouldSolver.exp``; these are compared bit for
+  bit.  The gcd of a basis's maximal minors by Bareiss
   determinants (:func:`minors_lattice_index`) for the pivot product of
   ``alphabet._lattice_index``; these agree exactly.
 * Small definitions the tests state properties of: the letter sum of
@@ -89,10 +93,150 @@ from mouldnf.classical import check_hbar, sine_coupling
 from mouldnf.estimates import SAMPLE_LIMIT, _finite, default_eta, exp_tail_constant, letter_sums
 from mouldnf.exact import scalar_abs
 from mouldnf.liealg import ad_x0, chi, exp_ad_tail_bound
-from mouldnf.mould import AlternalityReport, Mould, mexp
+from mouldnf.mould import AlternalityReport, log_divisor, power_column, series_sum
 from mouldnf.observables import PRUNE_REL, norm_rho, slices
 from mouldnf.quantum import MoyalReport, _inside, _kmax
 from mouldnf.solver import EquationReport
+
+
+# The mould layer as the package had it, word-tuple-keyed memos, kept
+# verbatim: the bit-for-bit reference for ``MouldSolver.G`` and
+# ``MouldSolver.exp``, and the base of the combinator moulds below.
+
+
+class Mould:
+    """A memoized map from a letter tuple to a scalar.
+
+    Evaluation is pure given a frozen memo table: concurrent reads are
+    safe, and recomputing a word concurrently yields identical values,
+    so memo insertion only needs to be atomic-or-serialized.
+    """
+
+    def __init__(self, fn, name="M"):
+        self._fn = fn
+        self._memo = {}
+        self.name = name
+
+    def __call__(self, word):
+        value = self._memo.get(word)
+        if value is None:
+            value = self._memo[word] = self._fn(word)
+        return value
+
+    def __repr__(self):
+        return f"Mould({self.name})"
+
+
+def _series(M, empty_value, divisor, name):
+    """The mould ``w -> sum_k c_k sum_{w = w_1...w_k} M(w_1)...M(w_k)``
+    over compositions into non-empty blocks, with ``divisor(k)`` giving
+    the signed int ``1 / c_k``.
+
+    The inner sums are the power moulds ``P_k`` on the prefixes of the
+    word, by the induction ``P_1(i) = M(w[:i])`` and
+    ``P_k(i) = sum_{j=k-1}^{i-1} P_{k-1}(j) M(w[j:i])``, a left fold.
+    ``P_k(i)`` depends only on ``M`` and the prefix ``w[:i]``, so every
+    series over ``M`` shares one memo, kept with ``M``, from each prefix
+    met to the columns ``[P_1, ..., P_j]`` of its prefixes ``w[:j]``,
+    itself last; a new column reads its parent's entry and ``M`` on its
+    ``i`` suffixes, O(i^2) products.  A word whose ``w[:-1]`` was met
+    costs O(r^2) and two lookups (itself, as a longer word's prefix,
+    then its parent), and every value is the same sum in the same order
+    however the words arrive.  Only values of ``M`` on non-empty words
+    enter, so ``k`` stops at ``r``.
+
+    Each fold starts from int 0 and skips a product with an exactly
+    zero factor, and the final sum divides no exactly zero power: one
+    with ``k >= 2`` is skipped, and that with ``k = 1`` is added as it
+    is, so a zero sum has the type of ``M`` and an int 0 is never
+    divided into a float.  For finite values these change only the sign
+    of a zero part of a column, and the final sum, from int 0, never
+    holds a -0.0, so values are bit for bit those of summing every term;
+    a fold with every product skipped leaves int 0 in its column.
+    """
+    memo = vars(M).setdefault("_power_columns", {(): []})
+
+    def value(word):
+        r = len(word)
+        if r == 0:
+            return empty_value
+        known = r
+        while (cols := memo.get(word[:known])) is None:
+            known -= 1
+        for i in range(known + 1, r + 1):
+            cols = cols + [power_column(cols, [M(word[j:i]) for j in range(i)])]
+            memo[word[:i]] = cols
+        return series_sum(cols[-1], divisor)
+
+    return Mould(value, name=name)
+
+
+def power_column(cols, tails):
+    """The column ``[P_1, ..., P_i]`` of the power moulds of ``M`` at a
+    prefix ``w[:i]``, from the columns ``cols`` of its prefixes
+    ``w[:1], ..., w[:i-1]`` and ``tails``, ``M`` on its ``i`` suffixes,
+    longest first; see :func:`_series` for the fold and its skipped
+    products."""
+    i = len(tails)
+    # P_k at w[:j] times M(w[j:i]) is added to P_(k+1), in order of j
+    col = [tails[0]] + [0] * (i - 1)
+    for j in range(1, i):
+        b = tails[j]
+        if b:
+            for k, a in enumerate(cols[j - 1], 1):
+                if a:
+                    col[k] = col[k] + a * b
+    return col
+
+
+def series_sum(col, divisor):
+    """``sum_k P_k / divisor(k)`` over a word's own column ``col``, from
+    int 0; see :func:`_series` for the skipped terms."""
+    total = 0
+    for k, power in enumerate(col, 1):
+        if power:
+            total = total + power / divisor(k)
+        elif k == 1:  # the first term gives a zero sum its type, undivided
+            total = total + power
+    return total
+
+
+def log_divisor(k):
+    """The signed int ``1 / c_k`` of the log series, ``(-1)^(k-1) k``."""
+    return (-1) ** (k - 1) * k
+
+
+def mexp(G, sign=1):
+    """Mould exponential ``sum_k (sign G)^(x k) / k!`` of an alternal-type
+    mould, for ``sign`` 1 or -1; ``exp(-G)`` reads the power columns of
+    ``exp(G)``, since ``P_k[-G] = (-1)^k P_k[G]``.
+
+    Requires ``G`` to vanish on the empty word.
+    """
+    if G(()):
+        raise ValueError("mexp requires a mould vanishing on the empty word")
+    minus = "-" if sign < 0 else ""
+    return _series(G, 1, lambda k: sign ** k * math.factorial(k), f"exp({minus}{G.name})")
+
+
+def mlog(S):
+    """Mould logarithm of a group-like mould (``S`` equal to 1 on the
+    empty word): alternating sum over block decompositions.
+    """
+    s_empty = S(())
+    if s_empty != 1:
+        raise ValueError("mlog requires a mould equal to 1 on the empty word")
+    return _series(S, 0, log_divisor, f"log({S.name})")
+
+
+def solver_moulds(solver):
+    """F, S and G of ``solver`` by name, as memoized moulds over its
+    ``values`` and ``G``."""
+    return {
+        "F": Mould(lambda w: solver.values(w)[0], name="F"),
+        "S": Mould(lambda w: solver.values(w)[1], name="S"),
+        "G": Mould(solver.G, name="G"),
+    }
 
 
 def evaluate(obs, x, xi):
@@ -849,9 +993,9 @@ def combinator_verify_equation(solver, max_r, alphabet, tol=1e-9):
     combinator moulds: each word's letter sum is formed and decided in
     ``nabla(S)``, ``nabla(F)`` and ``resonant_part``."""
     freq = solver.freq
-    S = solver.S_mould
-    F = solver.F_mould
-    G = solver.G_mould
+    moulds = solver_moulds(solver)
+    S, F = moulds["S"], moulds["F"]
+    G = mlog(S)
     nabla_S = nabla(S, freq)
     # times(I, S) with I the mould that is 1 on one-letter words: S on
     # the word less its first letter, and 0 on the empty word

@@ -20,9 +20,10 @@ from mouldnf.alphabet import (
     words_over,
 )
 from mouldnf.estimates import SAMPLE_LIMIT, fit_growth_constants, letter_sums
-from mouldnf.mould import Mould, read_table
+from mouldnf.mould import read_table
 
 from oracles import (
+    Mould,
     beta_per_word,
     beta_subset_bound,
     combination_shuffles,

@@ -122,3 +122,13 @@ def test_every_module_function_is_reached_by_a_command(tmp_path):
         sys.setprofile(None)
     unreached = {name for code, name in functions.items() if code not in called}
     assert unreached - UNREACHED_EXEMPT == set()
+
+
+def test_readme_prose_lines_at_most_400_characters():
+    fenced, long_lines = False, []
+    for number, line in enumerate(README.read_text().splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced and len(line) > 400:
+            long_lines.append((number, len(line)))
+    assert long_lines == []

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldnf import Observable
+from mouldnf import solver as solver_module
 from mouldnf.cli import _table_letters, main
 from mouldnf.mould import read_table
 from mouldnf.observables import norm_rho, to_json_dict
@@ -874,10 +875,16 @@ class TestVerifyCommand:
             ({"F": {}, "S": {" 1,0": [9.0, 9.0], "1,0": [0.0, -1.0]}, "G": {}}, []),
             # one key given twice, which json would read as its last value
             ('{"F": {}, "S": {"1,0": [9.0, 9.0], "1,0": [0.0, -1.0]}, "G": {}}', []),
+            # json reads NaN and 1e400, an infinity; neither is a value
+            ('{"F": {"1,0": [NaN, 0]}, "S": {}, "G": {}}', []),
+            ('{"F": {"1,0": [1e400, 0]}, "S": {}, "G": {}}', []),
+            ('{"F": {"1,0": [NaN, 0]}, "S": {}, "G": {}}', ["--exact"]),
+            ('{"F": {"1,0": [1e400, 0]}, "S": {}, "G": {}}', ["--exact"]),
         ],
         ids=["non-integral-key", "no-S-section", "wrong-dimension-key", "one-number-value",
              "string-value", "exact-one-string-value", "exact-null-part", "digit-separator-key",
-             "two-spellings-of-one-word", "repeated-key"],
+             "two-spellings-of-one-word", "repeated-key", "nan-value", "inf-value",
+             "exact-nan-value", "exact-inf-value"],
     )
     def test_malformed_golden_table_rejected(self, tmp_path, capsys, monkeypatch, table, flags):
         # the table is read before any mould is solved
@@ -891,6 +898,50 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg), "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read mould_table: ")
         assert not (out / "verify_report.jsonl").exists()
+
+    def test_non_finite_value_refused_naming_its_key(self, tmp_path, capsys):
+        (tmp_path / "table.json").write_text('{"F": {}, "S": {"1,0": [0, 1e400]}, "G": {}}')
+        cfg = write_config(tmp_path / "run.json", alphabet=[[1, 0]], max_r=1, samples=5,
+                           mould_table="table.json")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "'1,0'" in capsys.readouterr().err
+
+    def test_columns_formed_only_on_words_a_check_asks_for(self, tmp_path, monkeypatch):
+        # over the golden mean no word over these letters is resonant: no
+        # gauge sum reads exp(+-G), and only the alternality check, to
+        # length 4, reads G, so no column is formed on the longer words
+        log_lengths, power_columns = [], []
+        log_column, power_column = solver_module.log_column, solver_module.power_column
+
+        def recording_log(cols, node):
+            log_lengths.append(len(cols) + 1)
+            return log_column(cols, node)
+
+        def recording_power(cols, tails):
+            power_columns.append(len(tails))
+            return power_column(cols, tails)
+
+        monkeypatch.setattr(solver_module, "log_column", recording_log)
+        monkeypatch.setattr(solver_module, "power_column", recording_power)
+        cfg = write_config(tmp_path / "run.json", alphabet=[[1, 0], [0, 1], [1, 1]], max_r=6, samples=5)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        # each log column forms one power column, and nothing else does
+        assert len(power_columns) == len(log_lengths)
+        # one log column on each of the 3^r words of length r <= 4
+        assert sorted(log_lengths) == [r for r in range(1, 5) for _ in range(3 ** r)]
+
+    def test_exact_golden_verifies_in_a_float_run(self, tmp_path):
+        # its fraction strings are read through Fraction, as float numbers are
+        repo = TestBundledGoldens.REPO
+        config = json.loads((repo / "configs" / "rational_moulds.json").read_text())
+        config["mould_table"] = str(repo / "goldens" / "moulds_exact_golden.json")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        report = [json.loads(line) for line in (out / "verify_report.jsonl").read_text().splitlines()]
+        golden = next(line for line in report if line["name"] == "golden_mould_table")
+        assert golden["ok"] and 0.0 < golden["max_deviation"] <= 2e-16
 
 
 class TestBundledGoldens:

@@ -17,7 +17,6 @@ from mouldnf import estimates, liealg
 from mouldnf.alphabet import diophantine_alpha
 from mouldnf.cli import main
 from mouldnf.liealg import apply_exp_ad, chi, contract
-from mouldnf.mould import Mould
 from mouldnf.observables import norm_rho
 from mouldnf.solver import MouldSolver
 from mouldnf.estimates import (
@@ -34,6 +33,7 @@ from mouldnf.estimates import (
 )
 
 from oracles import (
+    Mould,
     exp_tail_constant_at,
     generator_majorant,
     growth_shape,
@@ -41,6 +41,7 @@ from oracles import (
     mould_fit_growth_constants,
     shaped_gap_constant,
     shaped_norm_power_constants,
+    solver_moulds,
     trie_table,
     tuple_subset_sums,
     weighted_tuple_sum,
@@ -384,8 +385,8 @@ class TestFrontierMatchesMouldFit:
             a, b = freq.resonance_basis[0]
             letters = [(letters[0][0] + shift * a, letters[0][1] + shift * b), *letters[1:]]
         f_list, g_list = fit_growth_constants(freq, letters, r_max, 1.0, alpha, seed)
-        solver = MouldSolver(freq)
-        for fit, mould in ((f_list, solver.F_mould), (g_list, solver.G_mould)):
+        moulds = solver_moulds(MouldSolver(freq))
+        for fit, mould in ((f_list, moulds["F"]), (g_list, moulds["G"])):
             reference = mould_fit_growth_constants(mould, freq, letters, r_max, 1.0, alpha, seed)
             assert [x.hex() for x in fit] == [x.hex() for x in reference]
             assert repr(fit) == repr(reference)
@@ -485,7 +486,8 @@ class TestShapeCancels:
         freq = Frequency(golden_freq.omega, dioph_tau=tau)
         letters = sorted({k for k, _ in toy_B.coeffs})
         rho_prime = rho * ratio
-        G, F = toy_solver.G_mould, toy_solver.F_mould
+        moulds = solver_moulds(toy_solver)
+        G, F = moulds["G"], moulds["F"]
         try:
             old = shaped_norm_power_constants(
                 N, rho, rho_prime, tau, alpha,
@@ -506,7 +508,7 @@ class TestShapeCancels:
     @pytest.mark.parametrize("N", [2, 3])
     def test_reported_F_N_is_the_shaped_fit(self, toy_B, golden_freq, golden_alpha, N):
         rep = verify_semiclassical(toy_B, N, 1.0, 0.5, golden_freq, [0.1], golden_alpha, seed=7)
-        F = MouldSolver(golden_freq).F_mould
+        F = solver_moulds(MouldSolver(golden_freq))["F"]
         letters = sorted({k for k, _ in toy_B.coeffs})
         shaped = mould_fit_growth_constants(F, golden_freq, letters, N, 1.0, golden_alpha, seed=7, lag=1)
         assert math.isclose(rep.bounds[0].inputs["F_N"], shaped[N - 1], rel_tol=1e-14, abs_tol=0.0)

@@ -17,10 +17,10 @@ from mouldnf import Frequency
 from mouldnf.alphabet import words_over
 from mouldnf.cli import load_config
 from mouldnf.exact import QI, scalar_abs
-from mouldnf.mould import Mould, mexp, write_table
+from mouldnf.mould import write_table
 from mouldnf.solver import MouldSolver, verify_equation
 
-from oracles import FractionQI
+from oracles import FractionQI, Mould, solver_moulds
 
 REPO = Path(__file__).parent.parent
 RATIONALS = st.integers(-10 ** 30, 10 ** 30) | st.fractions(max_denominator=10 ** 12)
@@ -248,10 +248,9 @@ def exact_solve():
     """F, S and G on every word up to ``MAX_R``, and the equation report."""
     freq = Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)])
     solver = MouldSolver(freq)
-    moulds = {"F": solver.F_mould, "S": solver.S_mould, "G": solver.G_mould}
-    tables = write_table(moulds, LETTERS, MAX_R, exact=True)
+    tables = write_table(solver_moulds(solver), LETTERS, MAX_R, exact=True)
     report = verify_equation(solver, MAX_R, LETTERS)
-    return tables, vars(report), solver.S_mould(LETTERS)
+    return tables, vars(report), solver.values(LETTERS)[1]
 
 
 # the nine operators, each counted under its own name
@@ -263,8 +262,9 @@ class TestVerifyWork:
     """The exact verify solve, counted, not timed: zero is int 0 and
     costs no Q(i) arithmetic, exp(-G) shares the power columns of exp(G),
     int operands are not coerced, eigenvalues build no Fraction, each
-    distinct letter sum forms one eigenvalue, and each word evaluates no
-    combinator mould and reads S and F from lists rather than moulds."""
+    distinct letter sum forms one eigenvalue, each word evaluates no
+    combinator mould and reads S and F from lists rather than moulds, and
+    the gauge sums read exp(+-G) from memos keyed by node."""
 
     # ``vars`` of the report, as summing every zero term gives it
     REPORT = (
@@ -313,17 +313,17 @@ class TestVerifyWork:
         # QI._of (two eigenvalues per non-resonant word) and 34611 mould calls;
         # S and F read through their moulds on prefixes and suffixes took 22171;
         # a QI zero, and an eigenvalue formed per word in the solve and in
-        # the check, took 27379 QI._of and 35308 operators
-        assert counts == {"QI._of": 25591, "QI operators": 34397, "Fraction": 0, "Mould calls": 5698}
+        # the check, took 27379 QI._of and 35308 operators; exp(+-G) from
+        # memoized moulds, with the gauge split on the empty suffix, took
+        # 25591 QI._of, 34397 operators and 5698 mould calls
+        assert counts == {"QI._of": 25263, "QI operators": 34065, "Fraction": 0, "Mould calls": 0}
 
 
 def closure_values(freq, alphabet, max_r=5):
     """F, S, N, G, exp(G) and exp(-G) on every word up to ``max_r``."""
     solver = MouldSolver(freq)
-    G = solver.G_mould
-    exp_g, exp_minus_g = mexp(G), mexp(G, -1)
     for w in [(), *words_over(alphabet, max_r)]:
-        yield (w, *solver.values(w), G(w), exp_g(w), exp_minus_g(w))
+        yield (w, *solver.values(w), solver.G(w), solver.exp(w), solver.exp(w, -1))
 
 
 @pytest.mark.parametrize("source", ["verify-exact-r6", "rational_moulds.json"])

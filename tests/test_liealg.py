@@ -19,6 +19,7 @@ from oracles import (
     ident_mould,
     mbracket,
     nabla,
+    solver_moulds,
     table_mould,
     tuple_contract_range,
     tuple_exp_ad,
@@ -281,9 +282,9 @@ class TestWalkersOnCodes:
         r_min, r_max = r_range
         backend = Backend(hbar)
         fast = _outcome(contract, MouldSolver(golden_freq), B, r_max, backend, r_min)
+        moulds = solver_moulds(golden_solver)
         assert fast == _outcome(lambda: [
-            tuple_contract_range(M, B, r_min, r_max, backend)
-            for M in (golden_solver.F_mould, golden_solver.G_mould)
+            tuple_contract_range(moulds[name], B, r_min, r_max, backend) for name in "FG"
         ])
 
 

@@ -11,25 +11,23 @@ from hypothesis import strategies as st
 from mouldnf import Frequency
 from mouldnf import mould as mould_module
 from mouldnf.exact import QI, scalar_abs
-from mouldnf.mould import (
-    Mould,
-    check_alternal,
-    mexp,
-    mlog,
-    read_table,
-    write_table,
-)
+from mouldnf import solver as solver_module
+from mouldnf.mould import check_alternal, read_table, write_table
 from mouldnf.solver import MouldSolver
 
 from oracles import (
+    Mould,
     composition_series,
     ident_mould,
     ksum,
     madd,
+    mexp,
+    mlog,
     mneg,
     nabla,
     nabla1,
     resonant_part,
+    solver_moulds,
     summing_check_alternal,
     summing_series,
     table_mould,
@@ -223,10 +221,18 @@ class TestExpLog:
 
 
 EXP_COEFFICIENT = lambda k: (1, math.factorial(k))
+EXP_MINUS_COEFFICIENT = lambda k: ((-1) ** k, math.factorial(k))
 LOG_COEFFICIENT = lambda k: ((-1) ** (k - 1), k)
 # words of length 1..7 over letters that give both resonant and
 # non-resonant subwords
 SERIES_WORDS = st.lists(st.sampled_from((X, Y, Z, (1, 1))), min_size=1, max_size=7).map(tuple)
+# for omega = (1, 2), resonant through (2, -1): over these letters the
+# solver's resonant words read the gauge and the others divide
+SOLVER_LETTERS = {X: (1, 0), Y: (2, -1), Z: (-2, 1), (1, 1): (1, -1)}
+FREQS = {
+    True: Frequency((Fraction(1), Fraction(2)), resonance_basis=[(2, -1)]),
+    False: Frequency((1.0, 2.0), resonance_basis=[(2, -1)]),
+}
 
 
 def seeded_mould(seed, empty, value):
@@ -238,6 +244,17 @@ def seeded_mould(seed, empty, value):
     )
 
 
+def seeded_solver(seed, value, exact):
+    """A solver whose gauge on each resonant word is ``value(rng)`` for an
+    rng seeded by the word, so S takes pseudo-random values there."""
+    return MouldSolver(FREQS[exact], gauge=lambda w: value(random.Random(f"{seed}:{w}")))
+
+
+def solver_word(word):
+    """``word``, drawn over ``SERIES_WORDS``'s letters, over the solver's."""
+    return tuple(SOLVER_LETTERS[letter] for letter in word)
+
+
 def exact_value(rng):
     re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return QI(re, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -247,72 +264,94 @@ def float_value(rng):
     return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
 
-class CountingMould:
-    """A mould that counts its evaluations; it has no memo of its own."""
+def series_values(solver, word):
+    """G, exp(G) and exp(-G) of ``solver`` on ``word``."""
+    return solver.G(word), solver.exp(word), solver.exp(word, -1)
 
-    def __init__(self, empty):
-        self.empty = empty
-        self.calls = 0
-        self.name = "counting"
 
-    def __call__(self, word):
-        self.calls += 1
-        return self.empty if len(word) == 0 else 1.0 / (1 + len(word))
+def composition_values(solver, word):
+    """G, exp(G) and exp(-G) on ``word`` as the composition sums over S and G."""
+    S = lambda w: solver.values(w)[1]
+    return tuple(
+        composition_series(M, word, coefficient)
+        for M, coefficient in ((S, LOG_COEFFICIENT), (solver.G, EXP_COEFFICIENT),
+                               (solver.G, EXP_MINUS_COEFFICIENT))
+    )
+
+
+def counting(monkeypatch, name):
+    """Count the calls of ``solver.<name>``; the list of counts is returned."""
+    calls = [0]
+    fn = getattr(solver_module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(solver_module, name, counted)
+    return calls
 
 
 class TestSeriesRecursion:
-    """The prefix recursion of exp/log against the composition sum."""
+    """The solver's G and exp(+-G), from the prefix recursion on its
+    trie, against the composition sum."""
 
     @given(st.integers(0, 10 ** 6), SERIES_WORDS)
     def test_exact_equals_composition_sum(self, seed, word):
-        G = seeded_mould(seed, QI(0, 0), exact_value)
-        S = seeded_mould(seed, QI(1, 0), exact_value)
-        assert mexp(G)(word) == composition_series(G, word, EXP_COEFFICIENT)
-        assert mlog(S)(word) == composition_series(S, word, LOG_COEFFICIENT)
+        solver, word = seeded_solver(seed, exact_value, True), solver_word(word)
+        assert series_values(solver, word) == composition_values(solver, word)
 
     @given(st.integers(0, 10 ** 6), SERIES_WORDS)
     def test_float_matches_composition_sum(self, seed, word):
-        for M, series, coefficient in (
-            (seeded_mould(seed, 0j, float_value), mexp, EXP_COEFFICIENT),
-            (seeded_mould(seed, 1 + 0j, float_value), mlog, LOG_COEFFICIENT),
+        solver, word = seeded_solver(seed, float_value, False), solver_word(word)
+        S = lambda w: solver.values(w)[1]
+        for got, want, M, coefficient in zip(
+            series_values(solver, word), composition_values(solver, word),
+            (S, solver.G, solver.G), (LOG_COEFFICIENT, EXP_COEFFICIENT, EXP_COEFFICIENT),
         ):
             # the mass of the sum: every term taken in absolute value
-            mass = composition_series(
-                lambda w: abs(M(w)), word, lambda k: (1, coefficient(k)[1])
-            )
-            assert abs(series(M)(word) - composition_series(M, word, coefficient)) <= 1e-12 * mass
+            mass = composition_series(lambda w: abs(M(w)), word, lambda k: (1, coefficient(k)[1]))
+            assert abs(got - want) <= 1e-12 * mass
 
-    @pytest.mark.parametrize("series, empty", [(mexp, 0.0), (mlog, 1.0)])
-    def test_one_evaluation_per_subword(self, series, empty):
+    @pytest.mark.parametrize("series", ["exp", "log"])
+    def test_one_column_per_node(self, series, monkeypatch):
+        # the r subwords X^1..X^r of X^r are its r prefixes
+        columns = counting(monkeypatch, "power_column")
+        sums = counting(monkeypatch, "series_sum")
         for r in range(1, 8):
-            M = CountingMould(empty)
-            result = series(M)
-            M.calls = 0
-            result((X,) * r)
-            assert M.calls == r * (r + 1) // 2
+            solver = MouldSolver(FREQS[False])
+            columns[0] = sums[0] = 0
+            (solver.exp if series == "exp" else solver.G)((X,) * r)
+            # exp(G) forms its r columns over G and reads G on the r nodes
+            assert columns[0] == (2 * r if series == "exp" else r)
+            assert sums[0] == (r + 1 if series == "exp" else 1)
+            # once every prefix has its values, asking again forms nothing
+            for i in range(r + 1):
+                series_values(solver, (X,) * i)
+            columns[0] = sums[0] = 0
+            for i in range(r + 1):
+                series_values(solver, (X,) * i)
+            assert columns[0] == sums[0] == 0
 
 
 class TestSeriesColumnMemo:
-    """One series keeps the power columns of every prefix it met, so a
-    word may reuse columns that other words built; its value must not
-    depend on which words came first."""
+    """The solver keeps the power columns of every node it met, so a word
+    may reuse columns that other words built; its values must not depend
+    on which words came first."""
 
     @staticmethod
     def closed_words(words):
         # every non-empty prefix, so that words extend one another
-        return sorted({w[:i] for w in words for i in range(1, len(w) + 1)})
+        return sorted({solver_word(w[:i]) for w in words for i in range(1, len(w) + 1)})
 
     @settings(max_examples=30)
     @given(st.integers(0, 10 ** 6), st.lists(SERIES_WORDS, min_size=1, max_size=4), st.randoms())
     def test_exact_shuffled_order_equals_composition_sum(self, seed, words, rng):
-        G = seeded_mould(seed, QI(0, 0), exact_value)
-        S = seeded_mould(seed, QI(1, 0), exact_value)
-        exp_g, log_s = mexp(G), mlog(S)
+        solver = seeded_solver(seed, exact_value, True)
         words = self.closed_words(words)
         rng.shuffle(words)
         for w in words:
-            assert exp_g(w) == composition_series(G, w, EXP_COEFFICIENT)
-            assert log_s(w) == composition_series(S, w, LOG_COEFFICIENT)
+            assert series_values(solver, w) == composition_values(solver, w)
 
     @settings(max_examples=30)
     @given(st.integers(0, 10 ** 6), st.lists(SERIES_WORDS, min_size=1, max_size=4), st.randoms())
@@ -320,16 +359,19 @@ class TestSeriesColumnMemo:
         words = self.closed_words(words)
         shuffled = list(words)
         rng.shuffle(shuffled)
-        # longest first: a prefix then finds its own column cached
+        # longest first: a prefix then finds its own column formed
         longest_first = sorted(words, key=len, reverse=True)
-        for series, empty in ((mexp, 0j), (mlog, 1 + 0j)):
-            values = []
-            for order in (shuffled, longest_first):
-                # a fresh mould each time: series over one mould share columns
-                evaluate = series(seeded_mould(seed, empty, float_value))
-                values.append({w: evaluate(w) for w in order})
-            for w in words:
-                assert repr(values[0][w]) == repr(values[1][w])
+        values = []
+        for order in (shuffled, longest_first):
+            # a fresh solver each time: its memos hold every column formed
+            solver = seeded_solver(seed, float_value, False)
+            values.append({w: series_values(solver, w) for w in order})
+        # and the word-keyed series of the earlier mould layer
+        reference = seeded_solver(seed, float_value, False)
+        G = mlog(solver_moulds(reference)["S"])
+        exp_g, exp_minus_g = mexp(G), mexp(G, -1)
+        for w in words:
+            assert repr(values[0][w]) == repr(values[1][w]) == repr((G(w), exp_g(w), exp_minus_g(w)))
 
 
 def float_value_with_zeros(rng):
@@ -343,26 +385,27 @@ def exact_value_with_zeros(rng):
 
 
 class TestSharedColumnsAndZeroSkips:
-    """Every series over one mould shares its power columns, so exp(-G)
-    reads those of exp(G); products and powers that are exactly zero are
-    skipped.  Both give the values of the fold that sums every term into
-    one memo per series."""
+    """exp(-G) reads the power columns of exp(G); products and powers
+    that are exactly zero are skipped.  Both give the values of the fold
+    that sums every term into one memo per series."""
 
     @settings(max_examples=60)
     @given(st.integers(0, 10 ** 6), st.lists(SERIES_WORDS, min_size=1, max_size=4))
     def test_exp_of_minus_equals_exp_of_negated(self, seed, words):
-        for empty, value in ((QI(0, 0), exact_value_with_zeros), (0j, float_value_with_zeros)):
-            G = seeded_mould(seed, empty, value)
-            exp_g, exp_minus_g, reference = mexp(G), mexp(G, -1), mexp(mneg(G))
-            for w in words:
-                # the prefixes of w are in the memo once exp(G) has met w
-                exp_g(w)
-                assert repr(exp_minus_g(w)) == repr(reference(w))
-                assert exp_minus_g(w) == reference(w)
+        for value, exact in ((exact_value_with_zeros, True), (float_value_with_zeros, False)):
+            solver = seeded_solver(seed, value, exact)
+            reference = mexp(mneg(solver_moulds(solver)["G"]))
+            for w in map(solver_word, words):
+                # the prefixes of w have their columns once exp(G) has met w
+                solver.exp(w)
+                assert repr(solver.exp(w, -1)) == repr(reference(w))
+                assert solver.exp(w, -1) == reference(w)
 
     @settings(max_examples=60)
     @given(st.integers(0, 10 ** 6), st.lists(SERIES_WORDS, min_size=1, max_size=4))
     def test_skipping_series_equals_summing_fold(self, seed, words):
+        # power_column and series_sum, through the earlier mould layer on
+        # seeded moulds and through the solver's memos
         for (series, coefficient, empty), value in itertools.product(
             ((mexp, EXP_COEFFICIENT, 0), (mlog, LOG_COEFFICIENT, 1)),
             (exact_value_with_zeros, float_value_with_zeros),
@@ -374,16 +417,25 @@ class TestSharedColumnsAndZeroSkips:
             for w in words:
                 assert repr(new(w)) == repr(old(w))
                 assert new(w) == old(w)
+        for value, exact in ((exact_value_with_zeros, True), (float_value_with_zeros, False)):
+            solver = seeded_solver(seed, value, exact)
+            moulds = solver_moulds(solver)
+            old = (summing_series(moulds["S"], 0, LOG_COEFFICIENT),
+                   summing_series(moulds["G"], 1, EXP_COEFFICIENT),
+                   summing_series(moulds["G"], 1, EXP_MINUS_COEFFICIENT))
+            for w in map(solver_word, words):
+                assert repr(series_values(solver, w)) == repr(tuple(series(w) for series in old))
 
-    def test_exp_of_minus_evaluates_no_word_again(self):
-        G = CountingMould(0.0)
-        word = (X, Y, Z, X, Y)
-        expected = mexp(mneg(Mould(G)))(word)
-        exp_g, exp_minus_g = mexp(G), mexp(G, -1)
-        exp_g(word)
-        G.calls = 0
-        assert repr(exp_minus_g(word)) == repr(expected)
-        assert G.calls == 0
+    def test_exp_of_minus_evaluates_no_word_again(self, monkeypatch):
+        word = solver_word((X, Y, Z, X, Y))
+        expected = mexp(mneg(solver_moulds(MouldSolver(FREQS[False]))["G"]))(word)
+        solver = MouldSolver(FREQS[False])
+        solver.exp(word)
+        columns = counting(monkeypatch, "power_column")
+        sums = counting(monkeypatch, "series_sum")
+        assert repr(solver.exp(word, -1)) == repr(expected)
+        # no column is formed, and G is read from its memo: one sum, exp(-G)'s
+        assert (columns[0], sums[0]) == (0, 1)
 
 
 class TestAlternality:
@@ -407,8 +459,8 @@ class TestAlternality:
         # G vanishes on (1, 0)^r for r >= 2, so every shuffle sum, and each
         # pair's own mass, is rounding dust; G((1, 0)) sets the reference
         solver = MouldSolver(Frequency((1.0, 2.0)))
-        assert check_alternal([solver.G_mould], 4, [X])[0].ok
-        S_off_empty = Mould(lambda w: solver.S_mould(w) if w else 0j, name="S - 1")
+        assert check_alternal([solver.G], 4, [X])[0].ok
+        S_off_empty = lambda w: solver.values(w)[1] if w else 0j
         assert not check_alternal([S_off_empty], 4, [X])[0].ok
 
     @settings(max_examples=60)

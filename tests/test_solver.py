@@ -11,7 +11,7 @@ from mouldnf import Frequency
 from mouldnf.alphabet import beta, diophantine_alpha
 from mouldnf.estimates import SAMPLE_LIMIT, default_eta, fit_growth_constants
 from mouldnf.exact import QI
-from mouldnf.mould import check_alternal, mexp
+from mouldnf.mould import check_alternal
 from mouldnf import alphabet
 from mouldnf import solver as solver_module
 from mouldnf.solver import MouldSolver, verify_equation
@@ -24,6 +24,7 @@ from oracles import (
     is_resonant,
     ksum,
     nabla,
+    solver_moulds,
     subset_sum_counts,
     table_mould,
     times,
@@ -64,11 +65,11 @@ class TestClosedForms:
         assert F == pytest.approx(-1 / lam)
         assert S == pytest.approx(-1 / (2 * lam ** 2))
         assert N == pytest.approx(0)
-        assert solver.G_mould(((1, 0), (-1, 0))) == pytest.approx(0)
+        assert solver.G(((1, 0), (-1, 0))) == pytest.approx(0)
 
     def test_g_single_letters(self, golden_freq, rational_freq_float):
-        assert MouldSolver(golden_freq).G_mould(((1, 0),)) == pytest.approx(1 / 1j)
-        assert MouldSolver(rational_freq_float).G_mould(((2, -1),)) == 0
+        assert MouldSolver(golden_freq).G(((1, 0),)) == pytest.approx(1 / 1j)
+        assert MouldSolver(rational_freq_float).G(((2, -1),)) == 0
 
     def test_exact_mode_closed_forms(self, rational_freq):
         solver = MouldSolver(rational_freq)
@@ -95,7 +96,7 @@ class TestEquation:
         assert rep.max_residual <= 1e-9 * rep.scale
 
     def test_nabla_f_vanishes_off_resonance(self, golden_solver, golden_freq):
-        NF = nabla(golden_solver.F_mould, golden_freq)
+        NF = nabla(solver_moulds(golden_solver)["F"], golden_freq)
         for w in words_over(((1, 0), (0, 1)), 3):
             assert NF(w) == 0
 
@@ -107,13 +108,12 @@ class TestStructure:
                 assert golden_solver.values(w)[0] == 0
 
     def test_s_equals_exp_g(self, golden_solver):
-        E = mexp(golden_solver.G_mould)
         for w in words_over(((1, 0), (-1, 0)), 5):
-            assert complex(E(w)) == pytest.approx(complex(golden_solver.values(w)[1]), abs=1e-12)
+            assert complex(golden_solver.exp(w)) == pytest.approx(complex(golden_solver.values(w)[1]), abs=1e-12)
 
     def test_alternality_of_f_and_g(self, rational_freq_float):
-        solver = MouldSolver(rational_freq_float)
-        for mould in (solver.F_mould, solver.G_mould):
+        moulds = solver_moulds(MouldSolver(rational_freq_float))
+        for mould in (moulds["F"], moulds["G"]):
             (rep,) = check_alternal([mould], 4, MIXED_ALPHABET, tol=1e-10)
             assert rep.ok, rep.violations[:3]
 
@@ -129,8 +129,8 @@ class TestStructure:
             f1 = complex(s1.values(w)[0])
             f2 = complex(s2.values(w)[0])
             assert f2 == pytest.approx(f1 * c ** (-(r - 1)), rel=1e-9, abs=1e-15)
-            g1 = complex(s1.G_mould(w))
-            g2 = complex(s2.G_mould(w))
+            g1 = complex(s1.G(w))
+            g2 = complex(s2.G(w))
             assert g2 == pytest.approx(g1 * c ** (-r), rel=1e-9, abs=1e-15)
 
 
@@ -154,7 +154,7 @@ class TestGrowthBound:
             codes, _, weights = word_codes(golden_freq, w)
             shape = math.exp(eta_r * beta(subset_sum_counts(w, codes), weights))
             fv = abs(complex(solver.values(w)[0]))
-            gv = abs(complex(solver.G_mould(w)))
+            gv = abs(complex(solver.G(w)))
             assert fv <= f_list[r - 1] * shape * (1 + 1e-12)
             assert gv <= g_list[r - 1] * shape * (1 + 1e-12)
 
@@ -171,9 +171,12 @@ class TestGaugeHook:
 
 class TestSharedMoulds:
     def test_f_and_s_moulds_are_cached(self, golden_freq):
+        # F and S live on the word's node, G and exp(+-G) in memos by node
         solver = MouldSolver(golden_freq)
-        assert solver.F_mould is solver.F_mould
-        assert solver.S_mould is solver.S_mould
+        w = ((1, 0), (0, 1), (1, 0))
+        assert solver.values(w) is solver.values(w)
+        assert solver.G(w) is solver.G(w)
+        assert solver.exp(w, -1) is solver.exp(w, -1)
 
 
 # Each case: a frequency, letters whose words are resonant and
@@ -230,7 +233,8 @@ class TestZeroSkips:
             assert repr(solver.values(w)) == repr(oracle.values(w))
 
     def test_products_bit_identical(self, golden_solver):
-        S, F = golden_solver.S_mould, golden_solver.F_mould
+        moulds = solver_moulds(golden_solver)
+        S, F = moulds["S"], moulds["F"]
         for M, N in ((ident_mould(), S), (S, F), (F, S)):
             product = times(M, N)
             for w in [(), *words_over(((1, 0), (-1, 0), (2, 0)), 4)]:
@@ -453,7 +457,7 @@ class TestVerifyWalk:
     def test_each_word_solved_once_in_walk_order(self, monkeypatch):
         freq = VERIFY_CASES["rational_exact"]
         asked, solved, stepped, hits = [], [], [], []
-        child, values, step = MouldSolver.child, MouldSolver.values, solver_module.step
+        child, path, step = MouldSolver.child, MouldSolver.path, solver_module.step
 
         def recording_child(self, parent, word):
             asked.append(word)
@@ -465,31 +469,31 @@ class TestVerifyWalk:
             stepped.append(args)
             return step(*args)
 
-        def recording_values(self, word):
+        def recording_path(self, word):
             hits.append(word in trie_table(self))
-            return values(self, word)
+            return path(self, word)
 
         monkeypatch.setattr(MouldSolver, "child", recording_child)
         monkeypatch.setattr(solver_module, "step", recording_step)
-        monkeypatch.setattr(MouldSolver, "values", recording_values)
+        monkeypatch.setattr(MouldSolver, "path", recording_path)
         assert verify_equation(MouldSolver(freq), 5, MIXED_ALPHABET).ok
         walk = list(alphabet.words_over(MIXED_ALPHABET, 5))
         assert asked == solved == walk
         assert len(stepped) == len(walk)
-        # the gauge sums read S through its mould: every word it asks
-        # for is recorded, so values() solves nothing
+        # the gauge sums read exp(+-G), and so G, down paths from the
+        # root: every word they ask for is recorded, so path() solves nothing
         assert hits and all(hits)
 
     def test_walk_without_resonant_words_enters_no_values_call(self, golden_freq, monkeypatch):
         # over the golden mean no word over these letters is resonant, so
-        # no gauge sum reads S once G (which reads S on the empty word) is built
+        # no gauge sum reads exp(+-G): the walk enters no path from the
+        # root, which values, G and exp all take
         solver = MouldSolver(golden_freq)
-        solver.G_mould
 
         def refused(self, word):
-            raise AssertionError(f"values({word!r}) entered")
+            raise AssertionError(f"path({word!r}) entered")
 
-        monkeypatch.setattr(MouldSolver, "values", refused)
+        monkeypatch.setattr(MouldSolver, "path", refused)
         assert verify_equation(solver, 4, ((1, 0), (0, 1), (1, 1))).ok
         assert len(trie_table(solver)) == 1 + 3 + 9 + 27 + 81
 
